@@ -382,7 +382,7 @@ func persistChildRun(dir string, sample int) {
 		fatal("persist child: cache persist: %v", err)
 	}
 	fmt.Printf("done\t%d\t%d\t%d\t%d\n", elapsed.Nanoseconds(),
-		budget.DiskHits(), budget.DiskMisses(), budget.DiskEvictions())
+		budget.Count(engine.DiskHits), budget.Count(engine.DiskMisses), budget.Count(engine.DiskEvictions))
 }
 
 // childStats is one worker process's parsed output.
@@ -676,9 +676,9 @@ func hotPathBudget(iters, batch int, budget *engine.Budget) int64 {
 			local++
 		}
 		acc += local
-		budget.AddPropagations(local)
+		budget.Add(engine.Propagations, local)
 	}
-	sink = acc + budget.Propagations()
+	sink = acc + budget.Count(engine.Propagations)
 	return int64(time.Since(start))
 }
 

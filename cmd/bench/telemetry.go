@@ -142,7 +142,7 @@ func telemetryLane(short, check bool, out string) {
 				rep.ProvenanceReconciled = false
 				continue
 			}
-			var sum service.SpendTotals
+			var sum engine.Spend
 			for _, a := range p.Attempts {
 				if a.Spend != nil {
 					sum.Add(*a.Spend)
@@ -271,7 +271,8 @@ func telemetryLane(short, check bool, out string) {
 // reconcile it. The gate says this stays within the BENCH_5 bar even at a
 // per-segment (not per-request) cadence.
 func hotPathSpendCollect(iters, batch int, budget *engine.Budget) int64 {
-	var acc, fold int64
+	var acc int64
+	var fold engine.Spend
 	start := time.Now()
 	for done := 0; done < iters; done += batch {
 		var local int64
@@ -280,13 +281,10 @@ func hotPathSpendCollect(iters, batch int, budget *engine.Budget) int64 {
 			local++
 		}
 		acc += local
-		budget.AddPropagations(local)
-		fold += budget.Conflicts() + budget.Propagations() + budget.Forks() + budget.Nodes() +
-			budget.CacheHits() + budget.CacheMisses() + budget.DiskHits() + budget.DiskMisses() +
-			budget.DiskEvictions() + budget.VNHits() + budget.IteFusions() + budget.BlastHits() +
-			budget.SimplifyCalls() + budget.Merges() + budget.MergeItes()
+		budget.Add(engine.Propagations, local)
+		fold.Add(budget.Spend())
 	}
-	sink = acc + fold
+	sink = acc + fold.Propagations
 	return int64(time.Since(start))
 }
 

@@ -209,52 +209,12 @@ func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, merge, vn b
 // reconcile checks that the report's counter totals equal the summed
 // per-loop budget spend, counter by counter.
 func reconcile(sess *obs.Session, budgets []*engine.Budget) error {
-	var conflicts, propagations, forks, nodes, hits, misses int64
-	var dhits, dmisses, devics int64
-	var vnhits, fusions, bhits, scalls, snin, snout int64
+	var spend engine.Spend
 	for _, b := range budgets {
-		conflicts += b.Conflicts()
-		propagations += b.Propagations()
-		forks += b.Forks()
-		nodes += b.Nodes()
-		hits += b.CacheHits()
-		misses += b.CacheMisses()
-		dhits += b.DiskHits()
-		dmisses += b.DiskMisses()
-		devics += b.DiskEvictions()
-		vnhits += b.VNHits()
-		fusions += b.IteFusions()
-		bhits += b.BlastHits()
-		scalls += b.SimplifyCalls()
-		snin += b.SimplifyNodesIn()
-		snout += b.SimplifyNodesOut()
+		spend.Add(b.Spend())
 	}
 	_, totals := sess.Report.Totals()
-	for _, c := range []struct {
-		name string
-		want int64
-	}{
-		{obs.MSatConflicts, conflicts},
-		{obs.MSatPropagations, propagations},
-		{obs.MSymexForks, forks},
-		{obs.MBVNodes, nodes},
-		{obs.MQCacheHits, hits},
-		{obs.MQCacheMisses, misses},
-		{obs.MDiskHits, dhits},
-		{obs.MDiskMisses, dmisses},
-		{obs.MDiskEvictions, devics},
-		{obs.MBVVNHits, vnhits},
-		{obs.MBVIteFusions, fusions},
-		{obs.MBVBlastHits, bhits},
-		{obs.MBVSimplifyCalls, scalls},
-		{obs.MBVSimplifyNodesIn, snin},
-		{obs.MBVSimplifyNodesOut, snout},
-	} {
-		if got := totals[c.name]; got != c.want {
-			return fmt.Errorf("%s: report total %d != budget spend %d", c.name, got, c.want)
-		}
-	}
-	return nil
+	return spend.Reconcile(totals)
 }
 
 // runResilient walks the degradation ladder and reports the best rung
@@ -398,25 +358,10 @@ func printProvenance(p *service.Provenance) {
 }
 
 // spendLine formats the non-zero counters of a spend record, so quiet
-// attempts stay one short line instead of fifteen zeroes.
-func spendLine(s service.SpendTotals) string {
-	parts := []string{}
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"conflicts", s.Conflicts}, {"props", s.Propagations}, {"forks", s.Forks},
-		{"nodes", s.Nodes}, {"qcache", s.QCacheHits}, {"qmiss", s.QCacheMisses},
-		{"disk", s.DiskHits}, {"dmiss", s.DiskMisses}, {"evict", s.DiskEvictions},
-		{"vn", s.VNHits}, {"fuse", s.IteFusions}, {"blast", s.BlastHits},
-		{"simp", s.SimplifyCalls}, {"merges", s.Merges}, {"ites", s.MergeItes},
-	} {
-		if c.v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", c.name, c.v))
-		}
+// attempts stay one short line instead of a row of zeroes.
+func spendLine(s engine.Spend) string {
+	if line := s.String(); line != "" {
+		return line
 	}
-	if len(parts) == 0 {
-		return "(no solver spend)"
-	}
-	return strings.Join(parts, " ")
+	return "(no solver spend)"
 }

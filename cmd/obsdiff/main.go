@@ -55,8 +55,10 @@ type ruleList []rule
 
 func (r *ruleList) String() string { return "" }
 
+// Set parses one pattern=spec rule, splitting at the first '=': patterns
+// never contain one, so 'x==' is pattern x with the exact spec '='.
 func (r *ruleList) Set(s string) error {
-	eq := strings.LastIndex(s, "=")
+	eq := strings.Index(s, "=")
 	if eq <= 0 {
 		return fmt.Errorf("rule %q: want pattern=spec", s)
 	}

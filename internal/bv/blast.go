@@ -419,7 +419,7 @@ func CheckSatFaults(b *engine.Budget, maxConflicts int64, faults *faultpoint.Reg
 	for _, f := range formulas {
 		s.Assert(f)
 	}
-	b.AddBlastHits(s.BlastHits())
+	b.Add(engine.BlastHits, s.BlastHits())
 	st := s.Check()
 	if st != sat.Sat {
 		return st, nil

@@ -108,7 +108,7 @@ func (in *Interner) SetSoftCap(cap int) *Interner {
 	return in
 }
 
-// SetBudget charges every newly interned node to b (engine.Budget AddNodes),
+// SetBudget charges every newly interned node to b (engine.Nodes),
 // so a node-limited budget can stop a pipeline whose expression DAG grows
 // without bound. A nil budget disables charging. Returns the interner for
 // chaining.
@@ -179,7 +179,7 @@ func (in *Interner) intern(t *Term) *Term {
 	in.nodes++
 	b, f := in.budget, in.faults
 	in.mu.Unlock()
-	b.AddNodes(1)
+	b.Add(engine.Nodes, 1)
 	if f.Fire(faultpoint.BVNodeExhaust) {
 		b.Fail(errInjectedNodeExhaustion)
 	}
@@ -200,7 +200,7 @@ func (in *Interner) internBool(b *Bool) *Bool {
 	in.nodes++
 	bud, f := in.budget, in.faults
 	in.mu.Unlock()
-	bud.AddNodes(1)
+	bud.Add(engine.Nodes, 1)
 	if f.Fire(faultpoint.BVNodeExhaust) {
 		bud.Fail(errInjectedNodeExhaustion)
 	}

@@ -1,5 +1,7 @@
 package bv
 
+import "stringloops/internal/engine"
+
 // Rewrite-before-blast simplification. State merging builds deeply nested
 // ite terms (one per merged variable per join), and the guards of those ites
 // are compared against constants by the very next loop iteration — shapes
@@ -71,9 +73,11 @@ func (in *Interner) simpExit(hits0, fus0, nodesIn, nodesOut int64) {
 	dh, df := in.vnHits-hits0, in.iteFusions-fus0
 	in.simpMu.Unlock()
 	b := in.budgetNow()
-	b.AddSimplify(1, nodesIn, nodesOut)
-	b.AddVNHits(dh)
-	b.AddIteFusions(df)
+	b.Add(engine.SimplifyCalls, 1)
+	b.Add(engine.SimplifyNodesIn, nodesIn)
+	b.Add(engine.SimplifyNodesOut, nodesOut)
+	b.Add(engine.VNHits, dh)
+	b.Add(engine.IteFusions, df)
 }
 
 // SimplifyBool returns a formula equivalent to b, rewritten bottom-up.

@@ -206,14 +206,12 @@ func TestSimplifyMemoAndBudgetMirror(t *testing.T) {
 		t.Fatalf("memoized re-simplify recorded no vn hit: %+v then %+v", st1, st2)
 	}
 
-	// Every interner counter mirrors 1:1 into engine.Budget — the loopsum
-	// reconcile table depends on the two never drifting.
-	if bud.SimplifyCalls() != st2.Calls || bud.SimplifyNodesIn() != st2.NodesIn ||
-		bud.SimplifyNodesOut() != st2.NodesOut || bud.VNHits() != st2.VNHits ||
-		bud.IteFusions() != st2.Fusions {
-		t.Fatalf("budget mirror drifted: budget calls=%d in=%d out=%d hits=%d fus=%d vs stats %+v",
-			bud.SimplifyCalls(), bud.SimplifyNodesIn(), bud.SimplifyNodesOut(),
-			bud.VNHits(), bud.IteFusions(), st2)
+	// Every interner counter mirrors 1:1 into engine.Budget — spend
+	// reconciliation depends on the two never drifting.
+	sp := bud.Spend()
+	if sp.SimplifyCalls != st2.Calls || sp.SimplifyNodesIn != st2.NodesIn ||
+		sp.SimplifyNodesOut != st2.NodesOut || sp.VNHits != st2.VNHits || sp.IteFusions != st2.Fusions {
+		t.Fatalf("budget mirror drifted: budget spend %+v vs stats %+v", sp, st2)
 	}
 }
 

@@ -49,7 +49,7 @@ func TestSummarizeMemoHit(t *testing.T) {
 	if want := "advance_summary"; !strings.Contains(b.C, want) {
 		t.Errorf("compiled C must use the new function's name %q:\n%s", want, b.C)
 	}
-	if b1.DiskHits() == 0 {
+	if b1.Count(engine.DiskHits) == 0 {
 		t.Error("second run must be charged a memo hit")
 	}
 	// The memoised summary must still execute.
@@ -78,7 +78,7 @@ char *mid(char *s) {
 	if _, err := Summarize(src, "", opts2); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("second run: %v", err)
 	}
-	if b.DiskHits() == 0 {
+	if b.Count(engine.DiskHits) == 0 {
 		t.Error("negative verdict must come from the memo store")
 	}
 }
@@ -116,7 +116,7 @@ func TestSummarizeMemoPersistsAcrossTiers(t *testing.T) {
 	if b.Encoded != a.Encoded {
 		t.Fatalf("warm-start summary %q != cold summary %q", b.Encoded, a.Encoded)
 	}
-	if bud.DiskHits() == 0 {
+	if bud.Count(engine.DiskHits) == 0 {
 		t.Error("warm start must hit the loaded memo")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"stringloops/internal/engine"
 )
 
 func TestByteBudgetEviction(t *testing.T) {
@@ -19,7 +21,7 @@ func TestByteBudgetEviction(t *testing.T) {
 	if got := s.Bytes(); got > 16*64 {
 		t.Fatalf("resident bytes = %d, exceeds the %d budget", got, 16*64)
 	}
-	if b.DiskEvictions() == 0 {
+	if b.Count(engine.DiskEvictions) == 0 {
 		t.Fatal("no evictions charged while inserting 8000 bytes into a 1024-byte store")
 	}
 	// The record just inserted is never the victim of its own insert.
@@ -73,7 +75,7 @@ func TestOversizeRecordNotCached(t *testing.T) {
 	if _, ok := s.Get(b, "big"); ok {
 		t.Fatal("oversize record retrievable")
 	}
-	if b.DiskEvictions() != 0 {
+	if b.Count(engine.DiskEvictions) != 0 {
 		t.Fatal("discarding an oversize record must not charge evictions")
 	}
 	// A record that fits is unaffected.
@@ -118,7 +120,7 @@ func TestBytesNilAndUnbounded(t *testing.T) {
 	if got := s.Bytes(); got != 4097 {
 		t.Fatalf("unbounded store bytes = %d, want 4097", got)
 	}
-	if b.DiskEvictions() != 0 {
+	if b.Count(engine.DiskEvictions) != 0 {
 		t.Fatal("unbounded store evicted")
 	}
 }

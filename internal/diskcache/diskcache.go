@@ -148,10 +148,10 @@ func (s *Store) Get(b *engine.Budget, key string) ([]byte, bool) {
 	}
 	sh.mu.Unlock()
 	if !ok {
-		b.AddDiskMisses(1)
+		b.Add(engine.DiskMisses, 1)
 		return nil, false
 	}
-	b.AddDiskHits(1)
+	b.Add(engine.DiskHits, 1)
 	return e.val, true
 }
 
@@ -201,7 +201,7 @@ func (s *Store) Put(b *engine.Budget, key string, val []byte) {
 		}
 		sh.bytes -= int64(len(victim) + len(sh.m[victim].val))
 		delete(sh.m, victim)
-		b.AddDiskEvictions(1)
+		b.Add(engine.DiskEvictions, 1)
 	}
 	sh.mu.Unlock()
 }
@@ -224,7 +224,7 @@ func (s *Store) Do(b *engine.Budget, key string, fn func() ([]byte, bool)) ([]by
 		s.flightMu.Unlock()
 		<-f.done
 		if f.ok {
-			b.AddDiskHits(1)
+			b.Add(engine.DiskHits, 1)
 		}
 		return f.val, f.ok
 	}

@@ -28,8 +28,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !ok || string(v) != "v" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
-	if b.DiskHits() != 1 || b.DiskMisses() != 1 {
-		t.Fatalf("budget hits=%d misses=%d", b.DiskHits(), b.DiskMisses())
+	if b.Count(engine.DiskHits) != 1 || b.Count(engine.DiskMisses) != 1 {
+		t.Fatalf("budget hits=%d misses=%d", b.Count(engine.DiskHits), b.Count(engine.DiskMisses))
 	}
 }
 
@@ -52,7 +52,7 @@ func TestNilStoreIsPassThrough(t *testing.T) {
 	if err := s.Save(); err != nil {
 		t.Fatal(err)
 	}
-	if b.DiskHits() != 0 || b.DiskMisses() != 0 || b.DiskEvictions() != 0 {
+	if b.Count(engine.DiskHits) != 0 || b.Count(engine.DiskMisses) != 0 || b.Count(engine.DiskEvictions) != 0 {
 		t.Fatal("nil store must not charge the budget")
 	}
 }
@@ -193,15 +193,15 @@ func TestEvictionRespectsBound(t *testing.T) {
 	if n := s.Len(); n > max {
 		t.Fatalf("store holds %d entries, bound is %d", n, max)
 	}
-	if b.DiskEvictions() == 0 {
+	if b.Count(engine.DiskEvictions) == 0 {
 		t.Fatal("evictions must be charged to the budget")
 	}
 	// Overwrites of a live key must not evict.
 	before := s.Len()
-	evBefore := b.DiskEvictions()
+	evBefore := b.Count(engine.DiskEvictions)
 	s.Put(b, "key-1", []byte("v2"))
 	s.Put(b, "key-1", []byte("v3"))
-	if s.Len() > before+1 || b.DiskEvictions() > evBefore+1 {
+	if s.Len() > before+1 || b.Count(engine.DiskEvictions) > evBefore+1 {
 		t.Fatal("overwrites must not grow or evict beyond one insert")
 	}
 }

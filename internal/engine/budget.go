@@ -6,8 +6,8 @@
 // A Budget wraps a context.Context and a set of resource counters — SAT
 // conflicts, symbolic-execution forks, interned expression nodes and wall
 // clock — under one Exceeded/Err check. Layers *charge* the budget as they
-// work (AddConflicts, AddForks, AddNodes) and *poll* it at their loop heads;
-// when any limit trips, or the context is cancelled, every layer unwinds
+// work (Add with a ledger Counter) and *poll* it at their loop heads; when
+// any limit trips, or the context is cancelled, every layer unwinds
 // promptly with its own timeout error. This replaces the ad-hoc
 // time.Now().After(deadline) checks that previously lived in cegis, symex
 // and kleebench, and gives external callers a uniform cancellation handle:
@@ -93,48 +93,8 @@ type Budget struct {
 	deadline time.Time // zero when no wall-clock limit applies
 	lim      Limits
 
-	conflicts atomic.Int64
-	forks     atomic.Int64
-	nodes     atomic.Int64
-
-	// propagations accounts for SAT unit propagations (observability only,
-	// no limit trips on it).
-	propagations atomic.Int64
-
-	// cacheHits/cacheMisses account for the query-cache layer
-	// (internal/qcache). They are pure observability — no limit trips on
-	// them — but they live here so every pipeline sharing a budget reports
-	// one coherent hit rate.
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-
-	// merges/mergeItes account for the state-merging symbolic executor:
-	// merges counts pairwise state joins, mergeItes the ite nodes those joins
-	// introduced. Accounting only — merging reduces work, so no limit trips
-	// on it — but charged here so merged and enumerated runs reconcile
-	// against one budget.
-	merges    atomic.Int64
-	mergeItes atomic.Int64
-
-	// diskHits/diskMisses/diskEvictions account for the persistent
-	// cross-process cache tier (internal/diskcache). Accounting only, like
-	// the in-memory cache counters above, so warm and cold runs reconcile
-	// against one budget.
-	diskHits      atomic.Int64
-	diskMisses    atomic.Int64
-	diskEvictions atomic.Int64
-
-	// Value-numbering / rewrite-layer counters (internal/bv): simplification
-	// memo hits, ite-aware rewrites (fusions, pull-ups, guard prunes), CNF
-	// blast-cache hits, and the simplifier's call/node traffic. Accounting
-	// only — the rewrite layer reduces work — but charged here so vn-on and
-	// vn-off runs reconcile against one budget.
-	vnHits       atomic.Int64
-	iteFusions   atomic.Int64
-	blastHits    atomic.Int64
-	simpCalls    atomic.Int64
-	simpNodesIn  atomic.Int64
-	simpNodesOut atomic.Int64
+	// counts holds the ledger, one atomic per Counter.
+	counts [numCounters]atomic.Int64
 
 	// done caches the first observed exhaustion so later polls are cheap
 	// and the reported cause is stable.
@@ -143,29 +103,13 @@ type Budget struct {
 	// Observability handles ride the budget because the budget is already
 	// threaded through every layer (sat → bv → qcache → symex → cegis →
 	// memoryless → core): layers read b.Tracer()/b.Metrics() instead of
-	// growing new parameters. All nil when observability is off. The
-	// m* counters mirror the atomics above into the metrics registry so the
-	// run report reconciles 1:1 with budget spend.
+	// growing new parameters. All nil when observability is off. mirrors
+	// charges every count into the registry counter its ledger row names,
+	// so a run report summing several budgets reconciles 1:1 with their
+	// spend.
 	tracer  *obs.Tracer
 	metrics *obs.Metrics
-
-	mConflicts    *obs.Counter
-	mPropagations *obs.Counter
-	mForks        *obs.Counter
-	mNodes        *obs.Counter
-	mCacheHits    *obs.Counter
-	mCacheMisses  *obs.Counter
-	mMerges       *obs.Counter
-	mMergeItes    *obs.Counter
-	mDiskHits     *obs.Counter
-	mDiskMisses   *obs.Counter
-	mDiskEvicts   *obs.Counter
-	mVNHits       *obs.Counter
-	mIteFusions   *obs.Counter
-	mBlastHits    *obs.Counter
-	mSimpCalls    *obs.Counter
-	mSimpNodesIn  *obs.Counter
-	mSimpNodesOut *obs.Counter
+	mirrors [numCounters]*obs.Counter
 }
 
 // NewBudget builds a budget from a context and limits. A nil context means
@@ -193,32 +137,18 @@ func NewBudget(ctx context.Context, lim Limits) *Budget {
 }
 
 // SetObs attaches a tracer and metrics registry to the budget (either may be
-// nil) and returns b for chaining. From then on every Add* charge is
+// nil) and returns b for chaining. From then on every Add charge is
 // mirrored into the registry's canonical counters, and layers holding the
 // budget reach the tracer via b.Tracer(). Call before handing the budget to
-// workers; it is not synchronised against concurrent Add*.
+// workers; it is not synchronised against concurrent Add.
 func (b *Budget) SetObs(t *obs.Tracer, m *obs.Metrics) *Budget {
 	if b == nil {
 		return nil
 	}
 	b.tracer, b.metrics = t, m
-	b.mConflicts = m.Counter(obs.MSatConflicts)
-	b.mPropagations = m.Counter(obs.MSatPropagations)
-	b.mForks = m.Counter(obs.MSymexForks)
-	b.mNodes = m.Counter(obs.MBVNodes)
-	b.mCacheHits = m.Counter(obs.MQCacheHits)
-	b.mCacheMisses = m.Counter(obs.MQCacheMisses)
-	b.mMerges = m.Counter(obs.MSymexMerges)
-	b.mMergeItes = m.Counter(obs.MSymexMergeItes)
-	b.mDiskHits = m.Counter(obs.MDiskHits)
-	b.mDiskMisses = m.Counter(obs.MDiskMisses)
-	b.mDiskEvicts = m.Counter(obs.MDiskEvictions)
-	b.mVNHits = m.Counter(obs.MBVVNHits)
-	b.mIteFusions = m.Counter(obs.MBVIteFusions)
-	b.mBlastHits = m.Counter(obs.MBVBlastHits)
-	b.mSimpCalls = m.Counter(obs.MBVSimplifyCalls)
-	b.mSimpNodesIn = m.Counter(obs.MBVSimplifyNodesIn)
-	b.mSimpNodesOut = m.Counter(obs.MBVSimplifyNodesOut)
+	for c, row := range ledger {
+		b.mirrors[c] = m.Counter(row.metric)
+	}
 	return b
 }
 
@@ -270,13 +200,13 @@ func (b *Budget) check() error {
 	if !b.deadline.IsZero() && time.Now().After(b.deadline) {
 		return errors.Join(ErrBudget, context.DeadlineExceeded)
 	}
-	if b.lim.Conflicts > 0 && b.conflicts.Load() >= b.lim.Conflicts {
+	if b.lim.Conflicts > 0 && b.counts[Conflicts].Load() >= b.lim.Conflicts {
 		return errors.Join(ErrBudget, errors.New("engine: SAT conflict limit"))
 	}
-	if b.lim.Forks > 0 && b.forks.Load() >= b.lim.Forks {
+	if b.lim.Forks > 0 && b.counts[Forks].Load() >= b.lim.Forks {
 		return errors.Join(ErrBudget, errors.New("engine: fork limit"))
 	}
-	if b.lim.Nodes > 0 && b.nodes.Load() >= b.lim.Nodes {
+	if b.lim.Nodes > 0 && b.counts[Nodes].Load() >= b.lim.Nodes {
 		return errors.Join(ErrBudget, errors.New("engine: interned-node limit"))
 	}
 	return nil
@@ -299,276 +229,40 @@ func (b *Budget) Fail(cause error) {
 	b.done.CompareAndSwap(nil, &err)
 }
 
-// AddConflicts charges n SAT conflicts.
-func (b *Budget) AddConflicts(n int64) {
-	if b != nil {
-		b.conflicts.Add(n)
-		b.mConflicts.Add(n)
-	}
-}
-
-// AddPropagations charges n SAT unit propagations (accounting only, never
-// limits).
-func (b *Budget) AddPropagations(n int64) {
-	if b != nil {
-		b.propagations.Add(n)
-		b.mPropagations.Add(n)
-	}
-}
-
-// AddForks charges n symbolic-execution forks.
-func (b *Budget) AddForks(n int64) {
-	if b != nil {
-		b.forks.Add(n)
-		b.mForks.Add(n)
-	}
-}
-
-// AddNodes charges n interned expression nodes.
-func (b *Budget) AddNodes(n int64) {
-	if b != nil {
-		b.nodes.Add(n)
-		b.mNodes.Add(n)
-	}
-}
-
-// AddCacheHits charges n query-cache hits (accounting only, never limits).
-func (b *Budget) AddCacheHits(n int64) {
-	if b != nil {
-		b.cacheHits.Add(n)
-		b.mCacheHits.Add(n)
-	}
-}
-
-// AddCacheMisses charges n query-cache misses (accounting only).
-func (b *Budget) AddCacheMisses(n int64) {
-	if b != nil {
-		b.cacheMisses.Add(n)
-		b.mCacheMisses.Add(n)
-	}
-}
-
-// AddMerges charges n symbolic-state merges (accounting only).
-func (b *Budget) AddMerges(n int64) {
-	if b != nil {
-		b.merges.Add(n)
-		b.mMerges.Add(n)
-	}
-}
-
-// AddMergeItes charges n merge-introduced ite nodes (accounting only).
-func (b *Budget) AddMergeItes(n int64) {
-	if b != nil {
-		b.mergeItes.Add(n)
-		b.mMergeItes.Add(n)
-	}
-}
-
-// AddDiskHits charges n persistent-cache hits (accounting only).
-func (b *Budget) AddDiskHits(n int64) {
-	if b != nil {
-		b.diskHits.Add(n)
-		b.mDiskHits.Add(n)
-	}
-}
-
-// AddDiskMisses charges n persistent-cache misses (accounting only).
-func (b *Budget) AddDiskMisses(n int64) {
-	if b != nil {
-		b.diskMisses.Add(n)
-		b.mDiskMisses.Add(n)
-	}
-}
-
-// AddDiskEvictions charges n persistent-cache evictions (accounting only).
-func (b *Budget) AddDiskEvictions(n int64) {
-	if b != nil {
-		b.diskEvictions.Add(n)
-		b.mDiskEvicts.Add(n)
-	}
-}
-
-// AddVNHits charges n value-numbering memo hits (accounting only).
-func (b *Budget) AddVNHits(n int64) {
+// Add charges n units of counter c, mirroring them into the attached
+// metrics registry. A nil budget or n == 0 is a no-op.
+func (b *Budget) Add(c Counter, n int64) {
 	if b != nil && n != 0 {
-		b.vnHits.Add(n)
-		b.mVNHits.Add(n)
+		b.counts[c].Add(n)
+		b.mirrors[c].Add(n)
 	}
 }
 
-// AddIteFusions charges n ite-aware rewrites — shared-guard fusions,
-// comparison pull-ups and guard-implication prunes (accounting only).
-func (b *Budget) AddIteFusions(n int64) {
-	if b != nil && n != 0 {
-		b.iteFusions.Add(n)
-		b.mIteFusions.Add(n)
-	}
-}
-
-// AddBlastHits charges n CNF blast-cache hits (accounting only).
-func (b *Budget) AddBlastHits(n int64) {
-	if b != nil && n != 0 {
-		b.blastHits.Add(n)
-		b.mBlastHits.Add(n)
-	}
-}
-
-// AddSimplify charges one batch of simplifier traffic: calls top-level
-// SimplifyBool/SimplifyTerm invocations, nodesIn/nodesOut the DAG sizes of
-// memo-missing inputs and their rewritten outputs (accounting only).
-func (b *Budget) AddSimplify(calls, nodesIn, nodesOut int64) {
-	if b == nil {
-		return
-	}
-	if calls != 0 {
-		b.simpCalls.Add(calls)
-		b.mSimpCalls.Add(calls)
-	}
-	if nodesIn != 0 {
-		b.simpNodesIn.Add(nodesIn)
-		b.mSimpNodesIn.Add(nodesIn)
-	}
-	if nodesOut != 0 {
-		b.simpNodesOut.Add(nodesOut)
-		b.mSimpNodesOut.Add(nodesOut)
-	}
-}
-
-// VNHits returns the value-numbering memo hits charged so far.
-func (b *Budget) VNHits() int64 {
+// Count returns the units of counter c charged so far.
+func (b *Budget) Count(c Counter) int64 {
 	if b == nil {
 		return 0
 	}
-	return b.vnHits.Load()
+	return b.counts[c].Load()
 }
 
-// IteFusions returns the ite-aware rewrites charged so far.
-func (b *Budget) IteFusions() int64 {
-	if b == nil {
-		return 0
+// Spend snapshots every counter in wire form.
+func (b *Budget) Spend() Spend {
+	var s Spend
+	for c, row := range ledger {
+		*row.field(&s) = b.Count(Counter(c))
 	}
-	return b.iteFusions.Load()
-}
-
-// BlastHits returns the CNF blast-cache hits charged so far.
-func (b *Budget) BlastHits() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.blastHits.Load()
-}
-
-// SimplifyCalls returns the top-level simplifier calls charged so far.
-func (b *Budget) SimplifyCalls() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.simpCalls.Load()
-}
-
-// SimplifyNodesIn returns the simplifier input nodes charged so far.
-func (b *Budget) SimplifyNodesIn() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.simpNodesIn.Load()
-}
-
-// SimplifyNodesOut returns the simplifier output nodes charged so far.
-func (b *Budget) SimplifyNodesOut() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.simpNodesOut.Load()
-}
-
-// DiskHits returns the persistent-cache hits charged so far.
-func (b *Budget) DiskHits() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.diskHits.Load()
-}
-
-// DiskMisses returns the persistent-cache misses charged so far.
-func (b *Budget) DiskMisses() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.diskMisses.Load()
-}
-
-// DiskEvictions returns the persistent-cache evictions charged so far.
-func (b *Budget) DiskEvictions() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.diskEvictions.Load()
-}
-
-// Merges returns the symbolic-state merges charged so far.
-func (b *Budget) Merges() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.merges.Load()
-}
-
-// MergeItes returns the merge-introduced ite nodes charged so far.
-func (b *Budget) MergeItes() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.mergeItes.Load()
-}
-
-// CacheHits returns the query-cache hits charged so far.
-func (b *Budget) CacheHits() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.cacheHits.Load()
-}
-
-// CacheMisses returns the query-cache misses charged so far.
-func (b *Budget) CacheMisses() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.cacheMisses.Load()
-}
-
-// Propagations returns the SAT unit propagations charged so far.
-func (b *Budget) Propagations() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.propagations.Load()
+	return s
 }
 
 // Conflicts returns the conflicts charged so far.
-func (b *Budget) Conflicts() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.conflicts.Load()
-}
+func (b *Budget) Conflicts() int64 { return b.Count(Conflicts) }
 
 // Forks returns the forks charged so far.
-func (b *Budget) Forks() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.forks.Load()
-}
+func (b *Budget) Forks() int64 { return b.Count(Forks) }
 
 // Nodes returns the interned nodes charged so far.
-func (b *Budget) Nodes() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.nodes.Load()
-}
+func (b *Budget) Nodes() int64 { return b.Count(Nodes) }
 
 // Elapsed returns the wall-clock time since the budget was created.
 func (b *Budget) Elapsed() time.Duration {

@@ -13,9 +13,9 @@ func TestNilBudgetIsUnlimited(t *testing.T) {
 	if b.Exceeded() || b.Err() != nil {
 		t.Fatal("nil budget must never be exceeded")
 	}
-	b.AddConflicts(10)
-	b.AddForks(10)
-	b.AddNodes(10)
+	b.Add(Conflicts, 10)
+	b.Add(Forks, 10)
+	b.Add(Nodes, 10)
 	if b.Conflicts() != 0 || b.Forks() != 0 || b.Nodes() != 0 {
 		t.Fatal("nil budget must not accumulate")
 	}
@@ -26,11 +26,11 @@ func TestNilBudgetIsUnlimited(t *testing.T) {
 
 func TestBudgetCounters(t *testing.T) {
 	b := NewBudget(nil, Limits{Conflicts: 100, Forks: 5, Nodes: 50})
-	b.AddConflicts(99)
+	b.Add(Conflicts, 99)
 	if b.Exceeded() {
 		t.Fatal("under the conflict cap")
 	}
-	b.AddConflicts(1)
+	b.Add(Conflicts, 1)
 	if !b.Exceeded() {
 		t.Fatal("at the conflict cap")
 	}
@@ -41,7 +41,7 @@ func TestBudgetCounters(t *testing.T) {
 
 func TestBudgetErrIsSticky(t *testing.T) {
 	b := NewBudget(nil, Limits{Forks: 1})
-	b.AddForks(1)
+	b.Add(Forks, 1)
 	first := b.Err()
 	if first == nil {
 		t.Fatal("expected exhaustion")

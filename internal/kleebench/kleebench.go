@@ -118,8 +118,8 @@ func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measu
 	}
 	m.Time = time.Since(start)
 	m.Conflicts = budget.Conflicts()
-	m.VNHits = budget.VNHits()
-	m.IteFusions = budget.IteFusions()
+	m.VNHits = budget.Count(engine.VNHits)
+	m.IteFusions = budget.Count(engine.IteFusions)
 	if cache != nil {
 		m.Cache = cache.Stats()
 	}
@@ -157,8 +157,8 @@ func StrWith(summary vocab.Program, n int, timeout time.Duration, cfg Config) Me
 	}
 	m.Time = time.Since(start)
 	m.Conflicts = budget.Conflicts()
-	m.VNHits = budget.VNHits()
-	m.IteFusions = budget.IteFusions()
+	m.VNHits = budget.Count(engine.VNHits)
+	m.IteFusions = budget.Count(engine.IteFusions)
 	if cache != nil {
 		m.Cache = cache.Stats()
 	}

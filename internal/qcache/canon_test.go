@@ -66,7 +66,7 @@ func TestCrossInternerSharing(t *testing.T) {
 	if sb.ExactHits == 0 {
 		t.Fatal("second pipeline must hit the shared entries")
 	}
-	if bB.DiskHits() == 0 {
+	if bB.Count(engine.DiskHits) == 0 {
 		t.Fatal("shared-store hits must be charged to the budget")
 	}
 }

@@ -375,7 +375,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 	if c.faults.Fire(faultpoint.QCacheMiss) {
 		// Injected miss storm: bypass every reuse rule and pay the solver.
 		c.stats.Misses++
-		b.AddCacheMisses(1)
+		b.Add(engine.CacheMisses, 1)
 		return c.solveGroup(b, maxConflicts, gk, g)
 	}
 
@@ -418,7 +418,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 		}
 		if ok {
 			c.stats.ModelHits++
-			b.AddCacheHits(1)
+			b.Add(engine.CacheHits, 1)
 			restricted := restrictModel(cm.asn, g.vars)
 			c.remember(b, gk, sat.Sat, restricted)
 			return sat.Sat, restricted
@@ -431,14 +431,14 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 	for _, core := range c.unsatCores {
 		if subsetOf(core, g.ids) {
 			c.stats.SubsetHits++
-			b.AddCacheHits(1)
+			b.Add(engine.CacheHits, 1)
 			c.remember(b, gk, sat.Unsat, nil)
 			return sat.Unsat, nil
 		}
 	}
 
 	c.stats.Misses++
-	b.AddCacheMisses(1)
+	b.Add(engine.CacheMisses, 1)
 	return c.solveGroup(b, maxConflicts, gk, g)
 }
 
@@ -449,7 +449,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 // release keeps the reuse rule's coverage intact. Caller holds c.mu.
 func (c *Cache) exactHit(b *engine.Budget, gk groupKey, e exactEntry) (sat.Status, *bv.Assignment) {
 	c.stats.ExactHits++
-	b.AddCacheHits(1)
+	b.Add(engine.CacheHits, 1)
 	if e.status != sat.Sat {
 		return e.status, nil
 	}
@@ -503,7 +503,7 @@ func (c *Cache) solveGroup(b *engine.Budget, maxConflicts int64, gk groupKey, g 
 		// verdicts or cache identity.
 		lits[i] = c.solver.Lit(c.in.SimplifyBool(cj))
 	}
-	b.AddBlastHits(c.solver.BlastHits() - blast0)
+	b.Add(engine.BlastHits, c.solver.BlastHits()-blast0)
 	c.stats.BlastTime += time.Since(blastStart)
 
 	searchStart := time.Now()

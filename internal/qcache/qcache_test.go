@@ -296,7 +296,7 @@ func TestBudgetCacheCounters(t *testing.T) {
 	f := in.Eq(x, in.Byte(1))
 	c.CheckSat(b, 0, f)
 	c.CheckSat(b, 0, f)
-	if b.CacheMisses() != 1 || b.CacheHits() != 1 {
-		t.Fatalf("budget counters hits=%d misses=%d, want 1/1", b.CacheHits(), b.CacheMisses())
+	if b.Count(engine.CacheMisses) != 1 || b.Count(engine.CacheHits) != 1 {
+		t.Fatalf("budget counters hits=%d misses=%d, want 1/1", b.Count(engine.CacheHits), b.Count(engine.CacheMisses))
 	}
 }

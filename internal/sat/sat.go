@@ -505,7 +505,7 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 	// exit — batched so the propagate/search inner loops carry no atomics.
 	propBase, decBase := s.propagations, s.decisions
 	defer func() {
-		s.Budget.AddPropagations(s.propagations - propBase)
+		s.Budget.Add(engine.Propagations, s.propagations-propBase)
 		if m := s.Budget.Metrics(); m != nil {
 			m.Counter(obs.MSatDecisions).Add(s.decisions - decBase)
 		}
@@ -518,13 +518,13 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 		return Unknown
 	}
 	if s.Faults.Fire(faultpoint.SatConflictStorm) {
-		s.Budget.AddConflicts(faultStormConflicts)
+		s.Budget.Add(engine.Conflicts, faultStormConflicts)
 		if s.Budget.Exceeded() {
 			return Unknown
 		}
 	}
 	if s.Faults.Fire(faultpoint.SatUnknown) {
-		s.Budget.AddConflicts(faultGiveUpConflicts)
+		s.Budget.Add(engine.Conflicts, faultGiveUpConflicts)
 		return Unknown
 	}
 	s.assumptions = assumptions
@@ -571,7 +571,7 @@ func (s *Solver) search(conflictBudget int64) Status {
 		if confl != nil {
 			s.conflicts++
 			budget++
-			s.Budget.AddConflicts(1)
+			s.Budget.Add(engine.Conflicts, 1)
 			if s.conflicts&budgetPollMask == 0 && s.Budget.Exceeded() {
 				return Unknown
 			}

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"stringloops/internal/core"
+	"stringloops/internal/engine"
 )
 
 // Request is the JSON body of POST /summarize: one C string loop and the
@@ -103,46 +104,6 @@ type Response struct {
 	Provenance *Provenance `json:"provenance,omitempty"`
 }
 
-// SpendTotals is resource spend as engine.Budget accounts it — the same
-// counters the server reconciles 1:1 against the request's private metric
-// registry (and loopsum -corpus reconciles offline).
-type SpendTotals struct {
-	Conflicts     int64 `json:"conflicts,omitempty"`
-	Propagations  int64 `json:"propagations,omitempty"`
-	Forks         int64 `json:"forks,omitempty"`
-	Nodes         int64 `json:"nodes,omitempty"`
-	QCacheHits    int64 `json:"qcache_hits,omitempty"`
-	QCacheMisses  int64 `json:"qcache_misses,omitempty"`
-	DiskHits      int64 `json:"disk_hits,omitempty"`
-	DiskMisses    int64 `json:"disk_misses,omitempty"`
-	DiskEvictions int64 `json:"disk_evictions,omitempty"`
-	VNHits        int64 `json:"vn_hits,omitempty"`
-	IteFusions    int64 `json:"ite_fusions,omitempty"`
-	BlastHits     int64 `json:"blast_hits,omitempty"`
-	SimplifyCalls int64 `json:"simplify_calls,omitempty"`
-	Merges        int64 `json:"merges,omitempty"`
-	MergeItes     int64 `json:"merge_ites,omitempty"`
-}
-
-// Add accumulates one attempt's spend into the totals.
-func (t *SpendTotals) Add(o SpendTotals) {
-	t.Conflicts += o.Conflicts
-	t.Propagations += o.Propagations
-	t.Forks += o.Forks
-	t.Nodes += o.Nodes
-	t.QCacheHits += o.QCacheHits
-	t.QCacheMisses += o.QCacheMisses
-	t.DiskHits += o.DiskHits
-	t.DiskMisses += o.DiskMisses
-	t.DiskEvictions += o.DiskEvictions
-	t.VNHits += o.VNHits
-	t.IteFusions += o.IteFusions
-	t.BlastHits += o.BlastHits
-	t.SimplifyCalls += o.SimplifyCalls
-	t.Merges += o.Merges
-	t.MergeItes += o.MergeItes
-}
-
 // AttemptProvenance is one supervised attempt of the ladder with its own
 // budget spend. Smoke-rung attempts run purely in the interpreter with no
 // budget, so their Spend is nil.
@@ -152,8 +113,8 @@ type AttemptProvenance struct {
 	Panicked bool   `json:"panicked,omitempty"`
 	// Spend is this attempt's budget spend (nil for budget-less smoke
 	// attempts); ElapsedNs is the budget's wall time.
-	Spend     *SpendTotals `json:"spend,omitempty"`
-	ElapsedNs int64        `json:"elapsed_ns,omitempty"`
+	Spend     *engine.Spend `json:"spend,omitempty"`
+	ElapsedNs int64         `json:"elapsed_ns,omitempty"`
 }
 
 // Provenance is the verdict explainability record: which rung the overload
@@ -182,7 +143,7 @@ type Provenance struct {
 	// Attempts is the supervised attempt history, in order.
 	Attempts []AttemptProvenance `json:"attempts,omitempty"`
 	// Totals is the request's summed budget spend across all attempts.
-	Totals SpendTotals `json:"totals"`
+	Totals engine.Spend `json:"totals"`
 	// Reconciled reports whether Totals matched the request's private
 	// metric registry counter-for-counter (false means the server counted
 	// a reconcile drift for this request — an accounting bug, not a wrong

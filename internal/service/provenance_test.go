@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/obs"
 )
@@ -66,7 +67,7 @@ func TestExplainProvenance(t *testing.T) {
 
 	// Per-phase spend must sum to the totals: the per-attempt records are a
 	// partition of the same budget truth, not a separate estimate.
-	var sum SpendTotals
+	var sum engine.Spend
 	for _, a := range p.Attempts {
 		if a.Spend != nil {
 			sum.Add(*a.Spend)

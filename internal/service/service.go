@@ -434,8 +434,15 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "internal panic: "+err.Error(), 0)
 		return
 	}
-	totals := sumBudgetSpend(budgets)
-	reconciled := s.reconcile(reqMetrics, totals)
+	// The request's private registry must match its summed budget spend
+	// counter for counter — the same identity loopsum -corpus enforces
+	// offline. The totals are also what an explain response reports, so a
+	// drift-free request's provenance is the budget truth by construction.
+	var totals engine.Spend
+	for _, b := range budgets {
+		totals.Add(b.Spend())
+	}
+	reconciled := totals.Reconcile(reqMetrics.Snapshot().Counters) == nil
 	if !reconciled {
 		s.m.Counter(MSvcReconcileDrift).Inc()
 	}
@@ -489,37 +496,6 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// budgetSpend exports one attempt budget's counters in wire form.
-func budgetSpend(b *engine.Budget) SpendTotals {
-	return SpendTotals{
-		Conflicts:     b.Conflicts(),
-		Propagations:  b.Propagations(),
-		Forks:         b.Forks(),
-		Nodes:         b.Nodes(),
-		QCacheHits:    b.CacheHits(),
-		QCacheMisses:  b.CacheMisses(),
-		DiskHits:      b.DiskHits(),
-		DiskMisses:    b.DiskMisses(),
-		DiskEvictions: b.DiskEvictions(),
-		VNHits:        b.VNHits(),
-		IteFusions:    b.IteFusions(),
-		BlastHits:     b.BlastHits(),
-		SimplifyCalls: b.SimplifyCalls(),
-		Merges:        b.Merges(),
-		MergeItes:     b.MergeItes(),
-	}
-}
-
-// sumBudgetSpend folds every attempt budget into one request total — the
-// engine.Budget side of the reconciliation identity.
-func sumBudgetSpend(budgets []*engine.Budget) SpendTotals {
-	var t SpendTotals
-	for _, b := range budgets {
-		t.Add(budgetSpend(b))
-	}
-	return t
-}
-
 // attemptProvenance pairs the ladder's attempt history with the budgets it
 // created, in order. Every rung but smoke runs under exactly one fresh
 // budget per attempt (smoke is pure interpretation, budget-less), which is
@@ -536,47 +512,13 @@ func attemptProvenance(attempts []core.AttemptRecord, budgets []*engine.Budget) 
 		if a.Rung != core.RungSmoke && next < len(budgets) {
 			b := budgets[next]
 			next++
-			spend := budgetSpend(b)
+			spend := b.Spend()
 			ap.Spend = &spend
 			ap.ElapsedNs = int64(b.Elapsed())
 		}
 		out = append(out, ap)
 	}
 	return out
-}
-
-// reconcile checks the request's private metric registry against its
-// summed budget spend — the same counter-by-counter identity loopsum
-// -corpus enforces offline, here per request. The totals are also what an
-// explain response reports, so a drift-free request's provenance is the
-// budget truth by construction.
-func (s *Server) reconcile(m *obs.Metrics, totals SpendTotals) bool {
-	snap := m.Snapshot()
-	for _, c := range []struct {
-		name string
-		want int64
-	}{
-		{obs.MSatConflicts, totals.Conflicts},
-		{obs.MSatPropagations, totals.Propagations},
-		{obs.MSymexForks, totals.Forks},
-		{obs.MBVNodes, totals.Nodes},
-		{obs.MQCacheHits, totals.QCacheHits},
-		{obs.MQCacheMisses, totals.QCacheMisses},
-		{obs.MDiskHits, totals.DiskHits},
-		{obs.MDiskMisses, totals.DiskMisses},
-		{obs.MDiskEvictions, totals.DiskEvictions},
-		{obs.MBVVNHits, totals.VNHits},
-		{obs.MBVIteFusions, totals.IteFusions},
-		{obs.MBVBlastHits, totals.BlastHits},
-		{obs.MBVSimplifyCalls, totals.SimplifyCalls},
-		{obs.MSymexMerges, totals.Merges},
-		{obs.MSymexMergeItes, totals.MergeItes},
-	} {
-		if snap.Counters[c.name] != c.want {
-			return false
-		}
-	}
-	return true
 }
 
 // Health is the typed body of GET /healthz — one struct instead of the

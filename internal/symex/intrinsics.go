@@ -5,6 +5,7 @@ import (
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
+	"stringloops/internal/engine"
 )
 
 // This file gives the engine symbolic semantics for the C standard string
@@ -109,7 +110,7 @@ func (e *Engine) stringCall(s *state, f *cir.Func, in *cir.Instr) (handled bool,
 	// (missVal or error under !cond) successors.
 	forkFound := func(found *bv.Bool, obj int, offTerm *bv.Term, missVal Value, missErr error) {
 		e.nForks.Add(1)
-		e.Budget.AddForks(1)
+		e.Budget.Add(engine.Forks, 1)
 		miss := s.fork()
 		s.cond = bvin.BAnd2(s.cond, found)
 		if s.cond != bv.False && !(e.CheckFeasibility && !e.feasible(s.cond)) {

@@ -5,6 +5,7 @@ import (
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
+	"stringloops/internal/engine"
 )
 
 // This file is the state-merging scheduler (§4.3's answer to path
@@ -280,10 +281,10 @@ func (e *Engine) mergeTwo(a, b *state) (*state, bool) {
 		ns.cells[k] = e.mergeValue(a.cond, a.cells[k], b.cells[k], &ites)
 	}
 	e.nMerges.Add(1)
-	e.Budget.AddMerges(1)
+	e.Budget.Add(engine.Merges, 1)
 	if ites > 0 {
 		e.nMergeItes.Add(int64(ites))
-		e.Budget.AddMergeItes(int64(ites))
+		e.Budget.Add(engine.MergeItes, int64(ites))
 	}
 	return ns, true
 }

@@ -466,7 +466,7 @@ func (e *Engine) branch(s *state, cond *bv.Bool, thenB, elseB *cir.Block) {
 		return
 	}
 	e.nForks.Add(1)
-	e.Budget.AddForks(1)
+	e.Budget.Add(engine.Forks, 1)
 	if e.Faults.Fire(faultpoint.SymexForkFail) {
 		// A failed fork poisons the whole run, not just this state: partial
 		// path sets must never masquerade as complete ones. The work loop
