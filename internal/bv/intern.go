@@ -26,23 +26,14 @@ import (
 // being pointer-equal — which is always safe, because every rewrite keyed on
 // pointer equality (a == b, cond == True) only assumes the forward
 // direction, pointer-equal ⇒ structurally equal.
-
-type termKey struct {
-	kind  Kind
-	width int
-	val   uint64
-	name  string
-	cond  *Bool
-	a, b  *Term
-}
-
-type boolKey struct {
-	kind BKind
-	val  bool
-	name string
-	a, b *Bool
-	x, y *Term
-}
+//
+// Lookups come first and allocate nothing: the tables are keyed by the Term
+// and Bool structs themselves, so a constructor builds its candidate node on
+// the stack and only a miss copies it to the heap. The 8-bit constants, which
+// every concrete string and gadget argument is made of, also sit in a
+// 256-entry table that skips the map on later calls; a slot is filled
+// through intern on first use, so a new constant is counted and charged
+// exactly like any other new node.
 
 // DefaultSoftCap is the default per-interner table size at which the tables
 // are cleared; see Interner.SetSoftCap.
@@ -54,8 +45,12 @@ const DefaultSoftCap = 1 << 21
 // the intended discipline is one Interner per concurrent run.
 type Interner struct {
 	mu      sync.Mutex
-	termTab map[termKey]*Term
-	boolTab map[boolKey]*Bool
+	termTab map[Term]*Term
+	boolTab map[Bool]*Bool
+	// bytes[v] is the interned 8-bit constant v, or nil before its first
+	// use. Written only under mu (by intern, and cleared with termTab at the
+	// soft cap), read without it.
+	bytes   [256]atomic.Pointer[Term]
 	softCap int
 	budget  *engine.Budget
 	faults  *faultpoint.Registry
@@ -87,8 +82,8 @@ type Interner struct {
 // NewInterner returns an empty interner with the default soft cap.
 func NewInterner() *Interner {
 	return &Interner{
-		termTab: make(map[termKey]*Term),
-		boolTab: make(map[boolKey]*Bool),
+		termTab: make(map[Term]*Term),
+		boolTab: make(map[Bool]*Bool),
 		softCap: DefaultSoftCap,
 	}
 }
@@ -165,17 +160,24 @@ func (in *Interner) Nodes() int64 {
 	return in.nodes
 }
 
-func (in *Interner) intern(t *Term) *Term {
-	k := termKey{kind: t.Kind, width: t.Width, val: t.Val, name: t.Name, cond: t.Cond, a: t.A, b: t.B}
+func (in *Interner) intern(t Term) *Term {
 	in.mu.Lock()
-	if old, ok := in.termTab[k]; ok {
+	if old, ok := in.termTab[t]; ok {
 		in.mu.Unlock()
 		return old
 	}
 	if len(in.termTab) >= in.softCap {
-		in.termTab = make(map[termKey]*Term)
+		in.termTab = make(map[Term]*Term)
+		for i := range in.bytes {
+			in.bytes[i].Store(nil)
+		}
 	}
-	in.termTab[k] = t
+	n := new(Term)
+	*n = t
+	in.termTab[t] = n
+	if t.Kind == KConst && t.Width == 8 {
+		in.bytes[t.Val].Store(n)
+	}
 	in.nodes++
 	b, f := in.budget, in.faults
 	in.mu.Unlock()
@@ -183,20 +185,21 @@ func (in *Interner) intern(t *Term) *Term {
 	if f.Fire(faultpoint.BVNodeExhaust) {
 		b.Fail(errInjectedNodeExhaustion)
 	}
-	return t
+	return n
 }
 
-func (in *Interner) internBool(b *Bool) *Bool {
-	k := boolKey{kind: b.Kind, val: b.Val, name: b.Name, a: b.A, b: b.B, x: b.X, y: b.Y}
+func (in *Interner) internBool(b Bool) *Bool {
 	in.mu.Lock()
-	if old, ok := in.boolTab[k]; ok {
+	if old, ok := in.boolTab[b]; ok {
 		in.mu.Unlock()
 		return old
 	}
 	if len(in.boolTab) >= in.softCap {
-		in.boolTab = make(map[boolKey]*Bool)
+		in.boolTab = make(map[Bool]*Bool)
 	}
-	in.boolTab[k] = b
+	n := new(Bool)
+	*n = b
+	in.boolTab[b] = n
 	in.nodes++
 	bud, f := in.budget, in.faults
 	in.mu.Unlock()
@@ -204,5 +207,5 @@ func (in *Interner) internBool(b *Bool) *Bool {
 	if f.Fire(faultpoint.BVNodeExhaust) {
 		bud.Fail(errInjectedNodeExhaustion)
 	}
-	return b
+	return n
 }

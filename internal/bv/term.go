@@ -86,7 +86,13 @@ func (in *Interner) Const(width int, val uint64) *Term {
 	if width < 1 || width > 64 {
 		panic(fmt.Sprintf("bv: invalid width %d", width))
 	}
-	return in.intern(&Term{Kind: KConst, Width: width, Val: val & maskFor(width)})
+	val &= maskFor(width)
+	if width == 8 {
+		if t := in.bytes[val].Load(); t != nil {
+			return t
+		}
+	}
+	return in.intern(Term{Kind: KConst, Width: width, Val: val})
 }
 
 // Byte returns an 8-bit constant.
@@ -101,7 +107,7 @@ func (in *Interner) Var(name string, width int) *Term {
 	if width < 1 || width > 64 {
 		panic(fmt.Sprintf("bv: invalid width %d", width))
 	}
-	return in.intern(&Term{Kind: KVar, Width: width, Name: name})
+	return in.intern(Term{Kind: KVar, Width: width, Name: name})
 }
 
 // IsConst reports whether t is a constant, and its value if so.
@@ -126,7 +132,7 @@ func (in *Interner) Not(a *Term) *Term {
 	if a.Kind == KNot {
 		return a.A
 	}
-	return in.intern(&Term{Kind: KNot, Width: a.Width, A: a})
+	return in.intern(Term{Kind: KNot, Width: a.Width, A: a})
 }
 
 // And returns the bitwise conjunction of a and b.
@@ -148,7 +154,7 @@ func (in *Interner) And(a, b *Term) *Term {
 	case a == b:
 		return a
 	}
-	return in.intern(&Term{Kind: KAnd, Width: a.Width, A: a, B: b})
+	return in.intern(Term{Kind: KAnd, Width: a.Width, A: a, B: b})
 }
 
 // Or returns the bitwise disjunction of a and b.
@@ -170,7 +176,7 @@ func (in *Interner) Or(a, b *Term) *Term {
 	case a == b:
 		return a
 	}
-	return in.intern(&Term{Kind: KOr, Width: a.Width, A: a, B: b})
+	return in.intern(Term{Kind: KOr, Width: a.Width, A: a, B: b})
 }
 
 // Xor returns the bitwise exclusive-or of a and b.
@@ -188,7 +194,7 @@ func (in *Interner) Xor(a, b *Term) *Term {
 	case a == b:
 		return in.Const(a.Width, 0)
 	}
-	return in.intern(&Term{Kind: KXor, Width: a.Width, A: a, B: b})
+	return in.intern(Term{Kind: KXor, Width: a.Width, A: a, B: b})
 }
 
 // Add returns a+b (modular).
@@ -213,7 +219,7 @@ func (in *Interner) Add(a, b *Term) *Term {
 			return in.Add(a.A, in.Const(a.Width, ca+cb))
 		}
 	}
-	return in.intern(&Term{Kind: KAdd, Width: a.Width, A: a, B: b})
+	return in.intern(Term{Kind: KAdd, Width: a.Width, A: a, B: b})
 }
 
 // Sub returns a-b (modular).
@@ -231,7 +237,7 @@ func (in *Interner) Sub(a, b *Term) *Term {
 	case bok:
 		return in.Add(a, in.Const(a.Width, -bv_))
 	}
-	return in.intern(&Term{Kind: KSub, Width: a.Width, A: a, B: b})
+	return in.intern(Term{Kind: KSub, Width: a.Width, A: a, B: b})
 }
 
 // Ite returns the term equal to a when cond holds and b otherwise.
@@ -269,7 +275,7 @@ func (in *Interner) Ite(cond *Bool, a, b *Term) *Term {
 			return a
 		}
 	}
-	return in.intern(&Term{Kind: KIte, Width: a.Width, Cond: cond, A: a, B: b})
+	return in.intern(Term{Kind: KIte, Width: a.Width, Cond: cond, A: a, B: b})
 }
 
 // ShlC returns a shifted left by the constant k (modular).
@@ -283,7 +289,7 @@ func (in *Interner) ShlC(a *Term, k int) *Term {
 	if v, ok := a.IsConst(); ok {
 		return in.Const(a.Width, v<<uint(k))
 	}
-	return in.intern(&Term{Kind: KShlC, Width: a.Width, Val: uint64(k), A: a})
+	return in.intern(Term{Kind: KShlC, Width: a.Width, Val: uint64(k), A: a})
 }
 
 // LshrC returns a logically shifted right by the constant k.
@@ -297,7 +303,7 @@ func (in *Interner) LshrC(a *Term, k int) *Term {
 	if v, ok := a.IsConst(); ok {
 		return in.Const(a.Width, v>>uint(k))
 	}
-	return in.intern(&Term{Kind: KLshrC, Width: a.Width, Val: uint64(k), A: a})
+	return in.intern(Term{Kind: KLshrC, Width: a.Width, Val: uint64(k), A: a})
 }
 
 // AshrC returns a arithmetically shifted right by the constant k.
@@ -316,7 +322,7 @@ func (in *Interner) AshrC(a *Term, k int) *Term {
 	if k >= a.Width {
 		k = a.Width - 1
 	}
-	return in.intern(&Term{Kind: KAshrC, Width: a.Width, Val: uint64(k), A: a})
+	return in.intern(Term{Kind: KAshrC, Width: a.Width, Val: uint64(k), A: a})
 }
 
 // MulC returns a multiplied by the constant c, built from shifts and adds
@@ -364,7 +370,7 @@ func (in *Interner) Zext(a *Term, width int) *Term {
 	if v, ok := a.IsConst(); ok {
 		return in.Const(width, v)
 	}
-	return in.intern(&Term{Kind: KZext, Width: width, A: a})
+	return in.intern(Term{Kind: KZext, Width: width, A: a})
 }
 
 // ---- Boolean constructors ----
@@ -378,7 +384,7 @@ func (in *Interner) BoolConst(v bool) *Bool {
 }
 
 // BoolVar returns a named boolean variable.
-func (in *Interner) BoolVar(name string) *Bool { return in.internBool(&Bool{Kind: BVar, Name: name}) }
+func (in *Interner) BoolVar(name string) *Bool { return in.internBool(Bool{Kind: BVar, Name: name}) }
 
 // BNot1 returns the negation of a.
 func (in *Interner) BNot1(a *Bool) *Bool {
@@ -390,7 +396,7 @@ func (in *Interner) BNot1(a *Bool) *Bool {
 	case a.Kind == BNot:
 		return a.A
 	}
-	return in.internBool(&Bool{Kind: BNot, A: a})
+	return in.internBool(Bool{Kind: BNot, A: a})
 }
 
 // BAnd2 returns the conjunction of a and b.
@@ -405,7 +411,7 @@ func (in *Interner) BAnd2(a, b *Bool) *Bool {
 	case a == b:
 		return a
 	}
-	return in.internBool(&Bool{Kind: BAnd, A: a, B: b})
+	return in.internBool(Bool{Kind: BAnd, A: a, B: b})
 }
 
 // BOr2 returns the disjunction of a and b.
@@ -420,7 +426,7 @@ func (in *Interner) BOr2(a, b *Bool) *Bool {
 	case a == b:
 		return a
 	}
-	return in.internBool(&Bool{Kind: BOr, A: a, B: b})
+	return in.internBool(Bool{Kind: BOr, A: a, B: b})
 }
 
 // BAndAll folds a list of booleans with conjunction.
@@ -460,7 +466,7 @@ func (in *Interner) Eq(a, b *Term) *Bool {
 	if aok && bok {
 		return in.BoolConst(av == bv_)
 	}
-	return in.internBool(&Bool{Kind: BEq, X: a, Y: b})
+	return in.internBool(Bool{Kind: BEq, X: a, Y: b})
 }
 
 // Ne returns the atom a != b.
@@ -479,7 +485,7 @@ func (in *Interner) Ult(a, b *Term) *Bool {
 	case a == b:
 		return False
 	}
-	return in.internBool(&Bool{Kind: BUlt, X: a, Y: b})
+	return in.internBool(Bool{Kind: BUlt, X: a, Y: b})
 }
 
 // Ule returns the unsigned comparison a <= b.
@@ -495,7 +501,7 @@ func (in *Interner) Ule(a, b *Term) *Bool {
 	case a == b:
 		return True
 	}
-	return in.internBool(&Bool{Kind: BUle, X: a, Y: b})
+	return in.internBool(Bool{Kind: BUle, X: a, Y: b})
 }
 
 // Ugt returns a > b, Uge returns a >= b (unsigned).

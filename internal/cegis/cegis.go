@@ -66,8 +66,9 @@ type Options struct {
 	// §2.2 ablation (the paper: synthesis still works, but slower, because
 	// character classes need every member spelled out).
 	DisableMetaChars bool
-	// KeepCounterexamples carries counterexamples across program sizes
-	// (default true; ablation sets DisableCexReuse).
+	// DisableCexReuse drops the counterexample set at every program size
+	// instead of carrying it into the next one (the ablation; reuse is the
+	// default).
 	DisableCexReuse bool
 	// Merge enables state merging when the loop's symbolic paths are
 	// computed (symex.Engine.Merge): join-point states fold into ite values
@@ -164,6 +165,12 @@ type Synthesizer struct {
 	cache    *qcache.Cache // nil when Options.DisableQCache
 	budget   *engine.Budget
 	stats    Stats
+
+	// Per-counterexample memo, parallel to cexs and filled once by addCex:
+	// Original(cex) and cex as a string of constant terms. Every skeleton
+	// reads them instead of re-running the loop and rebuilding the string.
+	cexWant []vocab.Result
+	cexStr  []*strsolver.SymString
 }
 
 // New prepares a synthesizer for the loop. The loop must have the
@@ -349,10 +356,8 @@ func (s *Synthesizer) Synthesize() (Outcome, error) {
 	startE := s.budget.Elapsed()
 	elapsed := func() time.Duration { return s.budget.Elapsed() - startE }
 	for size := s.opts.MinProgSize; size <= s.opts.MaxProgSize; size++ {
-		if !s.opts.DisableCexReuse {
-			// counterexamples persist across sizes
-		} else {
-			s.cexs = nil
+		if s.opts.DisableCexReuse {
+			s.cexs, s.cexWant, s.cexStr = nil, nil, nil
 		}
 		prog, err := s.searchSize(size)
 		if err != nil {
@@ -512,8 +517,8 @@ func (s *Synthesizer) trySkeleton(skel []shape) (vocab.Program, error) {
 	if len(argVars) == 0 {
 		prog := concretize(skel, nil)
 		s.stats.CandidatesRun++
-		for _, cex := range s.cexs {
-			if vocab.Run(prog, cex) != s.runOriginal(cex) {
+		for i, cex := range s.cexs {
+			if vocab.Run(prog, cex) != s.cexWant[i] {
 				return nil, nil
 			}
 		}
@@ -595,14 +600,8 @@ func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([
 			}
 		}
 	}
-	for _, cex := range s.cexs {
-		want := s.runOriginal(cex)
-		cs, err := strsolver.FromConcrete(bvin, cex)
-		if err != nil {
-			// Counterexamples are built NUL-terminated by addCex; a malformed
-			// one means a bug upstream, and no argument can satisfy it.
-			return nil, false
-		}
+	for i, cs := range s.cexStr {
+		want := s.cexWant[i]
 		outcomes := vocab.RunSymbolic(symProg, cs)
 		match := bv.False
 		for _, o := range outcomes {
@@ -681,18 +680,26 @@ func (s *Synthesizer) verify(prog vocab.Program) (vocab.Program, error) {
 		cex[i] = byte(ev.Term(s.symStr.At(i)))
 	}
 	cex[s.opts.MaxExSize] = 0
-	s.addCex(cex)
-	return nil, nil
+	return nil, s.addCex(cex)
 }
 
-func (s *Synthesizer) addCex(cex []byte) {
+// addCex adds a new NUL-terminated counterexample to the set together with
+// its memo entries; a repeat of one already in the set is ignored.
+func (s *Synthesizer) addCex(cex []byte) error {
 	for _, old := range s.cexs {
 		if string(old) == string(cex) {
-			return
+			return nil
 		}
 	}
+	cs, err := strsolver.FromConcrete(s.bvin, cex)
+	if err != nil {
+		return fmt.Errorf("cegis: counterexample: %w", err)
+	}
 	s.cexs = append(s.cexs, cex)
+	s.cexWant = append(s.cexWant, s.runOriginal(cex))
+	s.cexStr = append(s.cexStr, cs)
 	s.stats.Counterexamples++
+	return nil
 }
 
 // Synthesize is the package-level convenience entry point.

@@ -54,32 +54,32 @@ type config struct {
 	revN int // -1 = forward space; otherwise reversed with strlen == revN
 }
 
-// guardedConfigs is an insertion-ordered map from configurations to guards.
-// The order matters for determinism, not correctness: guards are accumulated
-// with BOr2 while iterating, so iterating a plain Go map would make the
-// *shape* of the guard formulas (and hence the set of interned bv nodes)
-// follow the runtime's randomized map order — semantically equal run to run,
-// but different DAGs, which breaks bit-identical replay of seeded
-// fault-injection schedules.
-type guardedConfigs struct {
-	order []config
-	guard map[config]*bv.Bool
+// guarded is an insertion-ordered set of keys (live configurations, or
+// terminal results), each with the disjunction of the guards it was reached
+// under. Keys live in a slice with a linear lookup: a gadget step reaches a
+// handful of configurations, so a scan beats hashing and the set allocates
+// nothing once its slices have grown. The order matters for determinism, not
+// correctness: guards are accumulated with BOr2 in first-reached order, so
+// the *shape* of every guard formula (and hence the set of interned bv
+// nodes) is a function of the program and the string alone — which
+// bit-identical replay of seeded fault-injection schedules relies on.
+type guarded[K comparable] struct {
+	keys   []K
+	guards []*bv.Bool
 }
 
-func newGuardedConfigs() *guardedConfigs {
-	return &guardedConfigs{guard: map[config]*bv.Bool{}}
-}
-
-func (gc *guardedConfigs) add(bvin *bv.Interner, c config, g *bv.Bool) {
+func (gs *guarded[K]) add(bvin *bv.Interner, k K, g *bv.Bool) {
 	if g == bv.False {
 		return
 	}
-	if old, ok := gc.guard[c]; ok {
-		gc.guard[c] = bvin.BOr2(old, g)
-		return
+	for i, old := range gs.keys {
+		if old == k {
+			gs.guards[i] = bvin.BOr2(gs.guards[i], g)
+			return
+		}
 	}
-	gc.order = append(gc.order, c)
-	gc.guard[c] = g
+	gs.keys = append(gs.keys, k)
+	gs.guards = append(gs.guards, g)
 }
 
 // RunSymbolic interprets prog over the symbolic string s, returning guarded
@@ -91,16 +91,20 @@ func (gc *guardedConfigs) add(bvin *bv.Interner, c config, g *bv.Bool) {
 func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
 	bvin := s.Interner()
 	maxLen := s.MaxLen()
-	live := newGuardedConfigs()
+	// live holds the configurations before the current instruction, next
+	// those after it; the two swap buffers at every step.
+	var live, next guarded[config]
 	live.add(bvin, config{kind: Ptr, off: 0, revN: -1}, bv.True)
-	var termOrder []Result
-	terminal := map[Result]*bv.Bool{}
+	var terminal guarded[Result]
 
 	// Reversed views, built lazily per concrete length.
-	reversed := map[int]*strsolver.SymString{}
+	var reversed map[int]*strsolver.SymString
 	revView := func(n int) *strsolver.SymString {
 		if v, ok := reversed[n]; ok {
 			return v
+		}
+		if reversed == nil {
+			reversed = map[int]*strsolver.SymString{}
 		}
 		bytes := make([]*bv.Term, n+1)
 		for i := 0; i < n; i++ {
@@ -124,29 +128,16 @@ func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
 		return c.revN
 	}
 
-	addLive := func(next *guardedConfigs, c config, g *bv.Bool) {
-		next.add(bvin, c, g)
-	}
-	addTerminal := func(r Result, g *bv.Bool) {
-		if g == bv.False {
-			return
-		}
-		if old, ok := terminal[r]; ok {
-			terminal[r] = bvin.BOr2(old, g)
-		} else {
-			termOrder = append(termOrder, r)
-			terminal[r] = g
-		}
-	}
-	invalid := func(g *bv.Bool) { addTerminal(InvalidResult(), g) }
+	addLive := func(c config, g *bv.Bool) { next.add(bvin, c, g) }
+	invalid := func(g *bv.Bool) { terminal.add(bvin, InvalidResult(), g) }
 
 	for pc, in := range prog {
-		next := newGuardedConfigs()
-		for _, c := range live.order {
-			g := live.guard[c]
+		next.keys, next.guards = next.keys[:0], next.guards[:0]
+		for i, c := range live.keys {
+			g := live.guards[i]
 			if c.skip {
 				c.skip = false
-				addLive(next, c, g)
+				addLive(c, g)
 				continue
 			}
 			str := space(c)
@@ -159,7 +150,7 @@ func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
 					continue
 				}
 				for n := 0; n <= maxLen; n++ {
-					addLive(next, config{kind: Ptr, off: 0, revN: n}, bvin.BAnd2(g, s.LenIs(n)))
+					addLive(config{kind: Ptr, off: 0, revN: n}, bvin.BAnd2(g, s.LenIs(n)))
 				}
 			case OpRawmemchr:
 				if !strOK {
@@ -169,7 +160,7 @@ func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
 				for j := c.off; j <= strCap; j++ {
 					nc := c
 					nc.off = j
-					addLive(next, nc, bvin.BAnd2(g, str.RawchrIs(c.off, j, in.Arg[0])))
+					addLive(nc, bvin.BAnd2(g, str.RawchrIs(c.off, j, in.Arg[0])))
 				}
 				invalid(bvin.BAnd2(g, str.RawchrNone(c.off, in.Arg[0])))
 			case OpStrchr:
@@ -180,11 +171,11 @@ func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
 				for j := c.off; j <= strCap; j++ {
 					nc := c
 					nc.off = j
-					addLive(next, nc, bvin.BAnd2(g, str.ChrIs(c.off, j, in.Arg[0])))
+					addLive(nc, bvin.BAnd2(g, str.ChrIs(c.off, j, in.Arg[0])))
 				}
 				nc := c
 				nc.kind = Null
-				addLive(next, nc, bvin.BAnd2(g, str.ChrNone(c.off, in.Arg[0])))
+				addLive(nc, bvin.BAnd2(g, str.ChrNone(c.off, in.Arg[0])))
 			case OpStrrchr:
 				if !strOK {
 					invalid(g)
@@ -193,11 +184,11 @@ func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
 				for j := c.off; j <= strCap; j++ {
 					nc := c
 					nc.off = j
-					addLive(next, nc, bvin.BAnd2(g, str.RchrIs(c.off, j, in.Arg[0])))
+					addLive(nc, bvin.BAnd2(g, str.RchrIs(c.off, j, in.Arg[0])))
 				}
 				nc := c
 				nc.kind = Null
-				addLive(next, nc, bvin.BAnd2(g, str.RchrNone(c.off, in.Arg[0])))
+				addLive(nc, bvin.BAnd2(g, str.RchrNone(c.off, in.Arg[0])))
 			case OpStrpbrk:
 				if !strOK {
 					invalid(g)
@@ -207,11 +198,11 @@ func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
 				for j := c.off; j <= strCap; j++ {
 					nc := c
 					nc.off = j
-					addLive(next, nc, bvin.BAnd2(g, str.PbrkIs(c.off, j, set)))
+					addLive(nc, bvin.BAnd2(g, str.PbrkIs(c.off, j, set)))
 				}
 				nc := c
 				nc.kind = Null
-				addLive(next, nc, bvin.BAnd2(g, str.PbrkNone(c.off, set)))
+				addLive(nc, bvin.BAnd2(g, str.PbrkNone(c.off, set)))
 			case OpStrspn:
 				if !strOK {
 					invalid(g)
@@ -221,7 +212,7 @@ func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
 				for n := 0; c.off+n <= strCap; n++ {
 					nc := c
 					nc.off = c.off + n
-					addLive(next, nc, bvin.BAnd2(g, str.SpnIs(c.off, n, set)))
+					addLive(nc, bvin.BAnd2(g, str.SpnIs(c.off, n, set)))
 				}
 			case OpStrcspn:
 				if !strOK {
@@ -232,54 +223,54 @@ func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
 				for n := 0; c.off+n <= strCap; n++ {
 					nc := c
 					nc.off = c.off + n
-					addLive(next, nc, bvin.BAnd2(g, str.CspnIs(c.off, n, set)))
+					addLive(nc, bvin.BAnd2(g, str.CspnIs(c.off, n, set)))
 				}
 			case OpIsNullptr:
 				c.skip = c.kind != Null
-				addLive(next, c, g)
+				addLive(c, g)
 			case OpIsStart:
 				c.skip = !(c.kind == Ptr && c.off == 0)
-				addLive(next, c, g)
+				addLive(c, g)
 			case OpIncrement:
 				if c.kind != Ptr {
 					invalid(g)
 					continue
 				}
 				c.off++
-				addLive(next, c, g)
+				addLive(c, g)
 			case OpSetToEnd:
 				if c.revN >= 0 {
 					// The reverse guard pins the reversed length to revN.
 					c.kind, c.off = Ptr, c.revN
-					addLive(next, c, g)
+					addLive(c, g)
 					continue
 				}
 				for n := 0; n <= strCap; n++ {
 					nc := c
 					nc.kind = Ptr
 					nc.off = n
-					addLive(next, nc, bvin.BAnd2(g, str.LenIs(n)))
+					addLive(nc, bvin.BAnd2(g, str.LenIs(n)))
 				}
 			case OpSetToStart:
 				c.kind = Ptr
 				c.off = 0
-				addLive(next, c, g)
+				addLive(c, g)
 			case OpReturn:
-				addTerminal(finishConfig(c), g)
+				terminal.add(bvin, finishConfig(c), g)
 			default:
 				invalid(g)
 			}
 		}
-		live = next
+		live, next = next, live
 	}
 	// Out of instructions: remaining configurations are invalid.
-	for _, c := range live.order {
-		invalid(live.guard[c])
+	for _, g := range live.guards {
+		invalid(g)
 	}
 
-	out := make([]SymOutcome, 0, len(terminal))
-	for _, r := range termOrder {
-		out = append(out, SymOutcome{Guard: terminal[r], Res: r})
+	out := make([]SymOutcome, len(terminal.keys))
+	for i, r := range terminal.keys {
+		out[i] = SymOutcome{Guard: terminal.guards[i], Res: r}
 	}
 	return out
 }
