@@ -84,7 +84,6 @@ type run struct {
 	Tests         int     `json:"tests"`           // generated test inputs (last rep)
 	Paths         int     `json:"paths,omitempty"` // terminal paths (last rep)
 	Merge         bool    `json:"merge,omitempty"` // state-merging executor
-	VN            bool    `json:"vn"`              // value-numbering rewrite layer
 	VNHits        int64   `json:"vn_hits_per_op,omitempty"`
 	IteFusions    int64   `json:"ite_fusions_per_op,omitempty"`
 }
@@ -99,6 +98,13 @@ type report struct {
 	NsRatio       float64 `json:"ns_ratio_off_over_on"`
 }
 
+// laneArgs carries the parsed flags a lane draws from.
+type laneArgs struct {
+	n, reps, sample int
+	short, check    bool
+	out, cacheDir   string
+}
+
 func main() {
 	var (
 		short = flag.Bool("short", false, "CI smoke mode: shorter symbolic string, one rep")
@@ -106,74 +112,57 @@ func main() {
 		out   = flag.String("out", "BENCH_3.json", "output JSON path (empty = stdout only)")
 		n     = flag.Int("n", 8, "symbolic string length")
 		reps  = flag.Int("reps", 3, "repetitions per configuration")
-		obsL  = flag.Bool("obs", false, "run the observability-overhead lane and write BENCH_5.json instead")
-		mrg   = flag.Bool("merge", false, "run the state-merging lane and write BENCH_6.json instead")
-		vnL   = flag.Bool("vn", false, "run the value-numbering lane and write BENCH_8.json instead")
 
-		serve   = flag.Bool("serve", false, "run the daemon load lane and write BENCH_9.json instead")
-		telem   = flag.Bool("telemetry", false, "run the telemetry lane (provenance, exposition, trace merge) and write BENCH_10.json instead")
-		persist = flag.Bool("persist", false, "run the cross-process persistent-cache lane and write BENCH_7.json instead")
-		sample  = flag.Int("sample", 0, "with -persist: only the first N corpus loops (0 = all 115)")
-		child   = flag.Bool("persist-child", false, "internal: run one corpus sweep over -cache-dir and print verdicts (the -persist lane's worker phase)")
+		mrg    = flag.Bool("merge", false, "run the state-merging lane and write BENCH_6.json instead")
+		sample = flag.Int("sample", 0, "with -persist: only the first N corpus loops (0 = all 115)")
+		child  = flag.Bool("persist-child", false, "internal: run one corpus sweep over -cache-dir and print verdicts (the -persist lane's worker phase)")
 	)
+	// lanes selects what runs instead of the default solver-cache lane:
+	// the first lane whose flag is set, with its own default output file.
+	lanes := []struct {
+		on  *bool
+		out string
+		run func(laneArgs)
+	}{
+		{flag.Bool("obs", false, "run the observability-overhead lane and write BENCH_5.json instead"), "BENCH_5.json", obsLane},
+		{mrg, "BENCH_6.json", mergeLane},
+		{flag.Bool("persist", false, "run the cross-process persistent-cache lane and write BENCH_7.json instead"), "BENCH_7.json", persistLane},
+		{flag.Bool("serve", false, "run the daemon load lane and write BENCH_9.json instead"), "BENCH_9.json", serveLane},
+		{flag.Bool("telemetry", false, "run the telemetry lane (provenance, exposition, trace merge) and write BENCH_10.json instead"), "BENCH_10.json", telemetryLane},
+	}
 	cacheDir := cliflags.CacheDir(nil)
 	flag.Parse()
 	if *child {
 		persistChildRun(*cacheDir, *sample)
 		return
 	}
-	if *short {
-		*reps = 1
-		// The merge and vn lanes keep n=8: their gates run the merging
-		// executor at 2n, and below the n=8 crossover enumeration is too
-		// cheap for the comparison to mean anything.
-		if !*mrg && !*vnL {
-			*n = 6
+	a := laneArgs{n: *n, reps: *reps, sample: *sample, short: *short, check: *check, out: *out, cacheDir: *cacheDir}
+	if a.short {
+		a.reps = 1
+		// The merge lane keeps n=8: its gate runs the merging executor at
+		// 2n, and below the n=8 crossover enumeration is too cheap for the
+		// comparison to mean anything.
+		if !*mrg {
+			a.n = 6
 		}
 	}
-	if *obsL {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_5.json"
+	for _, l := range lanes {
+		if *l.on {
+			if a.out == "BENCH_3.json" {
+				a.out = l.out
+			}
+			l.run(a)
+			return
 		}
-		obsLane(*n, *reps, *short, *out)
-		return
 	}
-	if *mrg {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_6.json"
-		}
-		mergeLane(*n, *reps, *check, *out)
-		return
-	}
-	if *vnL {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_8.json"
-		}
-		vnLane(*n, *reps, *check, *out)
-		return
-	}
-	if *persist {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_7.json"
-		}
-		persistLane(*sample, *short, *check, *out, *cacheDir)
-		return
-	}
-	if *serve {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_9.json"
-		}
-		serveLane(*short, *check, *out)
-		return
-	}
-	if *telem {
-		if *out == "BENCH_3.json" {
-			*out = "BENCH_10.json"
-		}
-		telemetryLane(*short, *check, *out)
-		return
-	}
+	cacheLane(a)
+}
 
+// cacheLane is the default lane and writes BENCH_3.json: the Figure 1 loop
+// with the query-cache chain on and off, plus the summarised str run. With
+// check, cache-on must win on conflicts or wall time with a non-zero hit
+// rate.
+func cacheLane(a laneArgs) {
 	f := lower()
 	prog, err := vocab.Decode(figure1Summary)
 	if err != nil {
@@ -185,25 +174,14 @@ func main() {
 		Loop:      "figure1/skip_whitespace",
 		GoVersion: runtime.Version(),
 	}
-	on := vanillaRun("SolverCacheOn", f, *n, *reps, kleebench.Config{QCache: true})
-	off := vanillaRun("SolverCacheOff", f, *n, *reps, kleebench.Config{QCache: false})
-	rep.Runs = append(rep.Runs, on, off, strRun("StrCacheOn", prog, *n, *reps))
+	on := vanillaRun("SolverCacheOn", f, a.n, a.reps, kleebench.Config{QCache: true})
+	off := vanillaRun("SolverCacheOff", f, a.n, a.reps, kleebench.Config{QCache: false})
+	rep.Runs = append(rep.Runs, on, off, strRun("StrCacheOn", prog, a.n, a.reps))
 	rep.ConflictRatio = ratio(off.Conflicts, on.Conflicts)
 	rep.NsRatio = ratio(off.NsPerOp, on.NsPerOp)
+	writeReport(rep, a.out)
 
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if *out != "" {
-		if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			fatal("write %s: %v", *out, err)
-		}
-	}
-
-	if *check {
+	if a.check {
 		fewerConflicts := rep.ConflictRatio >= 1.5
 		lowerNs := rep.NsRatio >= 1.3
 		if on.CacheHitRate <= 0 {
@@ -215,6 +193,22 @@ func main() {
 		}
 		fmt.Printf("check ok: conflicts off/on = %.2f, ns off/on = %.2f, hit rate = %.3f\n",
 			rep.ConflictRatio, rep.NsRatio, on.CacheHitRate)
+	}
+}
+
+// writeReport prints rep as indented JSON and, when out is non-empty, writes
+// the same bytes to out.
+func writeReport(rep any, out string) {
+	enc, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		fatal("marshal: %v", err)
+	}
+	enc = append(enc, '\n')
+	fmt.Print(string(enc))
+	if out != "" {
+		if err := os.WriteFile(out, enc, 0o644); err != nil {
+			fatal("write %s: %v", out, err)
+		}
 	}
 }
 
@@ -237,8 +231,10 @@ type mergeReport struct {
 
 // mergeLane measures state merging: enumeration at n vs merging at n and
 // 2n. With check, the merged 2n run must stay under the enumerated n wall
-// time (the Figure 1 n=8 -> n=16 push).
-func mergeLane(n, reps int, check bool, out string) {
+// time (the Figure 1 n=8 -> n=16 push) and must have exercised the
+// value-numbering memo (non-zero hits).
+func mergeLane(a laneArgs) {
+	n, reps := a.n, a.reps
 	f := lower()
 	enum := vanillaRun("EnumN", f, n, reps, kleebench.Config{QCache: true})
 	mergedSame := vanillaRun("MergeN", f, n, reps, kleebench.Config{QCache: true, Merge: true})
@@ -253,18 +249,11 @@ func mergeLane(n, reps int, check bool, out string) {
 		PathRatio:             ratio(int64(enum.Paths), int64(mergedSame.Paths)),
 	}
 
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
+	writeReport(rep, a.out)
+	if a.check {
+		if merged2x.VNHits == 0 {
+			fatal("merge check failed: value-numbering memo recorded zero hits at merged n=%d", 2*n)
 		}
-	}
-	if check {
 		if rep.NsRatioEnumOverMerged < 1 {
 			fatal("merge check failed: merged n=%d took %.2fx the enumerated n=%d wall time",
 				2*n, 1/rep.NsRatioEnumOverMerged, n)
@@ -272,66 +261,8 @@ func mergeLane(n, reps int, check bool, out string) {
 		if rep.PathRatio < 1 {
 			fatal("merge check failed: merged path count exceeds enumerated at n=%d", n)
 		}
-		fmt.Printf("merge check ok: merged n=%d at %.2fx under enumerated n=%d; same-length path ratio %.1fx\n",
-			2*n, rep.NsRatioEnumOverMerged, n, rep.PathRatio)
-	}
-}
-
-// vnReport is the BENCH_8.json schema: the merged double-length run (the
-// BENCH_6 configuration) with the value-numbering rewrite layer off against
-// the same run with it on.
-type vnReport struct {
-	Benchmark string `json:"benchmark"`
-	Loop      string `json:"loop"`
-	GoVersion string `json:"go_version"`
-	Runs      []run  `json:"runs"`
-	// NsRatioOffOverOn and QueryRatioOffOverOn compare the vn-off run to the
-	// vn-on run at merged length 2n; the gate passes when either the wall
-	// time drops >= 1.5x or the solver queries drop >= 2x.
-	NsRatioOffOverOn    float64 `json:"ns_ratio_off_over_on"`
-	QueryRatioOffOverOn float64 `json:"query_ratio_off_over_on"`
-}
-
-// vnLane measures the value-numbering and ite-rewrite layer on the merging
-// executor at double length — the exact configuration whose merged guards
-// and ite-valued cursors the rewrites target. With check, vn-on must either
-// cut wall time >= 1.5x or solver queries >= 2x against vn-off, and must
-// actually have exercised the memo table (non-zero hits).
-func vnLane(n, reps int, check bool, out string) {
-	f := lower()
-	off := vanillaRun("MergeTwoNVnOff", f, 2*n, reps, kleebench.Config{QCache: true, Merge: true, NoVN: true})
-	on := vanillaRun("MergeTwoNVn", f, 2*n, reps, kleebench.Config{QCache: true, Merge: true})
-
-	rep := vnReport{
-		Benchmark:           "BenchmarkValueNumbering",
-		Loop:                "figure1/skip_whitespace",
-		GoVersion:           runtime.Version(),
-		Runs:                []run{off, on},
-		NsRatioOffOverOn:    ratio(off.NsPerOp, on.NsPerOp),
-		QueryRatioOffOverOn: ratio(off.SolverQueries, on.SolverQueries),
-	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
-		}
-	}
-	if check {
-		if on.VNHits == 0 {
-			fatal("vn check failed: value-numbering memo recorded zero hits")
-		}
-		if rep.NsRatioOffOverOn < 1.5 && rep.QueryRatioOffOverOn < 2.0 {
-			fatal("vn check failed: ns off/on = %.2f (< 1.5) and queries off/on = %.2f (< 2.0) at merged n=%d",
-				rep.NsRatioOffOverOn, rep.QueryRatioOffOverOn, 2*n)
-		}
-		fmt.Printf("vn check ok: ns off/on = %.2f, queries off/on = %.2f, vn hits %d, ite rewrites %d at merged n=%d\n",
-			rep.NsRatioOffOverOn, rep.QueryRatioOffOverOn, on.VNHits, on.IteFusions, 2*n)
+		fmt.Printf("merge check ok: merged n=%d at %.2fx under enumerated n=%d; same-length path ratio %.1fx; %d queries, %d vn hits\n",
+			2*n, rep.NsRatioEnumOverMerged, n, rep.PathRatio, merged2x.SolverQueries, merged2x.VNHits)
 	}
 }
 
@@ -467,13 +398,14 @@ type persistReport struct {
 // child sweeps over one fresh cache directory, cold then warm. Verdict
 // mismatch always fails; -check additionally requires the warm process to be
 // strictly faster.
-func persistLane(sample int, short, check bool, out, cacheBase string) {
-	if short && sample == 0 {
+func persistLane(a laneArgs) {
+	sample := a.sample
+	if a.short && sample == 0 {
 		sample = 30
 	}
 	// A fresh directory (under -cache-dir when given, the system temp dir
 	// otherwise) guarantees the first child really is cold.
-	dir, err := os.MkdirTemp(cacheBase, "bench-persist-*")
+	dir, err := os.MkdirTemp(a.cacheDir, "bench-persist-*")
 	if err != nil {
 		fatal("persist: %v", err)
 	}
@@ -518,17 +450,7 @@ func persistLane(sample int, short, check bool, out, cacheBase string) {
 		NsRatioColdOverWarm: ratio(cold.ns, warm.ns),
 	}
 
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
-		}
-	}
+	writeReport(rep, a.out)
 
 	if !identical {
 		for i := range cold.verdicts {
@@ -541,7 +463,7 @@ func persistLane(sample int, short, check bool, out, cacheBase string) {
 		fatal("persist check failed: warm verdicts differ from cold (%d vs %d loops)",
 			len(cold.verdicts), len(warm.verdicts))
 	}
-	if check {
+	if a.check {
 		if warm.ns >= cold.ns {
 			fatal("persist check failed: warm sweep (%v) not faster than cold (%v)",
 				time.Duration(warm.ns), time.Duration(cold.ns))
@@ -582,18 +504,18 @@ type obsReport struct {
 // obsLane measures the observability instrumentation: macro ns/op on the
 // Figure 1 vanilla run with obs off vs on, and the micro hot-path gate.
 // Exits non-zero when the disabled-mode micro overhead exceeds 2%.
-func obsLane(n, reps int, short bool, out string) {
+func obsLane(a laneArgs) {
 	f := lower()
-	disabled := vanillaRun("ObsDisabled", f, n, reps, kleebench.Config{QCache: true})
+	disabled := vanillaRun("ObsDisabled", f, a.n, a.reps, kleebench.Config{QCache: true})
 	tr, m := obs.New(), obs.NewMetrics()
-	enabled := vanillaRun("ObsEnabled", f, n, reps, kleebench.Config{
+	enabled := vanillaRun("ObsEnabled", f, a.n, a.reps, kleebench.Config{
 		QCache: true,
 		Ctx:    obs.NewContext(nil, tr, m),
 	})
 	enabled.Name = "ObsEnabled"
 
 	iters := 50_000_000
-	if short {
+	if a.short {
 		iters = 5_000_000
 	}
 	// One flush per 256 hot iterations is still far more frequent than the
@@ -624,17 +546,7 @@ func obsLane(n, reps int, short bool, out string) {
 		DisabledOverheadGate:       2.0,
 	}
 
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
-		}
-	}
+	writeReport(rep, a.out)
 	if rep.DisabledOverheadPct > rep.DisabledOverheadGate {
 		fatal("obs check failed: disabled-mode hot-path overhead %.2f%% > %.1f%%",
 			rep.DisabledOverheadPct, rep.DisabledOverheadGate)
@@ -713,7 +625,7 @@ func lower() *cir.Func {
 // feasibility checks, averaging over reps. The loop is re-lowered per rep so
 // each rep gets a fresh interner (matching the per-pipeline cache scope).
 func vanillaRun(name string, f *cir.Func, n, reps int, cfg kleebench.Config) run {
-	r := run{Name: name, Mode: "vanilla", QCache: cfg.QCache, Length: n, Reps: reps, Merge: cfg.Merge, VN: !cfg.NoVN}
+	r := run{Name: name, Mode: "vanilla", QCache: cfg.QCache, Length: n, Reps: reps, Merge: cfg.Merge}
 	var ns, queries, conflicts, hits, groups, vnhits, fusions int64
 	for i := 0; i < reps; i++ {
 		f = lower()

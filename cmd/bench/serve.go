@@ -68,10 +68,10 @@ func (b *benchTB) Errorf(format string, args ...any) {
 // second wave of clients is still firing — the SIGTERM-under-full-load
 // scenario — and gates: every request answered, drain inside its
 // deadline, zero goroutine leaks.
-func serveLane(short, check bool, out string) {
+func serveLane(a laneArgs) {
 	const concurrency = 200
 	requests := int64(1500)
-	if short {
+	if a.short {
 		requests = 600
 	}
 	cfg := service.Config{
@@ -245,19 +245,9 @@ func serveLane(short, check bool, out string) {
 	leakcheck.CheckWithin(tb, 10*time.Second)
 	rep.GoroutineLeaks = tb.leaks
 
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("serve lane marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
-		}
-	}
+	writeReport(rep, a.out)
 
-	if check {
+	if a.check {
 		if rep.Answered != rep.Requests {
 			fatal("serve check failed: %d of %d load requests answered", rep.Answered, rep.Requests)
 		}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -77,9 +76,9 @@ type telemetryReport struct {
 // the whole provenance surface: zero drift, reconciled provenance whose
 // attempt spends partition the totals, a valid scrape, a valid merged
 // trace, and disabled-mode micro overhead within the PR 5 bar.
-func telemetryLane(short, check bool, out string) {
+func telemetryLane(a laneArgs) {
 	reqsPerPhase := 24
-	if short {
+	if a.short {
 		reqsPerPhase = 8
 	}
 
@@ -205,7 +204,7 @@ func telemetryLane(short, check bool, out string) {
 	// Micro gate: the spend-collection pattern against the bare instrumented
 	// loop, best-of-3 like the BENCH_5 lane.
 	iters := 50_000_000
-	if short {
+	if a.short {
 		iters = 5_000_000
 	}
 	const batch = 4096
@@ -222,19 +221,9 @@ func telemetryLane(short, check bool, out string) {
 	leakcheck.CheckWithin(tb, 10*time.Second)
 	rep.GoroutineLeaks = tb.leaks
 
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal("telemetry lane marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	fmt.Print(string(enc))
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatal("write %s: %v", out, err)
-		}
-	}
+	writeReport(rep, a.out)
 
-	if check {
+	if a.check {
 		if rep.ReconcileDrift != 0 {
 			fatal("telemetry check failed: %d requests with budget<->metrics drift", rep.ReconcileDrift)
 		}

@@ -35,7 +35,6 @@ func main() {
 		nomin    = flag.Bool("nomin", false, "skip finding minimization")
 		qcache   = cliflags.QCache(nil, false)
 		merge    = cliflags.Merge(nil, false)
-		vn       = cliflags.VN(nil, true)
 		cacheDir = cliflags.CacheDir(nil)
 		cacheMax = cliflags.CacheMaxBytes(nil)
 		faults   = flag.Float64("faults", 0, "fault-injection intensity in [0,1]: seeded skip-safe fault storms over the pipeline under test (0 disables)")
@@ -66,7 +65,6 @@ func main() {
 		NoMinimize:   *nomin,
 		QCache:       *qcache,
 		Merge:        *merge,
-		NoVN:         !*vn,
 		Cache:        tier,
 		FaultRate:    *faults,
 		FaultSeed:    *fseed,

@@ -46,7 +46,6 @@ func main() {
 	sample := flag.Int("sample", 0, "with -corpus: only the first N loops (0 = all)")
 	jobs := cliflags.Jobs(nil, 1)
 	merge := cliflags.Merge(nil, false)
-	vn := cliflags.VN(nil, true)
 	cacheDir := cliflags.CacheDir(nil)
 	cacheMaxBytes := cliflags.CacheMaxBytes(nil)
 	server := cliflags.Server(nil)
@@ -55,7 +54,7 @@ func main() {
 	flag.Parse()
 
 	if *corpus {
-		os.Exit(runCorpus(*sample, *jobs, *timeout, *maxSize, *merge, *vn, *cacheDir, *cacheMaxBytes, obsFlags))
+		os.Exit(runCorpus(*sample, *jobs, *timeout, *maxSize, *merge, *cacheDir, *cacheMaxBytes, obsFlags))
 	}
 
 	if flag.NArg() != 1 {
@@ -110,7 +109,6 @@ func main() {
 		Timeout:           *timeout,
 		RequireMemoryless: *requireMem,
 		Merge:             *merge,
-		NoVN:              !*vn,
 		CacheDir:          *cacheDir,
 		CacheMaxBytes:     *cacheMaxBytes,
 	}
@@ -140,7 +138,7 @@ func main() {
 // session's observability handles, then reconciles the report's counter
 // totals against the summed budget spend: both sides count through the same
 // engine.Budget mirrors, so any drift means an instrumentation bug.
-func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, merge, vn bool, cacheDir string, cacheMaxBytes int64, obsFlags *obs.Flags) int {
+func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, merge bool, cacheDir string, cacheMaxBytes int64, obsFlags *obs.Flags) int {
 	sess, err := obsFlags.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loopsum: %v\n", err)
@@ -168,7 +166,6 @@ func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, merge, vn b
 			Timeout:        timeout,
 			Budget:         budget,
 			Merge:          merge,
-			NoVN:           !vn,
 			Cache:          tier,
 		})
 		switch {

@@ -56,7 +56,6 @@ func run() int {
 	targetP99 := flag.Duration("target-p99", 0, "degrade one extra rung while recent p99 exceeds this (0 = load signal only)")
 	vocabLetters := flag.String("vocab", "", "restrict the synthesis vocabulary (Table 1 opcode letters)")
 	merge := cliflags.Merge(nil, false)
-	vn := cliflags.VN(nil, true)
 	cacheDir := cliflags.CacheDir(nil)
 	cacheMaxBytes := cliflags.CacheMaxBytes(nil)
 	trace := flag.String("trace", "", "arm the tracer; GET /trace serves the Chrome trace-event JSON (the value names the shutdown dump file, '-' = no dump)")
@@ -89,7 +88,6 @@ func run() int {
 		},
 		StartRung:  core.RungFull,
 		Merge:      *merge,
-		NoVN:       !*vn,
 		Vocabulary: *vocabLetters,
 		Cache:      tier,
 		Tracer:     tracer,

@@ -22,7 +22,6 @@ func main() {
 	verbose := flag.Bool("v", false, "per-loop results")
 	jobs := cliflags.Jobs(nil, 1)
 	merge := cliflags.Merge(nil, false)
-	vn := cliflags.VN(nil, true)
 	cacheDir := cliflags.CacheDir(nil)
 	cacheMaxBytes := cliflags.CacheMaxBytes(nil)
 	obsFlags := cliflags.Obs(nil)
@@ -55,7 +54,7 @@ func main() {
 		budget := engine.NewBudget(nil, engine.Limits{}).
 			SetObs(item.Tracer(), item.Metrics())
 		reports[i] = memoryless.VerifyWith(f, memoryless.VerifyOptions{
-			MaxLen: *maxLen, Budget: budget, Merge: *merge, NoVN: !*vn,
+			MaxLen: *maxLen, Budget: budget, Merge: *merge,
 			Disk: tier.QueryStore(), Memo: tier.MemoStore(),
 		})
 		outcome := "rejected"

@@ -34,7 +34,6 @@ func main() {
 	jobs := cliflags.Jobs(nil, 1)
 	resilient := cliflags.Resilient(nil)
 	merge := cliflags.Merge(nil, false)
-	vn := cliflags.VN(nil, true)
 	cacheDir := cliflags.CacheDir(nil)
 	cacheMaxBytes := cliflags.CacheMaxBytes(nil)
 	obsFlags := cliflags.Obs(nil)
@@ -50,7 +49,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *resilient {
-		code := resilientSweep(*timeout, *maxSize, *maxSet, *jobs, *merge, !*vn, tier, sess)
+		code := resilientSweep(*timeout, *maxSize, *maxSet, *jobs, *merge, tier, sess)
 		if err := tier.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "synth-eval: cache persist: %v\n", err)
 		}
@@ -65,7 +64,7 @@ func main() {
 	}
 
 	opts := cegis.Options{Timeout: *timeout, MaxProgSize: *maxSize, MaxSetLen: *maxSet, Merge: *merge,
-		NoVN: !*vn, Disk: tier.QueryStore()}
+		Disk: tier.QueryStore()}
 	progress := (os.Stdout)
 	if !*verbose {
 		progress = nil
@@ -168,7 +167,7 @@ func main() {
 // ladder descended, the reason. Degraded loops are expected output, not
 // failures: the exit code is non-zero only when a loop fails outright
 // (infrastructure failure — even the concrete floor produced nothing).
-func resilientSweep(timeout time.Duration, maxSize, maxSet, jobs int, merge, noVN bool, tier *diskcache.Tier, sess *obs.Session) int {
+func resilientSweep(timeout time.Duration, maxSize, maxSet, jobs int, merge bool, tier *diskcache.Tier, sess *obs.Session) int {
 	corpus := loopdb.Corpus()
 	fmt.Printf("resilient sweep over %d loops (timeout %v, %d workers)...\n", len(corpus), timeout, jobs)
 	start := time.Now()
@@ -177,7 +176,7 @@ func resilientSweep(timeout time.Duration, maxSize, maxSet, jobs int, merge, noV
 		l := corpus[i]
 		item := sess.Item(l.Name, l.Program, worker)
 		outcomes[i] = core.SummarizeResilient(l.Source, l.FuncName, core.ResilientOptions{
-			Options: core.Options{Timeout: timeout, MaxProgramSize: maxSize, MaxSetSize: maxSet, Merge: merge, NoVN: noVN, Cache: tier},
+			Options: core.Options{Timeout: timeout, MaxProgramSize: maxSize, MaxSetSize: maxSet, Merge: merge, Cache: tier},
 			Tracer:  item.Tracer(),
 			Metrics: item.Metrics(),
 		})

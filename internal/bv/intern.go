@@ -68,13 +68,8 @@ type Interner struct {
 	simpNodesIn  int64
 	simpNodesOut int64
 
-	// Value-numbering switch and counters (see simplify.go, vn.go). The
-	// switch is inverted so the zero value keeps value numbering ON; it must
-	// be set before the interner is used (the simp memo tables cache results
-	// computed under the mode in force, so flipping it mid-run would serve
-	// stale rewrites). vnHits/iteFusions are guarded by simpMu like the
-	// tables they instrument.
-	vnOff      atomic.Bool
+	// Value-numbering counters (see simplify.go, vn.go), guarded by simpMu
+	// like the tables they instrument.
 	vnHits     int64
 	iteFusions int64
 }
@@ -126,20 +121,6 @@ func (in *Interner) SetFaults(f *faultpoint.Registry) *Interner {
 	in.mu.Unlock()
 	return in
 }
-
-// SetVN switches the value-numbering rewrite layer (memoized simplification
-// hits, ite-aware fusion rules, guard-implication pruning) on or off. It is
-// on by default; off restores the PR 6 rewrite set exactly, which is the
-// baseline the -vn bench lane measures against. Call it before the interner
-// is used — the simplification memo caches results computed under the mode
-// in force. Returns the interner for chaining.
-func (in *Interner) SetVN(on bool) *Interner {
-	in.vnOff.Store(!on)
-	return in
-}
-
-// VNEnabled reports whether the value-numbering layer is active.
-func (in *Interner) VNEnabled() bool { return !in.vnOff.Load() }
 
 // budgetNow returns the interner's current budget (nil-safe to use).
 func (in *Interner) budgetNow() *engine.Budget {

@@ -50,34 +50,35 @@ func (in *Interner) SimplifyStats() SimplifyStats {
 		VNHits: in.vnHits, Fusions: in.iteFusions}
 }
 
-// vn reports whether the value-numbering rewrites are armed. Callers hold
-// simpMu; the flag itself is atomic so the constructors (which do not hold
-// simpMu) read it too.
-func (in *Interner) vn() bool { return !in.vnOff.Load() }
+// simpSnap is the interner's simplifier counters at the start of a
+// top-level call.
+type simpSnap struct{ calls, nodesIn, nodesOut, hits, fusions int64 }
 
-// simpEnter readies the memo tables and snapshots the vn counters; caller
+// simpEnter readies the memo tables and snapshots the counters; caller
 // holds simpMu. simpExit charges the call's deltas to the interner budget
 // after simpMu is released (budget adds are atomic, and taking the charge
-// outside simpMu keeps the lock order simpMu → mu one-way).
-func (in *Interner) simpEnter() (hits0, fus0 int64) {
+// outside simpMu keeps the lock order simpMu → mu one-way), so the budget
+// mirrors SimplifyStats exactly.
+func (in *Interner) simpEnter() simpSnap {
 	if in.simpBoolTab == nil {
 		in.simpBoolTab = map[*Bool]*Bool{}
 		in.simpTermTab = map[*Term]*Term{}
 		in.simpOutBools = map[*Bool]struct{}{}
 		in.simpOutTerms = map[*Term]struct{}{}
 	}
-	return in.vnHits, in.iteFusions
+	return simpSnap{in.simpCalls, in.simpNodesIn, in.simpNodesOut, in.vnHits, in.iteFusions}
 }
 
-func (in *Interner) simpExit(hits0, fus0, nodesIn, nodesOut int64) {
-	dh, df := in.vnHits-hits0, in.iteFusions-fus0
+func (in *Interner) simpExit(s simpSnap) {
+	d := simpSnap{in.simpCalls - s.calls, in.simpNodesIn - s.nodesIn, in.simpNodesOut - s.nodesOut,
+		in.vnHits - s.hits, in.iteFusions - s.fusions}
 	in.simpMu.Unlock()
 	b := in.budgetNow()
-	b.Add(engine.SimplifyCalls, 1)
-	b.Add(engine.SimplifyNodesIn, nodesIn)
-	b.Add(engine.SimplifyNodesOut, nodesOut)
-	b.Add(engine.VNHits, dh)
-	b.Add(engine.IteFusions, df)
+	b.Add(engine.SimplifyCalls, d.calls)
+	b.Add(engine.SimplifyNodesIn, d.nodesIn)
+	b.Add(engine.SimplifyNodesOut, d.nodesOut)
+	b.Add(engine.VNHits, d.hits)
+	b.Add(engine.IteFusions, d.fusions)
 }
 
 // SimplifyBool returns a formula equivalent to b, rewritten bottom-up.
@@ -87,31 +88,27 @@ func (in *Interner) simpExit(hits0, fus0, nodesIn, nodesOut int64) {
 // new suffix.
 func (in *Interner) SimplifyBool(b *Bool) *Bool {
 	in.simpMu.Lock()
-	h0, f0 := in.simpEnter()
-	ni0, no0 := in.simpNodesIn, in.simpNodesOut
+	s := in.simpEnter()
 	r := in.simpBool(b)
 	in.simpCalls++
-	in.simpExit(h0, f0, in.simpNodesIn-ni0, in.simpNodesOut-no0)
+	in.simpExit(s)
 	return r
 }
 
 // SimplifyTerm returns a term equivalent to t, rewritten bottom-up.
 func (in *Interner) SimplifyTerm(t *Term) *Term {
 	in.simpMu.Lock()
-	h0, f0 := in.simpEnter()
-	ni0, no0 := in.simpNodesIn, in.simpNodesOut
+	s := in.simpEnter()
 	r := in.simpTerm(t)
 	in.simpCalls++
-	in.simpExit(h0, f0, in.simpNodesIn-ni0, in.simpNodesOut-no0)
+	in.simpExit(s)
 	return r
 }
 
 // simpBool is the memoized recursive worker. Caller holds simpMu.
 func (in *Interner) simpBool(b *Bool) *Bool {
 	if r, ok := in.simpBoolTab[b]; ok {
-		if in.vn() {
-			in.vnHits++
-		}
+		in.vnHits++
 		return r
 	}
 	in.simpNodesIn++
@@ -226,7 +223,7 @@ func (in *Interner) simpUle(x, y *Term) *Bool {
 // comparisons between two values merged under the same path split collapse
 // to a per-branch comparison — typically constant-folding at least one arm.
 func (in *Interner) fuseAtomIte(atom func(a, b *Term) *Bool, x, y *Term) (*Bool, bool) {
-	if !in.vn() || x.Kind != KIte || y.Kind != KIte || x.Cond != y.Cond {
+	if x.Kind != KIte || y.Kind != KIte || x.Cond != y.Cond {
 		return nil, false
 	}
 	in.iteFusions++
@@ -281,9 +278,7 @@ func (in *Interner) condBool(c, t, e *Bool) *Bool {
 // simpTerm is the memoized recursive term worker. Caller holds simpMu.
 func (in *Interner) simpTerm(t *Term) *Term {
 	if r, ok := in.simpTermTab[t]; ok {
-		if in.vn() {
-			in.vnHits++
-		}
+		in.vnHits++
 		return r
 	}
 	in.simpNodesIn++
@@ -343,22 +338,20 @@ func (in *Interner) simpTerm(t *Term) *Term {
 // (so one side of the distribution folds). Caller holds simpMu; operands
 // are already simplified.
 func (in *Interner) fuseBinop(op func(a, b *Term) *Term, x, y *Term) *Term {
-	if in.vn() {
-		if x.Kind == KIte && y.Kind == KIte && x.Cond == y.Cond {
+	if x.Kind == KIte && y.Kind == KIte && x.Cond == y.Cond {
+		in.iteFusions++
+		return in.Ite(x.Cond, op(x.A, y.A), op(x.B, y.B))
+	}
+	if _, ok := y.IsConst(); ok && x.Kind == KIte {
+		if constArm(x) {
 			in.iteFusions++
-			return in.Ite(x.Cond, op(x.A, y.A), op(x.B, y.B))
+			return in.Ite(x.Cond, op(x.A, y), op(x.B, y))
 		}
-		if _, ok := y.IsConst(); ok && x.Kind == KIte {
-			if constArm(x) {
-				in.iteFusions++
-				return in.Ite(x.Cond, op(x.A, y), op(x.B, y))
-			}
-		}
-		if _, ok := x.IsConst(); ok && y.Kind == KIte {
-			if constArm(y) {
-				in.iteFusions++
-				return in.Ite(y.Cond, op(x, y.A), op(x, y.B))
-			}
+	}
+	if _, ok := x.IsConst(); ok && y.Kind == KIte {
+		if constArm(y) {
+			in.iteFusions++
+			return in.Ite(y.Cond, op(x, y.A), op(x, y.B))
 		}
 	}
 	return op(x, y)

@@ -257,23 +257,21 @@ func (in *Interner) Ite(cond *Bool, a, b *Term) *Term {
 		}
 		return b
 	}
-	if in.VNEnabled() {
-		// Normalise a negated guard: ¬c ? a : b  ⇒  c ? b : a, so the two
-		// spellings of the same mux value-number to one node.
-		if cond.Kind == BNot {
-			cond, a, b = cond.A, b, a
-		}
-		// Nested same-guard collapse at construction: inside the then-arm
-		// cond is known true, inside the else-arm known false.
-		if a.Kind == KIte && a.Cond == cond {
-			a = a.A
-		}
-		if b.Kind == KIte && b.Cond == cond {
-			b = b.B
-		}
-		if a == b {
-			return a
-		}
+	// Normalise a negated guard: ¬c ? a : b  ⇒  c ? b : a, so the two
+	// spellings of the same mux value-number to one node.
+	if cond.Kind == BNot {
+		cond, a, b = cond.A, b, a
+	}
+	// Nested same-guard collapse at construction: inside the then-arm cond
+	// is known true, inside the else-arm known false.
+	if a.Kind == KIte && a.Cond == cond {
+		a = a.A
+	}
+	if b.Kind == KIte && b.Cond == cond {
+		b = b.B
+	}
+	if a == b {
+		return a
 	}
 	return in.intern(Term{Kind: KIte, Width: a.Width, Cond: cond, A: a, B: b})
 }

@@ -1,67 +1,195 @@
 package bv
 
+import "unsafe"
+
 // Guard-implication pruning. A query's path condition is a conjunction, and
 // the ite terms state merging mints frequently embed one of the other
 // conjuncts (or its negation) as a guard: once the qcache layer has split
 // the query into conjuncts, each conjunct may be rewritten under the
-// assumption that all the *other* conjuncts hold. PruneUnder performs one
-// such rewrite: every boolean subnode found in the truth map is replaced by
-// its known constant, and every ite whose guard is in the map collapses to
-// the implied arm.
+// assumption that all the *other* conjuncts hold. One such rewrite replaces
+// every boolean subnode the others decide by its known constant, and
+// collapses every ite whose guard they decide to the implied arm.
 //
 // Soundness is the one-at-a-time argument: for a conjunction R ∧ c, any
-// model of R makes every entry of a truth map derived from R correct, so
-// rewriting c to c' under the map preserves R ∧ c ≡ R ∧ c'. The qcache
-// layer applies this sequentially — conjunct i is pruned under the current
-// versions of the others — so each step is an instance of the theorem and
-// the composition is equivalence-preserving. (A simultaneous substitution
-// of all conjuncts into each other is not obviously sound — two conjuncts
-// could each be rewritten to true using the other — which is why the
-// caller sequences the passes.)
+// model of R makes every node R decides correct, so rewriting c to c' under
+// them preserves R ∧ c ≡ R ∧ c'. PruneConjuncts applies this sequentially —
+// conjunct i is pruned under the current versions of the others — so each
+// step is an instance of the theorem and the composition is
+// equivalence-preserving. (A simultaneous substitution of all conjuncts into
+// each other is not obviously sound — two conjuncts could each be rewritten
+// to true using the other — which is why the passes are sequenced.)
 //
 // Substitution is by subnode identity (hash-consing makes structural
 // containment pointer containment per interner), and the rewrite rebuilds
 // through the smart constructors so local folds fire on the pruned shape.
-// The per-call memos cannot live on the interner — the result depends on
-// the truth map — so each call walks its conjunct fresh. That walk is
+// The per-conjunct memos cannot live on the interner — the result depends on
+// the other conjuncts — so each pass walks its conjunct fresh. That walk is
 // depth-capped: the guards another conjunct can decide are minted by state
 // merging near the conjunct root (the new branch condition over merged ite
 // values), while the deep interior is the accumulated path condition that a
 // fresh walk per query would re-traverse quadratically over a run. Nodes
 // below the cap are kept unchanged, which is sound — every pruning rewrite
 // is optional.
+//
+// Most conjuncts contain no node another conjunct decides — an enumerated
+// path condition never does — and for them the walk rebuilds nothing. A
+// memo-free probe of the same traversal finds that out first, so the common
+// pass builds no memo tables, and hashed decider counts answer the common
+// "not decided" in O(1) instead of a scan of the conjunction.
 
-// PruneUnder rewrites f under the assumption that every key of truth has
-// its mapped boolean value. Collapsed ite branches and replaced guards are
-// counted as ite fusions and charged to the interner budget. When value
-// numbering is off (or the map is empty) f is returned unchanged.
-func (in *Interner) PruneUnder(f *Bool, truth map[*Bool]bool) *Bool {
-	if in == nil || f == nil || len(truth) == 0 || !in.VNEnabled() {
-		return f
+// PruneConjuncts rewrites a conjunction in place, one conjunct at a time in
+// order: conj[i] is rewritten under the assumption that the current
+// versions of the other conjuncts hold. Each of them is then known true, and
+// the operand of a negated one known false; when two conjuncts decide the
+// same node the later one wins. Collapsed ite branches and replaced guards
+// are counted as ite fusions and charged to the interner budget. A
+// conjunction of fewer than two conjuncts is left unchanged. The result
+// reports whether any conjunct changed.
+func (in *Interner) PruneConjuncts(conj []*Bool) (changed bool) {
+	if in == nil || len(conj) < 2 {
+		return false
 	}
 	in.simpMu.Lock()
-	h0, f0 := in.simpEnter()
-	p := &pruner{in: in, truth: truth, bools: map[*Bool]*Bool{}, terms: map[*Term]*Term{}}
-	r := p.boolNode(f, maxPruneDepth)
-	in.simpExit(h0, f0, 0, 0)
-	return r
+	s := in.simpEnter()
+	p := &pruner{in: in, conj: conj}
+	for _, cj := range conj {
+		p.count(cj, 1)
+	}
+	for i, cj := range conj {
+		p.self, p.probes = i, maxPruneProbes
+		if !p.mayDecideBool(cj, maxPruneDepth) {
+			continue
+		}
+		if p.bools == nil {
+			p.bools, p.terms = map[*Bool]*Bool{}, map[*Term]*Term{}
+		} else {
+			clear(p.bools)
+			clear(p.terms)
+		}
+		if r := p.boolNode(cj, maxPruneDepth); r != cj {
+			p.count(cj, -1)
+			p.count(r, 1)
+			conj[i] = r
+			changed = true
+		}
+	}
+	in.simpExit(s)
+	return changed
 }
 
-// maxPruneDepth bounds how far below the conjunct root a PruneUnder walk
-// rewrites. The truth-map check on the root of a skipped subtree is still
+// maxPruneDepth bounds how far below the conjunct root a pruning walk
+// rewrites. The decided-node check on the root of a skipped subtree is still
 // O(1), so a decided guard at the cap boundary is caught; only rewrites
 // strictly below it are forgone.
 const maxPruneDepth = 8
 
+// maxPruneProbes bounds the memo-free probe on conjuncts whose capped walk
+// meets many shared subterms; a probe that runs out runs the walk.
+const maxPruneProbes = 256
+
 type pruner struct {
-	in    *Interner
-	truth map[*Bool]bool
-	bools map[*Bool]*Bool
-	terms map[*Term]*Term
+	in     *Interner
+	conj   []*Bool
+	self   int // the conjunct being rewritten
+	probes int
+	// deciders counts, per bucket of a node-address hash, the nodes the
+	// conjuncts decide. A bucket the other conjuncts leave empty proves
+	// none of them decides the node, so most nodes skip the scan in
+	// decided.
+	deciders [256]int32
+	bools    map[*Bool]*Bool
+	terms    map[*Term]*Term
+}
+
+// decided reports the value the conjuncts other than conj[self] fix for b,
+// if any: the latest conjunct that is b makes it true, or that is ¬b makes
+// it false. Only a node whose bucket another conjunct fills pays the scan.
+func (p *pruner) decided(b *Bool) (v, ok bool) {
+	h := bucket(b)
+	n := p.deciders[h]
+	if self := p.conj[p.self]; bucket(self) == h {
+		n--
+	} else if self.Kind == BNot && bucket(self.A) == h {
+		n--
+	}
+	if n == 0 {
+		return false, false
+	}
+	for j := len(p.conj) - 1; j >= 0; j-- {
+		switch cj := p.conj[j]; {
+		case j == p.self:
+		case cj == b:
+			return true, true
+		case cj.Kind == BNot && cj.A == b:
+			return false, true
+		}
+	}
+	return false, false
+}
+
+// count adds n to the decider counts of the nodes cj decides: cj itself
+// and, for a negation, its operand.
+func (p *pruner) count(cj *Bool, n int32) {
+	p.deciders[bucket(cj)] += n
+	if cj.Kind == BNot {
+		p.deciders[bucket(cj.A)] += n
+	}
+}
+
+// bucket hashes a node's address to one of the 256 decider counts. Go's
+// collector does not move heap objects, so the address is stable.
+func bucket(b *Bool) uint8 {
+	return uint8(uint64(uintptr(unsafe.Pointer(b))) * 0x9E3779B97F4A7C15 >> 56)
+}
+
+// mayDecideBool and mayDecideTerm report whether the walk from b (or t)
+// could meet a decided node. They follow boolNode and termNode edge for
+// edge without the memos, so they see every node the walk would; a false
+// answer means the walk would return its input unchanged and count
+// nothing. Running out of probes answers true.
+func (p *pruner) mayDecideBool(b *Bool, depth int) bool {
+	if _, ok := p.decided(b); ok {
+		return true
+	}
+	if depth <= 0 {
+		return false
+	}
+	if p.probes--; p.probes < 0 {
+		return true
+	}
+	d := depth - 1
+	switch b.Kind {
+	case BNot:
+		return p.mayDecideBool(b.A, d)
+	case BAnd, BOr:
+		return p.mayDecideBool(b.A, d) || p.mayDecideBool(b.B, d)
+	case BEq, BUlt, BUle:
+		return p.mayDecideTerm(b.X, d) || p.mayDecideTerm(b.Y, d)
+	}
+	return false
+}
+
+func (p *pruner) mayDecideTerm(t *Term, depth int) bool {
+	if depth <= 0 {
+		return false
+	}
+	if p.probes--; p.probes < 0 {
+		return true
+	}
+	d := depth - 1
+	switch t.Kind {
+	case KIte:
+		return p.mayDecideBool(t.Cond, d) || p.mayDecideTerm(t.A, d) || p.mayDecideTerm(t.B, d)
+	case KNot, KZext, KShlC, KLshrC, KAshrC:
+		return p.mayDecideTerm(t.A, d)
+	case KAnd, KOr, KXor, KAdd, KSub:
+		return p.mayDecideTerm(t.A, d) || p.mayDecideTerm(t.B, d)
+	}
+	return false
 }
 
 func (p *pruner) boolNode(b *Bool, depth int) *Bool {
-	if v, ok := p.truth[b]; ok {
+	if v, ok := p.decided(b); ok {
 		p.in.iteFusions++
 		if v {
 			return True
@@ -141,7 +269,7 @@ func (p *pruner) termNode(t *Term, depth int) *Term {
 		// A guard the enclosing condition decides collapses the ite to the
 		// implied arm (the pruned guard may also be a strict subformula of
 		// the guard, which the boolNode walk below handles).
-		if v, ok := p.truth[t.Cond]; ok {
+		if v, ok := p.decided(t.Cond); ok {
 			p.in.iteFusions++
 			if v {
 				r = p.termNode(t.A, d)

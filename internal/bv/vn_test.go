@@ -3,6 +3,7 @@ package bv
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"stringloops/internal/engine"
@@ -90,19 +91,6 @@ func TestIteConstructorVNRules(t *testing.T) {
 	if in.Ite(c, x, in.Ite(c, y, x)) != x {
 		t.Fatal("same-guard else-arm collapse should fold the mux to x")
 	}
-
-	// With value numbering off the two spellings stay distinct nodes: the
-	// PR 6 constructor only had the constant/equal-arm folds.
-	off := NewInterner().SetVN(false)
-	co := off.BoolVar("c")
-	xo, yo := off.Var("x", 8), off.Var("y", 8)
-	neg := off.Ite(off.BNot1(co), xo, yo)
-	if neg.Cond.Kind != BNot {
-		t.Fatal("vn-off ite should keep its negated guard")
-	}
-	if neg == off.Ite(co, yo, xo) {
-		t.Fatal("vn-off spellings should not value-number together")
-	}
 }
 
 func TestSimplifyFuseAtomIte(t *testing.T) {
@@ -125,24 +113,6 @@ func TestSimplifyFuseAtomIte(t *testing.T) {
 	checkEquiv(t, f, g, []string{"x"}, []string{"c"}, nil)
 	if st := in.SimplifyStats(); st.Fusions == 0 {
 		t.Fatalf("stats = %+v, want Fusions > 0", st)
-	}
-
-	// Same shape with value numbering off: no fusion, no vn counters, but
-	// the memo still serves repeat calls with identical results.
-	off := NewInterner().SetVN(false)
-	co := off.BoolVar("c")
-	xo := off.Var("x", 8)
-	fo := off.Eq(off.Ite(co, xo, off.Byte(1)), off.Ite(co, off.Byte(3), xo))
-	g1 := off.SimplifyBool(fo)
-	g2 := off.SimplifyBool(fo)
-	if g1 != g2 {
-		t.Fatal("vn-off simplify not deterministic across calls")
-	}
-	if !containsIte(g1) {
-		t.Fatal("vn-off simplify fused ites; the PR 6 rewrite set has no fusion")
-	}
-	if st := off.SimplifyStats(); st.Fusions != 0 || st.VNHits != 0 {
-		t.Fatalf("vn-off stats = %+v, want zero Fusions and VNHits", st)
 	}
 }
 
@@ -206,6 +176,17 @@ func TestSimplifyMemoAndBudgetMirror(t *testing.T) {
 		t.Fatalf("memoized re-simplify recorded no vn hit: %+v then %+v", st1, st2)
 	}
 
+	// A pruning pass is not a simplifier call, but its fusions are counted.
+	g := in.Ult(x, in.Byte(10))
+	conj := []*Bool{in.Eq(y, in.Ite(g, in.Byte(1), in.Byte(2))), g}
+	if !in.PruneConjuncts(conj) {
+		t.Fatal("decided guard was not pruned")
+	}
+	st2 = in.SimplifyStats()
+	if st2.Calls != 2 || st2.Fusions == 0 {
+		t.Fatalf("stats after pruning = %+v, want 2 calls and a fusion", st2)
+	}
+
 	// Every interner counter mirrors 1:1 into engine.Budget — spend
 	// reconciliation depends on the two never drifting.
 	sp := bud.Spend()
@@ -215,6 +196,14 @@ func TestSimplifyMemoAndBudgetMirror(t *testing.T) {
 	}
 }
 
+// pruneUnder prunes f under the other conjuncts: it runs PruneConjuncts on
+// f ∧ others, f first, and returns f's pruned version.
+func pruneUnder(in *Interner, f *Bool, others ...*Bool) *Bool {
+	conj := append([]*Bool{f}, others...)
+	in.PruneConjuncts(conj)
+	return conj[0]
+}
+
 func TestPruneUnderCollapsesDecidedGuards(t *testing.T) {
 	in := NewInterner()
 	x, y := in.Var("x", 8), in.Var("y", 8)
@@ -222,14 +211,14 @@ func TestPruneUnderCollapsesDecidedGuards(t *testing.T) {
 	f := in.Eq(y, in.Ite(g, in.Byte(1), in.Byte(2)))
 
 	// Guard known true: the ite collapses to its then-arm.
-	rt := in.PruneUnder(f, map[*Bool]bool{g: true})
+	rt := pruneUnder(in, f, g)
 	if rt != in.Eq(y, in.Byte(1)) {
-		t.Fatalf("prune under g=true gave %v", rt)
+		t.Fatalf("prune under g gave %v", rt)
 	}
-	// Guard known false: else-arm.
-	rf := in.PruneUnder(f, map[*Bool]bool{g: false})
+	// Guard known false (a negated conjunct): else-arm.
+	rf := pruneUnder(in, f, in.BNot1(g))
 	if rf != in.Eq(y, in.Byte(2)) {
-		t.Fatalf("prune under g=false gave %v", rf)
+		t.Fatalf("prune under ¬g gave %v", rf)
 	}
 	// The rewrite must preserve equivalence on the models that satisfy the
 	// assumption — that is the one-at-a-time soundness contract.
@@ -238,23 +227,54 @@ func TestPruneUnderCollapsesDecidedGuards(t *testing.T) {
 
 	// A decided guard appearing as a boolean subnode is replaced too.
 	other := in.Ult(y, in.Byte(50))
-	if r := in.PruneUnder(in.BAnd2(g, other), map[*Bool]bool{g: true}); r != other {
+	if r := pruneUnder(in, in.BAnd2(g, other), g); r != other {
 		t.Fatalf("boolean-subnode prune gave %v, want the other conjunct", r)
 	}
 	if st := in.SimplifyStats(); st.Fusions == 0 {
 		t.Fatalf("stats = %+v, want pruning counted as fusions", st)
 	}
 
-	// No truth map, nil interner, or vn off: identity.
-	if in.PruneUnder(f, nil) != f {
-		t.Fatal("empty truth map must be identity")
+	// A lone conjunct has nothing to be pruned under.
+	if pruneUnder(in, f) != f {
+		t.Fatal("a single conjunct must be left unchanged")
 	}
-	off := NewInterner().SetVN(false)
-	xo := off.Var("x", 8)
-	go_ := off.Ult(xo, off.Byte(10))
-	fo := off.BAnd2(go_, off.Ult(off.Var("y", 8), xo))
-	if off.PruneUnder(fo, map[*Bool]bool{go_: true}) != fo {
-		t.Fatal("vn-off PruneUnder must be identity")
+}
+
+func TestPruneConjunctsSequentialLastWins(t *testing.T) {
+	in := NewInterner()
+	x, y := in.Var("x", 8), in.Var("y", 8)
+	g := in.Ult(x, in.Byte(10))
+	f := in.Eq(y, in.Ite(g, in.Byte(1), in.Byte(2)))
+
+	// Both g and ¬g decide g; the later conjunct's value is the one used.
+	if r := pruneUnder(in, f, g, in.BNot1(g)); r != in.Eq(y, in.Byte(2)) {
+		t.Fatalf("later ¬g should win, got %v", r)
+	}
+	if r := pruneUnder(in, f, in.BNot1(g), g); r != in.Eq(y, in.Byte(1)) {
+		t.Fatalf("later g should win, got %v", r)
+	}
+
+	// Later passes see the pruned versions of earlier conjuncts: the first
+	// conjunct g ∧ h becomes h under g, and only that pruned h decides the
+	// guard of the third.
+	h := in.Ult(y, in.Byte(50))
+	z := in.Var("z", 8)
+	fh := in.Eq(z, in.Ite(h, in.Byte(1), in.Byte(2)))
+	conj := []*Bool{in.BAnd2(g, h), g, fh}
+	in.PruneConjuncts(conj)
+	if conj[0] != h {
+		t.Fatalf("first pass gave %v, want %v", conj[0], h)
+	}
+	if conj[2] != in.Eq(z, in.Byte(1)) {
+		t.Fatalf("third pass gave %v; the pruned first conjunct should decide its guard", conj[2])
+	}
+	// No conjunct decides anything inside f here: the pass is the identity
+	// and counts no fusion.
+	before := in.SimplifyStats().Fusions
+	conj = []*Bool{f, h}
+	in.PruneConjuncts(conj)
+	if conj[0] != f || conj[1] != h || in.SimplifyStats().Fusions != before {
+		t.Fatalf("undecided conjunction was rewritten: %v", conj)
 	}
 }
 
@@ -273,16 +293,16 @@ func TestPruneUnderDepthCapBoundary(t *testing.T) {
 	}
 
 	// At nesting level maxPruneDepth the walk arrives at g with depth 0 —
-	// the truth-map check runs before the depth check, so the prune still
-	// fires.
+	// the decided-node check runs before the depth check, so the prune
+	// still fires.
 	at := chainOver(maxPruneDepth)
-	if r := in.PruneUnder(at, map[*Bool]bool{g: true}); r == at {
+	if r := pruneUnder(in, at, g); r == at {
 		t.Fatalf("decided guard at the cap boundary (depth %d) was not pruned", maxPruneDepth)
 	}
 	// One level deeper the walk never reaches g: the conjunct is returned
 	// unchanged (pointer-identical), which is the sound skip.
 	below := chainOver(maxPruneDepth + 1)
-	if r := in.PruneUnder(below, map[*Bool]bool{g: true}); r != below {
+	if r := pruneUnder(in, below, g); r != below {
 		t.Fatalf("guard below the cap was rewritten; the capped walk should skip it")
 	}
 }
@@ -294,12 +314,144 @@ func TestPruneUnderIteGuardSubformula(t *testing.T) {
 	x, y := in.Var("x", 8), in.Var("y", 8)
 	g := in.Ult(x, in.Byte(10))
 	f := in.Eq(in.Ite(g, y, in.Byte(0)), in.Byte(5))
-	r := in.PruneUnder(f, map[*Bool]bool{g: true})
+	r := pruneUnder(in, f, g)
 	if r != in.Eq(y, in.Byte(5)) {
 		t.Fatalf("ite-guard prune gave %v, want y == 5", r)
 	}
 	holds := func(a *Assignment) bool { return g.Eval(a) }
 	checkEquiv(t, f, r, []string{"x", "y"}, nil, holds)
+}
+
+// randomConjunction draws k conjuncts over a small pool of atoms — bare,
+// negated, combined and used as ite guards — so conjuncts often contain,
+// repeat or negate one another's nodes.
+func randomConjunction(in *Interner, rng *rand.Rand, k int) []*Bool {
+	x, y := in.Var("x", 8), in.Var("y", 8)
+	atoms := []*Bool{in.Ult(x, in.Byte(10)), in.Eq(y, in.Byte(3)), in.BoolVar("p"), in.Ule(y, x)}
+	var node func(d int) *Bool
+	node = func(d int) *Bool {
+		if d == 0 {
+			a := atoms[rng.Intn(len(atoms))]
+			if rng.Intn(2) == 0 {
+				return in.BNot1(a)
+			}
+			return a
+		}
+		switch rng.Intn(4) {
+		case 0:
+			return in.BNot1(node(d - 1))
+		case 1:
+			return in.BAnd2(node(d-1), node(d-1))
+		case 2:
+			return in.BOr2(node(d-1), node(d-1))
+		default:
+			return in.Eq(in.Ite(node(d-1), x, in.Byte(byte(rng.Intn(4)))), in.Byte(2))
+		}
+	}
+	conj := make([]*Bool, k)
+	for i := range conj {
+		conj[i] = node(rng.Intn(3))
+	}
+	return conj
+}
+
+// boolNodes lists every boolean node reachable from conj, ite guards
+// included.
+func boolNodes(conj []*Bool) []*Bool {
+	seenB, seenT := map[*Bool]bool{}, map[*Term]bool{}
+	var out []*Bool
+	var walkB func(*Bool)
+	var walkT func(*Term)
+	walkT = func(t *Term) {
+		if t == nil || seenT[t] {
+			return
+		}
+		seenT[t] = true
+		walkB(t.Cond)
+		walkT(t.A)
+		walkT(t.B)
+	}
+	walkB = func(b *Bool) {
+		if b == nil || seenB[b] {
+			return
+		}
+		seenB[b] = true
+		out = append(out, b)
+		walkB(b.A)
+		walkB(b.B)
+		walkT(b.X)
+		walkT(b.Y)
+	}
+	for _, cj := range conj {
+		walkB(cj)
+	}
+	return out
+}
+
+// TestPrunerMatchesTruthMaps replays PruneConjuncts pass by pass against
+// the truth-map formulation of guard pruning — for pass i, a map filled in
+// conjunct order with every other conjunct true and the operand of every
+// negated one false. At every pass the decider lookup must agree with that
+// map on every node, and a conjunct the probe skips must be one the full
+// walk leaves unchanged without counting a fusion.
+func TestPrunerMatchesTruthMaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var skipped, rewritten int
+	for round := 0; round < 300; round++ {
+		in := NewInterner()
+		conj := randomConjunction(in, rng, 2+rng.Intn(6))
+		want := append([]*Bool(nil), conj...)
+		in.PruneConjuncts(want)
+
+		p := &pruner{in: in, conj: conj}
+		for _, cj := range conj {
+			p.count(cj, 1)
+		}
+		for i, cj := range conj {
+			truth := map[*Bool]bool{}
+			for j, o := range conj {
+				if j == i {
+					continue
+				}
+				truth[o] = true
+				if o.Kind == BNot {
+					truth[o.A] = false
+				}
+			}
+			p.self, p.probes = i, maxPruneProbes
+			for _, b := range boolNodes(conj) {
+				v, ok := p.decided(b)
+				tv, tok := truth[b]
+				if ok != tok || v != tv {
+					t.Fatalf("round %d pass %d: decided(%v) = %v,%v, truth map says %v,%v", round, i, b, v, ok, tv, tok)
+				}
+			}
+			may := p.mayDecideBool(cj, maxPruneDepth)
+			p.bools, p.terms = map[*Bool]*Bool{}, map[*Term]*Term{}
+			f0 := in.iteFusions
+			r := p.boolNode(cj, maxPruneDepth)
+			if !may && (r != cj || in.iteFusions != f0) {
+				t.Fatalf("round %d pass %d: probe skipped a conjunct the walk rewrites: %v -> %v", round, i, cj, r)
+			}
+			if !may {
+				skipped++
+			}
+			if r != cj {
+				rewritten++
+				p.count(cj, -1)
+				p.count(r, 1)
+				conj[i] = r
+			}
+		}
+		for i := range conj {
+			if conj[i] != want[i] {
+				t.Fatalf("round %d: replay gave conjunct %d = %v, PruneConjuncts gave %v", round, i, conj[i], want[i])
+			}
+		}
+	}
+	if skipped == 0 || rewritten == 0 {
+		t.Fatalf("stream exercised %d skipped and %d rewritten passes; want both", skipped, rewritten)
+	}
 }
 
 func TestBlastCacheHits(t *testing.T) {

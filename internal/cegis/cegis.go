@@ -74,14 +74,6 @@ type Options struct {
 	// computed (symex.Engine.Merge): join-point states fold into ite values
 	// and disjoined conditions instead of enumerating every path suffix.
 	Merge bool
-	// DisableQCache turns off the per-synthesizer query cache
-	// (internal/qcache) and solves every query with a fresh solver — the
-	// baseline configuration for the cache-on/off benchmarks.
-	DisableQCache bool
-	// NoVN disables the value-numbering rewrite layer on the synthesizer's
-	// interner (bv.Interner.SetVN); inverted so the zero Options keeps it
-	// on. Candidate-check formulas then reach the solver unrewritten.
-	NoVN bool
 	// Faults, when non-nil, arms the fault-injection sites of this
 	// synthesis pipeline: the CegisReject candidate-rejection burst here,
 	// and the sat/bv/qcache/symex sites in the layers below, all under one
@@ -90,7 +82,7 @@ type Options struct {
 	// Disk, when non-nil, backs the per-synthesizer query cache with a
 	// shared counterexample store keyed by canonical (interner-independent)
 	// query hashes, so verdicts persist across synthesizer instances and
-	// across processes. Ignored under DisableQCache.
+	// across processes.
 	Disk *diskcache.Store
 }
 
@@ -162,7 +154,7 @@ type Synthesizer struct {
 	origNull vocab.Result
 	cexs     [][]byte // counterexample buffers (NUL-terminated)
 	bvin     *bv.Interner
-	cache    *qcache.Cache // nil when Options.DisableQCache
+	cache    *qcache.Cache
 	budget   *engine.Budget
 	stats    Stats
 
@@ -177,11 +169,8 @@ type Synthesizer struct {
 // char *loopFunction(char *) shape (one pointer parameter, pointer return).
 func New(loop *cir.Func, opts Options) (*Synthesizer, error) {
 	opts = opts.withDefaults()
-	s := &Synthesizer{opts: opts, loop: loop, bvin: bv.NewInterner(), budget: opts.Budget}
-	s.bvin.SetFaults(opts.Faults).SetVN(!opts.NoVN)
-	if !opts.DisableQCache {
-		s.cache = qcache.New(s.bvin).SetFaults(opts.Faults).SetDisk(opts.Disk)
-	}
+	s := &Synthesizer{opts: opts, loop: loop, bvin: bv.NewInterner().SetFaults(opts.Faults), budget: opts.Budget}
+	s.cache = qcache.New(s.bvin).SetFaults(opts.Faults).SetDisk(opts.Disk)
 	if len(loop.Params) != 1 || loop.Params[0].Ty != cir.TyPtr {
 		return nil, fmt.Errorf("cegis: %s does not have the loopFunction signature", loop.Name)
 	}
@@ -611,7 +600,7 @@ func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([
 		}
 		constraints = append(constraints, match)
 	}
-	st, model := s.checkSat(constraints...)
+	st, model := s.cache.CheckSat(s.budget, s.opts.SolverBudget, constraints...)
 	if st != sat.Sat {
 		return nil, false
 	}
@@ -621,25 +610,6 @@ func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([
 		out[i] = byte(ev.Term(v))
 	}
 	return out, true
-}
-
-// checkSat decides a conjunction through the synthesizer's query cache (or a
-// fresh solver when the cache is disabled).
-func (s *Synthesizer) checkSat(constraints ...*bv.Bool) (sat.Status, *bv.Assignment) {
-	if s.cache != nil {
-		return s.cache.CheckSat(s.budget, s.opts.SolverBudget, constraints...)
-	}
-	if s.bvin.VNEnabled() {
-		// The cache path simplifies inside CheckSat; the cache-less baseline
-		// still routes candidate-check formulas through the memoized
-		// simplifier so repeated candidate shapes value-number once.
-		simplified := make([]*bv.Bool, len(constraints))
-		for i, f := range constraints {
-			simplified[i] = s.bvin.SimplifyBool(f)
-		}
-		constraints = simplified
-	}
-	return bv.CheckSatFaults(s.budget, s.opts.SolverBudget, s.opts.Faults, constraints...)
 }
 
 // verify checks bounded equivalence of a concrete candidate against the
@@ -665,7 +635,7 @@ func (s *Synthesizer) verify(prog vocab.Program) (vocab.Program, error) {
 		}
 	}
 	// isEq must always hold (IsAlwaysTrue, line 18): refute it.
-	st, model := s.checkSat(bvin.BNot1(equal))
+	st, model := s.cache.CheckSat(s.budget, s.opts.SolverBudget, bvin.BNot1(equal))
 	switch st {
 	case sat.Unsat:
 		return prog, nil

@@ -48,18 +48,6 @@ func Merge(fs *flag.FlagSet, def bool) *bool {
 		"merge symbolic-execution states at control-flow join points (ite values, disjoined path conditions) instead of enumerating every path suffix")
 }
 
-// VN declares the canonical -vn flag: the value-numbering and ite-aware
-// rewrite layer in internal/bv (memoized simplification, shared-guard
-// fusion, guard-implication pruning, blast-cache accounting). On by
-// default; -vn=false restores the PR 6 rewrite set for A/B runs.
-func VN(fs *flag.FlagSet, def bool) *bool {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	return fs.Bool("vn", def,
-		"value-number solver formulas (memoized simplification, ite-aware fusion and guard pruning) before slicing and blasting")
-}
-
 // CacheMaxBytes declares the canonical -cache-max-bytes flag: the byte
 // budget of each persistent cache store (key+value payload bytes), enforced
 // next to the entry-count cap. 0 (the default) means no byte budget.

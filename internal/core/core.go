@@ -53,11 +53,6 @@ type Options struct {
 	// pipeline (memorylessness check, synthesis path computation, covering
 	// inputs): see symex.Engine.Merge.
 	Merge bool
-	// NoVN disables the value-numbering rewrite layer (bv.Interner.SetVN)
-	// in every solver chain of the pipeline; inverted so the zero Options
-	// keeps it on. Verdicts are identical either way — only speed changes —
-	// so it does not key the whole-result memo.
-	NoVN bool
 	// RequireMemoryless refuses to summarise loops that fail the §3
 	// memorylessness verification, guaranteeing the summary is equivalent on
 	// strings of every length, not just the bounded check.
@@ -247,7 +242,7 @@ func decodeSummary(raw []byte, funcName string) (*Summary, error, bool) {
 func summarizeLoop(f *cir.Func, opts Options) (*Summary, error) {
 	report := memoryless.VerifyWith(f, memoryless.VerifyOptions{
 		MaxLen: max(3, opts.MaxExampleLength), Budget: opts.Budget, Faults: opts.Faults, Merge: opts.Merge,
-		NoVN: opts.NoVN, Disk: opts.Cache.QueryStore(), Memo: opts.Cache.MemoStore(),
+		Disk: opts.Cache.QueryStore(), Memo: opts.Cache.MemoStore(),
 	})
 	if opts.RequireMemoryless && !report.Memoryless {
 		if report.Err != nil {
@@ -267,7 +262,6 @@ func summarizeLoop(f *cir.Func, opts Options) (*Summary, error) {
 		Budget:      opts.Budget,
 		Faults:      opts.Faults,
 		Merge:       opts.Merge,
-		NoVN:        opts.NoVN,
 		Disk:        opts.Cache.QueryStore(),
 	}
 	if opts.Vocabulary != "" {

@@ -221,7 +221,7 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 			b := opts.newAttemptBudget(lim)
 			r := memoryless.VerifyWith(f, memoryless.VerifyOptions{
 				MaxLen: maxLen, Budget: b, Faults: opts.Faults, Merge: opts.Merge,
-				NoVN: opts.NoVN, Disk: opts.Cache.QueryStore(), Memo: opts.Cache.MemoStore(),
+				Disk: opts.Cache.QueryStore(), Memo: opts.Cache.MemoStore(),
 			})
 			if r.Err != nil {
 				return r.Err
@@ -300,7 +300,7 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 // the degraded form of Summary.CoveringInputs that needs no synthesised
 // summary.
 func loopCoveringInputs(f *cir.Func, maxLen int, budget *engine.Budget, opts ResilientOptions) ([]TestInput, error) {
-	bvin := bv.NewInterner().SetBudget(budget).SetFaults(opts.Faults).SetVN(!opts.NoVN)
+	bvin := bv.NewInterner().SetBudget(budget).SetFaults(opts.Faults)
 	cache := qcache.New(bvin).SetFaults(opts.Faults).SetDisk(opts.Cache.QueryStore())
 	buf := symex.SymbolicString(bvin, "s", maxLen)
 	eng := &symex.Engine{

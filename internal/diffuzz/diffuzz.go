@@ -65,12 +65,6 @@ type Options struct {
 	// cross-checked merged vs enumerated vs concrete, so a merge bug that
 	// loses, duplicates, or mislabels a behaviour becomes a finding.
 	Merge bool
-	// NoVN disables the value-numbering rewrite layer in every pipeline
-	// under test; inverted so the zero Options keeps it armed. Like the
-	// caches, value numbering may change speed but never verdicts, so
-	// vn-on and vn-off runs over the same seeds must produce identical
-	// findings.
-	NoVN bool
 	// NoMinimize skips delta-debugging of findings.
 	NoMinimize bool
 }

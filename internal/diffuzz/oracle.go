@@ -158,7 +158,7 @@ func PrepareTarget(seed uint64, p *Prog, opts *Options) (*Target, *Finding) {
 	t := &Target{
 		Seed: seed, Prog: p, Source: src,
 		MaxExSize: opts.maxExSize(),
-		in:        bv.NewInterner().SetVN(!opts.NoVN),
+		in:        bv.NewInterner(),
 		paths:     map[int]pathSet{},
 		budget:    opts.Budget,
 	}
@@ -199,7 +199,6 @@ func PrepareTarget(seed uint64, p *Prog, opts *Options) (*Target, *Finding) {
 				MaxExSize: t.MaxExSize,
 				Budget:    b,
 				Faults:    t.faults,
-				NoVN:      opts.NoVN,
 			})
 			// Failure to synthesize is not a finding: many generated loops
 			// have no gadget equivalent, and the budget is deliberately tiny.
@@ -217,7 +216,7 @@ func PrepareTarget(seed uint64, p *Prog, opts *Options) (*Target, *Finding) {
 				// (the summary is then only compared on small buffers).
 				b := engine.NewBudget(opts.Budget.Context(), engine.Limits{Timeout: opts.SynthTimeout})
 				rep := memoryless.VerifyWith(t.F, memoryless.VerifyOptions{
-					MaxLen: t.MaxExSize, Budget: b, Faults: t.faults, NoVN: opts.NoVN,
+					MaxLen: t.MaxExSize, Budget: b, Faults: t.faults,
 				})
 				t.Memoryless = rep.Memoryless && rep.Err == nil
 				return nil

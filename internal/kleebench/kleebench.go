@@ -42,10 +42,6 @@ type Config struct {
 	// Merge enables state merging in the vanilla executor (symex.Engine.Merge):
 	// join-point states fold into ite values instead of enumerating suffixes.
 	Merge bool
-	// NoVN disables the value-numbering rewrite layer on the run's interner
-	// (bv.Interner.SetVN) — the A/B switch of the -vn bench lane. Inverted so
-	// the zero Config keeps value numbering on.
-	NoVN bool
 	// Ctx, when non-nil, seeds the run's budget — cancellation and, when it
 	// carries obs handles (obs.NewContext), tracing and metrics.
 	Ctx context.Context
@@ -63,7 +59,7 @@ type Measurement struct {
 	// the hardware-independent cost metric the cache benchmarks compare.
 	Conflicts int64
 	// VNHits and IteFusions are the value-numbering layer's memo hits and
-	// ite rewrites charged to the run's budget (zero under Config.NoVN).
+	// ite rewrites charged to the run's budget.
 	VNHits     int64
 	IteFusions int64
 	// Cache is the query-cache snapshot (zero when the cache was off).
@@ -82,7 +78,7 @@ func Vanilla(loop *cir.Func, n int, timeout time.Duration) Measurement {
 func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measurement {
 	start := time.Now()
 	budget := engine.NewBudget(cfg.Ctx, engine.Limits{Timeout: timeout})
-	bvin := bv.NewInterner().SetBudget(budget).SetVN(!cfg.NoVN)
+	bvin := bv.NewInterner().SetBudget(budget)
 	var cache *qcache.Cache
 	if cfg.QCache {
 		cache = qcache.New(bvin)
@@ -136,7 +132,7 @@ func Str(summary vocab.Program, n int, timeout time.Duration) Measurement {
 func StrWith(summary vocab.Program, n int, timeout time.Duration, cfg Config) Measurement {
 	start := time.Now()
 	budget := engine.NewBudget(cfg.Ctx, engine.Limits{Timeout: timeout})
-	bvin := bv.NewInterner().SetBudget(budget).SetVN(!cfg.NoVN)
+	bvin := bv.NewInterner().SetBudget(budget)
 	var cache *qcache.Cache
 	if cfg.QCache {
 		cache = qcache.New(bvin)

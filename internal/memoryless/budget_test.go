@@ -8,12 +8,12 @@ import (
 	"stringloops/internal/engine"
 )
 
-func TestVerifyBudgetCancelledReturnsPromptly(t *testing.T) {
+func TestVerifyWithCancelledBudgetReturnsPromptly(t *testing.T) {
 	f := lower(t, `char *f(char *s) { while (*s == ' ') s++; return s; }`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before verification starts
 	start := time.Now()
-	r := VerifyBudget(f, 3, engine.NewBudget(ctx, engine.Limits{}))
+	r := VerifyWith(f, VerifyOptions{MaxLen: 3, Budget: engine.NewBudget(ctx, engine.Limits{})})
 	if r.Memoryless {
 		t.Fatal("cancelled verification must not report memoryless")
 	}
@@ -25,9 +25,9 @@ func TestVerifyBudgetCancelledReturnsPromptly(t *testing.T) {
 	}
 }
 
-func TestVerifyBudgetNilIsUnlimited(t *testing.T) {
+func TestVerifyWithNilBudgetIsUnlimited(t *testing.T) {
 	f := lower(t, `char *f(char *s) { while (*s == ' ') s++; return s; }`)
-	r := VerifyBudget(f, 3, nil)
+	r := VerifyWith(f, VerifyOptions{MaxLen: 3, Budget: nil})
 	if !r.Memoryless || r.Err != nil {
 		t.Fatalf("nil budget must behave like Verify: memoryless=%v err=%v reason=%s",
 			r.Memoryless, r.Err, r.Reason)

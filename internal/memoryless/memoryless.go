@@ -108,21 +108,7 @@ var ErrTimeout = fmt.Errorf("memoryless: budget exhausted (%w)", engine.ErrBudge
 // memoryless, inferring a specification and discharging the bounded
 // equivalence on strings of length <= maxLen (use 3, per the paper).
 func Verify(loop *cir.Func, maxLen int) Report {
-	return VerifyBudget(loop, maxLen, nil)
-}
-
-// VerifyBudget is Verify under a budget: the symbolic execution and the
-// solver poll b and the report comes back with Err == ErrTimeout (not a
-// refutation) when it expires first. A nil budget is unlimited.
-func VerifyBudget(loop *cir.Func, maxLen int, budget *engine.Budget) Report {
-	return VerifyFaults(loop, maxLen, budget, nil)
-}
-
-// VerifyFaults is VerifyBudget with a fault-injection registry threaded into
-// the verification pipeline (interner, query cache, symbolic engine). A nil
-// registry disables injection at zero cost.
-func VerifyFaults(loop *cir.Func, maxLen int, budget *engine.Budget, faults *faultpoint.Registry) Report {
-	return VerifyWith(loop, VerifyOptions{MaxLen: maxLen, Budget: budget, Faults: faults})
+	return VerifyWith(loop, VerifyOptions{MaxLen: maxLen})
 }
 
 // VerifyOptions bundles the optional knobs of a verification; the zero value
@@ -130,16 +116,16 @@ func VerifyFaults(loop *cir.Func, maxLen int, budget *engine.Budget, faults *fau
 type VerifyOptions struct {
 	// MaxLen is the bounded-equivalence string length (<= 0 means 3).
 	MaxLen int
-	// Budget carries cancellation and resource accounting (nil = unlimited).
+	// Budget carries cancellation and resource accounting (nil = unlimited):
+	// the symbolic execution and the solver poll it, and the report comes
+	// back with Err == ErrTimeout (not a refutation) when it expires first.
 	Budget *engine.Budget
-	// Faults arms the fault-injection sites (nil = off).
+	// Faults arms the fault-injection sites of the verification pipeline
+	// (interner, query cache, symbolic engine; nil = off).
 	Faults *faultpoint.Registry
 	// Merge enables state merging in the bounded-equivalence symbolic
 	// execution (symex.Engine.Merge).
 	Merge bool
-	// NoVN disables the value-numbering rewrite layer on the check's
-	// interner (bv.Interner.SetVN); inverted so the zero value keeps it on.
-	NoVN bool
 	// Disk attaches the persistent query store to the bounded check's query
 	// cache (write-through canonical verdicts; nil = off).
 	Disk *diskcache.Store
@@ -150,8 +136,8 @@ type VerifyOptions struct {
 	Memo *diskcache.Store
 }
 
-// VerifyWith is the fully-optioned verification entry point; the stacked
-// Verify/VerifyBudget/VerifyFaults forms delegate here.
+// VerifyWith is the fully-optioned verification entry point; Verify
+// delegates here.
 func VerifyWith(loop *cir.Func, opts VerifyOptions) Report {
 	maxLen, budget := opts.MaxLen, opts.Budget
 	start := time.Now()
@@ -481,7 +467,7 @@ func decodeVerdict(raw []byte, spec *Spec) (ok bool, cex []byte, decoded bool) {
 // of length <= maxLen, trying forward then backward traversal.
 func checkEquivalence(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions) (bool, []byte, error) {
 	budget, faults := opts.Budget, opts.Faults
-	bvin := bv.NewInterner().SetBudget(budget).SetFaults(faults).SetVN(!opts.NoVN)
+	bvin := bv.NewInterner().SetBudget(budget).SetFaults(faults)
 	cache := qcache.New(bvin).SetFaults(faults).SetDisk(opts.Disk)
 	buf := symex.SymbolicString(bvin, "s", maxLen)
 	eng := &symex.Engine{Objects: [][]*bv.Term{buf}, CheckFeasibility: true, Merge: opts.Merge, In: bvin, Budget: budget, Cache: cache, Faults: faults}

@@ -262,38 +262,21 @@ func (c *Cache) CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*bv.B
 	// built from the simplified conjuncts — answer the original query: a
 	// variable simplified away is a don't-care, and the evaluator's
 	// zero-fill convention extends any returned model to it.
-	vn := c.in.VNEnabled()
 	var conj []*bv.Bool
 	for _, f := range formulas {
-		if vn {
-			f = c.in.SimplifyBool(f)
-		}
-		conj = bv.Conjuncts(conj, f)
+		conj = bv.Conjuncts(conj, c.in.SimplifyBool(f))
 	}
 	conj, unsat := dedupe(conj)
 	if unsat {
 		return sat.Unsat, nil
 	}
-	if vn && len(conj) > 1 && len(conj) <= maxPruneConjuncts {
-		// Guard-implication pruning: rewrite each conjunct under the
-		// assumption that the current versions of the others hold, so ite
-		// guards decided by the enclosing path condition collapse. The
-		// passes are sequential — each is equivalence-preserving for the
-		// whole conjunction, so the composition is too. Pruning can mint
-		// constants and fresh conjunctions, so re-flatten and re-dedupe.
-		for i := range conj {
-			truth := make(map[*bv.Bool]bool, 2*(len(conj)-1))
-			for j, cj := range conj {
-				if j == i {
-					continue
-				}
-				truth[cj] = true
-				if cj.Kind == bv.BNot {
-					truth[cj.A] = false
-				}
-			}
-			conj[i] = c.in.PruneUnder(conj[i], truth)
-		}
+	// Guard-implication pruning: rewrite each conjunct under the assumption
+	// that the current versions of the others hold, so ite guards decided by
+	// the enclosing path condition collapse. The passes are sequential — each
+	// is equivalence-preserving for the whole conjunction, so the composition
+	// is too. Pruning can mint constants and fresh conjunctions, so a changed
+	// conjunction is re-flattened and re-deduped.
+	if len(conj) <= maxPruneConjuncts && c.in.PruneConjuncts(conj) {
 		flat := make([]*bv.Bool, 0, len(conj))
 		for _, cj := range conj {
 			flat = bv.Conjuncts(flat, cj)
@@ -398,20 +381,12 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 
 	// Counterexample reuse: a cached model under which every conjunct of
 	// this group evaluates true is a witness — unbound variables evaluate
-	// to zero, so (model ∪ zeros) genuinely satisfies the group. With value
-	// numbering on, the probe reuses each model's persistent evaluator;
-	// with it off, a fresh evaluator per probe reproduces the pre-vn cost
-	// model (verdicts are identical either way — evaluation under a fixed
-	// assignment is deterministic).
-	vnOn := c.in.VNEnabled()
+	// to zero, so (model ∪ zeros) genuinely satisfies the group. The probe
+	// reuses each model's persistent evaluator.
 	for _, cm := range c.models {
-		ev := cm.ev
-		if !vnOn {
-			ev = bv.NewEvaluator(cm.asn)
-		}
 		ok := true
 		for _, cj := range g.conj {
-			if !ev.Bool(cj) {
+			if !cm.ev.Bool(cj) {
 				ok = false
 				break
 			}
@@ -495,9 +470,9 @@ func (c *Cache) solveGroup(b *engine.Budget, maxConflicts int64, gk groupKey, g 
 	for i, cj := range g.conj {
 		// Rewrite-before-blast: the simplifier folds the ite-heavy shapes
 		// state merging produces (and is memoized on the interner, so the
-		// shared prefix of an incremental query stream simplifies once; with
-		// value numbering on, CheckSat already simplified the conjuncts and
-		// this is a pure memo hit). Every cache key and stat above stays on
+		// shared prefix of an incremental query stream simplifies once;
+		// CheckSat already simplified the conjuncts, so this is a pure memo
+		// hit). Every cache key and stat above stays on
 		// the conjunct pointers that reached this group — simplification
 		// only shrinks what reaches the Tseitin encoder, it never changes
 		// verdicts or cache identity.

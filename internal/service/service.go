@@ -83,10 +83,9 @@ type Config struct {
 	// can only move below it. The chaos soak pins RungMemoryless with the
 	// policy disabled so verdicts stay offline-comparable.
 	StartRung core.Rung
-	// Merge/NoVN/Vocabulary/Cache/Faults configure the pipeline exactly
-	// as the CLI flags do; Cache is flushed (Closed) by Drain.
+	// Merge/Vocabulary/Cache/Faults configure the pipeline exactly as the
+	// CLI flags do; Cache is flushed (Closed) by Drain.
 	Merge      bool
-	NoVN       bool
 	Vocabulary string
 	Cache      *diskcache.Tier
 	Faults     *faultpoint.Registry
@@ -411,7 +410,6 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 				RequireMemoryless: req.RequireMemoryless,
 				Timeout:           s.cfg.RequestTimeout,
 				Merge:             s.cfg.Merge,
-				NoVN:              s.cfg.NoVN,
 				Cache:             s.cfg.Cache,
 			},
 			Ctx:         ctx,

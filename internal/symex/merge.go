@@ -249,15 +249,12 @@ func (e *Engine) mergeTwo(a, b *state) (*state, bool) {
 	if b.steps > steps {
 		steps = b.steps
 	}
-	cond := e.In.BOr2(a.cond, b.cond)
-	if e.In.VNEnabled() {
-		// Merged conditions are where the value-numbering layer earns its
-		// keep: the two sides of a join are usually complementary refinements
-		// of one prefix, so the disjunction folds — often all the way to the
-		// prefix, or to True — and every later conjunct, feasibility check
-		// and blast sees the small form.
-		cond = e.In.SimplifyBool(cond)
-	}
+	// Merged conditions are where the value-numbering layer earns its keep:
+	// the two sides of a join are usually complementary refinements of one
+	// prefix, so the disjunction folds — often all the way to the prefix, or
+	// to True — and every later conjunct, feasibility check and blast sees
+	// the small form.
+	cond := e.In.SimplifyBool(e.In.BOr2(a.cond, b.cond))
 	ns := &state{
 		regs:  make([]Value, len(a.regs)),
 		cells: make(map[int]Value, len(a.cells)),
@@ -338,14 +335,10 @@ func (e *Engine) mergeValue(condA *bv.Bool, a, b Value, ites *int) Value {
 }
 
 // mintIte builds a merge ite, value-numbered through the memoized
-// simplifier when the vn layer is on: the constructor's same-guard collapse
-// and negated-guard normalization fire at build time, and the simplifier's
-// fusion rules shrink arms that are themselves merged ites, so repeated
-// joins of the same loop accrete shallow, shared terms instead of towers.
+// simplifier: the constructor's same-guard collapse and negated-guard
+// normalization fire at build time, and the simplifier's fusion rules shrink
+// arms that are themselves merged ites, so repeated joins of the same loop
+// accrete shallow, shared terms instead of towers.
 func (e *Engine) mintIte(cond *bv.Bool, a, b *bv.Term) *bv.Term {
-	t := e.In.Ite(cond, a, b)
-	if e.In.VNEnabled() {
-		t = e.In.SimplifyTerm(t)
-	}
-	return t
+	return e.In.SimplifyTerm(e.In.Ite(cond, a, b))
 }

@@ -515,20 +515,18 @@ func (e *Engine) resolvePhis(s *state, f *cir.Func) error {
 // feasible asks the solver whether cond is satisfiable; on budget exhaustion
 // it conservatively answers true.
 func (e *Engine) feasible(cond *bv.Bool) bool {
-	if e.In.VNEnabled() {
-		// Value-numbering fast path: merged path conditions routinely
-		// simplify to a constant (a join disjunction folding to True, or a
-		// branch refinement contradicting an ite guard), and a memoized
-		// simplifier hit is O(1) — so a constant verdict here skips the
-		// solver query entirely and is not counted as one.
-		switch sc := e.In.SimplifyBool(cond); sc {
-		case bv.True:
-			return true
-		case bv.False:
-			return false
-		default:
-			cond = sc
-		}
+	// Value-numbering fast path: merged path conditions routinely simplify
+	// to a constant (a join disjunction folding to True, or a branch
+	// refinement contradicting an ite guard), and a memoized simplifier hit
+	// is O(1) — so a constant verdict here skips the solver query entirely
+	// and is not counted as one.
+	switch sc := e.In.SimplifyBool(cond); sc {
+	case bv.True:
+		return true
+	case bv.False:
+		return false
+	default:
+		cond = sc
 	}
 	e.nQueries.Add(1)
 	e.mQueries.Inc()

@@ -58,9 +58,6 @@ type Options struct {
 	// pipeline: paths that reconverge at control-flow join points fold into
 	// one state with ite-merged values instead of being enumerated.
 	Merge bool
-	// NoVN disables the value-numbering rewrite layer in every solver chain
-	// of the pipeline; inverted so the zero Options keeps it on.
-	NoVN bool
 	// CacheDir, when non-empty, backs the run with the persistent cache
 	// tier: solver counterexamples (keyed by canonical, interner-independent
 	// query hashes) and whole-loop summary memos (keyed by the loop's
@@ -104,7 +101,6 @@ func (o Options) toCore() core.Options {
 		Timeout:           o.Timeout,
 		RequireMemoryless: o.RequireMemoryless,
 		Merge:             o.Merge,
-		NoVN:              o.NoVN,
 	}
 }
 
