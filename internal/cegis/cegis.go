@@ -159,10 +159,33 @@ type Synthesizer struct {
 	stats    Stats
 
 	// Per-counterexample memo, parallel to cexs and filled once by addCex:
-	// Original(cex) and cex as a string of constant terms. Every skeleton
-	// reads them instead of re-running the loop and rebuilding the string.
+	// Original(cex), cex as a string of constant terms, and the gadget run
+	// of the empty prefix on it. Every skeleton reads them instead of
+	// re-running the loop and rebuilding the string.
 	cexWant []vocab.Result
 	cexStr  []*strsolver.SymString
+	cexRun  []*vocab.SymRun
+
+	// Prefix-shared gadget runs (DESIGN.md §5): levels[d].runs[i] is
+	// counterexample i run through runProg[:d+1], the current skeleton minus
+	// its final instruction. Only the first levels[d].n entries are valid; the
+	// rest are buffers kept for reuse.
+	runProg []vocab.SymInstr
+	levels  []prefixLevel
+	last    vocab.SymRun       // the final instruction's scratch run
+	outs    []vocab.SymOutcome // its outcomes
+
+	// Skeleton set-up without per-skeleton allocation: argTab[i][j] is the
+	// variable arg<i>_<j>, and symbolize fills symProg and symVars in place.
+	argTab  [][]*bv.Term
+	symProg vocab.SymProgram
+	symVars []*bv.Term
+}
+
+// prefixLevel holds the runs of every counterexample through one prefix.
+type prefixLevel struct {
+	runs []vocab.SymRun
+	n    int
 }
 
 // New prepares a synthesizer for the loop. The loop must have the
@@ -346,7 +369,7 @@ func (s *Synthesizer) Synthesize() (Outcome, error) {
 	elapsed := func() time.Duration { return s.budget.Elapsed() - startE }
 	for size := s.opts.MinProgSize; size <= s.opts.MaxProgSize; size++ {
 		if s.opts.DisableCexReuse {
-			s.cexs, s.cexWant, s.cexStr = nil, nil, nil
+			s.resetCexs()
 		}
 		prog, err := s.searchSize(size)
 		if err != nil {
@@ -498,7 +521,7 @@ func (s *Synthesizer) trySkeleton(skel []shape) (vocab.Program, error) {
 		return nil, nil
 	}
 	// NULL-input behaviour depends only on the skeleton; test it first.
-	symProg, argVars := symbolizeSkeleton(s.bvin, skel)
+	symProg, argVars := s.symbolize(skel)
 	if symProg.RunNullInput() != s.origNull {
 		return nil, nil
 	}
@@ -534,21 +557,34 @@ func (s *Synthesizer) trySkeleton(skel []shape) (vocab.Program, error) {
 	}
 }
 
-// symbolizeSkeleton builds the symbolic program for a skeleton, returning
-// the argument variables in program order.
-func symbolizeSkeleton(bvin *bv.Interner, skel []shape) (vocab.SymProgram, []*bv.Term) {
-	var prog vocab.SymProgram
-	var vars []*bv.Term
+// symbolize builds the symbolic program for a skeleton, returning the
+// argument variables in program order. Both results live in buffers reused
+// by the next skeleton. Argument character j of instruction i is the variable
+// arg<i>_<j> in every skeleton, so skeletons sharing a prefix share its
+// symbolic instructions.
+func (s *Synthesizer) symbolize(skel []shape) (vocab.SymProgram, []*bv.Term) {
+	prog, vars := s.symProg[:0], s.symVars[:0]
 	for i, sh := range skel {
-		in := vocab.SymInstr{Op: sh.op}
-		for j := 0; j < sh.argLen; j++ {
-			v := bvin.Var(fmt.Sprintf("arg%d_%d", i, j), 8)
-			in.Arg = append(in.Arg, v)
-			vars = append(vars, v)
-		}
-		prog = append(prog, in)
+		args := s.argVars(i, sh.argLen)
+		prog = append(prog, vocab.SymInstr{Op: sh.op, Arg: args})
+		vars = append(vars, args...)
 	}
+	s.symProg, s.symVars = prog, vars
 	return prog, vars
+}
+
+// argVars returns the variables arg<i>_0 .. arg<i>_<n-1>, creating each on
+// first use.
+func (s *Synthesizer) argVars(i, n int) []*bv.Term {
+	for len(s.argTab) <= i {
+		s.argTab = append(s.argTab, nil)
+	}
+	row := s.argTab[i]
+	for j := len(row); j < n; j++ {
+		row = append(row, s.bvin.Var(fmt.Sprintf("arg%d_%d", i, j), 8))
+	}
+	s.argTab[i] = row
+	return row[:n:n]
 }
 
 // concretize instantiates a skeleton with solved argument bytes (consumed in
@@ -589,11 +625,10 @@ func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([
 			}
 		}
 	}
-	for i, cs := range s.cexStr {
-		want := s.cexWant[i]
-		outcomes := vocab.RunSymbolic(symProg, cs)
+	s.sharePrefix(symProg)
+	for i, want := range s.cexWant {
 		match := bv.False
-		for _, o := range outcomes {
+		for _, o := range s.runOn(symProg, i) {
 			if o.Res == want {
 				match = bvin.BOr2(match, o.Guard)
 			}
@@ -610,6 +645,74 @@ func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([
 		out[i] = byte(ev.Term(v))
 	}
 	return out, true
+}
+
+// sharePrefix points the prefix levels at prog minus its final instruction.
+// Levels within the longest prefix it shares with the previous skeleton stay
+// valid, since the same instructions over the same arguments reach the same
+// states; deeper levels are invalidated but keep their buffers.
+func (s *Synthesizer) sharePrefix(prog vocab.SymProgram) {
+	prefix := prog[:len(prog)-1]
+	k := 0
+	for k < len(prefix) && k < len(s.runProg) && sameInstr(prefix[k], s.runProg[k]) {
+		k++
+	}
+	for d := k; d < len(s.levels); d++ {
+		s.levels[d].n = 0
+	}
+	for len(s.levels) < len(prefix) {
+		s.levels = append(s.levels, prefixLevel{})
+	}
+	s.runProg = append(s.runProg[:0], prefix...)
+}
+
+// runOn returns the outcomes of prog (as set up by sharePrefix) on
+// counterexample i, valid until the next call. It steps i through the prefix
+// levels it has not reached yet, then only the final instruction. Called for
+// i in index order, it builds every new guard in the same order a run from
+// the first instruction would, so the interned nodes and everything charged
+// for them are unchanged.
+func (s *Synthesizer) runOn(prog vocab.SymProgram, i int) []vocab.SymOutcome {
+	// Levels are filled shallow to deep for each counterexample in turn and
+	// invalidated deep to shallow, so the valid counts never grow with depth:
+	// d is the number of instructions i has been stepped through.
+	d := len(s.runProg)
+	for d > 0 && s.levels[d-1].n <= i {
+		d--
+	}
+	for ; d < len(s.runProg); d++ {
+		lv := &s.levels[d]
+		if len(lv.runs) == i {
+			lv.runs = append(lv.runs, vocab.SymRun{})
+		}
+		s.prefixRun(d, i).StepInto(&lv.runs[i], s.runProg[d])
+		lv.n = i + 1
+	}
+	s.prefixRun(d, i).StepInto(&s.last, prog[len(prog)-1])
+	s.outs = s.last.AppendOutcomes(s.outs[:0])
+	return s.outs
+}
+
+// prefixRun is counterexample i's run through the first d prefix instructions.
+func (s *Synthesizer) prefixRun(d, i int) *vocab.SymRun {
+	if d == 0 {
+		return s.cexRun[i]
+	}
+	return &s.levels[d-1].runs[i]
+}
+
+// sameInstr reports whether two symbolic instructions are identical: same
+// opcode over the same argument terms.
+func sameInstr(a, b vocab.SymInstr) bool {
+	if a.Op != b.Op || len(a.Arg) != len(b.Arg) {
+		return false
+	}
+	for j := range a.Arg {
+		if a.Arg[j] != b.Arg[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // verify checks bounded equivalence of a concrete candidate against the
@@ -668,8 +771,18 @@ func (s *Synthesizer) addCex(cex []byte) error {
 	s.cexs = append(s.cexs, cex)
 	s.cexWant = append(s.cexWant, s.runOriginal(cex))
 	s.cexStr = append(s.cexStr, cs)
+	s.cexRun = append(s.cexRun, vocab.NewSymRun(cs))
 	s.stats.Counterexamples++
 	return nil
+}
+
+// resetCexs empties the counterexample set, its memo and the prefix runs
+// stepped on it.
+func (s *Synthesizer) resetCexs() {
+	s.cexs, s.cexWant, s.cexStr, s.cexRun = nil, nil, nil, nil
+	for d := range s.levels {
+		s.levels[d].n = 0
+	}
 }
 
 // Synthesize is the package-level convenience entry point.

@@ -1,0 +1,194 @@
+package cegis
+
+import (
+	"errors"
+	"testing"
+
+	"stringloops/internal/engine"
+	"stringloops/internal/loopdb"
+	"stringloops/internal/vocab"
+)
+
+// corpusLoop prepares a size-5 synthesizer for the named corpus loop.
+func corpusLoop(t *testing.T, name string) *Synthesizer {
+	t.Helper()
+	return corpusSynth(t, name, Options{MaxProgSize: 5})
+}
+
+// corpusSynth prepares a synthesizer for the named corpus loop, with an
+// unlimited budget of its own.
+func corpusSynth(t *testing.T, name string, opts Options) *Synthesizer {
+	t.Helper()
+	for _, l := range loopdb.Corpus() {
+		if l.Name != name {
+			continue
+		}
+		f, err := l.Lower()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Budget = engine.NewBudget(nil, engine.Limits{})
+		s, err := New(f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	t.Fatalf("%s: not in the corpus", name)
+	return nil
+}
+
+// prefixEvents counts how the prefix levels were resumed while
+// checkedSearch walked the search.
+type prefixEvents struct {
+	solves    int // argument-solving rounds checked
+	midSkel   int // rounds after verify added a counterexample to the same skeleton
+	resumed   int // skeletons resuming a shared prefix on a grown counterexample set
+	deepShare int // rounds that found a prefix of two or more instructions valid
+}
+
+// checkedSearch replays Synthesize's search with trySkeleton's argument
+// loop spelled out, and before every solveArgs checks runOn against
+// vocab.RunSymbolic from the first instruction on every counterexample:
+// the same outcomes in the same order under pointer-identical guards.
+// Before every tenth skeleton with arguments it adds the next of extra to
+// the counterexample set, as verify does between skeletons when a skeleton
+// without arguments fails.
+func checkedSearch(t *testing.T, s *Synthesizer, extra ...string) (vocab.Program, prefixEvents) {
+	t.Helper()
+	s.budget = s.opts.Budget
+	s.bvin.SetBudget(s.budget)
+	var ev prefixEvents
+	var found vocab.Program
+	argSkels := 0
+	for size := s.opts.MinProgSize; size <= s.opts.MaxProgSize && found == nil; size++ {
+		if s.opts.DisableCexReuse {
+			s.resetCexs()
+			for d, lv := range s.levels {
+				if lv.n != 0 {
+					t.Fatalf("size %d: level %d keeps %d runs past the reset", size, d, lv.n)
+				}
+			}
+		}
+		err := s.enumerate(size, nil, func(skel []shape) error {
+			symProg, argVars := s.symbolize(skel)
+			if symProg.RunNullInput() != s.origNull || len(argVars) == 0 {
+				return nil
+			}
+			if argSkels++; argSkels%10 == 0 && len(extra) > 0 {
+				if err := s.addCex([]byte(extra[0] + "\x00")); err != nil {
+					return err
+				}
+				extra = extra[1:]
+			}
+			prev := -1
+			for {
+				k := 0
+				for k < len(symProg)-1 && k < len(s.runProg) && sameInstr(symProg[k], s.runProg[k]) {
+					k++
+				}
+				if prev < 0 && k > 0 && s.levels[0].n > 0 && s.levels[0].n < len(s.cexs) {
+					ev.resumed++
+				}
+				if prev >= 0 && len(s.cexs) > prev {
+					ev.midSkel++
+				}
+				if k >= 2 && s.levels[1].n > 0 {
+					ev.deepShare++
+				}
+				s.sharePrefix(symProg)
+				for i, cs := range s.cexStr {
+					got := s.runOn(symProg, i)
+					want := vocab.RunSymbolic(symProg, cs)
+					if len(got) != len(want) {
+						t.Fatalf("%v on cex %d: %d outcomes resumed, %d from scratch", skel, i, len(got), len(want))
+					}
+					for j := range want {
+						if got[j] != want[j] {
+							t.Fatalf("%v on cex %d: outcome %d resumed %+v, from scratch %+v", skel, i, j, got[j], want[j])
+						}
+					}
+				}
+				ev.solves++
+				prev = len(s.cexs)
+				args, ok := s.solveArgs(symProg, argVars)
+				if !ok {
+					return nil
+				}
+				prog := concretize(skel, args)
+				verified, err := s.verify(prog)
+				if err != nil {
+					return err
+				}
+				if verified != nil {
+					found = verified
+					return errFound
+				}
+			}
+		})
+		if err != nil && !errors.Is(err, errFound) {
+			t.Fatal(err)
+		}
+	}
+	return found, ev
+}
+
+// TestPrefixRunsMatchFromScratch checks the prefix-shared gadget runs against
+// runs from the first instruction at every argument-solving round of a found
+// and a refuted search, with and without the counterexample reset at every
+// size. Between them they add counterexamples in the middle of a skeleton and
+// between skeletons that share a prefix.
+func TestPrefixRunsMatchFromScratch(t *testing.T) {
+	var total prefixEvents
+	for _, name := range []string{"wget/find_amp_eq", "git/mid1"} {
+		for _, noReuse := range []bool{false, true} {
+			s := corpusSynth(t, name, Options{MaxProgSize: 5, DisableCexReuse: noReuse})
+			_, ev := checkedSearch(t, s, "a&=", "=&a", " = ", "&&&", "a=a", "=\x00a")
+			total.solves += ev.solves
+			total.midSkel += ev.midSkel
+			total.resumed += ev.resumed
+			total.deepShare += ev.deepShare
+		}
+	}
+	if total.midSkel == 0 || total.resumed == 0 || total.deepShare == 0 {
+		t.Fatalf("events not covered: %+v", total)
+	}
+}
+
+// TestPrefixRunsKeepTheSearch runs the search with the prefix levels under
+// stress — the counterexample set reset at every size, and interner tables
+// cleared every few hundred nodes — and checks it finds what the default run
+// finds. After a reset no level may claim more runs than there are
+// counterexamples.
+func TestPrefixRunsKeepTheSearch(t *testing.T) {
+	for _, name := range []string{"wget/find_amp_eq", "git/mid1", "tar/break_nl_slash"} {
+		want, err := corpusLoop(t, name).Synthesize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		noReuse := corpusSynth(t, name, Options{MaxProgSize: 5, DisableCexReuse: true})
+		softCap := corpusLoop(t, name)
+		softCap.bvin.SetSoftCap(256)
+		for _, v := range []struct {
+			label string
+			s     *Synthesizer
+		}{{"DisableCexReuse", noReuse}, {"soft cap 256", softCap}} {
+			got, err := v.s.Synthesize()
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, v.label, err)
+			}
+			if got.Found != want.Found || got.Program.Encode() != want.Program.Encode() {
+				t.Errorf("%s, %s: found=%v %q, default run found=%v %q", name, v.label,
+					got.Found, got.Program.Encode(), want.Found, want.Program.Encode())
+			}
+			for d, lv := range v.s.levels {
+				if lv.n > len(v.s.cexs) {
+					t.Errorf("%s, %s: level %d holds %d runs for %d counterexamples", name, v.label, d, lv.n, len(v.s.cexs))
+				}
+			}
+		}
+		if noReuse.stats.Counterexamples <= len(noReuse.cexs) {
+			t.Errorf("%s: the counterexample set was never reset", name)
+		}
+	}
+}

@@ -89,37 +89,62 @@ func (gs *guarded[K]) add(bvin *bv.Interner, k K, g *bv.Bool) {
 // functions of (prog, s): configurations are processed and merged in
 // first-reached order.
 func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
+	// The runs before and after the current instruction swap buffers at
+	// every step.
+	run, next := NewSymRun(s), new(SymRun)
+	for _, in := range prog {
+		run.StepInto(next, in)
+		run, next = next, run
+	}
+	return run.AppendOutcomes(nil)
+}
+
+// SymRun is the state of a symbolic run after a prefix of a program: the live
+// configurations, the terminal results reached so far, and the reversed views
+// of the string that a leading reverse set up. Programs sharing a prefix can
+// share its run: StepInto never mutates its receiver, so one state can be
+// stepped into any number of suffixes (CEGIS keeps one per prefix depth and
+// counterexample, DESIGN.md §5). Stepping instruction by instruction builds
+// exactly the guards RunSymbolic builds, in the same order.
+type SymRun struct {
+	s        *strsolver.SymString
+	pc       int // instructions stepped so far
+	live     guarded[config]
+	terminal guarded[Result]
+	// rev[n] is s reversed at strlen n, for each n the leading reverse
+	// admits. The reverse step allocates it; every run stepped from there
+	// shares it read-only.
+	rev []*strsolver.SymString
+}
+
+// NewSymRun returns the run of the empty prefix on s: one live configuration,
+// the result register at offset 0, under guard true.
+func NewSymRun(s *strsolver.SymString) *SymRun {
+	r := &SymRun{s: s}
+	r.live.add(s.Interner(), config{kind: Ptr, off: 0, revN: -1}, bv.True)
+	return r
+}
+
+// StepInto executes in on r's state and writes the successor state into dst,
+// overwriting dst and reusing its slices. r is left unchanged; dst must be a
+// different run.
+func (r *SymRun) StepInto(dst *SymRun, in SymInstr) {
+	if dst == r {
+		panic("vocab: SymRun.StepInto into its own receiver")
+	}
+	s := r.s
 	bvin := s.Interner()
 	maxLen := s.MaxLen()
-	// live holds the configurations before the current instruction, next
-	// those after it; the two swap buffers at every step.
-	var live, next guarded[config]
-	live.add(bvin, config{kind: Ptr, off: 0, revN: -1}, bv.True)
-	var terminal guarded[Result]
+	dst.s, dst.pc, dst.rev = s, r.pc+1, r.rev
+	dst.live.keys, dst.live.guards = dst.live.keys[:0], dst.live.guards[:0]
+	dst.terminal.keys = append(dst.terminal.keys[:0], r.terminal.keys...)
+	dst.terminal.guards = append(dst.terminal.guards[:0], r.terminal.guards...)
 
-	// Reversed views, built lazily per concrete length.
-	var reversed map[int]*strsolver.SymString
-	revView := func(n int) *strsolver.SymString {
-		if v, ok := reversed[n]; ok {
-			return v
-		}
-		if reversed == nil {
-			reversed = map[int]*strsolver.SymString{}
-		}
-		bytes := make([]*bv.Term, n+1)
-		for i := 0; i < n; i++ {
-			bytes[i] = s.At(n - 1 - i)
-		}
-		bytes[n] = bvin.Byte(0)
-		v := strsolver.Wrap(bvin, bytes)
-		reversed[n] = v
-		return v
-	}
 	space := func(c config) *strsolver.SymString {
 		if c.revN < 0 {
 			return s
 		}
-		return revView(c.revN)
+		return r.rev[c.revN]
 	}
 	capOf := func(c config) int {
 		if c.revN < 0 {
@@ -127,152 +152,182 @@ func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
 		}
 		return c.revN
 	}
+	addLive := func(c config, g *bv.Bool) { dst.live.add(bvin, c, g) }
+	invalid := func(g *bv.Bool) { dst.terminal.add(bvin, InvalidResult(), g) }
 
-	addLive := func(c config, g *bv.Bool) { next.add(bvin, c, g) }
-	invalid := func(g *bv.Bool) { terminal.add(bvin, InvalidResult(), g) }
-
-	for pc, in := range prog {
-		next.keys, next.guards = next.keys[:0], next.guards[:0]
-		for i, c := range live.keys {
-			g := live.guards[i]
-			if c.skip {
-				c.skip = false
+	for i, c := range r.live.keys {
+		g := r.live.guards[i]
+		if c.skip {
+			c.skip = false
+			addLive(c, g)
+			continue
+		}
+		str := space(c)
+		strCap := capOf(c)
+		strOK := c.kind == Ptr && c.off >= 0 && c.off <= strCap
+		switch in.Op {
+		case OpReverse:
+			if r.pc != 0 {
+				invalid(g)
+				continue
+			}
+			// At pc 0 there is exactly one live configuration.
+			dst.rev = make([]*strsolver.SymString, maxLen+1)
+			for n := 0; n <= maxLen; n++ {
+				ng := bvin.BAnd2(g, s.LenIs(n))
+				if ng != bv.False {
+					dst.rev[n] = reversedView(s, n)
+				}
+				addLive(config{kind: Ptr, off: 0, revN: n}, ng)
+			}
+		case OpRawmemchr:
+			if !strOK {
+				invalid(g)
+				continue
+			}
+			for j := c.off; j <= strCap; j++ {
+				nc := c
+				nc.off = j
+				addLive(nc, bvin.BAnd2(g, str.RawchrIs(c.off, j, in.Arg[0])))
+			}
+			invalid(bvin.BAnd2(g, str.RawchrNone(c.off, in.Arg[0])))
+		case OpStrchr:
+			if !strOK {
+				invalid(g)
+				continue
+			}
+			for j := c.off; j <= strCap; j++ {
+				nc := c
+				nc.off = j
+				addLive(nc, bvin.BAnd2(g, str.ChrIs(c.off, j, in.Arg[0])))
+			}
+			nc := c
+			nc.kind = Null
+			addLive(nc, bvin.BAnd2(g, str.ChrNone(c.off, in.Arg[0])))
+		case OpStrrchr:
+			if !strOK {
+				invalid(g)
+				continue
+			}
+			for j := c.off; j <= strCap; j++ {
+				nc := c
+				nc.off = j
+				addLive(nc, bvin.BAnd2(g, str.RchrIs(c.off, j, in.Arg[0])))
+			}
+			nc := c
+			nc.kind = Null
+			addLive(nc, bvin.BAnd2(g, str.RchrNone(c.off, in.Arg[0])))
+		case OpStrpbrk:
+			if !strOK {
+				invalid(g)
+				continue
+			}
+			set := strsolver.Set{Members: in.Arg}
+			for j := c.off; j <= strCap; j++ {
+				nc := c
+				nc.off = j
+				addLive(nc, bvin.BAnd2(g, str.PbrkIs(c.off, j, set)))
+			}
+			nc := c
+			nc.kind = Null
+			addLive(nc, bvin.BAnd2(g, str.PbrkNone(c.off, set)))
+		case OpStrspn:
+			if !strOK {
+				invalid(g)
+				continue
+			}
+			set := strsolver.Set{Members: in.Arg}
+			for n := 0; c.off+n <= strCap; n++ {
+				nc := c
+				nc.off = c.off + n
+				addLive(nc, bvin.BAnd2(g, str.SpnIs(c.off, n, set)))
+			}
+		case OpStrcspn:
+			if !strOK {
+				invalid(g)
+				continue
+			}
+			set := strsolver.Set{Members: in.Arg}
+			for n := 0; c.off+n <= strCap; n++ {
+				nc := c
+				nc.off = c.off + n
+				addLive(nc, bvin.BAnd2(g, str.CspnIs(c.off, n, set)))
+			}
+		case OpIsNullptr:
+			c.skip = c.kind != Null
+			addLive(c, g)
+		case OpIsStart:
+			c.skip = !(c.kind == Ptr && c.off == 0)
+			addLive(c, g)
+		case OpIncrement:
+			if c.kind != Ptr {
+				invalid(g)
+				continue
+			}
+			c.off++
+			addLive(c, g)
+		case OpSetToEnd:
+			if c.revN >= 0 {
+				// The reverse guard pins the reversed length to revN.
+				c.kind, c.off = Ptr, c.revN
 				addLive(c, g)
 				continue
 			}
-			str := space(c)
-			strCap := capOf(c)
-			strOK := c.kind == Ptr && c.off >= 0 && c.off <= strCap
-			switch in.Op {
-			case OpReverse:
-				if pc != 0 {
-					invalid(g)
-					continue
-				}
-				for n := 0; n <= maxLen; n++ {
-					addLive(config{kind: Ptr, off: 0, revN: n}, bvin.BAnd2(g, s.LenIs(n)))
-				}
-			case OpRawmemchr:
-				if !strOK {
-					invalid(g)
-					continue
-				}
-				for j := c.off; j <= strCap; j++ {
-					nc := c
-					nc.off = j
-					addLive(nc, bvin.BAnd2(g, str.RawchrIs(c.off, j, in.Arg[0])))
-				}
-				invalid(bvin.BAnd2(g, str.RawchrNone(c.off, in.Arg[0])))
-			case OpStrchr:
-				if !strOK {
-					invalid(g)
-					continue
-				}
-				for j := c.off; j <= strCap; j++ {
-					nc := c
-					nc.off = j
-					addLive(nc, bvin.BAnd2(g, str.ChrIs(c.off, j, in.Arg[0])))
-				}
+			for n := 0; n <= strCap; n++ {
 				nc := c
-				nc.kind = Null
-				addLive(nc, bvin.BAnd2(g, str.ChrNone(c.off, in.Arg[0])))
-			case OpStrrchr:
-				if !strOK {
-					invalid(g)
-					continue
-				}
-				for j := c.off; j <= strCap; j++ {
-					nc := c
-					nc.off = j
-					addLive(nc, bvin.BAnd2(g, str.RchrIs(c.off, j, in.Arg[0])))
-				}
-				nc := c
-				nc.kind = Null
-				addLive(nc, bvin.BAnd2(g, str.RchrNone(c.off, in.Arg[0])))
-			case OpStrpbrk:
-				if !strOK {
-					invalid(g)
-					continue
-				}
-				set := strsolver.Set{Members: in.Arg}
-				for j := c.off; j <= strCap; j++ {
-					nc := c
-					nc.off = j
-					addLive(nc, bvin.BAnd2(g, str.PbrkIs(c.off, j, set)))
-				}
-				nc := c
-				nc.kind = Null
-				addLive(nc, bvin.BAnd2(g, str.PbrkNone(c.off, set)))
-			case OpStrspn:
-				if !strOK {
-					invalid(g)
-					continue
-				}
-				set := strsolver.Set{Members: in.Arg}
-				for n := 0; c.off+n <= strCap; n++ {
-					nc := c
-					nc.off = c.off + n
-					addLive(nc, bvin.BAnd2(g, str.SpnIs(c.off, n, set)))
-				}
-			case OpStrcspn:
-				if !strOK {
-					invalid(g)
-					continue
-				}
-				set := strsolver.Set{Members: in.Arg}
-				for n := 0; c.off+n <= strCap; n++ {
-					nc := c
-					nc.off = c.off + n
-					addLive(nc, bvin.BAnd2(g, str.CspnIs(c.off, n, set)))
-				}
-			case OpIsNullptr:
-				c.skip = c.kind != Null
-				addLive(c, g)
-			case OpIsStart:
-				c.skip = !(c.kind == Ptr && c.off == 0)
-				addLive(c, g)
-			case OpIncrement:
-				if c.kind != Ptr {
-					invalid(g)
-					continue
-				}
-				c.off++
-				addLive(c, g)
-			case OpSetToEnd:
-				if c.revN >= 0 {
-					// The reverse guard pins the reversed length to revN.
-					c.kind, c.off = Ptr, c.revN
-					addLive(c, g)
-					continue
-				}
-				for n := 0; n <= strCap; n++ {
-					nc := c
-					nc.kind = Ptr
-					nc.off = n
-					addLive(nc, bvin.BAnd2(g, str.LenIs(n)))
-				}
-			case OpSetToStart:
-				c.kind = Ptr
-				c.off = 0
-				addLive(c, g)
-			case OpReturn:
-				terminal.add(bvin, finishConfig(c), g)
-			default:
-				invalid(g)
+				nc.kind = Ptr
+				nc.off = n
+				addLive(nc, bvin.BAnd2(g, str.LenIs(n)))
 			}
+		case OpSetToStart:
+			c.kind = Ptr
+			c.off = 0
+			addLive(c, g)
+		case OpReturn:
+			dst.terminal.add(bvin, finishConfig(c), g)
+		default:
+			invalid(g)
 		}
-		live, next = next, live
 	}
-	// Out of instructions: remaining configurations are invalid.
-	for _, g := range live.guards {
-		invalid(g)
-	}
+}
 
-	out := make([]SymOutcome, len(terminal.keys))
-	for i, r := range terminal.keys {
-		out[i] = SymOutcome{Guard: terminal.guards[i], Res: r}
+// AppendOutcomes appends r's guarded terminal outcomes to dst and returns the
+// extended slice. The program is taken to end here: configurations still live
+// have run out of instructions and join the invalid outcome. r is left
+// unchanged.
+func (r *SymRun) AppendOutcomes(dst []SymOutcome) []SymOutcome {
+	base := len(dst)
+	for i, res := range r.terminal.keys {
+		dst = append(dst, SymOutcome{Guard: r.terminal.guards[i], Res: res})
 	}
-	return out
+	inv := -1
+	for i := base; i < len(dst); i++ {
+		if dst[i].Res == InvalidResult() {
+			inv = i
+			break
+		}
+	}
+	// Live guards are never false: guarded.add drops those.
+	for _, g := range r.live.guards {
+		if inv < 0 {
+			inv = len(dst)
+			dst = append(dst, SymOutcome{Guard: g, Res: InvalidResult()})
+			continue
+		}
+		dst[inv].Guard = r.s.Interner().BOr2(dst[inv].Guard, g)
+	}
+	return dst
+}
+
+// reversedView is s reversed at strlen n, NUL-terminated.
+func reversedView(s *strsolver.SymString, n int) *strsolver.SymString {
+	bvin := s.Interner()
+	bytes := make([]*bv.Term, n+1)
+	for i := 0; i < n; i++ {
+		bytes[i] = s.At(n - 1 - i)
+	}
+	bytes[n] = bvin.Byte(0)
+	return strsolver.Wrap(bvin, bytes)
 }
 
 // finishConfig maps a configuration's result back into the original buffer.
@@ -292,15 +347,13 @@ func finishConfig(c config) Result {
 // RunNullInput evaluates the program's behaviour on the NULL input pointer.
 // It never depends on argument characters, so a skeleton with placeholder
 // arguments gives the exact answer — this is how CEGIS checks the NULL test
-// point before argument solving.
+// point before argument solving. Run reads no argument on the NULL input, so
+// the placeholder program has none, and short programs are built on the stack.
 func (p SymProgram) RunNullInput() Result {
-	concrete := make(Program, len(p))
-	for i, in := range p {
-		ci := Instr{Op: in.Op}
-		for range in.Arg {
-			ci.Arg = append(ci.Arg, 'x') // placeholder; unused on NULL input
-		}
-		concrete[i] = ci
+	var buf [16]Instr
+	ops := buf[:0]
+	for _, in := range p {
+		ops = append(ops, Instr{Op: in.Op})
 	}
-	return Run(concrete, nil)
+	return Run(ops, nil)
 }
