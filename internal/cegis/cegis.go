@@ -137,20 +137,12 @@ var (
 	ErrUnsupportedLoop = errors.New("cegis: loop not supported by symbolic execution")
 )
 
-// origPath is one merged symbolic path of the original loop, with its result
-// normalised to the interpreter's result domain.
-type origPath struct {
-	cond *bv.Bool
-	kind vocab.ResultKind
-	off  *bv.Term // when kind == Ptr
-}
-
 // Synthesizer holds the per-loop state of Algorithm 2.
 type Synthesizer struct {
 	opts     Options
 	loop     *cir.Func
 	symStr   *strsolver.SymString
-	origSym  []origPath
+	origSym  []symex.LoopPath
 	origNull vocab.Result
 	cexs     [][]byte // counterexample buffers (NUL-terminated)
 	bvin     *bv.Interner
@@ -207,7 +199,16 @@ func New(loop *cir.Func, opts Options) (*Synthesizer, error) {
 	// (line 10 of Algorithm 2), merged: computed once, reused per candidate.
 	buf := symex.SymbolicString(s.bvin, "s", opts.MaxExSize)
 	s.symStr = strsolver.Wrap(s.bvin, buf)
-	paths, err := symbolicPaths(loop, s.bvin, s.cache, s.budget, opts.Faults, buf, opts.SolverBudget, opts.Merge)
+	eng := &symex.Engine{
+		CheckFeasibility: true,
+		Merge:            opts.Merge,
+		SolverBudget:     opts.SolverBudget,
+		In:               s.bvin,
+		Budget:           s.budget,
+		Cache:            s.cache,
+		Faults:           opts.Faults,
+	}
+	paths, err := loopPaths(eng, loop, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -215,51 +216,20 @@ func New(loop *cir.Func, opts Options) (*Synthesizer, error) {
 	return s, nil
 }
 
-// symbolicPaths runs f on the symbolic buffer and normalises every terminal
-// path into the interpreter result domain. Feasibility checking prunes
+// loopPaths runs f on the symbolic buffer (symex.Engine.RunLoop), wrapping
+// run errors in this package's sentinels. Feasibility checking prunes
 // infeasible iterations of loops over symbolic cursors (without it, a
-// backward scan whose guard never folds syntactically would spin to the
-// step limit).
-func symbolicPaths(f *cir.Func, bvin *bv.Interner, cache *qcache.Cache, budget *engine.Budget, faults *faultpoint.Registry, buf []*bv.Term, solverBudget int64, merge bool) ([]origPath, error) {
-	eng := &symex.Engine{
-		Objects:          [][]*bv.Term{buf},
-		CheckFeasibility: true,
-		Merge:            merge,
-		SolverBudget:     solverBudget,
-		In:               bvin,
-		Budget:           budget,
-		Cache:            cache,
-		Faults:           faults,
+// backward scan whose guard never folds syntactically would spin to the step
+// limit).
+func loopPaths(eng *symex.Engine, f *cir.Func, buf []*bv.Term) ([]symex.LoopPath, error) {
+	paths, err := eng.RunLoop(f, buf)
+	if errors.Is(err, symex.ErrTimeout) {
+		return nil, fmt.Errorf("%w: %w", ErrTimeout, err)
 	}
-	paths, runErr := eng.Run(f, []symex.Value{symex.PtrValue(0, bvin.Int32(0))}, bv.True)
-	if errors.Is(runErr, symex.ErrTimeout) {
-		return nil, fmt.Errorf("%w: %w", ErrTimeout, runErr)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnsupportedLoop, err)
 	}
-	if runErr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnsupportedLoop, runErr)
-	}
-	var out []origPath
-	for _, p := range paths {
-		op := origPath{cond: p.Cond}
-		switch {
-		case p.Err != nil:
-			if errors.Is(p.Err, symex.ErrUnsupported) {
-				return nil, fmt.Errorf("%w: %v", ErrUnsupportedLoop, p.Err)
-			}
-			// Undefined behaviour on this path (OOB/null deref): the
-			// interpreter's invalid pointer is the matching outcome.
-			op.kind = vocab.Invalid
-		case p.Ret.IsNull():
-			op.kind = vocab.Null
-		case p.Ret.IsPtr && p.Ret.Obj == 0:
-			op.kind = vocab.Ptr
-			op.off = p.Ret.Off
-		default:
-			op.kind = vocab.Invalid
-		}
-		out = append(out, op)
-	}
-	return out, nil
+	return paths, nil
 }
 
 // VerifyFunctionEquivalence checks that two loopFunction-shaped functions
@@ -267,8 +237,10 @@ func symbolicPaths(f *cir.Func, bvin *bv.Interner, cache *qcache.Cache, budget *
 // §4.5 refactoring validator: the original loop against its hand- or
 // tool-rewritten library-call form (the engine gives strspn/strcspn/strchr
 // calls symbolic semantics). It returns a distinguishing input when they
-// differ.
-func VerifyFunctionEquivalence(a, b *cir.Func, maxLen int) (bool, []byte, error) {
+// differ. The budget (nil = unlimited) bounds the symbolic runs and the
+// solver; once it is exhausted or cancelled the result is an error wrapping
+// ErrTimeout, not a verdict.
+func VerifyFunctionEquivalence(a, b *cir.Func, maxLen int, budget *engine.Budget) (bool, []byte, error) {
 	if maxLen <= 0 {
 		maxLen = 3
 	}
@@ -282,43 +254,42 @@ func VerifyFunctionEquivalence(a, b *cir.Func, maxLen int) (bool, []byte, error)
 		return false, nil, nil
 	}
 
-	bvin := bv.NewInterner()
+	bvin := bv.NewInterner().SetBudget(budget)
 	cache := qcache.New(bvin)
 	buf := symex.SymbolicString(bvin, "s", maxLen)
-	pathsA, err := symbolicPaths(a, bvin, cache, nil, nil, buf, 0, false)
+	run := func(f *cir.Func) ([]symex.LoopPath, error) {
+		return loopPaths(&symex.Engine{CheckFeasibility: true, In: bvin, Budget: budget, Cache: cache}, f, buf)
+	}
+	pathsA, err := run(a)
 	if err != nil {
 		return false, nil, err
 	}
-	pathsB, err := symbolicPaths(b, bvin, cache, nil, nil, buf, 0, false)
+	pathsB, err := run(b)
 	if err != nil {
 		return false, nil, err
 	}
+	// Both sides have symbolic offsets, so this disjunction is not
+	// symex.SameOutcome's loop-against-guarded-constants one.
 	equal := bv.False
 	for _, pa := range pathsA {
 		for _, pb := range pathsB {
-			if pa.kind != pb.kind {
+			if pa.Kind != pb.Kind {
 				continue
 			}
-			clause := bvin.BAnd2(pa.cond, pb.cond)
-			if pa.kind == vocab.Ptr {
-				clause = bvin.BAnd2(clause, bvin.Eq(pa.off, pb.off))
+			clause := bvin.BAnd2(pa.Cond, pb.Cond)
+			if pa.Kind == vocab.Ptr {
+				clause = bvin.BAnd2(clause, bvin.Eq(pa.Off, pb.Off))
 			}
 			equal = bvin.BOr2(equal, clause)
 		}
 	}
-	valid, model, st := cache.IsValid(nil, 0, equal)
-	switch {
-	case valid:
+	switch st, cex := symex.Refute(cache, budget, 0, equal, buf); st {
+	case sat.Unsat:
 		return true, nil, nil
-	case st == sat.Unknown:
-		return false, nil, fmt.Errorf("%w: equivalence query exhausted its budget", ErrTimeout)
+	case sat.Sat:
+		return false, cex, nil
 	}
-	ev := bv.NewEvaluator(model)
-	cex := make([]byte, maxLen+1)
-	for i := 0; i < maxLen; i++ {
-		cex[i] = byte(ev.Term(buf[i]))
-	}
-	return false, cex, nil
+	return false, nil, fmt.Errorf("%w: equivalence query exhausted its budget", ErrTimeout)
 }
 
 // concreteResult maps a concrete execution outcome into the interpreter's
@@ -723,37 +694,17 @@ func (s *Synthesizer) verify(prog vocab.Program) (vocab.Program, error) {
 	s.stats.VerifyQueries++
 	bvin := s.bvin
 	outcomes := vocab.RunSymbolic(vocab.Symbolize(bvin, prog), s.symStr)
-
-	equal := bv.False
-	for _, op := range s.origSym {
-		for _, o := range outcomes {
-			if op.kind != o.Res.Kind {
-				continue
-			}
-			clause := bvin.BAnd2(op.cond, o.Guard)
-			if op.kind == vocab.Ptr {
-				clause = bvin.BAnd2(clause, bvin.Eq(op.off, bvin.Int32(int64(o.Res.Off))))
-			}
-			equal = bvin.BOr2(equal, clause)
-		}
-	}
 	// isEq must always hold (IsAlwaysTrue, line 18): refute it.
-	st, model := s.cache.CheckSat(s.budget, s.opts.SolverBudget, bvin.BNot1(equal))
-	switch st {
+	equal := symex.SameOutcome(bvin, s.origSym, outcomes)
+	switch st, cex := symex.Refute(s.cache, s.budget, s.opts.SolverBudget, equal, s.symStr.Bytes); st {
 	case sat.Unsat:
 		return prog, nil
-	case sat.Unknown:
-		// Solver budget exhausted: treat as not verified, no counterexample.
-		return nil, nil
+	case sat.Sat:
+		// The differing string (lines 22-24).
+		return nil, s.addCex(cex)
 	}
-	// Extract the differing string (lines 22-24).
-	ev := bv.NewEvaluator(model)
-	cex := make([]byte, s.opts.MaxExSize+1)
-	for i := 0; i < s.opts.MaxExSize; i++ {
-		cex[i] = byte(ev.Term(s.symStr.At(i)))
-	}
-	cex[s.opts.MaxExSize] = 0
-	return nil, s.addCex(cex)
+	// Solver budget exhausted: treat as not verified, no counterexample.
+	return nil, nil
 }
 
 // addCex adds a new NUL-terminated counterexample to the set together with

@@ -423,7 +423,7 @@ func CheckRefactoring(source, originalName, refactoredName string, maxLen int) (
 	if err != nil {
 		return false, "", err
 	}
-	ok, cex, err := cegis.VerifyFunctionEquivalence(a, b, maxLen)
+	ok, cex, err := cegis.VerifyFunctionEquivalence(a, b, maxLen, nil)
 	if err != nil {
 		return false, "", err
 	}

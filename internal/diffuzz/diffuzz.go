@@ -95,7 +95,7 @@ func (o Options) withDefaults() Options {
 	if o.Executors == nil {
 		o.Executors = DefaultExecutors()
 		if o.Merge {
-			o.Executors = append(o.Executors, mergeExecutor{})
+			o.Executors = append(o.Executors, symexExecutor{merged: true})
 		}
 	}
 	return o

@@ -32,8 +32,8 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // pct is true with probability p percent.
 func (r *rng) pct(p int) bool { return r.intn(100) < p }
 
-func pickByte(r *rng, xs []byte) byte     { return xs[r.intn(len(xs))] }
-func pickStr(r *rng, xs []string) string  { return xs[r.intn(len(xs))] }
+func pickByte(r *rng, xs []byte) byte    { return xs[r.intn(len(xs))] }
+func pickStr(r *rng, xs []string) string { return xs[r.intn(len(xs))] }
 
 // AtomKind is the shape of one condition atom.
 type AtomKind int
@@ -94,11 +94,11 @@ const (
 // subset. It is the unit the minimizer shrinks — every field removal or
 // simplification still renders to a valid program.
 type Prog struct {
-	NullGuard bool     // if (!s) return 0;
-	Idx       bool     // index form (s[i], i++) instead of pointer form (*s, s++)
-	Acc       bool     // char *last = 0; ... if (CUR == AccCh) last = CUR_PTR;
-	AccCh     byte     // accumulator match character
-	PreSkip   *Atom    // optional pre-loop skip: if (ATOM) advance;
+	NullGuard bool  // if (!s) return 0;
+	Idx       bool  // index form (s[i], i++) instead of pointer form (*s, s++)
+	Acc       bool  // char *last = 0; ... if (CUR == AccCh) last = CUR_PTR;
+	AccCh     byte  // accumulator match character
+	PreSkip   *Atom // optional pre-loop skip: if (ATOM) advance;
 	Form      LoopForm
 	Cond      Cond
 	Ret       RetKind

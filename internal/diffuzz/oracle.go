@@ -285,34 +285,28 @@ func DefaultExecutors() []Executor {
 // buffer of the input's capacity, then replays the concrete input against
 // the path conditions. Exactly one path must claim the input; its result
 // must match the interpreter.
-type symexExecutor struct{}
+//
+// With merged set it is the "merge" oracle, the third one under
+// Options.Merge: the loop's join-point states fold into ite values and
+// disjoined path conditions (symex.Engine.Merge), and the concrete input
+// replays against the merged set — a merge bug that loses or duplicates
+// behaviours surfaces as a no-path or overlap finding, and a wrong ite guard
+// as a result divergence against the interpreter.
+type symexExecutor struct{ merged bool }
 
-func (symexExecutor) Name() string { return "symex" }
+func (e symexExecutor) Name() string {
+	if e.merged {
+		return "merge"
+	}
+	return "symex"
+}
 
-func (symexExecutor) Run(t *Target, input []byte) (Result, bool, error) {
+func (e symexExecutor) Run(t *Target, input []byte) (Result, bool, error) {
 	n := -1 // NULL input: no buffer object
 	if input != nil {
 		n = len(input) - 1
 	}
-	return replayPaths(t.pathsFor(n), input, n)
-}
-
-// mergeExecutor is symexExecutor with state merging enabled: the loop's
-// join-point states fold into ite values and disjoined path conditions
-// (symex.Engine.Merge), and the concrete input replays against the merged
-// set. It is the third oracle under Options.Merge — a merge bug that loses
-// or duplicates behaviours surfaces as a no-path or overlap finding, and a
-// wrong ite guard as a result divergence against the interpreter.
-type mergeExecutor struct{}
-
-func (mergeExecutor) Name() string { return "merge" }
-
-func (mergeExecutor) Run(t *Target, input []byte) (Result, bool, error) {
-	n := -1
-	if input != nil {
-		n = len(input) - 1
-	}
-	return replayPaths(t.mergedPathsFor(n), input, n)
+	return replayPaths(t.pathsFor(n, e.merged), input, n)
 }
 
 // replayPaths replays the concrete input against a symbolic path set:
@@ -361,42 +355,6 @@ func replayPaths(ps pathSet, input []byte, n int) (Result, bool, error) {
 	return got, true, nil
 }
 
-// mergedPathsFor is pathsFor with state merging. Feasibility checking is
-// always on here (through the merge executor's own query cache): merged
-// loops whose cursors diverge into ite offsets need the solver to fold the
-// exit condition, and the merged disjunctive conditions are exactly the
-// shapes the qcache slicing must keep together — so this path doubles as a
-// differential test of cache-on-merged-conditions.
-func (t *Target) mergedPathsFor(n int) pathSet {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ps, ok := t.mpaths[n]; ok {
-		return ps
-	}
-	eng := &symex.Engine{
-		In:               t.in,
-		Budget:           t.budget,
-		MaxSteps:         1 << 14,
-		MaxPaths:         1 << 14,
-		Faults:           t.faults,
-		Merge:            true,
-		CheckFeasibility: true,
-		Cache:            t.mcache,
-	}
-	var args []symex.Value
-	if n < 0 {
-		args = []symex.Value{symex.NullValue()}
-	} else {
-		buf := symex.SymbolicString(t.in, "s", n)
-		eng.Objects = [][]*bv.Term{buf}
-		args = []symex.Value{symex.PtrValue(0, t.in.Int32(0))}
-	}
-	paths, err := eng.Run(t.F, args, bv.True)
-	ps := pathSet{paths: paths, err: err}
-	t.mpaths[n] = ps
-	return ps
-}
-
 // mapPath maps one symbolic path outcome, under the evaluator for the
 // concrete input, into the common result domain.
 func mapPath(p symex.Path, ev *bv.Evaluator) (Result, bool, error) {
@@ -425,28 +383,43 @@ func mapPath(p symex.Path, ev *bv.Evaluator) (Result, bool, error) {
 
 // pathsFor runs (or returns the cached) symbolic execution for a buffer with
 // n free content bytes plus the forced terminator; n == -1 is the NULL input.
-func (t *Target) pathsFor(n int) pathSet {
+// merged selects the merge oracle's run, memo and cache.
+func (t *Target) pathsFor(n int, merged bool) pathSet {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if ps, ok := t.paths[n]; ok {
+	memo := t.paths
+	if merged {
+		memo = t.mpaths
+	}
+	if ps, ok := memo[n]; ok {
 		return ps
 	}
-	// Feasibility pruning is off by default: it costs a SAT query per fork
-	// and buys nothing here — an infeasible path's condition simply never
-	// matches the concrete input during replay. Under Options.QCache it is
-	// switched on with the cache attached, so a cache answering Unsat for a
-	// satisfiable fork drops the path that should claim some concrete input
-	// and shows up as a "no-path" finding.
 	eng := &symex.Engine{
 		In:       t.in,
 		Budget:   t.budget,
 		MaxSteps: 1 << 14,
 		MaxPaths: 1 << 14,
 		Faults:   t.faults,
+		Merge:    merged,
 	}
-	if t.cache != nil {
-		eng.CheckFeasibility = true
-		eng.Cache = t.cache
+	switch {
+	case merged:
+		// Feasibility checking is always on under merging (through the merge
+		// executor's own query cache): merged loops whose cursors diverge
+		// into ite offsets need the solver to fold the exit condition, and
+		// the merged disjunctive conditions are exactly the shapes the
+		// qcache slicing must keep together — so this run doubles as a
+		// differential test of cache-on-merged-conditions.
+		eng.CheckFeasibility, eng.Cache = true, t.mcache
+	case t.cache != nil:
+		// Feasibility pruning is otherwise off by default: it costs a SAT
+		// query per fork and buys nothing here — an infeasible path's
+		// condition simply never matches the concrete input during replay.
+		// Under Options.QCache it is switched on with the cache attached, so
+		// a cache answering Unsat for a satisfiable fork drops the path that
+		// should claim some concrete input and shows up as a "no-path"
+		// finding.
+		eng.CheckFeasibility, eng.Cache = true, t.cache
 	}
 	var args []symex.Value
 	if n < 0 {
@@ -458,7 +431,7 @@ func (t *Target) pathsFor(n int) pathSet {
 	}
 	paths, err := eng.Run(t.F, args, bv.True)
 	ps := pathSet{paths: paths, err: err}
-	t.paths[n] = ps
+	memo[n] = ps
 	return ps
 }
 

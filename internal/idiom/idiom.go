@@ -10,10 +10,12 @@ package idiom
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"stringloops/internal/cegis"
 	"stringloops/internal/cir"
 	"stringloops/internal/cstr"
+	"stringloops/internal/engine"
 	"stringloops/internal/vocab"
 )
 
@@ -32,8 +34,16 @@ type Result struct {
 
 // Rewrite summarises a char *f(char *) loop function and compiles the
 // summary to a loop-free replacement. The synthesis options bound the search
-// exactly as in cegis.Synthesize.
+// exactly as in cegis.Synthesize; the self-check runs under the same budget,
+// so the timeout and cancellation bound the whole pass.
 func Rewrite(f *cir.Func, opts cegis.Options) (*Result, error) {
+	if opts.Budget == nil {
+		timeout := opts.Timeout
+		if timeout == 0 {
+			timeout = 30 * time.Second // cegis.Options' default
+		}
+		opts.Budget = engine.WithTimeout(timeout)
+	}
 	out, err := cegis.Synthesize(f, opts)
 	if err != nil && !errors.Is(err, cegis.ErrTimeout) {
 		return nil, err
@@ -50,9 +60,9 @@ func Rewrite(f *cir.Func, opts cegis.Options) (*Result, error) {
 	if maxEx == 0 {
 		maxEx = 3
 	}
-	ok, cex, err := cegis.VerifyFunctionEquivalence(f, replaced, maxEx)
+	ok, cex, err := cegis.VerifyFunctionEquivalence(f, replaced, maxEx, opts.Budget)
 	if err != nil {
-		return nil, fmt.Errorf("idiom: self-check failed: %v", err)
+		return nil, fmt.Errorf("idiom: self-check failed: %w", err)
 	}
 	if !ok {
 		return nil, fmt.Errorf("idiom: replacement disagrees with %s on %q", f.Name, cex)

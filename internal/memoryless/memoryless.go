@@ -294,18 +294,11 @@ func (spec *Spec) xContains(bvin *bv.Interner, c *bv.Term) *bv.Bool {
 	return out
 }
 
-// specOutcome is a guarded result of the specification on the bounded
-// symbolic string.
-type specOutcome struct {
-	guard *bv.Bool
-	res   vocab.Result
-}
-
 // outcomes enumerates the specification's guarded results over a symbolic
 // buffer of the given capacity (bytes[cap] is the forced NUL).
-func (spec *Spec) outcomes(bvin *bv.Interner, bytes []*bv.Term, dir Direction) []specOutcome {
+func (spec *Spec) outcomes(bvin *bv.Interner, bytes []*bv.Term, dir Direction) []vocab.SymOutcome {
 	maxLen := len(bytes) - 1
-	var out []specOutcome
+	var out []vocab.SymOutcome
 	inX := make([]*bv.Bool, maxLen+1)
 	isNul := make([]*bv.Bool, maxLen+1)
 	for i := 0; i <= maxLen; i++ {
@@ -322,13 +315,13 @@ func (spec *Spec) outcomes(bvin *bv.Interner, bytes []*bv.Term, dir Direction) [
 				for i := 0; i < j; i++ {
 					g = bvin.BAnd2(g, bvin.BNot1(inX[i]))
 				}
-				out = append(out, specOutcome{g, vocab.PtrResult(j)})
+				out = append(out, vocab.SymOutcome{Guard: g, Res: vocab.PtrResult(j)})
 			}
 			g := bv.True
 			for i := 0; i <= maxLen; i++ {
 				g = bvin.BAnd2(g, bvin.BNot1(inX[i]))
 			}
-			out = append(out, specOutcome{g, vocab.InvalidResult()})
+			out = append(out, vocab.SymOutcome{Guard: g, Res: vocab.InvalidResult()})
 			return out
 		}
 		// Hit at j: no X char and no NUL before j, X at j.
@@ -337,7 +330,7 @@ func (spec *Spec) outcomes(bvin *bv.Interner, bytes []*bv.Term, dir Direction) [
 			for i := 0; i < j; i++ {
 				g = bvin.BAndAll(g, bvin.BNot1(inX[i]), bvin.BNot1(isNul[i]))
 			}
-			out = append(out, specOutcome{g, vocab.PtrResult(j)})
+			out = append(out, vocab.SymOutcome{Guard: g, Res: vocab.PtrResult(j)})
 		}
 		// Miss: terminator at k with no X char before.
 		for k := 0; k <= maxLen; k++ {
@@ -345,7 +338,7 @@ func (spec *Spec) outcomes(bvin *bv.Interner, bytes []*bv.Term, dir Direction) [
 			for i := 0; i < k; i++ {
 				g = bvin.BAndAll(g, bvin.BNot1(inX[i]), bvin.BNot1(isNul[i]))
 			}
-			out = append(out, specOutcome{g, spec.missResult(k)})
+			out = append(out, vocab.SymOutcome{Guard: g, Res: spec.missResult(k)})
 		}
 		return out
 	}
@@ -363,7 +356,7 @@ func (spec *Spec) outcomes(bvin *bv.Interner, bytes []*bv.Term, dir Direction) [
 			later := bvin.BAndAll(alive(i), bvin.BNot1(isNul[i]), inX[i])
 			g = bvin.BAnd2(g, bvin.BNot1(later))
 		}
-		out = append(out, specOutcome{g, vocab.PtrResult(j)})
+		out = append(out, vocab.SymOutcome{Guard: g, Res: vocab.PtrResult(j)})
 	}
 	// Miss: no live X character at all; the guard enumerates the length.
 	for k := 0; k <= maxLen; k++ {
@@ -371,7 +364,7 @@ func (spec *Spec) outcomes(bvin *bv.Interner, bytes []*bv.Term, dir Direction) [
 		for i := 0; i < k; i++ {
 			g = bvin.BAndAll(g, bvin.BNot1(isNul[i]), bvin.BNot1(inX[i]))
 		}
-		out = append(out, specOutcome{g, spec.missResult(k)})
+		out = append(out, vocab.SymOutcome{Guard: g, Res: spec.missResult(k)})
 	}
 	return out
 }
@@ -470,37 +463,13 @@ func checkEquivalence(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions
 	bvin := bv.NewInterner().SetBudget(budget).SetFaults(faults)
 	cache := qcache.New(bvin).SetFaults(faults).SetDisk(opts.Disk)
 	buf := symex.SymbolicString(bvin, "s", maxLen)
-	eng := &symex.Engine{Objects: [][]*bv.Term{buf}, CheckFeasibility: true, Merge: opts.Merge, In: bvin, Budget: budget, Cache: cache, Faults: faults}
-	paths, err := eng.Run(loop, []symex.Value{symex.PtrValue(0, bvin.Int32(0))}, bv.True)
+	eng := &symex.Engine{CheckFeasibility: true, Merge: opts.Merge, In: bvin, Budget: budget, Cache: cache, Faults: faults}
+	paths, err := eng.RunLoop(loop, buf)
+	if errors.Is(err, symex.ErrTimeout) {
+		return false, nil, fmt.Errorf("%w: %w", ErrTimeout, err)
+	}
 	if err != nil {
-		if errors.Is(err, symex.ErrTimeout) {
-			return false, nil, fmt.Errorf("%w: %w", ErrTimeout, err)
-		}
 		return false, nil, fmt.Errorf("%w: %v", ErrUnsupported, err)
-	}
-	type loopPath struct {
-		cond *bv.Bool
-		kind vocab.ResultKind
-		off  *bv.Term
-	}
-	var lps []loopPath
-	for _, p := range paths {
-		lp := loopPath{cond: p.Cond}
-		switch {
-		case p.Err != nil:
-			if errors.Is(p.Err, symex.ErrUnsupported) {
-				return false, nil, fmt.Errorf("%w: %v", ErrUnsupported, p.Err)
-			}
-			lp.kind = vocab.Invalid
-		case p.Ret.IsNull():
-			lp.kind = vocab.Null
-		case p.Ret.IsPtr && p.Ret.Obj == 0:
-			lp.kind = vocab.Ptr
-			lp.off = p.Ret.Off
-		default:
-			lp.kind = vocab.Invalid
-		}
-		lps = append(lps, lp)
 	}
 
 	var lastCex []byte
@@ -512,21 +481,8 @@ func checkEquivalence(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions
 			// loops guarded with p > s return the start.
 			trySpec.Miss = MissStart
 		}
-		outs := trySpec.outcomes(bvin, buf, dir)
-		equal := bv.False
-		for _, lp := range lps {
-			for _, o := range outs {
-				if lp.kind != o.res.Kind {
-					continue
-				}
-				clause := bvin.BAnd2(lp.cond, o.guard)
-				if lp.kind == vocab.Ptr {
-					clause = bvin.BAnd2(clause, bvin.Eq(lp.off, bvin.Int32(int64(o.res.Off))))
-				}
-				equal = bvin.BOr2(equal, clause)
-			}
-		}
-		st, model := cache.CheckSat(budget, 0, bvin.BNot1(equal))
+		equal := symex.SameOutcome(bvin, paths, trySpec.outcomes(bvin, buf, dir))
+		st, cex := symex.Refute(cache, budget, 0, equal, buf)
 		switch st {
 		case sat.Unsat:
 			spec.Dir = dir
@@ -536,11 +492,6 @@ func checkEquivalence(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions
 			// The refutation query itself ran out of budget: neither verified
 			// nor refuted — surface the timeout rather than a wrong verdict.
 			return false, nil, ErrTimeout
-		}
-		ev := bv.NewEvaluator(model)
-		cex := make([]byte, maxLen+1)
-		for i := 0; i < maxLen; i++ {
-			cex[i] = byte(ev.Term(buf[i]))
 		}
 		lastCex = cex
 	}
