@@ -164,8 +164,7 @@ func StrWith(summary vocab.Program, n int, timeout time.Duration, cfg Config) Me
 // checkSat routes one query through the cache when enabled.
 func checkSat(cache *qcache.Cache, budget *engine.Budget, f *bv.Bool) sat.Status {
 	if cache != nil {
-		st, _ := cache.CheckSat(budget, 0, f)
-		return st
+		return cache.Decide(budget, 0, f)
 	}
 	st, _ := bv.CheckSat(budget, 0, f)
 	return st

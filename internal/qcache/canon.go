@@ -14,7 +14,7 @@ import (
 // This file is the canonical, interner-independent serialization of sliced
 // conjunct sets — the fix for the ordinal-keying bug and the foundation of
 // the persistent cache tier. The old exact-map key was a sorted set of
-// per-cache conjunct ordinals (idKey over c.ids): meaningless outside the
+// per-cache conjunct ordinals: meaningless outside the
 // cache that assigned them, so two pipelines building the same structural
 // query could never share an entry. Canonical keys are content addresses:
 //
@@ -170,8 +170,10 @@ func (c *Cache) conjKey(cj *bv.Bool) string {
 // deduplicated, serialized with alpha-renamed variables, hashed. Caller
 // holds c.mu.
 func (c *Cache) groupKeyOf(g group) groupKey {
-	memoKey := idKey(g.ids)
-	if gk, ok := c.groupKeys[memoKey]; ok {
+	// The lookup converts keyBuf in place (no allocation); only a store
+	// copies it into a string.
+	c.keyBuf = appendIDKey(c.keyBuf[:0], g.ids)
+	if gk, ok := c.groupKeys[string(c.keyBuf)]; ok {
 		return gk
 	}
 
@@ -201,7 +203,7 @@ func (c *Cache) groupKeyOf(g group) groupKey {
 	if len(c.groupKeys) >= maxExact {
 		c.groupKeys = map[string]groupKey{}
 	}
-	c.groupKeys[memoKey] = gk
+	c.groupKeys[string(c.keyBuf)] = gk
 	return gk
 }
 

@@ -138,7 +138,7 @@ func TestConjunctIDsAreContentBased(t *testing.T) {
 		t.Fatal("core query must be unsat")
 	}
 	c.mu.Lock()
-	idLo, idHi := c.id(lo), c.id(hi)
+	idLo, idHi := c.info(lo).id, c.info(hi).id
 	idLo2 := c.canonIDs[c.conjKey(lo)]
 	c.mu.Unlock()
 	if idLo != idLo2 {

@@ -18,14 +18,18 @@
 //     assumption literals. Symex forks that share a path prefix therefore
 //     blast the prefix once and pay only for their new branch condition.
 //
-// A Cache is scoped to one bv.Interner — conjunct identity is pointer
-// identity, so every formula passed to CheckSat must come from that interner.
+// CheckSat returns a model with a Sat verdict; Decide, for callers that need
+// only the status, does the same cache work without building one.
+//
+// A Cache is scoped to one bv.Interner — its per-conjunct memos are keyed by
+// node pointer, so every formula passed to CheckSat or Decide must come from
+// that interner.
 // This mirrors the per-pipeline interner discipline: one pipeline, one
 // interner, one cache. All methods are safe for concurrent use.
 package qcache
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -50,8 +54,9 @@ const (
 
 // Stats is a snapshot of cache effectiveness and solver-time accounting.
 type Stats struct {
-	// Queries counts CheckSat calls; Groups counts the independent slices
-	// they decomposed into (each group is one potential solver query).
+	// Queries counts CheckSat and Decide calls; Groups counts the
+	// independent slices they decomposed into (each group is one potential
+	// solver query).
 	Queries int64
 	Groups  int64
 	// ExactHits, ModelHits and SubsetHits partition the hits by reuse rule;
@@ -124,21 +129,25 @@ type Cache struct {
 	in *bv.Interner
 
 	mu sync.Mutex
-	// ids interns each distinct conjunct to a small integer. The pointer map
-	// is the fast path; canonIDs keys the same IDs by canonical serialization,
-	// so a conjunct's ID is a function of its structure, not of interning
-	// order. Sorted ID sets normalize groups for the subset-unsat rule.
-	ids      map[*bv.Bool]int
+	// conjs memoizes each conjunct's ID and dense variable ids (see info).
+	// canonIDs keys the same IDs by canonical serialization, so a
+	// conjunct's ID is a function of its structure, not of interning order.
+	// Sorted ID sets normalize groups for the subset-unsat rule.
+	conjs    map[*bv.Bool]conjInfo
 	canonIDs map[string]int
 	nextID   int
+	// varIDs numbers each sort-tagged variable name ("t:x" / "b:p") densely
+	// per cache, and varNames maps the numbers back, so slicing indexes
+	// slices instead of hashing names.
+	varIDs   map[string]int32
+	varNames []string
 	// conjCanon memoizes each conjunct's canonical serialization (original
 	// variable names kept — see canon.go).
 	conjCanon map[*bv.Bool]string
-	// groupKeys memoizes the canonical group key per sorted ID set.
+	// groupKeys memoizes the canonical group key per sorted ID set, keyed
+	// by the set rendered into keyBuf (see groupKeyOf).
 	groupKeys map[string]groupKey
-	// conjVars memoizes the deduped, sorted, sort-tagged variable names of
-	// each conjunct.
-	conjVars map[*bv.Bool][]string
+	keyBuf    []byte
 	// exact maps canonical group keys to verdicts. The canonical key is
 	// interner-independent, so with a disk store attached the map doubles as
 	// the write-through front of the persistent tier.
@@ -159,6 +168,11 @@ type Cache struct {
 	faults *faultpoint.Registry
 	stats  Stats
 
+	// Per-query scratch, reused under c.mu. Nothing that outlives a query
+	// may alias it.
+	conjBuf, flatBuf []*bv.Bool
+	scr              sliceScratch
+
 	// Metric handles, lazily bound from the budget's registry on the first
 	// query that carries one (hits/misses are mirrored by the budget itself;
 	// these cover the cache-shape metrics). All nil while observability is
@@ -172,15 +186,15 @@ type Cache struct {
 }
 
 // New returns an empty cache scoped to the given interner. Every formula
-// later passed to CheckSat/IsValid must be built by that interner.
+// later passed to CheckSat/Decide/IsValid must be built by that interner.
 func New(in *bv.Interner) *Cache {
 	return &Cache{
 		in:        in,
-		ids:       map[*bv.Bool]int{},
+		conjs:     map[*bv.Bool]conjInfo{},
 		canonIDs:  map[string]int{},
+		varIDs:    map[string]int32{},
 		conjCanon: map[*bv.Bool]string{},
 		groupKeys: map[string]groupKey{},
-		conjVars:  map[*bv.Bool][]string{},
 		exact:     map[string]exactEntry{},
 		solver:    bv.NewSolver(),
 	}
@@ -245,6 +259,25 @@ func (c *Cache) bindMetrics(b *engine.Budget) {
 // through slicing, the reuse cache and the incremental solver. Unknown
 // results are never cached.
 func (c *Cache) CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*bv.Bool) (sat.Status, *bv.Assignment) {
+	return c.check(b, maxConflicts, true, formulas)
+}
+
+// Decide is CheckSat for callers that need only the status, such as a
+// symbolic executor's per-fork feasibility check. It does the same cache
+// work in the same order, so every Stats field but the two times comes out
+// as under CheckSat, and so do the budget counters and the solver's
+// conflicts. What it skips is building a model for the caller: an exact hit
+// translates its stored model only while that model still has to be
+// released into the model-reuse list, and the groups' models are never
+// merged.
+func (c *Cache) Decide(b *engine.Budget, maxConflicts int64, formulas ...*bv.Bool) sat.Status {
+	st, _ := c.check(b, maxConflicts, false, formulas)
+	return st
+}
+
+// check is the one body behind CheckSat and Decide; wantModel says whether
+// the caller reads the model.
+func (c *Cache) check(b *engine.Budget, maxConflicts int64, wantModel bool, formulas []*bv.Bool) (sat.Status, *bv.Assignment) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bindMetrics(b)
@@ -262,10 +295,11 @@ func (c *Cache) CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*bv.B
 	// built from the simplified conjuncts — answer the original query: a
 	// variable simplified away is a don't-care, and the evaluator's
 	// zero-fill convention extends any returned model to it.
-	var conj []*bv.Bool
+	conj := c.conjBuf[:0]
 	for _, f := range formulas {
 		conj = bv.Conjuncts(conj, c.in.SimplifyBool(f))
 	}
+	c.conjBuf = conj
 	conj, unsat := dedupe(conj)
 	if unsat {
 		return sat.Unsat, nil
@@ -277,34 +311,41 @@ func (c *Cache) CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*bv.B
 	// is too. Pruning can mint constants and fresh conjunctions, so a changed
 	// conjunction is re-flattened and re-deduped.
 	if len(conj) <= maxPruneConjuncts && c.in.PruneConjuncts(conj) {
-		flat := make([]*bv.Bool, 0, len(conj))
+		flat := c.flatBuf[:0]
 		for _, cj := range conj {
 			flat = bv.Conjuncts(flat, cj)
 		}
+		c.flatBuf = flat
 		conj, unsat = dedupe(flat)
 		if unsat {
 			return sat.Unsat, nil
 		}
 	}
+	var merged *bv.Assignment
+	if wantModel {
+		merged = &bv.Assignment{Terms: map[string]uint64{}, Bools: map[string]bool{}}
+	}
 	if len(conj) == 0 {
-		return sat.Sat, &bv.Assignment{Terms: map[string]uint64{}, Bools: map[string]bool{}}
+		return sat.Sat, merged
 	}
 
 	groups := c.slice(conj)
 	c.stats.Groups += int64(len(groups))
 	c.mGroups.Add(int64(len(groups)))
-	merged := &bv.Assignment{Terms: map[string]uint64{}, Bools: map[string]bool{}}
 	for _, g := range groups {
 		if len(g.conj) > c.stats.MaxGroup {
 			c.stats.MaxGroup = len(g.conj)
 			c.gMaxGroup.SetMax(int64(len(g.conj)))
 		}
-		st, model := c.checkGroup(b, maxConflicts, g)
+		st, model := c.checkGroup(b, maxConflicts, g, wantModel)
 		switch st {
 		case sat.Unsat:
 			return sat.Unsat, nil
 		case sat.Unknown:
 			return sat.Unknown, nil
+		}
+		if !wantModel {
+			continue
 		}
 		// Groups are variable-disjoint by construction, so models merge
 		// without collisions.
@@ -318,19 +359,35 @@ func (c *Cache) CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*bv.B
 	return sat.Sat, merged
 }
 
+// dedupeScan is the conjunction length up to which dedupe finds duplicates
+// by scanning what it kept instead of building a map.
+const dedupeScan = 32
+
 // dedupe drops True and pointer-duplicate conjuncts in place, reporting
 // unsat=true when a False conjunct makes the whole query trivially unsat.
 func dedupe(conj []*bv.Bool) (out []*bv.Bool, unsat bool) {
-	seen := make(map[*bv.Bool]bool, len(conj))
+	var seen map[*bv.Bool]bool
+	if len(conj) > dedupeScan {
+		seen = make(map[*bv.Bool]bool, len(conj))
+	}
 	kept := conj[:0]
 	for _, cj := range conj {
-		if cj == bv.True || seen[cj] {
+		if cj == bv.True {
 			continue
 		}
 		if cj == bv.False {
 			return nil, true
 		}
-		seen[cj] = true
+		if seen == nil {
+			if slices.Contains(kept, cj) {
+				continue
+			}
+		} else {
+			if seen[cj] {
+				continue
+			}
+			seen[cj] = true
+		}
 		kept = append(kept, cj)
 	}
 	return kept, false
@@ -351,8 +408,9 @@ func (c *Cache) IsValid(b *engine.Budget, maxConflicts int64, f *bv.Bool) (valid
 }
 
 // checkGroup decides one independent slice, consulting the reuse rules
-// before the solver. Caller holds c.mu.
-func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.Status, *bv.Assignment) {
+// before the solver. The model comes back on Sat when wantModel is set (and
+// may come back anyway). Caller holds c.mu.
+func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group, wantModel bool) (sat.Status, *bv.Assignment) {
 	gk := c.groupKeyOf(g)
 
 	if c.faults.Fire(faultpoint.QCacheMiss) {
@@ -363,7 +421,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 	}
 
 	if e, ok := c.exact[gk.key]; ok {
-		return c.exactHit(b, gk, e)
+		return c.exactHit(b, gk, e, wantModel)
 	}
 
 	// Persistent tier: a verdict stored by another pipeline — or another
@@ -374,7 +432,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 			if st, vals, ok := decodeEntry(raw, len(gk.vars)); ok {
 				e := exactEntry{status: st, vals: vals}
 				c.storeExact(gk.key, e)
-				return c.exactHit(b, gk, e)
+				return c.exactHit(b, gk, e, wantModel)
 			}
 		}
 	}
@@ -394,7 +452,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 		if ok {
 			c.stats.ModelHits++
 			b.Add(engine.CacheHits, 1)
-			restricted := restrictModel(cm.asn, g.vars)
+			restricted := restrictModel(cm.asn, c.groupVars(g))
 			c.remember(b, gk, sat.Sat, restricted)
 			return sat.Sat, restricted
 		}
@@ -421,12 +479,17 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group) (sat.S
 // values into the group's own variable names. The first hit of a Sat entry
 // also releases the model into the model-reuse list: under ordinal keys this
 // group would have missed and its solve would have seeded the list, so the
-// release keeps the reuse rule's coverage intact. Caller holds c.mu.
-func (c *Cache) exactHit(b *engine.Budget, gk groupKey, e exactEntry) (sat.Status, *bv.Assignment) {
+// release keeps the reuse rule's coverage intact. That release happens
+// whether or not the caller wants the model; a later hit translates it only
+// for a caller that does. Caller holds c.mu.
+func (c *Cache) exactHit(b *engine.Budget, gk groupKey, e exactEntry, wantModel bool) (sat.Status, *bv.Assignment) {
 	c.stats.ExactHits++
 	b.Add(engine.CacheHits, 1)
 	if e.status != sat.Sat {
 		return e.status, nil
+	}
+	if e.spread && !wantModel {
+		return sat.Sat, nil
 	}
 	m := gk.modelFor(e.vals)
 	if !e.spread {
@@ -494,7 +557,7 @@ func (c *Cache) solveGroup(b *engine.Budget, maxConflicts int64, gk groupKey, g 
 		// The solver's model covers every variable ever blasted on it, so
 		// restrict to this group's variables before caching or merging —
 		// stale assignments to other queries' variables must not leak.
-		restricted := restrictModel(c.solver.ModelAssignment(), g.vars)
+		restricted := restrictModel(c.solver.ModelAssignment(), c.groupVars(g))
 		c.remember(b, gk, sat.Sat, restricted)
 		c.addModel(restricted)
 		return sat.Sat, restricted
@@ -503,7 +566,7 @@ func (c *Cache) solveGroup(b *engine.Budget, maxConflicts int64, gk groupKey, g 
 		if len(c.unsatCores) >= maxUnsatCores {
 			c.unsatCores = c.unsatCores[1:]
 		}
-		c.unsatCores = append(c.unsatCores, g.ids)
+		c.unsatCores = append(c.unsatCores, slices.Clone(g.ids))
 		return sat.Unsat, nil
 	default:
 		// Unknown (budget/conflict cap): not a verdict, never cached.
@@ -550,16 +613,15 @@ func restrictModel(m *bv.Assignment, vars []string) *bv.Assignment {
 	return out
 }
 
-// idKey renders a sorted ID set as a map key.
-func idKey(ids []int) string {
-	buf := make([]byte, 0, len(ids)*4)
+// appendIDKey renders a sorted ID set as a map key into buf.
+func appendIDKey(buf []byte, ids []int) []byte {
 	for i, id := range ids {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
 		buf = strconv.AppendInt(buf, int64(id), 10)
 	}
-	return string(buf)
+	return buf
 }
 
 // subsetOf reports whether sorted ID set a is contained in sorted ID set b.
@@ -578,42 +640,4 @@ func subsetOf(a, b []int) bool {
 		i++
 	}
 	return true
-}
-
-// id interns a conjunct to its small-integer ID by canonical content: two
-// conjuncts with the same structure get the same ID regardless of how (or in
-// what order) they were interned. Within one interner hash-consing makes
-// structural and pointer identity coincide, so the pointer map is a pure
-// fast path over the canonical map. Caller holds c.mu.
-func (c *Cache) id(cj *bv.Bool) int {
-	if id, ok := c.ids[cj]; ok {
-		return id
-	}
-	key := c.conjKey(cj)
-	id, ok := c.canonIDs[key]
-	if !ok {
-		id = c.nextID
-		c.nextID++
-		c.canonIDs[key] = id
-	}
-	c.ids[cj] = id
-	return id
-}
-
-// varsOf memoizes the deduped sorted tagged variable names of a conjunct.
-// Caller holds c.mu.
-func (c *Cache) varsOf(cj *bv.Bool) []string {
-	if vs, ok := c.conjVars[cj]; ok {
-		return vs
-	}
-	names := bv.VarNames(nil, cj)
-	sort.Strings(names)
-	uniq := names[:0]
-	for i, n := range names {
-		if i == 0 || names[i-1] != n {
-			uniq = append(uniq, n)
-		}
-	}
-	c.conjVars[cj] = uniq
-	return uniq
 }

@@ -203,13 +203,10 @@ func TestUnknownNotCached(t *testing.T) {
 	}
 }
 
-func TestAgainstDirectSolver(t *testing.T) {
-	// Randomized differential check: the cached chain must agree with
-	// direct bv.CheckSat on every query, and Sat models must evaluate the
-	// constraints true.
-	rng := rand.New(rand.NewSource(11))
-	in := bv.NewInterner()
-	c := New(in)
+// randomQueries generates n conjunctions of one to five random atoms over
+// four byte variables, deterministically from seed.
+func randomQueries(in *bv.Interner, seed int64, n int) [][]*bv.Bool {
+	rng := rand.New(rand.NewSource(seed))
 	vars := []*bv.Term{in.Var("a", 8), in.Var("b", 8), in.Var("c", 8), in.Var("d", 8)}
 	randTerm := func() *bv.Term {
 		t := vars[rng.Intn(len(vars))]
@@ -235,12 +232,24 @@ func TestAgainstDirectSolver(t *testing.T) {
 			return in.Ule(a, b)
 		}
 	}
-	for iter := 0; iter < 200; iter++ {
-		n := 1 + rng.Intn(5)
-		fs := make([]*bv.Bool, n)
+	queries := make([][]*bv.Bool, n)
+	for q := range queries {
+		fs := make([]*bv.Bool, 1+rng.Intn(5))
 		for i := range fs {
 			fs[i] = randAtom()
 		}
+		queries[q] = fs
+	}
+	return queries
+}
+
+func TestAgainstDirectSolver(t *testing.T) {
+	// Randomized differential check: the cached chain must agree with
+	// direct bv.CheckSat on every query, and Sat models must evaluate the
+	// constraints true.
+	in := bv.NewInterner()
+	c := New(in)
+	for iter, fs := range randomQueries(in, 11, 200) {
 		wantSt, _ := bv.CheckSat(nil, 0, fs...)
 		gotSt, gotM := c.CheckSat(nil, 0, fs...)
 		if gotSt != wantSt {
