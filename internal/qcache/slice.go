@@ -130,24 +130,6 @@ func resize[T any](buf []T, n int) []T {
 	return slices.Grow(buf[:0], n)[:n]
 }
 
-// groupVars returns the union of the group's tagged variable names, the
-// projection restrictModel needs. Only the model-reuse and solve paths
-// restrict a model, so the union is built there, not for every group.
-// Caller holds c.mu.
-func (c *Cache) groupVars(g group) []string {
-	var ids []int32
-	for _, cj := range g.conj {
-		ids = append(ids, c.info(cj).vars...)
-	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	vars := make([]string, len(ids))
-	for i, v := range ids {
-		vars[i] = c.varNames[v]
-	}
-	return vars
-}
-
 // info memoizes a conjunct's ID and dense variable ids. A conjunct's ID is
 // content-based: two conjuncts with the same canonical serialization get
 // the same ID regardless of how (or in what order) they were interned.
