@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -21,40 +22,43 @@ import (
 	"stringloops/internal/service"
 )
 
-// serveReport is the BENCH_9.json schema: the daemon under sustained
-// concurrent load over the corpus — latency percentiles, shed rate, the
-// degradation-rung histogram, and the drain-under-load measurement.
-type serveReport struct {
-	Benchmark   string `json:"benchmark"`
-	GoVersion   string `json:"go_version"`
-	MaxInFlight int    `json:"max_inflight"`
-	QueueDepth  int    `json:"queue_depth"`
-	Concurrency int    `json:"concurrency"`
-
-	Requests     int64 `json:"requests"`      // load-phase requests fired
-	Answered     int64 `json:"answered"`      // responses received (any status)
-	Completed    int64 `json:"completed"`     // 200s
-	HighWater    int64 `json:"high_water"`    // max concurrent outstanding requests
-	RetriesSpent int64 `json:"retries_spent"` // client-side retries during load
-
-	P50Ns int64   `json:"p50_ns"`
-	P99Ns int64   `json:"p99_ns"`
-	Shed  int64   `json:"shed"` // 429/503 sheds across both phases
-	Rate  float64 `json:"shed_rate"`
-
-	RungHistogram      map[string]int64 `json:"rung_histogram"`
-	StartRungHistogram map[string]int64 `json:"start_rung_histogram"`
-	ReconcileDrift     int64            `json:"reconcile_drift"`
-
-	DrainPhaseRequests int64 `json:"drain_phase_requests"`
-	DrainPhaseAnswered int64 `json:"drain_phase_answered"`
-	DrainNs            int64 `json:"drain_ns"`
-	DrainClean         bool  `json:"drain_clean"`
-	GoroutineLeaks     int   `json:"goroutine_leaks"`
+// daemon is a service.Server running in-process on a loopback listener,
+// with an HTTP client pooled for the lane's concurrency.
+type daemon struct {
+	srv  *service.Server
+	base string
+	hc   *http.Client
+	http *http.Server
+	done chan error
 }
 
-// benchTB adapts leakcheck's TB to the harness: failures print and flip
-// a flag the -check gate reads.
+func startDaemon(cfg service.Config, conns int) *daemon {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fatal("listen: %v", err)
+	}
+	d := &daemon{
+		srv:  service.New(cfg),
+		base: "http://" + ln.Addr().String(),
+		hc:   &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: conns}},
+		done: make(chan error, 1),
+	}
+	d.http = &http.Server{Handler: d.srv.Handler()}
+	go func() { d.done <- d.http.Serve(ln) }()
+	return d
+}
+
+// stop shuts the HTTP server down and drops the client's idle connections.
+func (d *daemon) stop() {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	d.http.Shutdown(ctx)
+	<-d.done
+	d.hc.CloseIdleConnections()
+}
+
+// benchTB adapts leakcheck's TB to the harness: each failure prints and
+// counts as one leak.
 type benchTB struct{ leaks int }
 
 func (b *benchTB) Helper() {}
@@ -63,17 +67,23 @@ func (b *benchTB) Errorf(format string, args ...any) {
 	b.leaks++
 }
 
-// serveLane boots the daemon in-process, sustains `concurrency`
-// outstanding requests over the corpus, then triggers a drain while a
-// second wave of clients is still firing — the SIGTERM-under-full-load
-// scenario — and gates: every request answered, drain inside its
-// deadline, zero goroutine leaks.
+// goroutineLeaks counts the goroutines still alive once a stopped daemon's
+// grace window has passed.
+func goroutineLeaks() int {
+	tb := &benchTB{}
+	leakcheck.CheckWithin(tb, 10*time.Second)
+	return tb.leaks
+}
+
+// serveLane writes BENCH_9.json: it boots the daemon in-process, sustains
+// `concurrency` outstanding requests over the corpus, then triggers a drain
+// while a second wave of clients is still firing — the SIGTERM-under-full-
+// load scenario. Its counts are invariants that hold at any size (CI gates a
+// -short run against the full file); with check it also gates the high-water
+// mark and the drain deadline.
 func serveLane(a laneArgs) {
 	const concurrency = 200
-	requests := int64(1500)
-	if a.short {
-		requests = 600
-	}
+	requests := int64(a.pick(1500, 600))
 	cfg := service.Config{
 		MaxInFlight:  runtime.GOMAXPROCS(0),
 		QueueDepth:   256,
@@ -83,34 +93,11 @@ func serveLane(a laneArgs) {
 	cfg.GlobalLimits.Conflicts *= int64(cfg.MaxInFlight)
 	cfg.GlobalLimits.Forks *= int64(cfg.MaxInFlight)
 	cfg.GlobalLimits.Nodes *= int64(cfg.MaxInFlight)
-	srv := service.New(cfg)
+	d := startDaemon(cfg, concurrency)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal("serve lane listen: %v", err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	httpDone := make(chan error, 1)
-	go func() { httpDone <- httpSrv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-
-	loops := loopdb.Corpus()
-	bodies := make([][]byte, 0, 12)
-	for _, l := range loops[:12] {
-		b, err := json.Marshal(service.Request{Source: l.Source, Func: l.FuncName})
-		if err != nil {
-			fatal("serve lane request encode: %v", err)
-		}
-		bodies = append(bodies, b)
-	}
-	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: concurrency}}
-
-	rep := serveReport{
-		Benchmark:   "BenchmarkServeDaemon",
-		GoVersion:   runtime.Version(),
-		MaxInFlight: cfg.MaxInFlight,
-		QueueDepth:  cfg.QueueDepth,
-		Concurrency: concurrency,
+	reqs := make([]service.Request, 0, 12)
+	for _, l := range loopdb.Corpus()[:12] {
+		reqs = append(reqs, service.Request{Source: l.Source, Func: l.FuncName})
 	}
 
 	// Load phase: `concurrency` workers keep one request outstanding each,
@@ -118,10 +105,6 @@ func serveLane(a laneArgs) {
 	// eventually completes.
 	var next, outstanding, highWater, answered, completed, retries atomic.Int64
 	latencies := make([][]time.Duration, concurrency)
-	reqs := make([]service.Request, 0, 12)
-	for _, l := range loops[:12] {
-		reqs = append(reqs, service.Request{Source: l.Source, Func: l.FuncName})
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < concurrency; w++ {
 		wg.Add(1)
@@ -129,14 +112,11 @@ func serveLane(a laneArgs) {
 			defer wg.Done()
 			lat := make([]time.Duration, 0, int(requests)/concurrency+1)
 			cl := &service.Client{
-				Base: base, HTTP: hc, MaxRetries: 8, Seed: uint64(w + 1),
+				Base: d.base, HTTP: d.hc, MaxRetries: 8, Seed: uint64(w + 1),
 				ClientID: fmt.Sprintf("bench-%d", w%16),
-				Sleep: func(ctx context.Context, d time.Duration) error {
+				Sleep: func(ctx context.Context, wait time.Duration) error {
 					retries.Add(1)
-					if d > 10*time.Millisecond {
-						d = 10 * time.Millisecond
-					}
-					time.Sleep(d)
+					time.Sleep(min(wait, 10*time.Millisecond))
 					return nil
 				},
 			}
@@ -161,21 +141,11 @@ func serveLane(a laneArgs) {
 		}(w)
 	}
 	wg.Wait()
-	rep.Requests = requests
-	rep.Answered = answered.Load()
-	rep.Completed = completed.Load()
-	rep.HighWater = highWater.Load()
-	rep.RetriesSpent = retries.Load()
-
 	var all []time.Duration
 	for _, l := range latencies {
 		all = append(all, l...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if len(all) > 0 {
-		rep.P50Ns = int64(all[len(all)/2])
-		rep.P99Ns = int64(all[len(all)*99/100])
-	}
 
 	// Drain phase: a second wave keeps firing while Drain runs. Every
 	// request in flight when the drain begins must be answered — at a
@@ -187,6 +157,10 @@ func serveLane(a laneArgs) {
 		wave.Add(1)
 		go func(w int) {
 			defer wave.Done()
+			body, err := json.Marshal(reqs[w%len(reqs)])
+			if err != nil {
+				fatal("serve lane request encode: %v", err)
+			}
 			for {
 				select {
 				case <-stop:
@@ -194,8 +168,7 @@ func serveLane(a laneArgs) {
 				default:
 				}
 				drainFired.Add(1)
-				resp, err := hc.Post(base+"/summarize", "application/json",
-					strings.NewReader(string(bodies[w%len(bodies)])))
+				resp, err := d.hc.Post(d.base+"/summarize", "application/json", bytes.NewReader(body))
 				if err != nil {
 					continue // a broken connection stays unanswered
 				}
@@ -205,76 +178,75 @@ func serveLane(a laneArgs) {
 		}(w)
 	}
 	time.Sleep(50 * time.Millisecond)
-	drainDeadline := 60 * time.Second
+	const drainDeadline = 60 * time.Second
 	dctx, dcancel := context.WithTimeout(context.Background(), drainDeadline)
 	drainStart := time.Now()
-	drainErr := srv.Drain(dctx)
-	rep.DrainNs = int64(time.Since(drainStart))
+	drainErr := d.srv.Drain(dctx)
+	drainTime := time.Since(drainStart)
 	dcancel()
 	close(stop)
 	wave.Wait()
-	rep.DrainPhaseRequests = drainFired.Load()
-	rep.DrainPhaseAnswered = drainAnswered.Load()
-	rep.DrainClean = drainErr == nil
-
-	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-	httpSrv.Shutdown(sctx)
-	scancel()
-	<-httpDone
-	hc.CloseIdleConnections()
+	d.stop()
 
 	snap := cfg.Metrics.Snapshot()
-	rep.RungHistogram = map[string]int64{}
-	rep.StartRungHistogram = map[string]int64{}
+	rungs, startRungs := map[string]int64{}, map[string]int64{}
 	for name, v := range snap.Counters {
 		if r, ok := strings.CutPrefix(name, service.MSvcRungPrefix); ok {
-			rep.RungHistogram[r] = v
+			rungs[r] = v
 		}
 		if r, ok := strings.CutPrefix(name, service.MSvcStartPrefix); ok {
-			rep.StartRungHistogram[r] = v
+			startRungs[r] = v
 		}
 	}
-	rep.Shed = snap.Counters[service.MSvcShedQueueFull] + snap.Counters[service.MSvcShedRateLimit] +
+	shed := snap.Counters[service.MSvcShedQueueFull] + snap.Counters[service.MSvcShedRateLimit] +
 		snap.Counters[service.MSvcShedDraining] + snap.Counters[service.MSvcShedInjected]
+	shedRate := 0.0
 	if total := snap.Counters[service.MSvcRequests]; total > 0 {
-		rep.Rate = float64(rep.Shed) / float64(total)
+		shedRate = float64(shed) / float64(total)
 	}
-	rep.ReconcileDrift = snap.Counters[service.MSvcReconcileDrift]
+	var p50, p99 time.Duration
+	if len(all) > 0 {
+		p50, p99 = all[len(all)/2], all[len(all)*99/100]
+	}
 
-	tb := &benchTB{}
-	leakcheck.CheckWithin(tb, 10*time.Second)
-	rep.GoroutineLeaks = tb.leaks
+	unanswered, incomplete := requests-answered.Load(), requests-completed.Load()
+	drainUnanswered := drainFired.Load() - drainAnswered.Load()
+	drift, leaks := snap.Counters[service.MSvcReconcileDrift], goroutineLeaks()
 
-	writeReport(rep, a.out)
+	report{Benchmark: "BenchmarkServeDaemon", Counts: map[string]any{
+		"unanswered": unanswered, "incomplete": incomplete, "drain_unanswered": drainUnanswered,
+		"drain_clean": drainErr == nil, "reconcile_drift": drift, "goroutine_leaks": leaks,
+	}, Metrics: map[string]any{
+		"max_inflight": cfg.MaxInFlight, "queue_depth": cfg.QueueDepth, "concurrency": concurrency,
+		"requests": requests, "answered": answered.Load(), "completed": completed.Load(),
+		"high_water": highWater.Load(), "retries_spent": retries.Load(),
+		"p50_ns": p50, "p99_ns": p99, "shed": shed, "shed_rate": shedRate,
+		"rung_histogram": rungs, "start_rung_histogram": startRungs,
+		"drain_phase_requests": drainFired.Load(), "drain_phase_answered": drainAnswered.Load(),
+		"drain_ns": drainTime,
+	}}.write(a.out)
 
 	if a.check {
-		if rep.Answered != rep.Requests {
-			fatal("serve check failed: %d of %d load requests answered", rep.Answered, rep.Requests)
-		}
-		if rep.Completed != rep.Requests {
-			fatal("serve check failed: %d of %d load requests completed after retries", rep.Completed, rep.Requests)
-		}
-		if rep.HighWater < int64(concurrency)*9/10 {
-			fatal("serve check failed: high-water concurrency %d never approached %d", rep.HighWater, concurrency)
-		}
-		if !rep.DrainClean {
+		switch {
+		case unanswered != 0:
+			fatal("serve check failed: %d of %d load requests answered", answered.Load(), requests)
+		case incomplete != 0:
+			fatal("serve check failed: %d of %d load requests completed after retries", completed.Load(), requests)
+		case highWater.Load() < concurrency*9/10:
+			fatal("serve check failed: high-water concurrency %d never approached %d", highWater.Load(), concurrency)
+		case drainErr != nil:
 			fatal("serve check failed: drain under load: %v", drainErr)
-		}
-		if rep.DrainNs >= int64(drainDeadline) {
-			fatal("serve check failed: drain took %v (deadline %v)", time.Duration(rep.DrainNs), drainDeadline)
-		}
-		if rep.DrainPhaseAnswered != rep.DrainPhaseRequests {
+		case drainTime >= drainDeadline:
+			fatal("serve check failed: drain took %v (deadline %v)", drainTime, drainDeadline)
+		case drainUnanswered != 0:
 			fatal("serve check failed: %d of %d drain-phase requests answered (broken connections)",
-				rep.DrainPhaseAnswered, rep.DrainPhaseRequests)
-		}
-		if rep.ReconcileDrift != 0 {
-			fatal("serve check failed: %d requests with budget<->metrics drift", rep.ReconcileDrift)
-		}
-		if rep.GoroutineLeaks != 0 {
-			fatal("serve check failed: %d leaked goroutines", rep.GoroutineLeaks)
+				drainAnswered.Load(), drainFired.Load())
+		case drift != 0:
+			fatal("serve check failed: %d requests with budget<->metrics drift", drift)
+		case leaks != 0:
+			fatal("serve check failed: %d leaked goroutines", leaks)
 		}
 		fmt.Printf("serve check ok: %d requests, high-water %d, p50 %v, p99 %v, shed rate %.3f, drain %v\n",
-			rep.Requests, rep.HighWater, time.Duration(rep.P50Ns), time.Duration(rep.P99Ns),
-			rep.Rate, time.Duration(rep.DrainNs))
+			requests, highWater.Load(), p50, p99, shedRate, drainTime)
 	}
 }

@@ -6,139 +6,66 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"runtime"
 	"strings"
 	"time"
 
 	"stringloops/internal/engine"
-	"stringloops/internal/leakcheck"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/obs"
 	"stringloops/internal/service"
 )
 
-// telemetryReport is the BENCH_10.json schema: the provenance and exposition
-// surface measured end to end — plain vs explain request cost, reconcile
-// drift, the Prometheus scrape, the merged client+server trace, and the
-// gated micro number for the disabled-mode hot-path cost of the spend
-// collection behind provenance.
-type telemetryReport struct {
-	Benchmark string `json:"benchmark"`
-	GoVersion string `json:"go_version"`
-
-	Requests  int64 `json:"requests"`
-	Completed int64 `json:"completed"`
-	Explained int64 `json:"explained"`
-
-	PlainNsPerOp   int64 `json:"plain_ns_per_op"`
-	ExplainNsPerOp int64 `json:"explain_ns_per_op"`
-	// NsRatioExplainOverPlain is the macro cost of asking for provenance;
-	// informational — request wall time at this scale is solver-dominated.
-	NsRatioExplainOverPlain float64 `json:"ns_ratio_explain_over_plain"`
-
-	// The correctness half: drift counts requests where the server's metric
-	// registry disagreed with the summed budget spend; every explain response
-	// must come back reconciled with per-attempt spends partitioning the
-	// totals exactly.
-	ReconcileDrift       int64 `json:"reconcile_drift"`
-	ProvenanceReconciled bool  `json:"provenance_reconciled"`
-	SpendPartitionExact  bool  `json:"spend_partition_exact"`
-
-	PromValid    bool  `json:"prom_valid"`
-	PromSeries   int   `json:"prom_series"`
-	PromScrapeNs int64 `json:"prom_scrape_ns"`
-
-	MergedTraceValid  bool `json:"merged_trace_valid"`
-	MergedTraceEvents int  `json:"merged_trace_events"`
-	TraceLanes        int  `json:"trace_lanes"`
-
-	// The micro lane times the per-segment spend-collection pattern (reading
-	// every budget counter into a totals struct, the work behind provenance
-	// and reconciliation) against the bare instrumented loop from BENCH_5.
-	// One collection per 4096 hot iterations is still far more frequent than
-	// reality — provenance is collected once per request, and a request runs
-	// at least tens of thousands of solver iterations.
-	MicroIters           int     `json:"micro_iters"`
-	MicroBatch           int     `json:"micro_batch"`
-	MicroBareNs          int64   `json:"micro_bare_ns"`
-	MicroTelemetryNs     int64   `json:"micro_telemetry_ns"`
-	DisabledOverheadPct  float64 `json:"disabled_overhead_pct"`
-	DisabledOverheadGate float64 `json:"disabled_overhead_gate_pct"`
-
-	GoroutineLeaks int `json:"goroutine_leaks"`
-}
-
-// telemetryLane boots the daemon in-process with deterministic tracers on
-// both sides, runs the corpus head plain and again with -explain, scrapes
-// the Prometheus exposition, merges the client and server traces, and gates
-// the whole provenance surface: zero drift, reconciled provenance whose
-// attempt spends partition the totals, a valid scrape, a valid merged
-// trace, and disabled-mode micro overhead within the PR 5 bar.
+// telemetryLane writes BENCH_10.json: it boots the daemon in-process with
+// deterministic tracers on both sides, runs the corpus head plain and again
+// with explain, scrapes the Prometheus exposition, merges the client and
+// server traces, and times the disabled-mode hot-path patterns. With check
+// it gates the whole provenance surface: zero drift, reconciled provenance
+// whose attempt spends partition the totals, a valid scrape, a valid merged
+// trace with a lane per loop, no leaked goroutines, and both hot-path
+// overheads within gatePct.
 func telemetryLane(a laneArgs) {
-	reqsPerPhase := 24
-	if a.short {
-		reqsPerPhase = 8
-	}
-
-	serverTracer := obs.NewDeterministic()
-	clientTracer := obs.NewDeterministic()
+	reqsPerPhase := a.pick(24, 8)
+	serverTracer, clientTracer := obs.NewDeterministic(), obs.NewDeterministic()
 	m := obs.NewMetrics()
-	cfg := service.Config{
+	d := startDaemon(service.Config{
 		MaxInFlight: runtime.GOMAXPROCS(0),
 		QueueDepth:  64,
 		Metrics:     m,
 		Tracer:      serverTracer,
 		Overload:    service.OverloadPolicy{Disable: true},
-	}
-	srv := service.New(cfg)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal("telemetry lane listen: %v", err)
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	httpDone := make(chan error, 1)
-	go func() { httpDone <- httpSrv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 8}}
-
+	}, 8)
 	loops := loopdb.Corpus()[:6]
-	cl := &service.Client{Base: base, HTTP: hc, Seed: 1, ClientID: "bench-telemetry", Tracer: clientTracer}
-	ctx := context.Background()
+	cl := &service.Client{Base: d.base, HTTP: d.hc, Seed: 1, ClientID: "bench-telemetry", Tracer: clientTracer}
 
-	rep := telemetryReport{
-		Benchmark:            "BenchmarkTelemetry",
-		GoVersion:            runtime.Version(),
-		DisabledOverheadGate: 2.0,
-	}
-
+	var requests, completed, explained int64
+	reconciled, partitionExact := true, true
 	phase := func(explain bool) (nsPerOp int64) {
 		start := time.Now()
 		for i := 0; i < reqsPerPhase; i++ {
 			l := loops[i%len(loops)]
-			resp, err := cl.Summarize(ctx, service.Request{
+			resp, err := cl.Summarize(context.Background(), service.Request{
 				Source: l.Source, Func: l.FuncName, Explain: explain,
 			})
-			rep.Requests++
+			requests++
 			if err != nil {
 				fatal("telemetry lane request: %v", err)
 			}
-			rep.Completed++
+			completed++
 			if !explain {
 				if resp.Provenance != nil {
 					fatal("telemetry lane: plain request carried provenance")
 				}
 				continue
 			}
-			rep.Explained++
+			explained++
 			p := resp.Provenance
 			if p == nil {
 				fatal("telemetry lane: explain request returned no provenance")
 			}
 			if !p.Reconciled {
-				rep.ProvenanceReconciled = false
+				reconciled = false
 				continue
 			}
 			var sum engine.Spend
@@ -148,40 +75,30 @@ func telemetryLane(a laneArgs) {
 				}
 			}
 			if sum != p.Totals {
-				rep.SpendPartitionExact = false
+				partitionExact = false
 			}
 		}
 		return int64(time.Since(start)) / int64(reqsPerPhase)
 	}
-	rep.ProvenanceReconciled = true
-	rep.SpendPartitionExact = true
-	rep.PlainNsPerOp = phase(false)
-	rep.ExplainNsPerOp = phase(true)
-	rep.NsRatioExplainOverPlain = ratio(rep.ExplainNsPerOp, rep.PlainNsPerOp)
+	plainNs := phase(false)
+	explainNs := phase(true)
 
 	// Prometheus scrape through the real endpoint, validated like CI does.
 	scrapeStart := time.Now()
-	resp, err := hc.Get(base + "/metrics?format=prom")
+	resp, err := d.hc.Get(d.base + "/metrics?format=prom")
 	if err != nil {
 		fatal("telemetry lane scrape: %v", err)
 	}
 	prom, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	rep.PromScrapeNs = int64(time.Since(scrapeStart))
+	scrapeNs := int64(time.Since(scrapeStart))
 	if err != nil {
 		fatal("telemetry lane scrape read: %v", err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		fatal("telemetry lane scrape: status %d", resp.StatusCode)
 	}
-	rep.PromValid = obs.ValidatePrometheus(prom) == nil
-	rep.PromSeries = strings.Count(string(prom), "# TYPE ")
-
-	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-	httpSrv.Shutdown(sctx)
-	scancel()
-	<-httpDone
-	hc.CloseIdleConnections()
+	d.stop()
 
 	// Merge the two sides' traces the way tracecheck -merge does.
 	var clientBuf, serverBuf bytes.Buffer
@@ -195,70 +112,121 @@ func telemetryLane(a laneArgs) {
 	if err != nil {
 		fatal("telemetry lane trace merge: %v", err)
 	}
-	rep.MergedTraceValid = obs.ValidateChromeTrace(merged) == nil
-	rep.MergedTraceEvents, rep.TraceLanes = countMergedTrace(merged)
+	traceValid := obs.ValidateChromeTrace(merged) == nil
+	events, lanes := countMergedTrace(merged)
 
-	snap := m.Snapshot()
-	rep.ReconcileDrift = snap.Counters[service.MSvcReconcileDrift]
+	// Micro gates, best-of-3 each. The budget flush (one budget.Add per
+	// 256-iteration segment, the pattern every instrumented hot loop uses)
+	// against a bare loop; then one full spend collection per 4096-iteration
+	// segment — the work behind provenance and reconciliation, which in
+	// reality happens once per request — against the budget-flushed loop.
+	// Collect the daemon phase's garbage first, as testing.B does before a
+	// benchmark, so a GC cycle it left running cannot land in one side of a
+	// comparison.
+	runtime.GC()
+	iters := a.pick(fullIters, shortIters)
+	newBudget := func() *engine.Budget { return engine.NewBudget(nil, engine.Limits{}) }
+	flushPct, flush := overhead(256,
+		func() int64 { return hotPathBare(iters, 256) },
+		func() int64 { return hotPathBudget(iters, 256, newBudget()) })
+	collectPct, collect := overhead(4096,
+		func() int64 { return hotPathBudget(iters, 4096, newBudget()) },
+		func() int64 { return hotPathSpendCollect(iters, 4096, newBudget()) })
 
-	// Micro gate: the spend-collection pattern against the bare instrumented
-	// loop, best-of-3 like the BENCH_5 lane.
-	iters := 50_000_000
-	if a.short {
-		iters = 5_000_000
-	}
-	const batch = 4096
-	rep.MicroIters, rep.MicroBatch = iters, batch
-	rep.MicroBareNs = bestOf(3, func() int64 {
-		return hotPathBudget(iters, batch, engine.NewBudget(nil, engine.Limits{}))
-	})
-	rep.MicroTelemetryNs = bestOf(3, func() int64 {
-		return hotPathSpendCollect(iters, batch, engine.NewBudget(nil, engine.Limits{}))
-	})
-	rep.DisabledOverheadPct = 100 * (float64(rep.MicroTelemetryNs)/float64(rep.MicroBareNs) - 1)
-
-	tb := &benchTB{}
-	leakcheck.CheckWithin(tb, 10*time.Second)
-	rep.GoroutineLeaks = tb.leaks
-
-	writeReport(rep, a.out)
+	drift, leaks := m.Snapshot().Counters[service.MSvcReconcileDrift], goroutineLeaks()
+	promValid := obs.ValidatePrometheus(prom) == nil
+	report{Benchmark: "BenchmarkTelemetry", Counts: map[string]any{
+		"requests": requests, "completed": completed, "explained": explained,
+		"reconcile_drift": drift, "provenance_reconciled": reconciled, "spend_partition_exact": partitionExact,
+		"prom_valid": promValid, "prom_series": strings.Count(string(prom), "# TYPE "),
+		"merged_trace_valid": traceValid, "merged_trace_events": events, "trace_lanes": lanes,
+		"goroutine_leaks": leaks,
+	}, Metrics: map[string]any{
+		"plain_ns_per_op": plainNs, "explain_ns_per_op": explainNs,
+		"ns_ratio_explain_over_plain": ratio(explainNs, plainNs),
+		"prom_scrape_ns":              scrapeNs,
+		"micro_iters":                 iters,
+		"budget_flush":                flush,
+		"spend_collect":               collect,
+	}}.write(a.out)
 
 	if a.check {
-		if rep.ReconcileDrift != 0 {
-			fatal("telemetry check failed: %d requests with budget<->metrics drift", rep.ReconcileDrift)
-		}
-		if !rep.ProvenanceReconciled {
+		switch {
+		case drift != 0:
+			fatal("telemetry check failed: %d requests with budget<->metrics drift", drift)
+		case !reconciled:
 			fatal("telemetry check failed: explain responses came back unreconciled")
-		}
-		if !rep.SpendPartitionExact {
+		case !partitionExact:
 			fatal("telemetry check failed: per-attempt spends do not partition the totals")
-		}
-		if !rep.PromValid {
+		case !promValid:
 			fatal("telemetry check failed: /metrics?format=prom is not valid exposition format")
-		}
-		if !rep.MergedTraceValid || rep.MergedTraceEvents == 0 {
+		case !traceValid || events == 0:
 			fatal("telemetry check failed: merged client+server trace invalid or empty")
+		case lanes < len(loops):
+			fatal("telemetry check failed: %d trace lanes for %d distinct loops", lanes, len(loops))
+		case flushPct > gatePct:
+			fatal("telemetry check failed: disabled-mode budget-flush overhead %.2f%% > %.1f%%", flushPct, gatePct)
+		case collectPct > gatePct:
+			fatal("telemetry check failed: disabled-mode spend-collection overhead %.2f%% > %.1f%%", collectPct, gatePct)
+		case leaks != 0:
+			fatal("telemetry check failed: %d leaked goroutines", leaks)
 		}
-		if rep.TraceLanes < len(loops) {
-			fatal("telemetry check failed: %d trace lanes for %d distinct requests", rep.TraceLanes, rep.Requests)
-		}
-		if rep.DisabledOverheadPct > rep.DisabledOverheadGate {
-			fatal("telemetry check failed: disabled-mode spend-collection overhead %.2f%% > %.1f%%",
-				rep.DisabledOverheadPct, rep.DisabledOverheadGate)
-		}
-		if rep.GoroutineLeaks != 0 {
-			fatal("telemetry check failed: %d leaked goroutines", rep.GoroutineLeaks)
-		}
-		fmt.Printf("telemetry check ok: %d requests (%d explained), drift 0, %d prom series, %d merged events on %d lanes, overhead %.2f%%\n",
-			rep.Requests, rep.Explained, rep.PromSeries, rep.MergedTraceEvents, rep.TraceLanes, rep.DisabledOverheadPct)
+		fmt.Printf("telemetry check ok: %d requests (%d explained), drift 0, %d merged events on %d lanes, overhead %.2f%% flush, %.2f%% collect\n",
+			requests, explained, events, lanes, flushPct, collectPct)
 	}
+}
+
+// overhead times instrumented against reference, best of 3 each, and
+// returns the overhead in percent with the metrics entry recording it.
+func overhead(batch int, reference, instrumented func() int64) (float64, map[string]any) {
+	ref, inst := bestOf(3, reference), bestOf(3, instrumented)
+	pct := 100 * (float64(inst)/float64(ref) - 1)
+	return pct, map[string]any{"batch": batch, "reference_ns": ref, "instrumented_ns": inst, "overhead_pct": pct}
+}
+
+// hotPathBare is the reference: batch-sized segments of data-dependent work
+// with a plain local stat counter — the shape of the sat propagate loop and
+// the symex instruction loop, which keep stats loop-local and flush only at
+// segment boundaries.
+func hotPathBare(iters, batch int) int64 {
+	var acc int64
+	start := time.Now()
+	for done := 0; done < iters; done += batch {
+		var local int64
+		for i := 0; i < batch && done+i < iters; i++ {
+			acc += acc>>1 ^ int64(done+i)
+			local++
+		}
+		acc += local
+	}
+	sink = acc
+	return int64(time.Since(start))
+}
+
+// hotPathBudget is the identical segmented loop under the instrumentation
+// pattern the solver hot paths use: the local counter is flushed through
+// the (nil-checked, mirror-charging) budget once per segment, never per
+// iteration.
+func hotPathBudget(iters, batch int, budget *engine.Budget) int64 {
+	var acc int64
+	start := time.Now()
+	for done := 0; done < iters; done += batch {
+		var local int64
+		for i := 0; i < batch && done+i < iters; i++ {
+			acc += acc>>1 ^ int64(done+i)
+			local++
+		}
+		acc += local
+		budget.Add(engine.Propagations, local)
+	}
+	sink = acc + budget.Count(engine.Propagations)
+	return int64(time.Since(start))
 }
 
 // hotPathSpendCollect is hotPathBudget plus one full spend collection per
 // segment — every budget counter read into a totals struct and folded, the
 // exact work the server does once per request to build provenance and
-// reconcile it. The gate says this stays within the BENCH_5 bar even at a
-// per-segment (not per-request) cadence.
+// reconcile it.
 func hotPathSpendCollect(iters, batch int, budget *engine.Budget) int64 {
 	var acc int64
 	var fold engine.Spend
@@ -277,13 +245,28 @@ func hotPathSpendCollect(iters, batch int, budget *engine.Budget) int64 {
 	return int64(time.Since(start))
 }
 
+// sink defeats dead-code elimination of the measurement loops.
+var sink int64
+
+// bestOf returns the minimum of n timings — the standard noise filter for
+// micro measurements.
+func bestOf(n int, f func() int64) int64 {
+	best := f()
+	for i := 1; i < n; i++ {
+		if t := f(); t < best {
+			best = t
+		}
+	}
+	return best
+}
+
 // countMergedTrace returns the merged trace's duration-event count and the
-// number of distinct (pid, tid) lanes carrying them.
+// number of distinct tids carrying them. The merge gives each trace id (one
+// per request) its own tid on both sides, and untraced events tid 0.
 func countMergedTrace(data []byte) (events, lanes int) {
 	var tr struct {
 		TraceEvents []struct {
 			Ph  string `json:"ph"`
-			PID int    `json:"pid"`
 			TID int    `json:"tid"`
 		} `json:"traceEvents"`
 	}

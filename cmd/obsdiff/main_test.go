@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestRuleParsing(t *testing.T) {
 	for _, tc := range []struct {
@@ -81,5 +86,50 @@ func TestDiffGates(t *testing.T) {
 				t.Fatalf("diff exit = %d, want %d", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestBenchGatesCoverEveryCount holds cmd/bench/gates.txt to the checked-in
+// lane files, read the way CI reads them: every leaf under a report's or a
+// run's counts must resolve to an exact rule, and no other leaf may be gated
+// or skipped, so no broad pattern can swallow a count unreported (as a
+// '*ns*=skip' rule once swallowed every runs.* key of BENCH_6).
+func TestBenchGatesCoverEveryCount(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "bench", "gates.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rules ruleList
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if err := rules.Set(line); err != nil {
+			t.Fatalf("gates.txt: %v", err)
+		}
+	}
+	for _, file := range []string{"BENCH_3.json", "BENCH_6.json", "BENCH_7.json", "BENCH_9.json", "BENCH_10.json"} {
+		flat, err := loadFlat(filepath.Join("..", "..", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := 0
+		for key := range flat {
+			seg := strings.Split(key, ".")
+			isCount := seg[0] == "counts" || (len(seg) > 3 && seg[0] == "runs" && seg[2] == "counts")
+			ru := findRule(rules, key)
+			switch {
+			case isCount && (ru == nil || ru.spec != "="):
+				t.Errorf("%s: count %s is not gated exactly", file, key)
+			case !isCount && ru != nil:
+				t.Errorf("%s: %s is not a count but matches rule %s=%s", file, key, ru.pattern, ru.spec)
+			}
+			if isCount {
+				counts++
+			}
+		}
+		if counts == 0 {
+			t.Errorf("%s: no counts leaves", file)
+		}
 	}
 }

@@ -9,9 +9,9 @@
 // near-free on its zero/nil value. A nil *Tracer starts no-op spans, a nil
 // *Counter adds nothing, a nil *Metrics hands out nil instruments — so
 // instrumented hot paths pay one predicted nil check when observability is
-// disabled, and layers thread obs handles without guards. The overhead
-// benchmark (overhead_bench_test.go, cmd/bench -obs) holds the disabled
-// cost under 2%.
+// disabled, and layers thread obs handles without guards. The disabled
+// cost is held under 2% by `cmd/bench -lane telemetry -check`, and the
+// nil-instrument benchmarks in metrics_test.go measure it per call.
 //
 // Layers do not pass obs handles explicitly: they ride the already-threaded
 // *engine.Budget (Budget.Tracer / Budget.Metrics), which in turn picks them

@@ -130,9 +130,9 @@ func TestDumpMentionsEveryInstrument(t *testing.T) {
 	}
 }
 
-// The disabled-mode cost the ISSUE gates at 2%: charging nil instruments and
-// nil spans must stay within nanoseconds of a bare loop. CI keeps these as
-// benchmarks; cmd/bench -obs turns the same pattern into the BENCH_5 gate.
+// The disabled-mode cost gated at 2%: charging nil instruments and nil spans
+// must stay within nanoseconds of a bare loop. These stay benchmarks;
+// `cmd/bench -lane telemetry -check` gates the budget-flush pattern.
 
 func BenchmarkCounterDisabled(b *testing.B) {
 	var c *Counter
