@@ -42,13 +42,13 @@ import (
 
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
-	"stringloops/internal/cliflags"
 	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/kleebench"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/memoryless"
 	"stringloops/internal/qcache"
+	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
 
@@ -136,7 +136,8 @@ func main() {
 	check := flag.Bool("check", false, "exit 1 unless the lane's feature gate holds")
 	out := flag.String("out", "", "output JSON path (default: the lane's BENCH_*.json; an explicit empty value = stdout only)")
 	child := flag.Bool("persist-child", false, "internal: run one corpus sweep over -cache-dir and print its result (the persist lane's worker phase)")
-	cacheDir := cliflags.CacheDir(nil)
+	cacheDir := flag.String("cache-dir", "",
+		"directory for the persistent cache tier (solver counterexamples and whole-loop summary memos, shared across runs and processes); empty = off")
 	flag.Parse()
 	if *child {
 		persistChildRun(*cacheDir, *short)
@@ -218,8 +219,8 @@ func cacheLane(a laneArgs) {
 func mergeLane(a laneArgs) {
 	n, reps := fullLength, a.pick(fullReps, shortReps)
 	enum := vanillaRun("EnumN", n, reps, kleebench.Config{QCache: true})
-	mergedSame := vanillaRun("MergeN", n, reps, kleebench.Config{QCache: true, Merge: true})
-	merged2x := vanillaRun("MergeTwoN", 2*n, reps, kleebench.Config{QCache: true, Merge: true})
+	mergedSame := vanillaRun("MergeN", n, reps, kleebench.Config{QCache: true, Pipeline: symex.Config{Merge: true}})
+	merged2x := vanillaRun("MergeTwoN", 2*n, reps, kleebench.Config{QCache: true, Pipeline: symex.Config{Merge: true}})
 	// nsRatio >= 1 means merging absorbed a doubling of the symbolic string
 	// for free; pathRatio is the state-explosion factor merging removes.
 	nsRatio := ratio(enum.Metrics.NsPerOp, merged2x.Metrics.NsPerOp)
@@ -339,7 +340,7 @@ func persistChildRun(dir string, short bool) {
 		}
 		r := memoryless.VerifyWith(f, memoryless.VerifyOptions{
 			MaxLen: persistChildMaxLen, Budget: budget,
-			Disk: tier.QueryStore(), Memo: tier.MemoStore(),
+			Pipeline: symex.Config{Disk: tier},
 		})
 		v := fmt.Sprintf("%s rejected %s", l.Name, r.Reason)
 		if r.Memoryless {

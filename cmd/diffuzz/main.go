@@ -18,28 +18,25 @@ import (
 
 	"stringloops/internal/cliflags"
 	"stringloops/internal/diffuzz"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 )
 
 func main() {
 	var (
-		seeds    = flag.Int("seeds", 500, "number of generated programs")
-		base     = flag.Uint64("seed", 1, "first generator seed")
-		inputs   = flag.Int("inputs", 8, "random input buffers per program")
-		maxlen   = flag.Int("maxlen", 6, "max content bytes per input buffer")
-		jobs     = cliflags.Jobs(nil, 0)
-		synth    = flag.Duration("synth", 300*time.Millisecond, "per-program synthesis budget (<=0 disables the summary stage)")
-		maxex    = flag.Int("maxex", 3, "bounded-verification string size (paper max_ex_size)")
-		timeout  = flag.Duration("timeout", 0, "overall wall-clock budget (0 = none)")
-		nomin    = flag.Bool("nomin", false, "skip finding minimization")
-		qcache   = cliflags.QCache(nil, false)
-		merge    = cliflags.Merge(nil, false)
-		cacheDir = cliflags.CacheDir(nil)
-		cacheMax = cliflags.CacheMaxBytes(nil)
-		faults   = flag.Float64("faults", 0, "fault-injection intensity in [0,1]: seeded skip-safe fault storms over the pipeline under test (0 disables)")
-		fseed    = flag.Uint64("faultseed", 0, "decorrelate fault schedules from generator seeds")
-		verbose  = flag.Bool("v", false, "print per-finding sources even when clean")
+		seeds     = flag.Int("seeds", 500, "number of generated programs")
+		base      = flag.Uint64("seed", 1, "first generator seed")
+		inputs    = flag.Int("inputs", 8, "random input buffers per program")
+		maxlen    = flag.Int("maxlen", 6, "max content bytes per input buffer")
+		jobs      = cliflags.Jobs(nil, 0)
+		synth     = flag.Duration("synth", 300*time.Millisecond, "per-program synthesis budget (<=0 disables the summary stage)")
+		maxex     = flag.Int("maxex", 3, "bounded-verification string size (paper max_ex_size)")
+		timeout   = flag.Duration("timeout", 0, "overall wall-clock budget (0 = none)")
+		nomin     = flag.Bool("nomin", false, "skip finding minimization")
+		qcache    = cliflags.QCache(nil, false)
+		pipeFlags = cliflags.Pipeline(nil)
+		faults    = flag.Float64("faults", 0, "fault-injection intensity in [0,1]: seeded skip-safe fault storms over the pipeline under test (0 disables)")
+		fseed     = flag.Uint64("faultseed", 0, "decorrelate fault schedules from generator seeds")
+		verbose   = flag.Bool("v", false, "print per-finding sources even when clean")
 	)
 	obsFlags := cliflags.Obs(nil)
 	flag.Parse()
@@ -48,7 +45,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "diffuzz: %v\n", err)
 		os.Exit(2)
 	}
-	tier, err := diskcache.OpenSized(*cacheDir, *cacheMax, nil)
+	pipe, closePipe, err := pipeFlags.Open()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "diffuzz: %v\n", err)
 		os.Exit(2)
@@ -64,8 +61,8 @@ func main() {
 		MaxExSize:    *maxex,
 		NoMinimize:   *nomin,
 		QCache:       *qcache,
-		Merge:        *merge,
-		Cache:        tier,
+		Merge:        pipe.Merge,
+		Cache:        pipe.Disk,
 		FaultRate:    *faults,
 		FaultSeed:    *fseed,
 	}
@@ -80,7 +77,7 @@ func main() {
 	}
 
 	rep := diffuzz.Run(opts)
-	if err := tier.Close(); err != nil {
+	if err := closePipe(); err != nil {
 		fmt.Fprintf(os.Stderr, "diffuzz: cache persist: %v\n", err)
 	}
 

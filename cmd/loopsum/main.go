@@ -26,7 +26,6 @@ import (
 	"stringloops"
 	"stringloops/internal/cliflags"
 	"stringloops/internal/core"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/obs"
@@ -45,16 +44,14 @@ func main() {
 	corpus := flag.Bool("corpus", false, "summarise the built-in loop database instead of a file")
 	sample := flag.Int("sample", 0, "with -corpus: only the first N loops (0 = all)")
 	jobs := cliflags.Jobs(nil, 1)
-	merge := cliflags.Merge(nil, false)
-	cacheDir := cliflags.CacheDir(nil)
-	cacheMaxBytes := cliflags.CacheMaxBytes(nil)
+	pipeFlags := cliflags.Pipeline(nil)
 	server := cliflags.Server(nil)
 	explain := cliflags.Explain(nil)
 	obsFlags := cliflags.Obs(nil)
 	flag.Parse()
 
 	if *corpus {
-		os.Exit(runCorpus(*sample, *jobs, *timeout, *maxSize, *merge, *cacheDir, *cacheMaxBytes, obsFlags))
+		os.Exit(runCorpus(*sample, *jobs, *timeout, *maxSize, pipeFlags, obsFlags))
 	}
 
 	if flag.NArg() != 1 {
@@ -108,9 +105,9 @@ func main() {
 		MaxProgramSize:    *maxSize,
 		Timeout:           *timeout,
 		RequireMemoryless: *requireMem,
-		Merge:             *merge,
-		CacheDir:          *cacheDir,
-		CacheMaxBytes:     *cacheMaxBytes,
+		Merge:             *pipeFlags.Merge,
+		CacheDir:          *pipeFlags.CacheDir,
+		CacheMaxBytes:     *pipeFlags.CacheMaxBytes,
 	}
 
 	if *resilient {
@@ -138,13 +135,13 @@ func main() {
 // session's observability handles, then reconciles the report's counter
 // totals against the summed budget spend: both sides count through the same
 // engine.Budget mirrors, so any drift means an instrumentation bug.
-func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, merge bool, cacheDir string, cacheMaxBytes int64, obsFlags *obs.Flags) int {
+func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, pipeFlags *cliflags.PipelineFlags, obsFlags *obs.Flags) int {
 	sess, err := obsFlags.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loopsum: %v\n", err)
 		return 2
 	}
-	tier, err := diskcache.OpenSized(cacheDir, cacheMaxBytes, nil)
+	pipe, closePipe, err := pipeFlags.Open()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loopsum: %v\n", err)
 		return 2
@@ -165,8 +162,7 @@ func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, merge bool,
 			MaxProgramSize: maxSize,
 			Timeout:        timeout,
 			Budget:         budget,
-			Merge:          merge,
-			Cache:          tier,
+			Pipeline:       pipe,
 		})
 		switch {
 		case err == nil:
@@ -186,7 +182,7 @@ func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, merge bool,
 		}
 	}
 	fmt.Printf("corpus: %d/%d loops summarised\n", found, len(loops))
-	if err := tier.Close(); err != nil {
+	if err := closePipe(); err != nil {
 		fmt.Fprintf(os.Stderr, "loopsum: cache persist: %v\n", err)
 	}
 	if err := sess.Finish(os.Stdout, os.Stderr); err != nil {

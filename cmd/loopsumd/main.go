@@ -28,7 +28,6 @@ import (
 
 	"stringloops/internal/cliflags"
 	"stringloops/internal/core"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/obs"
 	"stringloops/internal/service"
@@ -55,13 +54,12 @@ func run() int {
 	degradeSmoke := flag.Float64("degrade-smoke", 0.90, "load fraction at which new requests start at the concrete smoke floor")
 	targetP99 := flag.Duration("target-p99", 0, "degrade one extra rung while recent p99 exceeds this (0 = load signal only)")
 	vocabLetters := flag.String("vocab", "", "restrict the synthesis vocabulary (Table 1 opcode letters)")
-	merge := cliflags.Merge(nil, false)
-	cacheDir := cliflags.CacheDir(nil)
-	cacheMaxBytes := cliflags.CacheMaxBytes(nil)
+	pipeFlags := cliflags.Pipeline(nil)
 	trace := flag.String("trace", "", "arm the tracer; GET /trace serves the Chrome trace-event JSON (the value names the shutdown dump file, '-' = no dump)")
 	flag.Parse()
 
-	tier, err := diskcache.OpenSized(*cacheDir, *cacheMaxBytes, nil)
+	// Drain closes the pipeline's tier, so its close is not kept here.
+	pipe, _, err := pipeFlags.Open()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loopsumd: %v\n", err)
 		return 1
@@ -87,9 +85,8 @@ func run() int {
 			TargetP99:    *targetP99,
 		},
 		StartRung:  core.RungFull,
-		Merge:      *merge,
+		Pipeline:   pipe,
 		Vocabulary: *vocabLetters,
-		Cache:      tier,
 		Tracer:     tracer,
 		Metrics:    metrics,
 	})

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"stringloops/internal/cliflags"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/memoryless"
@@ -21,9 +20,7 @@ func main() {
 	maxLen := flag.Int("maxlen", 3, "bounded-check string length")
 	verbose := flag.Bool("v", false, "per-loop results")
 	jobs := cliflags.Jobs(nil, 1)
-	merge := cliflags.Merge(nil, false)
-	cacheDir := cliflags.CacheDir(nil)
-	cacheMaxBytes := cliflags.CacheMaxBytes(nil)
+	pipeFlags := cliflags.Pipeline(nil)
 	obsFlags := cliflags.Obs(nil)
 	flag.Parse()
 	sess, err := obsFlags.Start()
@@ -31,7 +28,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "memverify: %v\n", err)
 		os.Exit(2)
 	}
-	tier, err := diskcache.OpenSized(*cacheDir, *cacheMaxBytes, nil)
+	pipe, closePipe, err := pipeFlags.Open()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "memverify: %v\n", err)
 		os.Exit(2)
@@ -54,8 +51,7 @@ func main() {
 		budget := engine.NewBudget(nil, engine.Limits{}).
 			SetObs(item.Tracer(), item.Metrics())
 		reports[i] = memoryless.VerifyWith(f, memoryless.VerifyOptions{
-			MaxLen: *maxLen, Budget: budget, Merge: *merge,
-			Disk: tier.QueryStore(), Memo: tier.MemoStore(),
+			MaxLen: *maxLen, Budget: budget, Pipeline: pipe,
 		})
 		outcome := "rejected"
 		if reports[i].Memoryless {
@@ -98,7 +94,7 @@ func main() {
 	}
 	fmt.Printf("verified %d of %d loops; average %.3fs per loop (paper: 85/115, <3s)\n",
 		verified, total, elapsed.Seconds()/float64(total))
-	if err := tier.Close(); err != nil {
+	if err := closePipe(); err != nil {
 		fmt.Fprintf(os.Stderr, "memverify: cache persist: %v\n", err)
 	}
 	if err := sess.Finish(os.Stdout, os.Stderr); err != nil {

@@ -17,11 +17,11 @@ import (
 	"stringloops/internal/cegis"
 	"stringloops/internal/cliflags"
 	"stringloops/internal/core"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/harness"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/obs"
+	"stringloops/internal/symex"
 )
 
 func main() {
@@ -33,9 +33,7 @@ func main() {
 	verbose := flag.Bool("v", false, "per-loop progress")
 	jobs := cliflags.Jobs(nil, 1)
 	resilient := cliflags.Resilient(nil)
-	merge := cliflags.Merge(nil, false)
-	cacheDir := cliflags.CacheDir(nil)
-	cacheMaxBytes := cliflags.CacheMaxBytes(nil)
+	pipeFlags := cliflags.Pipeline(nil)
 	obsFlags := cliflags.Obs(nil)
 	flag.Parse()
 	sess, err := obsFlags.Start()
@@ -43,14 +41,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "synth-eval: %v\n", err)
 		os.Exit(2)
 	}
-	tier, err := diskcache.OpenSized(*cacheDir, *cacheMaxBytes, nil)
+	pipe, closePipe, err := pipeFlags.Open()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "synth-eval: %v\n", err)
 		os.Exit(2)
 	}
 	if *resilient {
-		code := resilientSweep(*timeout, *maxSize, *maxSet, *jobs, *merge, tier, sess)
-		if err := tier.Close(); err != nil {
+		code := resilientSweep(*timeout, *maxSize, *maxSet, *jobs, pipe, sess)
+		if err := closePipe(); err != nil {
 			fmt.Fprintf(os.Stderr, "synth-eval: cache persist: %v\n", err)
 		}
 		if err := sess.Finish(os.Stdout, os.Stderr); err != nil {
@@ -63,8 +61,7 @@ func main() {
 		*table3, *figure2 = true, true
 	}
 
-	opts := cegis.Options{Timeout: *timeout, MaxProgSize: *maxSize, MaxSetLen: *maxSet, Merge: *merge,
-		Disk: tier.QueryStore()}
+	opts := cegis.Options{Timeout: *timeout, MaxProgSize: *maxSize, MaxSetLen: *maxSet, Pipeline: pipe}
 	progress := (os.Stdout)
 	if !*verbose {
 		progress = nil
@@ -75,7 +72,7 @@ func main() {
 	records := harness.SynthesizeCorpusObs(loopdb.Corpus(), opts, progress, *jobs, sess)
 	fmt.Printf("sweep finished in %v\n\n", time.Since(start).Round(time.Second))
 	defer func() {
-		if err := tier.Close(); err != nil {
+		if err := closePipe(); err != nil {
 			fmt.Fprintf(os.Stderr, "synth-eval: cache persist: %v\n", err)
 		}
 		if err := sess.Finish(os.Stdout, os.Stderr); err != nil {
@@ -167,7 +164,7 @@ func main() {
 // ladder descended, the reason. Degraded loops are expected output, not
 // failures: the exit code is non-zero only when a loop fails outright
 // (infrastructure failure — even the concrete floor produced nothing).
-func resilientSweep(timeout time.Duration, maxSize, maxSet, jobs int, merge bool, tier *diskcache.Tier, sess *obs.Session) int {
+func resilientSweep(timeout time.Duration, maxSize, maxSet, jobs int, pipe symex.Config, sess *obs.Session) int {
 	corpus := loopdb.Corpus()
 	fmt.Printf("resilient sweep over %d loops (timeout %v, %d workers)...\n", len(corpus), timeout, jobs)
 	start := time.Now()
@@ -176,7 +173,7 @@ func resilientSweep(timeout time.Duration, maxSize, maxSet, jobs int, merge bool
 		l := corpus[i]
 		item := sess.Item(l.Name, l.Program, worker)
 		outcomes[i] = core.SummarizeResilient(l.Source, l.FuncName, core.ResilientOptions{
-			Options: core.Options{Timeout: timeout, MaxProgramSize: maxSize, MaxSetSize: maxSet, Merge: merge, Cache: tier},
+			Options: core.Options{Timeout: timeout, MaxProgramSize: maxSize, MaxSetSize: maxSet, Pipeline: pipe},
 			Tracer:  item.Tracer(),
 			Metrics: item.Metrics(),
 		})

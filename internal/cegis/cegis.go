@@ -24,7 +24,6 @@ import (
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
 	"stringloops/internal/cstr"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/obs"
@@ -42,8 +41,6 @@ type Options struct {
 	Vocabulary vocab.Vocabulary
 	// MaxProgSize bounds the encoded program size (paper default 9).
 	MaxProgSize int
-	// MinProgSize starts the iterative deepening (default 1).
-	MinProgSize int
 	// MaxExSize bounds the symbolic example string length (paper default 3).
 	MaxExSize int
 	// MaxSetLen bounds strspn-family argument sets (default 3; the paper's
@@ -52,8 +49,6 @@ type Options struct {
 	// Timeout bounds the whole synthesis (default 30s; the paper uses 2h on
 	// its KLEE+Z3 stack).
 	Timeout time.Duration
-	// SolverBudget bounds each solver query in SAT conflicts (0 = unbounded).
-	SolverBudget int64
 	// Budget, when non-nil, replaces the Timeout-derived budget: synthesis
 	// polls it between skeletons and candidate iterations, charges solver
 	// conflicts and symbolic-execution forks to it, and returns ErrTimeout
@@ -70,20 +65,12 @@ type Options struct {
 	// instead of carrying it into the next one (the ablation; reuse is the
 	// default).
 	DisableCexReuse bool
-	// Merge enables state merging when the loop's symbolic paths are
-	// computed (symex.Engine.Merge): join-point states fold into ite values
-	// and disjoined conditions instead of enumerating every path suffix.
-	Merge bool
-	// Faults, when non-nil, arms the fault-injection sites of this
-	// synthesis pipeline: the CegisReject candidate-rejection burst here,
-	// and the sat/bv/qcache/symex sites in the layers below, all under one
-	// seeded schedule. Nil (the default) disables injection at zero cost.
-	Faults *faultpoint.Registry
-	// Disk, when non-nil, backs the per-synthesizer query cache with a
-	// shared counterexample store keyed by canonical (interner-independent)
-	// query hashes, so verdicts persist across synthesizer instances and
-	// across processes.
-	Disk *diskcache.Store
+	// Pipeline configures the solver stack (symex.Config): Merge when the
+	// loop's symbolic paths are computed, Faults for the CegisReject burst
+	// here and the sat/bv/qcache/symex sites below, and the tier's query
+	// store behind the per-synthesizer query cache, so verdicts persist
+	// across synthesizer instances and processes.
+	Pipeline symex.Config
 }
 
 func (o Options) withDefaults() Options {
@@ -92,9 +79,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxProgSize == 0 {
 		o.MaxProgSize = 9
-	}
-	if o.MinProgSize == 0 {
-		o.MinProgSize = 1
 	}
 	if o.MaxExSize == 0 {
 		o.MaxExSize = 3
@@ -184,8 +168,12 @@ type prefixLevel struct {
 // char *loopFunction(char *) shape (one pointer parameter, pointer return).
 func New(loop *cir.Func, opts Options) (*Synthesizer, error) {
 	opts = opts.withDefaults()
-	s := &Synthesizer{opts: opts, loop: loop, bvin: bv.NewInterner().SetFaults(opts.Faults), budget: opts.Budget}
-	s.cache = qcache.New(s.bvin).SetFaults(opts.Faults).SetDisk(opts.Disk)
+	// The interner charges nodes only from Synthesize on, where the search's
+	// budget is settled (opts.Budget, or one built from Timeout); the paths
+	// below charge forks and conflicts to opts.Budget but no nodes.
+	eng := opts.Pipeline.NewEngine(nil)
+	eng.Budget = opts.Budget
+	s := &Synthesizer{opts: opts, loop: loop, bvin: eng.In, cache: eng.Cache, budget: opts.Budget}
 	if len(loop.Params) != 1 || loop.Params[0].Ty != cir.TyPtr {
 		return nil, fmt.Errorf("cegis: %s does not have the loopFunction signature", loop.Name)
 	}
@@ -199,15 +187,6 @@ func New(loop *cir.Func, opts Options) (*Synthesizer, error) {
 	// (line 10 of Algorithm 2), merged: computed once, reused per candidate.
 	buf := symex.SymbolicString(s.bvin, "s", opts.MaxExSize)
 	s.symStr = strsolver.Wrap(s.bvin, buf)
-	eng := &symex.Engine{
-		CheckFeasibility: true,
-		Merge:            opts.Merge,
-		SolverBudget:     opts.SolverBudget,
-		In:               s.bvin,
-		Budget:           s.budget,
-		Cache:            s.cache,
-		Faults:           opts.Faults,
-	}
 	paths, err := loopPaths(eng, loop, buf)
 	if err != nil {
 		return nil, err
@@ -254,17 +233,14 @@ func VerifyFunctionEquivalence(a, b *cir.Func, maxLen int, budget *engine.Budget
 		return false, nil, nil
 	}
 
-	bvin := bv.NewInterner().SetBudget(budget)
-	cache := qcache.New(bvin)
+	eng := symex.Config{}.NewEngine(budget)
+	bvin, cache := eng.In, eng.Cache
 	buf := symex.SymbolicString(bvin, "s", maxLen)
-	run := func(f *cir.Func) ([]symex.LoopPath, error) {
-		return loopPaths(&symex.Engine{CheckFeasibility: true, In: bvin, Budget: budget, Cache: cache}, f, buf)
-	}
-	pathsA, err := run(a)
+	pathsA, err := loopPaths(eng, a, buf)
 	if err != nil {
 		return false, nil, err
 	}
-	pathsB, err := run(b)
+	pathsB, err := loopPaths(eng, b, buf)
 	if err != nil {
 		return false, nil, err
 	}
@@ -283,7 +259,7 @@ func VerifyFunctionEquivalence(a, b *cir.Func, maxLen int, budget *engine.Budget
 			equal = bvin.BOr2(equal, clause)
 		}
 	}
-	switch st, cex := symex.Refute(cache, budget, 0, equal, buf); st {
+	switch st, cex := symex.Refute(cache, budget, equal, buf); st {
 	case sat.Unsat:
 		return true, nil, nil
 	case sat.Sat:
@@ -338,7 +314,7 @@ func (s *Synthesizer) Synthesize() (Outcome, error) {
 	}()
 	startE := s.budget.Elapsed()
 	elapsed := func() time.Duration { return s.budget.Elapsed() - startE }
-	for size := s.opts.MinProgSize; size <= s.opts.MaxProgSize; size++ {
+	for size := 1; size <= s.opts.MaxProgSize; size++ {
 		if s.opts.DisableCexReuse {
 			s.resetCexs()
 		}
@@ -488,7 +464,7 @@ func (s *Synthesizer) trySkeleton(skel []shape) (vocab.Program, error) {
 	// Injected rejection burst: drop this skeleton as if it had failed the
 	// NULL-input test. Deterministic and terminating — the enumeration still
 	// advances, the schedule just skips candidates the seed selects.
-	if s.opts.Faults.Fire(faultpoint.CegisReject) {
+	if s.opts.Pipeline.Faults.Fire(faultpoint.CegisReject) {
 		return nil, nil
 	}
 	// NULL-input behaviour depends only on the skeleton; test it first.
@@ -606,7 +582,7 @@ func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([
 		}
 		constraints = append(constraints, match)
 	}
-	st, model := s.cache.CheckSat(s.budget, s.opts.SolverBudget, constraints...)
+	st, model := s.cache.CheckSat(s.budget, 0, constraints...)
 	if st != sat.Sat {
 		return nil, false
 	}
@@ -696,7 +672,7 @@ func (s *Synthesizer) verify(prog vocab.Program) (vocab.Program, error) {
 	outcomes := vocab.RunSymbolic(vocab.Symbolize(bvin, prog), s.symStr)
 	// isEq must always hold (IsAlwaysTrue, line 18): refute it.
 	equal := symex.SameOutcome(bvin, s.origSym, outcomes)
-	switch st, cex := symex.Refute(s.cache, s.budget, s.opts.SolverBudget, equal, s.symStr.Bytes); st {
+	switch st, cex := symex.Refute(s.cache, s.budget, equal, s.symStr.Bytes); st {
 	case sat.Unsat:
 		return prog, nil
 	case sat.Sat:

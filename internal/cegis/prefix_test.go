@@ -61,7 +61,7 @@ func checkedSearch(t *testing.T, s *Synthesizer, extra ...string) (vocab.Program
 	var ev prefixEvents
 	var found vocab.Program
 	argSkels := 0
-	for size := s.opts.MinProgSize; size <= s.opts.MaxProgSize && found == nil; size++ {
+	for size := 1; size <= s.opts.MaxProgSize && found == nil; size++ {
 		if s.opts.DisableCexReuse {
 			s.resetCexs()
 			for d, lv := range s.levels {

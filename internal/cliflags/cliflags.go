@@ -1,7 +1,8 @@
 // Package cliflags declares the flags shared by every cmd/ driver once, so
 // the surface stays consistent: -j always means the same worker semantics,
 // -resilient always names the degradation ladder, -qcache always routes
-// queries through internal/qcache, and the observability flags
+// queries through internal/qcache, -merge/-cache-dir/-cache-max-bytes
+// always build the same symex.Config, and the observability flags
 // (-trace/-flame/-metrics/-report/-report-json/-pprof) come from one
 // registration in internal/obs.
 package cliflags
@@ -9,7 +10,9 @@ package cliflags
 import (
 	"flag"
 
+	"stringloops/internal/diskcache"
 	"stringloops/internal/obs"
+	"stringloops/internal/symex"
 )
 
 // Jobs declares the canonical -j flag (nil fs means flag.CommandLine).
@@ -39,35 +42,38 @@ func QCache(fs *flag.FlagSet, def bool) *bool {
 		"route solver queries through the query-cache chain (independence slicing, reuse cache, incremental solver)")
 }
 
-// Merge declares the canonical -merge flag.
-func Merge(fs *flag.FlagSet, def bool) *bool {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	return fs.Bool("merge", def,
-		"merge symbolic-execution states at control-flow join points (ite values, disjoined path conditions) instead of enumerating every path suffix")
+// PipelineFlags holds the pipeline flags until Open reads them.
+type PipelineFlags struct {
+	Merge         *bool
+	CacheDir      *string
+	CacheMaxBytes *int64
 }
 
-// CacheMaxBytes declares the canonical -cache-max-bytes flag: the byte
-// budget of each persistent cache store (key+value payload bytes), enforced
-// next to the entry-count cap. 0 (the default) means no byte budget.
-func CacheMaxBytes(fs *flag.FlagSet) *int64 {
+// Pipeline declares -merge, -cache-dir and -cache-max-bytes, the flags of
+// symex.Config. Call Open after flag.Parse.
+func Pipeline(fs *flag.FlagSet) *PipelineFlags {
 	if fs == nil {
 		fs = flag.CommandLine
 	}
-	return fs.Int64("cache-max-bytes", 0,
-		"byte budget per persistent cache store (evicts least-recently-used records past it); 0 = entry-count cap only")
+	return &PipelineFlags{
+		Merge: fs.Bool("merge", false,
+			"merge symbolic-execution states at control-flow join points (ite values, disjoined path conditions) instead of enumerating every path suffix"),
+		CacheDir: fs.String("cache-dir", "",
+			"directory for the persistent cache tier (solver counterexamples and whole-loop summary memos, shared across runs and processes); empty = off"),
+		CacheMaxBytes: fs.Int64("cache-max-bytes", 0,
+			"byte budget per persistent cache store (evicts least-recently-used records past it); 0 = entry-count cap only"),
+	}
 }
 
-// CacheDir declares the canonical -cache-dir flag: the directory backing the
-// persistent cross-process cache tier (canonical-key counterexample store +
-// summary memo DB). Empty (the default) disables persistence.
-func CacheDir(fs *flag.FlagSet) *string {
-	if fs == nil {
-		fs = flag.CommandLine
+// Open opens the -cache-dir tier and returns the pipeline config the flags
+// describe, plus the close that persists the tier (a no-op without
+// -cache-dir).
+func (p *PipelineFlags) Open() (symex.Config, func() error, error) {
+	tier, err := diskcache.OpenSized(*p.CacheDir, *p.CacheMaxBytes, nil)
+	if err != nil {
+		return symex.Config{}, nil, err
 	}
-	return fs.String("cache-dir", "",
-		"directory for the persistent cache tier (solver counterexamples and whole-loop summary memos, shared across runs and processes); empty = off")
+	return symex.Config{Merge: *p.Merge, Disk: tier}, tier.Close, nil
 }
 
 // Server declares the canonical -server flag: the address of a running

@@ -14,6 +14,7 @@ import (
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/obs"
+	"stringloops/internal/symex"
 )
 
 // chaosSeeds is the seed-sweep width of the chaos soak. The default sweep
@@ -82,13 +83,13 @@ func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string)
 		// enumerating one: both schedules must satisfy the same replay
 		// and typed-outcome contracts, with merging exercised under the
 		// full fault storm.
-		opts := Options{Faults: chaosRegistry(seed, i), Merge: seed%2 == 1}
+		opts := Options{Pipeline: symex.Config{Faults: chaosRegistry(seed, i), Merge: seed%2 == 1}}
 		if cacheDir != "" {
-			tier, err := diskcache.Open(filepath.Join(cacheDir, fmt.Sprintf("item%02d", i)), opts.Faults)
+			tier, err := diskcache.Open(filepath.Join(cacheDir, fmt.Sprintf("item%02d", i)), opts.Pipeline.Faults)
 			if err != nil {
 				t.Fatalf("open chaos tier: %v", err)
 			}
-			opts.Cache = tier
+			opts.Pipeline.Disk = tier
 			tiers = append(tiers, tier)
 		}
 		items[i] = ResilientItem{Source: l.Source, Func: l.FuncName, Opts: ResilientOptions{
@@ -141,7 +142,7 @@ func TestChaosSoak(t *testing.T) {
 		pClose()
 		qClose()
 		for i := range pItems {
-			diskFired += pItems[i].Opts.Faults.Fired(faultpoint.DiskCacheIO)
+			diskFired += pItems[i].Opts.Pipeline.Faults.Fired(faultpoint.DiskCacheIO)
 		}
 		for i := range parallel {
 			schedules++

@@ -13,20 +13,17 @@ import (
 	"strings"
 	"time"
 
-	"stringloops/internal/bv"
 	"stringloops/internal/cc"
 	"stringloops/internal/cegis"
 	"stringloops/internal/cir"
 	"stringloops/internal/cstr"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
-	"stringloops/internal/faultpoint"
 	"stringloops/internal/idiom"
 	"stringloops/internal/memoryless"
 	"stringloops/internal/obs"
-	"stringloops/internal/qcache"
 	"stringloops/internal/sat"
 	"stringloops/internal/strsolver"
+	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
 
@@ -49,24 +46,18 @@ type Options struct {
 	// cancellation and resource caps shared by the memorylessness check and
 	// the synthesis; exhaustion surfaces as ErrNotFound, promptly.
 	Budget *engine.Budget
-	// Merge enables state merging in every symbolic execution of the
-	// pipeline (memorylessness check, synthesis path computation, covering
-	// inputs): see symex.Engine.Merge.
-	Merge bool
 	// RequireMemoryless refuses to summarise loops that fail the §3
 	// memorylessness verification, guaranteeing the summary is equivalent on
 	// strings of every length, not just the bounded check.
 	RequireMemoryless bool
-	// Faults, when non-nil, arms the fault-injection sites of the whole
-	// pipeline (memorylessness check and synthesis) under one seeded
-	// schedule. Nil (the default) disables injection at zero cost.
-	Faults *faultpoint.Registry
-	// Cache, when non-nil, attaches the persistent cross-process cache tier:
-	// the query store backs every solver-chain cache in the pipeline, and the
-	// memo store memoizes whole results (memorylessness verdicts, synthesised
-	// summaries) by the loop's canonical structural hash. Nil disables the
-	// tier at zero cost.
-	Cache *diskcache.Tier
+	// Pipeline configures every solver stack of the run — memorylessness
+	// check, synthesis, covering inputs — with one value (symex.Config):
+	// state merging, fault injection under one seeded schedule, and the
+	// persistent tier, whose query store backs every query cache and whose
+	// memo store memoizes whole results (memorylessness verdicts,
+	// synthesised summaries) by the loop's canonical structural hash. The
+	// zero value turns all three off at zero cost.
+	Pipeline symex.Config
 }
 
 // Summary is a synthesised loop summary.
@@ -143,7 +134,7 @@ func Summarize(source, funcName string, opts Options) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	memo := opts.Cache.MemoStore()
+	memo := opts.Pipeline.Disk.MemoStore()
 	if memo == nil {
 		return summarizeLoop(f, opts)
 	}
@@ -157,7 +148,7 @@ func Summarize(source, funcName string, opts Options) (*Summary, error) {
 	// through the store's singleflight.
 	key := fmt.Sprintf("sum1:%s:%s:%d:%d:%d:%t:%t", cir.CanonicalHash(f),
 		opts.Vocabulary, opts.MaxProgramSize, opts.MaxSetSize, opts.MaxExampleLength,
-		opts.RequireMemoryless, opts.Merge)
+		opts.RequireMemoryless, opts.Pipeline.Merge)
 	var (
 		computed bool
 		s        *Summary
@@ -241,8 +232,7 @@ func decodeSummary(raw []byte, funcName string) (*Summary, error, bool) {
 // synthesis, summary assembly.
 func summarizeLoop(f *cir.Func, opts Options) (*Summary, error) {
 	report := memoryless.VerifyWith(f, memoryless.VerifyOptions{
-		MaxLen: max(3, opts.MaxExampleLength), Budget: opts.Budget, Faults: opts.Faults, Merge: opts.Merge,
-		Disk: opts.Cache.QueryStore(), Memo: opts.Cache.MemoStore(),
+		MaxLen: max(3, opts.MaxExampleLength), Budget: opts.Budget, Pipeline: opts.Pipeline,
 	})
 	if opts.RequireMemoryless && !report.Memoryless {
 		if report.Err != nil {
@@ -260,9 +250,7 @@ func summarizeLoop(f *cir.Func, opts Options) (*Summary, error) {
 		MaxExSize:   opts.MaxExampleLength,
 		Timeout:     opts.Timeout,
 		Budget:      opts.Budget,
-		Faults:      opts.Faults,
-		Merge:       opts.Merge,
-		Disk:        opts.Cache.QueryStore(),
+		Pipeline:    opts.Pipeline,
 	}
 	if opts.Vocabulary != "" {
 		v, err := vocab.VocabularyOf(opts.Vocabulary)
@@ -332,8 +320,8 @@ type TestInput struct {
 // model per feasible outcome covers every path without enumerating the
 // loop's exponentially many symbolic paths.
 func (s *Summary) CoveringInputs(maxLen int) []TestInput {
-	bvin := bv.NewInterner()
-	cache := qcache.New(bvin)
+	eng := symex.Config{}.NewEngine(nil)
+	bvin, cache := eng.In, eng.Cache
 	sym := strsolver.New(bvin, "s", maxLen)
 	outcomes := vocab.RunSymbolic(vocab.Symbolize(bvin, s.prog), sym)
 	var out []TestInput

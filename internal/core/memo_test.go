@@ -10,6 +10,7 @@ import (
 
 	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
+	"stringloops/internal/symex"
 )
 
 // newTestTier builds a cache tier over a temp directory.
@@ -28,7 +29,7 @@ func newTestTier(t *testing.T) *diskcache.Tier {
 // the compiled C.
 func TestSummarizeMemoHit(t *testing.T) {
 	tier := newTestTier(t)
-	opts := Options{Timeout: time.Minute, Cache: tier}
+	opts := Options{Timeout: time.Minute, Pipeline: symex.Config{Disk: tier}}
 
 	a, err := Summarize(`char *skipdots(char *s) { while (*s == '.') s++; return s; }`, "", opts)
 	if err != nil {
@@ -68,7 +69,7 @@ char *mid(char *s) {
   while (s[n]) n++;
   return s + n / 2;
 }`
-	opts := Options{Timeout: time.Minute, Cache: tier, MaxProgramSize: 3}
+	opts := Options{Timeout: time.Minute, Pipeline: symex.Config{Disk: tier}, MaxProgramSize: 3}
 	if _, err := Summarize(src, "", opts); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("first run: %v", err)
 	}
@@ -92,7 +93,7 @@ func TestSummarizeMemoPersistsAcrossTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := `char *skipsp(char *s) { while (*s == ' ') s++; return s; }`
-	a, err := Summarize(src, "", Options{Timeout: time.Minute, Cache: tier})
+	a, err := Summarize(src, "", Options{Timeout: time.Minute, Pipeline: symex.Config{Disk: tier}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestSummarizeMemoPersistsAcrossTiers(t *testing.T) {
 	}
 	defer tier2.Close()
 	bud := engine.NewBudget(nil, engine.Limits{})
-	b, err := Summarize(src, "", Options{Timeout: time.Minute, Cache: tier2, Budget: bud})
+	b, err := Summarize(src, "", Options{Timeout: time.Minute, Pipeline: symex.Config{Disk: tier2}, Budget: bud})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +127,12 @@ func TestSummarizeMemoPersistsAcrossTiers(t *testing.T) {
 func TestSummarizeMemoKeyRespectsOptions(t *testing.T) {
 	tier := newTestTier(t)
 	src := `char *skipa(char *s) { while (*s == 'a') s++; return s; }`
-	if _, err := Summarize(src, "", Options{Timeout: time.Minute, Cache: tier}); err != nil {
+	if _, err := Summarize(src, "", Options{Timeout: time.Minute, Pipeline: symex.Config{Disk: tier}}); err != nil {
 		t.Fatal(err)
 	}
 	// A vocabulary without the loop's gadgets must fail even though the full
 	// vocabulary's entry is in the memo.
-	if _, err := Summarize(src, "", Options{Timeout: time.Minute, Cache: tier, Vocabulary: "EF"}); !errors.Is(err, ErrNotFound) {
+	if _, err := Summarize(src, "", Options{Timeout: time.Minute, Pipeline: symex.Config{Disk: tier}, Vocabulary: "EF"}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("restricted vocabulary must not reuse the full-vocabulary entry: %v", err)
 	}
 }

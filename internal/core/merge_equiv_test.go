@@ -8,6 +8,7 @@ import (
 	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/memoryless"
+	"stringloops/internal/symex"
 )
 
 // These tests pin the state-merging executor to the enumerating one across
@@ -35,7 +36,7 @@ func TestMergeCorpusVerdictsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("re-lower: %v", err)
 			}
-			merged := memoryless.VerifyWith(f2, memoryless.VerifyOptions{MaxLen: 3, Merge: true})
+			merged := memoryless.VerifyWith(f2, memoryless.VerifyOptions{MaxLen: 3, Pipeline: symex.Config{Merge: true}})
 
 			if enum.Memoryless != merged.Memoryless {
 				t.Fatalf("verdicts differ: enumerated memoryless=%v (%q), merged memoryless=%v (%q)",
@@ -69,7 +70,7 @@ func TestMergeCorpusCoveringInputsSound(t *testing.T) {
 			}
 			gen := func(merge bool) []TestInput {
 				b := engine.NewBudget(ctx, engine.Limits{})
-				inputs, cerr := loopCoveringInputs(f, 3, b, ResilientOptions{Options: Options{Merge: merge}})
+				inputs, cerr := loopCoveringInputs(f, 3, b, symex.Config{Merge: merge})
 				if cerr != nil {
 					return nil // unsupported construct or no feasible path: same in both modes
 				}

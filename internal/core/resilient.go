@@ -14,7 +14,6 @@ import (
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/memoryless"
 	"stringloops/internal/obs"
-	"stringloops/internal/qcache"
 	"stringloops/internal/sat"
 	"stringloops/internal/supervise"
 	"stringloops/internal/symex"
@@ -195,10 +194,10 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 	}
 	// Dump faultpoint firings into the registry when the run ends, so chaos
 	// reports show which sites actually fired alongside the retry counters.
-	if opts.Metrics != nil && opts.Faults != nil {
+	if opts.Metrics != nil && opts.Pipeline.Faults != nil {
 		defer func() {
 			for _, site := range faultpoint.Sites() {
-				if n := opts.Faults.Fired(site); n > 0 {
+				if n := opts.Pipeline.Faults.Fired(site); n > 0 {
 					opts.Metrics.Counter(obs.MFaultPrefix + site.String()).Add(int64(n))
 				}
 			}
@@ -220,8 +219,7 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 		{Name: RungMemoryless.String(), Run: func(lim engine.Limits) error {
 			b := opts.newAttemptBudget(lim)
 			r := memoryless.VerifyWith(f, memoryless.VerifyOptions{
-				MaxLen: maxLen, Budget: b, Faults: opts.Faults, Merge: opts.Merge,
-				Disk: opts.Cache.QueryStore(), Memo: opts.Cache.MemoStore(),
+				MaxLen: maxLen, Budget: b, Pipeline: opts.Pipeline,
 			})
 			if r.Err != nil {
 				return r.Err
@@ -235,7 +233,7 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 		}},
 		{Name: RungCovering.String(), Run: func(lim engine.Limits) error {
 			b := opts.newAttemptBudget(lim)
-			inputs, err := loopCoveringInputs(f, maxLen, b, opts)
+			inputs, err := loopCoveringInputs(f, maxLen, b, opts.Pipeline)
 			if err != nil {
 				return err
 			}
@@ -299,19 +297,11 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 // of the loop on strings up to maxLen, directly from symbolic execution —
 // the degraded form of Summary.CoveringInputs that needs no synthesised
 // summary.
-func loopCoveringInputs(f *cir.Func, maxLen int, budget *engine.Budget, opts ResilientOptions) ([]TestInput, error) {
-	bvin := bv.NewInterner().SetBudget(budget).SetFaults(opts.Faults)
-	cache := qcache.New(bvin).SetFaults(opts.Faults).SetDisk(opts.Cache.QueryStore())
+func loopCoveringInputs(f *cir.Func, maxLen int, budget *engine.Budget, pipe symex.Config) ([]TestInput, error) {
+	eng := pipe.NewEngine(budget)
+	bvin, cache := eng.In, eng.Cache
 	buf := symex.SymbolicString(bvin, "s", maxLen)
-	eng := &symex.Engine{
-		Objects:          [][]*bv.Term{buf},
-		CheckFeasibility: true,
-		Merge:            opts.Merge,
-		In:               bvin,
-		Budget:           budget,
-		Cache:            cache,
-		Faults:           opts.Faults,
-	}
+	eng.Objects = [][]*bv.Term{buf}
 	paths, err := eng.Run(f, []symex.Value{symex.PtrValue(0, bvin.Int32(0))}, bv.True)
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/supervise"
+	"stringloops/internal/symex"
 )
 
 // panicAlways arms only the symex panic site, at rate 1: every symbolic
@@ -28,7 +29,7 @@ func TestSummarizeAllIsolatesPanics(t *testing.T) {
 		{Source: `char *f(char *s) { while (*s == ' ') s++; return s; }`,
 			Opts: Options{Timeout: time.Minute}},
 		{Source: figure1,
-			Opts: Options{Timeout: time.Minute, Faults: panicAlways(7)}},
+			Opts: Options{Timeout: time.Minute, Pipeline: symex.Config{Faults: panicAlways(7)}}},
 		{Source: `char *f(char *s) { while (*s == 'x') s++; return s; }`,
 			Opts: Options{Timeout: time.Minute}},
 	}
@@ -94,7 +95,7 @@ func TestSummarizeResilientMatchesSummarize(t *testing.T) {
 // concrete smoke floor still produces a result.
 func TestSummarizeResilientDegradesToSmokeUnderPanicStorm(t *testing.T) {
 	out := SummarizeResilient(figure1, "", ResilientOptions{
-		Options: Options{Timeout: time.Minute, Faults: panicAlways(3)},
+		Options: Options{Timeout: time.Minute, Pipeline: symex.Config{Faults: panicAlways(3)}},
 	})
 	if out.Rung != RungSmoke {
 		t.Fatalf("rung = %v (err %v), want smoke", out.Rung, out.Err)
@@ -178,7 +179,7 @@ func TestSummarizeResilientDeterministicUnderSeed(t *testing.T) {
 			items[i] = ResilientItem{Source: src, Opts: ResilientOptions{
 				Options: Options{
 					Timeout: time.Minute,
-					Faults: faultpoint.New(faultpoint.Config{
+					Pipeline: symex.Config{Faults: faultpoint.New(faultpoint.Config{
 						Seed: uint64(1000 + i),
 						Rates: map[faultpoint.Site]float64{
 							faultpoint.SatUnknown:    0.05,
@@ -186,7 +187,7 @@ func TestSummarizeResilientDeterministicUnderSeed(t *testing.T) {
 							faultpoint.QCacheMiss:    0.2,
 							faultpoint.CegisReject:   0.1,
 						},
-					}),
+					})},
 				},
 				Limits:      engine.Limits{Conflicts: 20000, Nodes: 2000000},
 				MaxAttempts: 2,
@@ -287,7 +288,7 @@ func TestSummarizeResilientCancelMidLadder(t *testing.T) {
 		// The panic storm fails every symbolic rung; the cancel fires after
 		// the first attempt budget is created, so the remaining rungs see a
 		// dead context and the smoke floor is never reached.
-		Options:     Options{Timeout: time.Minute, Faults: panicAlways(3)},
+		Options:     Options{Timeout: time.Minute, Pipeline: symex.Config{Faults: panicAlways(3)}},
 		Ctx:         ctx,
 		MaxAttempts: 1,
 		OnBudget: func(*engine.Budget) {

@@ -12,7 +12,6 @@ import (
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/memoryless"
-	"stringloops/internal/qcache"
 	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
@@ -70,13 +69,11 @@ type Target struct {
 	Memoryless bool
 	MaxExSize  int
 
-	in     *bv.Interner
 	mu     sync.Mutex
-	paths  map[int]pathSet // keyed by free content bytes (capacity - 1)
-	mpaths map[int]pathSet // state-merged runs, same key (Options.Merge)
-	budget *engine.Budget
-	cache  *qcache.Cache        // non-nil under Options.QCache
-	mcache *qcache.Cache        // the merged executor's own cache (Options.Merge)
+	paths  map[int]pathSet      // keyed by free content bytes (capacity - 1)
+	mpaths map[int]pathSet      // state-merged runs, same key (Options.Merge)
+	sym    *symex.Engine        // the symex oracle's engine over its own stack
+	msym   *symex.Engine        // the merge oracle's engine (Options.Merge)
 	faults *faultpoint.Registry // non-nil under Options.FaultRate > 0
 }
 
@@ -158,20 +155,28 @@ func PrepareTarget(seed uint64, p *Prog, opts *Options) (*Target, *Finding) {
 	t := &Target{
 		Seed: seed, Prog: p, Source: src,
 		MaxExSize: opts.maxExSize(),
-		in:        bv.NewInterner(),
 		paths:     map[int]pathSet{},
-		budget:    opts.Budget,
 	}
 	if opts.FaultRate > 0 {
 		t.faults = faultRegistry(seed, opts)
-		t.in.SetFaults(t.faults)
 	}
-	if opts.QCache {
-		t.cache = qcache.New(t.in).SetFaults(t.faults).SetDisk(opts.Cache.QueryStore())
-	}
+	pipe := symex.Config{Faults: t.faults, Disk: opts.Cache}
+	// Feasibility pruning is off by default: it costs a SAT query per fork
+	// and buys nothing here — an infeasible path's condition simply never
+	// matches the concrete input during replay. Under Options.QCache it is
+	// switched on with the cache attached, so a cache answering Unsat for a
+	// satisfiable fork drops the path that should claim some concrete input
+	// and shows up as a "no-path" finding.
+	t.sym = oracleEngine(pipe, opts.Budget, opts.QCache)
 	if opts.Merge {
+		// Feasibility checking is always on under merging: merged loops
+		// whose cursors diverge into ite offsets need the solver to fold the
+		// exit condition, and the merged disjunctive conditions are exactly
+		// the shapes the qcache slicing must keep together — so this run
+		// doubles as a differential test of cache-on-merged-conditions.
+		pipe.Merge = true
 		t.mpaths = map[int]pathSet{}
-		t.mcache = qcache.New(t.in).SetFaults(t.faults).SetDisk(opts.Cache.QueryStore())
+		t.msym = oracleEngine(pipe, opts.Budget, true)
 	}
 
 	if f := guard(seed, "frontend", src, nil, false, func() *Finding {
@@ -198,7 +203,7 @@ func PrepareTarget(seed uint64, p *Prog, opts *Options) (*Target, *Finding) {
 			out, err := cegis.Synthesize(t.F, cegis.Options{
 				MaxExSize: t.MaxExSize,
 				Budget:    b,
-				Faults:    t.faults,
+				Pipeline:  symex.Config{Faults: t.faults},
 			})
 			// Failure to synthesize is not a finding: many generated loops
 			// have no gadget equivalent, and the budget is deliberately tiny.
@@ -216,7 +221,7 @@ func PrepareTarget(seed uint64, p *Prog, opts *Options) (*Target, *Finding) {
 				// (the summary is then only compared on small buffers).
 				b := engine.NewBudget(opts.Budget.Context(), engine.Limits{Timeout: opts.SynthTimeout})
 				rep := memoryless.VerifyWith(t.F, memoryless.VerifyOptions{
-					MaxLen: t.MaxExSize, Budget: b, Faults: t.faults,
+					MaxLen: t.MaxExSize, Budget: b, Pipeline: symex.Config{Faults: t.faults},
 				})
 				t.Memoryless = rep.Memoryless && rep.Err == nil
 				return nil
@@ -381,53 +386,39 @@ func mapPath(p symex.Path, ev *bv.Evaluator) (Result, bool, error) {
 	return Result{Kind: RPtr, Off: int(int32(ev.Term(ret.Off)))}, true, nil
 }
 
+// oracleEngine builds one symbolic oracle's engine over its own solver
+// stack, with per-fork feasibility checking through the stack's query cache
+// only when feasible is set. budget bounds the whole fuzzing run, so only
+// forks and conflicts count against it; the interner charges it no nodes.
+func oracleEngine(pipe symex.Config, budget *engine.Budget, feasible bool) *symex.Engine {
+	eng := pipe.NewEngine(nil)
+	eng.Budget = budget
+	eng.MaxSteps, eng.MaxPaths = 1<<14, 1<<14
+	if !feasible {
+		eng.CheckFeasibility, eng.Cache = false, nil
+	}
+	return eng
+}
+
 // pathsFor runs (or returns the cached) symbolic execution for a buffer with
 // n free content bytes plus the forced terminator; n == -1 is the NULL input.
-// merged selects the merge oracle's run, memo and cache.
+// merged selects the merge oracle's engine and memo.
 func (t *Target) pathsFor(n int, merged bool) pathSet {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	memo := t.paths
+	memo, eng := t.paths, t.sym
 	if merged {
-		memo = t.mpaths
+		memo, eng = t.mpaths, t.msym
 	}
 	if ps, ok := memo[n]; ok {
 		return ps
 	}
-	eng := &symex.Engine{
-		In:       t.in,
-		Budget:   t.budget,
-		MaxSteps: 1 << 14,
-		MaxPaths: 1 << 14,
-		Faults:   t.faults,
-		Merge:    merged,
-	}
-	switch {
-	case merged:
-		// Feasibility checking is always on under merging (through the merge
-		// executor's own query cache): merged loops whose cursors diverge
-		// into ite offsets need the solver to fold the exit condition, and
-		// the merged disjunctive conditions are exactly the shapes the
-		// qcache slicing must keep together — so this run doubles as a
-		// differential test of cache-on-merged-conditions.
-		eng.CheckFeasibility, eng.Cache = true, t.mcache
-	case t.cache != nil:
-		// Feasibility pruning is otherwise off by default: it costs a SAT
-		// query per fork and buys nothing here — an infeasible path's
-		// condition simply never matches the concrete input during replay.
-		// Under Options.QCache it is switched on with the cache attached, so
-		// a cache answering Unsat for a satisfiable fork drops the path that
-		// should claim some concrete input and shows up as a "no-path"
-		// finding.
-		eng.CheckFeasibility, eng.Cache = true, t.cache
-	}
-	var args []symex.Value
-	if n < 0 {
-		args = []symex.Value{symex.NullValue()}
-	} else {
-		buf := symex.SymbolicString(t.in, "s", n)
+	eng.Objects = nil
+	args := []symex.Value{symex.NullValue()}
+	if n >= 0 {
+		buf := symex.SymbolicString(eng.In, "s", n)
 		eng.Objects = [][]*bv.Term{buf}
-		args = []symex.Value{symex.PtrValue(0, t.in.Int32(0))}
+		args = []symex.Value{symex.PtrValue(0, eng.In.Int32(0))}
 	}
 	paths, err := eng.Run(t.F, args, bv.True)
 	ps := pathSet{paths: paths, err: err}

@@ -39,9 +39,10 @@ type Config struct {
 	// QCache routes all queries through a per-run qcache.Cache (slicing,
 	// reuse cache, incremental solver) instead of a fresh solver per query.
 	QCache bool
-	// Merge enables state merging in the vanilla executor (symex.Engine.Merge):
-	// join-point states fold into ite values instead of enumerating suffixes.
-	Merge bool
+	// Pipeline configures the run's solver stack (symex.Config). The
+	// benchmarks set at most Merge, which folds the vanilla executor's
+	// join-point states into ite values instead of enumerating suffixes.
+	Pipeline symex.Config
 	// Ctx, when non-nil, seeds the run's budget — cancellation and, when it
 	// carries obs handles (obs.NewContext), tracing and metrics.
 	Ctx context.Context
@@ -78,20 +79,10 @@ func Vanilla(loop *cir.Func, n int, timeout time.Duration) Measurement {
 func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measurement {
 	start := time.Now()
 	budget := engine.NewBudget(cfg.Ctx, engine.Limits{Timeout: timeout})
-	bvin := bv.NewInterner().SetBudget(budget)
-	var cache *qcache.Cache
-	if cfg.QCache {
-		cache = qcache.New(bvin)
-	}
+	eng := cfg.stack(budget)
+	bvin, cache := eng.In, eng.Cache
 	buf := symex.SymbolicString(bvin, "s", n)
-	eng := &symex.Engine{
-		Objects:          [][]*bv.Term{buf},
-		CheckFeasibility: true,
-		Merge:            cfg.Merge,
-		In:               bvin,
-		Budget:           budget,
-		Cache:            cache,
-	}
+	eng.Objects = [][]*bv.Term{buf}
 	paths, err := eng.Run(loop, []symex.Value{symex.PtrValue(0, bvin.Int32(0))}, bv.True)
 	m := Measurement{
 		Mode:          "vanilla",
@@ -132,11 +123,8 @@ func Str(summary vocab.Program, n int, timeout time.Duration) Measurement {
 func StrWith(summary vocab.Program, n int, timeout time.Duration, cfg Config) Measurement {
 	start := time.Now()
 	budget := engine.NewBudget(cfg.Ctx, engine.Limits{Timeout: timeout})
-	bvin := bv.NewInterner().SetBudget(budget)
-	var cache *qcache.Cache
-	if cfg.QCache {
-		cache = qcache.New(bvin)
-	}
+	eng := cfg.stack(budget)
+	bvin, cache := eng.In, eng.Cache
 	s := strsolver.New(bvin, "s", n)
 	outcomes := vocab.RunSymbolic(vocab.Symbolize(bvin, summary), s)
 	m := Measurement{Mode: "str", Length: n, Paths: len(outcomes)}
@@ -159,6 +147,16 @@ func StrWith(summary vocab.Program, n int, timeout time.Duration, cfg Config) Me
 		m.Cache = cache.Stats()
 	}
 	return m
+}
+
+// stack builds the run's solver stack, without its query cache unless
+// cfg.QCache is set.
+func (cfg Config) stack(budget *engine.Budget) *symex.Engine {
+	eng := cfg.Pipeline.NewEngine(budget)
+	if !cfg.QCache {
+		eng.Cache = nil
+	}
+	return eng
 }
 
 // checkSat routes one query through the cache when enabled.

@@ -25,11 +25,8 @@ import (
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
-	"stringloops/internal/faultpoint"
 	"stringloops/internal/obs"
-	"stringloops/internal/qcache"
 	"stringloops/internal/sat"
 	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
@@ -120,20 +117,13 @@ type VerifyOptions struct {
 	// the symbolic execution and the solver poll it, and the report comes
 	// back with Err == ErrTimeout (not a refutation) when it expires first.
 	Budget *engine.Budget
-	// Faults arms the fault-injection sites of the verification pipeline
-	// (interner, query cache, symbolic engine; nil = off).
-	Faults *faultpoint.Registry
-	// Merge enables state merging in the bounded-equivalence symbolic
-	// execution (symex.Engine.Merge).
-	Merge bool
-	// Disk attaches the persistent query store to the bounded check's query
-	// cache (write-through canonical verdicts; nil = off).
-	Disk *diskcache.Store
-	// Memo attaches the whole-verdict memo store: the bounded equivalence
-	// check's outcome is keyed by the loop's canonical hash, so re-verifying
-	// a structurally known loop skips symbolic execution and solving
-	// entirely. Budget-classified failures are never memoized (nil = off).
-	Memo *diskcache.Store
+	// Pipeline configures the bounded check's solver stack (symex.Config):
+	// merging, fault injection, and the persistent tier, whose query store
+	// backs the check's query cache and whose memo store keeps whole
+	// verdicts by the loop's canonical hash, so re-verifying a structurally
+	// known loop skips symbolic execution and solving entirely.
+	// Budget-classified failures are never memoized.
+	Pipeline symex.Config
 }
 
 // VerifyWith is the fully-optioned verification entry point; Verify
@@ -396,17 +386,18 @@ func (spec *Spec) missResult(k int) vocab.Result {
 // verifying the same loop collapse to one computation via the store's
 // singleflight.
 func checkEquivalenceMemo(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions) (bool, []byte, error) {
-	if opts.Memo == nil {
+	memo := opts.Pipeline.Disk.MemoStore()
+	if memo == nil {
 		return checkEquivalence(loop, spec, maxLen, opts)
 	}
-	key := fmt.Sprintf("mv1:%s:%d:%t", cir.CanonicalHash(loop), maxLen, opts.Merge)
+	key := fmt.Sprintf("mv1:%s:%d:%t", cir.CanonicalHash(loop), maxLen, opts.Pipeline.Merge)
 	var (
 		computed bool
 		ok       bool
 		cex      []byte
 		err      error
 	)
-	raw, cached := opts.Memo.Do(opts.Budget, key, func() ([]byte, bool) {
+	raw, cached := memo.Do(opts.Budget, key, func() ([]byte, bool) {
 		computed = true
 		ok, cex, err = checkEquivalence(loop, spec, maxLen, opts)
 		if err != nil {
@@ -459,11 +450,9 @@ func decodeVerdict(raw []byte, spec *Spec) (ok bool, cex []byte, decoded bool) {
 // checkEquivalence discharges the bounded check: loop ≡ spec on all strings
 // of length <= maxLen, trying forward then backward traversal.
 func checkEquivalence(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions) (bool, []byte, error) {
-	budget, faults := opts.Budget, opts.Faults
-	bvin := bv.NewInterner().SetBudget(budget).SetFaults(faults)
-	cache := qcache.New(bvin).SetFaults(faults).SetDisk(opts.Disk)
+	eng := opts.Pipeline.NewEngine(opts.Budget)
+	bvin, cache := eng.In, eng.Cache
 	buf := symex.SymbolicString(bvin, "s", maxLen)
-	eng := &symex.Engine{CheckFeasibility: true, Merge: opts.Merge, In: bvin, Budget: budget, Cache: cache, Faults: faults}
 	paths, err := eng.RunLoop(loop, buf)
 	if errors.Is(err, symex.ErrTimeout) {
 		return false, nil, fmt.Errorf("%w: %w", ErrTimeout, err)
@@ -482,7 +471,7 @@ func checkEquivalence(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions
 			trySpec.Miss = MissStart
 		}
 		equal := symex.SameOutcome(bvin, paths, trySpec.outcomes(bvin, buf, dir))
-		st, cex := symex.Refute(cache, budget, 0, equal, buf)
+		st, cex := symex.Refute(cache, opts.Budget, equal, buf)
 		switch st {
 		case sat.Unsat:
 			spec.Dir = dir

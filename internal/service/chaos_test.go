@@ -15,6 +15,7 @@ import (
 	"stringloops/internal/leakcheck"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/obs"
+	"stringloops/internal/symex"
 )
 
 // TestServerChaosSoak is the daemon's end-to-end chaos gate: a seeded
@@ -68,7 +69,7 @@ func TestServerChaosSoak(t *testing.T) {
 				StartRung:   core.RungMemoryless,
 				Overload:    OverloadPolicy{Disable: true},
 				MaxAttempts: 2,
-				Cache:       tier,
+				Pipeline:    symex.Config{Disk: tier},
 				Faults:      reg,
 				Metrics:     m,
 			})

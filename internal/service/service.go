@@ -13,11 +13,11 @@ import (
 	"time"
 
 	"stringloops/internal/core"
-	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/obs"
 	"stringloops/internal/supervise"
+	"stringloops/internal/symex"
 )
 
 // Service-level metric names, alongside the solver-stack names in obs.
@@ -83,12 +83,15 @@ type Config struct {
 	// can only move below it. The chaos soak pins RungMemoryless with the
 	// policy disabled so verdicts stay offline-comparable.
 	StartRung core.Rung
-	// Merge/Vocabulary/Cache/Faults configure the pipeline exactly as the
-	// CLI flags do; Cache is flushed (Closed) by Drain.
-	Merge      bool
+	// Pipeline configures every request's pipeline, as -merge and
+	// -cache-dir do for the CLI drivers; Drain flushes (Closes) its Disk
+	// tier.
+	Pipeline symex.Config
+	// Vocabulary is the default gadget vocabulary of requests naming none.
 	Vocabulary string
-	Cache      *diskcache.Tier
-	Faults     *faultpoint.Registry
+	// Faults arms the server's own injection sites, ServerAdmit and
+	// ServerEncode. It is not forwarded to the pipeline.
+	Faults *faultpoint.Registry
 	// Tracer/Metrics receive server and pipeline observability. Nil
 	// Metrics gets a fresh registry (the server always meters itself);
 	// nil Tracer disables tracing.
@@ -233,10 +236,8 @@ func (s *Server) Drain(ctx context.Context) error {
 		waitErr = fmt.Errorf("service: drain deadline with %d in flight, %d queued: %w",
 			s.adm.inFlight(), s.adm.waiting(), ctx.Err())
 	}
-	if s.cfg.Cache != nil {
-		if err := s.cfg.Cache.Close(); err != nil && waitErr == nil {
-			waitErr = fmt.Errorf("service: drain cache flush: %w", err)
-		}
+	if err := s.cfg.Pipeline.Disk.Close(); err != nil && waitErr == nil {
+		waitErr = fmt.Errorf("service: drain cache flush: %w", err)
 	}
 	return waitErr
 }
@@ -409,8 +410,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 				MaxExampleLength:  req.MaxExampleLength,
 				RequireMemoryless: req.RequireMemoryless,
 				Timeout:           s.cfg.RequestTimeout,
-				Merge:             s.cfg.Merge,
-				Cache:             s.cfg.Cache,
+				Pipeline:          s.cfg.Pipeline,
 			},
 			Ctx:         ctx,
 			StartRung:   start,

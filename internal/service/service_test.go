@@ -23,6 +23,7 @@ import (
 	"stringloops/internal/leakcheck"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/obs"
+	"stringloops/internal/symex"
 )
 
 // figure1Src is the paper's Figure 1 loop — the canonical happy-path
@@ -137,7 +138,7 @@ func TestServerMixedSmoke50(t *testing.T) {
 		QueueDepth:     64,
 		MaxSourceBytes: 16 << 10,
 		GlobalLimits:   engine.Limits{Conflicts: 20000, Forks: 80000, Nodes: 2000000},
-		Cache:          tier,
+		Pipeline:       symex.Config{Disk: tier},
 		Metrics:        m,
 	})
 
@@ -404,7 +405,7 @@ func TestServerDrainUnderLoad(t *testing.T) {
 	}
 	m := obs.NewMetrics()
 	s, ts, hc := newTestServer(t, Config{MaxInFlight: 2, QueueDepth: 16,
-		Cache: tier, Metrics: m})
+		Pipeline: symex.Config{Disk: tier}, Metrics: m})
 	tier.Queries.Put(nil, "drain-flush-probe", []byte("v"))
 
 	s.adm.slots <- struct{}{}
@@ -496,7 +497,7 @@ func TestServerCancelMidSolveReleasesEverything(t *testing.T) {
 	}
 	m := obs.NewMetrics()
 	s, ts, hc := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 4,
-		Cache: tier, Metrics: m})
+		Pipeline: symex.Config{Disk: tier}, Metrics: m})
 
 	body, _ := json.Marshal(Request{Source: hardSrc, MaxExampleLength: 14})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -81,9 +81,9 @@ func SameOutcome(in *bv.Interner, paths []LoopPath, outs []vocab.SymOutcome) *bv
 // Refute asks the solver for a string on which equal fails — IsAlwaysTrue
 // in the paper. On Sat it returns that string as len(buf) bytes, the last one
 // buf's NUL terminator. Unsat means equal holds on every bounded string;
-// Unknown (budget or conflict limit reached) is the caller's to interpret.
-func Refute(cache *qcache.Cache, budget *engine.Budget, maxConflicts int64, equal *bv.Bool, buf []*bv.Term) (sat.Status, []byte) {
-	_, model, st := cache.IsValid(budget, maxConflicts, equal)
+// Unknown (budget exhausted) is the caller's to interpret.
+func Refute(cache *qcache.Cache, budget *engine.Budget, equal *bv.Bool, buf []*bv.Term) (sat.Status, []byte) {
+	_, model, st := cache.IsValid(budget, 0, equal)
 	if st != sat.Sat {
 		return st, nil
 	}

@@ -25,7 +25,7 @@ int countA(char* p) {
 func runMerged(t *testing.T, f *cir.Func, maxLen int, check bool) ([]Path, *Engine) {
 	t.Helper()
 	buf := SymbolicString(tin, "s", maxLen)
-	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}, CheckFeasibility: check, Merge: true}
+	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}, CheckFeasibility: check, Config: Config{Merge: true}}
 	paths, err := e.Run(f, []Value{PtrValue(0, tin.Int32(0))}, bv.True)
 	if err != nil {
 		t.Fatalf("merged run: %v", err)

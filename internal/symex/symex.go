@@ -96,6 +96,10 @@ type Stats struct {
 
 // Engine executes functions against a fixed set of symbolic data objects.
 type Engine struct {
+	// Config carries the pipeline settings: Merge picks the scheduler and
+	// Faults arms the symex injection sites. Disk reaches the engine only
+	// through Cache (see Config.NewEngine).
+	Config
 	// Objects are the read-only data objects (symbolic string buffers); a
 	// pointer value with Obj == i indexes Objects[i]. Each buffer's final
 	// term should be the NUL constant for C strings.
@@ -108,15 +112,6 @@ type Engine struct {
 	// infeasible sides — KLEE's behaviour, and the cost centre of the
 	// vanilla configuration in §4.3.
 	CheckFeasibility bool
-	// Merge enables state merging: states arriving at join points
-	// (cir.JoinPoints — branch reconvergence, loop headers, loop exits) are
-	// parked and folded pairwise when compatible, so a loop over n symbolic
-	// bytes schedules O(n) states instead of 2^n path suffixes (merge.go).
-	// Merged loops whose cursors diverge symbolically rely on
-	// CheckFeasibility (or MaxSteps) to terminate.
-	Merge bool
-	// SolverBudget bounds each feasibility query (SAT conflicts; 0 = off).
-	SolverBudget int64
 	// In is the interner all terms of this run are built with. Run defaults
 	// it to a fresh interner; callers that feed the engine terms they built
 	// themselves (Objects, argument values) must pass the interner those
@@ -131,11 +126,6 @@ type Engine struct {
 	// query. It must be scoped to the same interner as In — forks sharing a
 	// path prefix then re-use its encoding and cached verdicts.
 	Cache *qcache.Cache
-	// Faults, when non-nil, arms the symex injection sites: SymexPanic
-	// panics at Run entry with a faultpoint.InjectedPanic (the supervisor's
-	// poison pill), and SymexForkFail aborts the run at a fork with
-	// ErrTimeout, as if the fork had failed in a resource-starved engine.
-	Faults *faultpoint.Registry
 
 	// Stats is the exported view of the run counters; Run refreshes it from
 	// the atomic counters below on exit. Do not increment it directly.
@@ -533,9 +523,9 @@ func (e *Engine) feasible(cond *bv.Bool) bool {
 	start := time.Now()
 	var st sat.Status
 	if e.Cache != nil {
-		st = e.Cache.Decide(e.Budget, e.SolverBudget, cond)
+		st = e.Cache.Decide(e.Budget, 0, cond)
 	} else {
-		st, _ = bv.CheckSat(e.Budget, e.SolverBudget, cond)
+		st, _ = bv.CheckSat(e.Budget, 0, cond)
 	}
 	e.nSolveNs.Add(int64(time.Since(start)))
 	return st != sat.Unsat

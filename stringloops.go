@@ -32,6 +32,7 @@ import (
 
 	"stringloops/internal/core"
 	"stringloops/internal/diskcache"
+	"stringloops/internal/symex"
 )
 
 // Options configures Summarize. The zero value matches the paper's main
@@ -92,7 +93,13 @@ var (
 	ErrNotMemoryless  = core.ErrNotMemoryless
 )
 
-func (o Options) toCore() core.Options {
+// toCore maps the options onto the pipeline's, opening the CacheDir tier.
+// The caller closes it (Pipeline.Disk.Close) when the run ends.
+func (o Options) toCore() (core.Options, error) {
+	tier, err := diskcache.OpenSized(o.CacheDir, o.CacheMaxBytes, nil)
+	if err != nil {
+		return core.Options{}, err
+	}
 	return core.Options{
 		Vocabulary:        o.Vocabulary,
 		MaxProgramSize:    o.MaxProgramSize,
@@ -100,8 +107,8 @@ func (o Options) toCore() core.Options {
 		MaxExampleLength:  o.MaxExampleLength,
 		Timeout:           o.Timeout,
 		RequireMemoryless: o.RequireMemoryless,
-		Merge:             o.Merge,
-	}
+		Pipeline:          symex.Config{Merge: o.Merge, Disk: tier},
+	}, nil
 }
 
 // Summarize synthesises a summary for the first char *f(char *) function in
@@ -112,16 +119,14 @@ func Summarize(source string, opts Options) (*Summary, error) {
 
 // SummarizeFunc synthesises a summary for the named function.
 func SummarizeFunc(source, funcName string, opts Options) (*Summary, error) {
-	copts := opts.toCore()
-	tier, err := diskcache.OpenSized(opts.CacheDir, opts.CacheMaxBytes, nil)
+	copts, err := opts.toCore()
 	if err != nil {
 		return nil, err
 	}
-	copts.Cache = tier
 	s, serr := core.Summarize(source, funcName, copts)
 	// Persistence is best-effort: a failed snapshot costs the next run a
 	// cold start, never this run's result.
-	_ = tier.Close()
+	_ = copts.Pipeline.Disk.Close()
 	return s, serr
 }
 
@@ -176,14 +181,12 @@ type PanicError = core.PanicError
 // instead of failing outright. With default options it attempts each rung up
 // to three times under the same Timeout as Summarize.
 func SummarizeResilient(source, funcName string, opts Options) Outcome {
-	copts := opts.toCore()
-	tier, err := diskcache.OpenSized(opts.CacheDir, opts.CacheMaxBytes, nil)
+	copts, err := opts.toCore()
 	if err != nil {
 		return Outcome{Rung: RungFailed, Err: err}
 	}
-	copts.Cache = tier
 	out := core.SummarizeResilient(source, funcName, core.ResilientOptions{Options: copts})
-	_ = tier.Close()
+	_ = copts.Pipeline.Disk.Close()
 	return out
 }
 
