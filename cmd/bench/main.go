@@ -97,12 +97,13 @@ type run struct {
 
 // Lane sizes; -short selects the smaller of each pair.
 const (
-	fullLength, shortLength = 8, 6                  // cache lane's symbolic string length
-	fullReps, shortReps     = 3, 1                  // repetitions per symex configuration
-	fullIters, shortIters   = 50_000_000, 5_000_000 // hot-path micro loop iterations
-	shortSample             = 30                    // persist: corpus loops swept (all 115 in full)
-	gatePct                 = 2.0                   // disabled-mode hot-path overhead bar
-	maxRunTime              = 10 * time.Minute      // per symex run
+	fullLength, shortLength = 8, 6               // cache lane's symbolic string length
+	fullReps, shortReps     = 3, 1               // repetitions per symex configuration
+	fullIters, shortIters   = 2_500_000, 500_000 // hot-path micro loop iterations per run
+	overheadPairs           = 201                // paired runs behind each micro gate
+	shortSample             = 30                 // persist: corpus loops swept (all 115 in full)
+	gatePct                 = 2.0                // disabled-mode hot-path overhead bar
+	maxRunTime              = 10 * time.Minute   // per symex run
 )
 
 // laneArgs carries the parsed flags a lane draws from.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -115,23 +116,34 @@ func telemetryLane(a laneArgs) {
 	traceValid := obs.ValidateChromeTrace(merged) == nil
 	events, lanes := countMergedTrace(merged)
 
-	// Micro gates, best-of-3 each. The budget flush (one budget.Add per
-	// 256-iteration segment, the pattern every instrumented hot loop uses)
-	// against a bare loop; then one full spend collection per 4096-iteration
-	// segment — the work behind provenance and reconciliation, which in
-	// reality happens once per request — against the budget-flushed loop.
+	// Micro gates, each the median of paired runs of one loop. The budget
+	// flush (one budget.Add per 256-iteration segment, the pattern every
+	// instrumented hot loop uses) against an empty flush; then one full
+	// spend collection per 4096-iteration segment — the work behind
+	// provenance and reconciliation, which in reality happens once per
+	// request — against the budget flush alone.
 	// Collect the daemon phase's garbage first, as testing.B does before a
 	// benchmark, so a GC cycle it left running cannot land in one side of a
 	// comparison.
 	runtime.GC()
 	iters := a.pick(fullIters, shortIters)
+	budgetFlush := func(b *engine.Budget) func(int64) {
+		return func(n int64) { b.Add(engine.Propagations, n) }
+	}
+	spendCollect := func(b *engine.Budget) func(int64) {
+		var fold engine.Spend
+		return func(n int64) {
+			b.Add(engine.Propagations, n)
+			fold.Add(b.Spend())
+		}
+	}
 	newBudget := func() *engine.Budget { return engine.NewBudget(nil, engine.Limits{}) }
 	flushPct, flush := overhead(256,
-		func() int64 { return hotPathBare(iters, 256) },
-		func() int64 { return hotPathBudget(iters, 256, newBudget()) })
+		func() int64 { return hotPath(iters, 256, func(int64) {}) },
+		func() int64 { return hotPath(iters, 256, budgetFlush(newBudget())) })
 	collectPct, collect := overhead(4096,
-		func() int64 { return hotPathBudget(iters, 4096, newBudget()) },
-		func() int64 { return hotPathSpendCollect(iters, 4096, newBudget()) })
+		func() int64 { return hotPath(iters, 4096, budgetFlush(newBudget())) },
+		func() int64 { return hotPath(iters, 4096, spendCollect(newBudget())) })
 
 	drift, leaks := m.Snapshot().Counters[service.MSvcReconcileDrift], goroutineLeaks()
 	promValid := obs.ValidatePrometheus(prom) == nil
@@ -176,19 +188,42 @@ func telemetryLane(a laneArgs) {
 	}
 }
 
-// overhead times instrumented against reference, best of 3 each, and
-// returns the overhead in percent with the metrics entry recording it.
+// overhead times instrumented against reference in overheadPairs
+// back-to-back pairs, alternating which side runs first, and returns the
+// median of the paired ratios as an overhead in percent, with the metrics
+// entry recording it. Pairing cancels the drift of a shared machine's speed
+// between the two sides, and the median drops the pairs a burst of load
+// landed in.
 func overhead(batch int, reference, instrumented func() int64) (float64, map[string]any) {
-	ref, inst := bestOf(3, reference), bestOf(3, instrumented)
-	pct := 100 * (float64(inst)/float64(ref) - 1)
-	return pct, map[string]any{"batch": batch, "reference_ns": ref, "instrumented_ns": inst, "overhead_pct": pct}
+	refs, insts, ratios := make([]float64, overheadPairs), make([]float64, overheadPairs), make([]float64, overheadPairs)
+	for i := range overheadPairs {
+		if i%2 == 0 {
+			refs[i] = float64(reference())
+			insts[i] = float64(instrumented())
+		} else {
+			insts[i] = float64(instrumented())
+			refs[i] = float64(reference())
+		}
+		ratios[i] = insts[i] / refs[i]
+	}
+	pct := 100 * (median(ratios) - 1)
+	return pct, map[string]any{"batch": batch, "pairs": overheadPairs,
+		"reference_ns": int64(median(refs)), "instrumented_ns": int64(median(insts)), "overhead_pct": pct}
 }
 
-// hotPathBare is the reference: batch-sized segments of data-dependent work
-// with a plain local stat counter — the shape of the sat propagate loop and
-// the symex instruction loop, which keep stats loop-local and flush only at
-// segment boundaries.
-func hotPathBare(iters, batch int) int64 {
+// median returns the middle value of xs (odd length), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
+}
+
+// hotPath times iters iterations of data-dependent work in batch-sized
+// segments with a loop-local stat counter — the shape of the sat propagate
+// loop and the symex instruction loop, which keep stats loop-local and
+// flush only at segment boundaries — handing each segment's count to flush.
+// Both sides of a micro gate run this one loop and differ only in flush, so
+// the code layout of the loop cannot favour either side.
+func hotPath(iters, batch int, flush func(int64)) int64 {
 	var acc int64
 	start := time.Now()
 	for done := 0; done < iters; done += batch {
@@ -198,67 +233,14 @@ func hotPathBare(iters, batch int) int64 {
 			local++
 		}
 		acc += local
+		flush(local)
 	}
 	sink = acc
 	return int64(time.Since(start))
 }
 
-// hotPathBudget is the identical segmented loop under the instrumentation
-// pattern the solver hot paths use: the local counter is flushed through
-// the (nil-checked, mirror-charging) budget once per segment, never per
-// iteration.
-func hotPathBudget(iters, batch int, budget *engine.Budget) int64 {
-	var acc int64
-	start := time.Now()
-	for done := 0; done < iters; done += batch {
-		var local int64
-		for i := 0; i < batch && done+i < iters; i++ {
-			acc += acc>>1 ^ int64(done+i)
-			local++
-		}
-		acc += local
-		budget.Add(engine.Propagations, local)
-	}
-	sink = acc + budget.Count(engine.Propagations)
-	return int64(time.Since(start))
-}
-
-// hotPathSpendCollect is hotPathBudget plus one full spend collection per
-// segment — every budget counter read into a totals struct and folded, the
-// exact work the server does once per request to build provenance and
-// reconcile it.
-func hotPathSpendCollect(iters, batch int, budget *engine.Budget) int64 {
-	var acc int64
-	var fold engine.Spend
-	start := time.Now()
-	for done := 0; done < iters; done += batch {
-		var local int64
-		for i := 0; i < batch && done+i < iters; i++ {
-			acc += acc>>1 ^ int64(done+i)
-			local++
-		}
-		acc += local
-		budget.Add(engine.Propagations, local)
-		fold.Add(budget.Spend())
-	}
-	sink = acc + fold.Propagations
-	return int64(time.Since(start))
-}
-
 // sink defeats dead-code elimination of the measurement loops.
 var sink int64
-
-// bestOf returns the minimum of n timings — the standard noise filter for
-// micro measurements.
-func bestOf(n int, f func() int64) int64 {
-	best := f()
-	for i := 1; i < n; i++ {
-		if t := f(); t < best {
-			best = t
-		}
-	}
-	return best
-}
 
 // countMergedTrace returns the merged trace's duration-event count and the
 // number of distinct tids carrying them. The merge gives each trace id (one

@@ -69,7 +69,7 @@ func main() {
 	fmt.Printf("synthesising %d loops (timeout %v, max size %d, max set %d, %d workers)...\n",
 		len(loopdb.Corpus()), *timeout, *maxSize, *maxSet, *jobs)
 	start := time.Now()
-	records := harness.SynthesizeCorpusObs(loopdb.Corpus(), opts, progress, *jobs, sess)
+	records := harness.SynthesizeCorpus(loopdb.Corpus(), opts, progress, *jobs, sess)
 	fmt.Printf("sweep finished in %v\n\n", time.Since(start).Round(time.Second))
 	defer func() {
 		if err := closePipe(); err != nil {

@@ -30,8 +30,19 @@ func main() {
 	flag.Parse()
 
 	loops := loopdb.Corpus()
+	// s(v), the success function of §4.2.3: the number of corpus loops
+	// synthesised under the given options.
+	synthesized := func(opts cegis.Options) int {
+		n := 0
+		for _, rec := range harness.SynthesizeCorpus(loops, opts, nil, *jobs, nil) {
+			if rec.Found && rec.Err == nil {
+				n++
+			}
+		}
+		return n
+	}
 	fmt.Printf("baseline: full vocabulary, max size 9, %v per loop...\n", *baselineBudget)
-	baseline := harness.CountSynthesizedParallel(loops, cegis.Options{Timeout: *baselineBudget}, *jobs)
+	baseline := synthesized(cegis.Options{Timeout: *baselineBudget})
 	fmt.Printf("baseline synthesises %d/%d loops\n\n", baseline, len(loops))
 
 	eval := 0
@@ -45,11 +56,7 @@ func main() {
 			return 0
 		}
 		start := time.Now()
-		n := harness.CountSynthesizedParallel(loops, cegis.Options{
-			Vocabulary:  v,
-			Timeout:     *timeout,
-			MaxProgSize: *maxSize,
-		}, *jobs)
+		n := synthesized(cegis.Options{Vocabulary: v, Timeout: *timeout, MaxProgSize: *maxSize})
 		eval++
 		fmt.Printf("eval %2d: %-13s -> %2d loops (%v)\n",
 			eval, v.Letters(), n, time.Since(start).Round(time.Second))

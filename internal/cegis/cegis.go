@@ -179,9 +179,7 @@ func New(loop *cir.Func, opts Options) (*Synthesizer, error) {
 	}
 
 	// Original(NULL), computed concretely once (§2: loops may guard NULL).
-	mem := cir.NewMemory()
-	res, err := cir.Exec(loop, []cir.CVal{cir.NullVal()}, mem, 0)
-	s.origNull = concreteResult(res, err, -1)
+	s.origNull, _ = symex.RunConcrete(loop, nil, 0)
 
 	// The loop's symbolic paths on a fresh symbolic string of max_ex_size
 	// (line 10 of Algorithm 2), merged: computed once, reused per candidate.
@@ -224,12 +222,9 @@ func VerifyFunctionEquivalence(a, b *cir.Func, maxLen int, budget *engine.Budget
 		maxLen = 3
 	}
 	// NULL input, concretely.
-	nullRes := func(f *cir.Func) vocab.Result {
-		mem := cir.NewMemory()
-		res, err := cir.Exec(f, []cir.CVal{cir.NullVal()}, mem, 0)
-		return concreteResult(res, err, -1)
-	}
-	if nullRes(a) != nullRes(b) {
+	nullA, _ := symex.RunConcrete(a, nil, 0)
+	nullB, _ := symex.RunConcrete(b, nil, 0)
+	if nullA != nullB {
 		return false, nil, nil
 	}
 
@@ -266,29 +261,6 @@ func VerifyFunctionEquivalence(a, b *cir.Func, maxLen int, budget *engine.Budget
 		return false, cex, nil
 	}
 	return false, nil, fmt.Errorf("%w: equivalence query exhausted its budget", ErrTimeout)
-}
-
-// concreteResult maps a concrete execution outcome into the interpreter's
-// result domain (inputObj is the input buffer's object id, -1 for NULL runs).
-func concreteResult(res cir.ExecResult, err error, inputObj int) vocab.Result {
-	switch {
-	case err != nil:
-		return vocab.InvalidResult()
-	case res.Ret.IsNull():
-		return vocab.NullResult()
-	case res.Ret.IsPtr && res.Ret.Obj == inputObj:
-		return vocab.PtrResult(res.Ret.Off)
-	default:
-		return vocab.InvalidResult()
-	}
-}
-
-// runOriginal evaluates Original(cex) concretely.
-func (s *Synthesizer) runOriginal(cex []byte) vocab.Result {
-	mem := cir.NewMemory()
-	obj := mem.AllocData(append([]byte{}, cex...))
-	res, err := cir.Exec(s.loop, []cir.CVal{cir.PtrVal(obj, 0)}, mem, 0)
-	return concreteResult(res, err, obj)
 }
 
 // Synthesize runs the CEGIS main loop, deepening the program size until a
@@ -695,8 +667,9 @@ func (s *Synthesizer) addCex(cex []byte) error {
 	if err != nil {
 		return fmt.Errorf("cegis: counterexample: %w", err)
 	}
+	want, _ := symex.RunConcrete(s.loop, cex, 0) // Original(cex)
 	s.cexs = append(s.cexs, cex)
-	s.cexWant = append(s.cexWant, s.runOriginal(cex))
+	s.cexWant = append(s.cexWant, want)
 	s.cexStr = append(s.cexStr, cs)
 	s.cexRun = append(s.cexRun, vocab.NewSymRun(cs))
 	s.stats.Counterexamples++

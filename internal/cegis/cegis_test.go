@@ -8,6 +8,7 @@ import (
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
 	"stringloops/internal/cstr"
+	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
 
@@ -63,10 +64,7 @@ func checkAgainstLoop(t *testing.T, f *cir.Func, prog vocab.Program) {
 	}
 	for _, in := range inputs {
 		buf := cstr.Terminate(in)
-		mem := cir.NewMemory()
-		obj := mem.AllocData(append([]byte{}, buf...))
-		res, err := cir.Exec(f, []cir.CVal{cir.PtrVal(obj, 0)}, mem, 0)
-		want := concreteResult(res, err, obj)
+		want, _ := symex.RunConcrete(f, buf, 0)
 		got := vocab.Run(prog, buf)
 		if got != want {
 			t.Fatalf("program %q disagrees with loop on %q: got %+v, want %+v",
@@ -74,9 +72,8 @@ func checkAgainstLoop(t *testing.T, f *cir.Func, prog vocab.Program) {
 		}
 	}
 	// NULL input.
-	mem := cir.NewMemory()
-	res, err := cir.Exec(f, []cir.CVal{cir.NullVal()}, mem, 0)
-	if got, want := vocab.Run(prog, nil), concreteResult(res, err, -1); got != want {
+	want, _ := symex.RunConcrete(f, nil, 0)
+	if got := vocab.Run(prog, nil); got != want {
 		t.Fatalf("program %q disagrees on NULL: got %+v want %+v", prog.Encode(), got, want)
 	}
 }
@@ -293,10 +290,7 @@ char *find(char *s) {
 		t.Fatal("no counterexample produced")
 	}
 	// The counterexample must actually distinguish them.
-	mem := cir.NewMemory()
-	obj := mem.AllocData(append([]byte{}, cex...))
-	res, execErr := cir.Exec(f, []cir.CVal{cir.PtrVal(obj, 0)}, mem, 0)
-	want := concreteResult(res, execErr, obj)
+	want, _ := symex.RunConcrete(f, cex, 0)
 	if vocab.Run(bad, cex) == want {
 		t.Fatalf("counterexample %q does not distinguish", cex)
 	}
@@ -378,8 +372,8 @@ char *find(char *s) {
 		t.Fatalf("%d counterexamples kept of %d found: the set was never reset", n, out.Stats.Counterexamples)
 	}
 	for i, cex := range s.cexs {
-		if got, want := s.cexWant[i], s.runOriginal(cex); got != want {
-			t.Errorf("memo %d: Original(%q) = %+v, memo has %+v", i, cex, want, got)
+		if want, _ := symex.RunConcrete(s.loop, cex, 0); s.cexWant[i] != want {
+			t.Errorf("memo %d: Original(%q) = %+v, memo has %+v", i, cex, want, s.cexWant[i])
 		}
 		for j, c := range cex {
 			if s.cexStr[i].At(j) != s.bvin.Byte(c) {

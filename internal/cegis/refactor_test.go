@@ -11,6 +11,7 @@ import (
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
 	"stringloops/internal/engine"
+	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
 
@@ -28,10 +29,8 @@ func verifyPair(t *testing.T, src, a, b string) (bool, []byte) {
 	}
 	if cex != nil {
 		run := func(f *cir.Func) vocab.Result {
-			mem := cir.NewMemory()
-			obj := mem.AllocData(append([]byte{}, cex...))
-			res, execErr := cir.Exec(f, []cir.CVal{cir.PtrVal(obj, 0)}, mem, 0)
-			return concreteResult(res, execErr, obj)
+			res, _ := symex.RunConcrete(f, cex, 0)
+			return res
 		}
 		if ra, rb := run(fa), run(fb); ra == rb {
 			t.Fatalf("counterexample %q does not distinguish %s and %s: both give %+v", cex, a, b, ra)
@@ -207,10 +206,7 @@ char *loop_fn(char *s) {
 		// Exhaustive check on length-6 strings over the loop's alphabet plus
 		// a byte outside it.
 		check := func(buf []byte) {
-			mem := cir.NewMemory()
-			obj := mem.AllocData(append([]byte{}, buf...))
-			res, execErr := cir.Exec(f, []cir.CVal{cir.PtrVal(obj, 0)}, mem, 0)
-			want := concreteResult(res, execErr, obj)
+			want, _ := symex.RunConcrete(f, buf, 0)
 			if got := vocab.Run(out.Program, buf); got != want {
 				t.Fatalf("iter %d: %q on %q: summary %+v, loop %+v",
 					iter, out.Program.Encode(), buf, got, want)

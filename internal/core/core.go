@@ -17,6 +17,7 @@ import (
 	"stringloops/internal/cegis"
 	"stringloops/internal/cir"
 	"stringloops/internal/cstr"
+	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/idiom"
 	"stringloops/internal/memoryless"
@@ -134,48 +135,35 @@ func Summarize(source, funcName string, opts Options) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	memo := opts.Pipeline.Disk.MemoStore()
-	if memo == nil {
-		return summarizeLoop(f, opts)
-	}
+	return summarizeLowered(f, opts)
+}
 
-	// Whole-result memo: the loop's canonical hash plus every option that
-	// shapes the outcome keys the finished summary, so a structurally known
-	// loop — resubmitted in this process or a previous one — returns in O(1).
-	// Only deterministic outcomes are stored (a found summary, a clean
-	// exhaustive not-found); budget-classified failures always recompute.
-	// Concurrent -j drivers summarising the same loop collapse to one run
-	// through the store's singleflight.
-	key := fmt.Sprintf("sum1:%s:%s:%d:%d:%d:%t:%t", cir.CanonicalHash(f),
-		opts.Vocabulary, opts.MaxProgramSize, opts.MaxSetSize, opts.MaxExampleLength,
-		opts.RequireMemoryless, opts.Pipeline.Merge)
-	var (
-		computed bool
-		s        *Summary
-		serr     error
-	)
-	raw, cached := memo.Do(opts.Budget, key, func() ([]byte, bool) {
-		computed = true
-		s, serr = summarizeLoop(f, opts)
-		switch {
-		case serr == nil:
-			return encodeSummary(s), true
-		case errors.Is(serr, ErrNotFound) && !errors.Is(serr, engine.ErrBudget):
-			return []byte("N"), true
-		default:
+// summarizeLowered is Summarize after the front end: summarizeLoop behind
+// the whole-result memo. The loop's canonical hash plus every option that
+// shapes the outcome keys the finished summary, so a structurally known
+// loop — resubmitted in this process or a previous one — returns in O(1).
+// Only deterministic outcomes are stored (a found summary, a clean
+// exhaustive not-found); budget-classified failures always recompute.
+// Concurrent -j drivers summarising the same loop collapse to one run
+// through the store's singleflight.
+func summarizeLowered(f *cir.Func, opts Options) (*Summary, error) {
+	key := func() string {
+		return fmt.Sprintf("sum1:%s:%s:%d:%d:%d:%t:%t", cir.CanonicalHash(f),
+			opts.Vocabulary, opts.MaxProgramSize, opts.MaxSetSize, opts.MaxExampleLength,
+			opts.RequireMemoryless, opts.Pipeline.Merge)
+	}
+	return diskcache.Memo(opts.Pipeline.Disk.MemoStore(), opts.Budget, key,
+		func() (*Summary, error) { return summarizeLoop(f, opts) },
+		func(s *Summary, err error) ([]byte, bool) {
+			switch {
+			case err == nil:
+				return encodeSummary(s), true
+			case errors.Is(err, ErrNotFound) && !errors.Is(err, engine.ErrBudget):
+				return []byte("N"), true
+			}
 			return nil, false
-		}
-	})
-	if computed {
-		return s, serr
-	}
-	if cached {
-		if s, serr, ok := decodeSummary(raw, f.Name); ok {
-			return s, serr
-		}
-	}
-	// Failed shared flight or undecodable entry: compute live.
-	return summarizeLoop(f, opts)
+		},
+		func(raw []byte) (*Summary, error, bool) { return decodeSummary(raw, f.Name) })
 }
 
 // encodeSummary renders a found summary for the memo store: the encoded
@@ -367,12 +355,16 @@ func VerifyMemoryless(source, funcName string) (*MemorylessReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := memoryless.Verify(f, 3)
+	return memorylessReport(memoryless.Verify(f, 3)), nil
+}
+
+// memorylessReport is the facade form of a memoryless.Report.
+func memorylessReport(r memoryless.Report) *MemorylessReport {
 	out := &MemorylessReport{Memoryless: r.Memoryless, Reason: r.Reason, Elapsed: r.Elapsed}
 	if r.Memoryless {
 		out.Direction = r.Spec.Dir.String()
 	}
-	return out, nil
+	return out
 }
 
 // CheckEquivalence verifies an encoded summary against the named loop on all

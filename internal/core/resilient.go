@@ -17,6 +17,7 @@ import (
 	"stringloops/internal/sat"
 	"stringloops/internal/supervise"
 	"stringloops/internal/symex"
+	"stringloops/internal/vocab"
 )
 
 // Rung identifies a level of the graceful-degradation ladder walked by
@@ -209,7 +210,7 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 		{Name: RungFull.String(), Run: func(lim engine.Limits) error {
 			o := opts.Options
 			o.Budget = opts.newAttemptBudget(lim)
-			s, err := Summarize(source, funcName, o)
+			s, err := summarizeLowered(f, o)
 			if err != nil {
 				return err
 			}
@@ -224,11 +225,7 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 			if r.Err != nil {
 				return r.Err
 			}
-			m := &MemorylessReport{Memoryless: r.Memoryless, Reason: r.Reason, Elapsed: r.Elapsed}
-			if r.Memoryless {
-				m.Direction = r.Spec.Dir.String()
-			}
-			out.Memoryless = m
+			out.Memoryless = memorylessReport(r)
 			return nil
 		}},
 		{Name: RungCovering.String(), Run: func(lim engine.Limits) error {
@@ -299,10 +296,9 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 // summary.
 func loopCoveringInputs(f *cir.Func, maxLen int, budget *engine.Budget, pipe symex.Config) ([]TestInput, error) {
 	eng := pipe.NewEngine(budget)
-	bvin, cache := eng.In, eng.Cache
-	buf := symex.SymbolicString(bvin, "s", maxLen)
-	eng.Objects = [][]*bv.Term{buf}
-	paths, err := eng.Run(f, []symex.Value{symex.PtrValue(0, bvin.Int32(0))}, bv.True)
+	cache := eng.Cache
+	buf := symex.SymbolicString(eng.In, "s", maxLen)
+	paths, err := eng.RunOn(f, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -347,11 +343,11 @@ func loopCoveringInputs(f *cir.Func, maxLen int, budget *engine.Budget, pipe sym
 		}
 		seen[in] = true
 		ti := TestInput{Input: in}
-		switch {
-		case p.Ret.IsNull():
+		switch lp, _ := symex.ClassifyPath(p); lp.Kind {
+		case vocab.Null:
 			ti.Null = true
-		case p.Ret.IsPtr && p.Ret.Obj == 0:
-			ti.Offset = int(int32(tev.Term(p.Ret.Off)))
+		case vocab.Ptr:
+			ti.Offset = int(int32(tev.Term(lp.Off)))
 		default:
 			continue
 		}
@@ -378,20 +374,15 @@ var smokeBattery = []string{
 func smokeRun(f *cir.Func) *SmokeResult {
 	res := &SmokeResult{}
 	for _, in := range smokeBattery {
-		buf := cstr.Terminate(in)
-		mem := cir.NewMemory()
-		obj := mem.AllocData(append([]byte{}, buf...))
-		r, err := cir.Exec(f, []cir.CVal{cir.PtrVal(obj, 0)}, mem, 1<<16)
+		r, _ := symex.RunConcrete(f, cstr.Terminate(in), 1<<16)
 		ti := TestInput{Input: in}
-		switch {
-		case err != nil:
-			continue // undefined behaviour on this input
-		case r.Ret.IsNull():
+		switch r.Kind {
+		case vocab.Null:
 			ti.Null = true
-		case r.Ret.IsPtr && r.Ret.Obj == obj:
-			ti.Offset = r.Ret.Off
+		case vocab.Ptr:
+			ti.Offset = r.Off
 		default:
-			continue
+			continue // undefined behaviour on this input
 		}
 		res.Inputs = append(res.Inputs, ti)
 	}

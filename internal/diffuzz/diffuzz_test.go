@@ -9,6 +9,7 @@ import (
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
 	"stringloops/internal/engine"
+	"stringloops/internal/vocab"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -100,7 +101,7 @@ func TestDoWhileShortBufferDomainGate(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("concrete run inconclusive: ok=%v err=%v", ok, err)
 	}
-	if want.Kind != RUB {
+	if want.Kind != vocab.Invalid {
 		t.Fatalf("capacity-1 buffer should be UB in the interpreter, got %s", want)
 	}
 	if tgt.HasSummary && !tgt.Memoryless {
@@ -135,12 +136,12 @@ type offByOneExec struct{}
 
 func (offByOneExec) Name() string { return "buggy" }
 
-func (offByOneExec) Run(tg *Target, input []byte) (Result, bool, error) {
+func (offByOneExec) Run(tg *Target, input []byte) (vocab.Result, bool, error) {
 	r, ok, err := runConcrete(tg, input)
 	if err != nil || !ok {
 		return r, ok, err
 	}
-	if r.Kind == RPtr && r.Off >= 2 {
+	if r.Kind == vocab.Ptr && r.Off >= 2 {
 		r.Off--
 	}
 	return r, ok, nil
@@ -186,7 +187,7 @@ type panicExec struct{}
 
 func (panicExec) Name() string { return "crashy" }
 
-func (panicExec) Run(tg *Target, input []byte) (Result, bool, error) {
+func (panicExec) Run(tg *Target, input []byte) (vocab.Result, bool, error) {
 	if input != nil && len(input) > 2 {
 		panic(fmt.Sprintf("crashy: cannot handle %d bytes", len(input)))
 	}

@@ -16,40 +16,6 @@ import (
 	"stringloops/internal/vocab"
 )
 
-// ResultKind classifies an executor outcome in the common result domain all
-// three executors are compared in.
-type ResultKind int
-
-// Result kinds.
-const (
-	// RPtr is a pointer into the input buffer at offset Off.
-	RPtr ResultKind = iota
-	// RNull is the NULL pointer.
-	RNull
-	// RUB means the execution ran into C undefined behaviour (out-of-bounds
-	// access, null dereference, or the summary's invalid pointer).
-	RUB
-)
-
-// Result is an executor outcome. All executors must agree on it, including
-// the UB cases — UB is deterministic in this pipeline (the interpreter traps
-// the first bad access), so a UB/defined mismatch is a real divergence.
-type Result struct {
-	Kind ResultKind
-	Off  int
-}
-
-func (r Result) String() string {
-	switch r.Kind {
-	case RPtr:
-		return fmt.Sprintf("s+%d", r.Off)
-	case RNull:
-		return "NULL"
-	default:
-		return "UB"
-	}
-}
-
 // Target is one generated program prepared for checking: lowered IR, the
 // synthesized summary when CEGIS succeeded, the memoryless verdict gating
 // how widely the summary may be compared, and a per-buffer-capacity cache of
@@ -235,48 +201,34 @@ func PrepareTarget(seed uint64, p *Prog, opts *Options) (*Target, *Finding) {
 
 // runConcrete executes the loop in the cir interpreter — the ground truth.
 // ok=false means the run is inconclusive (step limit: a diverging loop on
-// this input) and the input should be skipped.
-func runConcrete(t *Target, input []byte) (Result, bool, error) {
-	mem := cir.NewMemory()
-	var args []cir.CVal
-	if input == nil {
-		args = []cir.CVal{cir.NullVal()}
-	} else {
-		buf := append([]byte(nil), input...)
-		obj := mem.AllocData(buf)
-		args = []cir.CVal{cir.PtrVal(obj, 0)}
-	}
-	res, err := cir.Exec(t.F, args, mem, 1<<18)
+// this input) and the input should be skipped. An out-of-bounds or null
+// access is the invalid pointer (UB); any other interpreter error, and a
+// return that is neither NULL nor into the input, is an error.
+func runConcrete(t *Target, input []byte) (vocab.Result, bool, error) {
+	r, err := symex.RunConcrete(t.F, input, 1<<18)
 	switch {
+	case err == nil, errors.Is(err, cir.ErrMemory):
+		return r, true, nil
 	case errors.Is(err, cir.ErrStepLimit):
-		return Result{}, false, nil
-	case errors.Is(err, cir.ErrMemory):
-		return Result{Kind: RUB}, true, nil
-	case err != nil:
-		return Result{}, false, fmt.Errorf("interpreter error: %v", err)
+		return r, false, nil
+	case errors.Is(err, symex.ErrForeignReturn):
+		return r, false, err
 	}
-	ret := res.Ret
-	if !ret.IsPtr {
-		return Result{}, false, fmt.Errorf("non-pointer return %s", ret)
-	}
-	if ret.IsNull() {
-		return Result{Kind: RNull}, true, nil
-	}
-	if input == nil || ret.Obj != 0 {
-		return Result{}, false, fmt.Errorf("return points at unexpected object: %s", ret)
-	}
-	return Result{Kind: RPtr, Off: ret.Off}, true, nil
+	return r, false, fmt.Errorf("interpreter error: %v", err)
 }
 
 // Executor is one cross-checked execution strategy. Run returns the outcome
-// in the common result domain; ok=false means "inconclusive, skip this
+// in the interpreter's result domain, vocab.Result. All executors must agree
+// on it, including the invalid pointer (UB): UB is deterministic in this
+// pipeline (the interpreter traps the first bad access), so a UB/defined
+// mismatch is a real divergence. ok=false means "inconclusive, skip this
 // input" (e.g. budget exhausted, summary not applicable), and a non-nil
 // error is an internal failure reported as a finding. Panics are recovered
 // by the caller. Tests inject deliberately buggy executors through this
 // interface to prove the harness catches and minimizes divergences.
 type Executor interface {
 	Name() string
-	Run(t *Target, input []byte) (res Result, ok bool, err error)
+	Run(t *Target, input []byte) (res vocab.Result, ok bool, err error)
 }
 
 // DefaultExecutors returns the two executors cross-checked against the
@@ -306,7 +258,7 @@ func (e symexExecutor) Name() string {
 	return "symex"
 }
 
-func (e symexExecutor) Run(t *Target, input []byte) (Result, bool, error) {
+func (e symexExecutor) Run(t *Target, input []byte) (vocab.Result, bool, error) {
 	n := -1 // NULL input: no buffer object
 	if input != nil {
 		n = len(input) - 1
@@ -316,12 +268,12 @@ func (e symexExecutor) Run(t *Target, input []byte) (Result, bool, error) {
 
 // replayPaths replays the concrete input against a symbolic path set:
 // exactly one path must claim it, and its result is the verdict.
-func replayPaths(ps pathSet, input []byte, n int) (Result, bool, error) {
+func replayPaths(ps pathSet, input []byte, n int) (vocab.Result, bool, error) {
 	if ps.err != nil {
 		if errors.Is(ps.err, symex.ErrTimeout) || errors.Is(ps.err, symex.ErrPathLimit) {
-			return Result{}, false, nil
+			return vocab.Result{}, false, nil
 		}
-		return Result{}, false, fmt.Errorf("symbolic execution failed: %v", ps.err)
+		return vocab.Result{}, false, fmt.Errorf("symbolic execution failed: %v", ps.err)
 	}
 
 	asn := &bv.Assignment{Terms: map[string]uint64{}}
@@ -332,58 +284,51 @@ func replayPaths(ps pathSet, input []byte, n int) (Result, bool, error) {
 
 	matched := false
 	sawSkip := false
-	var got Result
+	var got vocab.Result
 	for _, p := range ps.paths {
 		if !ev.Bool(p.Cond) {
 			continue
 		}
 		r, ok, err := mapPath(p, ev)
 		if err != nil {
-			return Result{}, false, err
+			return vocab.Result{}, false, err
 		}
 		if !ok {
 			sawSkip = true
 			continue
 		}
 		if matched && got != r {
-			return Result{}, false, fmt.Errorf("overlap: two live paths claim the input with different results (%s vs %s)", got, r)
+			return vocab.Result{}, false, fmt.Errorf("overlap: two live paths claim the input with different results (%s vs %s)", got, r)
 		}
 		matched = true
 		got = r
 	}
 	if !matched {
 		if sawSkip {
-			return Result{}, false, nil // only a step-limited path claims it
+			return vocab.Result{}, false, nil // only a step-limited path claims it
 		}
-		return Result{}, false, errors.New("no-path: no symbolic path condition matches the concrete input")
+		return vocab.Result{}, false, errors.New("no-path: no symbolic path condition matches the concrete input")
 	}
 	return got, true, nil
 }
 
 // mapPath maps one symbolic path outcome, under the evaluator for the
 // concrete input, into the common result domain.
-func mapPath(p symex.Path, ev *bv.Evaluator) (Result, bool, error) {
-	if p.Err != nil {
-		switch {
-		case errors.Is(p.Err, symex.ErrOOB), errors.Is(p.Err, symex.ErrNullDeref):
-			return Result{Kind: RUB}, true, nil
-		case errors.Is(p.Err, symex.ErrStepLimit):
-			return Result{}, false, nil
-		default:
-			return Result{}, false, fmt.Errorf("unexpected path error: %v", p.Err)
-		}
+func mapPath(p symex.Path, ev *bv.Evaluator) (vocab.Result, bool, error) {
+	lp, err := symex.ClassifyPath(p)
+	switch {
+	case err == nil:
+	case errors.Is(err, symex.ErrOOB), errors.Is(err, symex.ErrNullDeref):
+		return vocab.InvalidResult(), true, nil
+	case errors.Is(err, symex.ErrStepLimit):
+		return vocab.Result{}, false, nil
+	default:
+		return vocab.Result{}, false, fmt.Errorf("symbolic path: %v", err)
 	}
-	ret := p.Ret
-	if !ret.IsPtr {
-		return Result{}, false, fmt.Errorf("non-pointer symbolic return")
+	if lp.Kind == vocab.Ptr {
+		return vocab.PtrResult(int(int32(ev.Term(lp.Off)))), true, nil
 	}
-	if ret.IsNull() {
-		return Result{Kind: RNull}, true, nil
-	}
-	if ret.Obj != 0 {
-		return Result{}, false, fmt.Errorf("symbolic return points at unexpected object %d", ret.Obj)
-	}
-	return Result{Kind: RPtr, Off: int(int32(ev.Term(ret.Off)))}, true, nil
+	return vocab.Result{Kind: lp.Kind}, true, nil
 }
 
 // oracleEngine builds one symbolic oracle's engine over its own solver
@@ -413,14 +358,11 @@ func (t *Target) pathsFor(n int, merged bool) pathSet {
 	if ps, ok := memo[n]; ok {
 		return ps
 	}
-	eng.Objects = nil
-	args := []symex.Value{symex.NullValue()}
+	var buf []*bv.Term
 	if n >= 0 {
-		buf := symex.SymbolicString(eng.In, "s", n)
-		eng.Objects = [][]*bv.Term{buf}
-		args = []symex.Value{symex.PtrValue(0, eng.In.Int32(0))}
+		buf = symex.SymbolicString(eng.In, "s", n)
 	}
-	paths, err := eng.Run(t.F, args, bv.True)
+	paths, err := eng.RunOn(t.F, buf)
 	ps := pathSet{paths: paths, err: err}
 	memo[n] = ps
 	return ps
@@ -439,22 +381,14 @@ type summaryExecutor struct{}
 
 func (summaryExecutor) Name() string { return "summary" }
 
-func (summaryExecutor) Run(t *Target, input []byte) (Result, bool, error) {
+func (summaryExecutor) Run(t *Target, input []byte) (vocab.Result, bool, error) {
 	if !t.HasSummary {
-		return Result{}, false, nil
+		return vocab.Result{}, false, nil
 	}
 	if input != nil && !t.Memoryless && len(input)-1 != t.MaxExSize {
-		return Result{}, false, nil
+		return vocab.Result{}, false, nil
 	}
-	r := vocab.Run(t.Summary, input)
-	switch r.Kind {
-	case vocab.Ptr:
-		return Result{Kind: RPtr, Off: r.Off}, true, nil
-	case vocab.Null:
-		return Result{Kind: RNull}, true, nil
-	default:
-		return Result{Kind: RUB}, true, nil
-	}
+	return vocab.Run(t.Summary, input), true, nil
 }
 
 // checkInput cross-checks one input (nil = NULL pointer) through every
@@ -462,7 +396,7 @@ func (summaryExecutor) Run(t *Target, input []byte) (Result, bool, error) {
 func checkInput(t *Target, input []byte, execs []Executor) []*Finding {
 	var finds []*Finding
 	nullIn := input == nil
-	var want Result
+	var want vocab.Result
 	conclusive := false
 	if f := guard(t.Seed, "concrete", t.Source, input, nullIn, func() *Finding {
 		w, ok, err := runConcrete(t, input)

@@ -251,6 +251,42 @@ func (s *Store) Do(b *engine.Budget, key string, fn func() ([]byte, bool)) ([]by
 	return f.val, f.ok
 }
 
+// Memo is the whole-result memo policy over Do, shared by every pipeline
+// that memoizes a finished result: with no store, compute runs live;
+// otherwise the result of compute is stored under key() when encode accepts
+// it, and a computed result is always returned live, never re-decoded. A
+// cached entry is decoded; an entry decode rejects, or a shared flight that
+// failed, computes live. key is called only when the store is on, so a
+// disabled tier pays no hashing.
+func Memo[T any](s *Store, b *engine.Budget, key func() string,
+	compute func() (T, error),
+	encode func(T, error) ([]byte, bool),
+	decode func([]byte) (T, error, bool),
+) (T, error) {
+	if s == nil {
+		return compute()
+	}
+	var (
+		computed bool
+		v        T
+		err      error
+	)
+	raw, cached := s.Do(b, key(), func() ([]byte, bool) {
+		computed = true
+		v, err = compute()
+		return encode(v, err)
+	})
+	if computed {
+		return v, err
+	}
+	if cached {
+		if v, err, ok := decode(raw); ok {
+			return v, err
+		}
+	}
+	return compute()
+}
+
 // InFlight returns the number of singleflight computations currently
 // registered. After every caller of Do has returned it must be zero —
 // the daemon's cancellation tests use it to pin the flight-leak class.

@@ -249,8 +249,11 @@ func (b *Budget) Count(c Counter) int64 {
 // Spend snapshots every counter in wire form.
 func (b *Budget) Spend() Spend {
 	var s Spend
-	for c, row := range ledger {
-		*row.field(&s) = b.Count(Counter(c))
+	if b == nil {
+		return s
+	}
+	for c := range ledger {
+		*ledger[c].field(&s) = b.counts[c].Load()
 	}
 	return s
 }

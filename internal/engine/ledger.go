@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"stringloops/internal/obs"
 )
@@ -41,32 +42,40 @@ const (
 )
 
 // counterInfo is one ledger row: the counter's canonical metric name in the
-// obs registry, its short label in -explain spend lines, and its field in
-// the wire-form Spend.
+// obs registry, its short label in -explain spend lines, and the offset of
+// its field in the wire-form Spend.
 type counterInfo struct {
 	metric string
 	label  string
-	field  func(*Spend) *int64
+	off    uintptr
+}
+
+// field returns the row's counter in s. The row holds a field offset rather
+// than an accessor closure because escape analysis cannot see through a
+// function value: a closure would move every Spend it touched to the heap,
+// one allocation per Budget.Spend and per Spend.Add.
+func (row *counterInfo) field(s *Spend) *int64 {
+	return (*int64)(unsafe.Add(unsafe.Pointer(s), row.off))
 }
 
 var ledger = [numCounters]counterInfo{
-	Conflicts:        {obs.MSatConflicts, "conflicts", func(s *Spend) *int64 { return &s.Conflicts }},
-	Propagations:     {obs.MSatPropagations, "props", func(s *Spend) *int64 { return &s.Propagations }},
-	Forks:            {obs.MSymexForks, "forks", func(s *Spend) *int64 { return &s.Forks }},
-	Nodes:            {obs.MBVNodes, "nodes", func(s *Spend) *int64 { return &s.Nodes }},
-	CacheHits:        {obs.MQCacheHits, "qcache", func(s *Spend) *int64 { return &s.QCacheHits }},
-	CacheMisses:      {obs.MQCacheMisses, "qmiss", func(s *Spend) *int64 { return &s.QCacheMisses }},
-	DiskHits:         {obs.MDiskHits, "disk", func(s *Spend) *int64 { return &s.DiskHits }},
-	DiskMisses:       {obs.MDiskMisses, "dmiss", func(s *Spend) *int64 { return &s.DiskMisses }},
-	DiskEvictions:    {obs.MDiskEvictions, "evict", func(s *Spend) *int64 { return &s.DiskEvictions }},
-	VNHits:           {obs.MBVVNHits, "vn", func(s *Spend) *int64 { return &s.VNHits }},
-	IteFusions:       {obs.MBVIteFusions, "fuse", func(s *Spend) *int64 { return &s.IteFusions }},
-	BlastHits:        {obs.MBVBlastHits, "blast", func(s *Spend) *int64 { return &s.BlastHits }},
-	SimplifyCalls:    {obs.MBVSimplifyCalls, "simp", func(s *Spend) *int64 { return &s.SimplifyCalls }},
-	SimplifyNodesIn:  {obs.MBVSimplifyNodesIn, "simpin", func(s *Spend) *int64 { return &s.SimplifyNodesIn }},
-	SimplifyNodesOut: {obs.MBVSimplifyNodesOut, "simpout", func(s *Spend) *int64 { return &s.SimplifyNodesOut }},
-	Merges:           {obs.MSymexMerges, "merges", func(s *Spend) *int64 { return &s.Merges }},
-	MergeItes:        {obs.MSymexMergeItes, "ites", func(s *Spend) *int64 { return &s.MergeItes }},
+	Conflicts:        {obs.MSatConflicts, "conflicts", unsafe.Offsetof(Spend{}.Conflicts)},
+	Propagations:     {obs.MSatPropagations, "props", unsafe.Offsetof(Spend{}.Propagations)},
+	Forks:            {obs.MSymexForks, "forks", unsafe.Offsetof(Spend{}.Forks)},
+	Nodes:            {obs.MBVNodes, "nodes", unsafe.Offsetof(Spend{}.Nodes)},
+	CacheHits:        {obs.MQCacheHits, "qcache", unsafe.Offsetof(Spend{}.QCacheHits)},
+	CacheMisses:      {obs.MQCacheMisses, "qmiss", unsafe.Offsetof(Spend{}.QCacheMisses)},
+	DiskHits:         {obs.MDiskHits, "disk", unsafe.Offsetof(Spend{}.DiskHits)},
+	DiskMisses:       {obs.MDiskMisses, "dmiss", unsafe.Offsetof(Spend{}.DiskMisses)},
+	DiskEvictions:    {obs.MDiskEvictions, "evict", unsafe.Offsetof(Spend{}.DiskEvictions)},
+	VNHits:           {obs.MBVVNHits, "vn", unsafe.Offsetof(Spend{}.VNHits)},
+	IteFusions:       {obs.MBVIteFusions, "fuse", unsafe.Offsetof(Spend{}.IteFusions)},
+	BlastHits:        {obs.MBVBlastHits, "blast", unsafe.Offsetof(Spend{}.BlastHits)},
+	SimplifyCalls:    {obs.MBVSimplifyCalls, "simp", unsafe.Offsetof(Spend{}.SimplifyCalls)},
+	SimplifyNodesIn:  {obs.MBVSimplifyNodesIn, "simpin", unsafe.Offsetof(Spend{}.SimplifyNodesIn)},
+	SimplifyNodesOut: {obs.MBVSimplifyNodesOut, "simpout", unsafe.Offsetof(Spend{}.SimplifyNodesOut)},
+	Merges:           {obs.MSymexMerges, "merges", unsafe.Offsetof(Spend{}.Merges)},
+	MergeItes:        {obs.MSymexMergeItes, "ites", unsafe.Offsetof(Spend{}.MergeItes)},
 }
 
 // Spend is a budget's counters in wire form: what provenance reports per
@@ -94,8 +103,8 @@ type Spend struct {
 
 // Add accumulates another spend (one attempt's, one loop's) into s.
 func (s *Spend) Add(o Spend) {
-	for _, row := range ledger {
-		*row.field(s) += *row.field(&o)
+	for c := range ledger {
+		*ledger[c].field(s) += *ledger[c].field(&o)
 	}
 }
 

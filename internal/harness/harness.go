@@ -9,7 +9,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stringloops/internal/cegis"
@@ -29,27 +28,16 @@ type SynthRecord struct {
 	Err     error
 }
 
-// SynthesizeCorpus runs the synthesiser over the given loops, serially.
-// Progress lines go to progress when non-nil.
-func SynthesizeCorpus(loops []loopdb.Loop, opts cegis.Options, progress io.Writer) []SynthRecord {
-	return SynthesizeCorpusParallel(loops, opts, progress, 1)
-}
-
-// SynthesizeCorpusParallel is SynthesizeCorpus on a bounded pool of workers.
-// Every loop runs its own synthesis pipeline (interner, solver, budget), so
-// the per-loop records are independent of the worker count and come back in
-// corpus order; only the interleaving of progress lines varies. workers < 1
-// means one worker per CPU.
-func SynthesizeCorpusParallel(loops []loopdb.Loop, opts cegis.Options, progress io.Writer, workers int) []SynthRecord {
-	return SynthesizeCorpusObs(loops, opts, progress, workers, nil)
-}
-
-// SynthesizeCorpusObs is SynthesizeCorpusParallel with an observability
-// session: each loop gets its own item scope (child tracer on the worker's
-// trace lane, fresh per-item metrics registry) whose budget carries the
-// handles through the pipeline, and its report row lands in sess.Report. A
-// nil (or disabled) session behaves exactly like SynthesizeCorpusParallel.
-func SynthesizeCorpusObs(loops []loopdb.Loop, opts cegis.Options, progress io.Writer, workers int, sess *obs.Session) []SynthRecord {
+// SynthesizeCorpus runs the synthesiser over the given loops on a bounded
+// pool of workers (workers < 1 means one per CPU). Every loop runs its own
+// synthesis pipeline (interner, solver, budget), so the per-loop records are
+// independent of the worker count and come back in corpus order; only the
+// interleaving of progress lines (written to progress when non-nil) varies.
+// With an observability session each loop gets its own item scope (child
+// tracer on the worker's trace lane, fresh per-item metrics registry) whose
+// budget carries the handles through the pipeline, and its report row lands
+// in sess.Report; a nil or disabled session adds nothing.
+func SynthesizeCorpus(loops []loopdb.Loop, opts cegis.Options, progress io.Writer, workers int, sess *obs.Session) []SynthRecord {
 	records := make([]SynthRecord, len(loops))
 	var progressMu sync.Mutex
 	engine.MapWorker(engine.Workers(workers, len(loops)), len(loops), func(worker, i int) {
@@ -174,31 +162,6 @@ func Figure2(records []SynthRecord, maxSize int, timeouts []time.Duration) map[t
 		out[to] = counts
 	}
 	return out
-}
-
-// CountSynthesized is the success function s(v) of §4.2.3: the number of
-// corpus loops synthesised under the given options. It is the objective the
-// Gaussian-process optimiser maximises over vocabularies.
-func CountSynthesized(loops []loopdb.Loop, opts cegis.Options) int {
-	return CountSynthesizedParallel(loops, opts, 1)
-}
-
-// CountSynthesizedParallel is CountSynthesized on a bounded pool of workers.
-// The count is a sum over independent per-loop runs, so it does not depend on
-// the worker count. workers < 1 means one worker per CPU.
-func CountSynthesizedParallel(loops []loopdb.Loop, opts cegis.Options, workers int) int {
-	var n atomic.Int64
-	engine.Map(engine.Workers(workers, len(loops)), len(loops), func(i int) {
-		f, err := loops[i].Lower()
-		if err != nil {
-			return
-		}
-		out, err := cegis.Synthesize(f, opts)
-		if err == nil && out.Found {
-			n.Add(1)
-		}
-	})
-	return int(n.Load())
 }
 
 // VocabularyFromBits converts a GP point to a Vocabulary (Table 1 bit

@@ -31,7 +31,7 @@ func smallCorpus(t *testing.T, names ...string) []loopdb.Loop {
 func TestSynthesizeCorpusRecords(t *testing.T) {
 	loops := smallCorpus(t, "bash/skip_spaces", "ssh/find_comma", "git/mid1")
 	var progress strings.Builder
-	records := SynthesizeCorpus(loops, cegis.Options{Timeout: 5 * time.Second}, &progress)
+	records := SynthesizeCorpus(loops, cegis.Options{Timeout: 5 * time.Second}, &progress, 1, nil)
 	if len(records) != 3 {
 		t.Fatalf("%d records", len(records))
 	}
@@ -109,14 +109,25 @@ func TestFigure2Derivation(t *testing.T) {
 	}
 }
 
+// TestCountSynthesizedRestrictsVocabulary checks s(v) of §4.2.3, the
+// number of loops synthesised, on a restricted vocabulary.
 func TestCountSynthesizedRestrictsVocabulary(t *testing.T) {
 	loops := smallCorpus(t, "bash/skip_spaces", "bash/find_eq")
-	full := CountSynthesized(loops, cegis.Options{Timeout: 5 * time.Second})
+	count := func(opts cegis.Options) int {
+		n := 0
+		for _, rec := range SynthesizeCorpus(loops, opts, nil, 2, nil) {
+			if rec.Found && rec.Err == nil {
+				n++
+			}
+		}
+		return n
+	}
+	full := count(cegis.Options{Timeout: 5 * time.Second})
 	if full != 2 {
 		t.Fatalf("full vocabulary should synthesise both, got %d", full)
 	}
 	pOnly, _ := vocab.VocabularyOf("PF")
-	limited := CountSynthesized(loops, cegis.Options{Vocabulary: pOnly, Timeout: 2 * time.Second})
+	limited := count(cegis.Options{Vocabulary: pOnly, Timeout: 2 * time.Second})
 	if limited != 1 {
 		t.Fatalf("P-only vocabulary should synthesise just the span loop, got %d", limited)
 	}

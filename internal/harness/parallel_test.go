@@ -14,9 +14,9 @@ import (
 func TestSynthesizeCorpusParallelMatchesSerial(t *testing.T) {
 	loops := smallCorpus(t, "bash/skip_spaces", "ssh/find_comma")
 	opts := cegis.Options{Timeout: 5 * time.Second}
-	serial := SynthesizeCorpusParallel(loops, opts, nil, 1)
+	serial := SynthesizeCorpus(loops, opts, nil, 1, nil)
 	var progress strings.Builder
-	parallel := SynthesizeCorpusParallel(loops, opts, &progress, 4)
+	parallel := SynthesizeCorpus(loops, opts, &progress, 4, nil)
 	if len(serial) != len(loops) || len(parallel) != len(loops) {
 		t.Fatalf("record lengths: %d/%d, want %d", len(serial), len(parallel), len(loops))
 	}
@@ -35,18 +35,5 @@ func TestSynthesizeCorpusParallelMatchesSerial(t *testing.T) {
 		if !strings.Contains(progress.String(), l.Name) {
 			t.Errorf("progress output missing %s", l.Name)
 		}
-	}
-}
-
-func TestCountSynthesizedParallelMatchesSerial(t *testing.T) {
-	loops := smallCorpus(t, "bash/skip_spaces", "ssh/find_comma", "git/mid1")
-	opts := cegis.Options{Timeout: 5 * time.Second}
-	serial := CountSynthesizedParallel(loops, opts, 1)
-	parallel := CountSynthesizedParallel(loops, opts, 3)
-	if serial != parallel {
-		t.Fatalf("counts differ: serial %d, parallel %d", serial, parallel)
-	}
-	if serial != 2 {
-		t.Fatalf("count = %d, want 2 (mid-return loop must not synthesise)", serial)
 	}
 }

@@ -80,10 +80,8 @@ func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measu
 	start := time.Now()
 	budget := engine.NewBudget(cfg.Ctx, engine.Limits{Timeout: timeout})
 	eng := cfg.stack(budget)
-	bvin, cache := eng.In, eng.Cache
-	buf := symex.SymbolicString(bvin, "s", n)
-	eng.Objects = [][]*bv.Term{buf}
-	paths, err := eng.Run(loop, []symex.Value{symex.PtrValue(0, bvin.Int32(0))}, bv.True)
+	cache := eng.Cache
+	paths, err := eng.RunOn(loop, symex.SymbolicString(eng.In, "s", n))
 	m := Measurement{
 		Mode:          "vanilla",
 		Length:        n,

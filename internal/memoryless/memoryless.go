@@ -25,6 +25,7 @@ import (
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
+	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/obs"
 	"stringloops/internal/sat"
@@ -174,23 +175,8 @@ func VerifyWith(loop *cir.Func, opts VerifyOptions) Report {
 	return done(true, spec, "")
 }
 
-// runOn executes the loop concretely on the given buffer, mapping the
-// outcome into the interpreter result domain.
-func runOn(loop *cir.Func, buf []byte) vocab.Result {
-	mem := cir.NewMemory()
-	obj := mem.AllocData(append([]byte{}, buf...))
-	res, err := cir.Exec(loop, []cir.CVal{cir.PtrVal(obj, 0)}, mem, 1<<16)
-	switch {
-	case err != nil:
-		return vocab.InvalidResult()
-	case res.Ret.IsNull():
-		return vocab.NullResult()
-	case res.Ret.IsPtr && res.Ret.Obj == obj:
-		return vocab.PtrResult(res.Ret.Off)
-	default:
-		return vocab.InvalidResult()
-	}
-}
+// concreteSteps bounds every concrete run of the loop.
+const concreteSteps = 1 << 16
 
 // InferSpec reads the candidate specification off the loop's behaviour on
 // the empty string and all single-character strings, checking the
@@ -201,7 +187,7 @@ func InferSpec(loop *cir.Func) (*Spec, string) {
 	// Exit set: characters on which the loop does not complete an iteration
 	// of a single-character string (Q0(c) is false).
 	for c := 1; c < 256; c++ {
-		r := runOn(loop, []byte{byte(c), 0})
+		r, _ := symex.RunConcrete(loop, []byte{byte(c), 0}, concreteSteps)
 		switch {
 		case r.Kind == vocab.Ptr && r.Off == 0:
 			spec.X[c] = true
@@ -217,7 +203,7 @@ func InferSpec(loop *cir.Func) (*Spec, string) {
 		}
 	}
 	// Miss behaviour from the empty string.
-	switch r := runOn(loop, []byte{0}); {
+	switch r, _ := symex.RunConcrete(loop, []byte{0}, concreteSteps); {
 	case r.Kind == vocab.Ptr && r.Off == 0:
 		spec.Miss = MissEnd // also MissStart for backward; fixed below
 	case r.Kind == vocab.Ptr && r.Off == -1:
@@ -234,7 +220,7 @@ func InferSpec(loop *cir.Func) (*Spec, string) {
 		if spec.X[c] {
 			continue
 		}
-		r := runOn(loop, []byte{byte(c), 0})
+		r, _ := symex.RunConcrete(loop, []byte{byte(c), 0}, concreteSteps)
 		okFwd := false
 		okBwd := false
 		switch spec.Miss {
@@ -386,38 +372,35 @@ func (spec *Spec) missResult(k int) vocab.Result {
 // verifying the same loop collapse to one computation via the store's
 // singleflight.
 func checkEquivalenceMemo(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions) (bool, []byte, error) {
-	memo := opts.Pipeline.Disk.MemoStore()
-	if memo == nil {
-		return checkEquivalence(loop, spec, maxLen, opts)
+	key := func() string {
+		return fmt.Sprintf("mv1:%s:%d:%t", cir.CanonicalHash(loop), maxLen, opts.Pipeline.Merge)
 	}
-	key := fmt.Sprintf("mv1:%s:%d:%t", cir.CanonicalHash(loop), maxLen, opts.Pipeline.Merge)
-	var (
-		computed bool
-		ok       bool
-		cex      []byte
-		err      error
-	)
-	raw, cached := memo.Do(opts.Budget, key, func() ([]byte, bool) {
-		computed = true
-		ok, cex, err = checkEquivalence(loop, spec, maxLen, opts)
-		if err != nil {
-			return nil, false
-		}
-		if ok {
-			return []byte(fmt.Sprintf("eq %d %d", spec.Dir, spec.Miss)), true
-		}
-		return []byte("ne " + hex.EncodeToString(cex)), true
-	})
-	if computed {
-		return ok, cex, err
-	}
-	if cached {
-		if ok, cex, decoded := decodeVerdict(raw, spec); decoded {
-			return ok, cex, nil
-		}
-	}
-	// A failed shared flight or an undecodable entry: compute live.
-	return checkEquivalence(loop, spec, maxLen, opts)
+	v, err := diskcache.Memo(opts.Pipeline.Disk.MemoStore(), opts.Budget, key,
+		func() (verdict, error) {
+			ok, cex, err := checkEquivalence(loop, spec, maxLen, opts)
+			return verdict{ok, cex}, err
+		},
+		func(v verdict, err error) ([]byte, bool) {
+			switch {
+			case err != nil:
+				return nil, false
+			case v.ok:
+				return []byte(fmt.Sprintf("eq %d %d", spec.Dir, spec.Miss)), true
+			}
+			return []byte("ne " + hex.EncodeToString(v.cex)), true
+		},
+		func(raw []byte) (verdict, error, bool) {
+			ok, cex, decoded := decodeVerdict(raw, spec)
+			return verdict{ok, cex}, nil, decoded
+		})
+	return v.ok, v.cex, err
+}
+
+// verdict is a bounded equivalence check's outcome: equivalent, or the
+// counterexample bytes.
+type verdict struct {
+	ok  bool
+	cex []byte
 }
 
 // decodeVerdict parses a memoized verdict, applying the verified direction

@@ -2,6 +2,7 @@ package memoryless
 
 import (
 	"stringloops/internal/cir"
+	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
 
@@ -26,7 +27,7 @@ const DeltaUnknown = -1 << 30
 // executions read past ω) or returns NULL.
 func Delta(loop *cir.Func, omega []byte) int {
 	buf := append(append([]byte{}, omega...), 0)
-	res := runOn(loop, buf)
+	res, _ := symex.RunConcrete(loop, buf, concreteSteps)
 	if res.Kind != vocab.Ptr {
 		return DeltaUnknown
 	}
@@ -86,7 +87,7 @@ func CheckSmallModel(loop *cir.Func, spec *Spec, alphabet []byte, maxLen int) []
 	var rec func() []byte
 	rec = func() []byte {
 		buf := append(append([]byte{}, cur...), 0)
-		if got, want := runOn(loop, buf), spec.Apply(buf); got != want {
+		if got, _ := symex.RunConcrete(loop, buf, concreteSteps); got != spec.Apply(buf) {
 			return buf
 		}
 		if len(cur) == maxLen {

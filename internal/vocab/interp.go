@@ -1,6 +1,8 @@
 package vocab
 
 import (
+	"fmt"
+
 	"stringloops/internal/cstr"
 )
 
@@ -30,6 +32,18 @@ const (
 type Result struct {
 	Kind ResultKind
 	Off  int
+}
+
+// String renders the result as the loop's return: s+N, NULL, or UB for the
+// invalid pointer (C undefined behaviour in the original loop).
+func (r Result) String() string {
+	switch r.Kind {
+	case Ptr:
+		return fmt.Sprintf("s+%d", r.Off)
+	case Null:
+		return "NULL"
+	}
+	return "UB"
 }
 
 // PtrResult and friends build results.
