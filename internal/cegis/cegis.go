@@ -156,6 +156,11 @@ type Synthesizer struct {
 	argTab  [][]*bv.Term
 	symProg vocab.SymProgram
 	symVars []*bv.Term
+
+	// solveArgs' query buffers, reused by every call: the per-counterexample
+	// matches, and the argument constraints followed by those matches.
+	matches     []*bv.Bool
+	constraints []*bv.Bool
 }
 
 // prefixLevel holds the runs of every counterexample through one prefix.
@@ -304,7 +309,9 @@ func (s *Synthesizer) Synthesize() (Outcome, error) {
 // searchSize enumerates skeletons of exactly the given encoded size.
 func (s *Synthesizer) searchSize(size int) (vocab.Program, error) {
 	var found vocab.Program
-	err := s.enumerate(size, nil, func(skel []shape) error {
+	// Every shape encodes in at least one byte, so no skeleton of this size
+	// outgrows the buffer.
+	err := s.enumerate(size, make([]shape, 0, size), func(skel []shape) error {
 		s.stats.Skeletons++
 		if s.budget.Exceeded() {
 			return ErrTimeout
@@ -345,35 +352,31 @@ func (sh shape) size() int {
 }
 
 // enumerate yields every admissible skeleton with total encoded size exactly
-// `remaining`, applying the canonicalisation pruning of DESIGN.md §5.
+// `remaining` after prefix, applying the canonicalisation pruning of
+// DESIGN.md §5. Skeletons are built in place by appending to prefix, so the
+// yielded slice is valid only during the callback, which must copy what it
+// keeps; a prefix with spare capacity for `remaining` more shapes makes the
+// walk allocation-free.
 func (s *Synthesizer) enumerate(remaining int, prefix []shape, yield func([]shape) error) error {
 	if remaining == 0 {
-		if len(prefix) == 0 {
-			return nil
-		}
 		// Programs must end in return (anything else runs out of
 		// instructions and is invalid).
-		if prefix[len(prefix)-1].op != vocab.OpReturn {
+		if len(prefix) == 0 || prefix[len(prefix)-1].op != vocab.OpReturn {
 			return nil
 		}
-		skel := make([]shape, len(prefix))
-		copy(skel, prefix)
-		return yield(skel)
+		return yield(prefix)
 	}
 	for _, op := range vocab.Ops {
 		if !s.opts.Vocabulary.Contains(op) {
 			continue
 		}
-		lens := []int{0}
+		lo, hi := 0, 0
 		if op.TakesChar() {
-			lens = []int{1}
+			lo, hi = 1, 1
 		} else if op.TakesSet() {
-			lens = lens[:0]
-			for l := 1; l <= s.opts.MaxSetLen; l++ {
-				lens = append(lens, l)
-			}
+			lo, hi = 1, s.opts.MaxSetLen
 		}
-		for _, argLen := range lens {
+		for argLen := lo; argLen <= hi; argLen++ {
 			sh := shape{op: op, argLen: argLen}
 			if sh.size() > remaining {
 				continue
@@ -523,13 +526,31 @@ func concretize(skel []shape, args []byte) vocab.Program {
 }
 
 // solveArgs finds argument characters making the skeleton agree with the
-// original loop on every counterexample (lines 3-8 of Algorithm 2).
+// original loop on every counterexample (lines 3-8 of Algorithm 2). The
+// counterexamples are matched in index order, as runOn requires; one that no
+// outcome of the skeleton can match rules out every argument, so the search
+// stops there without running the rest or asking the solver.
 func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([]byte, bool) {
 	s.stats.ArgSolverCalls++
 	bvin := s.bvin
-	var constraints []*bv.Bool
+	s.sharePrefix(symProg)
+	s.matches = s.matches[:0]
+	for i, want := range s.cexWant {
+		match := bv.False
+		for _, o := range s.runOn(symProg, i) {
+			if o.Res == want {
+				match = bvin.BOr2(match, o.Guard)
+			}
+		}
+		if match == bv.False {
+			return nil, false
+		}
+		s.matches = append(s.matches, match)
+	}
+
 	// Arguments are non-NUL (the encoding terminates sets with NUL) and set
 	// members are strictly increasing, removing permutation symmetry.
+	constraints := s.constraints[:0]
 	for _, v := range argVars {
 		constraints = append(constraints, bvin.Ne(v, bvin.Byte(0)))
 		if s.opts.DisableMetaChars {
@@ -544,16 +565,8 @@ func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([
 			}
 		}
 	}
-	s.sharePrefix(symProg)
-	for i, want := range s.cexWant {
-		match := bv.False
-		for _, o := range s.runOn(symProg, i) {
-			if o.Res == want {
-				match = bvin.BOr2(match, o.Guard)
-			}
-		}
-		constraints = append(constraints, match)
-	}
+	constraints = append(constraints, s.matches...)
+	s.constraints = constraints
 	st, model := s.cache.CheckSat(s.budget, 0, constraints...)
 	if st != sat.Sat {
 		return nil, false

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"stringloops/internal/bv"
 	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/vocab"
@@ -190,5 +191,53 @@ func TestPrefixRunsKeepTheSearch(t *testing.T) {
 		if noReuse.stats.Counterexamples <= len(noReuse.cexs) {
 			t.Errorf("%s: the counterexample set was never reset", name)
 		}
+	}
+}
+
+// TestSolveArgsStopsAtDeadCounterexample checks that argument solving gives
+// up at the first counterexample no outcome of the skeleton can match: on
+// bash/find_slash, which returns NULL on strings without a slash, a strspn
+// skeleton always returns a pointer, so its match on the first
+// counterexample is False. The later counterexamples are never run and the
+// query cache is never asked. A strchr skeleton, which can return NULL,
+// matches every counterexample and makes exactly one query.
+func TestSolveArgsStopsAtDeadCounterexample(t *testing.T) {
+	s := corpusLoop(t, "bash/find_slash")
+	s.bvin.SetBudget(s.budget)
+	for _, cex := range []string{"a", "bc", "d"} {
+		if err := s.addCex([]byte(cex + "\x00")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.cexs) < 2 || s.cexWant[0].Kind != vocab.Null {
+		t.Fatalf("set-up: %d counterexamples, Original(cex 0) = %v, want NULL", len(s.cexs), s.cexWant[0])
+	}
+
+	queries := s.cache.Stats().Queries
+	symProg, argVars := s.symbolize([]shape{{op: vocab.OpStrspn, argLen: 1}, {op: vocab.OpReturn}})
+	if _, ok := s.solveArgs(symProg, argVars); ok {
+		t.Fatal("strspn skeleton solved against NULL counterexamples")
+	}
+	if got := s.cache.Stats().Queries; got != queries {
+		t.Errorf("dead skeleton made %d queries, want 0", got-queries)
+	}
+	for d, lv := range s.levels {
+		if lv.n > 1 {
+			t.Errorf("level %d holds runs for %d counterexamples after the first one died", d, lv.n)
+		}
+	}
+
+	queries = s.cache.Stats().Queries
+	symProg, argVars = s.symbolize([]shape{{op: vocab.OpStrchr, argLen: 1}, {op: vocab.OpReturn}})
+	if _, ok := s.solveArgs(symProg, argVars); !ok {
+		t.Fatal("strchr skeleton found no argument avoiding every counterexample")
+	}
+	for i := range s.cexs {
+		if s.matches[i] == bv.False {
+			t.Errorf("strchr skeleton: match on counterexample %d is False", i)
+		}
+	}
+	if got := s.cache.Stats().Queries; got != queries+1 {
+		t.Errorf("live skeleton made %d queries, want 1", got-queries)
 	}
 }

@@ -188,34 +188,6 @@ func cspnTwo(name string, a, b byte) Loop {
 	}
 }
 
-// cspnGuarded: NULL-guarded delimiter scan. Summary: ZFN<c>\0F.
-func cspnGuarded(name string, c byte) Loop {
-	return Loop{
-		Name:     name,
-		FuncName: "loop_fn",
-		Category: CatMemoryless,
-		Source: fmt.Sprintf(`char *loop_fn(char *s) {
-  char *p;
-  for (p = s; p && *p && *p != %s; p++)
-    ;
-  return p;
-}`, cLit(c)),
-		ExpectSynth:      true,
-		ExpectMemoryless: true,
-		WantProgram:      "ZF" + encSet(vocab.OpStrcspn, c),
-		Ref: func(buf []byte) vocab.Result {
-			if buf == nil {
-				return vocab.NullResult()
-			}
-			i := 0
-			for buf[i] != 0 && buf[i] != c {
-				i++
-			}
-			return vocab.PtrResult(i)
-		},
-	}
-}
-
 // chrTernary: strchr without a return in the loop body (a post-loop check
 // yields NULL on a miss). Summary: C<c>F.
 func chrTernary(name string, c byte) Loop {
@@ -437,33 +409,6 @@ func wsCspn3(name string) Loop {
 			}
 			i := 0
 			for buf[i] != 0 && buf[i] != ' ' && buf[i] != '\t' && buf[i] != '\n' {
-				i++
-			}
-			return vocab.PtrResult(i)
-		},
-	}
-}
-
-// spanThree: three-character set skip. Summary: P<abc>\0F (size 6).
-func spanThree(name string, a, b, c byte) Loop {
-	return Loop{
-		Name:     name,
-		FuncName: "loop_fn",
-		Category: CatMemoryless,
-		Source: fmt.Sprintf(`char *loop_fn(char *s) {
-  while (*s == %s || *s == %s || *s == %s)
-    s++;
-  return s;
-}`, cLit(a), cLit(b), cLit(c)),
-		ExpectSynth:      true,
-		ExpectMemoryless: true,
-		WantProgram:      encSet(vocab.OpStrspn, a, b, c),
-		Ref: func(buf []byte) vocab.Result {
-			if buf == nil {
-				return vocab.InvalidResult()
-			}
-			i := 0
-			for buf[i] == a || buf[i] == b || buf[i] == c {
 				i++
 			}
 			return vocab.PtrResult(i)
