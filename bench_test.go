@@ -284,7 +284,7 @@ func BenchmarkAblationGuardedOffsets(b *testing.B) {
 			outcomes := vocab.RunSymbolic(vocab.Symbolize(tin, prog), s)
 			sats := 0
 			for _, o := range outcomes {
-				if st, _ := bv.CheckSat(nil, 0, o.Guard); st == sat.Sat {
+				if st, _ := bv.CheckSat(nil, o.Guard); st == sat.Sat {
 					sats++
 				}
 			}
@@ -308,7 +308,7 @@ func BenchmarkAblationGuardedOffsets(b *testing.B) {
 			}
 			sats := 0
 			for j := 0; j <= maxLen; j++ {
-				if st, _ := bv.CheckSat(nil, 0, tin.Eq(span, tin.Int32(int64(j)))); st == sat.Sat {
+				if st, _ := bv.CheckSat(nil, tin.Eq(span, tin.Int32(int64(j)))); st == sat.Sat {
 					sats++
 				}
 			}

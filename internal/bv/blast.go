@@ -23,8 +23,6 @@ type Solver struct {
 	boolVars map[string]sat.Lit
 	trueLit  sat.Lit
 	status   sat.Status
-	// MaxConflicts bounds the underlying SAT search (0 = unbounded).
-	MaxConflicts int64
 	// Budget, when non-nil, is threaded into the SAT search: conflicts are
 	// charged to it and cancellation makes Check return Unknown promptly.
 	Budget *engine.Budget
@@ -296,7 +294,6 @@ func (s *Solver) Assert(b *Bool) {
 
 // Check decides the asserted constraints.
 func (s *Solver) Check() sat.Status {
-	s.sat.MaxConflicts = s.MaxConflicts
 	s.sat.Budget = s.Budget
 	s.sat.Faults = s.Faults
 	s.status = s.sat.Solve()
@@ -323,7 +320,6 @@ func (s *Solver) CheckAssuming(formulas ...*Bool) sat.Status {
 
 // CheckAssumingLits is CheckAssuming over pre-blasted literals.
 func (s *Solver) CheckAssumingLits(lits ...sat.Lit) sat.Status {
-	s.sat.MaxConflicts = s.MaxConflicts
 	s.sat.Budget = s.Budget
 	s.sat.Faults = s.Faults
 	s.status = s.sat.SolveAssuming(lits...)
@@ -401,12 +397,10 @@ func (s *Solver) modelAssignment() *Assignment {
 // ---- Convenience entry points ----
 
 // CheckSat decides the conjunction of the given formulas and, when
-// satisfiable, returns a model assignment. maxConflicts bounds the search
-// (0 = unbounded) and the optional budget b carries run-wide cancellation
-// and conflict accounting into the SAT layer.
-func CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*Bool) (sat.Status, *Assignment) {
+// satisfiable, returns a model assignment. The optional budget b carries
+// run-wide cancellation and conflict accounting into the SAT layer.
+func CheckSat(b *engine.Budget, formulas ...*Bool) (sat.Status, *Assignment) {
 	s := NewSolver()
-	s.MaxConflicts = maxConflicts
 	s.Budget = b
 	for _, f := range formulas {
 		s.Assert(f)
@@ -417,20 +411,4 @@ func CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*Bool) (sat.Stat
 		return st, nil
 	}
 	return st, s.modelAssignment()
-}
-
-// IsValid reports whether f holds under all assignments (by refutation). The
-// second result is a counterexample assignment when f is not valid, and the
-// status is Unknown if the search budget was exhausted. The negated formula
-// is built with the receiving interner.
-func (in *Interner) IsValid(b *engine.Budget, maxConflicts int64, f *Bool) (valid bool, counterexample *Assignment, st sat.Status) {
-	status, model := CheckSat(b, maxConflicts, in.BNot1(f))
-	switch status {
-	case sat.Unsat:
-		return true, nil, status
-	case sat.Sat:
-		return false, model, status
-	default:
-		return false, nil, status
-	}
 }

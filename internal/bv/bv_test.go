@@ -101,7 +101,7 @@ func TestBoolFolding(t *testing.T) {
 
 func solveOne(t *testing.T, f *Bool) *Assignment {
 	t.Helper()
-	st, model := CheckSat(nil, 0, f)
+	st, model := CheckSat(nil, f)
 	if st != sat.Sat {
 		t.Fatalf("expected sat, got %v for %v", st, f)
 	}
@@ -133,7 +133,7 @@ func TestSolveArithmetic(t *testing.T) {
 func TestSolveUnsatArith(t *testing.T) {
 	x := Var("x", 8)
 	// x < 5 && x > 10 is unsat.
-	st, _ := CheckSat(nil, 0, BAnd2(Ult(x, Byte(5)), Ugt(x, Byte(10))))
+	st, _ := CheckSat(nil, BAnd2(Ult(x, Byte(5)), Ugt(x, Byte(10))))
 	if st != sat.Unsat {
 		t.Fatalf("expected unsat, got %v", st)
 	}
@@ -177,7 +177,7 @@ func TestSignedComparison(t *testing.T) {
 		t.Fatalf("x = %d", v)
 	}
 	// Sle boundary: 0x80 is INT8_MIN, so x <=s INT8_MIN forces x == INT8_MIN.
-	st, _ := CheckSat(nil, 0, BAnd2(Sle(x, Byte(0x80)), Ne(x, Byte(0x80))))
+	st, _ := CheckSat(nil, BAnd2(Sle(x, Byte(0x80)), Ne(x, Byte(0x80))))
 	if st != sat.Unsat {
 		t.Fatal("x <=s INT8_MIN with x != INT8_MIN should be unsat")
 	}
@@ -191,27 +191,9 @@ func TestZext(t *testing.T) {
 		t.Fatalf("x = %d", m.Terms["x"])
 	}
 	// Zext can never produce a value >= 256.
-	st, _ := CheckSat(nil, 0, Eq(Zext(x, 32), Int32(300)))
+	st, _ := CheckSat(nil, Eq(Zext(x, 32), Int32(300)))
 	if st != sat.Unsat {
 		t.Fatal("zext(x,32) == 300 should be unsat")
-	}
-}
-
-func TestIsValid(t *testing.T) {
-	x := Var("x", 8)
-	// x <= x+0 is valid... trivially (fold). Use a real one:
-	// (x & 0x0f) <= 15 is valid.
-	valid, _, _ := tin.IsValid(nil, 0, Ule(And(x, Byte(0x0f)), Byte(15)))
-	if !valid {
-		t.Fatal("masked value bound should be valid")
-	}
-	// x <= 100 is not valid; counterexample must violate it.
-	valid, cex, _ := tin.IsValid(nil, 0, Ule(x, Byte(100)))
-	if valid {
-		t.Fatal("x <= 100 should not be valid")
-	}
-	if cex.Terms["x"] <= 100 {
-		t.Fatalf("counterexample x = %d should exceed 100", cex.Terms["x"])
 	}
 }
 
@@ -254,13 +236,13 @@ func TestRandomTermEquivalenceProperty(t *testing.T) {
 		xv, yv := uint64(rng.Intn(256)), uint64(rng.Intn(256))
 		want := term.Eval(&Assignment{Terms: map[string]uint64{"x": xv, "y": yv}})
 		f := BAndAll(Eq(x, Byte(byte(xv))), Eq(y, Byte(byte(yv))), Eq(term, Byte(byte(want))))
-		st, _ := CheckSat(nil, 0, f)
+		st, _ := CheckSat(nil, f)
 		if st != sat.Sat {
 			t.Fatalf("iter %d: solver disagrees with Eval on %v (x=%d y=%d want=%d)", iter, term, xv, yv, want)
 		}
 		// And that a different value is unsat.
 		g := BAndAll(Eq(x, Byte(byte(xv))), Eq(y, Byte(byte(yv))), Eq(term, Byte(byte(want+1))))
-		st, _ = CheckSat(nil, 0, g)
+		st, _ = CheckSat(nil, g)
 		if st != sat.Unsat {
 			t.Fatalf("iter %d: solver admits wrong value for %v", iter, term)
 		}
@@ -365,7 +347,7 @@ func TestOneBitWidth(t *testing.T) {
 	if m.Terms["bit"] != 1 {
 		t.Fatalf("bit = %d", m.Terms["bit"])
 	}
-	st, _ := CheckSat(nil, 0, BAnd2(Eq(x, Const(1, 1)), Eq(x, Const(1, 0))))
+	st, _ := CheckSat(nil, BAnd2(Eq(x, Const(1, 1)), Eq(x, Const(1, 0))))
 	if st != sat.Unsat {
 		t.Fatal("1-bit contradiction should be unsat")
 	}

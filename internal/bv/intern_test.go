@@ -7,6 +7,7 @@ import (
 
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
+	"stringloops/internal/sat"
 )
 
 func TestInternerPointerEquality(t *testing.T) {
@@ -29,7 +30,7 @@ func TestSeparateInternersShareNothing(t *testing.T) {
 	// Mixing is safe: rewrites only rely on pointer-equal => structurally
 	// equal, so a cross-interner combination must still evaluate correctly.
 	f := in1.Eq(a, b)
-	if valid, _, _ := in1.IsValid(nil, 0, f); !valid {
+	if st, _ := CheckSat(nil, in1.BNot1(f)); st != sat.Unsat {
 		t.Fatal("x+1 == x+1 must hold across interners")
 	}
 }

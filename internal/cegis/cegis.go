@@ -567,7 +567,7 @@ func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([
 	}
 	constraints = append(constraints, s.matches...)
 	s.constraints = constraints
-	st, model := s.cache.CheckSat(s.budget, 0, constraints...)
+	st, model := s.cache.CheckSat(s.budget, constraints...)
 	if st != sat.Sat {
 		return nil, false
 	}

@@ -318,7 +318,7 @@ func (s *Summary) CoveringInputs(maxLen int) []TestInput {
 		if o.Res.Kind == vocab.Invalid {
 			continue // undefined behaviour of the original loop
 		}
-		st, model := cache.CheckSat(nil, 0, o.Guard)
+		st, model := cache.CheckSat(nil, o.Guard)
 		if st != sat.Sat {
 			continue
 		}

@@ -308,7 +308,7 @@ func loopCoveringInputs(f *cir.Func, maxLen int, budget *engine.Budget, pipe sym
 		if p.Err != nil {
 			continue // undefined behaviour: no test input to emit
 		}
-		st, model := cache.CheckSat(budget, 0, p.Cond)
+		st, model := cache.CheckSat(budget, p.Cond)
 		if st == sat.Unknown {
 			return nil, fmt.Errorf("core: covering-input query exhausted its budget (%w)", engine.ErrBudget)
 		}

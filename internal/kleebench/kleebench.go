@@ -160,9 +160,9 @@ func (cfg Config) stack(budget *engine.Budget) *symex.Engine {
 // checkSat routes one query through the cache when enabled.
 func checkSat(cache *qcache.Cache, budget *engine.Budget, f *bv.Bool) sat.Status {
 	if cache != nil {
-		return cache.Decide(budget, 0, f)
+		return cache.Decide(budget, f)
 	}
-	st, _ := bv.CheckSat(budget, 0, f)
+	st, _ := bv.CheckSat(budget, f)
 	return st
 }
 

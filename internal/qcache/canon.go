@@ -3,6 +3,7 @@ package qcache
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,6 +42,14 @@ type groupKey struct {
 	// by canonical variable number (first occurrence in the canonical
 	// serialization order).
 	vars []string
+	// ids is the sorted conjunct-ID set the key was computed for, and next
+	// chains keys whose ID sets hash alike (see groupKeyOf).
+	ids  []int
+	next *groupKey
+	// entry caches the key's exact-map entry; it is current while gen
+	// equals the cache's generation.
+	entry *exactEntry
+	gen   uint64
 }
 
 // canonWriter serializes bv DAGs. With rename non-nil, variable names are
@@ -167,21 +176,22 @@ func (c *Cache) conjKey(cj *bv.Bool) string {
 
 // groupKeyOf builds (and memoizes, keyed by the group's sorted ID set) the
 // canonical group key: conjuncts sorted by per-conjunct canonical string,
-// deduplicated, serialized with alpha-renamed variables, hashed. Caller
-// holds c.mu.
-func (c *Cache) groupKeyOf(g group) groupKey {
-	// The lookup converts keyBuf in place (no allocation); only a store
-	// copies it into a string.
-	c.keyBuf = appendIDKey(c.keyBuf[:0], g.ids)
-	if gk, ok := c.groupKeys[string(c.keyBuf)]; ok {
-		return gk
+// deduplicated, serialized with alpha-renamed variables, hashed. The memo is
+// looked up by a hash of the ID set, so a hit formats and hashes no string.
+// Caller holds c.mu.
+func (c *Cache) groupKeyOf(conj []*bv.Bool, ids []int) *groupKey {
+	h := hashIDs(ids)
+	for gk := c.groupKeys[h]; gk != nil; gk = gk.next {
+		if slices.Equal(gk.ids, ids) {
+			return gk
+		}
 	}
 
-	keys := make([]string, len(g.conj))
-	for i, cj := range g.conj {
+	keys := make([]string, len(conj))
+	for i, cj := range conj {
 		keys[i] = c.conjKey(cj)
 	}
-	order := make([]int, len(g.conj))
+	order := make([]int, len(conj))
 	for i := range order {
 		order[i] = i
 	}
@@ -194,23 +204,33 @@ func (c *Cache) groupKeyOf(g group) groupKey {
 			continue // structurally identical conjunct: one occurrence keys
 		}
 		prev = keys[i]
-		w.boolExpr(g.conj[i])
+		w.boolExpr(conj[i])
 		w.sb.WriteByte('\n')
 	}
 	sum := sha256.Sum256([]byte(w.sb.String()))
-	gk := groupKey{key: hex.EncodeToString(sum[:]), vars: w.order}
 
 	if len(c.groupKeys) >= maxExact {
-		c.groupKeys = map[string]groupKey{}
+		c.groupKeys = map[uint64]*groupKey{}
 	}
-	c.groupKeys[string(c.keyBuf)] = gk
+	gk := &groupKey{key: hex.EncodeToString(sum[:]), vars: w.order, ids: slices.Clone(ids), next: c.groupKeys[h]}
+	c.groupKeys[h] = gk
 	return gk
+}
+
+// hashIDs is FNV-1a over a sorted conjunct-ID set.
+func hashIDs(ids []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, id := range ids {
+		h ^= uint64(id)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // canonVals projects a restricted, original-named model into canonical
 // variable order (bools as 0/1). Unbound variables read zero, matching
 // restrictModel's zero-fill.
-func (gk groupKey) canonVals(m *bv.Assignment) []uint64 {
+func (gk *groupKey) canonVals(m *bv.Assignment) []uint64 {
 	vals := make([]uint64, len(gk.vars))
 	for i, tagged := range gk.vars {
 		name := tagged[2:]
@@ -226,7 +246,7 @@ func (gk groupKey) canonVals(m *bv.Assignment) []uint64 {
 // modelFor translates canonical values back into this group's own variable
 // names — the step that lets an entry stored by one pipeline (with its own
 // names) answer a structurally identical query from another.
-func (gk groupKey) modelFor(vals []uint64) *bv.Assignment {
+func (gk *groupKey) modelFor(vals []uint64) *bv.Assignment {
 	out := &bv.Assignment{Terms: map[string]uint64{}, Bools: map[string]bool{}}
 	for i, tagged := range gk.vars {
 		name := tagged[2:]

@@ -30,7 +30,7 @@ func TestCrossInternerSharing(t *testing.T) {
 	inA := bv.NewInterner()
 	a := New(inA).SetDisk(store)
 	bA := engine.NewBudget(nil, engine.Limits{})
-	st, m := a.CheckSat(bA, 0, build(inA)...)
+	st, m := a.CheckSat(bA, build(inA)...)
 	if st != sat.Sat {
 		t.Fatalf("first pipeline: %v", st)
 	}
@@ -49,7 +49,7 @@ func TestCrossInternerSharing(t *testing.T) {
 	}
 	b := New(inB).SetDisk(store)
 	bB := engine.NewBudget(nil, engine.Limits{})
-	st, m = b.CheckSat(bB, 0, build(inB)...)
+	st, m = b.CheckSat(bB, build(inB)...)
 	if st != sat.Sat {
 		t.Fatalf("second pipeline: %v", st)
 	}
@@ -82,14 +82,14 @@ func TestCrossInternerUnsatSharing(t *testing.T) {
 
 	inA := bv.NewInterner()
 	a := New(inA).SetDisk(store)
-	if st, _ := a.CheckSat(nil, 0, build(inA)...); st != sat.Unsat {
+	if st, _ := a.CheckSat(nil, build(inA)...); st != sat.Unsat {
 		t.Fatal("first pipeline must prove unsat")
 	}
 
 	inB := bv.NewInterner()
 	b := New(inB).SetDisk(store)
 	bB := engine.NewBudget(nil, engine.Limits{})
-	if st, _ := b.CheckSat(bB, 0, build(inB)...); st != sat.Unsat {
+	if st, _ := b.CheckSat(bB, build(inB)...); st != sat.Unsat {
 		t.Fatal("second pipeline must see unsat")
 	}
 	if sb := b.Stats(); sb.Misses != 0 || sb.ExactHits == 0 {
@@ -105,11 +105,11 @@ func TestAlphaRenamedSharing(t *testing.T) {
 	c := New(in)
 	x, y := in.Var("x", 8), in.Var("y", 8)
 
-	st, m := c.CheckSat(nil, 0, in.Eq(x, in.Byte(42)))
+	st, m := c.CheckSat(nil, in.Eq(x, in.Byte(42)))
 	if st != sat.Sat || m.Terms["x"] != 42 {
 		t.Fatalf("seed query = %v %v", st, m)
 	}
-	st, m = c.CheckSat(nil, 0, in.Eq(y, in.Byte(42)))
+	st, m = c.CheckSat(nil, in.Eq(y, in.Byte(42)))
 	if st != sat.Sat {
 		t.Fatalf("renamed query = %v", st)
 	}
@@ -134,7 +134,7 @@ func TestConjunctIDsAreContentBased(t *testing.T) {
 	lo := in.Ult(in.Byte(10), x)
 	hi := in.Ult(x, in.Byte(5))
 
-	if st, _ := c.CheckSat(nil, 0, lo, hi); st != sat.Unsat {
+	if st, _ := c.CheckSat(nil, lo, hi); st != sat.Unsat {
 		t.Fatal("core query must be unsat")
 	}
 	c.mu.Lock()
@@ -157,7 +157,7 @@ func TestDiskWriteThrough(t *testing.T) {
 	in := bv.NewInterner()
 	c := New(in).SetDisk(store)
 	x := in.Var("x", 8)
-	if st, _ := c.CheckSat(nil, 0, in.Eq(x, in.Byte(7))); st != sat.Sat {
+	if st, _ := c.CheckSat(nil, in.Eq(x, in.Byte(7))); st != sat.Sat {
 		t.Fatal("query must be sat")
 	}
 	if store.Len() == 0 {

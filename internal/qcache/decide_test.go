@@ -86,8 +86,8 @@ func TestDecideMatchesCheckSat(t *testing.T) {
 			bFull := engine.NewBudget(context.Background(), engine.Limits{})
 			bLean := engine.NewBudget(context.Background(), engine.Limits{})
 			for i, q := range lockstepStream(in) {
-				stFull, m := full.CheckSat(bFull, 0, q...)
-				stLean := lean.Decide(bLean, 0, q...)
+				stFull, m := full.CheckSat(bFull, q...)
+				stLean := lean.Decide(bLean, q...)
 				if stFull != stLean {
 					t.Fatalf("query %d: CheckSat %v, Decide %v", i, stFull, stLean)
 				}
@@ -125,7 +125,7 @@ func spreadCase(t *testing.T, decide bool, faults *faultpoint.Registry) *Cache {
 	store := diskcache.NewStore("", 0, nil)
 	seedIn := bv.NewInterner()
 	seed := New(seedIn).SetDisk(store)
-	if st, _ := seed.CheckSat(nil, 0, seedIn.Eq(seedIn.Var("x", 8), seedIn.Byte(7))); st != sat.Sat {
+	if st, _ := seed.CheckSat(nil, seedIn.Eq(seedIn.Var("x", 8), seedIn.Byte(7))); st != sat.Sat {
 		t.Fatal("seeding query must be sat")
 	}
 
@@ -137,9 +137,9 @@ func spreadCase(t *testing.T, decide bool, faults *faultpoint.Registry) *Cache {
 	x := in.Var("x", 8)
 	ask := func(f *bv.Bool) sat.Status {
 		if decide {
-			return c.Decide(nil, 0, f)
+			return c.Decide(nil, f)
 		}
-		st, m := c.CheckSat(nil, 0, f)
+		st, m := c.CheckSat(nil, f)
 		if st == sat.Sat && !bv.NewEvaluator(m).Bool(f) {
 			t.Fatalf("model violates %v", f)
 		}
@@ -202,11 +202,11 @@ func TestDecideExactHitAllocations(t *testing.T) {
 		q = append(q, in.Ult(in.Byte(byte(10*i)), x), in.Ne(x, in.Byte(byte(10*i+1))))
 	}
 	for i := 0; i < 2; i++ { // solve, then release the models on first hit
-		if st := c.Decide(nil, 0, q...); st != sat.Sat {
+		if st := c.Decide(nil, q...); st != sat.Sat {
 			t.Fatalf("warm-up %d = %v", i, st)
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() { c.Decide(nil, 0, q...) })
+	allocs := testing.AllocsPerRun(100, func() { c.Decide(nil, q...) })
 	if s := c.Stats(); s.Groups != 4*int64(s.Queries) || s.Misses != 4 {
 		t.Fatalf("stats = %+v, want 4 groups per query, each solved once", s)
 	}
@@ -242,11 +242,11 @@ func TestConcurrentEntryPoints(t *testing.T) {
 				var m *bv.Assignment
 				switch (i + w) % 3 {
 				case 0:
-					c.Decide(nil, 0, q...)
+					c.Decide(nil, q...)
 					continue
 				case 1:
 					var st sat.Status
-					if st, m = c.CheckSat(nil, 0, q...); st != sat.Sat {
+					if st, m = c.CheckSat(nil, q...); st != sat.Sat {
 						continue
 					}
 					ev := bv.NewEvaluator(m)
@@ -257,7 +257,7 @@ func TestConcurrentEntryPoints(t *testing.T) {
 						}
 					}
 				default:
-					valid, cex, _ := c.IsValid(nil, 0, q[len(q)-1])
+					valid, cex, _ := c.IsValid(nil, q[len(q)-1])
 					if valid || cex == nil {
 						continue
 					}

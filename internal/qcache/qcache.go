@@ -19,7 +19,10 @@
 //     blast the prefix once and pay only for their new branch condition.
 //
 // CheckSat returns a model with a Sat verdict; Decide, for callers that need
-// only the status, does the same cache work without building one.
+// only the status, does the same cache work without building one. Extend is
+// Decide for a query that adds conjuncts to one it already prepared (see
+// Path): it re-derives only what the new conjuncts touch and makes every
+// cache decision Decide would.
 //
 // A Cache is scoped to one bv.Interner — its per-conjunct memos are keyed by
 // node pointer, so every formula passed to CheckSat or Decide must come from
@@ -30,7 +33,6 @@ package qcache
 
 import (
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -145,13 +147,16 @@ type Cache struct {
 	// variable names kept — see canon.go).
 	conjCanon map[*bv.Bool]string
 	// groupKeys memoizes the canonical group key per sorted ID set, keyed
-	// by the set rendered into keyBuf (see groupKeyOf).
-	groupKeys map[string]groupKey
-	keyBuf    []byte
+	// by the set's hash (see groupKeyOf).
+	groupKeys map[uint64]*groupKey
 	// exact maps canonical group keys to verdicts. The canonical key is
 	// interner-independent, so with a disk store attached the map doubles as
-	// the write-through front of the persistent tier.
-	exact map[string]exactEntry
+	// the write-through front of the persistent tier. gen moves whenever the
+	// map is reset or a key in it is overwritten, so a memoized groupKey's
+	// cached entry pointer is current while the generation it was cached
+	// under is.
+	exact map[string]*exactEntry
+	gen   uint64
 	disk  *diskcache.Store
 	// unsatCores holds sorted conjunct-ID sets proven unsat; any superset
 	// is unsat too.
@@ -170,8 +175,9 @@ type Cache struct {
 
 	// Per-query scratch, reused under c.mu. Nothing that outlives a query
 	// may alias it.
-	conjBuf, flatBuf []*bv.Bool
+	conjBuf, simpBuf []*bv.Bool
 	scr              sliceScratch
+	pre              prepScratch
 
 	// Metric handles, lazily bound from the budget's registry on the first
 	// query that carries one (hits/misses are mirrored by the budget itself;
@@ -194,8 +200,8 @@ func New(in *bv.Interner) *Cache {
 		canonIDs:  map[string]int{},
 		varIDs:    map[string]int32{},
 		conjCanon: map[*bv.Bool]string{},
-		groupKeys: map[string]groupKey{},
-		exact:     map[string]exactEntry{},
+		groupKeys: map[uint64]*groupKey{},
+		exact:     map[string]*exactEntry{},
 		solver:    bv.NewSolver(),
 	}
 }
@@ -253,96 +259,104 @@ func (c *Cache) bindMetrics(b *engine.Budget) {
 }
 
 // CheckSat decides the conjunction of the given formulas, returning a model
-// on Sat. It has the same contract as bv.CheckSat — maxConflicts bounds each
-// underlying SAT query (0 = unbounded) and the optional budget b carries
-// cancellation, conflict and cache-hit accounting — but routes the query
-// through slicing, the reuse cache and the incremental solver. Unknown
-// results are never cached.
-func (c *Cache) CheckSat(b *engine.Budget, maxConflicts int64, formulas ...*bv.Bool) (sat.Status, *bv.Assignment) {
-	return c.check(b, maxConflicts, true, formulas)
+// on Sat. It has the same contract as bv.CheckSat — the optional budget b
+// carries cancellation, conflict and cache-hit accounting — but routes the
+// query through slicing, the reuse cache and the incremental solver.
+// Unknown results are never cached.
+func (c *Cache) CheckSat(b *engine.Budget, formulas ...*bv.Bool) (sat.Status, *bv.Assignment) {
+	st, m, _ := c.query(b, nil, formulas, false, true)
+	return st, m
 }
 
 // Decide is CheckSat for callers that need only the status, such as a
-// symbolic executor's per-fork feasibility check. It does the same cache
+// test generator's per-path check (a symbolic executor's per-fork check
+// uses Extend). It does the same cache
 // work in the same order, so every Stats field but the two times comes out
 // as under CheckSat, and so do the budget counters and the solver's
 // conflicts. What it skips is building a model for the caller: an exact hit
 // translates its stored model only while that model still has to be
 // released into the model-reuse list, and the groups' models are never
 // merged.
-func (c *Cache) Decide(b *engine.Budget, maxConflicts int64, formulas ...*bv.Bool) sat.Status {
-	st, _ := c.check(b, maxConflicts, false, formulas)
+func (c *Cache) Decide(b *engine.Budget, formulas ...*bv.Bool) sat.Status {
+	st, _, _ := c.query(b, nil, formulas, false, false)
 	return st
 }
 
-// check is the one body behind CheckSat and Decide; wantModel says whether
-// the caller reads the model.
-func (c *Cache) check(b *engine.Budget, maxConflicts int64, wantModel bool, formulas []*bv.Bool) (sat.Status, *bv.Assignment) {
+// Extend is Decide(b, f) for an f that extends the path condition parent
+// was prepared for, and it returns f's prepared path for the next
+// extension (nil on Unsat, or when the budget stopped the query before it
+// was prepared). When f simplifies to parent's formula conjoined with new
+// conjuncts, only the regions the new conjuncts touch are pruned, sliced
+// and keyed again; otherwise — a nil, foreign or unrelated parent — f is
+// prepared from scratch. Either way every group is checked, in Decide's
+// order, so statuses, Stats, budget counters and the reuse lists come out
+// exactly as under Decide.
+func (c *Cache) Extend(b *engine.Budget, parent *Path, f *bv.Bool) (sat.Status, *Path) {
+	fs := [1]*bv.Bool{f}
+	st, _, p := c.query(b, parent, fs[:], true, false)
+	if st == sat.Unsat {
+		p = nil
+	}
+	if extendHook != nil {
+		extendHook(parent, f, p)
+	}
+	return st, p
+}
+
+// extendHook, when non-nil, sees every Extend call: the parent, the formula
+// and the returned path. Tests set it to record symex query streams.
+var extendHook func(parent *Path, f *bv.Bool, p *Path)
+
+// query is the one body behind CheckSat, Decide and Extend. wantModel says
+// whether the caller reads the model; keep says whether it keeps the
+// prepared path, which then extends parent where it can.
+func (c *Cache) query(b *engine.Budget, parent *Path, formulas []*bv.Bool, keep, wantModel bool) (sat.Status, *bv.Assignment, *Path) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bindMetrics(b)
 	c.stats.Queries++
 	c.mQueries.Inc()
 	if b.Exceeded() {
-		return sat.Unknown, nil
+		return sat.Unknown, nil, nil
 	}
 
-	// Normalize: simplify each formula through the value-numbering layer
-	// (memoized on the interner, so the shared prefix of an incremental
-	// query stream pays once), flatten BAnd trees, drop True, dedupe by
-	// pointer identity. Simplification is equivalence-preserving over the
-	// whole conjunction, so the cache keys and models below — which are
-	// built from the simplified conjuncts — answer the original query: a
-	// variable simplified away is a don't-care, and the evaluator's
-	// zero-fill convention extends any returned model to it.
-	conj := c.conjBuf[:0]
+	// Simplify each formula through the value-numbering layer (memoized on
+	// the interner, so the shared prefix of an incremental query stream pays
+	// once). Simplification is equivalence-preserving over the whole
+	// conjunction, so the cache keys and models below — which are built from
+	// the simplified conjuncts — answer the original query: a variable
+	// simplified away is a don't-care, and the evaluator's zero-fill
+	// convention extends any returned model to it.
+	gs := c.simpBuf[:0]
 	for _, f := range formulas {
-		conj = bv.Conjuncts(conj, c.in.SimplifyBool(f))
+		gs = append(gs, c.in.SimplifyBool(f))
 	}
-	c.conjBuf = conj
-	conj, unsat := dedupe(conj)
+	c.simpBuf = gs
+	p, unsat := c.prepare(parent, gs, keep)
 	if unsat {
-		return sat.Unsat, nil
-	}
-	// Guard-implication pruning: rewrite each conjunct under the assumption
-	// that the current versions of the others hold, so ite guards decided by
-	// the enclosing path condition collapse. The passes are sequential — each
-	// is equivalence-preserving for the whole conjunction, so the composition
-	// is too. Pruning can mint constants and fresh conjunctions, so a changed
-	// conjunction is re-flattened and re-deduped.
-	if len(conj) <= maxPruneConjuncts && c.in.PruneConjuncts(conj) {
-		flat := c.flatBuf[:0]
-		for _, cj := range conj {
-			flat = bv.Conjuncts(flat, cj)
-		}
-		c.flatBuf = flat
-		conj, unsat = dedupe(flat)
-		if unsat {
-			return sat.Unsat, nil
-		}
+		return sat.Unsat, nil, nil
 	}
 	var merged *bv.Assignment
 	if wantModel {
 		merged = &bv.Assignment{Terms: map[string]uint64{}, Bools: map[string]bool{}}
 	}
-	if len(conj) == 0 {
-		return sat.Sat, merged
+	if len(p.groups) == 0 {
+		return sat.Sat, merged, p
 	}
 
-	groups := c.slice(conj)
-	c.stats.Groups += int64(len(groups))
-	c.mGroups.Add(int64(len(groups)))
-	for _, g := range groups {
+	c.stats.Groups += int64(len(p.groups))
+	c.mGroups.Add(int64(len(p.groups)))
+	for _, g := range p.groups {
 		if len(g.conj) > c.stats.MaxGroup {
 			c.stats.MaxGroup = len(g.conj)
 			c.gMaxGroup.SetMax(int64(len(g.conj)))
 		}
-		st, model := c.checkGroup(b, maxConflicts, g, wantModel)
+		st, model := c.checkGroup(b, g, wantModel)
 		switch st {
 		case sat.Unsat:
-			return sat.Unsat, nil
+			return sat.Unsat, nil, p
 		case sat.Unknown:
-			return sat.Unknown, nil
+			return sat.Unknown, nil, p
 		}
 		if !wantModel {
 			continue
@@ -356,7 +370,7 @@ func (c *Cache) check(b *engine.Budget, maxConflicts int64, wantModel bool, form
 			merged.Bools[k] = v
 		}
 	}
-	return sat.Sat, merged
+	return sat.Sat, merged, p
 }
 
 // dedupe drops True and pointer-duplicate conjuncts in place, reporting
@@ -380,9 +394,10 @@ func dedupe(conj []*bv.Bool) (out []*bv.Bool, unsat bool) {
 }
 
 // IsValid reports whether f holds under all assignments, by refuting its
-// negation through the cache. Same contract as bv.Interner.IsValid.
-func (c *Cache) IsValid(b *engine.Budget, maxConflicts int64, f *bv.Bool) (valid bool, counterexample *bv.Assignment, st sat.Status) {
-	status, model := c.CheckSat(b, maxConflicts, c.in.BNot1(f))
+// negation through the cache. The second result is a counterexample when f
+// is not valid, and the status is Unknown if the budget ran out.
+func (c *Cache) IsValid(b *engine.Budget, f *bv.Bool) (valid bool, counterexample *bv.Assignment, st sat.Status) {
+	status, model := c.CheckSat(b, c.in.BNot1(f))
 	switch status {
 	case sat.Unsat:
 		return true, nil, status
@@ -396,29 +411,30 @@ func (c *Cache) IsValid(b *engine.Budget, maxConflicts int64, f *bv.Bool) (valid
 // checkGroup decides one independent slice, consulting the reuse rules
 // before the solver. The model comes back on Sat when wantModel is set (and
 // may come back anyway). Caller holds c.mu.
-func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group, wantModel bool) (sat.Status, *bv.Assignment) {
-	gk := c.groupKeyOf(g)
+func (c *Cache) checkGroup(b *engine.Budget, g *pathGroup, wantModel bool) (sat.Status, *bv.Assignment) {
+	if g.gk == nil {
+		g.gk = c.groupKeyOf(g.conj, g.ids)
+	}
 
 	if c.faults.Fire(faultpoint.QCacheMiss) {
 		// Injected miss storm: bypass every reuse rule and pay the solver.
 		c.stats.Misses++
 		b.Add(engine.CacheMisses, 1)
-		return c.solveGroup(b, maxConflicts, gk, g)
+		return c.solveGroup(b, g)
 	}
 
-	if e, ok := c.exact[gk.key]; ok {
-		return c.exactHit(b, gk, e, wantModel)
+	if e := c.lookup(g.gk); e != nil {
+		return c.exactHit(b, g, e, wantModel)
 	}
 
 	// Persistent tier: a verdict stored by another pipeline — or another
 	// process — under the same canonical key. Decoded entries are promoted
 	// into the exact map; an undecodable entry is ignored (cold miss).
 	if c.disk != nil {
-		if raw, ok := c.disk.Get(b, gk.key); ok {
-			if st, vals, ok := decodeEntry(raw, len(gk.vars)); ok {
-				e := exactEntry{status: st, vals: vals}
-				c.storeExact(gk.key, e)
-				return c.exactHit(b, gk, e, wantModel)
+		if raw, ok := c.disk.Get(b, g.gk.key); ok {
+			if st, vals, ok := decodeEntry(raw, len(g.gk.vars)); ok {
+				e := c.storeExact(g.gk, exactEntry{status: st, vals: vals})
+				return c.exactHit(b, g, e, wantModel)
 			}
 		}
 	}
@@ -438,8 +454,8 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group, wantMo
 		if ok {
 			c.stats.ModelHits++
 			b.Add(engine.CacheHits, 1)
-			restricted := c.restrictModel(cm.asn, g)
-			c.remember(b, gk, sat.Sat, restricted)
+			restricted := c.restrictModel(cm.asn, g.conj)
+			c.remember(b, g, sat.Sat, restricted)
 			return sat.Sat, restricted
 		}
 	}
@@ -451,14 +467,29 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group, wantMo
 		if subsetOf(core, g.ids) {
 			c.stats.SubsetHits++
 			b.Add(engine.CacheHits, 1)
-			c.remember(b, gk, sat.Unsat, nil)
+			c.remember(b, g, sat.Unsat, nil)
 			return sat.Unsat, nil
 		}
 	}
 
 	c.stats.Misses++
 	b.Add(engine.CacheMisses, 1)
-	return c.solveGroup(b, maxConflicts, gk, g)
+	return c.solveGroup(b, g)
+}
+
+// lookup returns the group's exact entry, nil when there is none. A key
+// that found its entry before answers from the cached pointer while the
+// exact map's generation is unchanged, without hashing the key. Caller
+// holds c.mu.
+func (c *Cache) lookup(gk *groupKey) *exactEntry {
+	if gk.entry != nil && gk.gen == c.gen {
+		return gk.entry
+	}
+	e := c.exact[gk.key]
+	if e != nil {
+		gk.entry, gk.gen = e, c.gen
+	}
+	return e
 }
 
 // exactHit answers a group from an exact entry, translating the canonical
@@ -468,7 +499,7 @@ func (c *Cache) checkGroup(b *engine.Budget, maxConflicts int64, g group, wantMo
 // release keeps the reuse rule's coverage intact. That release happens
 // whether or not the caller wants the model; a later hit translates it only
 // for a caller that does. Caller holds c.mu.
-func (c *Cache) exactHit(b *engine.Budget, gk groupKey, e exactEntry, wantModel bool) (sat.Status, *bv.Assignment) {
+func (c *Cache) exactHit(b *engine.Budget, g *pathGroup, e *exactEntry, wantModel bool) (sat.Status, *bv.Assignment) {
 	c.stats.ExactHits++
 	b.Add(engine.CacheHits, 1)
 	if e.status != sat.Sat {
@@ -477,10 +508,9 @@ func (c *Cache) exactHit(b *engine.Budget, gk groupKey, e exactEntry, wantModel 
 	if e.spread && !wantModel {
 		return sat.Sat, nil
 	}
-	m := gk.modelFor(e.vals)
+	m := g.gk.modelFor(e.vals)
 	if !e.spread {
 		e.spread = true
-		c.exact[gk.key] = e
 		c.addModel(m)
 	}
 	return sat.Sat, m
@@ -503,14 +533,13 @@ func (c *Cache) addModel(m *bv.Assignment) {
 
 // solveGroup sends one slice to the incremental solver under assumption
 // literals and caches the verdict. Caller holds c.mu.
-func (c *Cache) solveGroup(b *engine.Budget, maxConflicts int64, gk groupKey, g group) (sat.Status, *bv.Assignment) {
+func (c *Cache) solveGroup(b *engine.Budget, g *pathGroup) (sat.Status, *bv.Assignment) {
 	if c.solver.NumSATVars() > maxSolverVars {
 		c.solver = bv.NewSolver()
 		c.solver.Faults = c.faults
 		c.stats.Rebuilds++
 		c.mRebuilds.Inc()
 	}
-	c.solver.MaxConflicts = maxConflicts
 	c.solver.Budget = b
 
 	blastStart := time.Now()
@@ -543,12 +572,12 @@ func (c *Cache) solveGroup(b *engine.Budget, maxConflicts int64, gk groupKey, g 
 		// The solver's model covers every variable ever blasted on it, so
 		// restrict to this group's variables before caching or merging —
 		// stale assignments to other queries' variables must not leak.
-		restricted := c.restrictModel(c.solver.ModelAssignment(), g)
-		c.remember(b, gk, sat.Sat, restricted)
+		restricted := c.restrictModel(c.solver.ModelAssignment(), g.conj)
+		c.remember(b, g, sat.Sat, restricted)
 		c.addModel(restricted)
 		return sat.Sat, restricted
 	case sat.Unsat:
-		c.remember(b, gk, sat.Unsat, nil)
+		c.remember(b, g, sat.Unsat, nil)
 		if len(c.unsatCores) >= maxUnsatCores {
 			c.unsatCores = c.unsatCores[1:]
 		}
@@ -560,28 +589,37 @@ func (c *Cache) solveGroup(b *engine.Budget, maxConflicts int64, gk groupKey, g 
 	}
 }
 
-// remember stores a verdict under its canonical key — in the exact map and,
-// write-through, in the persistent store when one is attached. The model (a
-// restricted, original-named assignment; nil on unsat) is projected into
-// canonical variable order first.
-func (c *Cache) remember(b *engine.Budget, gk groupKey, st sat.Status, model *bv.Assignment) {
+// remember stores a verdict under the group's canonical key — in the exact
+// map and, write-through, in the persistent store when one is attached. The
+// model (a restricted, original-named assignment; nil on unsat) is projected
+// into canonical variable order first.
+func (c *Cache) remember(b *engine.Budget, g *pathGroup, st sat.Status, model *bv.Assignment) {
 	var vals []uint64
 	if st == sat.Sat {
-		vals = gk.canonVals(model)
+		vals = g.gk.canonVals(model)
 	}
-	c.storeExact(gk.key, exactEntry{status: st, vals: vals})
+	c.storeExact(g.gk, exactEntry{status: st, vals: vals})
 	if c.disk != nil {
-		c.disk.Put(b, gk.key, encodeEntry(st, vals))
+		c.disk.Put(b, g.gk.key, encodeEntry(st, vals))
 	}
 }
 
-// storeExact inserts into the exact map, resetting it wholesale at the cap
-// (simple and O(1) amortized; precision rebuilds quickly).
-func (c *Cache) storeExact(key string, e exactEntry) {
+// storeExact inserts the key's entry into the exact map, resetting the map
+// wholesale at the cap (simple and O(1) amortized; precision rebuilds
+// quickly), and caches the stored entry on the key. A reset or an
+// overwritten key moves the generation, which retires every other key's
+// cached pointer.
+func (c *Cache) storeExact(gk *groupKey, e exactEntry) *exactEntry {
 	if len(c.exact) >= maxExact {
-		c.exact = map[string]exactEntry{}
+		c.exact = map[string]*exactEntry{}
+		c.gen++
+	} else if _, ok := c.exact[gk.key]; ok {
+		c.gen++
 	}
-	c.exact[key] = e
+	p := &e
+	c.exact[gk.key] = p
+	gk.entry, gk.gen = p, c.gen
+	return p
 }
 
 // restrictModel projects a full assignment onto the group's variables,
@@ -589,9 +627,9 @@ func (c *Cache) storeExact(key string, e exactEntry) {
 // solve paths restrict a model, so the group's variables are looked up
 // there, not for every group; a variable shared by several conjuncts is
 // simply written again. Caller holds c.mu.
-func (c *Cache) restrictModel(m *bv.Assignment, g group) *bv.Assignment {
+func (c *Cache) restrictModel(m *bv.Assignment, conj []*bv.Bool) *bv.Assignment {
 	out := &bv.Assignment{Terms: map[string]uint64{}, Bools: map[string]bool{}}
-	for _, cj := range g.conj {
+	for _, cj := range conj {
 		for _, v := range c.info(cj).vars {
 			tagged := c.varNames[v]
 			name := tagged[2:]
@@ -603,17 +641,6 @@ func (c *Cache) restrictModel(m *bv.Assignment, g group) *bv.Assignment {
 		}
 	}
 	return out
-}
-
-// appendIDKey renders a sorted ID set as a map key into buf.
-func appendIDKey(buf []byte, ids []int) []byte {
-	for i, id := range ids {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, int64(id), 10)
-	}
-	return buf
 }
 
 // subsetOf reports whether sorted ID set a is contained in sorted ID set b.

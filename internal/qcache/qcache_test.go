@@ -16,11 +16,11 @@ func TestExactHit(t *testing.T) {
 	x := in.Var("x", 8)
 	f := in.Eq(x, in.Byte(7))
 
-	st, m := c.CheckSat(nil, 0, f)
+	st, m := c.CheckSat(nil, f)
 	if st != sat.Sat || m.Terms["x"] != 7 {
 		t.Fatalf("first CheckSat = %v %v", st, m)
 	}
-	st, m = c.CheckSat(nil, 0, f)
+	st, m = c.CheckSat(nil, f)
 	if st != sat.Sat || m.Terms["x"] != 7 {
 		t.Fatalf("second CheckSat = %v %v", st, m)
 	}
@@ -37,10 +37,10 @@ func TestModelReuseHit(t *testing.T) {
 
 	// First query pins x == 0; its model (x=0) also satisfies the weaker
 	// x < 10 without solving.
-	if st, _ := c.CheckSat(nil, 0, in.Eq(x, in.Byte(0))); st != sat.Sat {
+	if st, _ := c.CheckSat(nil, in.Eq(x, in.Byte(0))); st != sat.Sat {
 		t.Fatalf("seed query = %v", st)
 	}
-	st, m := c.CheckSat(nil, 0, in.Ult(x, in.Byte(10)))
+	st, m := c.CheckSat(nil, in.Ult(x, in.Byte(10)))
 	if st != sat.Sat {
 		t.Fatalf("weaker query = %v", st)
 	}
@@ -60,12 +60,12 @@ func TestSubsetUnsatHit(t *testing.T) {
 	lo := in.Ult(in.Byte(10), x) // x > 10
 	hi := in.Ult(x, in.Byte(5))  // x < 5
 
-	if st, _ := c.CheckSat(nil, 0, lo, hi); st != sat.Unsat {
+	if st, _ := c.CheckSat(nil, lo, hi); st != sat.Unsat {
 		t.Fatalf("core query = %v, want unsat", st)
 	}
 	// A superset of the proven core must hit the subset rule.
 	extra := in.Ne(x, in.Byte(99))
-	if st, _ := c.CheckSat(nil, 0, lo, hi, extra); st != sat.Unsat {
+	if st, _ := c.CheckSat(nil, lo, hi, extra); st != sat.Unsat {
 		t.Fatal("superset query not unsat")
 	}
 	s := c.Stats()
@@ -83,7 +83,7 @@ func TestIndependenceSlicing(t *testing.T) {
 	fyz := in.Ult(y, z)
 	fz := in.Ult(z, in.Byte(100))
 
-	st, m := c.CheckSat(nil, 0, fx, fyz, fz)
+	st, m := c.CheckSat(nil, fx, fyz, fz)
 	if st != sat.Sat {
 		t.Fatalf("CheckSat = %v", st)
 	}
@@ -98,7 +98,7 @@ func TestIndependenceSlicing(t *testing.T) {
 		t.Fatalf("groups = %d, want 2", s.Groups)
 	}
 	// Re-querying just the x-slice hits exactly.
-	if st, _ := c.CheckSat(nil, 0, fx); st != sat.Sat {
+	if st, _ := c.CheckSat(nil, fx); st != sat.Sat {
 		t.Fatal("x-slice re-query failed")
 	}
 	if s := c.Stats(); s.ExactHits < 1 {
@@ -111,12 +111,12 @@ func TestSlicingDoesNotLeakOtherGroupsVars(t *testing.T) {
 	c := New(in)
 	x, y := in.Var("x", 8), in.Var("y", 8)
 	// Seed the cache with a model where y == 50.
-	if st, _ := c.CheckSat(nil, 0, in.Eq(y, in.Byte(50))); st != sat.Sat {
+	if st, _ := c.CheckSat(nil, in.Eq(y, in.Byte(50))); st != sat.Sat {
 		t.Fatal("seed failed")
 	}
 	// Now a query over x and a *different* constraint on y: the merged
 	// model must satisfy both, even though a stale y-model is cached.
-	st, m := c.CheckSat(nil, 0, in.Eq(x, in.Byte(1)), in.Ult(y, in.Byte(10)))
+	st, m := c.CheckSat(nil, in.Eq(x, in.Byte(1)), in.Ult(y, in.Byte(10)))
 	if st != sat.Sat {
 		t.Fatalf("CheckSat = %v", st)
 	}
@@ -133,10 +133,10 @@ func TestBAndTreeNormalization(t *testing.T) {
 	b := in.Ult(in.Byte(2), x)
 	// The same constraint set as one BAnd tree and as separate formulas
 	// must key identically.
-	if st, _ := c.CheckSat(nil, 0, in.BAnd2(a, b)); st != sat.Sat {
+	if st, _ := c.CheckSat(nil, in.BAnd2(a, b)); st != sat.Sat {
 		t.Fatal("tree query failed")
 	}
-	if st, _ := c.CheckSat(nil, 0, a, b); st != sat.Sat {
+	if st, _ := c.CheckSat(nil, a, b); st != sat.Sat {
 		t.Fatal("flat query failed")
 	}
 	s := c.Stats()
@@ -149,13 +149,13 @@ func TestTrivialConstants(t *testing.T) {
 	in := bv.NewInterner()
 	c := New(in)
 	x := in.Var("x", 8)
-	if st, m := c.CheckSat(nil, 0); st != sat.Sat || m == nil {
+	if st, m := c.CheckSat(nil); st != sat.Sat || m == nil {
 		t.Fatalf("empty query = %v %v", st, m)
 	}
-	if st, _ := c.CheckSat(nil, 0, bv.False, in.Eq(x, in.Byte(1))); st != sat.Unsat {
+	if st, _ := c.CheckSat(nil, bv.False, in.Eq(x, in.Byte(1))); st != sat.Unsat {
 		t.Fatal("False conjunct must be unsat without solving")
 	}
-	if st, _ := c.CheckSat(nil, 0, bv.True); st != sat.Sat {
+	if st, _ := c.CheckSat(nil, bv.True); st != sat.Sat {
 		t.Fatal("True-only query must be sat")
 	}
 	if s := c.Stats(); s.Misses != 0 {
@@ -168,13 +168,59 @@ func TestIsValidThroughCache(t *testing.T) {
 	c := New(in)
 	x, y := in.Var("x", 8), in.Var("y", 8)
 	f := in.Eq(in.Xor(x, y), in.Xor(y, x))
-	valid, _, st := c.IsValid(nil, 0, f)
+	valid, _, st := c.IsValid(nil, f)
 	if !valid || st != sat.Unsat {
 		t.Fatalf("IsValid = (%v, %v), want (true, unsat)", valid, st)
 	}
-	valid, cex, st := c.IsValid(nil, 0, in.Ult(x, in.Byte(10)))
+	valid, cex, st := c.IsValid(nil, in.Ult(x, in.Byte(10)))
 	if valid || st != sat.Sat || cex == nil || cex.Terms["x"] < 10 {
 		t.Fatalf("IsValid on x<10 = (%v, %v, %v)", valid, st, cex)
+	}
+}
+
+func TestIsValid(t *testing.T) {
+	in := bv.NewInterner()
+	c := New(in)
+	x := in.Var("x", 8)
+	// (x & 0x0f) <= 15 is valid.
+	if valid, _, _ := c.IsValid(nil, in.Ule(in.And(x, in.Byte(0x0f)), in.Byte(15))); !valid {
+		t.Fatal("masked value bound should be valid")
+	}
+	// x <= 100 is not valid; the counterexample must violate it.
+	valid, cex, _ := c.IsValid(nil, in.Ule(x, in.Byte(100)))
+	if valid {
+		t.Fatal("x <= 100 should not be valid")
+	}
+	if cex.Terms["x"] <= 100 {
+		t.Fatalf("counterexample x = %d should exceed 100", cex.Terms["x"])
+	}
+}
+
+func TestIsValidExhaustedBudget(t *testing.T) {
+	in := bv.NewInterner()
+	c := New(in)
+	x, y := in.Var("x", 8), in.Var("y", 8)
+	// x^y == y^x is valid, but proving it takes a query; an exhausted budget
+	// must report Unknown rather than claim validity it never proved.
+	f := in.Eq(in.Xor(x, y), in.Xor(y, x))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	valid, cex, st := c.IsValid(engine.NewBudget(ctx, engine.Limits{}), f)
+	if st != sat.Unknown || valid || cex != nil {
+		t.Fatalf("IsValid under exhausted budget = (%v, %v, %v), want (false, nil, unknown)", valid, cex, st)
+	}
+
+	// Without a budget the same formula is proved valid, and an invalid one
+	// yields a genuine counterexample.
+	if valid, _, st = c.IsValid(nil, f); !valid || st != sat.Unsat {
+		t.Fatalf("unbudgeted IsValid = (%v, %v), want (true, unsat)", valid, st)
+	}
+	valid, cex, st = c.IsValid(nil, in.Ult(x, in.Byte(10)))
+	if valid || st != sat.Sat || cex == nil {
+		t.Fatalf("IsValid on x<10 = (%v, %v, %v), want invalid with counterexample", valid, st, cex)
+	}
+	if v := cex.Terms["x"]; v < 10 {
+		t.Fatalf("counterexample x = %d, want >= 10", v)
 	}
 }
 
@@ -188,12 +234,12 @@ func TestUnknownNotCached(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dead := engine.NewBudget(ctx, engine.Limits{})
-	if st, _ := c.CheckSat(dead, 0, f, g); st != sat.Unknown {
+	if st, _ := c.CheckSat(dead, f, g); st != sat.Unknown {
 		t.Fatal("exhausted budget must yield unknown")
 	}
 	// The same query with headroom must be decided, not served a cached
 	// Unknown.
-	st, m := c.CheckSat(nil, 0, f, g)
+	st, m := c.CheckSat(nil, f, g)
 	if st != sat.Sat {
 		t.Fatalf("retry = %v, want sat", st)
 	}
@@ -250,8 +296,8 @@ func TestAgainstDirectSolver(t *testing.T) {
 	in := bv.NewInterner()
 	c := New(in)
 	for iter, fs := range randomQueries(in, 11, 200) {
-		wantSt, _ := bv.CheckSat(nil, 0, fs...)
-		gotSt, gotM := c.CheckSat(nil, 0, fs...)
+		wantSt, _ := bv.CheckSat(nil, fs...)
+		gotSt, gotM := c.CheckSat(nil, fs...)
 		if gotSt != wantSt {
 			t.Fatalf("iter %d: cache says %v, direct solver says %v (formulas %v)", iter, gotSt, wantSt, fs)
 		}
@@ -281,11 +327,11 @@ func TestIncrementalPrefixSharing(t *testing.T) {
 	left := in.Eq(in.Xor(x, y), in.Byte(9))
 	right := in.BNot1(left)
 
-	if st, _ := c.CheckSat(nil, 0, prefix, left); st != sat.Sat {
+	if st, _ := c.CheckSat(nil, prefix, left); st != sat.Sat {
 		t.Fatal("left fork not sat")
 	}
 	conflictsAfterLeft := c.Stats().Conflicts
-	if st, _ := c.CheckSat(nil, 0, prefix, right); st != sat.Sat {
+	if st, _ := c.CheckSat(nil, prefix, right); st != sat.Sat {
 		t.Fatal("right fork not sat")
 	}
 	// Weak but real assertion: the solver persisted (no rebuild), so the
@@ -303,8 +349,8 @@ func TestBudgetCacheCounters(t *testing.T) {
 	b := engine.NewBudget(context.Background(), engine.Limits{})
 	x := in.Var("x", 8)
 	f := in.Eq(x, in.Byte(1))
-	c.CheckSat(b, 0, f)
-	c.CheckSat(b, 0, f)
+	c.CheckSat(b, f)
+	c.CheckSat(b, f)
 	if b.Count(engine.CacheMisses) != 1 || b.Count(engine.CacheHits) != 1 {
 		t.Fatalf("budget counters hits=%d misses=%d, want 1/1", b.Count(engine.CacheHits), b.Count(engine.CacheMisses))
 	}

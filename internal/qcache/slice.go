@@ -8,15 +8,18 @@ import (
 
 // group is one independent slice of a query: conjuncts that transitively
 // share variables, in query order, with their sorted ID set (the cache key
-// material). Both slices alias the cache's slicing scratch and are valid
-// only until the next query; anything stored past the query is copied.
+// material). first is the index, in the sliced conjunction, of the group's
+// first conjunct. Both slices alias the cache's slicing scratch and are
+// valid only until the next query; anything stored past the query is copied.
 type group struct {
-	conj []*bv.Bool
-	ids  []int
+	conj  []*bv.Bool
+	ids   []int
+	first int
 }
 
 // conjInfo is the per-conjunct memo slicing reads: the content-based
-// conjunct ID and the conjunct's sorted, deduped dense variable ids.
+// conjunct ID (-1 until the conjunct is first sliced) and the conjunct's
+// sorted, deduped dense variable ids.
 type conjInfo struct {
 	id   int
 	vars []int32
@@ -52,15 +55,43 @@ func (c *Cache) slice(conj []*bv.Bool) []group {
 	for _, cj := range conj {
 		s.info = append(s.info, c.info(cj))
 	}
+	member, size := c.components(n, func(i int) []int32 { return s.info[i].vars })
 
+	// Lay every group out contiguously. Each group's slices are capped at
+	// its size, so the appends below fill its own region and never spill
+	// into the next.
+	s.conj, s.ids = resize(s.conj, n), resize(s.ids, n)
+	groups := resize(s.groups, len(size))
+	s.groups = groups
+	off := 0
+	for g, k := range size {
+		groups[g] = group{conj: s.conj[off : off : off+k], ids: s.ids[off : off : off+k], first: -1}
+		off += k
+	}
+	for i, cj := range conj {
+		g := &groups[member[i]]
+		if g.first < 0 {
+			g.first = i
+		}
+		g.conj = append(g.conj, cj)
+		g.ids = append(g.ids, s.info[i].id)
+	}
+	for _, g := range groups {
+		slices.Sort(g.ids)
+	}
+	return groups
+}
+
+// components labels n items with their variable-connected components, where
+// vars(i) is item i's dense variable ids: member[i] is i's component,
+// components are numbered in order of their first item, and size[k] counts
+// component k's items. Both results alias c.scr. Caller holds c.mu.
+func (c *Cache) components(n int, vars func(int) []int32) (member []int32, size []int) {
+	s := &c.scr
 	s.epoch++
 	if s.epoch == 0 {
 		clear(s.stamp)
 		s.epoch = 1
-	}
-	if nv := len(c.varNames); len(s.stamp) < nv {
-		s.stamp = append(s.stamp, make([]uint32, nv-len(s.stamp))...)
-		s.owner = append(s.owner, make([]int32, nv-len(s.owner))...)
 	}
 	parent := resize(s.parent, n)
 	s.parent = parent
@@ -74,8 +105,14 @@ func (c *Cache) slice(conj []*bv.Bool) []group {
 		}
 		return x
 	}
-	for i := range conj {
-		for _, v := range s.info[i].vars {
+	for i := 0; i < n; i++ {
+		vs := vars(i)
+		// vars may number new variables, so the tables grow here.
+		if nv := len(c.varNames); len(s.stamp) < nv {
+			s.stamp = append(s.stamp, make([]uint32, nv-len(s.stamp))...)
+			s.owner = append(s.owner, make([]int32, nv-len(s.owner))...)
+		}
+		for _, v := range vs {
 			if s.stamp[v] != s.epoch {
 				s.stamp[v] = s.epoch
 				s.owner[v] = int32(i)
@@ -87,16 +124,13 @@ func (c *Cache) slice(conj []*bv.Bool) []group {
 		}
 	}
 
-	// Number the groups by first conjunct, then lay every group out
-	// contiguously. Each group's slices are capped at its size, so the
-	// appends below fill its own region and never spill into the next.
-	member := resize(s.member, n)
+	member = resize(s.member, n)
 	s.member = member
 	for i := range member {
 		member[i] = -1
 	}
-	size := s.size[:0]
-	for i := range conj {
+	size = s.size[:0]
+	for i := 0; i < n; i++ {
 		r := find(int32(i))
 		if member[r] < 0 {
 			member[r] = int32(len(size))
@@ -106,23 +140,7 @@ func (c *Cache) slice(conj []*bv.Bool) []group {
 		size[member[i]]++
 	}
 	s.size = size
-	s.conj, s.ids = resize(s.conj, n), resize(s.ids, n)
-	groups := resize(s.groups, len(size))
-	s.groups = groups
-	off := 0
-	for g, k := range size {
-		groups[g] = group{conj: s.conj[off : off : off+k], ids: s.ids[off : off : off+k]}
-		off += k
-	}
-	for i, cj := range conj {
-		g := &groups[member[i]]
-		g.conj = append(g.conj, cj)
-		g.ids = append(g.ids, s.info[i].id)
-	}
-	for _, g := range groups {
-		slices.Sort(g.ids)
-	}
-	return groups
+	return member, size
 }
 
 // resize returns buf with length n, reusing its storage when it fits.
@@ -137,8 +155,12 @@ func resize[T any](buf []T, n int) []T {
 // coincide, so the pointer map is a fast path over the canonical map.
 // Caller holds c.mu.
 func (c *Cache) info(cj *bv.Bool) conjInfo {
-	if ci, ok := c.conjs[cj]; ok {
+	ci, ok := c.conjs[cj]
+	if ok && ci.id >= 0 {
 		return ci
+	}
+	if !ok {
+		ci.vars = c.varIDsOf(cj)
 	}
 	key := c.conjKey(cj)
 	id, ok := c.canonIDs[key]
@@ -147,6 +169,27 @@ func (c *Cache) info(cj *bv.Bool) conjInfo {
 		c.nextID++
 		c.canonIDs[key] = id
 	}
+	ci.id = id
+	c.conjs[cj] = ci
+	return ci
+}
+
+// vars returns a conjunct's dense variable ids, memoized with its info but
+// without numbering it: path regions are built from conjuncts before
+// pruning, and only the conjuncts that reach slicing get an ID. Caller holds
+// c.mu.
+func (c *Cache) vars(cj *bv.Bool) []int32 {
+	if ci, ok := c.conjs[cj]; ok {
+		return ci.vars
+	}
+	vars := c.varIDsOf(cj)
+	c.conjs[cj] = conjInfo{id: -1, vars: vars}
+	return vars
+}
+
+// varIDsOf computes a conjunct's sorted, deduped dense variable ids,
+// numbering variables it meets for the first time. Caller holds c.mu.
+func (c *Cache) varIDsOf(cj *bv.Bool) []int32 {
 	var vars []int32
 	for _, name := range bv.VarNames(nil, cj) {
 		v, ok := c.varIDs[name]
@@ -158,7 +201,5 @@ func (c *Cache) info(cj *bv.Bool) conjInfo {
 		vars = append(vars, v)
 	}
 	slices.Sort(vars)
-	ci := conjInfo{id: id, vars: slices.Clip(slices.Compact(vars))}
-	c.conjs[cj] = ci
-	return ci
+	return slices.Clip(slices.Compact(vars))
 }

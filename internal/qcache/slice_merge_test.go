@@ -68,15 +68,15 @@ func TestMergedPathConditionVerdicts(t *testing.T) {
 	// ... which contradicts s[0] = 9.
 	c3 := in.Eq(s0, in.Byte(9))
 
-	if st, _ := c.CheckSat(nil, 0, c1, c2); st.String() != "sat" {
+	if st, _ := c.CheckSat(nil, c1, c2); st.String() != "sat" {
 		t.Fatalf("c1∧c2 should be sat, got %v", st)
 	}
-	if st, _ := c.CheckSat(nil, 0, c1, c2, c3); st.String() != "unsat" {
+	if st, _ := c.CheckSat(nil, c1, c2, c3); st.String() != "unsat" {
 		t.Fatalf("c1∧c2∧c3 should be unsat, got %v", st)
 	}
 	// And the satisfiable variant's model must actually satisfy the merged
 	// condition (guards evaluated, not zero-filled away).
-	st, m := c.CheckSat(nil, 0, c1, c3)
+	st, m := c.CheckSat(nil, c1, c3)
 	if st.String() != "sat" {
 		t.Fatalf("c1∧c3 should be sat, got %v", st)
 	}

@@ -19,7 +19,7 @@ func TestVNPruningSoundThroughCheckSat(t *testing.T) {
 	g := in.Ult(x, in.Byte(10))
 
 	// Sat case: under g, ite(g, y, 0) == 5 forces y == 5.
-	st, m := c.CheckSat(nil, 0, g, in.Eq(in.Ite(g, y, in.Byte(0)), in.Byte(5)))
+	st, m := c.CheckSat(nil, g, in.Eq(in.Ite(g, y, in.Byte(0)), in.Byte(5)))
 	if st != sat.Sat {
 		t.Fatalf("pruned sat query = %v", st)
 	}
@@ -29,7 +29,7 @@ func TestVNPruningSoundThroughCheckSat(t *testing.T) {
 
 	// Unsat case: under g the mux picks the constant 1, and 1 == 2 is
 	// false — pruning must collapse this to a refutation, not erase it.
-	st, _ = c.CheckSat(nil, 0, g, in.Eq(in.Ite(g, in.Byte(1), y), in.Byte(2)))
+	st, _ = c.CheckSat(nil, g, in.Eq(in.Ite(g, in.Byte(1), y), in.Byte(2)))
 	if st != sat.Unsat {
 		t.Fatalf("pruned unsat query = %v", st)
 	}
@@ -95,8 +95,8 @@ func TestVNChainMatchesDirectSolver(t *testing.T) {
 	in := bv.NewInterner()
 	c := New(in)
 	for i, q := range buildQueries(in, seed, n) {
-		st, m := c.CheckSat(nil, 0, q...)
-		wantSt, _ := bv.CheckSat(nil, 0, q...)
+		st, m := c.CheckSat(nil, q...)
+		wantSt, _ := bv.CheckSat(nil, q...)
 		if st != wantSt {
 			t.Fatalf("query %d: cache chain says %v, direct solver says %v", i, st, wantSt)
 		}
@@ -125,11 +125,11 @@ func TestVNModelReusePersistentEvaluator(t *testing.T) {
 	in := bv.NewInterner()
 	c := New(in)
 	x := in.Var("x", 8)
-	if st, _ := c.CheckSat(nil, 0, in.Eq(x, in.Byte(3))); st != sat.Sat {
+	if st, _ := c.CheckSat(nil, in.Eq(x, in.Byte(3))); st != sat.Sat {
 		t.Fatal("seed query not sat")
 	}
 	for i, bound := range []byte{10, 20, 30, 40} {
-		st, m := c.CheckSat(nil, 0, in.Ult(x, in.Byte(bound)))
+		st, m := c.CheckSat(nil, in.Ult(x, in.Byte(bound)))
 		if st != sat.Sat {
 			t.Fatalf("weaker query %d = %v", i, st)
 		}

@@ -121,6 +121,13 @@ type Solver struct {
 	lbdGen   int32
 	reduces  int64
 
+	// Per-variable scratch, all false or zero between calls: seen marks the
+	// variables conflict analysis has visited, clauseLit holds (plus one) the
+	// literal of each variable the clause AddClause is simplifying already
+	// kept. Each user clears only the entries it set.
+	seen      []bool
+	clauseLit []Lit
+
 	ok        bool // false once a top-level conflict is found
 	conflicts int64
 	decisions int64
@@ -202,6 +209,8 @@ func (s *Solver) NewVar() int {
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, false)
+	s.seen = append(s.seen, false)
+	s.clauseLit = append(s.clauseLit, 0)
 	s.order.push(v)
 	return v
 }
@@ -231,24 +240,32 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	s.cancelUntil(0)
 	// Simplify: drop duplicate and false literals, detect tautology.
-	seen := map[Lit]bool{}
 	out := make([]Lit, 0, len(lits))
+	satisfied := false
+scan:
 	for _, l := range lits {
 		if int(l.Var()) >= s.numVars {
+			s.clearClauseLits(out)
 			panic("sat: literal references unallocated variable")
 		}
-		switch {
-		case seen[l.Neg()]:
-			return true // tautology: always satisfied
-		case seen[l]:
+		switch kept := s.clauseLit[l.Var()]; {
+		case kept != 0 && kept != l+1: // the complement: a tautology
+			satisfied = true
+			break scan
+		case kept == l+1:
 			continue
 		case s.valueLit(l) == lTrue && s.level[l.Var()] == 0:
-			return true
+			satisfied = true
+			break scan
 		case s.valueLit(l) == lFalse && s.level[l.Var()] == 0:
 			continue
 		}
-		seen[l] = true
+		s.clauseLit[l.Var()] = l + 1
 		out = append(out, l)
+	}
+	s.clearClauseLits(out)
+	if satisfied {
+		return true
 	}
 	switch len(out) {
 	case 0:
@@ -266,6 +283,13 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
+}
+
+// clearClauseLits resets the clauseLit entries AddClause set for lits.
+func (s *Solver) clearClauseLits(lits []Lit) {
+	for _, l := range lits {
+		s.clauseLit[l.Var()] = 0
+	}
 }
 
 func (s *Solver) attach(c *clause) {
@@ -352,7 +376,7 @@ func (s *Solver) propagate() *clause {
 // (asserting literal first) and the backtrack level.
 func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	learnt := []Lit{0} // slot 0 reserved for the asserting literal
-	seen := make([]bool, s.numVars)
+	seen := s.seen
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
@@ -397,6 +421,11 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		confl = s.reason[p.Var()]
 	}
 	learnt[0] = p.Neg()
+	// Every current-level variable was resolved away and unmarked above, so
+	// the marks left are exactly the learnt clause's other variables.
+	for _, q := range learnt[1:] {
+		seen[q.Var()] = false
+	}
 
 	// Backtrack level: second-highest level in the learnt clause.
 	btLevel := 0

@@ -73,7 +73,7 @@ func (e *Engine) spanTerm(s *state, p Value, match func(*bv.Term) *bv.Bool) (*bv
 	}
 	inBounds := bvin.Ult(p.Off, bvin.Int32(int64(len(buf))))
 	newCond := bvin.BAnd2(s.cond, inBounds)
-	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(newCond)) {
+	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(s, newCond)) {
 		return nil, ErrOOB
 	}
 	s.cond = newCond
@@ -113,12 +113,12 @@ func (e *Engine) stringCall(s *state, f *cir.Func, in *cir.Instr) (handled bool,
 		e.Budget.Add(engine.Forks, 1)
 		miss := s.fork()
 		s.cond = bvin.BAnd2(s.cond, found)
-		if s.cond != bv.False && !(e.CheckFeasibility && !e.feasible(s.cond)) {
+		if s.cond != bv.False && !(e.CheckFeasibility && !e.feasible(s, s.cond)) {
 			s.regs[in.Res] = PtrValue(obj, offTerm)
 			e.sched.push(s)
 		}
 		miss.cond = bvin.BAnd2(miss.cond, bvin.BNot1(found))
-		if miss.cond != bv.False && !(e.CheckFeasibility && !e.feasible(miss.cond)) {
+		if miss.cond != bv.False && !(e.CheckFeasibility && !e.feasible(miss, miss.cond)) {
 			if missErr != nil {
 				e.emit(miss, Value{}, missErr)
 			} else {
@@ -254,7 +254,7 @@ func (e *Engine) rawSpanTerm(s *state, p Value, match func(*bv.Term) *bv.Bool) (
 	}
 	inBounds := bvin.Ult(p.Off, bvin.Int32(int64(len(buf))))
 	newCond := bvin.BAnd2(s.cond, inBounds)
-	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(newCond)) {
+	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(s, newCond)) {
 		return nil, ErrOOB
 	}
 	s.cond = newCond

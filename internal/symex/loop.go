@@ -142,7 +142,7 @@ func SameOutcome(in *bv.Interner, paths []LoopPath, outs []vocab.SymOutcome) *bv
 // buf's NUL terminator. Unsat means equal holds on every bounded string;
 // Unknown (budget exhausted) is the caller's to interpret.
 func Refute(cache *qcache.Cache, budget *engine.Budget, equal *bv.Bool, buf []*bv.Term) (sat.Status, []byte) {
-	_, model, st := cache.IsValid(budget, 0, equal)
+	_, model, st := cache.IsValid(budget, equal)
 	if st != sat.Sat {
 		return st, nil
 	}

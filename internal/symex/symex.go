@@ -169,6 +169,10 @@ type state struct {
 	regs  []Value
 	cells map[int]Value
 	cond  *bv.Bool
+	// path is cond prepared by the query cache at the last feasibility
+	// check, or nil. It is immutable, so forks share it; a state whose cond
+	// moves without a check (a merge) starts without one.
+	path  *qcache.Path
 	block *cir.Block
 	prev  *cir.Block
 	idx   int // next instruction index in block
@@ -180,6 +184,7 @@ func (s *state) fork() *state {
 		regs:  make([]Value, len(s.regs)),
 		cells: make(map[int]Value, len(s.cells)),
 		cond:  s.cond,
+		path:  s.path,
 		block: s.block,
 		prev:  s.prev,
 		idx:   s.idx,
@@ -441,7 +446,7 @@ func (e *Engine) branch(s *state, cond *bv.Bool, thenB, elseB *cir.Block) {
 		if st.cond == bv.False {
 			return
 		}
-		if e.CheckFeasibility && !e.feasible(st.cond) {
+		if e.CheckFeasibility && !e.feasible(st, st.cond) {
 			return
 		}
 		st.prev, st.block, st.idx = st.block, b, 0
@@ -502,9 +507,10 @@ func (e *Engine) resolvePhis(s *state, f *cir.Func) error {
 	return nil
 }
 
-// feasible asks the solver whether cond is satisfiable; on budget exhaustion
-// it conservatively answers true.
-func (e *Engine) feasible(cond *bv.Bool) bool {
+// feasible asks the solver whether cond, which extends s's path condition,
+// is satisfiable, and on success leaves cond's prepared path on s; on
+// budget exhaustion it conservatively answers true.
+func (e *Engine) feasible(s *state, cond *bv.Bool) bool {
 	// Value-numbering fast path: merged path conditions routinely simplify
 	// to a constant (a join disjunction folding to True, or a branch
 	// refinement contradicting an ite guard), and a memoized simplifier hit
@@ -512,6 +518,7 @@ func (e *Engine) feasible(cond *bv.Bool) bool {
 	// and is not counted as one.
 	switch sc := e.In.SimplifyBool(cond); sc {
 	case bv.True:
+		s.path = nil
 		return true
 	case bv.False:
 		return false
@@ -523,9 +530,12 @@ func (e *Engine) feasible(cond *bv.Bool) bool {
 	start := time.Now()
 	var st sat.Status
 	if e.Cache != nil {
-		st = e.Cache.Decide(e.Budget, 0, cond)
+		// The cache simplifies cond again, exactly as Decide would; the
+		// second pass is not idempotent on merged shapes, and Extend must
+		// see what Decide sees to make the same decisions.
+		st, s.path = e.Cache.Extend(e.Budget, s.path, cond)
 	} else {
-		st, _ = bv.CheckSat(e.Budget, 0, cond)
+		st, _ = bv.CheckSat(e.Budget, cond)
 	}
 	e.nSolveNs.Add(int64(time.Since(start)))
 	return st != sat.Unsat
@@ -627,18 +637,22 @@ func (e *Engine) selectByte(s *state, buf []*bv.Term, off *bv.Term) (*bv.Term, e
 		return buf[int32(v)], nil
 	}
 	inBounds := bvin.Ult(off, bvin.Int32(int64(len(buf))))
+	// The out-of-bounds complement below extends the path as it was before
+	// the in-bounds side's check replaced it.
+	parent := s.path
 	newCond := bvin.BAnd2(s.cond, inBounds)
-	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(newCond)) {
+	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(s, newCond)) {
 		return nil, ErrOOB
 	}
 	// The out-of-bounds complement is its own (errored) path, not a slice of
 	// the input space to narrow away: merged states reach here with ite
 	// cursors whose feasible range straddles the buffer end, and dropping
 	// the overflowing models would leave concrete inputs no path claims.
-	if oob := bvin.BAnd2(s.cond, bvin.BNot1(inBounds)); oob != bv.False &&
-		(!e.CheckFeasibility || e.feasible(oob)) {
-		e.nForks.Add(1)
-		e.emit(&state{cond: oob}, Value{}, ErrOOB)
+	if oob := bvin.BAnd2(s.cond, bvin.BNot1(inBounds)); oob != bv.False {
+		if o := (&state{cond: oob, path: parent}); !e.CheckFeasibility || e.feasible(o, oob) {
+			e.nForks.Add(1)
+			e.emit(o, Value{}, ErrOOB)
+		}
 	}
 	s.cond = newCond
 	val := buf[len(buf)-1]
@@ -887,7 +901,7 @@ func (e *Engine) strlenCall(s *state, p Value) (Value, error) {
 	}
 	inBounds := bvin.Ult(p.Off, bvin.Int32(int64(len(buf))))
 	newCond := bvin.BAnd2(s.cond, inBounds)
-	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(newCond)) {
+	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(s, newCond)) {
 		return Value{}, ErrOOB
 	}
 	s.cond = newCond

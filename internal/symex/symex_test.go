@@ -233,7 +233,7 @@ char *weird(char *s) {
 	}
 	// All surviving paths must be satisfiable.
 	for _, p := range pathsYes {
-		if st, _ := bv.CheckSat(nil, 0, p.Cond); st.String() != "sat" {
+		if st, _ := bv.CheckSat(nil, p.Cond); st.String() != "sat" {
 			t.Fatalf("surviving path is %v", st)
 		}
 	}
@@ -311,7 +311,7 @@ char *spanab(char *s) {
 	for i := 0; i < len(paths); i++ {
 		for j := i + 1; j < len(paths); j++ {
 			both := tin.BAnd2(paths[i].Cond, paths[j].Cond)
-			if st, _ := bv.CheckSat(nil, 0, both); st.String() == "sat" {
+			if st, _ := bv.CheckSat(nil, both); st.String() == "sat" {
 				t.Fatalf("paths %d and %d overlap", i, j)
 			}
 		}
