@@ -10,7 +10,9 @@
 // request runs under a budget carved from the global envelope, and
 // SIGTERM drains gracefully: stop admitting, answer everything already
 // in the door (down-laddered to the smoke floor), flush the persistent
-// cache tier, exit. See DESIGN.md §14 and the README's "Running the
+// cache tier, exit. Finished results are memoized in memory for the
+// daemon's lifetime, so a repeated loop is answered without running the
+// pipeline; -cache-dir makes that memo persistent. See DESIGN.md §14 and the README's "Running the
 // daemon" section.
 package main
 

@@ -7,12 +7,73 @@ import (
 	"time"
 
 	"stringloops/internal/engine"
+	"stringloops/internal/supervise"
 )
+
+// The corpus drivers (cmd/synth-eval, cmd/loopsum, harness) fan loops out
+// with engine.MapWorker, one pipeline per item; these helpers do the same
+// for the tests, which check that worker count never changes a result and
+// that one item's panic or cancellation stays its own.
+
+// mapItems runs fn for every index on a bounded pool of workers (< 1 means
+// one per CPU) and returns the results in input order.
+func mapItems[T any](workers, n int, fn func(i int) T) []T {
+	out := make([]T, n)
+	engine.MapWorker(engine.Workers(workers, n), n, func(_, i int) { out[i] = fn(i) })
+	return out
+}
+
+// batchItem is one loop to summarise. With a nil Opts.Budget each item
+// gets its own Timeout-derived budget; a shared Budget cancels every item
+// that carries it.
+type batchItem struct {
+	Source string
+	Func   string
+	Opts   Options
+}
+
+// batchResult is the outcome for the item at Index.
+type batchResult struct {
+	Index   int
+	Summary *Summary
+	Err     error
+}
+
+// summarizeAll runs Summarize over items, isolating each item's panic into
+// its own result as a *supervise.PanicError.
+func summarizeAll(items []batchItem, workers int) []batchResult {
+	return mapItems(workers, len(items), func(i int) batchResult {
+		var s *Summary
+		err := supervise.Guard(func() error {
+			var ierr error
+			s, ierr = Summarize(items[i].Source, items[i].Func, items[i].Opts)
+			return ierr
+		})
+		if err != nil {
+			s = nil // a panic after partial work must not leak a half summary
+		}
+		return batchResult{Index: i, Summary: s, Err: err}
+	})
+}
+
+// resilientItem is one loop of a resilient batch.
+type resilientItem struct {
+	Source string
+	Func   string
+	Opts   ResilientOptions
+}
+
+// summarizeAllResilient runs SummarizeResilient over items.
+func summarizeAllResilient(items []resilientItem, workers int) []Outcome {
+	return mapItems(workers, len(items), func(i int) Outcome {
+		return SummarizeResilient(items[i].Source, items[i].Func, items[i].Opts)
+	})
+}
 
 // batchItems builds a small corpus of quick loops (plus one malformed item
 // so error outcomes are exercised too). Each item gets its own
 // Timeout-derived budget.
-func batchItems() []BatchItem {
+func batchItems() []batchItem {
 	srcs := []string{
 		figure1,
 		`char *f(char *s) { while (*s == ' ') s++; return s; }`,
@@ -24,9 +85,9 @@ func batchItems() []BatchItem {
 		`char *f(char *s) { while (*s == '_') s++; return s; }`,
 		`int notaloop(int x) { return x; }`, // errors with ErrNoLoopFunction
 	}
-	items := make([]BatchItem, len(srcs))
+	items := make([]batchItem, len(srcs))
 	for i, src := range srcs {
-		items[i] = BatchItem{Source: src, Opts: Options{Timeout: time.Minute}}
+		items[i] = batchItem{Source: src, Opts: Options{Timeout: time.Minute}}
 	}
 	return items
 }
@@ -38,8 +99,8 @@ func batchItems() []BatchItem {
 // budget.
 func TestSummarizeAllParallelMatchesSerial(t *testing.T) {
 	items := batchItems()
-	serial := SummarizeAll(items, 1)
-	parallel := SummarizeAll(items, 8)
+	serial := summarizeAll(items, 1)
+	parallel := summarizeAll(items, 8)
 	if len(serial) != len(items) || len(parallel) != len(items) {
 		t.Fatalf("result lengths: serial %d, parallel %d, want %d",
 			len(serial), len(parallel), len(items))
@@ -68,7 +129,7 @@ func TestSummarizeAllParallelMatchesSerial(t *testing.T) {
 
 func TestSummarizeAllDefaultWorkerCount(t *testing.T) {
 	items := batchItems()[:2]
-	res := SummarizeAll(items, 0) // < 1 means one worker per CPU
+	res := summarizeAll(items, 0) // < 1 means one worker per CPU
 	if len(res) != 2 {
 		t.Fatalf("got %d results, want 2", len(res))
 	}
@@ -104,7 +165,7 @@ func TestSummarizeAllSharedBudgetCancelsWholeBatch(t *testing.T) {
 		items[i].Opts.Budget = shared
 	}
 	start := time.Now()
-	res := SummarizeAll(items, 4)
+	res := summarizeAll(items, 4)
 	for i, r := range res {
 		if r.Err == nil {
 			t.Errorf("item %d: expected an error under a cancelled shared budget", i)

@@ -74,9 +74,9 @@ func faultpointItemSalt(item int) uint64 {
 // directories keep cache state a pure function of the item's own schedule
 // (faultpoint streams are per-site counters, so arming the tier shifts no
 // other site's draws), preserving replay determinism across worker counts.
-func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string) ([]ResilientItem, func()) {
+func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string) ([]resilientItem, func()) {
 	t.Helper()
-	items := make([]ResilientItem, len(loops))
+	items := make([]resilientItem, len(loops))
 	var tiers []*diskcache.Tier
 	for i, l := range loops {
 		// Odd seeds run the state-merging executor, even seeds the
@@ -92,7 +92,7 @@ func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string)
 			opts.Pipeline.Disk = tier
 			tiers = append(tiers, tier)
 		}
-		items[i] = ResilientItem{Source: l.Source, Func: l.FuncName, Opts: ResilientOptions{
+		items[i] = resilientItem{Source: l.Source, Func: l.FuncName, Opts: ResilientOptions{
 			Options: opts,
 			// Pure resource limits: no wall clock anywhere, so a schedule's
 			// outcome is a function of the seed alone, not machine speed.
@@ -137,8 +137,8 @@ func TestChaosSoak(t *testing.T) {
 		// parallel and serial runs see identical tier state end to end.
 		pItems, pClose := chaosItems(t, seed, loops, t.TempDir())
 		qItems, qClose := chaosItems(t, seed, loops, t.TempDir())
-		parallel := SummarizeAllResilient(pItems, 4)
-		serial := SummarizeAllResilient(qItems, 1)
+		parallel := summarizeAllResilient(pItems, 4)
+		serial := summarizeAllResilient(qItems, 1)
 		pClose()
 		qClose()
 		for i := range pItems {
@@ -229,7 +229,7 @@ func TestChaosSoak(t *testing.T) {
 
 // chaosTracedItems is chaosItems with a fresh deterministic tracer per item,
 // so each item's event stream is a pure function of its fault schedule.
-func chaosTracedItems(t *testing.T, seed uint64, loops []loopdb.Loop) ([]ResilientItem, []*obs.Tracer, func()) {
+func chaosTracedItems(t *testing.T, seed uint64, loops []loopdb.Loop) ([]resilientItem, []*obs.Tracer, func()) {
 	items, closeTiers := chaosItems(t, seed, loops, t.TempDir())
 	tracers := make([]*obs.Tracer, len(items))
 	for i := range items {
@@ -253,8 +253,8 @@ func TestChaosTraceReplay(t *testing.T) {
 		seed := uint64(s)*0x9e3779b9 + 1
 		pItems, pTracers, pClose := chaosTracedItems(t, seed, loops)
 		qItems, qTracers, qClose := chaosTracedItems(t, seed, loops)
-		SummarizeAllResilient(pItems, 4)
-		SummarizeAllResilient(qItems, 1)
+		summarizeAllResilient(pItems, 4)
+		summarizeAllResilient(qItems, 1)
 		pClose()
 		qClose()
 		for i := range loops {

@@ -10,6 +10,7 @@ import (
 
 	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
+	"stringloops/internal/faultpoint"
 	"stringloops/internal/symex"
 )
 
@@ -134,5 +135,41 @@ func TestSummarizeMemoKeyRespectsOptions(t *testing.T) {
 	// vocabulary's entry is in the memo.
 	if _, err := Summarize(src, "", Options{Timeout: time.Minute, Pipeline: symex.Config{Disk: tier}, Vocabulary: "EF"}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("restricted vocabulary must not reuse the full-vocabulary entry: %v", err)
+	}
+}
+
+// TestSummarizeMemoSkipsFaultTaintedRuns: a run whose synthesis was
+// sabotaged by injected faults must not freeze its verdict into the memo.
+// With every CEGIS candidate rejected the search ends in "no summary
+// found"; a later fault-free run on the same tier must find the summary a
+// tier-less run finds, not replay the sabotaged miss.
+func TestSummarizeMemoSkipsFaultTaintedRuns(t *testing.T) {
+	src := `char *skipdots(char *s) { while (*s == '.') s++; return s; }`
+	reg := faultpoint.New(faultpoint.Config{Seed: 1,
+		Rates: map[faultpoint.Site]float64{faultpoint.CegisReject: 1}})
+	tier := diskcache.MemoryTier(reg)
+	opts := Options{Timeout: time.Minute, MaxProgramSize: 4}
+
+	faulty := opts
+	faulty.Pipeline = symex.Config{Faults: reg, Disk: tier}
+	if _, err := Summarize(src, "", faulty); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("run with every candidate rejected: err = %v, want ErrNotFound", err)
+	}
+	if reg.Fired(faultpoint.CegisReject) == 0 {
+		t.Fatal("CegisReject never fired: the test exercised nothing")
+	}
+
+	want, err := Summarize(src, "", opts)
+	if err != nil {
+		t.Fatalf("tier-less run: %v", err)
+	}
+	clean := opts
+	clean.Pipeline = symex.Config{Disk: tier}
+	got, err := Summarize(src, "", clean)
+	if err != nil {
+		t.Fatalf("fault-free run on the tier replayed the tainted verdict: %v", err)
+	}
+	if got.Encoded != want.Encoded {
+		t.Fatalf("fault-free run on the tier found %q, tier-less run %q", got.Encoded, want.Encoded)
 	}
 }

@@ -389,26 +389,6 @@ func smokeRun(f *cir.Func) *SmokeResult {
 	return res
 }
 
-// ResilientItem is one loop in a SummarizeAllResilient batch.
-type ResilientItem struct {
-	Source string
-	Func   string
-	Opts   ResilientOptions
-}
-
-// SummarizeAllResilient runs SummarizeResilient over every item on a bounded
-// worker pool. Like SummarizeAll, each item owns its whole pipeline (and,
-// under fault injection, its own registry), so outcomes are element-wise
-// independent of the worker count and identical across reruns with the same
-// seeds.
-func SummarizeAllResilient(items []ResilientItem, workers int) []Outcome {
-	results := make([]Outcome, len(items))
-	engine.Map(engine.Workers(workers, len(items)), len(items), func(i int) {
-		results[i] = SummarizeResilient(items[i].Source, items[i].Func, items[i].Opts)
-	})
-	return results
-}
-
 // PanicError re-exports the supervised panic type so callers of this package
 // (and the facade) can errors.As against it without importing supervise.
 type PanicError = supervise.PanicError

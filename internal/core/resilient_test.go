@@ -25,7 +25,7 @@ func panicAlways(seed uint64) *faultpoint.Registry {
 // exposure: one deliberately panicking item must not take down the batch,
 // and its result must carry a typed *supervise.PanicError.
 func TestSummarizeAllIsolatesPanics(t *testing.T) {
-	items := []BatchItem{
+	items := []batchItem{
 		{Source: `char *f(char *s) { while (*s == ' ') s++; return s; }`,
 			Opts: Options{Timeout: time.Minute}},
 		{Source: figure1,
@@ -33,7 +33,7 @@ func TestSummarizeAllIsolatesPanics(t *testing.T) {
 		{Source: `char *f(char *s) { while (*s == 'x') s++; return s; }`,
 			Opts: Options{Timeout: time.Minute}},
 	}
-	res := SummarizeAll(items, 2)
+	res := summarizeAll(items, 2)
 	if res[0].Err != nil || res[0].Summary == nil {
 		t.Errorf("item 0 (healthy): err = %v", res[0].Err)
 	}
@@ -167,16 +167,16 @@ func TestSummarizeResilientFailedOnBadSource(t *testing.T) {
 // reproduce the same outcome, rung, and attempt shape, serially and in a
 // batch at any worker count.
 func TestSummarizeResilientDeterministicUnderSeed(t *testing.T) {
-	mkItems := func() []ResilientItem {
+	mkItems := func() []resilientItem {
 		srcs := []string{
 			figure1,
 			`char *f(char *s) { while (*s == ' ') s++; return s; }`,
 			`char *f(char *s) { while (*s && *s != ':') s++; return s; }`,
 			`char *f(char *s) { while (*s == 'a' || *s == 'b') s++; return s; }`,
 		}
-		items := make([]ResilientItem, len(srcs))
+		items := make([]resilientItem, len(srcs))
 		for i, src := range srcs {
-			items[i] = ResilientItem{Source: src, Opts: ResilientOptions{
+			items[i] = resilientItem{Source: src, Opts: ResilientOptions{
 				Options: Options{
 					Timeout: time.Minute,
 					Pipeline: symex.Config{Faults: faultpoint.New(faultpoint.Config{
@@ -195,8 +195,8 @@ func TestSummarizeResilientDeterministicUnderSeed(t *testing.T) {
 		}
 		return items
 	}
-	a := SummarizeAllResilient(mkItems(), 1)
-	b := SummarizeAllResilient(mkItems(), 4)
+	a := summarizeAllResilient(mkItems(), 1)
+	b := summarizeAllResilient(mkItems(), 4)
 	for i := range a {
 		if a[i].Rung != b[i].Rung {
 			t.Errorf("item %d: rung %v (serial) vs %v (parallel)", i, a[i].Rung, b[i].Rung)

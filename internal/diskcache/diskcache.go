@@ -211,6 +211,14 @@ func (s *Store) Put(b *engine.Budget, key string, val []byte) {
 // for the same key block and share its result. fn returning ok=false means
 // "do not cache" (e.g. a budget-classified failure): the result is still
 // shared with the waiters of this flight, but the next Do recomputes.
+//
+// Two rules keep a long-lived store honest. A result computed while any
+// fault of the store's registry fired is neither stored nor shared: it may
+// be an artefact of the injection (a rejected candidate, a forced unknown),
+// and freezing it would hand every later caller a verdict no fault-free run
+// gives. And a waiter leaves when its own budget's context ends, returning
+// not-ok, so a cancelled or timed-out caller never outlives its deadline
+// parked behind another caller's flight; the leader runs on untouched.
 func (s *Store) Do(b *engine.Budget, key string, fn func() ([]byte, bool)) ([]byte, bool) {
 	if s == nil {
 		v, ok := fn()
@@ -222,7 +230,11 @@ func (s *Store) Do(b *engine.Budget, key string, fn func() ([]byte, bool)) ([]by
 	s.flightMu.Lock()
 	if f, ok := s.flight[key]; ok {
 		s.flightMu.Unlock()
-		<-f.done
+		select {
+		case <-f.done:
+		case <-b.Context().Done():
+			return nil, false
+		}
 		if f.ok {
 			b.Add(engine.DiskHits, 1)
 		}
@@ -244,7 +256,13 @@ func (s *Store) Do(b *engine.Budget, key string, fn func() ([]byte, bool)) ([]by
 		close(f.done)
 	}()
 
+	fired := s.faults.TotalFired()
 	f.val, f.ok = fn()
+	if f.ok && s.faults.TotalFired() != fired {
+		// The registry is shared, so a firing in a concurrent computation
+		// taints this one too: storing nothing is the safe side.
+		f.ok = false
+	}
 	if f.ok {
 		s.Put(b, key, f.val)
 	}
@@ -254,10 +272,11 @@ func (s *Store) Do(b *engine.Budget, key string, fn func() ([]byte, bool)) ([]by
 // Memo is the whole-result memo policy over Do, shared by every pipeline
 // that memoizes a finished result: with no store, compute runs live;
 // otherwise the result of compute is stored under key() when encode accepts
-// it, and a computed result is always returned live, never re-decoded. A
-// cached entry is decoded; an entry decode rejects, or a shared flight that
-// failed, computes live. key is called only when the store is on, so a
-// disabled tier pays no hashing.
+// it and no fault fired meanwhile, and a computed result is always returned
+// live, never re-decoded. A cached entry is decoded; an entry decode
+// rejects, a shared flight that failed, or a wait the caller's budget cut
+// short, computes live (under an ended budget that unwinds at once). key is
+// called only when the store is on, so a disabled tier pays no hashing.
 func Memo[T any](s *Store, b *engine.Budget, key func() string,
 	compute func() (T, error),
 	encode func(T, error) ([]byte, bool),
@@ -433,7 +452,8 @@ func (s *Store) Save() error {
 // Tier bundles the two persistent stores of a cache directory: the
 // counterexample query cache and the whole-result summary memo DB. A nil
 // *Tier is the disabled state; both stores are then nil, which every layer
-// treats as a pass-through.
+// treats as a pass-through (so is a nil store on a non-nil Tier, which is
+// how &Tier{} turns the daemon's default memo off).
 type Tier struct {
 	// Dir is the cache directory.
 	Dir string
@@ -488,6 +508,15 @@ func OpenSized(dir string, maxBytes int64, faults *faultpoint.Registry) (*Tier, 
 	t.Queries.Load()
 	t.Memo.Load()
 	return t, nil
+}
+
+// MemoryTier is a tier holding only a memory-only memo store, bounded by
+// DefaultMaxEntries and tainted by faults (see Store.Do): the daemon's
+// memo when no cache directory is given. It has no query store, so solver
+// verdicts are not shared across the pipelines that ride it, and Close
+// persists nothing.
+func MemoryTier(faults *faultpoint.Registry) *Tier {
+	return &Tier{Memo: NewStore("", DefaultMaxEntries, faults)}
 }
 
 // QueryStore returns the query store (nil on a nil tier).

@@ -1,6 +1,7 @@
 package diskcache
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -297,6 +298,81 @@ func TestDoNotCachedOnFailure(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Fatal("store must stay empty")
+	}
+}
+
+// TestDoWaiterLeavesOnCancel: a caller waiting on another caller's flight
+// leaves as soon as its own budget's context ends, reporting not-ok; the
+// leader finishes untouched, stores its result, and no flight is left.
+func TestDoWaiterLeavesOnCancel(t *testing.T) {
+	s := NewStore("", 0, nil)
+	release := make(chan struct{})
+	entered := make(chan struct{})
+	leader := make(chan string, 1)
+	go func() {
+		v, _ := s.Do(newBudget(), "k", func() ([]byte, bool) {
+			close(entered)
+			<-release
+			return []byte("leader"), true
+		})
+		leader <- string(v)
+	}()
+	<-entered
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan bool, 1)
+	go func() {
+		_, ok := s.Do(engine.NewBudget(ctx, engine.Limits{}), "k", func() ([]byte, bool) {
+			t.Error("a waiter must not compute while the flight runs")
+			return nil, false
+		})
+		waiter <- ok
+	}()
+	cancel()
+	select {
+	case ok := <-waiter:
+		if ok {
+			t.Error("a cancelled waiter must report not-ok")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled waiter stayed parked on the flight")
+	}
+
+	close(release)
+	if got := <-leader; got != "leader" {
+		t.Fatalf("leader got %q", got)
+	}
+	if got := s.InFlight(); got != 0 {
+		t.Fatalf("InFlight = %d after every caller returned, want 0", got)
+	}
+	if v, ok := s.Get(newBudget(), "k"); !ok || string(v) != "leader" {
+		t.Fatal("the leader's result must be stored")
+	}
+}
+
+// TestDoFaultTaintedNotStored: a result computed while a fault of the
+// store's registry fired is returned but neither stored nor shared, and the
+// next Do computes again.
+func TestDoFaultTaintedNotStored(t *testing.T) {
+	reg := faultpoint.New(faultpoint.Config{Seed: 1, Rates: map[faultpoint.Site]float64{faultpoint.CegisReject: 1}})
+	s := NewStore("", 0, reg)
+	b := newBudget()
+	v, ok := s.Do(b, "k", func() ([]byte, bool) {
+		reg.Fire(faultpoint.CegisReject)
+		return []byte("tainted"), true
+	})
+	if ok || string(v) != "tainted" {
+		t.Fatalf("tainted compute: Do = %q, %v, want the live value, not-ok", v, ok)
+	}
+	if s.Len() != 0 {
+		t.Fatal("a fault-tainted result must not be stored")
+	}
+	v, ok = s.Do(b, "k", func() ([]byte, bool) { return []byte("clean"), true })
+	if !ok || string(v) != "clean" {
+		t.Fatalf("clean recompute: Do = %q, %v", v, ok)
+	}
+	if v, ok := s.Get(b, "k"); !ok || string(v) != "clean" {
+		t.Fatal("the fault-free result must be stored")
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"stringloops/internal/core"
+	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/obs"
@@ -52,7 +53,8 @@ const (
 
 // Config configures a Server. The zero value serves with sane defaults:
 // one slot per CPU, an 8×-deep queue, 30s request timeout, 1 MiB source
-// cap, rate limiting off, overload policy at the default thresholds.
+// cap, rate limiting off, overload policy at the default thresholds, and an
+// in-memory result memo.
 type Config struct {
 	// MaxInFlight bounds requests running the pipeline concurrently
 	// (default: GOMAXPROCS).
@@ -85,7 +87,11 @@ type Config struct {
 	StartRung core.Rung
 	// Pipeline configures every request's pipeline, as -merge and
 	// -cache-dir do for the CLI drivers; Drain flushes (Closes) its Disk
-	// tier.
+	// tier. A nil Disk gets a memory-only memo tier
+	// (diskcache.MemoryTier), so the server answers a loop it has already
+	// summarised from memory for its whole lifetime; a -cache-dir tier's
+	// memo store plays that role and persists it. A tier with nil stores
+	// (&diskcache.Tier{}) runs every request live.
 	Pipeline symex.Config
 	// Vocabulary is the default gadget vocabulary of requests naming none.
 	Vocabulary string
@@ -125,6 +131,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StartRung < core.RungFull || c.StartRung > core.RungSmoke {
 		c.StartRung = core.RungFull
+	}
+	if c.Pipeline.Disk == nil {
+		c.Pipeline.Disk = diskcache.MemoryTier(c.Pipeline.Faults)
 	}
 	return c
 }
