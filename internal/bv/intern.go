@@ -27,13 +27,16 @@ import (
 // pointer equality (a == b, cond == True) only assumes the forward
 // direction, pointer-equal ⇒ structurally equal.
 //
-// Lookups come first and allocate nothing: the tables are keyed by the Term
-// and Bool structs themselves, so a constructor builds its candidate node on
-// the stack and only a miss copies it to the heap. The 8-bit constants, which
-// every concrete string and gadget argument is made of, also sit in a
-// 256-entry table that skips the map on later calls; a slot is filled
-// through intern on first use, so a new constant is counted and charged
-// exactly like any other new node.
+// Lookups come first and allocate nothing. Each table is an open-addressing
+// array of node pointers (table.go) with a structural hash: kind, width and
+// value, the children by address, and the name only for variables. A
+// constructor builds its candidate node on the stack, hashes it outside the
+// lock, and only a miss copies it into the next node of a 256-node slab. The
+// 8-bit constants, which every concrete string and gadget argument is made
+// of, and the 32-bit constants 0..1023, which symex builds its offsets and
+// indexes from, also sit in lazily filled arrays that skip the table on
+// later calls; a slot is filled through intern on first use, so a new
+// constant is counted and charged exactly like any other new node.
 
 // DefaultSoftCap is the default per-interner table size at which the tables
 // are cleared; see Interner.SetSoftCap.
@@ -44,13 +47,17 @@ const DefaultSoftCap = 1 << 21
 // multiple goroutines (one pipeline may still fan work out internally), but
 // the intended discipline is one Interner per concurrent run.
 type Interner struct {
-	mu      sync.Mutex
-	termTab map[Term]*Term
-	boolTab map[Bool]*Bool
-	// bytes[v] is the interned 8-bit constant v, or nil before its first
-	// use. Written only under mu (by intern, and cleared with termTab at the
-	// soft cap), read without it.
+	mu    sync.Mutex
+	terms table[Term]
+	bools table[Bool]
+	// The slabs new nodes are carved from.
+	termSlab []Term
+	boolSlab []Bool
+	// bytes[v] is the interned 8-bit constant v, and int32s[v] the 32-bit
+	// constant v, or nil before its first use. Written only under mu (by
+	// intern, and cleared with terms at the soft cap), read without it.
 	bytes   [256]atomic.Pointer[Term]
+	int32s  [int32Consts]atomic.Pointer[Term]
 	softCap int
 	budget  *engine.Budget
 	faults  *faultpoint.Registry
@@ -76,12 +83,12 @@ type Interner struct {
 
 // NewInterner returns an empty interner with the default soft cap.
 func NewInterner() *Interner {
-	return &Interner{
-		termTab: make(map[Term]*Term),
-		boolTab: make(map[Bool]*Bool),
-		softCap: DefaultSoftCap,
-	}
+	return &Interner{softCap: DefaultSoftCap}
 }
+
+// int32Consts bounds the 32-bit constant table: Int32(v) for 0 <= v <
+// int32Consts skips the term table after its first call.
+const int32Consts = 1024
 
 // SetSoftCap bounds each hash-cons table. When a table grows past the cap it
 // is cleared, which only costs future sharing: nodes already handed out stay
@@ -142,22 +149,33 @@ func (in *Interner) Nodes() int64 {
 }
 
 func (in *Interner) intern(t Term) *Term {
+	h := t.hash()
 	in.mu.Lock()
-	if old, ok := in.termTab[t]; ok {
+	old, at := in.terms.find(&t, h)
+	if old != nil {
 		in.mu.Unlock()
 		return old
 	}
-	if len(in.termTab) >= in.softCap {
-		in.termTab = make(map[Term]*Term)
+	if in.terms.n >= in.softCap {
+		in.terms.reset()
 		for i := range in.bytes {
 			in.bytes[i].Store(nil)
 		}
+		for i := range in.int32s {
+			in.int32s[i].Store(nil)
+		}
+		at = in.terms.free(h)
 	}
-	n := new(Term)
+	n := carve(&in.termSlab)
 	*n = t
-	in.termTab[t] = n
-	if t.Kind == KConst && t.Width == 8 {
-		in.bytes[t.Val].Store(n)
+	in.terms.insert(n, h, at)
+	if t.Kind == KConst {
+		switch {
+		case t.Width == 8:
+			in.bytes[t.Val].Store(n)
+		case t.Width == 32 && t.Val < int32Consts:
+			in.int32s[t.Val].Store(n)
+		}
 	}
 	in.nodes++
 	b, f := in.budget, in.faults
@@ -170,17 +188,20 @@ func (in *Interner) intern(t Term) *Term {
 }
 
 func (in *Interner) internBool(b Bool) *Bool {
+	h := b.hash()
 	in.mu.Lock()
-	if old, ok := in.boolTab[b]; ok {
+	old, at := in.bools.find(&b, h)
+	if old != nil {
 		in.mu.Unlock()
 		return old
 	}
-	if len(in.boolTab) >= in.softCap {
-		in.boolTab = make(map[Bool]*Bool)
+	if in.bools.n >= in.softCap {
+		in.bools.reset()
+		at = in.bools.free(h)
 	}
-	n := new(Bool)
+	n := carve(&in.boolSlab)
 	*n = b
-	in.boolTab[b] = n
+	in.bools.insert(n, h, at)
 	in.nodes++
 	bud, f := in.budget, in.faults
 	in.mu.Unlock()

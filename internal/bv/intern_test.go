@@ -2,6 +2,7 @@ package bv
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -101,19 +102,23 @@ func TestInternerHitsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestByteTableSurvivesSoftCapClear checks the 8-bit constant table across a
-// soft-cap clear: it is emptied with the term table, so the first rebuild of
-// a constant is a new node as before, and from then on every call returns
-// that one node again.
+// TestByteTableSurvivesSoftCapClear checks the 8-bit and 32-bit constant
+// tables across a soft-cap clear: they are emptied with the term table, so
+// the first rebuild of a constant is a new node as before, and from then on
+// every call returns that one node again.
 func TestByteTableSurvivesSoftCapClear(t *testing.T) {
 	in := NewInterner().SetSoftCap(4)
 	old := in.Byte(7)
 	if in.Byte(7) != old || in.Const(8, 7) != old || in.Const(8, 0x107) != old {
 		t.Fatal("8-bit constants with one value must be one node")
 	}
+	old32 := in.Int32(1000)
+	if in.Int32(1000) != old32 || in.Const(32, 1000) != old32 || in.Const(32, 1<<32+1000) != old32 {
+		t.Fatal("32-bit constants with one value must be one node")
+	}
 	// Blow past the cap so the term table is cleared at least once.
 	for i := 0; i < 64; i++ {
-		in.Int32(int64(i))
+		in.Var(fmt.Sprintf("v%d", i), 16)
 	}
 	a, b := in.Byte(7), in.Byte(7)
 	if a != b {
@@ -121,6 +126,17 @@ func TestByteTableSurvivesSoftCapClear(t *testing.T) {
 	}
 	if *a != *old {
 		t.Fatalf("rebuilt constant %v differs structurally from %v", a, old)
+	}
+	nodes := in.Nodes()
+	a32, b32 := in.Int32(1000), in.Int32(1000)
+	if a32 != b32 {
+		t.Fatal("after a soft-cap clear, Int32(1000) twice must still be pointer-equal")
+	}
+	if a32 == old32 || *a32 != *old32 {
+		t.Fatalf("rebuilt constant %p = %v, want a new node equal to %p = %v", a32, a32, old32, old32)
+	}
+	if got := in.Nodes() - nodes; got != 1 {
+		t.Fatalf("rebuilding Int32(1000) after the clear made %d nodes, want 1", got)
 	}
 }
 
@@ -160,12 +176,20 @@ func TestNewNodesAreCountedOnce(t *testing.T) {
 	in.Byte(' ')
 	in.Byte('!')
 	check("one new byte constant", 10)
+	// The last value the 32-bit constant table holds, and the first it
+	// does not: each is one new node, however often it is asked for.
+	for i := 0; i < 3; i++ {
+		in.Int32(1023)
+		in.Int32(1024)
+	}
+	check("two new 32-bit constants", 12)
 }
 
-// TestByteTableConcurrent reads and fills the byte-constant table from
-// several goroutines at once, with a soft cap small enough that clears race
-// with lookups (run it under -race). Every node handed out must carry its
-// value, and once the goroutines are done one value is one node again.
+// TestByteTableConcurrent reads and fills the 8-bit and 32-bit constant
+// tables from several goroutines at once, with a soft cap small enough that
+// clears race with lookups (run it under -race). Every node handed out must
+// carry its value, and once the goroutines are done one value is one node
+// again.
 func TestByteTableConcurrent(t *testing.T) {
 	in := NewInterner().SetSoftCap(64)
 	var wg sync.WaitGroup
@@ -180,12 +204,50 @@ func TestByteTableConcurrent(t *testing.T) {
 					t.Errorf("Byte(%d) = %v", v, c)
 					return
 				}
-				in.Int32(int64(i)) // grows the term table towards the cap
+				k := int64(i*5+w) % 1100 // both sides of the table's bound
+				if c := in.Int32(k); c.Kind != KConst || c.Width != 32 || c.Val != uint64(k) {
+					t.Errorf("Int32(%d) = %v", k, c)
+					return
+				}
+				in.Var(fmt.Sprintf("v%d", i), 16) // grows the term table towards the cap
 			}
 		}()
 	}
 	wg.Wait()
 	if in.Byte(42) != in.Byte(42) {
 		t.Fatal("Byte(42) twice must be pointer-equal")
+	}
+	if in.Int32(42) != in.Int32(42) {
+		t.Fatal("Int32(42) twice must be pointer-equal")
+	}
+}
+
+// BenchmarkInternHit rebuilds a small formula whose nodes are all interned:
+// four table hits (add, eq, ult, and) and one 32-bit constant lookup per
+// iteration, the shape of the argument solver's hot path.
+func BenchmarkInternHit(b *testing.B) {
+	b.ReportAllocs()
+	in := NewInterner()
+	x, y := in.Var("x", 32), in.Var("y", 32)
+	build := func() *Bool { return in.BAnd2(in.Eq(in.Add(x, y), in.Int32(7)), in.Ult(x, y)) }
+	want := build()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if build() != want {
+			b.Fatal("rebuild is not the interned node")
+		}
+	}
+}
+
+// BenchmarkInternMiss interns two new nodes per iteration, a 64-bit
+// constant and an equality over it. The soft cap keeps the tables, and the
+// benchmark's memory, bounded: its clears are part of the miss path.
+func BenchmarkInternMiss(b *testing.B) {
+	b.ReportAllocs()
+	in := NewInterner().SetSoftCap(1 << 16)
+	x := in.Var("x", 64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in.Eq(x, in.Const(64, uint64(i)+1<<32))
 	}
 }

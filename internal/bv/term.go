@@ -87,8 +87,13 @@ func (in *Interner) Const(width int, val uint64) *Term {
 		panic(fmt.Sprintf("bv: invalid width %d", width))
 	}
 	val &= maskFor(width)
-	if width == 8 {
+	switch {
+	case width == 8:
 		if t := in.bytes[val].Load(); t != nil {
+			return t
+		}
+	case width == 32 && val < int32Consts:
+		if t := in.int32s[val].Load(); t != nil {
 			return t
 		}
 	}

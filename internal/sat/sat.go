@@ -127,6 +127,12 @@ type Solver struct {
 	// kept. Each user clears only the entries it set.
 	seen      []bool
 	clauseLit []Lit
+	// addBuf is AddClause's scratch for the simplified clause, and
+	// clauseSlab/litSlab the unused rest of the chunks original clauses
+	// and their literals are carved from (newClause).
+	addBuf     []Lit
+	clauseSlab []clause
+	litSlab    []Lit
 
 	ok        bool // false once a top-level conflict is found
 	conflicts int64
@@ -240,7 +246,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	s.cancelUntil(0)
 	// Simplify: drop duplicate and false literals, detect tautology.
-	out := make([]Lit, 0, len(lits))
+	out := s.addBuf[:0]
 	satisfied := false
 scan:
 	for _, l := range lits {
@@ -264,6 +270,7 @@ scan:
 		out = append(out, l)
 	}
 	s.clearClauseLits(out)
+	s.addBuf = out[:0]
 	if satisfied {
 		return true
 	}
@@ -279,10 +286,38 @@ scan:
 		}
 		return true
 	}
-	c := &clause{lits: out}
+	c := s.newClause(out)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
+}
+
+// Original clauses are carved from slabs: one chunk of clause structs and
+// one of literals serve many AddClause calls. A new chunk is sized by the
+// clauses the solver already has, between the bounds below, so a small
+// instance allocates little and a large one allocates rarely. Learnt
+// clauses are allocated one by one, because reduceDB frees them.
+const (
+	minClauseSlab = 16
+	maxClauseSlab = 1024
+	litsPerClause = 4 // literal chunk size per clause-chunk slot
+)
+
+// newClause returns an original clause over a slab copy of lits.
+func (s *Solver) newClause(lits []Lit) *clause {
+	size := min(max(len(s.clauses), minClauseSlab), maxClauseSlab)
+	if len(s.clauseSlab) == 0 {
+		s.clauseSlab = make([]clause, size)
+	}
+	c := &s.clauseSlab[0]
+	s.clauseSlab = s.clauseSlab[1:]
+	if len(lits) > cap(s.litSlab)-len(s.litSlab) {
+		s.litSlab = make([]Lit, 0, max(litsPerClause*size, len(lits)))
+	}
+	n := len(s.litSlab)
+	s.litSlab = append(s.litSlab, lits...)
+	c.lits = s.litSlab[n:len(s.litSlab):len(s.litSlab)]
+	return c
 }
 
 // clearClauseLits resets the clauseLit entries AddClause set for lits.

@@ -528,3 +528,24 @@ func TestPerSolveConflictBudget(t *testing.T) {
 		t.Fatalf("budgeted re-Solve = %v, want unsat (budget must be per-solve)", got)
 	}
 }
+
+// BenchmarkAddClause adds ternary clauses over 64 variables, starting a new
+// solver every 4096 clauses so the instance, and the benchmark's memory,
+// stays the size of a typical blasted query.
+func BenchmarkAddClause(b *testing.B) {
+	b.ReportAllocs()
+	const vars, perSolver = 64, 4096
+	var s *Solver
+	for i := 0; i < b.N; i++ {
+		if i%perSolver == 0 {
+			s = New()
+			for v := 0; v < vars; v++ {
+				s.NewVar()
+			}
+		}
+		v := i % (vars - 2)
+		if !s.AddClause(PosLit(v), NegLit(v+1), PosLit(v+2)) {
+			b.Fatal("a clause with three distinct free variables made the instance unsat")
+		}
+	}
+}
