@@ -227,29 +227,34 @@ func runResilient(src, funcName string, opts stringloops.Options) {
 		}
 		fmt.Printf("attempt %d: %-10s %s\n", i+1, a.Rung, status)
 	}
-	switch out.Rung {
-	case stringloops.RungFull:
-		fmt.Printf("summary:   %s\n", out.Summary.Readable)
-		fmt.Printf("encoded:   %q\n\n", out.Summary.Encoded)
-		fmt.Println(out.Summary.C)
-	case stringloops.RungMemoryless:
-		fmt.Printf("verdict:   memoryless=%v (%s)\n", out.Memoryless.Memoryless, out.Memoryless.Reason)
-	case stringloops.RungCovering:
-		fmt.Printf("covering:  %d path-covering inputs\n", len(out.Covering))
-		for _, ti := range out.Covering {
-			fmt.Printf("  %q -> offset %d null=%v\n", ti.Input, ti.Offset, ti.Null)
-		}
-	case stringloops.RungSmoke:
-		fmt.Printf("smoke:     %d concrete runs\n", len(out.Smoke.Inputs))
-		for _, ti := range out.Smoke.Inputs {
-			fmt.Printf("  %q -> offset %d null=%v\n", ti.Input, ti.Offset, ti.Null)
-		}
-	default:
+	if out.Rung == stringloops.RungFailed {
 		fmt.Fprintf(os.Stderr, "loopsum: even the concrete floor failed: %v\n", out.Err)
 		os.Exit(1)
 	}
-	if out.Rung != stringloops.RungFull && out.Err != nil {
-		fmt.Printf("degraded:  %v\n", out.Err)
+	printPayload(out.Summary, out.Memoryless, out.Covering, out.Smoke)
+}
+
+// printPayload renders the payload of the rung a ladder reached — the one
+// set argument — for both the local ladder and the daemon's answer.
+func printPayload(sum *core.Summary, mem *core.MemorylessReport, covering, smoke []core.TestInput) {
+	printInputs := func(ins []core.TestInput) {
+		for _, ti := range ins {
+			fmt.Printf("  %q -> offset %d null=%v\n", ti.Input, ti.Offset, ti.Null)
+		}
+	}
+	switch {
+	case sum != nil:
+		fmt.Printf("summary:   %s\n", sum.Readable)
+		fmt.Printf("encoded:   %q\n\n", sum.Encoded)
+		fmt.Println(sum.C)
+	case mem != nil:
+		fmt.Printf("verdict:   memoryless=%v (%s)\n", mem.Memoryless, mem.Reason)
+	case covering != nil:
+		fmt.Printf("covering:  %d path-covering inputs\n", len(covering))
+		printInputs(covering)
+	case smoke != nil:
+		fmt.Printf("smoke:     %d concrete runs\n", len(smoke))
+		printInputs(smoke)
 	}
 }
 
@@ -285,24 +290,7 @@ func runRemote(base, src, funcName, vocab string, maxSize int, requireMem, expla
 	}
 	fmt.Printf("rung:      %s (started at %s, %d attempts, %v server time)\n",
 		resp.Rung, resp.StartRung, resp.Attempts, time.Duration(resp.ElapsedNs).Round(time.Millisecond))
-	switch {
-	case resp.Summary != nil:
-		fmt.Printf("summary:   %s\n", resp.Summary.Readable)
-		fmt.Printf("encoded:   %q\n\n", resp.Summary.Encoded)
-		fmt.Println(resp.Summary.C)
-	case resp.Memoryless != nil:
-		fmt.Printf("verdict:   memoryless=%v (%s)\n", resp.Memoryless.Memoryless, resp.Memoryless.Reason)
-	case resp.Covering != nil:
-		fmt.Printf("covering:  %d path-covering inputs\n", len(resp.Covering))
-		for _, ti := range resp.Covering {
-			fmt.Printf("  %q -> offset %d null=%v\n", ti.Input, ti.Offset, ti.Null)
-		}
-	case resp.Smoke != nil:
-		fmt.Printf("smoke:     %d concrete runs\n", len(resp.Smoke))
-		for _, ti := range resp.Smoke {
-			fmt.Printf("  %q -> offset %d null=%v\n", ti.Input, ti.Offset, ti.Null)
-		}
-	}
+	printPayload(resp.Summary, resp.Memoryless, resp.Covering, resp.Smoke)
 	if resp.Degraded != "" {
 		fmt.Printf("degraded:  %s\n", resp.Degraded)
 	}

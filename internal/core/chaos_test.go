@@ -99,7 +99,6 @@ func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string)
 			Limits:      engine.Limits{Conflicts: 5000, Forks: 20000, Nodes: 500000},
 			MaxLimits:   engine.Limits{Conflicts: 20000, Forks: 80000, Nodes: 2000000},
 			MaxAttempts: 2,
-			Seed:        seed,
 		}}
 	}
 	return items, func() {

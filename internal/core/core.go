@@ -7,11 +7,13 @@ package core
 
 import (
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"stringloops/internal/cc"
 	"stringloops/internal/cegis"
@@ -61,22 +63,51 @@ type Options struct {
 	Pipeline symex.Config
 }
 
-// Summary is a synthesised loop summary.
+// Summary is a synthesised loop summary. Its JSON form is the daemon's
+// full-rung payload.
 type Summary struct {
 	// Encoded is the program in the byte encoding of Table 1.
-	Encoded string
+	Encoded string `json:"encoded"`
 	// Readable renders the program as named gadgets.
-	Readable string
+	Readable string `json:"readable"`
 	// C is the replacement C function.
-	C string
+	C string `json:"c"`
 	// Memoryless reports whether the §3 verification proved the loop
 	// memoryless (when it did, the summary provably agrees on all strings).
-	Memoryless bool
+	Memoryless bool `json:"memoryless"`
 	// Direction is the memoryless traversal direction when verified.
-	Direction string
+	Direction string `json:"direction,omitempty"`
 	// Elapsed is the synthesis time.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"-"`
 	prog    vocab.Program
+	// progErr is why a summary decoded from JSON has no program.
+	progErr error
+}
+
+// UnmarshalJSON decodes a summary's JSON form and rebuilds its program from
+// Encoded, so a summary received from the daemon runs like a local one.
+// JSON replaces each byte of Encoded that is not valid UTF-8 (a gadget
+// argument of 0x80 or more) with U+FFFD, and then Encoded no longer names
+// the program. Such a summary still decodes, with all its fields, but it
+// has no program: Program returns nil and Run panics.
+func (s *Summary) UnmarshalJSON(raw []byte) error {
+	type plain Summary
+	var p plain
+	if err := json.Unmarshal(raw, &p); err != nil {
+		return err
+	}
+	*s = Summary(p)
+	if strings.ContainsRune(s.Encoded, utf8.RuneError) {
+		s.progErr = fmt.Errorf("core: summary %q: program bytes lost in JSON", s.Encoded)
+		return nil
+	}
+	prog, err := vocab.Decode(s.Encoded)
+	if err != nil {
+		s.progErr = fmt.Errorf("core: summary %q: %w", s.Encoded, err)
+		return nil
+	}
+	s.prog = prog
+	return nil
 }
 
 // Errors.
@@ -277,8 +308,11 @@ func summarizeLoop(f *cir.Func, opts Options) (*Summary, error) {
 // Run executes the summary on a Go string, returning the offset the C loop
 // would return, with found=false for a NULL return. It panics on summaries
 // whose result is the invalid pointer (malformed programs never escape
-// Summarize).
+// Summarize) and on summaries decoded from JSON without their program.
 func (s *Summary) Run(input string) (offset int, found bool) {
+	if s.progErr != nil {
+		panic(s.progErr)
+	}
 	res := vocab.Run(s.prog, cstr.Terminate(input))
 	switch res.Kind {
 	case vocab.Null:
@@ -289,17 +323,18 @@ func (s *Summary) Run(input string) (offset int, found bool) {
 	panic("core: summary produced an invalid pointer")
 }
 
-// Program exposes the decoded gadget program.
+// Program exposes the decoded gadget program (nil for a summary decoded
+// from JSON that lost its program bytes; see UnmarshalJSON).
 func (s *Summary) Program() vocab.Program { return s.prog }
 
 // TestInput is a generated test: an input string plus the loop's behaviour
 // on it.
 type TestInput struct {
-	Input string
+	Input string `json:"input"`
 	// Offset the loop returns (pointer result), meaningful when !Null.
-	Offset int
+	Offset int `json:"offset,omitempty"`
 	// Null reports a NULL return.
-	Null bool
+	Null bool `json:"null,omitempty"`
 }
 
 // CoveringInputs generates one concrete input per distinct behaviour of the
@@ -340,12 +375,13 @@ func (s *Summary) CoveringInputs(maxLen int) []TestInput {
 	return out
 }
 
-// MemorylessReport is the outcome of VerifyMemoryless.
+// MemorylessReport is the outcome of VerifyMemoryless. Its JSON form is
+// the daemon's memoryless-rung payload.
 type MemorylessReport struct {
-	Memoryless bool
-	Direction  string
-	Reason     string
-	Elapsed    time.Duration
+	Memoryless bool          `json:"memoryless"`
+	Direction  string        `json:"direction,omitempty"`
+	Reason     string        `json:"reason,omitempty"`
+	Elapsed    time.Duration `json:"-"`
 }
 
 // VerifyMemoryless runs the §3 bounded memorylessness verification on the

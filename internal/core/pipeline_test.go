@@ -60,20 +60,14 @@ func TestPipelineConfigReachesEveryLayer(t *testing.T) {
 	// The covering rung runs first, on a cold tier, so its queries reach
 	// the SAT layer; it runs no synthesis, so CegisReject stays quiet.
 	run("covering", sites[:len(sites)-1], func() engine.Spend {
-		var budgets []*engine.Budget
 		out := SummarizeResilient(l.Source, l.FuncName, ResilientOptions{
 			Options:   opts,
 			StartRung: RungCovering,
-			OnBudget:  func(b *engine.Budget) { budgets = append(budgets, b) },
 		})
 		if out.Rung != RungCovering {
 			t.Fatalf("covering rung: reached %s (%v)", out.Rung, out.Err)
 		}
-		var spend engine.Spend
-		for _, b := range budgets {
-			spend.Add(b.Spend())
-		}
-		return spend
+		return out.Spend()
 	})
 	run("summarize", sites, func() engine.Spend {
 		full := opts

@@ -59,18 +59,17 @@ func (r Rung) String() string {
 	return "failed"
 }
 
-// AttemptRecord is one supervised attempt at one rung.
+// AttemptRecord is one supervised attempt at one rung, with what it spent.
 type AttemptRecord struct {
 	Rung     Rung
 	Limits   engine.Limits
 	Err      error
 	Panicked bool
-}
-
-// SmokeResult is the floor rung's payload: the loop's concrete behaviour on
-// the fixed smoke battery (undefined-behaviour inputs are omitted).
-type SmokeResult struct {
-	Inputs []TestInput
+	// Spend and Elapsed are the attempt budget's spend and wall time. Spend
+	// is nil when the attempt ran without a budget: smoke attempts, which
+	// only interpret, and attempts refused because Ctx was already done.
+	Spend   *engine.Spend
+	Elapsed time.Duration
 }
 
 // Outcome is the structured result of a resilient summarisation: which rung
@@ -84,14 +83,24 @@ type Outcome struct {
 	Memoryless *MemorylessReport
 	// Covering is set when Rung == RungCovering.
 	Covering []TestInput
-	// Smoke is set when Rung == RungSmoke.
-	Smoke *SmokeResult
+	// Smoke is set when Rung == RungSmoke: the loop's concrete behaviour on
+	// the fixed smoke battery (undefined-behaviour inputs are omitted).
+	Smoke []TestInput
 	// Attempts is every attempt made, across all rungs tried, in order.
 	Attempts []AttemptRecord
-	// Err is the final error when Rung == RungFailed (and the last rung
-	// error otherwise, for diagnostics; nil when RungFull succeeded on the
-	// first attempt).
+	// Err is the last rung's error when Rung == RungFailed, nil otherwise.
 	Err error
+}
+
+// Spend is the summed spend of every attempt's budget.
+func (o Outcome) Spend() engine.Spend {
+	var total engine.Spend
+	for _, a := range o.Attempts {
+		if a.Spend != nil {
+			total.Add(*a.Spend)
+		}
+	}
+	return total
 }
 
 // ResilientOptions configures SummarizeResilient. The embedded Options
@@ -111,25 +120,14 @@ type ResilientOptions struct {
 	// request before it has to shed requests. RungFull (the zero value) is
 	// the complete ladder.
 	StartRung Rung
-	// OnBudget, when non-nil, observes every attempt budget as it is
-	// created. Servers use it to reconcile per-request budget spend against
-	// the request's metric registry after the ladder returns.
-	OnBudget func(*engine.Budget)
 	// Limits is the first attempt's resource envelope. The zero value means
 	// a wall-clock envelope from Options.Timeout (default 30s); chaos tests
 	// use pure resource limits (conflicts/forks/nodes) for determinism.
 	Limits engine.Limits
-	// MaxLimits caps escalation per field (zero fields are uncapped).
+	// MaxLimits caps the 2× escalation per field (zero fields are uncapped).
 	MaxLimits engine.Limits
 	// MaxAttempts bounds attempts per rung (default 3).
 	MaxAttempts int
-	// Multiplier scales limits between attempts (default 2).
-	Multiplier float64
-	// Backoff is the base sleep before each retry (default 0: no sleeping,
-	// which keeps batch runs deterministic).
-	Backoff time.Duration
-	// Seed drives the deterministic backoff jitter.
-	Seed uint64
 	// Tracer, when non-nil, records the ladder: one span per rung tried
 	// (with its failure error as an attribute) plus the per-phase spans the
 	// instrumented layers emit under each attempt's budget.
@@ -140,43 +138,92 @@ type ResilientOptions struct {
 	Metrics *obs.Metrics
 }
 
-func (o ResilientOptions) policy() supervise.Policy {
-	lim := o.Limits
-	if lim == (engine.Limits{}) {
+// rungRun runs one attempt at a rung under the attempt's budget, which is
+// nil for the smoke rung.
+type rungRun func(b *engine.Budget) error
+
+// descend walks the ladder from StartRung down; run[r] attempts rung r.
+// Each rung gets up to MaxAttempts attempts: an error wrapping
+// engine.ErrBudget is retried under limits doubled up to MaxLimits, any
+// other error or a panic fails the rung at once. The first rung that
+// succeeds wins; it returns RungFailed and the last error when none does.
+// Every attempt is counted in Metrics (supervise.attempts, .retries,
+// .panics, and supervise.rung.<name> for the winner) and every rung tried
+// records a "rung/<name>" span with its attempt count and outcome.
+func (o ResilientOptions) descend(run [RungFailed]rungRun) (Rung, []AttemptRecord, error) {
+	first := o.Limits
+	if first == (engine.Limits{}) {
 		t := o.Timeout
 		if t == 0 {
 			t = 30 * time.Second
 		}
-		lim = engine.Limits{Timeout: t}
+		first = engine.Limits{Timeout: t}
 	}
-	return supervise.Policy{
-		MaxAttempts: o.MaxAttempts,
-		Multiplier:  o.Multiplier,
-		Limits:      lim,
-		MaxLimits:   o.MaxLimits,
-		Backoff:     o.Backoff,
-		Seed:        o.Seed,
-		Tracer:      o.Tracer,
-		Metrics:     o.Metrics,
+	maxAttempts := o.MaxAttempts
+	if maxAttempts < 1 {
+		maxAttempts = 3
 	}
+	start := o.StartRung
+	if start < RungFull || start > RungSmoke {
+		start = RungFull
+	}
+	var attempts []AttemptRecord
+	var err error
+	for r := start; r < RungFailed; r++ {
+		span := o.Tracer.Start("rung/" + r.String())
+		before := len(attempts)
+		lim := first
+		for n := 0; n < maxAttempts; n++ {
+			if n > 0 {
+				o.Metrics.Counter(obs.MSupRetries).Inc()
+				lim = lim.Scale(2, o.MaxLimits)
+			}
+			a := o.attempt(r, lim, run[r])
+			attempts = append(attempts, a)
+			if err = a.Err; err == nil || a.Panicked || !errors.Is(err, engine.ErrBudget) {
+				break
+			}
+		}
+		span.SetInt("attempts", int64(len(attempts)-before))
+		if err == nil {
+			span.SetAttr("outcome", "ok")
+			span.End()
+			o.Metrics.Counter(obs.MSupRungPrefix + r.String()).Inc()
+			return r, attempts, nil
+		}
+		span.SetAttr("outcome", "failed")
+		span.SetAttr("error", err.Error())
+		span.End()
+	}
+	return RungFailed, attempts, err
 }
 
-// newAttemptBudget builds one attempt's budget carrying the run's
-// observability handles, rooted at the ladder's cancellation context.
-func (o ResilientOptions) newAttemptBudget(lim engine.Limits) *engine.Budget {
-	b := engine.NewBudget(o.Ctx, lim).SetObs(o.Tracer, o.Metrics)
-	if o.OnBudget != nil {
-		o.OnBudget(b)
-	}
-	return b
-}
-
-// errCancelled classifies a ladder abandoned by its caller: it wraps the
-// context cause but deliberately NOT engine.ErrBudget, so the supervisor
-// treats it as non-retryable and the descent stops instead of burning
+// attempt makes one attempt at rung r under limits lim, with panics
+// isolated into *PanicError. Once Ctx is done it refuses to run: the
+// attempt fails with an error that deliberately does NOT wrap
+// engine.ErrBudget, so it is not retried and the descent does not burn
 // attempts for a caller that is gone.
-func cancelErr(cause error) error {
-	return fmt.Errorf("core: resilient ladder cancelled: %w", cause)
+func (o ResilientOptions) attempt(r Rung, lim engine.Limits, run rungRun) AttemptRecord {
+	o.Metrics.Counter(obs.MSupAttempts).Inc()
+	a := AttemptRecord{Rung: r, Limits: lim}
+	if o.Ctx != nil && o.Ctx.Err() != nil {
+		a.Err = fmt.Errorf("core: resilient ladder cancelled: %w", o.Ctx.Err())
+		return a
+	}
+	var b *engine.Budget
+	if r != RungSmoke {
+		b = engine.NewBudget(o.Ctx, lim).SetObs(o.Tracer, o.Metrics)
+	}
+	a.Err = supervise.Guard(func() error { return run(b) })
+	var pe *PanicError
+	if a.Panicked = errors.As(a.Err, &pe); a.Panicked {
+		o.Metrics.Counter(obs.MSupPanics).Inc()
+	}
+	if b != nil {
+		spend := b.Spend()
+		a.Spend, a.Elapsed = &spend, b.Elapsed()
+	}
+	return a
 }
 
 // SummarizeResilient summarises with supervision: panics are isolated into
@@ -185,8 +232,6 @@ func cancelErr(cause error) error {
 // — memorylessness verdict, then covering inputs, then the concrete smoke
 // floor — so every item yields the best outcome its faults allow.
 func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome {
-	var out Outcome
-
 	// The floor rungs need the lowered loop; a lowering failure is the one
 	// genuinely unrecoverable outcome (nothing to run the interpreter on).
 	f, lowerErr := lowerTraced(source, funcName, opts.Tracer)
@@ -205,20 +250,22 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 		}()
 	}
 
+	// Each rung sets its payload only when it succeeds, so a failed rung
+	// leaves nothing behind.
+	var out Outcome
 	maxLen := max(3, opts.MaxExampleLength)
-	rungs := []supervise.Rung{
-		{Name: RungFull.String(), Run: func(lim engine.Limits) error {
+	out.Rung, out.Attempts, out.Err = opts.descend([RungFailed]rungRun{
+		RungFull: func(b *engine.Budget) error {
 			o := opts.Options
-			o.Budget = opts.newAttemptBudget(lim)
+			o.Budget = b
 			s, err := summarizeLowered(f, o)
 			if err != nil {
 				return err
 			}
 			out.Summary = s
 			return nil
-		}},
-		{Name: RungMemoryless.String(), Run: func(lim engine.Limits) error {
-			b := opts.newAttemptBudget(lim)
+		},
+		RungMemoryless: func(b *engine.Budget) error {
 			r := memoryless.VerifyWith(f, memoryless.VerifyOptions{
 				MaxLen: maxLen, Budget: b, Pipeline: opts.Pipeline,
 			})
@@ -227,66 +274,24 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 			}
 			out.Memoryless = memorylessReport(r)
 			return nil
-		}},
-		{Name: RungCovering.String(), Run: func(lim engine.Limits) error {
-			b := opts.newAttemptBudget(lim)
+		},
+		RungCovering: func(b *engine.Budget) error {
 			inputs, err := loopCoveringInputs(f, maxLen, b, opts.Pipeline)
 			if err != nil {
 				return err
 			}
 			out.Covering = inputs
 			return nil
-		}},
-		{Name: RungSmoke.String(), Run: func(engine.Limits) error {
-			out.Smoke = smokeRun(f)
-			return nil
-		}},
-	}
-
-	// A shed server starts the ladder below the top; rung identities stay
-	// global (RungMemoryless is RungMemoryless whether or not RungFull was
-	// ever attempted), so indices are offset back after the descent.
-	start := opts.StartRung
-	if start < RungFull || start > RungSmoke {
-		start = RungFull
-	}
-	rungs = rungs[start:]
-	// Cancellation cuts the descent: once the caller's context is done,
-	// every remaining rung would run under an already-exhausted budget for
-	// a caller that is gone. The wrapper error is deliberately outside
-	// engine.ErrBudget so the supervisor classifies it non-retryable.
-	if opts.Ctx != nil {
-		for i := range rungs {
-			run := rungs[i].Run
-			rungs[i].Run = func(lim engine.Limits) error {
-				if cause := opts.Ctx.Err(); cause != nil {
-					return cancelErr(cause)
-				}
-				return run(lim)
+		},
+		RungSmoke: func(*engine.Budget) error {
+			inputs, err := smokeRun(f)
+			if err != nil {
+				return err
 			}
-		}
-	}
-
-	idx, history, err := supervise.Descend(opts.policy(), rungs)
-	for ri, attempts := range history {
-		for _, a := range attempts {
-			out.Attempts = append(out.Attempts, AttemptRecord{
-				Rung: Rung(ri) + start, Limits: a.Limits, Err: a.Err, Panicked: a.Panicked,
-			})
-		}
-	}
-	out.Err = err
-	if idx >= len(rungs) {
-		out.Rung = RungFailed
-		return out
-	}
-	out.Rung = Rung(idx) + start
-	// Lower rungs' payloads stay nil; a successful rung clears Err only for
-	// the top rung (lower-rung successes keep the last failure around as the
-	// reason the ladder descended).
-	if out.Rung == RungFull {
-		out.Err = nil
-	}
+			out.Smoke = inputs
+			return nil
+		},
+	})
 	return out
 }
 
@@ -363,16 +368,21 @@ func loopCoveringInputs(f *cir.Func, maxLen int, budget *engine.Budget, pipe sym
 	return out, nil
 }
 
-// smokeBattery is the fixed input set of the floor rung.
+// smokeBattery is the fixed input set of the floor rung. "a\nb" gives a
+// rawmemchr-style scan for '\n' one defined input.
 var smokeBattery = []string{
-	"", " ", "a", "ab", "abc", "  x", "x  ", "0", "123", ":", "a:b", "/", "\t",
+	"", " ", "a", "ab", "abc", "  x", "x  ", "0", "123", ":", "a:b", "/", "\t", "a\nb",
 }
+
+// ErrSmokeUndefined is the smoke rung's failure: the loop has undefined
+// behaviour on every input of the battery, so the floor has no payload.
+var ErrSmokeUndefined = errors.New("core: loop has undefined behaviour on every smoke input")
 
 // smokeRun executes the loop concretely on the smoke battery. It needs only
 // the interpreter — no solver, no symbolic engine — so it succeeds whenever
-// the loop was lowered at all.
-func smokeRun(f *cir.Func) *SmokeResult {
-	res := &SmokeResult{}
+// the loop was lowered and is defined on at least one battery input.
+func smokeRun(f *cir.Func) ([]TestInput, error) {
+	var out []TestInput
 	for _, in := range smokeBattery {
 		r, _ := symex.RunConcrete(f, cstr.Terminate(in), 1<<16)
 		ti := TestInput{Input: in}
@@ -384,9 +394,12 @@ func smokeRun(f *cir.Func) *SmokeResult {
 		default:
 			continue // undefined behaviour on this input
 		}
-		res.Inputs = append(res.Inputs, ti)
+		out = append(out, ti)
 	}
-	return res
+	if len(out) == 0 {
+		return nil, ErrSmokeUndefined
+	}
+	return out, nil
 }
 
 // PanicError re-exports the supervised panic type so callers of this package

@@ -8,6 +8,8 @@ import (
 
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
+	"stringloops/internal/loopdb"
+	"stringloops/internal/obs"
 	"stringloops/internal/supervise"
 	"stringloops/internal/symex"
 )
@@ -100,12 +102,12 @@ func TestSummarizeResilientDegradesToSmokeUnderPanicStorm(t *testing.T) {
 	if out.Rung != RungSmoke {
 		t.Fatalf("rung = %v (err %v), want smoke", out.Rung, out.Err)
 	}
-	if out.Smoke == nil || len(out.Smoke.Inputs) == 0 {
+	if len(out.Smoke) == 0 {
 		t.Fatal("smoke payload empty")
 	}
 	// figure1 skips leading whitespace: "  x" must map to offset 2.
 	found := false
-	for _, ti := range out.Smoke.Inputs {
+	for _, ti := range out.Smoke {
 		if ti.Input == "  x" {
 			found = true
 			if ti.Null || ti.Offset != 2 {
@@ -148,6 +150,12 @@ func TestSummarizeResilientEscalatesBudget(t *testing.T) {
 	}
 	if out.Attempts[1].Limits.Nodes != 100 {
 		t.Errorf("attempt 1 nodes = %d, want doubled to 100", out.Attempts[1].Limits.Nodes)
+	}
+	// The retry must really run under the doubled budget: it gets further
+	// than the first attempt, which stopped at its 50-node limit.
+	s0, s1 := out.Attempts[0].Spend, out.Attempts[1].Spend
+	if s0 == nil || s1 == nil || s1.Nodes <= s0.Nodes {
+		t.Errorf("attempt spends %+v then %+v, want the escalated attempt to intern more nodes", s0, s1)
 	}
 }
 
@@ -244,7 +252,7 @@ func TestSummarizeResilientStartRung(t *testing.T) {
 	}
 	// The floor alone: no solver, one clean attempt, global identity kept.
 	out = SummarizeResilient(figure1, "", ResilientOptions{StartRung: RungSmoke})
-	if out.Rung != RungSmoke || out.Smoke == nil {
+	if out.Rung != RungSmoke || len(out.Smoke) == 0 {
 		t.Fatalf("rung = %v (smoke %v), want the smoke floor", out.Rung, out.Smoke)
 	}
 	if len(out.Attempts) != 1 || out.Attempts[0].Rung != RungSmoke {
@@ -283,26 +291,85 @@ func TestSummarizeResilientCancelledCtx(t *testing.T) {
 // error instead of running for nobody.
 func TestSummarizeResilientCancelMidLadder(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
+	calls := 0
+	// The first rung cancels the ladder and fails; every later rung would
+	// fail too, but must never run.
+	fail := func(*engine.Budget) error {
+		calls++
+		cancel()
+		return errors.New("rung failed")
+	}
+	opts := ResilientOptions{Ctx: ctx, MaxAttempts: 1}
+	rung, attempts, err := opts.descend([RungFailed]rungRun{fail, fail, fail, fail})
+	if rung != RungFailed {
+		t.Fatalf("rung = %v, want failed (ladder abandoned mid-descent)", rung)
+	}
 	budgets := 0
-	out := SummarizeResilient(figure1, "", ResilientOptions{
-		// The panic storm fails every symbolic rung; the cancel fires after
-		// the first attempt budget is created, so the remaining rungs see a
-		// dead context and the smoke floor is never reached.
-		Options:     Options{Timeout: time.Minute, Pipeline: symex.Config{Faults: panicAlways(3)}},
-		Ctx:         ctx,
-		MaxAttempts: 1,
-		OnBudget: func(*engine.Budget) {
+	for _, a := range attempts {
+		if a.Spend != nil {
 			budgets++
-			cancel()
-		},
+		}
+	}
+	if calls != 1 || budgets != 1 {
+		t.Errorf("rungs run = %d, attempt budgets created = %d, want 1 each (descent stopped)", calls, budgets)
+	}
+	if len(attempts) != 4 {
+		t.Errorf("attempts = %d, want 4 (one per rung)", len(attempts))
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want to wrap context.Canceled", err)
+	}
+}
+
+// TestSummarizeResilientSpendReconciles: under a panic storm every
+// budgeted attempt carries its own spend, the smoke attempt none, and the
+// summed spends match the run's metric registry counter for counter.
+func TestSummarizeResilientSpendReconciles(t *testing.T) {
+	m := obs.NewMetrics()
+	out := SummarizeResilient(figure1, "", ResilientOptions{
+		Options: Options{Timeout: time.Minute, Pipeline: symex.Config{Faults: panicAlways(3)}},
+		Metrics: m,
 	})
+	if out.Rung != RungSmoke {
+		t.Fatalf("rung = %v (err %v), want smoke", out.Rung, out.Err)
+	}
+	for i, a := range out.Attempts {
+		if (a.Spend == nil) != (a.Rung == RungSmoke) {
+			t.Errorf("attempt %d at %v: spend %v; want nil exactly for smoke", i, a.Rung, a.Spend)
+		}
+	}
+	if err := out.Spend().Reconcile(m.Snapshot().Counters); err != nil {
+		t.Errorf("attempt spends do not reconcile with the registry: %v", err)
+	}
+}
+
+// TestSmokeRunDefinedOnCorpus: the smoke floor holds for every corpus
+// loop — each is defined on at least one battery input.
+func TestSmokeRunDefinedOnCorpus(t *testing.T) {
+	for _, l := range loopdb.Corpus() {
+		f, err := lowerNamed(l.Source, l.FuncName)
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		if inputs, err := smokeRun(f); err != nil || len(inputs) == 0 {
+			t.Errorf("%s: smoke run gave %d inputs (%v)", l.Name, len(inputs), err)
+		}
+	}
+}
+
+// undefinedOnBattery scans for '#', which no smoke input contains, so it
+// reads past the terminator on every one of them.
+const undefinedOnBattery = `char *f(char *s) { while (*s != '#') s++; return s; }`
+
+// TestSummarizeResilientSmokeWithoutPayloadFails: a smoke run with no
+// defined input is no payload, so the floor fails instead of succeeding
+// empty.
+func TestSummarizeResilientSmokeWithoutPayloadFails(t *testing.T) {
+	out := SummarizeResilient(undefinedOnBattery, "", ResilientOptions{StartRung: RungSmoke})
 	if out.Rung != RungFailed {
-		t.Fatalf("rung = %v, want failed (ladder abandoned mid-descent)", out.Rung)
+		t.Fatalf("rung = %v (smoke %v), want failed", out.Rung, out.Smoke)
 	}
-	if budgets != 1 {
-		t.Errorf("attempt budgets created = %d, want 1 (descent stopped)", budgets)
-	}
-	if !errors.Is(out.Err, context.Canceled) {
-		t.Errorf("err = %v, want to wrap context.Canceled", out.Err)
+	if !errors.Is(out.Err, ErrSmokeUndefined) {
+		t.Errorf("err = %v, want ErrSmokeUndefined", out.Err)
 	}
 }

@@ -46,34 +46,12 @@ type Request struct {
 	Explain bool `json:"explain,omitempty"`
 }
 
-// SummaryPayload is the RungFull payload of a response.
-type SummaryPayload struct {
-	Encoded    string `json:"encoded"`
-	Readable   string `json:"readable"`
-	C          string `json:"c"`
-	Memoryless bool   `json:"memoryless"`
-	Direction  string `json:"direction,omitempty"`
-}
-
-// MemorylessPayload is the RungMemoryless payload of a response.
-type MemorylessPayload struct {
-	Memoryless bool   `json:"memoryless"`
-	Direction  string `json:"direction,omitempty"`
-	Reason     string `json:"reason,omitempty"`
-}
-
-// TestInput mirrors core.TestInput for the covering/smoke payloads.
-type TestInput struct {
-	Input  string `json:"input"`
-	Offset int    `json:"offset,omitempty"`
-	Null   bool   `json:"null,omitempty"`
-}
-
 // Response is the JSON body of a successful POST /summarize: the best
-// rung the ladder reached and its payload. ElapsedNs and QueueWaitNs are
-// wall-clock observations and deliberately excluded from VerdictKey, so
-// the chaos soak can compare server verdicts bit-for-bit against offline
-// SummarizeResilient runs.
+// rung the ladder reached and its payload, sent as the ladder's own core
+// types (core.Summary, core.MemorylessReport, core.TestInput). ElapsedNs
+// and QueueWaitNs are wall-clock observations and deliberately excluded
+// from VerdictKey, so the chaos soak can compare server verdicts
+// bit-for-bit against offline SummarizeResilient runs.
 type Response struct {
 	// Rung is the rung reached ("full", "memoryless", "covering", "smoke").
 	Rung string `json:"rung"`
@@ -81,13 +59,13 @@ type Response struct {
 	// request ("full" when the server was healthy).
 	StartRung string `json:"start_rung"`
 	// Summary is set when Rung == "full".
-	Summary *SummaryPayload `json:"summary,omitempty"`
+	Summary *core.Summary `json:"summary,omitempty"`
 	// Memoryless is set when Rung == "memoryless".
-	Memoryless *MemorylessPayload `json:"memoryless,omitempty"`
+	Memoryless *core.MemorylessReport `json:"memoryless,omitempty"`
 	// Covering is set when Rung == "covering".
-	Covering []TestInput `json:"covering,omitempty"`
+	Covering []core.TestInput `json:"covering,omitempty"`
 	// Smoke is set when Rung == "smoke".
-	Smoke []TestInput `json:"smoke,omitempty"`
+	Smoke []core.TestInput `json:"smoke,omitempty"`
 	// Attempts counts supervised attempts across all rungs tried.
 	Attempts int `json:"attempts"`
 	// Degraded carries the last rung failure when the ladder descended
@@ -104,15 +82,13 @@ type Response struct {
 	Provenance *Provenance `json:"provenance,omitempty"`
 }
 
-// AttemptProvenance is one supervised attempt of the ladder with its own
-// budget spend. Smoke-rung attempts run purely in the interpreter with no
-// budget, so their Spend is nil.
+// AttemptProvenance is the wire form of one core.AttemptRecord: the rung,
+// the error as text, and the attempt budget's spend and wall time (Spend
+// is nil for budget-less attempts, such as the smoke rung's).
 type AttemptProvenance struct {
-	Rung     string `json:"rung"`
-	Err      string `json:"err,omitempty"`
-	Panicked bool   `json:"panicked,omitempty"`
-	// Spend is this attempt's budget spend (nil for budget-less smoke
-	// attempts); ElapsedNs is the budget's wall time.
+	Rung      string        `json:"rung"`
+	Err       string        `json:"err,omitempty"`
+	Panicked  bool          `json:"panicked,omitempty"`
 	Spend     *engine.Spend `json:"spend,omitempty"`
 	ElapsedNs int64         `json:"elapsed_ns,omitempty"`
 }
@@ -171,11 +147,11 @@ func (r *Response) VerdictKey() string {
 	if r.Memoryless != nil {
 		fmt.Fprintf(&b, ";mem=%v|%s|%s", r.Memoryless.Memoryless, r.Memoryless.Direction, r.Memoryless.Reason)
 	}
-	writeInputs := func(tag string, ins []TestInput) {
+	writeInputs := func(tag string, ins []core.TestInput) {
 		if len(ins) == 0 {
 			return
 		}
-		sorted := append([]TestInput(nil), ins...)
+		sorted := append([]core.TestInput(nil), ins...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Input < sorted[j].Input })
 		fmt.Fprintf(&b, ";%s=", tag)
 		for _, ti := range sorted {
@@ -190,43 +166,30 @@ func (r *Response) VerdictKey() string {
 // fromOutcome converts a ladder outcome into the wire response.
 func fromOutcome(out core.Outcome, start core.Rung) *Response {
 	resp := &Response{
-		Rung:      out.Rung.String(),
-		StartRung: start.String(),
-		Attempts:  len(out.Attempts),
+		Rung:       out.Rung.String(),
+		StartRung:  start.String(),
+		Summary:    out.Summary,
+		Memoryless: out.Memoryless,
+		Covering:   out.Covering,
+		Smoke:      out.Smoke,
+		Attempts:   len(out.Attempts),
 	}
 	if out.Rung != core.RungFull && out.Err != nil {
 		resp.Degraded = out.Err.Error()
 	}
-	if out.Summary != nil {
-		resp.Summary = &SummaryPayload{
-			Encoded:    out.Summary.Encoded,
-			Readable:   out.Summary.Readable,
-			C:          out.Summary.C,
-			Memoryless: out.Summary.Memoryless,
-			Direction:  out.Summary.Direction,
-		}
-	}
-	if out.Memoryless != nil {
-		resp.Memoryless = &MemorylessPayload{
-			Memoryless: out.Memoryless.Memoryless,
-			Direction:  out.Memoryless.Direction,
-			Reason:     out.Memoryless.Reason,
-		}
-	}
-	resp.Covering = convertInputs(out.Covering)
-	if out.Smoke != nil {
-		resp.Smoke = convertInputs(out.Smoke.Inputs)
-	}
 	return resp
 }
 
-func convertInputs(ins []core.TestInput) []TestInput {
-	if len(ins) == 0 {
-		return nil
-	}
-	out := make([]TestInput, len(ins))
-	for i, ti := range ins {
-		out[i] = TestInput{Input: ti.Input, Offset: ti.Offset, Null: ti.Null}
+// attemptProvenance is the wire form of the ladder's attempt history.
+func attemptProvenance(attempts []core.AttemptRecord) []AttemptProvenance {
+	out := make([]AttemptProvenance, len(attempts))
+	for i, a := range attempts {
+		out[i] = AttemptProvenance{
+			Rung: a.Rung.String(), Panicked: a.Panicked, Spend: a.Spend, ElapsedNs: int64(a.Elapsed),
+		}
+		if a.Err != nil {
+			out[i].Err = a.Err.Error()
+		}
 	}
 	return out
 }

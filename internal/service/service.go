@@ -103,7 +103,7 @@ type Config struct {
 	// nil Tracer disables tracing.
 	Tracer  *obs.Tracer
 	Metrics *obs.Metrics
-	// Now and Seed exist for tests (deterministic rate-limit clocks).
+	// Now exists for tests (deterministic rate-limit clocks).
 	Now func() time.Time
 }
 
@@ -408,7 +408,6 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	// registry so its spend reconciles 1:1 against the request's budgets;
 	// drift is a server bug and is counted, never silently merged.
 	reqMetrics := obs.NewMetrics()
-	var budgets []*engine.Budget
 	var out core.Outcome
 	err = supervise.Guard(func() error {
 		out = core.SummarizeResilient(req.Source, req.Func, core.ResilientOptions{
@@ -423,7 +422,6 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 			},
 			Ctx:         ctx,
 			StartRung:   start,
-			OnBudget:    func(b *engine.Budget) { budgets = append(budgets, b) },
 			Limits:      s.limits,
 			MaxLimits:   s.limits, // the carve is the ceiling: no escalation past it
 			MaxAttempts: s.cfg.MaxAttempts,
@@ -441,14 +439,12 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "internal panic: "+err.Error(), 0)
 		return
 	}
-	// The request's private registry must match its summed budget spend
-	// counter for counter — the same identity loopsum -corpus enforces
-	// offline. The totals are also what an explain response reports, so a
-	// drift-free request's provenance is the budget truth by construction.
-	var totals engine.Spend
-	for _, b := range budgets {
-		totals.Add(b.Spend())
-	}
+	// The request's private registry must match the summed spend of its
+	// attempts counter for counter — the same identity loopsum -corpus
+	// enforces offline. The totals are also what an explain response
+	// reports, so a drift-free request's provenance is the budget truth by
+	// construction.
+	totals := out.Spend()
 	reconciled := totals.Reconcile(reqMetrics.Snapshot().Counters) == nil
 	if !reconciled {
 		s.m.Counter(MSvcReconcileDrift).Inc()
@@ -493,7 +489,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 			Draining:       dec.draining,
 			LoadFraction:   dec.loadFrac,
 			P99SignalNs:    int64(dec.p99),
-			Attempts:       attemptProvenance(out.Attempts, budgets),
+			Attempts:       attemptProvenance(out.Attempts),
 			Totals:         totals,
 			Reconciled:     reconciled,
 		}
@@ -501,31 +497,6 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	s.m.Counter(MSvcRungPrefix + out.Rung.String()).Inc()
 	s.m.Counter(MSvcCompleted).Inc()
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// attemptProvenance pairs the ladder's attempt history with the budgets it
-// created, in order. Every rung but smoke runs under exactly one fresh
-// budget per attempt (smoke is pure interpretation, budget-less), which is
-// how OnBudget observes them — so walking the attempts and consuming one
-// budget per non-smoke attempt reconstructs the per-phase spend.
-func attemptProvenance(attempts []core.AttemptRecord, budgets []*engine.Budget) []AttemptProvenance {
-	out := make([]AttemptProvenance, 0, len(attempts))
-	next := 0
-	for _, a := range attempts {
-		ap := AttemptProvenance{Rung: a.Rung.String(), Panicked: a.Panicked}
-		if a.Err != nil {
-			ap.Err = a.Err.Error()
-		}
-		if a.Rung != core.RungSmoke && next < len(budgets) {
-			b := budgets[next]
-			next++
-			spend := b.Spend()
-			ap.Spend = &spend
-			ap.ElapsedNs = int64(b.Elapsed())
-		}
-		out = append(out, ap)
-	}
-	return out
 }
 
 // Health is the typed body of GET /healthz — one struct instead of the

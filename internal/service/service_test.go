@@ -121,6 +121,22 @@ func TestServerSummarizeFigure1(t *testing.T) {
 	}
 }
 
+// TestServerSmokeWithoutPayloadIs422: a loop with undefined behaviour on
+// every smoke input gives the smoke floor no payload, so the ladder fails
+// and the daemon answers 422 instead of an empty smoke verdict.
+func TestServerSmokeWithoutPayloadIs422(t *testing.T) {
+	m := obs.NewMetrics()
+	_, ts, hc := newTestServer(t, Config{Metrics: m, StartRung: core.RungSmoke})
+	src := `char *f(char *s) { while (*s != '#') s++; return s; }`
+	code, raw := postJSON(t, hc, ts.URL+"/summarize", mustRequest(t, src))
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, body %s, want 422", code, raw)
+	}
+	if got := m.Counter(MSvcUnsummarizable).Value(); got != 1 {
+		t.Errorf("unsummarizable = %d, want 1", got)
+	}
+}
+
 // TestServerMixedSmoke50 is the daemon smoke: 50 concurrent requests —
 // valid corpus loops, malformed JSON, oversized bodies, empty sources,
 // wrong methods, and clients that hang up mid-body — every one answered,

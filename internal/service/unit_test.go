@@ -187,14 +187,14 @@ func TestOverloadP99(t *testing.T) {
 // TestVerdictKeyDeterministic: keys depend on payload, not on timings or
 // attempt counts, and input order does not matter.
 func TestVerdictKeyDeterministic(t *testing.T) {
-	a := &Response{Rung: "covering", Covering: []TestInput{{Input: "x", Offset: 1}, {Input: "a"}},
+	a := &Response{Rung: "covering", Covering: []core.TestInput{{Input: "x", Offset: 1}, {Input: "a"}},
 		ElapsedNs: 123, Attempts: 2}
-	b := &Response{Rung: "covering", Covering: []TestInput{{Input: "a"}, {Input: "x", Offset: 1}},
+	b := &Response{Rung: "covering", Covering: []core.TestInput{{Input: "a"}, {Input: "x", Offset: 1}},
 		ElapsedNs: 999, QueueWaitNs: 55, Attempts: 7}
 	if a.VerdictKey() != b.VerdictKey() {
 		t.Errorf("keys differ on timing/order-only changes:\n%s\n%s", a.VerdictKey(), b.VerdictKey())
 	}
-	c := &Response{Rung: "covering", Covering: []TestInput{{Input: "a", Null: true}, {Input: "x", Offset: 1}}}
+	c := &Response{Rung: "covering", Covering: []core.TestInput{{Input: "a", Null: true}, {Input: "x", Offset: 1}}}
 	if a.VerdictKey() == c.VerdictKey() {
 		t.Error("keys equal across different payloads")
 	}

@@ -1,23 +1,13 @@
-// Package supervise isolates and retries unreliable pipeline work: it
-// converts panics into typed errors with the goroutine stack attached,
-// retries budget-exhausted attempts under exponentially escalating limits,
-// and walks a caller-supplied degradation ladder so a batch item that cannot
-// produce its full result still produces the best result it can.
-//
-// The package is deliberately domain-free — it knows about engine.Limits and
-// engine.ErrBudget, nothing else — so the summarisation ladder in
-// internal/core and any future pipeline (benchmark drivers, fuzzers) can
-// share the same supervision semantics.
+// Package supervise isolates panicking pipeline work: Guard converts a
+// panic into a typed *PanicError with the goroutine stack attached, so one
+// poisoned item fails alone instead of tearing the process down. The
+// summarisation ladder (core.SummarizeResilient) runs every attempt under
+// it, and the daemon runs every request's ladder under it.
 package supervise
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
-	"time"
-
-	"stringloops/internal/engine"
-	"stringloops/internal/obs"
 )
 
 // PanicError is a recovered panic, preserving the panic value and the stack
@@ -45,153 +35,4 @@ func Guard(fn func() error) (err error) {
 		}
 	}()
 	return fn()
-}
-
-// Policy configures Retry and Descend. The zero value retries up to 3
-// attempts, doubling every non-zero limit between attempts, with no backoff
-// sleep and engine.ErrBudget as the retryable classification.
-type Policy struct {
-	// MaxAttempts bounds the attempts per rung (default 3; values < 1 mean
-	// the default).
-	MaxAttempts int
-	// Multiplier scales every non-zero limit field between attempts
-	// (default 2; values <= 1 escalate nothing).
-	Multiplier float64
-	// Limits is the starting resource envelope handed to the first attempt.
-	// Zero fields are unlimited and stay unlimited across escalation.
-	Limits engine.Limits
-	// MaxLimits caps escalation per field; zero fields are uncapped.
-	MaxLimits engine.Limits
-	// Retryable classifies errors worth retrying with a larger budget.
-	// Nil means errors.Is(err, engine.ErrBudget). Panics are never retried.
-	Retryable func(error) bool
-	// Backoff is the base sleep before each retry (attempt n sleeps
-	// Backoff + jitter; zero disables sleeping entirely, keeping tests and
-	// chaos soaks deterministic in wall-clock-free mode).
-	Backoff time.Duration
-	// Seed drives the deterministic backoff jitter.
-	Seed uint64
-	// Sleep replaces time.Sleep (tests). Nil means time.Sleep.
-	Sleep func(time.Duration)
-	// Tracer, when non-nil, records one span per ladder rung ("rung/<name>")
-	// with the attempt count and failure error as span attributes.
-	Tracer *obs.Tracer
-	// Metrics, when non-nil, counts attempts, retries and panics
-	// (supervise.attempts/retries/panics) plus per-rung outcomes
-	// (supervise.rung.<name>).
-	Metrics *obs.Metrics
-}
-
-func (p Policy) withDefaults() Policy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 3
-	}
-	if p.Multiplier == 0 {
-		p.Multiplier = 2
-	}
-	if p.Retryable == nil {
-		p.Retryable = func(err error) bool { return errors.Is(err, engine.ErrBudget) }
-	}
-	if p.Sleep == nil {
-		p.Sleep = time.Sleep
-	}
-	return p
-}
-
-// Attempt records one supervised try.
-type Attempt struct {
-	// Limits is the resource envelope the attempt ran under.
-	Limits engine.Limits
-	// Err is the attempt's outcome (nil on success; *PanicError when it
-	// panicked).
-	Err error
-	// Panicked reports that Err is a recovered panic.
-	Panicked bool
-}
-
-// splitmix64 is the jitter mixer (same construction as internal/faultpoint,
-// duplicated to keep this package dependency-free beyond engine).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e9b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// jitter returns a deterministic duration in [0, base) for the given attempt.
-func jitter(seed uint64, attempt int, base time.Duration) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	h := splitmix64(seed ^ splitmix64(uint64(attempt)+1))
-	return time.Duration(h % uint64(base))
-}
-
-// Retry runs fn under Guard with escalating limits until it succeeds,
-// returns a non-retryable error, panics, or MaxAttempts is reached. It
-// returns the attempt history alongside the final error; attempts[len-1].Err
-// is always the returned error (nil on success).
-func Retry(p Policy, fn func(limits engine.Limits) error) ([]Attempt, error) {
-	p = p.withDefaults()
-	limits := p.Limits
-	var attempts []Attempt
-	for n := 0; n < p.MaxAttempts; n++ {
-		if n > 0 {
-			p.Metrics.Counter(obs.MSupRetries).Inc()
-			if d := p.Backoff + jitter(p.Seed, n, p.Backoff); d > 0 {
-				p.Sleep(d)
-			}
-		}
-		p.Metrics.Counter(obs.MSupAttempts).Inc()
-		err := Guard(func() error { return fn(limits) })
-		var pe *PanicError
-		panicked := errors.As(err, &pe)
-		if panicked {
-			p.Metrics.Counter(obs.MSupPanics).Inc()
-		}
-		attempts = append(attempts, Attempt{Limits: limits, Err: err, Panicked: panicked})
-		if err == nil {
-			return attempts, nil
-		}
-		if panicked || !p.Retryable(err) {
-			return attempts, err
-		}
-		limits = limits.Scale(p.Multiplier, p.MaxLimits)
-	}
-	return attempts, attempts[len(attempts)-1].Err
-}
-
-// Rung is one level of a degradation ladder: a named, progressively cheaper
-// way to extract some value from a failing item.
-type Rung struct {
-	// Name identifies the rung in reports ("full", "memoryless", ...).
-	Name string
-	// Run attempts the rung under the given limits.
-	Run func(limits engine.Limits) error
-}
-
-// Descend walks the ladder top to bottom. Each rung gets a full Retry cycle
-// (escalating limits, panic isolation); the first rung that succeeds wins.
-// It returns the index of the successful rung (or len(rungs) when every rung
-// failed), the per-rung attempt history, and the last error.
-func Descend(p Policy, rungs []Rung) (int, [][]Attempt, error) {
-	history := make([][]Attempt, 0, len(rungs))
-	var lastErr error
-	for i, r := range rungs {
-		span := p.Tracer.Start("rung/" + r.Name)
-		attempts, err := Retry(p, r.Run)
-		history = append(history, attempts)
-		span.SetInt("attempts", int64(len(attempts)))
-		if err == nil {
-			span.SetAttr("outcome", "ok")
-			span.End()
-			p.Metrics.Counter(obs.MSupRungPrefix + r.Name).Inc()
-			return i, history, nil
-		}
-		span.SetAttr("outcome", "failed")
-		span.SetAttr("error", err.Error())
-		span.End()
-		lastErr = err
-	}
-	return len(rungs), history, lastErr
 }

@@ -2,13 +2,8 @@ package supervise
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
-	"time"
-
-	"stringloops/internal/engine"
-	"stringloops/internal/obs"
 )
 
 func TestGuardConvertsPanic(t *testing.T) {
@@ -32,237 +27,5 @@ func TestGuardPassesThroughError(t *testing.T) {
 	}
 	if err := Guard(func() error { return nil }); err != nil {
 		t.Fatalf("err = %v, want nil", err)
-	}
-}
-
-func TestRetryEscalatesLimitsOnBudgetError(t *testing.T) {
-	var seen []engine.Limits
-	attempts, err := Retry(Policy{Limits: engine.Limits{Conflicts: 100}},
-		func(l engine.Limits) error {
-			seen = append(seen, l)
-			if l.Conflicts < 400 {
-				return fmt.Errorf("try harder (%w)", engine.ErrBudget)
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	want := []int64{100, 200, 400}
-	if len(seen) != len(want) {
-		t.Fatalf("ran %d attempts, want %d", len(seen), len(want))
-	}
-	for i, c := range want {
-		if seen[i].Conflicts != c {
-			t.Errorf("attempt %d: Conflicts = %d, want %d", i, seen[i].Conflicts, c)
-		}
-		if attempts[i].Limits.Conflicts != c {
-			t.Errorf("attempt record %d: Conflicts = %d, want %d", i, attempts[i].Limits.Conflicts, c)
-		}
-	}
-	if attempts[len(attempts)-1].Err != nil {
-		t.Errorf("final attempt Err = %v, want nil", attempts[len(attempts)-1].Err)
-	}
-}
-
-func TestRetryStopsAtMaxAttempts(t *testing.T) {
-	calls := 0
-	budgetErr := fmt.Errorf("never enough (%w)", engine.ErrBudget)
-	attempts, err := Retry(Policy{MaxAttempts: 4, Limits: engine.Limits{Nodes: 10}},
-		func(engine.Limits) error { calls++; return budgetErr })
-	if calls != 4 || len(attempts) != 4 {
-		t.Fatalf("calls = %d, attempts = %d, want 4", calls, len(attempts))
-	}
-	if !errors.Is(err, engine.ErrBudget) {
-		t.Fatalf("err = %v, want budget classification", err)
-	}
-}
-
-func TestRetryDoesNotRetryNonBudgetErrors(t *testing.T) {
-	calls := 0
-	plain := errors.New("deterministic failure")
-	_, err := Retry(Policy{}, func(engine.Limits) error { calls++; return plain })
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (non-retryable)", calls)
-	}
-	if !errors.Is(err, plain) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRetryDoesNotRetryPanics(t *testing.T) {
-	calls := 0
-	attempts, err := Retry(Policy{}, func(engine.Limits) error { calls++; panic("once") })
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (panics are not retried)", calls)
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if !attempts[0].Panicked {
-		t.Error("attempt not marked Panicked")
-	}
-}
-
-func TestRetryRespectsMaxLimitsCap(t *testing.T) {
-	var last engine.Limits
-	budgetErr := fmt.Errorf("more (%w)", engine.ErrBudget)
-	Retry(Policy{
-		MaxAttempts: 5,
-		Limits:      engine.Limits{Conflicts: 100, Forks: 0},
-		MaxLimits:   engine.Limits{Conflicts: 300},
-	}, func(l engine.Limits) error { last = l; return budgetErr })
-	if last.Conflicts != 300 {
-		t.Errorf("final Conflicts = %d, want capped at 300", last.Conflicts)
-	}
-	if last.Forks != 0 {
-		t.Errorf("final Forks = %d, want 0 (unlimited stays unlimited)", last.Forks)
-	}
-}
-
-func TestRetryBackoffIsDeterministic(t *testing.T) {
-	run := func() []time.Duration {
-		var slept []time.Duration
-		budgetErr := fmt.Errorf("again (%w)", engine.ErrBudget)
-		Retry(Policy{
-			MaxAttempts: 4,
-			Backoff:     time.Millisecond,
-			Seed:        42,
-			Sleep:       func(d time.Duration) { slept = append(slept, d) },
-		}, func(engine.Limits) error { return budgetErr })
-		return slept
-	}
-	a, b := run(), run()
-	if len(a) != 3 {
-		t.Fatalf("slept %d times, want 3 (before each retry)", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("sleep %d: %v vs %v — jitter not deterministic", i, a[i], b[i])
-		}
-		if a[i] < time.Millisecond || a[i] >= 2*time.Millisecond {
-			t.Errorf("sleep %d = %v outside [base, 2*base)", i, a[i])
-		}
-	}
-}
-
-func TestDescendReturnsFirstSucceedingRung(t *testing.T) {
-	budgetErr := fmt.Errorf("out (%w)", engine.ErrBudget)
-	rung, history, err := Descend(Policy{MaxAttempts: 2}, []Rung{
-		{Name: "full", Run: func(engine.Limits) error { return budgetErr }},
-		{Name: "degraded", Run: func(engine.Limits) error { panic("mid-rung") }},
-		{Name: "floor", Run: func(engine.Limits) error { return nil }},
-	})
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if rung != 2 {
-		t.Fatalf("rung = %d, want 2", rung)
-	}
-	if len(history) != 3 {
-		t.Fatalf("history for %d rungs, want 3", len(history))
-	}
-	if len(history[0]) != 2 {
-		t.Errorf("rung 0 ran %d attempts, want 2 (budget error retried)", len(history[0]))
-	}
-	if len(history[1]) != 1 || !history[1][0].Panicked {
-		t.Errorf("rung 1 history %+v, want one panicked attempt", history[1])
-	}
-}
-
-func TestDescendAllRungsFail(t *testing.T) {
-	plain := errors.New("no")
-	rung, history, err := Descend(Policy{}, []Rung{
-		{Name: "a", Run: func(engine.Limits) error { return plain }},
-		{Name: "b", Run: func(engine.Limits) error { return plain }},
-	})
-	if rung != 2 {
-		t.Fatalf("rung = %d, want len(rungs) = 2", rung)
-	}
-	if !errors.Is(err, plain) {
-		t.Fatalf("err = %v", err)
-	}
-	if len(history) != 2 {
-		t.Fatalf("history = %d rungs, want 2", len(history))
-	}
-}
-
-// TestDescendEmitsRungSpans pins the ladder's observability contract: one
-// "rung/<name>" span per rung tried, carrying the attempt count, the outcome
-// and — on failure — the error string, plus the attempt/retry/rung counters.
-func TestDescendEmitsRungSpans(t *testing.T) {
-	tr := obs.NewDeterministic()
-	m := obs.NewMetrics()
-	p := Policy{
-		MaxAttempts: 2,
-		Tracer:      tr,
-		Metrics:     m,
-	}
-	budgetErr := fmt.Errorf("wrapped: %w", engine.ErrBudget)
-	idx, history, err := Descend(p, []Rung{
-		{Name: "full", Run: func(engine.Limits) error { return budgetErr }},
-		{Name: "smoke", Run: func(engine.Limits) error { return nil }},
-	})
-	if err != nil || idx != 1 {
-		t.Fatalf("Descend = %d, %v", idx, err)
-	}
-	if len(history) != 2 || len(history[0]) != 2 || len(history[1]) != 1 {
-		t.Fatalf("history shape = %v", history)
-	}
-
-	evs := tr.Events()
-	if len(evs) != 2 {
-		t.Fatalf("got %d spans, want one per rung tried:\n%+v", len(evs), evs)
-	}
-	attrs := func(ev obs.Event) map[string]string {
-		out := map[string]string{}
-		for _, a := range ev.Attrs {
-			out[a.Key] = a.Val
-		}
-		return out
-	}
-	byName := map[string]obs.Event{}
-	for _, ev := range evs {
-		byName[ev.Name] = ev
-	}
-	fa := attrs(byName["rung/full"])
-	if fa["outcome"] != "failed" || fa["attempts"] != "2" {
-		t.Errorf("rung/full attrs = %v", fa)
-	}
-	if !strings.Contains(fa["error"], "budget") {
-		t.Errorf("rung/full error attr = %q, want the failure error", fa["error"])
-	}
-	sa := attrs(byName["rung/smoke"])
-	if sa["outcome"] != "ok" || sa["attempts"] != "1" {
-		t.Errorf("rung/smoke attrs = %v", sa)
-	}
-	if _, ok := sa["error"]; ok {
-		t.Errorf("succeeding rung carries an error attr: %v", sa)
-	}
-
-	snap := m.Snapshot()
-	if got := snap.Counters[obs.MSupAttempts]; got != 3 {
-		t.Errorf("attempts counter = %d, want 3", got)
-	}
-	if got := snap.Counters[obs.MSupRetries]; got != 1 {
-		t.Errorf("retries counter = %d, want 1", got)
-	}
-	if got := snap.Counters[obs.MSupRungPrefix+"smoke"]; got != 1 {
-		t.Errorf("rung counter = %d, want 1", got)
-	}
-}
-
-// TestRetryCountsPanics covers the panic counter alongside Guard's typed
-// conversion.
-func TestRetryCountsPanics(t *testing.T) {
-	m := obs.NewMetrics()
-	_, err := Retry(Policy{Metrics: m}, func(engine.Limits) error { panic("boom") })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if got := m.Snapshot().Counters[obs.MSupPanics]; got != 1 {
-		t.Errorf("panic counter = %d, want 1", got)
 	}
 }
