@@ -189,13 +189,13 @@ func benchmarkSolverCache(b *testing.B, cfg kleebench.Config) {
 		f := lowerBench(b, figure1Loop)
 		b.StartTimer()
 		m := kleebench.VanillaWith(f, 8, time.Minute, cfg)
-		if m.TimedOut || m.Tests == 0 {
+		if m.Err != nil || m.TimedOut || m.Tests == 0 {
 			b.Fatalf("vanilla run failed: %+v", m)
 		}
 		conflicts += m.Conflicts
 		queries += int64(m.SolverQueries)
-		hits += m.Cache.Hits()
-		groups += m.Cache.Hits() + m.Cache.Misses
+		hits += m.Spend.QCacheHits
+		groups += m.Spend.QCacheHits + m.Spend.QCacheMisses
 	}
 	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
 	b.ReportMetric(float64(queries)/float64(b.N), "queries/op")

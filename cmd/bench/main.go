@@ -47,7 +47,6 @@ import (
 	"stringloops/internal/kleebench"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/memoryless"
-	"stringloops/internal/qcache"
 	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
@@ -262,24 +261,24 @@ func vanillaRun(name string, n, reps int, cfg kleebench.Config) run {
 // paths come from the last rep.
 func measure(name string, reps int, once func() kleebench.Measurement) run {
 	r := run{Name: name}
-	var ns, queries, conflicts, vnhits int64
-	var cache qcache.Stats
+	var ns, queries int64
+	var spend engine.Spend
 	for i := 0; i < reps; i++ {
 		m := once()
-		if m.TimedOut || m.Tests == 0 {
+		if m.Err != nil || m.TimedOut || m.Tests == 0 {
 			fatal("%s: run failed: %+v", name, m)
 		}
 		ns += int64(m.Time)
 		queries += int64(m.SolverQueries)
-		conflicts += m.Conflicts
-		vnhits += m.VNHits
-		cache.Add(m.Cache)
+		spend.Add(m.Spend)
 		r.Counts.Length, r.Counts.Tests, r.Counts.Paths = m.Length, m.Tests, m.Paths
 	}
 	r.Counts.SolverQueries = queries / int64(reps)
-	r.Counts.Conflicts = conflicts / int64(reps)
-	r.Counts.VNHits = vnhits / int64(reps)
-	r.Counts.CacheHitRate = cache.HitRate()
+	r.Counts.Conflicts = spend.Conflicts / int64(reps)
+	r.Counts.VNHits = spend.VNHits / int64(reps)
+	if groups := spend.QCacheHits + spend.QCacheMisses; groups > 0 {
+		r.Counts.CacheHitRate = float64(spend.QCacheHits) / float64(groups)
+	}
 	r.Metrics.NsPerOp = ns / int64(reps)
 	return r
 }

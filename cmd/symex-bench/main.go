@@ -52,6 +52,7 @@ func main() {
 				prog, _ := harness.SummaryFor(l)
 				v := kleebench.Vanilla(f, n, *timeout)
 				s := kleebench.Str(prog, n, *timeout)
+				checkRun(l.Name, v, s)
 				vTotal += v.Time
 				sTotal += s.Time
 				if v.TimedOut {
@@ -84,6 +85,7 @@ func main() {
 			prog, _ := harness.SummaryFor(l)
 			v := kleebench.Vanilla(f, *fig4Len, *timeout)
 			s := kleebench.Str(prog, *fig4Len, *timeout)
+			checkRun(l.Name, v, s)
 			entries = append(entries, entry{l.Name, kleebench.Speedup(v, s), v.TimedOut})
 		}
 		sort.Slice(entries, func(i, j int) bool { return entries[i].speedup > entries[j].speedup })
@@ -99,6 +101,17 @@ func main() {
 		if len(speedups) > 0 {
 			median := speedups[len(speedups)/2]
 			fmt.Printf("median speedup: %.1fx (paper: 79x)\n", median)
+		}
+	}
+}
+
+// checkRun exits on a measurement that failed for a reason other than its
+// budget: its time and counts mean nothing, not even as a lower bound.
+func checkRun(name string, ms ...kleebench.Measurement) {
+	for _, m := range ms {
+		if m.Err != nil {
+			fmt.Fprintf(os.Stderr, "symex-bench: %s (%s): %v\n", name, m.Mode, m.Err)
+			os.Exit(1)
 		}
 	}
 }

@@ -71,14 +71,9 @@ type Interner struct {
 	simpBoolTab  map[*Bool]*Bool
 	simpOutBools map[*Bool]struct{}
 	simpOutTerms map[*Term]struct{}
-	simpCalls    int64
-	simpNodesIn  int64
-	simpNodesOut int64
-
-	// Value-numbering counters (see simplify.go, vn.go), guarded by simpMu
-	// like the tables they instrument.
-	vnHits     int64
-	iteFusions int64
+	// tally counts the running call's work (see simpTally), guarded by
+	// simpMu like the tables it instruments.
+	tally simpTally
 }
 
 // NewInterner returns an empty interner with the default soft cap.

@@ -27,58 +27,45 @@ import "stringloops/internal/engine"
 // zero-filling — exactly the convention the qcache model-restriction code
 // already uses.
 
-// SimplifyStats reports the cumulative effect of the pass on one interner.
-// Node accounting piggybacks on the memoized traversal: NodesIn counts each
-// distinct input node the first time the simplifier visits it, NodesOut each
+// simpTally is the work of one top-level simplifier or pruning call. Node
+// accounting piggybacks on the memoized traversal: nodesIn counts each
+// distinct input node the first time the simplifier visits it, nodesOut each
 // distinct result node the first time the simplifier produces it. Counting a
 // node only once per interner keeps repeated calls over a growing path
 // condition O(new suffix) instead of O(whole DAG) per call — the cost a
 // separate counting pass would reintroduce.
-type SimplifyStats struct {
-	Calls    int64 // top-level SimplifyBool/SimplifyTerm invocations
-	NodesIn  int64 // distinct DAG nodes visited across all inputs
-	NodesOut int64 // distinct DAG nodes across the produced results
-	VNHits   int64 // simplification memo-table hits (value numbering)
-	Fusions  int64 // ite-aware rewrites: fusions, pull-ups, guard prunes
+type simpTally struct {
+	calls    int64 // top-level SimplifyBool/SimplifyTerm invocations
+	nodesIn  int64 // distinct DAG nodes visited
+	nodesOut int64 // distinct DAG nodes produced
+	hits     int64 // simplification memo-table hits (value numbering)
+	fusions  int64 // ite-aware rewrites: fusions, pull-ups, guard prunes
 }
 
-// SimplifyStats returns the interner's cumulative simplification counters.
-func (in *Interner) SimplifyStats() SimplifyStats {
-	in.simpMu.Lock()
-	defer in.simpMu.Unlock()
-	return SimplifyStats{Calls: in.simpCalls, NodesIn: in.simpNodesIn, NodesOut: in.simpNodesOut,
-		VNHits: in.vnHits, Fusions: in.iteFusions}
-}
-
-// simpSnap is the interner's simplifier counters at the start of a
-// top-level call.
-type simpSnap struct{ calls, nodesIn, nodesOut, hits, fusions int64 }
-
-// simpEnter readies the memo tables and snapshots the counters; caller
-// holds simpMu. simpExit charges the call's deltas to the interner budget
-// after simpMu is released (budget adds are atomic, and taking the charge
-// outside simpMu keeps the lock order simpMu → mu one-way), so the budget
-// mirrors SimplifyStats exactly.
-func (in *Interner) simpEnter() simpSnap {
+// simpEnter readies the memo tables; caller holds simpMu. simpExit charges
+// the call's tally to the interner budget, the only place the counts are
+// kept, and clears it. The charge happens after simpMu is released (budget
+// adds are atomic, and taking the charge outside simpMu keeps the lock
+// order simpMu → mu one-way).
+func (in *Interner) simpEnter() {
 	if in.simpBoolTab == nil {
 		in.simpBoolTab = map[*Bool]*Bool{}
 		in.simpTermTab = map[*Term]*Term{}
 		in.simpOutBools = map[*Bool]struct{}{}
 		in.simpOutTerms = map[*Term]struct{}{}
 	}
-	return simpSnap{in.simpCalls, in.simpNodesIn, in.simpNodesOut, in.vnHits, in.iteFusions}
 }
 
-func (in *Interner) simpExit(s simpSnap) {
-	d := simpSnap{in.simpCalls - s.calls, in.simpNodesIn - s.nodesIn, in.simpNodesOut - s.nodesOut,
-		in.vnHits - s.hits, in.iteFusions - s.fusions}
+func (in *Interner) simpExit() {
+	t := in.tally
+	in.tally = simpTally{}
 	in.simpMu.Unlock()
 	b := in.budgetNow()
-	b.Add(engine.SimplifyCalls, d.calls)
-	b.Add(engine.SimplifyNodesIn, d.nodesIn)
-	b.Add(engine.SimplifyNodesOut, d.nodesOut)
-	b.Add(engine.VNHits, d.hits)
-	b.Add(engine.IteFusions, d.fusions)
+	b.Add(engine.SimplifyCalls, t.calls)
+	b.Add(engine.SimplifyNodesIn, t.nodesIn)
+	b.Add(engine.SimplifyNodesOut, t.nodesOut)
+	b.Add(engine.VNHits, t.hits)
+	b.Add(engine.IteFusions, t.fusions)
 }
 
 // SimplifyBool returns a formula equivalent to b, rewritten bottom-up.
@@ -88,30 +75,30 @@ func (in *Interner) simpExit(s simpSnap) {
 // new suffix.
 func (in *Interner) SimplifyBool(b *Bool) *Bool {
 	in.simpMu.Lock()
-	s := in.simpEnter()
+	in.simpEnter()
 	r := in.simpBool(b)
-	in.simpCalls++
-	in.simpExit(s)
+	in.tally.calls++
+	in.simpExit()
 	return r
 }
 
 // SimplifyTerm returns a term equivalent to t, rewritten bottom-up.
 func (in *Interner) SimplifyTerm(t *Term) *Term {
 	in.simpMu.Lock()
-	s := in.simpEnter()
+	in.simpEnter()
 	r := in.simpTerm(t)
-	in.simpCalls++
-	in.simpExit(s)
+	in.tally.calls++
+	in.simpExit()
 	return r
 }
 
 // simpBool is the memoized recursive worker. Caller holds simpMu.
 func (in *Interner) simpBool(b *Bool) *Bool {
 	if r, ok := in.simpBoolTab[b]; ok {
-		in.vnHits++
+		in.tally.hits++
 		return r
 	}
-	in.simpNodesIn++
+	in.tally.nodesIn++
 	var r *Bool
 	switch b.Kind {
 	case BConst, BVar:
@@ -144,7 +131,7 @@ func (in *Interner) simpBool(b *Bool) *Bool {
 	in.simpBoolTab[b] = r
 	if _, seen := in.simpOutBools[r]; !seen {
 		in.simpOutBools[r] = struct{}{}
-		in.simpNodesOut++
+		in.tally.nodesOut++
 	}
 	return r
 }
@@ -226,7 +213,7 @@ func (in *Interner) fuseAtomIte(atom func(a, b *Term) *Bool, x, y *Term) (*Bool,
 	if x.Kind != KIte || y.Kind != KIte || x.Cond != y.Cond {
 		return nil, false
 	}
-	in.iteFusions++
+	in.tally.fusions++
 	return in.condBool(x.Cond, atom(x.A, y.A), atom(x.B, y.B)), true
 }
 
@@ -278,10 +265,10 @@ func (in *Interner) condBool(c, t, e *Bool) *Bool {
 // simpTerm is the memoized recursive term worker. Caller holds simpMu.
 func (in *Interner) simpTerm(t *Term) *Term {
 	if r, ok := in.simpTermTab[t]; ok {
-		in.vnHits++
+		in.tally.hits++
 		return r
 	}
-	in.simpNodesIn++
+	in.tally.nodesIn++
 	var r *Term
 	switch t.Kind {
 	case KConst, KVar:
@@ -324,7 +311,7 @@ func (in *Interner) simpTerm(t *Term) *Term {
 	in.simpTermTab[t] = r
 	if _, seen := in.simpOutTerms[r]; !seen {
 		in.simpOutTerms[r] = struct{}{}
-		in.simpNodesOut++
+		in.tally.nodesOut++
 	}
 	return r
 }
@@ -339,18 +326,18 @@ func (in *Interner) simpTerm(t *Term) *Term {
 // are already simplified.
 func (in *Interner) fuseBinop(op func(a, b *Term) *Term, x, y *Term) *Term {
 	if x.Kind == KIte && y.Kind == KIte && x.Cond == y.Cond {
-		in.iteFusions++
+		in.tally.fusions++
 		return in.Ite(x.Cond, op(x.A, y.A), op(x.B, y.B))
 	}
 	if _, ok := y.IsConst(); ok && x.Kind == KIte {
 		if constArm(x) {
-			in.iteFusions++
+			in.tally.fusions++
 			return in.Ite(x.Cond, op(x.A, y), op(x.B, y))
 		}
 	}
 	if _, ok := x.IsConst(); ok && y.Kind == KIte {
 		if constArm(y) {
-			in.iteFusions++
+			in.tally.fusions++
 			return in.Ite(y.Cond, op(x, y.A), op(x, y.B))
 		}
 	}

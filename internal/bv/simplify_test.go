@@ -76,7 +76,7 @@ func TestSimplifyComplementLiterals(t *testing.T) {
 // a selectByte-style ite chain compared against a constant — and checks the
 // pass collapses it when the offset is concrete, and shrinks it otherwise.
 func TestSimplifyMergedGuardChainShrinks(t *testing.T) {
-	in := NewInterner()
+	in, bud := countingInterner()
 	off := in.Var("off", 32)
 	chain := in.Byte(0)
 	for i := 7; i >= 0; i-- {
@@ -87,8 +87,8 @@ func TestSimplifyMergedGuardChainShrinks(t *testing.T) {
 	if CountBoolNodes(got) > CountBoolNodes(f) {
 		t.Fatalf("simplify grew the formula: %d -> %d nodes", CountBoolNodes(f), CountBoolNodes(got))
 	}
-	st := in.SimplifyStats()
-	if st.Calls == 0 || st.NodesIn == 0 {
+	st := bud.Spend()
+	if st.SimplifyCalls == 0 || st.SimplifyNodesIn == 0 {
 		t.Fatalf("stats not recorded: %+v", st)
 	}
 }

@@ -50,7 +50,7 @@ func (in *Interner) PruneConjuncts(conj []*Bool) (changed bool) {
 		return false
 	}
 	in.simpMu.Lock()
-	s := in.simpEnter()
+	in.simpEnter()
 	p := &pruner{in: in, conj: conj}
 	for _, cj := range conj {
 		p.count(cj, 1)
@@ -73,7 +73,7 @@ func (in *Interner) PruneConjuncts(conj []*Bool) (changed bool) {
 			changed = true
 		}
 	}
-	in.simpExit(s)
+	in.simpExit()
 	return changed
 }
 
@@ -190,7 +190,7 @@ func (p *pruner) mayDecideTerm(t *Term, depth int) bool {
 
 func (p *pruner) boolNode(b *Bool, depth int) *Bool {
 	if v, ok := p.decided(b); ok {
-		p.in.iteFusions++
+		p.in.tally.fusions++
 		if v {
 			return True
 		}
@@ -270,7 +270,7 @@ func (p *pruner) termNode(t *Term, depth int) *Term {
 		// implied arm (the pruned guard may also be a strict subformula of
 		// the guard, which the boolNode walk below handles).
 		if v, ok := p.decided(t.Cond); ok {
-			p.in.iteFusions++
+			p.in.tally.fusions++
 			if v {
 				r = p.termNode(t.A, d)
 			} else {

@@ -1,7 +1,6 @@
 package bv
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -94,7 +93,7 @@ func TestIteConstructorVNRules(t *testing.T) {
 }
 
 func TestSimplifyFuseAtomIte(t *testing.T) {
-	in := NewInterner()
+	in, bud := countingInterner()
 	c := in.BoolVar("c")
 	x := in.Var("x", 8)
 	// Two values merged under the same path split, then compared: the
@@ -111,13 +110,13 @@ func TestSimplifyFuseAtomIte(t *testing.T) {
 		t.Fatalf("shared-guard Eq fusion left an ite behind: %v", g)
 	}
 	checkEquiv(t, f, g, []string{"x"}, []string{"c"}, nil)
-	if st := in.SimplifyStats(); st.Fusions == 0 {
+	if st := bud.Spend(); st.IteFusions == 0 {
 		t.Fatalf("stats = %+v, want Fusions > 0", st)
 	}
 }
 
 func TestSimplifyFuseBinop(t *testing.T) {
-	in := NewInterner()
+	in, bud := countingInterner()
 	c := in.BoolVar("c")
 	x := in.Var("x", 8)
 
@@ -145,31 +144,36 @@ func TestSimplifyFuseBinop(t *testing.T) {
 	if d.B != in.Add(x, in.Byte(5)) {
 		t.Fatalf("else-arm = %v, want x+5", d.B)
 	}
-	if st := in.SimplifyStats(); st.Fusions < 2 {
+	if st := bud.Spend(); st.IteFusions < 2 {
 		t.Fatalf("stats = %+v, want >= 2 fusions", st)
 	}
 }
 
+// countingInterner returns an interner whose simplifier and pruning work is
+// charged to a fresh budget, the one place those counts are kept.
+func countingInterner() (*Interner, *engine.Budget) {
+	b := engine.NewBudget(nil, engine.Limits{})
+	return NewInterner().SetBudget(b), b
+}
+
 func TestSimplifyMemoAndBudgetMirror(t *testing.T) {
-	in := NewInterner()
-	bud := engine.NewBudget(context.Background(), engine.Limits{})
-	in.SetBudget(bud)
+	in, bud := countingInterner()
 	x, y := in.Var("x", 8), in.Var("y", 8)
 	f := in.BAnd2(in.Eq(in.Add(x, in.Byte(3)), in.Byte(7)), in.Ult(y, x))
 
 	in.SimplifyBool(f)
-	st1 := in.SimplifyStats()
-	if st1.Calls != 1 || st1.NodesIn == 0 {
+	st1 := bud.Spend()
+	if st1.SimplifyCalls != 1 || st1.SimplifyNodesIn == 0 {
 		t.Fatalf("first call stats = %+v", st1)
 	}
 	// The second call over the same formula is a pure memo hit: no new
 	// nodes visited or produced, one vn hit at the root.
 	in.SimplifyBool(f)
-	st2 := in.SimplifyStats()
-	if st2.Calls != 2 {
+	st2 := bud.Spend()
+	if st2.SimplifyCalls != 2 {
 		t.Fatalf("stats = %+v, want 2 calls", st2)
 	}
-	if st2.NodesIn != st1.NodesIn || st2.NodesOut != st1.NodesOut {
+	if st2.SimplifyNodesIn != st1.SimplifyNodesIn || st2.SimplifyNodesOut != st1.SimplifyNodesOut {
 		t.Fatalf("memoized re-simplify recounted nodes: %+v then %+v", st1, st2)
 	}
 	if st2.VNHits <= st1.VNHits {
@@ -182,17 +186,9 @@ func TestSimplifyMemoAndBudgetMirror(t *testing.T) {
 	if !in.PruneConjuncts(conj) {
 		t.Fatal("decided guard was not pruned")
 	}
-	st2 = in.SimplifyStats()
-	if st2.Calls != 2 || st2.Fusions == 0 {
+	st2 = bud.Spend()
+	if st2.SimplifyCalls != 2 || st2.IteFusions == 0 {
 		t.Fatalf("stats after pruning = %+v, want 2 calls and a fusion", st2)
-	}
-
-	// Every interner counter mirrors 1:1 into engine.Budget — spend
-	// reconciliation depends on the two never drifting.
-	sp := bud.Spend()
-	if sp.SimplifyCalls != st2.Calls || sp.SimplifyNodesIn != st2.NodesIn ||
-		sp.SimplifyNodesOut != st2.NodesOut || sp.VNHits != st2.VNHits || sp.IteFusions != st2.Fusions {
-		t.Fatalf("budget mirror drifted: budget spend %+v vs stats %+v", sp, st2)
 	}
 }
 
@@ -205,7 +201,7 @@ func pruneUnder(in *Interner, f *Bool, others ...*Bool) *Bool {
 }
 
 func TestPruneUnderCollapsesDecidedGuards(t *testing.T) {
-	in := NewInterner()
+	in, bud := countingInterner()
 	x, y := in.Var("x", 8), in.Var("y", 8)
 	g := in.Ult(x, in.Byte(10))
 	f := in.Eq(y, in.Ite(g, in.Byte(1), in.Byte(2)))
@@ -230,7 +226,7 @@ func TestPruneUnderCollapsesDecidedGuards(t *testing.T) {
 	if r := pruneUnder(in, in.BAnd2(g, other), g); r != other {
 		t.Fatalf("boolean-subnode prune gave %v, want the other conjunct", r)
 	}
-	if st := in.SimplifyStats(); st.Fusions == 0 {
+	if st := bud.Spend(); st.IteFusions == 0 {
 		t.Fatalf("stats = %+v, want pruning counted as fusions", st)
 	}
 
@@ -241,7 +237,7 @@ func TestPruneUnderCollapsesDecidedGuards(t *testing.T) {
 }
 
 func TestPruneConjunctsSequentialLastWins(t *testing.T) {
-	in := NewInterner()
+	in, bud := countingInterner()
 	x, y := in.Var("x", 8), in.Var("y", 8)
 	g := in.Ult(x, in.Byte(10))
 	f := in.Eq(y, in.Ite(g, in.Byte(1), in.Byte(2)))
@@ -270,10 +266,10 @@ func TestPruneConjunctsSequentialLastWins(t *testing.T) {
 	}
 	// No conjunct decides anything inside f here: the pass is the identity
 	// and counts no fusion.
-	before := in.SimplifyStats().Fusions
+	before := bud.Spend().IteFusions
 	conj = []*Bool{f, h}
 	in.PruneConjuncts(conj)
-	if conj[0] != f || conj[1] != h || in.SimplifyStats().Fusions != before {
+	if conj[0] != f || conj[1] != h || bud.Spend().IteFusions != before {
 		t.Fatalf("undecided conjunction was rewritten: %v", conj)
 	}
 }
@@ -428,9 +424,9 @@ func TestPrunerMatchesTruthMaps(t *testing.T) {
 			}
 			may := p.mayDecideBool(cj, maxPruneDepth)
 			p.bools, p.terms = map[*Bool]*Bool{}, map[*Term]*Term{}
-			f0 := in.iteFusions
+			f0 := in.tally.fusions
 			r := p.boolNode(cj, maxPruneDepth)
-			if !may && (r != cj || in.iteFusions != f0) {
+			if !may && (r != cj || in.tally.fusions != f0) {
 				t.Fatalf("round %d pass %d: probe skipped a conjunct the walk rewrites: %v -> %v", round, i, cj, r)
 			}
 			if !may {

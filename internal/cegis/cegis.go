@@ -277,15 +277,13 @@ func (s *Synthesizer) Synthesize() (Outcome, error) {
 	s.bvin.SetBudget(s.budget)
 	span := s.budget.Tracer().Start("phase/cegis", obs.Attr{Key: "func", Val: s.loop.Name})
 	defer func() {
-		// Mirror the synthesis stats into the metrics registry in one batch;
-		// the enumeration inner loops stay free of instrumentation.
-		if m := s.budget.Metrics(); m != nil {
-			m.Counter(obs.MCegisSkeletons).Add(int64(s.stats.Skeletons))
-			m.Counter(obs.MCegisCandidates).Add(int64(s.stats.CandidatesRun))
-			m.Counter(obs.MCegisCexs).Add(int64(s.stats.Counterexamples))
-			m.Counter(obs.MCegisVerifies).Add(int64(s.stats.VerifyQueries))
-			m.Counter(obs.MCegisArgSolves).Add(int64(s.stats.ArgSolverCalls))
-		}
+		// Charge the synthesis tally to the budget in one batch; the
+		// enumeration inner loops stay free of shared writes.
+		s.budget.Add(engine.Skeletons, int64(s.stats.Skeletons))
+		s.budget.Add(engine.Candidates, int64(s.stats.CandidatesRun))
+		s.budget.Add(engine.Counterexamples, int64(s.stats.Counterexamples))
+		s.budget.Add(engine.VerifyQueries, int64(s.stats.VerifyQueries))
+		s.budget.Add(engine.ArgSolverCalls, int64(s.stats.ArgSolverCalls))
 		span.SetInt("candidates", int64(s.stats.CandidatesRun))
 		span.End()
 	}()

@@ -213,12 +213,12 @@ func TestSolveArgsStopsAtDeadCounterexample(t *testing.T) {
 		t.Fatalf("set-up: %d counterexamples, Original(cex 0) = %v, want NULL", len(s.cexs), s.cexWant[0])
 	}
 
-	queries := s.cache.Stats().Queries
+	queries := s.budget.Count(engine.CacheQueries)
 	symProg, argVars := s.symbolize([]shape{{op: vocab.OpStrspn, argLen: 1}, {op: vocab.OpReturn}})
 	if _, ok := s.solveArgs(symProg, argVars); ok {
 		t.Fatal("strspn skeleton solved against NULL counterexamples")
 	}
-	if got := s.cache.Stats().Queries; got != queries {
+	if got := s.budget.Count(engine.CacheQueries); got != queries {
 		t.Errorf("dead skeleton made %d queries, want 0", got-queries)
 	}
 	for d, lv := range s.levels {
@@ -227,7 +227,7 @@ func TestSolveArgsStopsAtDeadCounterexample(t *testing.T) {
 		}
 	}
 
-	queries = s.cache.Stats().Queries
+	queries = s.budget.Count(engine.CacheQueries)
 	symProg, argVars = s.symbolize([]shape{{op: vocab.OpStrchr, argLen: 1}, {op: vocab.OpReturn}})
 	if _, ok := s.solveArgs(symProg, argVars); !ok {
 		t.Fatal("strchr skeleton found no argument avoiding every counterexample")
@@ -237,7 +237,7 @@ func TestSolveArgsStopsAtDeadCounterexample(t *testing.T) {
 			t.Errorf("strchr skeleton: match on counterexample %d is False", i)
 		}
 	}
-	if got := s.cache.Stats().Queries; got != queries+1 {
+	if got := s.budget.Count(engine.CacheQueries); got != queries+1 {
 		t.Errorf("live skeleton made %d queries, want 1", got-queries)
 	}
 }

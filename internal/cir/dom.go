@@ -1,115 +1,129 @@
 package cir
 
-// DomTree holds immediate dominators and dominance frontiers for a function,
-// computed with the Cooper–Harvey–Kennedy iterative algorithm.
-type DomTree struct {
-	fn       *Func
-	rpo      []*Block       // reverse postorder
-	rpoIndex map[*Block]int // block -> position in rpo
-	idom     map[*Block]*Block
-	children map[*Block][]*Block
-	frontier map[*Block][]*Block
-}
-
-// BuildDomTree computes the dominator tree of f. Predecessor lists must be
-// current (RecomputePreds).
-func BuildDomTree(f *Func) *DomTree {
-	d := &DomTree{
-		fn:       f,
-		rpoIndex: map[*Block]int{},
-		idom:     map[*Block]*Block{},
-		children: map[*Block][]*Block{},
-		frontier: map[*Block][]*Block{},
-	}
-	d.computeRPO()
-	d.computeIdom()
-	d.computeChildren()
-	d.computeFrontiers()
-	return d
-}
-
-func (d *DomTree) computeRPO() {
-	seen := map[*Block]bool{}
-	var post []*Block
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if seen[b] {
-			return
+// dominators computes the immediate dominators of the graph whose node u has
+// successors succ[u], rooted at root, with the Cooper–Harvey–Kennedy
+// iterative algorithm. It returns the nodes reachable from root in reverse
+// postorder, each node's predecessors (in the order the successor lists
+// name them, unreachable predecessors included), and each node's immediate
+// dominator: root's is itself, and an unreachable node's is -1. The dominator
+// tree and the post-dominator tree (the reversed graph rooted at a virtual
+// exit) are both this routine.
+func dominators(succ [][]int, root int) (rpo []int, preds [][]int, idom []int) {
+	n := len(succ)
+	preds = make([][]int, n)
+	for u, ss := range succ {
+		for _, v := range ss {
+			preds[v] = append(preds[v], u)
 		}
-		seen[b] = true
-		for _, s := range b.Succs() {
-			walk(s)
-		}
-		post = append(post, b)
 	}
-	walk(d.fn.Entry())
+
+	seen := make([]bool, n)
+	var post []int
+	var walk func(u int)
+	walk = func(u int) {
+		seen[u] = true
+		for _, v := range succ[u] {
+			if !seen[v] {
+				walk(v)
+			}
+		}
+		post = append(post, u)
+	}
+	walk(root)
+	order := make([]int, n) // node -> position in rpo, -1 if unreachable
+	for i := range order {
+		order[i] = -1
+	}
 	for i := len(post) - 1; i >= 0; i-- {
-		d.rpoIndex[post[i]] = len(d.rpo)
-		d.rpo = append(d.rpo, post[i])
+		order[post[i]] = len(rpo)
+		rpo = append(rpo, post[i])
 	}
-}
 
-func (d *DomTree) intersect(a, b *Block) *Block {
-	for a != b {
-		for d.rpoIndex[a] > d.rpoIndex[b] {
-			a = d.idom[a]
-		}
-		for d.rpoIndex[b] > d.rpoIndex[a] {
-			b = d.idom[b]
-		}
+	idom = make([]int, n)
+	for i := range idom {
+		idom[i] = -1
 	}
-	return a
-}
-
-func (d *DomTree) computeIdom() {
-	entry := d.fn.Entry()
-	d.idom[entry] = entry
-	changed := true
-	for changed {
+	idom[root] = root
+	intersect := func(a, b int) int {
+		for a != b {
+			for order[a] > order[b] {
+				a = idom[a]
+			}
+			for order[b] > order[a] {
+				b = idom[b]
+			}
+		}
+		return a
+	}
+	for changed := true; changed; {
 		changed = false
-		for _, b := range d.rpo[1:] {
-			var newIdom *Block
-			for _, p := range b.Preds {
-				if d.idom[p] == nil {
+		for _, u := range rpo[1:] {
+			newIdom := -1
+			for _, p := range preds[u] {
+				if idom[p] == -1 {
 					continue
 				}
-				if newIdom == nil {
+				if newIdom == -1 {
 					newIdom = p
 				} else {
-					newIdom = d.intersect(p, newIdom)
+					newIdom = intersect(p, newIdom)
 				}
 			}
-			if newIdom != nil && d.idom[b] != newIdom {
-				d.idom[b] = newIdom
+			if newIdom != -1 && idom[u] != newIdom {
+				idom[u] = newIdom
 				changed = true
 			}
 		}
 	}
+	return rpo, preds, idom
 }
 
-func (d *DomTree) computeChildren() {
-	for _, b := range d.rpo {
-		if b == d.fn.Entry() {
-			continue
-		}
-		p := d.idom[b]
-		d.children[p] = append(d.children[p], b)
+// blockIndex maps each block of f to its position in f.Blocks.
+func blockIndex(f *Func) map[*Block]int {
+	idx := make(map[*Block]int, len(f.Blocks))
+	for i, b := range f.Blocks {
+		idx[b] = i
 	}
+	return idx
 }
 
-func (d *DomTree) computeFrontiers() {
-	for _, b := range d.rpo {
-		if len(b.Preds) < 2 {
+// DomTree holds immediate dominators and dominance frontiers for a function.
+type DomTree struct {
+	fn       *Func
+	idx      map[*Block]int // block -> position in fn.Blocks
+	idom     []int          // block -> immediate dominator, -1 if unreachable
+	children [][]*Block
+	frontier [][]*Block
+}
+
+// BuildDomTree computes the dominator tree of f. It reads only successor
+// lists, so predecessor lists need not be current.
+func BuildDomTree(f *Func) *DomTree {
+	n := len(f.Blocks)
+	d := &DomTree{fn: f, idx: blockIndex(f), children: make([][]*Block, n), frontier: make([][]*Block, n)}
+	succ := make([][]int, n)
+	for i, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			succ[i] = append(succ[i], d.idx[s])
+		}
+	}
+	entry := d.idx[f.Entry()]
+	rpo, preds, idom := dominators(succ, entry)
+	d.idom = idom
+	for _, u := range rpo[1:] {
+		d.children[idom[u]] = append(d.children[idom[u]], f.Blocks[u])
+	}
+	for _, u := range rpo {
+		if len(preds[u]) < 2 {
 			continue
 		}
-		for _, p := range b.Preds {
-			runner := p
-			for runner != nil && runner != d.idom[b] {
-				d.frontier[runner] = appendUnique(d.frontier[runner], b)
-				runner = d.idom[runner]
+		for _, p := range preds[u] {
+			for runner := p; runner != -1 && runner != idom[u]; runner = idom[runner] {
+				d.frontier[runner] = appendUnique(d.frontier[runner], f.Blocks[u])
 			}
 		}
 	}
+	return d
 }
 
 func appendUnique(s []*Block, b *Block) []*Block {
@@ -121,23 +135,55 @@ func appendUnique(s []*Block, b *Block) []*Block {
 	return append(s, b)
 }
 
-// Idom returns the immediate dominator of b (the entry dominates itself).
-func (d *DomTree) Idom(b *Block) *Block { return d.idom[b] }
+// Idom returns the immediate dominator of b (the entry dominates itself), or
+// nil when b is unreachable.
+func (d *DomTree) Idom(b *Block) *Block {
+	i, ok := d.idx[b]
+	if !ok || d.idom[i] == -1 {
+		return nil
+	}
+	return d.fn.Blocks[d.idom[i]]
+}
 
 // Children returns the dominator-tree children of b.
-func (d *DomTree) Children(b *Block) []*Block { return d.children[b] }
+func (d *DomTree) Children(b *Block) []*Block {
+	if i, ok := d.idx[b]; ok {
+		return d.children[i]
+	}
+	return nil
+}
 
 // Frontier returns the dominance frontier of b.
-func (d *DomTree) Frontier(b *Block) []*Block { return d.frontier[b] }
+func (d *DomTree) Frontier(b *Block) []*Block {
+	if i, ok := d.idx[b]; ok {
+		return d.frontier[i]
+	}
+	return nil
+}
 
 // Dominates reports whether a dominates b (reflexively).
 func (d *DomTree) Dominates(a, b *Block) bool {
+	if a == b {
+		return true
+	}
+	ai, aok := d.idx[a]
+	bi, bok := d.idx[b]
+	if !aok || !bok {
+		return false
+	}
+	return chainHas(d.idom, ai, bi, -1)
+}
+
+// chainHas walks the immediate-(post-)dominator chain idom up from b and
+// reports whether it reaches a before the root (a node that is its own
+// immediate dominator), an unreachable node, or stop.
+func chainHas(idom []int, a, b, stop int) bool {
 	for {
 		if a == b {
 			return true
 		}
-		next := d.idom[b]
-		if next == nil || next == b {
+		next := idom[b]
+		if next == -1 || next == b || next == stop {
 			return false
 		}
 		b = next

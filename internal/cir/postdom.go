@@ -7,15 +7,13 @@ package cir
 // dominators of the reversed CFG; functions may have several OpRet blocks
 // (and blocks that reach no return at all, e.g. bodies of infinite loops),
 // so the reversal runs against a virtual exit node with an edge from every
-// return block. Same Cooper–Harvey–Kennedy iteration as dom.go.
+// return block. The iteration is dom.go's dominators.
 
 // PostDomTree holds immediate post-dominators of a function. Blocks that
 // cannot reach any return have no post-dominator (Ipdom reports nil).
 type PostDomTree struct {
 	fn    *Func
 	idx   map[*Block]int // block -> position in fn.Blocks
-	order []int          // reversed-graph reverse postorder (virtual exit first)
-	oidx  []int          // node -> position in order, -1 if unreachable from exit
 	ipdom []int          // node -> immediate post-dominator node, -1 if none
 }
 
@@ -26,10 +24,7 @@ func (t *PostDomTree) exit() int { return len(t.fn.Blocks) }
 // successor lists, so predecessor lists need not be current.
 func BuildPostDomTree(f *Func) *PostDomTree {
 	n := len(f.Blocks)
-	t := &PostDomTree{fn: f, idx: make(map[*Block]int, n)}
-	for i, b := range f.Blocks {
-		t.idx[b] = i
-	}
+	t := &PostDomTree{fn: f, idx: blockIndex(f)}
 	exit := n
 
 	// Reversed graph: CFG edge u→v becomes v→u, plus exit→r for each
@@ -44,75 +39,8 @@ func BuildPostDomTree(f *Func) *PostDomTree {
 			rsucc[exit] = append(rsucc[exit], i)
 		}
 	}
-	rpred := make([][]int, n+1)
-	for u := 0; u <= n; u++ {
-		for _, v := range rsucc[u] {
-			rpred[v] = append(rpred[v], u)
-		}
-	}
-
-	// Reverse postorder of the reversed graph, rooted at the virtual exit.
-	seen := make([]bool, n+1)
-	var post []int
-	var walk func(u int)
-	walk = func(u int) {
-		seen[u] = true
-		for _, v := range rsucc[u] {
-			if !seen[v] {
-				walk(v)
-			}
-		}
-		post = append(post, u)
-	}
-	walk(exit)
-	t.oidx = make([]int, n+1)
-	for i := range t.oidx {
-		t.oidx[i] = -1
-	}
-	for i := len(post) - 1; i >= 0; i-- {
-		t.oidx[post[i]] = len(t.order)
-		t.order = append(t.order, post[i])
-	}
-
-	t.ipdom = make([]int, n+1)
-	for i := range t.ipdom {
-		t.ipdom[i] = -1
-	}
-	t.ipdom[exit] = exit
-	changed := true
-	for changed {
-		changed = false
-		for _, u := range t.order[1:] {
-			newIdom := -1
-			for _, p := range rpred[u] {
-				if t.ipdom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = t.intersect(p, newIdom)
-				}
-			}
-			if newIdom != -1 && t.ipdom[u] != newIdom {
-				t.ipdom[u] = newIdom
-				changed = true
-			}
-		}
-	}
+	_, _, t.ipdom = dominators(rsucc, exit)
 	return t
-}
-
-func (t *PostDomTree) intersect(a, b int) int {
-	for a != b {
-		for t.oidx[a] > t.oidx[b] {
-			a = t.ipdom[a]
-		}
-		for t.oidx[b] > t.oidx[a] {
-			b = t.ipdom[b]
-		}
-	}
-	return a
 }
 
 // Ipdom returns the immediate post-dominator of b, or nil when b returns
@@ -137,16 +65,7 @@ func (t *PostDomTree) PostDominates(a, b *Block) bool {
 	if !aok || !bok {
 		return false
 	}
-	for {
-		if ai == bi {
-			return true
-		}
-		next := t.ipdom[bi]
-		if next == -1 || next == bi || next == t.exit() {
-			return false
-		}
-		bi = next
-	}
+	return chainHas(t.ipdom, ai, bi, t.exit())
 }
 
 // JoinKind classifies why a block is a merge point; a block may be one for

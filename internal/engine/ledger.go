@@ -15,10 +15,14 @@ import (
 // table row.
 type Counter int
 
-// The budget counters. Only Conflicts, Forks and Nodes are bounded by
-// Limits; the rest are accounting only (caches, merging and the rewrite
-// layer reduce work, so nothing trips on them), charged here so every
-// pipeline sharing a budget reports one coherent spend.
+// The budget counters: every work counter the solver layers (sat, bv,
+// qcache, symex, cegis) and the disk tier keep. Only Conflicts, Forks and
+// Nodes are bounded by Limits; the rest are accounting only (caches, merging
+// and the rewrite layer reduce work, so nothing trips on them), charged here
+// so every pipeline sharing a budget reports one coherent spend. A layer
+// charges where it counts, once; hot loops tally locally and charge the
+// tally in one batch (per SAT call, per simplifier call, per scheduled symex
+// segment, per synthesis).
 const (
 	Conflicts        Counter = iota // SAT conflicts
 	Propagations                    // SAT unit propagations
@@ -37,6 +41,19 @@ const (
 	SimplifyNodesOut                // DAG size of their rewritten outputs
 	Merges                          // symbolic-state merges
 	MergeItes                       // ite nodes those merges introduced
+	Decisions                       // SAT branching decisions
+	CacheQueries                    // query-cache CheckSat/Decide/Extend calls
+	CacheGroups                     // independent slices those queries split into
+	CacheRebuilds                   // incremental-solver resets at the var cap
+	SymexRuns                       // symbolic-execution runs
+	Paths                           // terminal paths those runs emitted
+	Steps                           // instructions they executed
+	SolverQueries                   // symex feasibility queries sent to the solver
+	Skeletons                       // CEGIS program skeletons enumerated
+	Candidates                      // CEGIS candidate programs run
+	Counterexamples                 // CEGIS counterexamples added
+	VerifyQueries                   // CEGIS verification queries
+	ArgSolverCalls                  // CEGIS argument-solver calls
 
 	numCounters
 )
@@ -76,11 +93,26 @@ var ledger = [numCounters]counterInfo{
 	SimplifyNodesOut: {obs.MBVSimplifyNodesOut, "simpout", unsafe.Offsetof(Spend{}.SimplifyNodesOut)},
 	Merges:           {obs.MSymexMerges, "merges", unsafe.Offsetof(Spend{}.Merges)},
 	MergeItes:        {obs.MSymexMergeItes, "ites", unsafe.Offsetof(Spend{}.MergeItes)},
+	Decisions:        {obs.MSatDecisions, "decisions", unsafe.Offsetof(Spend{}.Decisions)},
+	CacheQueries:     {obs.MQCacheQueries, "qqueries", unsafe.Offsetof(Spend{}.QCacheQueries)},
+	CacheGroups:      {obs.MQCacheGroups, "qgroups", unsafe.Offsetof(Spend{}.QCacheGroups)},
+	CacheRebuilds:    {obs.MQCacheRebuilds, "qrebuilds", unsafe.Offsetof(Spend{}.QCacheRebuilds)},
+	SymexRuns:        {obs.MSymexRuns, "runs", unsafe.Offsetof(Spend{}.SymexRuns)},
+	Paths:            {obs.MSymexPaths, "paths", unsafe.Offsetof(Spend{}.Paths)},
+	Steps:            {obs.MSymexSteps, "steps", unsafe.Offsetof(Spend{}.Steps)},
+	SolverQueries:    {obs.MSymexQueries, "squeries", unsafe.Offsetof(Spend{}.SolverQueries)},
+	Skeletons:        {obs.MCegisSkeletons, "skeletons", unsafe.Offsetof(Spend{}.Skeletons)},
+	Candidates:       {obs.MCegisCandidates, "candidates", unsafe.Offsetof(Spend{}.Candidates)},
+	Counterexamples:  {obs.MCegisCexs, "cexs", unsafe.Offsetof(Spend{}.Counterexamples)},
+	VerifyQueries:    {obs.MCegisVerifies, "verifies", unsafe.Offsetof(Spend{}.VerifyQueries)},
+	ArgSolverCalls:   {obs.MCegisArgSolves, "argsolves", unsafe.Offsetof(Spend{}.ArgSolverCalls)},
 }
 
 // Spend is a budget's counters in wire form: what provenance reports per
 // attempt and per request, and what reconciliation checks against a metrics
-// registry. The JSON keys are part of the service protocol.
+// registry. The JSON keys are part of the service protocol; every key is
+// omitempty, so a counter added to the ledger leaves the bytes of a response
+// that does not spend it unchanged.
 type Spend struct {
 	Conflicts        int64 `json:"conflicts,omitempty"`
 	Propagations     int64 `json:"propagations,omitempty"`
@@ -99,6 +131,19 @@ type Spend struct {
 	SimplifyNodesOut int64 `json:"simplify_nodes_out,omitempty"`
 	Merges           int64 `json:"merges,omitempty"`
 	MergeItes        int64 `json:"merge_ites,omitempty"`
+	Decisions        int64 `json:"decisions,omitempty"`
+	QCacheQueries    int64 `json:"qcache_queries,omitempty"`
+	QCacheGroups     int64 `json:"qcache_groups,omitempty"`
+	QCacheRebuilds   int64 `json:"qcache_rebuilds,omitempty"`
+	SymexRuns        int64 `json:"symex_runs,omitempty"`
+	Paths            int64 `json:"paths,omitempty"`
+	Steps            int64 `json:"steps,omitempty"`
+	SolverQueries    int64 `json:"solver_queries,omitempty"`
+	Skeletons        int64 `json:"skeletons,omitempty"`
+	Candidates       int64 `json:"candidates,omitempty"`
+	Counterexamples  int64 `json:"counterexamples,omitempty"`
+	VerifyQueries    int64 `json:"verify_queries,omitempty"`
+	ArgSolverCalls   int64 `json:"arg_solver_calls,omitempty"`
 }
 
 // Add accumulates another spend (one attempt's, one loop's) into s.

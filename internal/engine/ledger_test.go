@@ -33,6 +33,19 @@ var ledgerCases = [numCounters]struct {
 	SimplifyNodesOut: {"SimplifyNodesOut", "bv.simplify_nodes_out"},
 	Merges:           {"Merges", "symex.merges"},
 	MergeItes:        {"MergeItes", "symex.merge_ites"},
+	Decisions:        {"Decisions", "sat.decisions"},
+	CacheQueries:     {"QCacheQueries", "qcache.queries"},
+	CacheGroups:      {"QCacheGroups", "qcache.groups"},
+	CacheRebuilds:    {"QCacheRebuilds", "qcache.rebuilds"},
+	SymexRuns:        {"SymexRuns", "symex.runs"},
+	Paths:            {"Paths", "symex.paths"},
+	Steps:            {"Steps", "symex.steps"},
+	SolverQueries:    {"SolverQueries", "symex.solver_queries"},
+	Skeletons:        {"Skeletons", "cegis.skeletons"},
+	Candidates:       {"Candidates", "cegis.candidates"},
+	Counterexamples:  {"Counterexamples", "cegis.counterexamples"},
+	VerifyQueries:    {"VerifyQueries", "cegis.verify_queries"},
+	ArgSolverCalls:   {"ArgSolverCalls", "cegis.arg_solver_calls"},
 }
 
 func TestLedgerPerCounter(t *testing.T) {
@@ -117,8 +130,9 @@ func TestLedgerCoversSpend(t *testing.T) {
 }
 
 // TestSpendJSONGolden pins the wire form: with the two simplifier node
-// counters zero, Spend marshals byte for byte like the service protocol's
-// original fifteen-counter record, and the zero Spend marshals empty.
+// counters and the solver layers' counters zero, Spend marshals byte for
+// byte like the service protocol's original fifteen-counter record, and the
+// zero Spend marshals empty.
 func TestSpendJSONGolden(t *testing.T) {
 	s := Spend{
 		Conflicts: 1, Propagations: 2, Forks: 3, Nodes: 4, QCacheHits: 5, QCacheMisses: 6,
@@ -139,6 +153,17 @@ func TestSpendJSONGolden(t *testing.T) {
 	got, _ = json.Marshal(s)
 	if !strings.Contains(string(got), `"simplify_nodes_in":16,"simplify_nodes_out":17`) {
 		t.Fatalf("Spend JSON lacks the simplifier node counters: %s", got)
+	}
+	// The solver layers' work counters follow, each omitempty, so a response
+	// that spends none of them keeps the original bytes above.
+	s = Spend{Decisions: 18, QCacheQueries: 19, QCacheGroups: 20, QCacheRebuilds: 21, SymexRuns: 22,
+		Paths: 23, Steps: 24, SolverQueries: 25, Skeletons: 26, Candidates: 27, Counterexamples: 28,
+		VerifyQueries: 29, ArgSolverCalls: 30}
+	const layers = `{"decisions":18,"qcache_queries":19,"qcache_groups":20,"qcache_rebuilds":21,` +
+		`"symex_runs":22,"paths":23,"steps":24,"solver_queries":25,"skeletons":26,"candidates":27,` +
+		`"counterexamples":28,"verify_queries":29,"arg_solver_calls":30}`
+	if got, _ = json.Marshal(s); string(got) != layers {
+		t.Fatalf("Spend JSON\n got %s\nwant %s", got, layers)
 	}
 	if got, _ := json.Marshal(Spend{}); string(got) != "{}" {
 		t.Fatalf("zero Spend JSON = %s, want {}", got)

@@ -59,13 +59,14 @@ type Measurement struct {
 	// Conflicts is the total SAT conflicts charged to the run's budget —
 	// the hardware-independent cost metric the cache benchmarks compare.
 	Conflicts int64
-	// VNHits and IteFusions are the value-numbering layer's memo hits and
-	// ite rewrites charged to the run's budget.
-	VNHits     int64
-	IteFusions int64
-	// Cache is the query-cache snapshot (zero when the cache was off).
-	Cache    qcache.Stats
+	// Spend is everything charged to the run's budget.
+	Spend engine.Spend
+	// TimedOut marks a run its budget cut short (a timeout or the path
+	// limit): Paths and Tests then count a partial set, a lower bound.
 	TimedOut bool
+	// Err is a failure that is not about the budget, such as an arity
+	// mismatch; the counts of such a run mean nothing.
+	Err error
 }
 
 // Vanilla symbolically executes the loop on a symbolic string of length n
@@ -86,9 +87,9 @@ func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measu
 		Mode:          "vanilla",
 		Length:        n,
 		Paths:         len(paths),
-		SolverQueries: eng.Stats.SolverQueries,
-		TimedOut:      errors.Is(err, symex.ErrTimeout),
+		SolverQueries: int(budget.Count(engine.SolverQueries)),
 	}
+	m.classify(err)
 	// KLEE generates a concrete test input per terminated path.
 	for _, p := range paths {
 		if budget.Exceeded() {
@@ -103,11 +104,7 @@ func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measu
 	}
 	m.Time = time.Since(start)
 	m.Conflicts = budget.Conflicts()
-	m.VNHits = budget.Count(engine.VNHits)
-	m.IteFusions = budget.Count(engine.IteFusions)
-	if cache != nil {
-		m.Cache = cache.Stats()
-	}
+	m.Spend = budget.Spend()
 	return m
 }
 
@@ -139,12 +136,20 @@ func StrWith(summary vocab.Program, n int, timeout time.Duration, cfg Config) Me
 	}
 	m.Time = time.Since(start)
 	m.Conflicts = budget.Conflicts()
-	m.VNHits = budget.Count(engine.VNHits)
-	m.IteFusions = budget.Count(engine.IteFusions)
-	if cache != nil {
-		m.Cache = cache.Stats()
-	}
+	m.Spend = budget.Spend()
 	return m
+}
+
+// classify books the error a run ended with: budget exhaustion (a timeout,
+// or ErrPathLimit's cap on the path set) leaves a partial run, anything else
+// a failed one.
+func (m *Measurement) classify(err error) {
+	switch {
+	case errors.Is(err, engine.ErrBudget):
+		m.TimedOut = true
+	case err != nil:
+		m.Err = err
+	}
 }
 
 // stack builds the run's solver stack, without its query cache unless

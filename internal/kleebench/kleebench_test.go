@@ -1,11 +1,13 @@
 package kleebench
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
+	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
 
@@ -93,5 +95,42 @@ func TestVanillaTimeout(t *testing.T) {
 	m := Vanilla(f, 16, 10*time.Millisecond)
 	if !m.TimedOut {
 		t.Skip("machine too fast for a 10ms timeout at n=16")
+	}
+}
+
+// TestVanillaReportsRunErrors: a run that fails for a reason other than its
+// budget, here a loop function of two parameters, comes back as Err and not
+// as a clean run with no tests.
+func TestVanillaReportsRunErrors(t *testing.T) {
+	f := lower(t, `char *two(char *s, int n) { while (n-- && *s) s++; return s; }`)
+	m := VanillaWith(f, 3, time.Minute, Config{QCache: true})
+	if m.Err == nil || m.TimedOut {
+		t.Fatalf("two-parameter loop: Err = %v, TimedOut = %v; want an arity error", m.Err, m.TimedOut)
+	}
+	if m.Paths != 0 || m.Tests != 0 {
+		t.Fatalf("failed run reported %d paths and %d tests", m.Paths, m.Tests)
+	}
+}
+
+// TestClassifyRunErrors: a run cut short by its budget, whether by the
+// clock or by ErrPathLimit's cap on the path set, is a partial run
+// (TimedOut, a lower bound); any other error is a failed run.
+func TestClassifyRunErrors(t *testing.T) {
+	other := errors.New("boom")
+	for _, tc := range []struct {
+		err      error
+		timedOut bool
+		failed   error
+	}{
+		{nil, false, nil},
+		{symex.ErrTimeout, true, nil},
+		{symex.ErrPathLimit, true, nil},
+		{other, false, other},
+	} {
+		var m Measurement
+		m.classify(tc.err)
+		if m.TimedOut != tc.timedOut || m.Err != tc.failed {
+			t.Errorf("classify(%v): TimedOut = %v, Err = %v; want %v, %v", tc.err, m.TimedOut, m.Err, tc.timedOut, tc.failed)
+		}
 	}
 }

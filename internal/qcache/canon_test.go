@@ -37,7 +37,7 @@ func TestCrossInternerSharing(t *testing.T) {
 	if v := m.Terms["x"]; v >= 10 || v == 3 {
 		t.Fatalf("first pipeline model x = %d", v)
 	}
-	if a.Stats().Misses == 0 {
+	if bA.Count(engine.CacheMisses) == 0 {
 		t.Fatal("cold first pipeline must reach the solver")
 	}
 
@@ -59,11 +59,10 @@ func TestCrossInternerSharing(t *testing.T) {
 	if v, ok := m.Terms["y"]; !ok || v != 250 {
 		t.Fatalf("second pipeline model y = %d, %v", v, ok)
 	}
-	sb := b.Stats()
-	if sb.Misses != 0 {
-		t.Fatalf("second pipeline missed %d groups; every group must come from the shared store", sb.Misses)
+	if misses := bB.Count(engine.CacheMisses); misses != 0 {
+		t.Fatalf("second pipeline missed %d groups; every group must come from the shared store", misses)
 	}
-	if sb.ExactHits == 0 {
+	if b.Stats().ExactHits == 0 {
 		t.Fatal("second pipeline must hit the shared entries")
 	}
 	if bB.Count(engine.DiskHits) == 0 {
@@ -92,8 +91,8 @@ func TestCrossInternerUnsatSharing(t *testing.T) {
 	if st, _ := b.CheckSat(bB, build(inB)...); st != sat.Unsat {
 		t.Fatal("second pipeline must see unsat")
 	}
-	if sb := b.Stats(); sb.Misses != 0 || sb.ExactHits == 0 {
-		t.Fatalf("stats = %+v, want pure exact hits", sb)
+	if sb := b.Stats(); bB.Count(engine.CacheMisses) != 0 || sb.ExactHits == 0 {
+		t.Fatalf("stats = %+v, %d misses, want pure exact hits", sb, bB.Count(engine.CacheMisses))
 	}
 }
 
@@ -103,13 +102,14 @@ func TestCrossInternerUnsatSharing(t *testing.T) {
 func TestAlphaRenamedSharing(t *testing.T) {
 	in := bv.NewInterner()
 	c := New(in)
+	b := engine.NewBudget(nil, engine.Limits{})
 	x, y := in.Var("x", 8), in.Var("y", 8)
 
-	st, m := c.CheckSat(nil, in.Eq(x, in.Byte(42)))
+	st, m := c.CheckSat(b, in.Eq(x, in.Byte(42)))
 	if st != sat.Sat || m.Terms["x"] != 42 {
 		t.Fatalf("seed query = %v %v", st, m)
 	}
-	st, m = c.CheckSat(nil, in.Eq(y, in.Byte(42)))
+	st, m = c.CheckSat(b, in.Eq(y, in.Byte(42)))
 	if st != sat.Sat {
 		t.Fatalf("renamed query = %v", st)
 	}
@@ -119,8 +119,8 @@ func TestAlphaRenamedSharing(t *testing.T) {
 	if _, ok := m.Terms["x"]; ok {
 		t.Fatal("model must not leak the cached entry's variable name")
 	}
-	if s := c.Stats(); s.ExactHits != 1 || s.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 exact hit / 1 miss", s)
+	if s := c.Stats(); s.ExactHits != 1 || b.Count(engine.CacheMisses) != 1 {
+		t.Fatalf("stats = %+v, %d misses, want 1 exact hit / 1 miss", s, b.Count(engine.CacheMisses))
 	}
 }
 

@@ -63,17 +63,27 @@ func lockstepStream(in *bv.Interner) [][]*bv.Bool {
 	return qs
 }
 
-// workStats is Stats without the wall-clock fields, which are the only
-// ones allowed to differ between two caches doing the same work.
-func workStats(s Stats) Stats {
-	s.BlastTime, s.SearchTime = 0, 0
-	return s
+// cacheCounters are the ledger rows a Cache charges to its query budget.
+var cacheCounters = []engine.Counter{
+	engine.CacheQueries, engine.CacheGroups, engine.CacheHits, engine.CacheMisses,
+	engine.CacheRebuilds, engine.Conflicts,
+}
+
+// workDiff reports the first cache counter on which two budgets disagree,
+// or ok when the caches charged them the same work.
+func workDiff(a, b *engine.Budget) (c engine.Counter, ok bool) {
+	for _, c := range cacheCounters {
+		if a.Count(c) != b.Count(c) {
+			return c, false
+		}
+	}
+	return 0, true
 }
 
 // TestDecideMatchesCheckSat drives two caches over one interner with the
 // same query stream, one through CheckSat and one through Decide. Decide
-// skips only model construction, so statuses, every Stats counter, the
-// budget counters and the model-reuse list must agree query by query.
+// skips only model construction, so statuses, Stats, the budget counters
+// and the model-reuse list must agree query by query.
 func TestDecideMatchesCheckSat(t *testing.T) {
 	for _, rate := range []float64{0, 0.2} {
 		t.Run(fmt.Sprintf("qcache.miss=%v", rate), func(t *testing.T) {
@@ -94,24 +104,22 @@ func TestDecideMatchesCheckSat(t *testing.T) {
 				if stFull == sat.Sat && m == nil {
 					t.Fatalf("query %d: CheckSat returned Sat without a model", i)
 				}
-				if sf, sl := workStats(full.Stats()), workStats(lean.Stats()); sf != sl {
+				if sf, sl := full.Stats(), lean.Stats(); sf != sl {
 					t.Fatalf("query %d: stats diverged\nCheckSat %+v\nDecide   %+v", i, sf, sl)
 				}
 				if len(full.models) != len(lean.models) {
 					t.Fatalf("query %d: model-reuse lists hold %d vs %d models", i, len(full.models), len(lean.models))
 				}
-				for _, ctr := range []engine.Counter{engine.CacheHits, engine.CacheMisses, engine.Conflicts} {
-					if bFull.Count(ctr) != bLean.Count(ctr) {
-						t.Fatalf("query %d: budget counter %d: CheckSat %d, Decide %d", i, ctr, bFull.Count(ctr), bLean.Count(ctr))
-					}
+				if ctr, ok := workDiff(bFull, bLean); !ok {
+					t.Fatalf("query %d: budget counter %d: CheckSat %d, Decide %d", i, ctr, bFull.Count(ctr), bLean.Count(ctr))
 				}
 			}
-			s := full.Stats()
-			if s.ExactHits == 0 || s.ModelHits == 0 || s.Misses == 0 {
-				t.Fatalf("stream too narrow to exercise every rule: %+v", s)
+			s, misses := full.Stats(), bFull.Count(engine.CacheMisses)
+			if s.ExactHits == 0 || s.ModelHits == 0 || misses == 0 {
+				t.Fatalf("stream too narrow to exercise every rule: %+v, %d misses", s, misses)
 			}
 			t.Logf("%d queries, %d groups: %d exact, %d model, %d subset hits, %d misses",
-				s.Queries, s.Groups, s.ExactHits, s.ModelHits, s.SubsetHits, s.Misses)
+				bFull.Count(engine.CacheQueries), bFull.Count(engine.CacheGroups), s.ExactHits, s.ModelHits, s.SubsetHits, misses)
 		})
 	}
 }
@@ -119,8 +127,8 @@ func TestDecideMatchesCheckSat(t *testing.T) {
 // spreadCase runs the disk-promoted first-hit scenario on a fresh cache:
 // x == 7 is answered from a stored entry, then x < 10 must be answered by
 // the model that first hit released, then x == 7 again must not release it
-// a second time. It returns the cache for inspection.
-func spreadCase(t *testing.T, decide bool, faults *faultpoint.Registry) *Cache {
+// a second time. It returns the cache and the budget its queries charged.
+func spreadCase(t *testing.T, decide bool, faults *faultpoint.Registry) (*Cache, *engine.Budget) {
 	t.Helper()
 	store := diskcache.NewStore("", 0, nil)
 	seedIn := bv.NewInterner()
@@ -135,11 +143,12 @@ func spreadCase(t *testing.T, decide bool, faults *faultpoint.Registry) *Cache {
 		c.SetFaults(faults)
 	}
 	x := in.Var("x", 8)
+	b := engine.NewBudget(nil, engine.Limits{})
 	ask := func(f *bv.Bool) sat.Status {
 		if decide {
-			return c.Decide(nil, f)
+			return c.Decide(b, f)
 		}
-		st, m := c.CheckSat(nil, f)
+		st, m := c.CheckSat(b, f)
 		if st == sat.Sat && !bv.NewEvaluator(m).Bool(f) {
 			t.Fatalf("model violates %v", f)
 		}
@@ -150,7 +159,7 @@ func spreadCase(t *testing.T, decide bool, faults *faultpoint.Registry) *Cache {
 			t.Fatalf("query %v = %v, want sat", f, st)
 		}
 	}
-	return c
+	return c, b
 }
 
 // TestFirstExactHitSpreadsModel pins the exactEntry.spread rule under both
@@ -159,10 +168,10 @@ func spreadCase(t *testing.T, decide bool, faults *faultpoint.Registry) *Cache {
 // which then answers a different group; a second hit adds no duplicate.
 func TestFirstExactHitSpreadsModel(t *testing.T) {
 	for _, decide := range []bool{false, true} {
-		c := spreadCase(t, decide, nil)
+		c, b := spreadCase(t, decide, nil)
 		s := c.Stats()
-		if s.Misses != 0 || s.ExactHits != 2 || s.ModelHits != 1 {
-			t.Fatalf("decide=%v: stats = %+v, want 2 exact hits, 1 model hit, no miss", decide, s)
+		if b.Count(engine.CacheMisses) != 0 || s.ExactHits != 2 || s.ModelHits != 1 {
+			t.Fatalf("decide=%v: stats = %+v, %d misses, want 2 exact hits, 1 model hit, no miss", decide, s, b.Count(engine.CacheMisses))
 		}
 		if len(c.models) != 1 {
 			t.Fatalf("decide=%v: reuse list holds %d models, want the one released model", decide, len(c.models))
@@ -173,9 +182,13 @@ func TestFirstExactHitSpreadsModel(t *testing.T) {
 	storm := func() *faultpoint.Registry {
 		return faultpoint.New(faultpoint.Config{Seed: 2, Rates: map[faultpoint.Site]float64{faultpoint.QCacheMiss: 0.5}})
 	}
-	full, lean := spreadCase(t, false, storm()), spreadCase(t, true, storm())
-	if sf, sl := workStats(full.Stats()), workStats(lean.Stats()); sf != sl {
+	full, bFull := spreadCase(t, false, storm())
+	lean, bLean := spreadCase(t, true, storm())
+	if sf, sl := full.Stats(), lean.Stats(); sf != sl {
 		t.Fatalf("under qcache.miss: CheckSat %+v, Decide %+v", sf, sl)
+	}
+	if ctr, ok := workDiff(bFull, bLean); !ok {
+		t.Fatalf("under qcache.miss: budget counter %d: CheckSat %d, Decide %d", ctr, bFull.Count(ctr), bLean.Count(ctr))
 	}
 	if len(full.models) != len(lean.models) {
 		t.Fatalf("under qcache.miss: reuse lists hold %d vs %d models", len(full.models), len(lean.models))
@@ -196,19 +209,20 @@ func TestDecideExactHitAllocations(t *testing.T) {
 	}
 	in := bv.NewInterner()
 	c := New(in)
+	b := engine.NewBudget(nil, engine.Limits{})
 	var q []*bv.Bool
 	for i := 0; i < 4; i++ {
 		x := in.Var(fmt.Sprintf("x%d", i), 8)
 		q = append(q, in.Ult(in.Byte(byte(10*i)), x), in.Ne(x, in.Byte(byte(10*i+1))))
 	}
 	for i := 0; i < 2; i++ { // solve, then release the models on first hit
-		if st := c.Decide(nil, q...); st != sat.Sat {
+		if st := c.Decide(b, q...); st != sat.Sat {
 			t.Fatalf("warm-up %d = %v", i, st)
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() { c.Decide(nil, q...) })
-	if s := c.Stats(); s.Groups != 4*int64(s.Queries) || s.Misses != 4 {
-		t.Fatalf("stats = %+v, want 4 groups per query, each solved once", s)
+	allocs := testing.AllocsPerRun(100, func() { c.Decide(b, q...) })
+	if s := b.Spend(); s.QCacheGroups != 4*s.QCacheQueries || s.QCacheMisses != 4 {
+		t.Fatalf("spend = %+v, want 4 groups per query, each solved once", s)
 	}
 	if allocs > 2 {
 		t.Fatalf("warmed exact-hit Decide allocates %v times, want ≤ 2", allocs)

@@ -99,13 +99,6 @@ func streams(t *testing.T) []stream {
 	return out
 }
 
-// workStats is Stats without the wall-clock fields, the only ones two
-// caches doing the same work may disagree on.
-func workStats(s qcache.Stats) qcache.Stats {
-	s.BlastTime, s.SearchTime = 0, 0
-	return s
-}
-
 // seededStore returns an in-memory query store holding the verdicts of the
 // first half of the stream, written by a throwaway cache.
 func seededStore(s stream) *diskcache.Store {
@@ -141,8 +134,8 @@ func TestExtendMatchesDecide(t *testing.T) {
 	}
 	for _, v := range []variant{{"plain", 0, false}, {"qcache.miss=0.2", 0.2, false}, {"disk", 0, true}} {
 		t.Run(v.name, func(t *testing.T) {
-			var total qcache.Stats
-			var diskHits int64
+			var total engine.Spend
+			var hits qcache.Stats
 			for _, s := range all {
 				dec, ext := qcache.New(s.in), qcache.New(s.in)
 				if v.rate > 0 {
@@ -170,7 +163,7 @@ func TestExtendMatchesDecide(t *testing.T) {
 					if got == sat.Unsat && p != nil {
 						t.Fatalf("%s query %d: Extend returned a path with Unsat", s.name, i)
 					}
-					if sd, se := workStats(dec.Stats()), workStats(ext.Stats()); sd != se {
+					if sd, se := dec.Stats(), ext.Stats(); sd != se {
 						t.Fatalf("%s query %d: stats diverged\nDecide %+v\nExtend %+v", s.name, i, sd, se)
 					}
 					if sd, se := bDec.Spend(), bExt.Spend(); sd != se {
@@ -180,14 +173,17 @@ func TestExtendMatchesDecide(t *testing.T) {
 						t.Fatalf("%s query %d: model-reuse lists hold %d vs %d models", s.name, i, nd, ne)
 					}
 				}
-				total.Add(ext.Stats())
-				diskHits += bExt.Count(engine.DiskHits)
+				total.Add(bExt.Spend())
+				es := ext.Stats()
+				hits.ExactHits += es.ExactHits
+				hits.ModelHits += es.ModelHits
+				hits.SubsetHits += es.SubsetHits
 			}
-			if total.ExactHits == 0 || total.Misses == 0 || v.disk && diskHits == 0 {
-				t.Fatalf("streams too narrow: %+v, %d disk hits", total, diskHits)
+			if hits.ExactHits == 0 || total.QCacheMisses == 0 || v.disk && total.DiskHits == 0 {
+				t.Fatalf("streams too narrow: %+v, %+v", hits, total)
 			}
 			t.Logf("%d streams, %d queries, %d groups: %d exact, %d model, %d subset hits, %d misses",
-				len(all), total.Queries, total.Groups, total.ExactHits, total.ModelHits, total.SubsetHits, total.Misses)
+				len(all), total.QCacheQueries, total.QCacheGroups, hits.ExactHits, hits.ModelHits, hits.SubsetHits, total.QCacheMisses)
 		})
 	}
 }
@@ -200,6 +196,8 @@ func TestExtendMatchesDecide(t *testing.T) {
 func TestPruneConjunctsIsRegionLocal(t *testing.T) {
 	checked, split := 0, 0
 	for _, s := range streams(t) {
+		b := engine.NewBudget(nil, engine.Limits{})
+		s.in.SetBudget(b) // the interner charges its pruning fusions here
 		for i, st := range s.steps {
 			var conj []*bv.Bool
 			for _, cj := range bv.Conjuncts(nil, s.in.SimplifyBool(st.f)) {
@@ -211,9 +209,9 @@ func TestPruneConjunctsIsRegionLocal(t *testing.T) {
 				continue
 			}
 			whole := slices.Clone(conj)
-			f0 := s.in.SimplifyStats().Fusions
+			f0 := b.Count(engine.IteFusions)
 			s.in.PruneConjuncts(whole)
-			f1 := s.in.SimplifyStats().Fusions
+			f1 := b.Count(engine.IteFusions)
 
 			regions := regionsOf(conj)
 			if len(regions) > 1 {
@@ -230,7 +228,7 @@ func TestPruneConjunctsIsRegionLocal(t *testing.T) {
 					byRegion[j] = part[k]
 				}
 			}
-			f2 := s.in.SimplifyStats().Fusions
+			f2 := b.Count(engine.IteFusions)
 			if !slices.Equal(whole, byRegion) {
 				t.Fatalf("%s query %d: pruning by region differs from pruning the whole conjunction", s.name, i)
 			}
@@ -307,7 +305,7 @@ func TestExtendStaleOrForeignParent(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s: Decide %v, Extend %v", label, want, got)
 		}
-		if sd, se := workStats(dec.Stats()), workStats(ext.Stats()); sd != se {
+		if sd, se := dec.Stats(), ext.Stats(); sd != se {
 			t.Fatalf("%s: stats diverged\nDecide %+v\nExtend %+v", label, sd, se)
 		}
 		if sd, se := bDec.Spend(), bExt.Spend(); sd != se {
@@ -358,18 +356,22 @@ func TestExtendStaleOrForeignParent(t *testing.T) {
 func TestExtendKeepsGroupOrder(t *testing.T) {
 	in := bv.NewInterner()
 	dec, ext := qcache.New(in), qcache.New(in)
+	bDec, bExt := engine.NewBudget(nil, engine.Limits{}), engine.NewBudget(nil, engine.Limits{})
 	s0, s1, s2 := in.Var("s[0]", 8), in.Var("s[1]", 8), in.Var("s[2]", 8)
 	base := in.BAndAll(in.Ult(s0, in.Byte(5)), in.Ne(s1, in.Byte(0)), in.Ult(s2, in.Byte(9)))
-	dec.Decide(nil, base)
-	_, p := ext.Extend(nil, nil, base)
+	dec.Decide(bDec, base)
+	_, p := ext.Extend(bExt, nil, base)
 	f := in.BAnd2(base, in.Ult(in.Byte(10), s0))
-	if st := dec.Decide(nil, f); st != sat.Unsat {
+	if st := dec.Decide(bDec, f); st != sat.Unsat {
 		t.Fatalf("Decide = %v, want unsat", st)
 	}
-	if st, _ := ext.Extend(nil, p, f); st != sat.Unsat {
+	if st, _ := ext.Extend(bExt, p, f); st != sat.Unsat {
 		t.Fatalf("Extend = %v, want unsat", st)
 	}
-	if sd, se := workStats(dec.Stats()), workStats(ext.Stats()); sd != se {
+	if sd, se := dec.Stats(), ext.Stats(); sd != se {
 		t.Fatalf("stats diverged\nDecide %+v\nExtend %+v", sd, se)
+	}
+	if sd, se := bDec.Spend(), bExt.Spend(); sd != se {
+		t.Fatalf("budget counters diverged\nDecide %+v\nExtend %+v", sd, se)
 	}
 }

@@ -54,57 +54,17 @@ const (
 	maxPruneConjuncts = 64      // conjunct count past which guard pruning is skipped
 )
 
-// Stats is a snapshot of cache effectiveness and solver-time accounting.
+// Stats is a snapshot of the cache's per-rule reuse: which rule answered
+// each hit, and the largest slice seen. The work counts (queries, groups,
+// hits, misses, rebuilds, conflicts) are charged to the query's budget
+// instead; a Cache keeps no copy of them.
 type Stats struct {
-	// Queries counts CheckSat and Decide calls; Groups counts the
-	// independent slices they decomposed into (each group is one potential
-	// solver query).
-	Queries int64
-	Groups  int64
-	// ExactHits, ModelHits and SubsetHits partition the hits by reuse rule;
-	// Misses counts groups that reached the SAT solver.
+	// ExactHits, ModelHits and SubsetHits partition the hits by reuse rule.
 	ExactHits  int64
 	ModelHits  int64
 	SubsetHits int64
-	Misses     int64
 	// MaxGroup is the largest slice (in conjuncts) seen.
 	MaxGroup int
-	// Rebuilds counts incremental-solver resets at the var cap.
-	Rebuilds int64
-	// BlastTime is time spent Tseitin-encoding, SearchTime time spent in
-	// CDCL search, Conflicts the conflicts burned by cache-owned solving.
-	BlastTime  time.Duration
-	SearchTime time.Duration
-	Conflicts  int64
-}
-
-// Hits returns the total hits across all reuse rules.
-func (s Stats) Hits() int64 { return s.ExactHits + s.ModelHits + s.SubsetHits }
-
-// HitRate returns hits / (hits + misses), or 0 before any group was decided.
-func (s Stats) HitRate() float64 {
-	total := s.Hits() + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits()) / float64(total)
-}
-
-// Add accumulates other into s (for aggregating per-pipeline snapshots).
-func (s *Stats) Add(other Stats) {
-	s.Queries += other.Queries
-	s.Groups += other.Groups
-	s.ExactHits += other.ExactHits
-	s.ModelHits += other.ModelHits
-	s.SubsetHits += other.SubsetHits
-	s.Misses += other.Misses
-	if other.MaxGroup > s.MaxGroup {
-		s.MaxGroup = other.MaxGroup
-	}
-	s.Rebuilds += other.Rebuilds
-	s.BlastTime += other.BlastTime
-	s.SearchTime += other.SearchTime
-	s.Conflicts += other.Conflicts
 }
 
 // exactEntry is a cached group verdict in canonical form: vals holds the
@@ -179,14 +139,11 @@ type Cache struct {
 	scr              sliceScratch
 	pre              prepScratch
 
-	// Metric handles, lazily bound from the budget's registry on the first
-	// query that carries one (hits/misses are mirrored by the budget itself;
-	// these cover the cache-shape metrics). All nil while observability is
-	// off — writes are nil-safe no-ops.
+	// Shape instruments, lazily bound from the budget's registry on the
+	// first query that carries one: they are a gauge and a histogram, not
+	// counters, so the ledger does not hold them. Nil (no-op) while
+	// observability is off.
 	boundMetrics *obs.Metrics
-	mQueries     *obs.Counter
-	mGroups      *obs.Counter
-	mRebuilds    *obs.Counter
 	gMaxGroup    *obs.Gauge
 	hSolveNs     *obs.Histogram
 }
@@ -242,18 +199,15 @@ func (c *Cache) Stats() Stats {
 // Interner returns the interner this cache is scoped to.
 func (c *Cache) Interner() *bv.Interner { return c.in }
 
-// bindMetrics resolves the cache-shape instruments from the budget's
-// registry, re-resolving only when the registry changes (per-pipeline caches
-// see one registry for their lifetime). Caller holds c.mu.
+// bindMetrics resolves the shape instruments from the budget's registry,
+// re-resolving only when the registry changes (per-pipeline caches see one
+// registry for their lifetime). Caller holds c.mu.
 func (c *Cache) bindMetrics(b *engine.Budget) {
 	m := b.Metrics()
 	if m == c.boundMetrics {
 		return
 	}
 	c.boundMetrics = m
-	c.mQueries = m.Counter(obs.MQCacheQueries)
-	c.mGroups = m.Counter(obs.MQCacheGroups)
-	c.mRebuilds = m.Counter(obs.MQCacheRebuilds)
 	c.gMaxGroup = m.Gauge(obs.MQCacheMaxGroup)
 	c.hSolveNs = m.Histogram(obs.MQCacheSolveNs)
 }
@@ -270,10 +224,9 @@ func (c *Cache) CheckSat(b *engine.Budget, formulas ...*bv.Bool) (sat.Status, *b
 
 // Decide is CheckSat for callers that need only the status, such as a
 // test generator's per-path check (a symbolic executor's per-fork check
-// uses Extend). It does the same cache
-// work in the same order, so every Stats field but the two times comes out
-// as under CheckSat, and so do the budget counters and the solver's
-// conflicts. What it skips is building a model for the caller: an exact hit
+// uses Extend). It does the same cache work in the same order, so Stats,
+// the budget counters and the solver's conflicts come out as under
+// CheckSat. What it skips is building a model for the caller: an exact hit
 // translates its stored model only while that model still has to be
 // released into the model-reuse list, and the groups' models are never
 // merged.
@@ -314,8 +267,7 @@ func (c *Cache) query(b *engine.Budget, parent *Path, formulas []*bv.Bool, keep,
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bindMetrics(b)
-	c.stats.Queries++
-	c.mQueries.Inc()
+	b.Add(engine.CacheQueries, 1)
 	if b.Exceeded() {
 		return sat.Unknown, nil, nil
 	}
@@ -344,8 +296,7 @@ func (c *Cache) query(b *engine.Budget, parent *Path, formulas []*bv.Bool, keep,
 		return sat.Sat, merged, p
 	}
 
-	c.stats.Groups += int64(len(p.groups))
-	c.mGroups.Add(int64(len(p.groups)))
+	b.Add(engine.CacheGroups, int64(len(p.groups)))
 	for _, g := range p.groups {
 		if len(g.conj) > c.stats.MaxGroup {
 			c.stats.MaxGroup = len(g.conj)
@@ -418,7 +369,6 @@ func (c *Cache) checkGroup(b *engine.Budget, g *pathGroup, wantModel bool) (sat.
 
 	if c.faults.Fire(faultpoint.QCacheMiss) {
 		// Injected miss storm: bypass every reuse rule and pay the solver.
-		c.stats.Misses++
 		b.Add(engine.CacheMisses, 1)
 		return c.solveGroup(b, g)
 	}
@@ -472,7 +422,6 @@ func (c *Cache) checkGroup(b *engine.Budget, g *pathGroup, wantModel bool) (sat.
 		}
 	}
 
-	c.stats.Misses++
 	b.Add(engine.CacheMisses, 1)
 	return c.solveGroup(b, g)
 }
@@ -537,12 +486,10 @@ func (c *Cache) solveGroup(b *engine.Budget, g *pathGroup) (sat.Status, *bv.Assi
 	if c.solver.NumSATVars() > maxSolverVars {
 		c.solver = bv.NewSolver()
 		c.solver.Faults = c.faults
-		c.stats.Rebuilds++
-		c.mRebuilds.Inc()
+		b.Add(engine.CacheRebuilds, 1)
 	}
 	c.solver.Budget = b
 
-	blastStart := time.Now()
 	blast0 := c.solver.BlastHits()
 	lits := make([]sat.Lit, len(g.conj))
 	for i, cj := range g.conj {
@@ -557,15 +504,10 @@ func (c *Cache) solveGroup(b *engine.Budget, g *pathGroup) (sat.Status, *bv.Assi
 		lits[i] = c.solver.Lit(c.in.SimplifyBool(cj))
 	}
 	b.Add(engine.BlastHits, c.solver.BlastHits()-blast0)
-	c.stats.BlastTime += time.Since(blastStart)
 
 	searchStart := time.Now()
-	before := c.solver.Conflicts()
 	st := c.solver.CheckAssumingLits(lits...)
-	c.stats.Conflicts += c.solver.Conflicts() - before
-	searchDur := time.Since(searchStart)
-	c.stats.SearchTime += searchDur
-	c.hSolveNs.Observe(int64(searchDur))
+	c.hSolveNs.Observe(int64(time.Since(searchStart)))
 
 	switch st {
 	case sat.Sat:

@@ -13,20 +13,21 @@ import (
 func TestExactHit(t *testing.T) {
 	in := bv.NewInterner()
 	c := New(in)
+	b := engine.NewBudget(nil, engine.Limits{})
 	x := in.Var("x", 8)
 	f := in.Eq(x, in.Byte(7))
 
-	st, m := c.CheckSat(nil, f)
+	st, m := c.CheckSat(b, f)
 	if st != sat.Sat || m.Terms["x"] != 7 {
 		t.Fatalf("first CheckSat = %v %v", st, m)
 	}
-	st, m = c.CheckSat(nil, f)
+	st, m = c.CheckSat(b, f)
 	if st != sat.Sat || m.Terms["x"] != 7 {
 		t.Fatalf("second CheckSat = %v %v", st, m)
 	}
 	s := c.Stats()
-	if s.ExactHits != 1 || s.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 exact hit / 1 miss", s)
+	if s.ExactHits != 1 || b.Count(engine.CacheMisses) != 1 {
+		t.Fatalf("stats = %+v, %d misses, want 1 exact hit / 1 miss", s, b.Count(engine.CacheMisses))
 	}
 }
 
@@ -77,13 +78,14 @@ func TestSubsetUnsatHit(t *testing.T) {
 func TestIndependenceSlicing(t *testing.T) {
 	in := bv.NewInterner()
 	c := New(in)
+	b := engine.NewBudget(nil, engine.Limits{})
 	x, y, z := in.Var("x", 8), in.Var("y", 8), in.Var("z", 8)
 	// {x}, {y,z} are independent: two groups.
 	fx := in.Eq(x, in.Byte(3))
 	fyz := in.Ult(y, z)
 	fz := in.Ult(z, in.Byte(100))
 
-	st, m := c.CheckSat(nil, fx, fyz, fz)
+	st, m := c.CheckSat(b, fx, fyz, fz)
 	if st != sat.Sat {
 		t.Fatalf("CheckSat = %v", st)
 	}
@@ -93,12 +95,11 @@ func TestIndependenceSlicing(t *testing.T) {
 	if !(m.Terms["y"] < m.Terms["z"] && m.Terms["z"] < 100) {
 		t.Fatalf("model y=%d z=%d violates constraints", m.Terms["y"], m.Terms["z"])
 	}
-	s := c.Stats()
-	if s.Groups != 2 {
-		t.Fatalf("groups = %d, want 2", s.Groups)
+	if groups := b.Count(engine.CacheGroups); groups != 2 {
+		t.Fatalf("groups = %d, want 2", groups)
 	}
 	// Re-querying just the x-slice hits exactly.
-	if st, _ := c.CheckSat(nil, fx); st != sat.Sat {
+	if st, _ := c.CheckSat(b, fx); st != sat.Sat {
 		t.Fatal("x-slice re-query failed")
 	}
 	if s := c.Stats(); s.ExactHits < 1 {
@@ -128,38 +129,40 @@ func TestSlicingDoesNotLeakOtherGroupsVars(t *testing.T) {
 func TestBAndTreeNormalization(t *testing.T) {
 	in := bv.NewInterner()
 	c := New(in)
+	bud := engine.NewBudget(nil, engine.Limits{})
 	x := in.Var("x", 8)
 	a := in.Ult(x, in.Byte(10))
 	b := in.Ult(in.Byte(2), x)
 	// The same constraint set as one BAnd tree and as separate formulas
 	// must key identically.
-	if st, _ := c.CheckSat(nil, in.BAnd2(a, b)); st != sat.Sat {
+	if st, _ := c.CheckSat(bud, in.BAnd2(a, b)); st != sat.Sat {
 		t.Fatal("tree query failed")
 	}
-	if st, _ := c.CheckSat(nil, a, b); st != sat.Sat {
+	if st, _ := c.CheckSat(bud, a, b); st != sat.Sat {
 		t.Fatal("flat query failed")
 	}
 	s := c.Stats()
-	if s.ExactHits != 1 || s.Misses != 1 {
-		t.Fatalf("stats = %+v, want the flat query to hit the tree query's entry", s)
+	if s.ExactHits != 1 || bud.Count(engine.CacheMisses) != 1 {
+		t.Fatalf("stats = %+v, %d misses, want the flat query to hit the tree query's entry", s, bud.Count(engine.CacheMisses))
 	}
 }
 
 func TestTrivialConstants(t *testing.T) {
 	in := bv.NewInterner()
 	c := New(in)
+	b := engine.NewBudget(nil, engine.Limits{})
 	x := in.Var("x", 8)
-	if st, m := c.CheckSat(nil); st != sat.Sat || m == nil {
+	if st, m := c.CheckSat(b); st != sat.Sat || m == nil {
 		t.Fatalf("empty query = %v %v", st, m)
 	}
-	if st, _ := c.CheckSat(nil, bv.False, in.Eq(x, in.Byte(1))); st != sat.Unsat {
+	if st, _ := c.CheckSat(b, bv.False, in.Eq(x, in.Byte(1))); st != sat.Unsat {
 		t.Fatal("False conjunct must be unsat without solving")
 	}
-	if st, _ := c.CheckSat(nil, bv.True); st != sat.Sat {
+	if st, _ := c.CheckSat(b, bv.True); st != sat.Sat {
 		t.Fatal("True-only query must be sat")
 	}
-	if s := c.Stats(); s.Misses != 0 {
-		t.Fatalf("stats = %+v, constants must not reach the solver", s)
+	if misses := b.Count(engine.CacheMisses); misses != 0 {
+		t.Fatalf("%d misses, constants must not reach the solver", misses)
 	}
 }
 
@@ -295,9 +298,10 @@ func TestAgainstDirectSolver(t *testing.T) {
 	// constraints true.
 	in := bv.NewInterner()
 	c := New(in)
+	b := engine.NewBudget(nil, engine.Limits{})
 	for iter, fs := range randomQueries(in, 11, 200) {
 		wantSt, _ := bv.CheckSat(nil, fs...)
-		gotSt, gotM := c.CheckSat(nil, fs...)
+		gotSt, gotM := c.CheckSat(b, fs...)
 		if gotSt != wantSt {
 			t.Fatalf("iter %d: cache says %v, direct solver says %v (formulas %v)", iter, gotSt, wantSt, fs)
 		}
@@ -310,11 +314,11 @@ func TestAgainstDirectSolver(t *testing.T) {
 			}
 		}
 	}
-	s := c.Stats()
-	if s.Hits() == 0 {
-		t.Fatalf("stats = %+v, expected some cache hits over 200 random queries", s)
+	s := b.Spend()
+	if s.QCacheHits == 0 {
+		t.Fatalf("spend = %+v, expected some cache hits over 200 random queries", s)
 	}
-	t.Logf("differential run: %d queries, %d groups, hit rate %.2f", s.Queries, s.Groups, s.HitRate())
+	t.Logf("differential run: %d queries, %d groups, %d hits, %d misses", s.QCacheQueries, s.QCacheGroups, s.QCacheHits, s.QCacheMisses)
 }
 
 func TestIncrementalPrefixSharing(t *testing.T) {
@@ -322,25 +326,23 @@ func TestIncrementalPrefixSharing(t *testing.T) {
 	// must not re-allocate SAT variables for the shared prefix.
 	in := bv.NewInterner()
 	c := New(in)
+	b := engine.NewBudget(nil, engine.Limits{})
 	x, y := in.Var("x", 8), in.Var("y", 8)
 	prefix := in.BAnd2(in.Ult(x, y), in.Ult(y, in.Byte(100)))
 	left := in.Eq(in.Xor(x, y), in.Byte(9))
 	right := in.BNot1(left)
 
-	if st, _ := c.CheckSat(nil, prefix, left); st != sat.Sat {
+	if st, _ := c.CheckSat(b, prefix, left); st != sat.Sat {
 		t.Fatal("left fork not sat")
 	}
-	conflictsAfterLeft := c.Stats().Conflicts
-	if st, _ := c.CheckSat(nil, prefix, right); st != sat.Sat {
+	if st, _ := c.CheckSat(b, prefix, right); st != sat.Sat {
 		t.Fatal("right fork not sat")
 	}
 	// Weak but real assertion: the solver persisted (no rebuild), so the
 	// prefix encoding was shared.
-	s := c.Stats()
-	if s.Rebuilds != 0 {
-		t.Fatalf("solver rebuilt during two forks: %+v", s)
+	if rebuilds := b.Count(engine.CacheRebuilds); rebuilds != 0 {
+		t.Fatalf("solver rebuilt %d times during two forks", rebuilds)
 	}
-	_ = conflictsAfterLeft
 }
 
 func TestBudgetCacheCounters(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stringloops/internal/bv"
+	"stringloops/internal/engine"
 	"stringloops/internal/sat"
 )
 
@@ -92,7 +93,8 @@ func buildQueries(in *bv.Interner, seed int64, n int) [][]*bv.Bool {
 // persistent-evaluator model-reuse scan.
 func TestVNChainMatchesDirectSolver(t *testing.T) {
 	const seed, n = 23, 150
-	in := bv.NewInterner()
+	b := engine.NewBudget(nil, engine.Limits{})
+	in := bv.NewInterner().SetBudget(b)
 	c := New(in)
 	for i, q := range buildQueries(in, seed, n) {
 		st, m := c.CheckSat(nil, q...)
@@ -109,7 +111,7 @@ func TestVNChainMatchesDirectSolver(t *testing.T) {
 			}
 		}
 	}
-	if in.SimplifyStats().Fusions == 0 {
+	if b.Count(engine.IteFusions) == 0 {
 		t.Fatal("the stream recorded no ite fusions; the vn rewrites were not exercised")
 	}
 	if hits := c.Stats().ModelHits; hits == 0 {

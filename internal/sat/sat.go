@@ -26,7 +26,6 @@ import (
 
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
-	"stringloops/internal/obs"
 )
 
 // Lit is a literal: variable index shifted left once, low bit 1 for negated.
@@ -570,9 +569,7 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 	propBase, decBase := s.propagations, s.decisions
 	defer func() {
 		s.Budget.Add(engine.Propagations, s.propagations-propBase)
-		if m := s.Budget.Metrics(); m != nil {
-			m.Counter(obs.MSatDecisions).Add(s.decisions - decBase)
-		}
+		s.Budget.Add(engine.Decisions, s.decisions-decBase)
 	}()
 	s.cancelUntil(0)
 	if !s.ok {

@@ -109,7 +109,6 @@ func (e *Engine) stringCall(s *state, f *cir.Func, in *cir.Instr) (handled bool,
 	// forkFound schedules the found (pointer result under cond) and miss
 	// (missVal or error under !cond) successors.
 	forkFound := func(found *bv.Bool, obj int, offTerm *bv.Term, missVal Value, missErr error) {
-		e.nForks.Add(1)
 		e.Budget.Add(engine.Forks, 1)
 		miss := s.fork()
 		s.cond = bvin.BAnd2(s.cond, found)

@@ -5,6 +5,7 @@ import (
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
+	"stringloops/internal/engine"
 )
 
 // These tests pin the liveness-pruning edge cases around park points: phi
@@ -31,7 +32,7 @@ func TestMergePhiEdgeUseMatchesConcrete(t *testing.T) {
 	const n = 5
 	f := lower(t, prevLoop)
 	paths, e := runMerged(t, f, n, false)
-	if e.Stats.Merges == 0 {
+	if e.Budget.Count(engine.Merges) == 0 {
 		t.Fatal("merged run reported zero merges")
 	}
 	if len(paths) > n+2 {
@@ -87,7 +88,7 @@ func TestMergeNestedJoinDeadTempsMatchesConcrete(t *testing.T) {
 	const n = 4
 	f := lower(t, nestedDeadLoop)
 	paths, e := runMerged(t, f, n, false)
-	if e.Stats.Merges == 0 {
+	if e.Budget.Count(engine.Merges) == 0 {
 		t.Fatal("merged run reported zero merges")
 	}
 	// Without pruning the dead temporaries, states reaching the loop header
@@ -165,7 +166,7 @@ func TestPruneDeadZeroesRegsAndDropsCells(t *testing.T) {
 // waste — they would make merged terms (and replay traces) depend on values
 // liveness says cannot matter.
 func TestZeroedDeadRegsNeverMintItes(t *testing.T) {
-	e := &Engine{In: tin}
+	e := &Engine{In: tin, Budget: engine.NewBudget(nil, engine.Limits{})}
 	shared := IntValue(tin.Var("v", 8))
 	ca, cb := tin.BoolVar("ca"), tin.BoolVar("cb")
 	mk := func(cond *bv.Bool, dead Value) *state {
@@ -177,7 +178,7 @@ func TestZeroedDeadRegsNeverMintItes(t *testing.T) {
 	}
 
 	// Pruned shape: the dead slot is zeroed on both sides.
-	before := e.nMergeItes.Load()
+	before := e.Budget.Count(engine.MergeItes)
 	ns, ok := e.mergeTwo(mk(ca, Value{}), mk(cb, Value{}))
 	if !ok {
 		t.Fatal("states with zeroed dead regs did not merge")
@@ -185,7 +186,7 @@ func TestZeroedDeadRegsNeverMintItes(t *testing.T) {
 	if !isZeroValue(ns.regs[1]) {
 		t.Fatalf("zeroed dead reg resurfaced as %+v", ns.regs[1])
 	}
-	if got := e.nMergeItes.Load(); got != before {
+	if got := e.Budget.Count(engine.MergeItes); got != before {
 		t.Fatalf("merging zeroed dead regs minted %d ites", got-before)
 	}
 
@@ -198,7 +199,7 @@ func TestZeroedDeadRegsNeverMintItes(t *testing.T) {
 	if ns.regs[1].Term.Kind == bv.KIte {
 		t.Fatal("half-zeroed slot minted an ite")
 	}
-	if got := e.nMergeItes.Load(); got != before {
+	if got := e.Budget.Count(engine.MergeItes); got != before {
 		t.Fatalf("half-zeroed merge charged %d ites", got-before)
 	}
 
@@ -211,7 +212,7 @@ func TestZeroedDeadRegsNeverMintItes(t *testing.T) {
 	if ns.regs[1].Term.Kind != bv.KIte {
 		t.Fatalf("unpruned differing regs merged to %+v, want an ite", ns.regs[1])
 	}
-	if got := e.nMergeItes.Load(); got != before+1 {
+	if got := e.Budget.Count(engine.MergeItes); got != before+1 {
 		t.Fatalf("unpruned merge charged %d ites, want 1", got-before)
 	}
 }

@@ -277,12 +277,8 @@ func (e *Engine) mergeTwo(a, b *state) (*state, bool) {
 	for _, k := range keys {
 		ns.cells[k] = e.mergeValue(a.cond, a.cells[k], b.cells[k], &ites)
 	}
-	e.nMerges.Add(1)
 	e.Budget.Add(engine.Merges, 1)
-	if ites > 0 {
-		e.nMergeItes.Add(int64(ites))
-		e.Budget.Add(engine.MergeItes, int64(ites))
-	}
+	e.Budget.Add(engine.MergeItes, int64(ites))
 	return ns, true
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
+	"stringloops/internal/engine"
 )
 
 // countLoop forks on every byte with both sides continuing, so enumeration
@@ -21,11 +22,13 @@ int countA(char* p) {
 }`
 
 // runMerged executes f on a symbolic string of capacity maxLen with state
-// merging enabled and returns the paths plus the engine (for Stats).
+// merging enabled and returns the paths plus the engine, whose budget holds
+// the run's work counts.
 func runMerged(t *testing.T, f *cir.Func, maxLen int, check bool) ([]Path, *Engine) {
 	t.Helper()
 	buf := SymbolicString(tin, "s", maxLen)
-	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}, CheckFeasibility: check, Config: Config{Merge: true}}
+	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}, CheckFeasibility: check, Config: Config{Merge: true},
+		Budget: engine.NewBudget(nil, engine.Limits{})}
 	paths, err := e.Run(f, []Value{PtrValue(0, tin.Int32(0))}, bv.True)
 	if err != nil {
 		t.Fatalf("merged run: %v", err)
@@ -45,14 +48,14 @@ func TestMergeCollapsesExponentialPaths(t *testing.T) {
 	if len(merged) > n+2 {
 		t.Fatalf("merged run should schedule O(n) paths, got %d (enumerated: %d)", len(merged), len(enum))
 	}
-	if e.Stats.Merges == 0 {
+	if e.Budget.Count(engine.Merges) == 0 {
 		t.Fatal("merged run reported zero merges")
 	}
-	if e.Stats.MergeItes == 0 {
+	if e.Budget.Count(engine.MergeItes) == 0 {
 		t.Fatal("merged run built zero merge ites")
 	}
-	if e.Stats.Forks >= len(enum) {
-		t.Fatalf("merged run forked %d times, no better than enumeration (%d paths)", e.Stats.Forks, len(enum))
+	if forks := e.Budget.Forks(); forks >= int64(len(enum)) {
+		t.Fatalf("merged run forked %d times, no better than enumeration (%d paths)", forks, len(enum))
 	}
 }
 
@@ -110,7 +113,7 @@ char* loopFunction(char* line) {
 	const n = 4
 	f := lower(t, src)
 	paths, e := runMerged(t, f, n, true)
-	if e.Stats.Merges == 0 {
+	if e.Budget.Count(engine.Merges) == 0 {
 		t.Fatal("figure 1 merged run reported zero merges")
 	}
 

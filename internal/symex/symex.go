@@ -14,8 +14,6 @@ package symex
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
@@ -76,24 +74,6 @@ var (
 	ErrPathLimit = fmt.Errorf("symex: path limit exceeded (%w)", engine.ErrBudget)
 )
 
-// Stats counts work done by a run. It is a view refreshed from the engine's
-// atomic counters at the end of every Run, so reading it between runs is
-// race-free even when the runs happened on different goroutines.
-type Stats struct {
-	Paths         int
-	Forks         int
-	SolverQueries int
-	SolverTime    time.Duration
-	Steps         int
-	// Merges counts state pairs folded at join points; MergeItes counts the
-	// ite terms those folds built. Both stay zero unless Engine.Merge is set.
-	Merges    int
-	MergeItes int
-	// Cache is a snapshot of the engine's query cache after the run (zero
-	// when the engine solves without a cache).
-	Cache qcache.Stats
-}
-
 // Engine executes functions against a fixed set of symbolic data objects.
 type Engine struct {
 	// Config carries the pipeline settings: Merge picks the scheduler and
@@ -118,8 +98,10 @@ type Engine struct {
 	// terms came from.
 	In *bv.Interner
 	// Budget carries run-wide cancellation and resource accounting: the fork
-	// loop polls it between states, forks are charged to it, and it is
-	// threaded into every feasibility query. Nil means unlimited.
+	// loop polls it between states, and it is threaded into every
+	// feasibility query. It is also the one place the run's work counts
+	// (runs, paths, steps, forks, feasibility queries, merges) are kept.
+	// Nil means unlimited and uncounted.
 	Budget *engine.Budget
 	// Cache, when non-nil, routes feasibility queries through the
 	// slicing/caching/incremental solver chain instead of a fresh solver per
@@ -127,36 +109,11 @@ type Engine struct {
 	// path prefix then re-use its encoding and cached verdicts.
 	Cache *qcache.Cache
 
-	// Stats is the exported view of the run counters; Run refreshes it from
-	// the atomic counters below on exit. Do not increment it directly.
-	Stats Stats
-
-	// Run counters. Atomics, because drivers historically shared one Engine
-	// value across -j workers; the exported Stats view above used to be
-	// incremented in place, which raced. Hot-path counts (steps) are
-	// accumulated state-locally and flushed here in batches, so the
-	// instruction loop carries no atomics.
-	nPaths     atomic.Int64
-	nForks     atomic.Int64
-	nQueries   atomic.Int64
-	nSteps     atomic.Int64
-	nSolveNs   atomic.Int64
-	nMerges    atomic.Int64
-	nMergeItes atomic.Int64
-
-	// Metric mirrors, lazily bound from the budget's registry at Run entry.
-	// Nil (no-op) while observability is off.
-	boundMetrics *obs.Metrics
-	mPaths       *obs.Counter
-	mSteps       *obs.Counter
-	mQueries     *obs.Counter
-	mRuns        *obs.Counter
-
 	// Run-local plumbing, rebound at every Run entry: sched is the active
 	// work-list policy (stackSched, or mergeSched under Merge), emit appends
 	// a terminal path to the run's result set. Fields rather than parameters
 	// so branch and the intrinsics need not thread them; an Engine runs one
-	// Run at a time (injectedErr below already assumes this).
+	// Run at a time.
 	sched scheduler
 	emit  func(*state, Value, error)
 	// injectedErr latches a SymexForkFail firing inside branch (which has
@@ -208,12 +165,10 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 			Seq:  e.Faults.Fired(faultpoint.SymexPanic),
 		})
 	}
-	e.bindMetrics()
-	e.mRuns.Inc()
+	e.Budget.Add(engine.SymexRuns, 1)
 	span := e.Budget.Tracer().Start("phase/symex", obs.Attr{Key: "func", Val: f.Name})
 	defer func() {
-		e.refreshStats()
-		span.SetInt("paths", int64(e.Stats.Paths))
+		span.SetInt("paths", int64(len(rpaths)))
 		span.End()
 	}()
 	e.injectedErr = nil
@@ -274,8 +229,7 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 
 	e.emit = func(s *state, ret Value, err error) {
 		paths = append(paths, Path{Cond: s.cond, Ret: ret, Err: err})
-		e.nPaths.Add(1)
-		e.mPaths.Inc()
+		e.Budget.Add(engine.Paths, 1)
 	}
 	emit := e.emit
 	if e.Merge {
@@ -300,9 +254,10 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 			break
 		}
 		curState = s
-		// Steps accumulate on the state and the segment's delta is flushed
-		// after the instruction loop — one batched atomic add per scheduled
-		// segment keeps the per-instruction path free of shared writes.
+		// Steps accumulate on the state and the segment's delta is charged
+		// after the instruction loop — one batched budget charge per
+		// scheduled segment keeps the per-instruction path free of shared
+		// writes.
 		stepsBase := s.steps
 
 		// Evaluate phis simultaneously on block entry (already done at park
@@ -424,10 +379,7 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 				break instrLoop
 			}
 		}
-		if d := int64(s.steps - stepsBase); d > 0 {
-			e.nSteps.Add(d)
-			e.mSteps.Add(d)
-		}
+		e.Budget.Add(engine.Steps, int64(s.steps-stepsBase))
 	}
 	// A fork failure on the final worklist item drains the list before the
 	// loop head re-checks the latch; surface it here too, or a partial path
@@ -460,7 +412,6 @@ func (e *Engine) branch(s *state, cond *bv.Bool, thenB, elseB *cir.Block) {
 		take(s, bv.True, elseB)
 		return
 	}
-	e.nForks.Add(1)
 	e.Budget.Add(engine.Forks, 1)
 	if e.Faults.Fire(faultpoint.SymexForkFail) {
 		// A failed fork poisons the whole run, not just this state: partial
@@ -525,9 +476,7 @@ func (e *Engine) feasible(s *state, cond *bv.Bool) bool {
 	default:
 		cond = sc
 	}
-	e.nQueries.Add(1)
-	e.mQueries.Inc()
-	start := time.Now()
+	e.Budget.Add(engine.SolverQueries, 1)
 	var st sat.Status
 	if e.Cache != nil {
 		// The cache simplifies cond again, exactly as Decide would; the
@@ -537,37 +486,7 @@ func (e *Engine) feasible(s *state, cond *bv.Bool) bool {
 	} else {
 		st, _ = bv.CheckSat(e.Budget, cond)
 	}
-	e.nSolveNs.Add(int64(time.Since(start)))
 	return st != sat.Unsat
-}
-
-// bindMetrics resolves the engine's metric mirrors from the budget's
-// registry, re-resolving only when the registry changes.
-func (e *Engine) bindMetrics() {
-	m := e.Budget.Metrics()
-	if m == e.boundMetrics {
-		return
-	}
-	e.boundMetrics = m
-	e.mPaths = m.Counter(obs.MSymexPaths)
-	e.mSteps = m.Counter(obs.MSymexSteps)
-	e.mQueries = m.Counter(obs.MSymexQueries)
-	e.mRuns = m.Counter(obs.MSymexRuns)
-}
-
-// refreshStats rebuilds the exported Stats view from the atomic counters
-// (and the cache snapshot); Run calls it on exit.
-func (e *Engine) refreshStats() {
-	e.Stats.Paths = int(e.nPaths.Load())
-	e.Stats.Forks = int(e.nForks.Load())
-	e.Stats.SolverQueries = int(e.nQueries.Load())
-	e.Stats.Steps = int(e.nSteps.Load())
-	e.Stats.SolverTime = time.Duration(e.nSolveNs.Load())
-	e.Stats.Merges = int(e.nMerges.Load())
-	e.Stats.MergeItes = int(e.nMergeItes.Load())
-	if e.Cache != nil {
-		e.Stats.Cache = e.Cache.Stats()
-	}
 }
 
 func (e *Engine) operand(s *state, f *cir.Func, o cir.Operand) Value {
@@ -650,7 +569,6 @@ func (e *Engine) selectByte(s *state, buf []*bv.Term, off *bv.Term) (*bv.Term, e
 	// the overflowing models would leave concrete inputs no path claims.
 	if oob := bvin.BAnd2(s.cond, bvin.BNot1(inBounds)); oob != bv.False {
 		if o := (&state{cond: oob, path: parent}); !e.CheckFeasibility || e.feasible(o, oob) {
-			e.nForks.Add(1)
 			e.emit(o, Value{}, ErrOOB)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"stringloops/internal/bv"
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
+	"stringloops/internal/engine"
 )
 
 // tin is the shared interner for this package's tests.
@@ -281,12 +282,17 @@ char *find(char *s) {
   return s;
 }`)
 	buf := SymbolicString(tin, "s", 3)
-	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}, CheckFeasibility: true}
-	if _, err := e.Run(f, []Value{PtrValue(0, tin.Int32(0))}, bv.True); err != nil {
+	b := engine.NewBudget(nil, engine.Limits{})
+	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}, CheckFeasibility: true, Budget: b}
+	paths, err := e.Run(f, []Value{PtrValue(0, tin.Int32(0))}, bv.True)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats.Paths == 0 || e.Stats.Forks == 0 || e.Stats.SolverQueries == 0 || e.Stats.Steps == 0 {
-		t.Fatalf("stats not counted: %+v", e.Stats)
+	if b.Count(engine.SymexRuns) != 1 || b.Count(engine.Paths) != int64(len(paths)) {
+		t.Fatalf("runs/paths not counted: %+v for %d paths", b.Spend(), len(paths))
+	}
+	if b.Forks() == 0 || b.Count(engine.SolverQueries) == 0 || b.Count(engine.Steps) == 0 {
+		t.Fatalf("stats not counted: %+v", b.Spend())
 	}
 }
 
