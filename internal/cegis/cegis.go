@@ -125,6 +125,7 @@ var (
 type Synthesizer struct {
 	opts     Options
 	loop     *cir.Func
+	run      *symex.Runner // runs loop concretely: Original(NULL), Original(cex)
 	symStr   *strsolver.SymString
 	origSym  []symex.LoopPath
 	origNull vocab.Result
@@ -184,7 +185,8 @@ func New(loop *cir.Func, opts Options) (*Synthesizer, error) {
 	}
 
 	// Original(NULL), computed concretely once (§2: loops may guard NULL).
-	s.origNull, _ = symex.RunConcrete(loop, nil, 0)
+	s.run = symex.NewRunner(loop)
+	s.origNull, _ = s.run.Run(nil, 0)
 
 	// The loop's symbolic paths on a fresh symbolic string of max_ex_size
 	// (line 10 of Algorithm 2), merged: computed once, reused per candidate.
@@ -678,7 +680,7 @@ func (s *Synthesizer) addCex(cex []byte) error {
 	if err != nil {
 		return fmt.Errorf("cegis: counterexample: %w", err)
 	}
-	want, _ := symex.RunConcrete(s.loop, cex, 0) // Original(cex)
+	want, _ := s.run.Run(cex, 0) // Original(cex)
 	s.cexs = append(s.cexs, cex)
 	s.cexWant = append(s.cexWant, want)
 	s.cexStr = append(s.cexStr, cs)

@@ -469,15 +469,15 @@ func TestIntrinsics(t *testing.T) {
 		{"toupper", '!', '!'},
 	}
 	for _, c := range cases {
-		got, err := callIntrinsic(c.name, []CVal{IntVal(c.c)})
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		got, flt := NewMemory().call(intrinsicOf(c.name), []CVal{IntVal(c.c), {}, {}}, 1)
+		if flt != 0 {
+			t.Fatalf("%s: %v", c.name, flt.err(&Instr{Sub: c.name}))
 		}
 		if got.Int != c.want {
 			t.Errorf("%s(%q) = %d, want %d", c.name, byte(c.c), got.Int, c.want)
 		}
 	}
-	if _, err := callIntrinsic("unknown_fn", []CVal{IntVal(0)}); err == nil {
+	if _, flt := NewMemory().call(inUnknown, []CVal{IntVal(0), {}, {}}, 1); flt != fUnknownFunc {
 		t.Error("unknown function should error")
 	}
 }

@@ -1,0 +1,220 @@
+package cir
+
+// This file is the machine's library: the string.h functions over data
+// objects, so idiom-rewritten and refactored code runs concretely, and the
+// ctype.h-style character functions loops call. The character functions
+// take and return ints, so the automatic pointer-call filter keeps loops
+// using them — exactly the loops whose synthesis needs meta-characters
+// (§2.2).
+
+type intrinsic uint8
+
+const (
+	inStrlen intrinsic = iota
+	inStrchr
+	inStrrchr
+	inRawmemchr
+	inStrspn
+	inStrcspn
+	inStrpbrk
+	inMemchr
+	inIsdigit // the first character function
+	inIsspace
+	inIsblank
+	inIsupper
+	inIslower
+	inIsalpha
+	inIsalnum
+	inToupper
+	inTolower
+	inPutchar
+	inUnknown
+)
+
+// intrinsicNames names each intrinsic (an array: no start-up cost).
+var intrinsicNames = [...]string{
+	inStrlen: "strlen", inStrchr: "strchr", inStrrchr: "strrchr",
+	inRawmemchr: "rawmemchr", inStrspn: "strspn", inStrcspn: "strcspn",
+	inStrpbrk: "strpbrk", inMemchr: "memchr",
+	inIsdigit: "isdigit", inIsspace: "isspace", inIsblank: "isblank",
+	inIsupper: "isupper", inIslower: "islower", inIsalpha: "isalpha",
+	inIsalnum: "isalnum", inToupper: "toupper", inTolower: "tolower",
+	inPutchar: "putchar",
+}
+
+// intrinsicOf maps a called function's name to its intrinsic.
+func intrinsicOf(name string) intrinsic {
+	for k, n := range intrinsicNames {
+		if n == name {
+			return intrinsic(k)
+		}
+	}
+	return inUnknown
+}
+
+// call runs intrinsic k on the first n of args; args holds at least three
+// values, zero past n. Undefined behaviour of the string functions (NULL or
+// unterminated arguments, rawmemchr scanning off the buffer) is fMemory.
+func (m *Memory) call(k intrinsic, args []CVal, n int) (CVal, fault) {
+	if k >= inIsdigit {
+		if n != 1 || args[0].IsPtr {
+			return CVal{}, fUnsupportedCall
+		}
+		return ctype(k, args[0].Int)
+	}
+	// raw returns the buffer and offset of pointer argument i; str also
+	// requires a terminator at or after the offset.
+	raw := func(i int) ([]byte, int, bool) {
+		p := args[i]
+		o := m.at(p)
+		if i >= n || o == nil || !o.isData {
+			return nil, 0, false
+		}
+		buf := o.data
+		if p.Off < 0 || p.Off > len(buf) {
+			return nil, 0, false
+		}
+		return buf, p.Off, true
+	}
+	str := func(i int) ([]byte, int, bool) {
+		buf, off, ok := raw(i)
+		if !ok {
+			return nil, 0, false
+		}
+		for k := off; k < len(buf); k++ {
+			if buf[k] == 0 {
+				return buf, off, true
+			}
+		}
+		return nil, 0, false
+	}
+	ptrAt := func(off int) CVal { return PtrVal(args[0].Obj, off) }
+
+	switch k {
+	case inStrlen:
+		buf, off, ok := str(0)
+		if !ok {
+			return CVal{}, fMemory
+		}
+		l := 0
+		for buf[off+l] != 0 {
+			l++
+		}
+		return IntVal(int64(l)), 0
+	case inStrchr, inStrrchr:
+		buf, off, ok := str(0)
+		if !ok {
+			return CVal{}, fMemory
+		}
+		c, last := byte(args[1].Int), -1
+		for i := off; ; i++ {
+			if buf[i] == c {
+				if k == inStrchr {
+					return ptrAt(i), 0
+				}
+				last = i
+			}
+			if buf[i] == 0 {
+				break
+			}
+		}
+		if last < 0 {
+			return NullVal(), 0
+		}
+		return ptrAt(last), 0
+	case inRawmemchr:
+		// No terminator check: scanning off the buffer is UB.
+		buf, off, ok := raw(0)
+		if !ok {
+			return CVal{}, fMemory
+		}
+		c := byte(args[1].Int)
+		for i := off; i < len(buf); i++ {
+			if buf[i] == c {
+				return ptrAt(i), 0
+			}
+		}
+		return CVal{}, fMemory
+	case inStrspn, inStrcspn, inStrpbrk:
+		buf, off, ok := str(0)
+		if !ok {
+			return CVal{}, fMemory
+		}
+		set, setOff, ok := str(1)
+		if !ok {
+			return CVal{}, fMemory
+		}
+		inSet := func(c byte) bool {
+			for k := setOff; set[k] != 0; k++ {
+				if set[k] == c {
+					return true
+				}
+			}
+			return false
+		}
+		if k == inStrpbrk {
+			for i := off; buf[i] != 0; i++ {
+				if inSet(buf[i]) {
+					return ptrAt(i), 0
+				}
+			}
+			return NullVal(), 0
+		}
+		l := 0
+		for buf[off+l] != 0 && inSet(buf[off+l]) == (k == inStrspn) {
+			l++
+		}
+		return IntVal(int64(l)), 0
+	case inMemchr:
+		buf, off, ok := raw(0)
+		if !ok {
+			return CVal{}, fMemory
+		}
+		c, l := byte(args[1].Int), int(args[2].Int)
+		for i := off; i < off+l && i < len(buf); i++ {
+			if buf[i] == c {
+				return ptrAt(i), 0
+			}
+		}
+		return NullVal(), 0
+	}
+	return CVal{}, fUnknownFunc
+}
+
+// ctype runs character function k on c.
+func ctype(k intrinsic, c int64) (CVal, fault) {
+	inRange := c >= 0 && c <= 255
+	b := byte(c)
+	digit := inRange && b >= '0' && b <= '9'
+	upper := inRange && b >= 'A' && b <= 'Z'
+	lower := inRange && b >= 'a' && b <= 'z'
+	switch k {
+	case inIsdigit:
+		return boolVal(digit), 0
+	case inIsspace:
+		return boolVal(inRange && (b == ' ' || b == '\t' || b == '\n' || b == '\r' || b == '\v' || b == '\f')), 0
+	case inIsblank:
+		return boolVal(inRange && (b == ' ' || b == '\t')), 0
+	case inIsupper:
+		return boolVal(upper), 0
+	case inIslower:
+		return boolVal(lower), 0
+	case inIsalpha:
+		return boolVal(upper || lower), 0
+	case inIsalnum:
+		return boolVal(digit || upper || lower), 0
+	case inToupper:
+		if lower {
+			return IntVal(c - 32), 0
+		}
+		return IntVal(c), 0
+	case inTolower:
+		if upper {
+			return IntVal(c + 32), 0
+		}
+		return IntVal(c), 0
+	case inPutchar:
+		return IntVal(c), 0 // I/O side effect modelled as a no-op
+	}
+	return CVal{}, fUnknownFunc
+}

@@ -1,5 +1,7 @@
 package cir
 
+import "slices"
+
 // Mem2Reg promotes alloca slots that are only loaded and stored into SSA
 // registers with phi nodes — the analog of LLVM's mem2reg pass, which the
 // paper applies before its loop filtering so that any remaining store must
@@ -55,10 +57,16 @@ func Mem2Reg(f *Func) {
 		slot  int
 	}
 	phis := map[phiKey]*Instr{}
+	// Slots in ascending order: phi order and register numbers must not
+	// depend on map iteration.
+	var slots []int
 	for slot, ok := range promotable {
-		if !ok {
-			continue
+		if ok {
+			slots = append(slots, slot)
 		}
+	}
+	slices.Sort(slots)
+	for _, slot := range slots {
 		var work []*Block
 		inWork := map[*Block]bool{}
 		for _, b := range f.Blocks {

@@ -383,8 +383,9 @@ var ErrSmokeUndefined = errors.New("core: loop has undefined behaviour on every 
 // the loop was lowered and is defined on at least one battery input.
 func smokeRun(f *cir.Func) ([]TestInput, error) {
 	var out []TestInput
+	run := symex.NewRunner(f)
 	for _, in := range smokeBattery {
-		r, _ := symex.RunConcrete(f, cstr.Terminate(in), 1<<16)
+		r, _ := run.Run(cstr.Terminate(in), 1<<16)
 		ti := TestInput{Input: in}
 		switch r.Kind {
 		case vocab.Null:

@@ -178,12 +178,7 @@ func checkSeed(seed uint64, o *Options) seedResult {
 	res.synthesized = t.HasSummary
 	res.memoryless = t.Memoryless
 
-	inputs := [][]byte{nil, {0}}
-	r := newRng(seed ^ 0x5bf03635) // decorrelated from Generate's stream
-	for i := 0; i < o.Inputs; i++ {
-		inputs = append(inputs, GenInput(r, p, o.MaxInputLen))
-	}
-
+	inputs := append([][]byte{nil, {0}}, SeedInputs(seed, p, o.Inputs, o.MaxInputLen)...)
 	seen := map[string]bool{}
 	for _, in := range inputs {
 		if o.Budget.Exceeded() {
@@ -200,6 +195,17 @@ func checkSeed(seed uint64, o *Options) seedResult {
 		}
 	}
 	return res
+}
+
+// SeedInputs returns the n random buffers a sweep checks seed's program p
+// on, each of content length up to maxLen (see GenInput).
+func SeedInputs(seed uint64, p *Prog, n, maxLen int) [][]byte {
+	r := newRng(seed ^ 0x5bf03635) // decorrelated from Generate's stream
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = GenInput(r, p, maxLen)
+	}
+	return out
 }
 
 func minimizeIf(f *Finding, p *Prog, o *Options) *Finding {

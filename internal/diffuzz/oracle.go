@@ -36,6 +36,7 @@ type Target struct {
 	MaxExSize  int
 
 	mu     sync.Mutex
+	run    *symex.Runner        // the concrete oracle's runner for F
 	paths  map[int]pathSet      // keyed by free content bytes (capacity - 1)
 	mpaths map[int]pathSet      // state-merged runs, same key (Options.Merge)
 	sym    *symex.Engine        // the symex oracle's engine over its own stack
@@ -205,7 +206,7 @@ func PrepareTarget(seed uint64, p *Prog, opts *Options) (*Target, *Finding) {
 // access is the invalid pointer (UB); any other interpreter error, and a
 // return that is neither NULL nor into the input, is an error.
 func runConcrete(t *Target, input []byte) (vocab.Result, bool, error) {
-	r, err := symex.RunConcrete(t.F, input, 1<<18)
+	r, err := t.concrete(input)
 	switch {
 	case err == nil, errors.Is(err, cir.ErrMemory):
 		return r, true, nil
@@ -215,6 +216,16 @@ func runConcrete(t *Target, input []byte) (vocab.Result, bool, error) {
 		return r, false, err
 	}
 	return r, false, fmt.Errorf("interpreter error: %v", err)
+}
+
+// concrete runs F on input on the target's one runner.
+func (t *Target) concrete(input []byte) (vocab.Result, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.run == nil {
+		t.run = symex.NewRunner(t.F)
+	}
+	return t.run.Run(input, 1<<18)
 }
 
 // Executor is one cross-checked execution strategy. Run returns the outcome

@@ -181,13 +181,20 @@ const concreteSteps = 1 << 16
 // InferSpec reads the candidate specification off the loop's behaviour on
 // the empty string and all single-character strings, checking the
 // single-character observations are internally consistent (the Q predicates
-// of §3.2). It returns nil and a reason when no specification fits.
+// of §3.2). It runs the loop once on each of those 256 strings. It returns
+// nil and a reason when no specification fits.
 func InferSpec(loop *cir.Func) (*Spec, string) {
 	var spec Spec
+	run := symex.NewRunner(loop)
+	// single[c] is the result on the string "c", read by both passes.
+	var single [256]vocab.Result
+	buf := []byte{0, 0}
 	// Exit set: characters on which the loop does not complete an iteration
 	// of a single-character string (Q0(c) is false).
 	for c := 1; c < 256; c++ {
-		r, _ := symex.RunConcrete(loop, []byte{byte(c), 0}, concreteSteps)
+		buf[0] = byte(c)
+		r, _ := run.Run(buf, concreteSteps)
+		single[c] = r
 		switch {
 		case r.Kind == vocab.Ptr && r.Off == 0:
 			spec.X[c] = true
@@ -203,7 +210,7 @@ func InferSpec(loop *cir.Func) (*Spec, string) {
 		}
 	}
 	// Miss behaviour from the empty string.
-	switch r, _ := symex.RunConcrete(loop, []byte{0}, concreteSteps); {
+	switch r, _ := run.Run(buf[1:], concreteSteps); { // buf[1:] is ""
 	case r.Kind == vocab.Ptr && r.Off == 0:
 		spec.Miss = MissEnd // also MissStart for backward; fixed below
 	case r.Kind == vocab.Ptr && r.Off == -1:
@@ -220,7 +227,7 @@ func InferSpec(loop *cir.Func) (*Spec, string) {
 		if spec.X[c] {
 			continue
 		}
-		r, _ := symex.RunConcrete(loop, []byte{byte(c), 0}, concreteSteps)
+		r := single[c]
 		okFwd := false
 		okBwd := false
 		switch spec.Miss {

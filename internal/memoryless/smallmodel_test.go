@@ -4,10 +4,76 @@ import (
 	"testing"
 
 	"stringloops/internal/cir"
+	"stringloops/internal/symex"
+	"stringloops/internal/vocab"
 )
 
 // The §3.2 theorems, checked exhaustively on small alphabets for
-// representative memoryless loops.
+// representative memoryless loops. For a memoryless loop P, the iteration
+// counter ∆P and the semantic function JPK determine each other (Definition
+// 4 and the remark after it), so ∆P is recoverable from the returned
+// cursor, and each theorem becomes a concrete predicate over strings.
+
+// DeltaUnknown is returned by Delta when the run's outcome does not
+// determine an iteration count (errors, NULL returns from post-processed
+// loops).
+const DeltaUnknown = -1 << 30
+
+// Delta computes ∆P(ω) for a forward loop: the number of completed
+// iterations when running on the string buffer "ω" (Definition 4), derived
+// from the returned cursor offset (for Definition 1 loops the two determine
+// each other). The result is DeltaUnknown when the loop faults (unsafe
+// executions read past ω) or returns NULL.
+func Delta(loop *cir.Func, omega []byte) int {
+	buf := append(append([]byte{}, omega...), 0)
+	res, _ := symex.RunConcrete(loop, buf, concreteSteps)
+	if res.Kind != vocab.Ptr {
+		return DeltaUnknown
+	}
+	return res.Off
+}
+
+// CheckTruncate checks Theorem 3.2 (Memoryless Truncate) on a concrete pair
+// (ω, ω′):
+//
+//  1. if ∆P("ωω′") < |ω| then ∆P("ωω′") = ∆P("ω");
+//  2. if ∆P("ωω′") ≥ |ω| then ∆P("ω") ≥ |ω|.
+//
+// Unknown deltas (unsafe executions) satisfy the theorem vacuously: the
+// theorem's premise constrains only completed iteration counts.
+func CheckTruncate(loop *cir.Func, omega, omegaPrime []byte) bool {
+	dFull := Delta(loop, append(append([]byte{}, omega...), omegaPrime...))
+	if dFull == DeltaUnknown {
+		return true
+	}
+	dPrefix := Delta(loop, omega)
+	if dFull < len(omega) {
+		return dPrefix == dFull
+	}
+	return dPrefix == DeltaUnknown || dPrefix >= len(omega)
+}
+
+// CheckSqueeze checks Theorem 3.3 (Memoryless Squeeze) on a buffer "aωb":
+//
+//  1. if ∆P("aωb") = 1 + |ω| then ∆P("ab") = 1;
+//  2. if ∆P("aωb") > 1 + |ω| then ∆P("ab") > 1.
+func CheckSqueeze(loop *cir.Func, a byte, omega []byte, b byte) bool {
+	full := append([]byte{a}, omega...)
+	full = append(full, b)
+	dFull := Delta(loop, full)
+	if dFull == DeltaUnknown {
+		return true
+	}
+	dAB := Delta(loop, []byte{a, b})
+	switch {
+	case dFull == 1+len(omega):
+		return dAB == 1
+	case dFull > 1+len(omega):
+		return dAB == DeltaUnknown || dAB > 1
+	default:
+		return true
+	}
+}
 
 func forwardLoops(t *testing.T) map[string]*cir.Func {
 	t.Helper()

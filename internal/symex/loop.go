@@ -36,15 +36,36 @@ var ErrForeignReturn = errors.New("symex: return is neither NULL nor a pointer i
 // (0 is cir's default). A failed run is Invalid with cir's error
 // (cir.ErrMemory, cir.ErrStepLimit, malformed IR); a foreign return is
 // Invalid with an error wrapping ErrForeignReturn. The error only says why a
-// result is Invalid, so callers that compare results may drop it.
+// result is Invalid, so callers that compare results may drop it. It decodes
+// f for this one run; a caller that runs f many times holds a Runner.
 func RunConcrete(f *cir.Func, buf []byte, maxSteps int) (vocab.Result, error) {
-	mem := cir.NewMemory()
+	return NewRunner(f).Run(buf, maxSteps)
+}
+
+// Runner runs one loopFunction concretely, again and again, on one
+// cir.Machine: it decodes the function on its first run, and a warm runner
+// allocates nothing on a run that does not fail with a foreign return. A
+// Runner belongs to one goroutine.
+type Runner struct {
+	f *cir.Func
+	m *cir.Machine
+}
+
+// NewRunner returns a runner for f; it decodes f on the first Run.
+func NewRunner(f *cir.Func) *Runner { return &Runner{f: f} }
+
+// Run is RunConcrete on the runner's function.
+func (r *Runner) Run(buf []byte, maxSteps int) (vocab.Result, error) {
+	if r.m == nil {
+		r.m = cir.NewMachine(r.f)
+	}
+	mem := r.m.Heap()
 	arg, obj := cir.NullVal(), -1
 	if buf != nil {
-		obj = mem.AllocData(append([]byte{}, buf...))
+		obj = mem.AllocCopy(buf)
 		arg = cir.PtrVal(obj, 0)
 	}
-	res, err := cir.Exec(f, []cir.CVal{arg}, mem, maxSteps)
+	res, err := r.m.Exec([]cir.CVal{arg}, mem, maxSteps)
 	switch {
 	case err != nil:
 		return vocab.InvalidResult(), err

@@ -134,3 +134,72 @@ func TestRunConcreteInvalid(t *testing.T) {
 		}
 	}
 }
+
+// concreteBattery is, per corpus loop, the strings a warm runner is held to:
+// "", every one-byte string, and two- and four-byte strings over the loop's
+// bytes.
+func concreteBattery(f *cir.Func) [][]byte {
+	ins := [][]byte{{0}}
+	for c := 1; c < 256; c++ {
+		ins = append(ins, []byte{byte(c), 0})
+	}
+	bs := loopBytes(f)
+	for i, a := range bs {
+		b := bs[(i+1)%len(bs)]
+		ins = append(ins, []byte{a, b, 0}, []byte{a, a, b, b, 0})
+	}
+	return ins
+}
+
+func TestWarmRunnerDoesNotAllocate(t *testing.T) {
+	for _, l := range loopdb.Corpus() {
+		f, err := l.Lower()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ins [][]byte
+		for _, in := range append(concreteBattery(f), nil) {
+			// A foreign return formats its error.
+			if _, err := RunConcrete(f, in, 0); !errors.Is(err, ErrForeignReturn) {
+				ins = append(ins, in)
+			}
+		}
+		run := NewRunner(f)
+		if allocs := testing.AllocsPerRun(5, func() {
+			for _, in := range ins {
+				run.Run(in, 0)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: a warm runner allocates %.1f times per battery", l.Name, allocs)
+		}
+	}
+}
+
+// BenchmarkRunConcrete is one warm run of a corpus loop: each op is the next
+// (loop, input) pair of every corpus loop's concreteBattery.
+func BenchmarkRunConcrete(b *testing.B) {
+	type job struct {
+		run *Runner
+		in  []byte
+	}
+	var jobs []job
+	for _, l := range loopdb.Corpus() {
+		f, err := l.Lower()
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := NewRunner(f)
+		for _, in := range concreteBattery(f) {
+			jobs = append(jobs, job{run, in})
+			run.Run(in, 0)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		j := jobs[i%len(jobs)]
+		runSink, _ = j.run.Run(j.in, 0)
+	}
+}
+
+var runSink vocab.Result
