@@ -322,7 +322,7 @@ func persistChildRun(dir string, short bool) {
 	if dir == "" {
 		fatal("persist child: -cache-dir is required")
 	}
-	tier, err := diskcache.Open(dir, nil)
+	tier, err := diskcache.OpenSized(dir, 0, nil)
 	if err != nil {
 		fatal("persist child: %v", err)
 	}

@@ -8,13 +8,13 @@ import (
 
 // Solver decides conjunctions of Bool formulas by Tseitin bit-blasting to the
 // CDCL SAT solver. A Solver is multi-shot: constraints may be Asserted and
-// Checked repeatedly, and CheckAssuming answers queries under temporary
+// Checked repeatedly, and CheckAssumingLits answers queries under temporary
 // assumptions without asserting them. The Tseitin encoding of every formula
 // ever blasted is memoized (termBits/boolLits), so symex forks sharing a path
 // prefix re-use the prefix's encoding and only blast their new branch
 // condition — the incremental backbone of internal/qcache. Models must be
-// read back (Value / BoolValue / ModelAssignment) before the next Assert or
-// Check, which invalidate them.
+// read back (ModelAssignment) before the next Assert or Check, which
+// invalidate them.
 type Solver struct {
 	sat      *sat.Solver
 	termBits map[*Term][]sat.Lit
@@ -306,19 +306,9 @@ func (s *Solver) Check() sat.Status {
 // across many queries.
 func (s *Solver) Lit(b *Bool) sat.Lit { return s.lit(b) }
 
-// CheckAssuming decides the asserted constraints together with the given
-// formulas taken as temporary assumptions: the formulas are blasted
-// (memoized) but not asserted, so the next query on this solver is free to
-// assume a different set.
-func (s *Solver) CheckAssuming(formulas ...*Bool) sat.Status {
-	lits := make([]sat.Lit, len(formulas))
-	for i, f := range formulas {
-		lits[i] = s.lit(f)
-	}
-	return s.CheckAssumingLits(lits...)
-}
-
-// CheckAssumingLits is CheckAssuming over pre-blasted literals.
+// CheckAssumingLits decides the asserted constraints together with the given
+// literals taken as temporary assumptions: they are not asserted, so the
+// next query on this solver is free to assume a different set.
 func (s *Solver) CheckAssumingLits(lits ...sat.Lit) sat.Status {
 	s.sat.Budget = s.Budget
 	s.sat.Faults = s.Faults
@@ -328,7 +318,7 @@ func (s *Solver) CheckAssumingLits(lits ...sat.Lit) sat.Status {
 
 // ModelAssignment returns the full model of the last Sat result as an
 // Assignment over every blasted variable. It must only be called after a
-// Check/CheckAssuming that returned Sat, before the instance is grown again.
+// Check/CheckAssumingLits that returned Sat, before the instance is grown again.
 func (s *Solver) ModelAssignment() *Assignment {
 	if s.status != sat.Sat {
 		panic("bv: ModelAssignment called without a sat model")
@@ -341,33 +331,9 @@ func (s *Solver) ModelAssignment() *Assignment {
 // accreted enough encoding to be worth rebuilding.
 func (s *Solver) NumSATVars() int { return s.sat.NumVars() }
 
-// Conflicts returns the cumulative CDCL conflicts spent by this solver
-// across all queries.
-func (s *Solver) Conflicts() int64 { return s.sat.Conflicts() }
-
 // BlastHits returns the cumulative CNF-encoding memo hits of this solver.
 // Callers flush deltas of this monotone count into engine.Budget.
 func (s *Solver) BlastHits() int64 { return s.blastHits }
-
-// Value returns the concrete value of t under the model found by Check. It
-// must only be called after Check returned Sat. Terms are evaluated
-// recursively against the model's variable assignment, so any term over
-// asserted variables may be queried, not just asserted ones.
-func (s *Solver) Value(t *Term) uint64 {
-	if s.status != sat.Sat {
-		panic("bv: Value called without a sat model")
-	}
-	a := s.modelAssignment()
-	return t.Eval(a)
-}
-
-// BoolValue returns the truth of b under the model found by Check.
-func (s *Solver) BoolValue(b *Bool) bool {
-	if s.status != sat.Sat {
-		panic("bv: BoolValue called without a sat model")
-	}
-	return b.Eval(s.modelAssignment())
-}
 
 func (s *Solver) modelAssignment() *Assignment {
 	a := &Assignment{Terms: map[string]uint64{}, Bools: map[string]bool{}}

@@ -14,19 +14,19 @@ func TestCheckAssumingIncremental(t *testing.T) {
 	s.Assert(in.Ult(x, in.Byte(10))) // permanent: x < 10
 
 	// Assumption x == 3 is consistent.
-	if st := s.CheckAssuming(in.Eq(x, in.Byte(3))); st != sat.Sat {
-		t.Fatalf("CheckAssuming(x==3) = %v", st)
+	if st := s.CheckAssumingLits(s.Lit(in.Eq(x, in.Byte(3)))); st != sat.Sat {
+		t.Fatalf("CheckAssumingLits(x==3) = %v", st)
 	}
 	if got := s.ModelAssignment().Terms["x"]; got != 3 {
 		t.Fatalf("model x = %d, want 3", got)
 	}
 	// Assumption x == 12 contradicts the permanent constraint...
-	if st := s.CheckAssuming(in.Eq(x, in.Byte(12))); st != sat.Unsat {
-		t.Fatalf("CheckAssuming(x==12) = %v, want unsat", st)
+	if st := s.CheckAssumingLits(s.Lit(in.Eq(x, in.Byte(12)))); st != sat.Unsat {
+		t.Fatalf("CheckAssumingLits(x==12) = %v, want unsat", st)
 	}
 	// ...but only temporarily: the instance stays satisfiable.
-	if st := s.CheckAssuming(in.Eq(x, in.Byte(7))); st != sat.Sat {
-		t.Fatalf("CheckAssuming(x==7) after unsat assumption = %v", st)
+	if st := s.CheckAssumingLits(s.Lit(in.Eq(x, in.Byte(7)))); st != sat.Sat {
+		t.Fatalf("CheckAssumingLits(x==7) after unsat assumption = %v", st)
 	}
 	if got := s.ModelAssignment().Terms["x"]; got != 7 {
 		t.Fatalf("model x = %d, want 7", got)

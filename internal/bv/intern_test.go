@@ -58,7 +58,7 @@ func TestInternerChargesNodeBudget(t *testing.T) {
 		in.Byte(byte(i))
 	}
 	if !b.Exceeded() || !errors.Is(b.Err(), engine.ErrBudget) {
-		t.Fatalf("node budget not charged: err=%v nodes=%d", b.Err(), b.Nodes())
+		t.Fatalf("node budget not charged: err=%v nodes=%d", b.Err(), b.Count(engine.Nodes))
 	}
 	if in.Nodes() < 8 {
 		t.Fatalf("Nodes() = %d, want >= 8", in.Nodes())
@@ -71,7 +71,7 @@ func TestInternerDedupDoesNotRecharge(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		in.Byte(7) // same node every time
 	}
-	if got := b.Nodes(); got != 1 {
+	if got := b.Count(engine.Nodes); got != 1 {
 		t.Fatalf("interning the same node 50 times charged %d nodes, want 1", got)
 	}
 }

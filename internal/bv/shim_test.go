@@ -31,13 +31,11 @@ func BAnd2(a, b *Bool) *Bool            { return tin.BAnd2(a, b) }
 func BOr2(a, b *Bool) *Bool             { return tin.BOr2(a, b) }
 func BAndAll(bs ...*Bool) *Bool         { return tin.BAndAll(bs...) }
 func BOrAll(bs ...*Bool) *Bool          { return tin.BOrAll(bs...) }
-func Implies(a, b *Bool) *Bool          { return tin.Implies(a, b) }
-func BIte(c, a, b *Bool) *Bool          { return tin.BIte(c, a, b) }
+func Implies(a, b *Bool) *Bool          { return tin.BOr2(tin.BNot1(a), b) }
 func Eq(a, b *Term) *Bool               { return tin.Eq(a, b) }
 func Ne(a, b *Term) *Bool               { return tin.Ne(a, b) }
 func Ult(a, b *Term) *Bool              { return tin.Ult(a, b) }
 func Ule(a, b *Term) *Bool              { return tin.Ule(a, b) }
-func Ugt(a, b *Term) *Bool              { return tin.Ugt(a, b) }
-func Uge(a, b *Term) *Bool              { return tin.Uge(a, b) }
+func Ugt(a, b *Term) *Bool              { return tin.Ult(b, a) }
 func Slt(a, b *Term) *Bool              { return tin.Slt(a, b) }
 func Sle(a, b *Term) *Bool              { return tin.Sle(a, b) }

@@ -383,21 +383,10 @@ func (c *nodeCounter) termNode(t *Term) {
 	c.termNode(t.B)
 }
 
-func newNodeCounter() *nodeCounter {
-	return &nodeCounter{bools: map[*Bool]bool{}, terms: map[*Term]bool{}}
-}
-
 // CountBoolNodes returns the number of distinct DAG nodes (terms and bools)
 // reachable from f.
 func CountBoolNodes(f *Bool) int64 {
-	c := newNodeCounter()
+	c := &nodeCounter{bools: map[*Bool]bool{}, terms: map[*Term]bool{}}
 	c.boolNode(f)
-	return int64(len(c.bools) + len(c.terms))
-}
-
-// CountTermNodes returns the number of distinct DAG nodes reachable from t.
-func CountTermNodes(t *Term) int64 {
-	c := newNodeCounter()
-	c.termNode(t)
 	return int64(len(c.bools) + len(c.terms))
 }

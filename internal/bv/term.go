@@ -450,14 +450,6 @@ func (in *Interner) BOrAll(bs ...*Bool) *Bool {
 	return out
 }
 
-// Implies returns a -> b.
-func (in *Interner) Implies(a, b *Bool) *Bool { return in.BOr2(in.BNot1(a), b) }
-
-// BIte returns the boolean if-then-else.
-func (in *Interner) BIte(c, a, b *Bool) *Bool {
-	return in.BOr2(in.BAnd2(c, a), in.BAnd2(in.BNot1(c), b))
-}
-
 // Eq returns the atom a = b.
 func (in *Interner) Eq(a, b *Term) *Bool {
 	checkSameWidth("eq", a, b)
@@ -506,12 +498,6 @@ func (in *Interner) Ule(a, b *Term) *Bool {
 	}
 	return in.internBool(Bool{Kind: BUle, X: a, Y: b})
 }
-
-// Ugt returns a > b, Uge returns a >= b (unsigned).
-func (in *Interner) Ugt(a, b *Term) *Bool { return in.Ult(b, a) }
-
-// Uge returns a >= b (unsigned).
-func (in *Interner) Uge(a, b *Term) *Bool { return in.Ule(b, a) }
 
 // Slt returns the signed comparison a < b, implemented by biasing the sign
 // bit: a <s b iff (a ^ msb) <u (b ^ msb).

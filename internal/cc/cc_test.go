@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -305,7 +306,7 @@ out:
 }
 
 func TestParseExprPrecedence(t *testing.T) {
-	e, err := ParseExpr("a + b * c == d && e || !f")
+	e, err := parseExpr("a + b * c == d && e || !f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,13 +335,13 @@ func TestParseExprForms(t *testing.T) {
 		"a << 2 | b":       "((a << 2) | b)",
 	}
 	for src, want := range cases {
-		e, err := ParseExpr(src)
+		e, err := parseExpr(src)
 		if err != nil {
-			t.Errorf("ParseExpr(%q): %v", src, err)
+			t.Errorf("parseExpr(%q): %v", src, err)
 			continue
 		}
 		if e.String() != want {
-			t.Errorf("ParseExpr(%q) = %s, want %s", src, e.String(), want)
+			t.Errorf("parseExpr(%q) = %s, want %s", src, e.String(), want)
 		}
 	}
 }
@@ -508,4 +509,21 @@ func TestSizeT(t *testing.T) {
 	if d.Type.Base != TyLong || !d.Type.Unsigned {
 		t.Fatalf("size_t = %v", d.Type)
 	}
+}
+
+// parseExpr parses a single C expression.
+func parseExpr(src string) (Expr, error) {
+	toks, err := Preprocess(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if !p.atEOF() {
+		return nil, fmt.Errorf("cc: trailing tokens after expression at %s", p.cur().Pos())
+	}
+	return e, nil
 }

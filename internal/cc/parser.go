@@ -25,23 +25,6 @@ func Parse(src string) (*File, error) {
 	return file, nil
 }
 
-// ParseExpr parses a single C expression (used by tests and tools).
-func ParseExpr(src string) (Expr, error) {
-	toks, err := Preprocess(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, fmt.Errorf("cc: trailing tokens after expression at %s", p.cur().Pos())
-	}
-	return e, nil
-}
-
 type parser struct {
 	toks []Token
 	pos  int

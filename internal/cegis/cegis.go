@@ -730,7 +730,3 @@ func VerifyEquivalence(loop *cir.Func, prog vocab.Program, maxExSize int) (bool,
 	}
 	return false, nil, nil
 }
-
-// Counterexamples exposes the counterexample set gathered so far (for tests
-// and the evaluation harness).
-func (s *Synthesizer) Counterexamples() [][]byte { return s.cexs }

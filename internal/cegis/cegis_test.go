@@ -314,7 +314,7 @@ char *skip(char *s) {
 	if out.Stats.Counterexamples == 0 {
 		t.Error("expected counterexamples to be generated")
 	}
-	if len(s.Counterexamples()) != out.Stats.Counterexamples {
+	if len(s.cexs) != out.Stats.Counterexamples {
 		t.Error("counterexample accounting mismatch")
 	}
 }

@@ -135,16 +135,6 @@ func appendUnique(s []*Block, b *Block) []*Block {
 	return append(s, b)
 }
 
-// Idom returns the immediate dominator of b (the entry dominates itself), or
-// nil when b is unreachable.
-func (d *DomTree) Idom(b *Block) *Block {
-	i, ok := d.idx[b]
-	if !ok || d.idom[i] == -1 {
-		return nil
-	}
-	return d.fn.Blocks[d.idom[i]]
-}
-
 // Children returns the dominator-tree children of b.
 func (d *DomTree) Children(b *Block) []*Block {
 	if i, ok := d.idx[b]; ok {

@@ -105,9 +105,6 @@ func (m *Memory) AllocCell() int {
 	return len(m.objs) - 1
 }
 
-// Data returns the byte array of a data object.
-func (m *Memory) Data(obj int) []byte { return m.objs[obj].data }
-
 // at returns the object p points to, or nil when p is no pointer into the
 // heap (an integer, NULL, or a dangling object id).
 func (m *Memory) at(p CVal) *object {

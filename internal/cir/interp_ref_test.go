@@ -90,7 +90,7 @@ func refExec(f *Func, args []CVal, mem *Memory, maxSteps int) (result ExecResult
 				}
 			}
 			if !found {
-				return ExecResult{}, fmt.Errorf("cir: phi in %s has no incoming edge from %v", block.Label(), prev)
+				return ExecResult{}, fmt.Errorf("cir: phi in %s has no incoming edge from %s", block.Label(), predLabel(prev))
 			}
 		}
 		for i, r := range phiRegs {

@@ -11,20 +11,8 @@ type Loop struct {
 	Children []*Loop
 }
 
-// Contains reports whether b belongs to the loop.
-func (l *Loop) Contains(b *Block) bool { return l.Blocks[b] }
-
 // IsInnermost reports whether the loop has no nested loops.
 func (l *Loop) IsInnermost() bool { return len(l.Children) == 0 }
-
-// Depth returns the nesting depth (1 = outermost).
-func (l *Loop) Depth() int {
-	d := 1
-	for p := l.Parent; p != nil; p = p.Parent {
-		d++
-	}
-	return d
-}
 
 // FindLoops detects the natural loops of f (back edges to dominating headers,
 // merged per header) and computes their nesting, the analog of LLVM's

@@ -366,6 +366,15 @@ func (m *Machine) cross(e *edge) {
 	}
 }
 
+// predLabel names the block a run entered a phi's block from: its label, or
+// "function entry" for the entry block, which has no predecessor.
+func predLabel(prev *Block) string {
+	if prev == nil {
+		return "function entry"
+	}
+	return prev.Label()
+}
+
 // raise ends a run on trap t after steps steps.
 func (p *program) raise(t int32, steps int) (ExecResult, error) {
 	tr := &p.traps[t]
@@ -373,7 +382,7 @@ func (p *program) raise(t int32, steps int) (ExecResult, error) {
 	case trapBadOperand:
 		return ExecResult{Steps: steps}, fmt.Errorf("cir: %s: block %s: %s: bad operand kind %d", p.f.Name, tr.block.Label(), tr.instr, tr.opKind)
 	case trapNoEdge:
-		return ExecResult{}, fmt.Errorf("cir: phi in %s has no incoming edge from %v", tr.block.Label(), tr.prev)
+		return ExecResult{}, fmt.Errorf("cir: phi in %s has no incoming edge from %s", tr.block.Label(), predLabel(tr.prev))
 	case trapFall:
 		return ExecResult{Steps: steps}, fmt.Errorf("cir: block %s falls through", tr.block.Label())
 	}

@@ -311,6 +311,22 @@ func TestExecEdgeCasesMatchReference(t *testing.T) {
 		if _, err := cir.Exec(f, []cir.CVal{cir.PtrVal(0, 0)}, memWith("a\x00"), 0); err != nil {
 			t.Errorf("%s: a run that never reaches the flaw failed: %v", name, err)
 		}
+		if name == "phi with no edge" {
+			_, err := cir.Exec(f, []cir.CVal{cir.PtrVal(0, 0)}, memWith("b\x00"), 0)
+			if want := "cir: phi in b1.then has no incoming edge from b0.entry"; errText(err) != want {
+				t.Errorf("%s: error %q, want %q", name, errText(err), want)
+			}
+		}
+	}
+
+	// A phi in the entry block: the run enters it from no block at all.
+	f := lowerSource(t, `char *f(char *s) { return s; }`)
+	entry := f.Blocks[0]
+	entry.Instrs = append([]*cir.Instr{{Op: cir.OpPhi, Res: f.NewReg(), Args: []cir.Operand{cir.ConstOp(1)}, Blocks: []*cir.Block{entry}}}, entry.Instrs...)
+	xcheck(t, "entry phi", f, cir.NewMachine(f), []byte("a\x00"), 0)
+	_, err := cir.Exec(f, []cir.CVal{cir.PtrVal(0, 0)}, memWith("a\x00"), 0)
+	if want := "cir: phi in b0.entry has no incoming edge from function entry"; errText(err) != want {
+		t.Errorf("entry phi: error %q, want %q", errText(err), want)
 	}
 }
 

@@ -85,7 +85,7 @@ func chaosItems(t *testing.T, seed uint64, loops []loopdb.Loop, cacheDir string)
 		// full fault storm.
 		opts := Options{Pipeline: symex.Config{Faults: chaosRegistry(seed, i), Merge: seed%2 == 1}}
 		if cacheDir != "" {
-			tier, err := diskcache.Open(filepath.Join(cacheDir, fmt.Sprintf("item%02d", i)), opts.Pipeline.Faults)
+			tier, err := diskcache.OpenSized(filepath.Join(cacheDir, fmt.Sprintf("item%02d", i)), 0, opts.Pipeline.Faults)
 			if err != nil {
 				t.Fatalf("open chaos tier: %v", err)
 			}

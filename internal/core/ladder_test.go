@@ -165,8 +165,9 @@ func TestLadderReturnsFirstSucceedingRung(t *testing.T) {
 			return nil
 		},
 	})
-	if err != nil {
-		t.Fatalf("err = %v", err)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want the memoryless rung's panic (the last failed rung)", err)
 	}
 	if rung != RungCovering {
 		t.Fatalf("rung = %v, want covering", rung)
@@ -183,6 +184,39 @@ func TestLadderReturnsFirstSucceedingRung(t *testing.T) {
 	}
 	if perRung[RungCovering] != 1 {
 		t.Errorf("covering rung ran %d attempts, want 1", perRung[RungCovering])
+	}
+}
+
+// TestLadderDegradedSuccessSaysWhy pins Outcome.Err on a success: the last
+// failed rung's error below the first rung tried, nil on the first rung tried
+// whether it succeeded at once or after retries.
+func TestLadderDegradedSuccessSaysWhy(t *testing.T) {
+	refuted := errors.New("full rung: no summary up to size 6")
+	rung, _, err := ResilientOptions{}.descend([RungFailed]rungRun{
+		RungFull:       func(*engine.Budget) error { return refuted },
+		RungMemoryless: succeed, RungCovering: succeed, RungSmoke: succeed,
+	})
+	if rung != RungMemoryless || err != refuted {
+		t.Errorf("full fails, memoryless succeeds: descend = %v, %v; want memoryless, %v", rung, err, refuted)
+	}
+
+	rung, _, err = ResilientOptions{}.descend([RungFailed]rungRun{succeed, succeed, succeed, succeed})
+	if rung != RungFull || err != nil {
+		t.Errorf("first rung succeeds: descend = %v, %v; want full, nil", rung, err)
+	}
+
+	calls := 0
+	retried := func(*engine.Budget) error {
+		if calls++; calls < 3 {
+			return errOutOfBudget
+		}
+		return nil
+	}
+	rung, attempts, err := ResilientOptions{StartRung: RungMemoryless}.descend(
+		[RungFailed]rungRun{RungMemoryless: retried, RungCovering: succeed, RungSmoke: succeed})
+	if rung != RungMemoryless || err != nil || len(attempts) != 3 {
+		t.Errorf("retry succeeds in the first rung tried: descend = %v, %v after %d attempts; want memoryless, nil after 3",
+			rung, err, len(attempts))
 	}
 }
 
@@ -219,8 +253,8 @@ func TestLadderEmitsRungSpans(t *testing.T) {
 		Tracer:      tr,
 		Metrics:     m,
 	}.descend([RungFailed]rungRun{RungCovering: fail, RungSmoke: succeed})
-	if err != nil || rung != RungSmoke {
-		t.Fatalf("descend = %v, %v", rung, err)
+	if rung != RungSmoke || !errors.Is(err, engine.ErrBudget) {
+		t.Fatalf("descend = %v, %v; want smoke with the covering rung's error", rung, err)
 	}
 	if len(attempts) != 3 {
 		t.Fatalf("attempts = %+v, want 2 covering + 1 smoke", attempts)

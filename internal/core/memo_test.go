@@ -17,7 +17,7 @@ import (
 // newTestTier builds a cache tier over a temp directory.
 func newTestTier(t *testing.T) *diskcache.Tier {
 	t.Helper()
-	tier, err := diskcache.Open(t.TempDir(), nil)
+	tier, err := diskcache.OpenSized(t.TempDir(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,11 @@ char *mid(char *s) {
 	}
 }
 
-// TestSummarizeMemoPersistsAcrossTiers: Save/Open round-trips the memo on
+// TestSummarizeMemoPersistsAcrossTiers: Save/OpenSized round-trips the memo on
 // disk, standing in for a second process warm-starting from the cache dir.
 func TestSummarizeMemoPersistsAcrossTiers(t *testing.T) {
 	dir := t.TempDir()
-	tier, err := diskcache.Open(dir, nil)
+	tier, err := diskcache.OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSummarizeMemoPersistsAcrossTiers(t *testing.T) {
 		t.Fatalf("memo snapshot missing: %v", err)
 	}
 
-	tier2, err := diskcache.Open(dir, nil)
+	tier2, err := diskcache.OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

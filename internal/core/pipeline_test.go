@@ -27,7 +27,7 @@ func TestPipelineConfigReachesEveryLayer(t *testing.T) {
 		rates[s] = 1e-18
 	}
 	reg := faultpoint.New(faultpoint.Config{Seed: 1, Rates: rates})
-	tier, err := diskcache.Open(t.TempDir(), nil)
+	tier, err := diskcache.OpenSized(t.TempDir(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

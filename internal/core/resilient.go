@@ -88,7 +88,9 @@ type Outcome struct {
 	Smoke []TestInput
 	// Attempts is every attempt made, across all rungs tried, in order.
 	Attempts []AttemptRecord
-	// Err is the last rung's error when Rung == RungFailed, nil otherwise.
+	// Err says why the ladder descended: the last failed rung's error. It
+	// is nil when the first rung tried succeeded (retries within it
+	// included) and the cause when Rung == RungFailed.
 	Err error
 }
 
@@ -146,7 +148,9 @@ type rungRun func(b *engine.Budget) error
 // Each rung gets up to MaxAttempts attempts: an error wrapping
 // engine.ErrBudget is retried under limits doubled up to MaxLimits, any
 // other error or a panic fails the rung at once. The first rung that
-// succeeds wins; it returns RungFailed and the last error when none does.
+// succeeds wins, with the last failed rung's error when it is not the first
+// rung tried (nil when it is, even after retries); descend returns
+// RungFailed and the last error when no rung succeeds.
 // Every attempt is counted in Metrics (supervise.attempts, .retries,
 // .panics, and supervise.rung.<name> for the winner) and every rung tried
 // records a "rung/<name>" span with its attempt count and outcome.
@@ -168,7 +172,7 @@ func (o ResilientOptions) descend(run [RungFailed]rungRun) (Rung, []AttemptRecor
 		start = RungFull
 	}
 	var attempts []AttemptRecord
-	var err error
+	var err, failed error
 	for r := start; r < RungFailed; r++ {
 		span := o.Tracer.Start("rung/" + r.String())
 		before := len(attempts)
@@ -189,8 +193,9 @@ func (o ResilientOptions) descend(run [RungFailed]rungRun) (Rung, []AttemptRecor
 			span.SetAttr("outcome", "ok")
 			span.End()
 			o.Metrics.Counter(obs.MSupRungPrefix + r.String()).Inc()
-			return r, attempts, nil
+			return r, attempts, failed
 		}
+		failed = err
 		span.SetAttr("outcome", "failed")
 		span.SetAttr("error", err.Error())
 		span.End()

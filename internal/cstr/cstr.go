@@ -109,21 +109,6 @@ func Strpbrk(buf []byte, from int, charset []byte) int {
 	return NotFound
 }
 
-// Rawmemchr returns the offset of the first occurrence of c at or after from,
-// scanning without regard for the NUL terminator, exactly like glibc's
-// rawmemchr. Scanning past the end of the buffer is C undefined behaviour; we
-// surface it as a panic so that unsafe summaries are caught by tests.
-func Rawmemchr(buf []byte, from int, c byte) int {
-	for i := from; ; i++ {
-		if i >= len(buf) {
-			panic("cstr: rawmemchr read past end of buffer")
-		}
-		if buf[i] == c {
-			return i
-		}
-	}
-}
-
 // Memchr returns the offset of the first occurrence of c in the n bytes at
 // from, or NotFound.
 func Memchr(buf []byte, from int, c byte, n int) int {
@@ -149,14 +134,6 @@ func Reverse(buf []byte, from int) []byte {
 	return out
 }
 
-// IsDigit reports whether c is an ASCII decimal digit, the semantics of the
-// digit meta-character.
-func IsDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-// IsSpace reports whether c is in the whitespace meta-character set " \t\n".
-// (The paper's whitespace meta-character expands to space, tab and newline.)
-func IsSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' }
-
 // Meta-characters (§2.2): single bytes inside synthesised character sets that
 // expand to whole character classes. The paper chose '\a' for the digit
 // class; we use '\v' for its whitespace class. A buffer position holding one
@@ -180,11 +157,11 @@ func MatchSet(c byte, set []byte) bool {
 	for _, m := range set {
 		switch m {
 		case MetaDigit:
-			if IsDigit(c) {
+			if '0' <= c && c <= '9' {
 				return true
 			}
 		case MetaSpace:
-			if IsSpace(c) {
+			if c == ' ' || c == '\t' || c == '\n' {
 				return true
 			}
 		default:

@@ -119,22 +119,6 @@ func TestStrpbrk(t *testing.T) {
 	}
 }
 
-func TestRawmemchr(t *testing.T) {
-	buf := Terminate("abc")
-	if got := Rawmemchr(buf, 0, 'c'); got != 2 {
-		t.Errorf("Rawmemchr = %d", got)
-	}
-	if got := Rawmemchr(buf, 0, 0); got != 3 {
-		t.Errorf("Rawmemchr NUL = %d", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic reading past buffer")
-		}
-	}()
-	Rawmemchr(buf, 0, 'z')
-}
-
 func TestMemchr(t *testing.T) {
 	buf := []byte("abca")
 	if got := Memchr(buf, 1, 'a', 3); got != 3 {
@@ -256,12 +240,12 @@ func TestReverseInvolutionProperty(t *testing.T) {
 func TestMetaCharacterClasses(t *testing.T) {
 	for c := 0; c < 256; c++ {
 		wantDigit := c >= '0' && c <= '9'
-		if IsDigit(byte(c)) != wantDigit {
-			t.Fatalf("IsDigit(%d) wrong", c)
+		if MatchSet(byte(c), []byte{MetaDigit}) != wantDigit {
+			t.Fatalf("digit class wrong at %d", c)
 		}
 		wantSpace := c == ' ' || c == '\t' || c == '\n'
-		if IsSpace(byte(c)) != wantSpace {
-			t.Fatalf("IsSpace(%d) wrong", c)
+		if MatchSet(byte(c), []byte{MetaSpace}) != wantSpace {
+			t.Fatalf("whitespace class wrong at %d", c)
 		}
 	}
 }

@@ -138,13 +138,13 @@ func TestOpenSizedThreadsByteBudget(t *testing.T) {
 	if tier.QueryStore().Len() != 0 || tier.MemoStore().Len() != 0 {
 		t.Fatal("OpenSized did not thread maxBytes into the stores")
 	}
-	// Open (unsized) keeps the old unbounded behavior.
-	tier2, err := Open(t.TempDir(), nil)
+	// OpenSized with maxBytes 0 keeps the old unbounded behavior.
+	tier2, err := OpenSized(t.TempDir(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tier2.QueryStore().Put(b, "big", []byte(strings.Repeat("v", 64)))
 	if tier2.QueryStore().Len() != 1 {
-		t.Fatal("unsized Open rejected a record")
+		t.Fatal("unsized OpenSized rejected a record")
 	}
 }

@@ -99,16 +99,11 @@ type flight struct {
 	ok   bool
 }
 
-// NewStore builds a store backed by the given file path (empty path means
-// memory-only: Save is a no-op and Load loads nothing). maxEntries <= 0
-// means DefaultMaxEntries. The store starts cold; call Load to warm it.
-func NewStore(path string, maxEntries int, faults *faultpoint.Registry) *Store {
-	return NewStoreSized(path, maxEntries, 0, faults)
-}
-
-// NewStoreSized is NewStore with a byte budget next to the entry-count cap:
-// when maxBytes > 0, each shard evicts down to maxBytes/shards of key+value
-// payload on every insert. maxBytes <= 0 keeps the entry-count cap only.
+// NewStoreSized builds a store backed by the given file path (empty path
+// means memory-only: Save is a no-op and Load loads nothing). maxEntries <= 0
+// means DefaultMaxEntries. When maxBytes > 0, each shard also evicts down to
+// maxBytes/shards of key+value payload on every insert; maxBytes <= 0 keeps
+// the entry-count cap only. The store starts cold; call Load to warm it.
 func NewStoreSized(path string, maxEntries int, maxBytes int64, faults *faultpoint.Registry) *Store {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMaxEntries
@@ -468,16 +463,11 @@ type Tier struct {
 	ownsLock bool
 }
 
-// Open creates (if needed) the cache directory and warm-starts both stores
-// from it. An unreadable or corrupt file degrades to a cold store, but an
-// unusable directory is a configuration error and is reported.
-func Open(dir string, faults *faultpoint.Registry) (*Tier, error) {
-	return OpenSized(dir, 0, faults)
-}
-
-// OpenSized is Open with a per-store byte budget (-cache-max-bytes): each
-// of the two stores evicts past maxBytes of key+value payload, on top of
-// the entry-count cap. maxBytes <= 0 keeps the entry-count cap only.
+// OpenSized creates (if needed) the cache directory and warm-starts both
+// stores from it. An unreadable or corrupt file degrades to a cold store,
+// but an unusable directory is a configuration error and is reported. Each
+// store evicts past maxBytes of key+value payload (-cache-max-bytes), on top
+// of the entry-count cap; maxBytes <= 0 keeps the entry-count cap only.
 func OpenSized(dir string, maxBytes int64, faults *faultpoint.Registry) (*Tier, error) {
 	if dir == "" {
 		return nil, nil
@@ -516,7 +506,7 @@ func OpenSized(dir string, maxBytes int64, faults *faultpoint.Registry) (*Tier, 
 // verdicts are not shared across the pipelines that ride it, and Close
 // persists nothing.
 func MemoryTier(faults *faultpoint.Registry) *Tier {
-	return &Tier{Memo: NewStore("", DefaultMaxEntries, faults)}
+	return &Tier{Memo: NewStoreSized("", DefaultMaxEntries, 0, faults)}
 }
 
 // QueryStore returns the query store (nil on a nil tier).

@@ -19,7 +19,7 @@ func newBudget() *engine.Budget {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	s := NewStore("", 0, nil)
+	s := NewStoreSized("", 0, 0, nil)
 	b := newBudget()
 	if _, ok := s.Get(b, "k"); ok {
 		t.Fatal("empty store must miss")
@@ -60,7 +60,7 @@ func TestNilStoreIsPassThrough(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.cache")
-	s := NewStore(path, 0, nil)
+	s := NewStoreSized(path, 0, 0, nil)
 	b := newBudget()
 	want := map[string]string{}
 	for i := 0; i < 100; i++ {
@@ -73,7 +73,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := NewStore(path, 0, nil)
+	warm := NewStoreSized(path, 0, 0, nil)
 	warm.Load()
 	if warm.Len() != len(want) {
 		t.Fatalf("warm store has %d entries, want %d", warm.Len(), len(want))
@@ -92,7 +92,7 @@ func TestSaveIsDeterministic(t *testing.T) {
 	var files [2]string
 	for i := range files {
 		path := filepath.Join(dir, fmt.Sprintf("s%d.cache", i))
-		s := NewStore(path, 0, nil)
+		s := NewStoreSized(path, 0, 0, nil)
 		// Insert in different orders; the snapshot sorts by key.
 		for j := 0; j < 50; j++ {
 			k := j
@@ -122,7 +122,7 @@ func TestSaveIsDeterministic(t *testing.T) {
 func TestCorruptFileColdStart(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "q.cache")
-	s := NewStore(path, 0, nil)
+	s := NewStoreSized(path, 0, 0, nil)
 	b := newBudget()
 	for i := 0; i < 10; i++ {
 		s.Put(b, fmt.Sprintf("key%d", i), []byte(fmt.Sprintf("val%d", i)))
@@ -161,7 +161,7 @@ func TestCorruptFileColdStart(t *testing.T) {
 			if err := os.WriteFile(p, []byte(tc.contents), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			cold := NewStore(p, 0, nil)
+			cold := NewStoreSized(p, 0, 0, nil)
 			cold.Load()
 			if n := cold.Len(); n < tc.atLeast || n > tc.atMost {
 				t.Fatalf("loaded %d entries, want [%d, %d]", n, tc.atLeast, tc.atMost)
@@ -170,7 +170,7 @@ func TestCorruptFileColdStart(t *testing.T) {
 	}
 
 	t.Run("missing file", func(t *testing.T) {
-		cold := NewStore(filepath.Join(dir, "nonexistent.cache"), 0, nil)
+		cold := NewStoreSized(filepath.Join(dir, "nonexistent.cache"), 0, 0, nil)
 		cold.Load()
 		if cold.Len() != 0 {
 			t.Fatal("missing file must load nothing")
@@ -186,7 +186,7 @@ func flipByte(s string, i int) string {
 
 func TestEvictionRespectsBound(t *testing.T) {
 	const max = 64 // 4 per shard
-	s := NewStore("", max, nil)
+	s := NewStoreSized("", max, 0, nil)
 	b := newBudget()
 	for i := 0; i < 10*max; i++ {
 		s.Put(b, fmt.Sprintf("key-%d", i), []byte("v"))
@@ -208,7 +208,7 @@ func TestEvictionRespectsBound(t *testing.T) {
 }
 
 func TestEvictionPrefersLeastRecentlyAccessed(t *testing.T) {
-	s := NewStore("", shards, nil) // bound of 1 per shard
+	s := NewStoreSized("", shards, 0, nil) // bound of 1 per shard
 	b := newBudget()
 	// Find two keys in the same shard.
 	sh := s.shardFor("a0")
@@ -234,7 +234,7 @@ func TestEvictionPrefersLeastRecentlyAccessed(t *testing.T) {
 }
 
 func TestDoSingleflight(t *testing.T) {
-	s := NewStore("", 0, nil)
+	s := NewStoreSized("", 0, 0, nil)
 	b := newBudget()
 	const workers = 16
 	var computes int32
@@ -284,7 +284,7 @@ func TestDoSingleflight(t *testing.T) {
 }
 
 func TestDoNotCachedOnFailure(t *testing.T) {
-	s := NewStore("", 0, nil)
+	s := NewStoreSized("", 0, 0, nil)
 	b := newBudget()
 	calls := 0
 	for i := 0; i < 3; i++ {
@@ -305,7 +305,7 @@ func TestDoNotCachedOnFailure(t *testing.T) {
 // leaves as soon as its own budget's context ends, reporting not-ok; the
 // leader finishes untouched, stores its result, and no flight is left.
 func TestDoWaiterLeavesOnCancel(t *testing.T) {
-	s := NewStore("", 0, nil)
+	s := NewStoreSized("", 0, 0, nil)
 	release := make(chan struct{})
 	entered := make(chan struct{})
 	leader := make(chan string, 1)
@@ -355,7 +355,7 @@ func TestDoWaiterLeavesOnCancel(t *testing.T) {
 // next Do computes again.
 func TestDoFaultTaintedNotStored(t *testing.T) {
 	reg := faultpoint.New(faultpoint.Config{Seed: 1, Rates: map[faultpoint.Site]float64{faultpoint.CegisReject: 1}})
-	s := NewStore("", 0, reg)
+	s := NewStoreSized("", 0, 0, reg)
 	b := newBudget()
 	v, ok := s.Do(b, "k", func() ([]byte, bool) {
 		reg.Fire(faultpoint.CegisReject)
@@ -383,7 +383,7 @@ func TestDoFaultTaintedNotStored(t *testing.T) {
 // soak found the original leak — an injected symex panic unwound past Do and
 // the retry deadlocked.
 func TestDoPanicReleasesFlight(t *testing.T) {
-	s := NewStore("", 0, nil)
+	s := NewStoreSized("", 0, 0, nil)
 	b := newBudget()
 	func() {
 		defer func() {
@@ -413,14 +413,14 @@ func TestDoPanicReleasesFlight(t *testing.T) {
 func TestFaultInjection(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.cache")
 	b := newBudget()
-	s := NewStore(path, 0, nil)
+	s := NewStoreSized(path, 0, 0, nil)
 	s.Put(b, "k", []byte("v"))
 	if err := s.Save(); err != nil {
 		t.Fatal(err)
 	}
 
 	always := faultpoint.New(faultpoint.Config{Seed: 1, Rates: map[faultpoint.Site]float64{faultpoint.DiskCacheIO: 1}})
-	faulty := NewStore(path, 0, always)
+	faulty := NewStoreSized(path, 0, 0, always)
 	faulty.Load()
 	if faulty.Len() != 0 {
 		t.Fatal("injected load fault must cold-start")
@@ -430,7 +430,7 @@ func TestFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The save was skipped: the file still holds the original snapshot.
-	fresh := NewStore(path, 0, nil)
+	fresh := NewStoreSized(path, 0, 0, nil)
 	fresh.Load()
 	if v, ok := fresh.Get(b, "k"); !ok || string(v) != "v" {
 		t.Fatal("skipped save must leave the previous snapshot intact")
@@ -441,7 +441,7 @@ func TestTierOpenClose(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	b := newBudget()
 
-	nilTier, err := Open("", nil)
+	nilTier, err := OpenSized("", 0, nil)
 	if err != nil || nilTier != nil {
 		t.Fatalf("empty dir must be the disabled tier, got %v, %v", nilTier, err)
 	}
@@ -452,7 +452,7 @@ func TestTierOpenClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tier, err := Open(dir, nil)
+	tier, err := OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestTierOpenClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, err := Open(dir, nil)
+	warm, err := OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestTierOpenClose(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	s := NewStore("", 1<<10, nil)
+	s := NewStoreSized("", 1<<10, 0, nil)
 	b := newBudget()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

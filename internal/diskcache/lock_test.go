@@ -19,7 +19,7 @@ func TestHelperTierLockHolder(t *testing.T) {
 	if dir == "" {
 		t.Skip("helper process only")
 	}
-	tier, err := Open(dir, nil)
+	tier, err := OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatalf("helper open: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestTierLockSecondProcessReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	stop := startHolder(t, dir)
 
-	second, err := Open(dir, nil)
+	second, err := OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatalf("second open: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestTierLockSecondProcessReadOnly(t *testing.T) {
 
 	stop() // holder exits cleanly: saves its snapshot, releases the lock
 
-	third, err := Open(dir, nil)
+	third, err := OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatalf("third open: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestTierLockStaleSteal(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, LockName), []byte(strconv.Itoa(deadPid)+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tier, err := Open(dir, nil)
+	tier, err := OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatalf("open over stale lock: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestTierLockGarbageStolen(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, LockName), []byte("not a pid"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tier, err := Open(dir, nil)
+	tier, err := OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatalf("open over garbage lock: %v", err)
 	}

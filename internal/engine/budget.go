@@ -261,12 +261,6 @@ func (b *Budget) Spend() Spend {
 // Conflicts returns the conflicts charged so far.
 func (b *Budget) Conflicts() int64 { return b.Count(Conflicts) }
 
-// Forks returns the forks charged so far.
-func (b *Budget) Forks() int64 { return b.Count(Forks) }
-
-// Nodes returns the interned nodes charged so far.
-func (b *Budget) Nodes() int64 { return b.Count(Nodes) }
-
 // Elapsed returns the wall-clock time since the budget was created.
 func (b *Budget) Elapsed() time.Duration {
 	if b == nil {

@@ -16,7 +16,7 @@ func TestNilBudgetIsUnlimited(t *testing.T) {
 	b.Add(Conflicts, 10)
 	b.Add(Forks, 10)
 	b.Add(Nodes, 10)
-	if b.Conflicts() != 0 || b.Forks() != 0 || b.Nodes() != 0 {
+	if b.Conflicts() != 0 || b.Count(Forks) != 0 || b.Count(Nodes) != 0 {
 		t.Fatal("nil budget must not accumulate")
 	}
 	if b.Context() == nil {

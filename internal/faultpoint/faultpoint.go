@@ -159,16 +159,6 @@ func New(cfg Config) *Registry {
 	return r
 }
 
-// NewUniform builds a registry firing every site with the same rate —
-// the chaos soak's default schedule shape.
-func NewUniform(seed uint64, rate float64) *Registry {
-	rates := make(map[Site]float64, numSites)
-	for _, s := range Sites() {
-		rates[s] = rate
-	}
-	return New(Config{Seed: seed, Rates: rates})
-}
-
 // splitmix64 is the finalizer of the SplitMix64 generator: a cheap,
 // statistically solid 64-bit mix used to turn (seed, site, ordinal) into
 // an independent uniform draw.
@@ -226,15 +216,4 @@ func (r *Registry) TotalFired() uint64 {
 		total += r.fired[i].Load()
 	}
 	return total
-}
-
-// Errorf builds an error for a fault forced at site s, wrapping both
-// ErrInjected and every error value passed in wraps (so the forced
-// error stays errors.Is-able as the layer's organic sentinel).
-func (r *Registry) Errorf(s Site, wraps ...error) error {
-	err := fmt.Errorf("%w at %s", ErrInjected, s)
-	for _, w := range wraps {
-		err = fmt.Errorf("%w: %w", w, err)
-	}
-	return err
 }

@@ -1,7 +1,6 @@
 package faultpoint
 
 import (
-	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -53,7 +52,7 @@ func TestRateOneAlwaysFires(t *testing.T) {
 func TestDeterministicSchedule(t *testing.T) {
 	const n = 5000
 	schedule := func(seed uint64) []bool {
-		r := NewUniform(seed, 0.05)
+		r := uniform(seed, 0.05)
 		out := make([]bool, 0, n*int(numSites))
 		for i := 0; i < n; i++ {
 			for _, s := range Sites() {
@@ -83,7 +82,7 @@ func TestDeterministicSchedule(t *testing.T) {
 
 func TestSitesAreDecorrelated(t *testing.T) {
 	// The same seed must not make all sites fire in lockstep.
-	r := NewUniform(99, 0.2)
+	r := uniform(99, 0.2)
 	lockstep := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -117,7 +116,7 @@ func TestRateIsApproximatelyHonoured(t *testing.T) {
 }
 
 func TestConcurrentFireIsRaceFree(t *testing.T) {
-	r := NewUniform(3, 0.5)
+	r := uniform(3, 0.5)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -137,18 +136,6 @@ func TestConcurrentFireIsRaceFree(t *testing.T) {
 	}
 }
 
-func TestErrorfWrapsInjectedAndSentinels(t *testing.T) {
-	sentinel := errors.New("layer: budget exhausted")
-	r := NewUniform(1, 1)
-	err := r.Errorf(SymexForkFail, sentinel)
-	if !errors.Is(err, ErrInjected) {
-		t.Fatal("Errorf does not wrap ErrInjected")
-	}
-	if !errors.Is(err, sentinel) {
-		t.Fatal("Errorf does not wrap the layer sentinel")
-	}
-}
-
 func TestSiteStrings(t *testing.T) {
 	for _, s := range Sites() {
 		if s.String() == "" || s.String()[0] == 'f' && s.String() != "faultpoint.Site(255)" && len(s.String()) > 30 {
@@ -158,4 +145,13 @@ func TestSiteStrings(t *testing.T) {
 	if Site(200).String() != "faultpoint.Site(200)" {
 		t.Fatalf("out-of-range site name = %q", Site(200))
 	}
+}
+
+// uniform builds a registry firing every site with the same rate.
+func uniform(seed uint64, rate float64) *Registry {
+	rates := make(map[Site]float64, numSites)
+	for _, s := range Sites() {
+		rates[s] = rate
+	}
+	return New(Config{Seed: seed, Rates: rates})
 }

@@ -24,10 +24,8 @@ import (
 	"errors"
 	"time"
 
-	"stringloops/internal/bv"
 	"stringloops/internal/cir"
 	"stringloops/internal/engine"
-	"stringloops/internal/qcache"
 	"stringloops/internal/sat"
 	"stringloops/internal/strsolver"
 	"stringloops/internal/symex"
@@ -37,7 +35,8 @@ import (
 // Config selects the solver-chain configuration of a run.
 type Config struct {
 	// QCache routes all queries through a per-run qcache.Cache (slicing,
-	// reuse cache, incremental solver) instead of a fresh solver per query.
+	// reuse cache, incremental solver). Off, the run's cache is nil, which
+	// is the direct solver: a fresh solver per query.
 	QCache bool
 	// Pipeline configures the run's solver stack (symex.Config). The
 	// benchmarks set at most Merge, which folds the vanilla executor's
@@ -96,7 +95,7 @@ func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measu
 			m.TimedOut = true
 			break
 		}
-		st := checkSat(cache, budget, p.Cond)
+		st := cache.Decide(budget, p.Cond)
 		m.SolverQueries++
 		if st == sat.Sat {
 			m.Tests++
@@ -128,7 +127,7 @@ func StrWith(summary vocab.Program, n int, timeout time.Duration, cfg Config) Me
 			m.TimedOut = true
 			break
 		}
-		st := checkSat(cache, budget, o.Guard)
+		st := cache.Decide(budget, o.Guard)
 		m.SolverQueries++
 		if st == sat.Sat {
 			m.Tests++
@@ -152,23 +151,14 @@ func (m *Measurement) classify(err error) {
 	}
 }
 
-// stack builds the run's solver stack, without its query cache unless
-// cfg.QCache is set.
+// stack builds the run's solver stack, with a nil (direct-solver) cache
+// unless cfg.QCache is set.
 func (cfg Config) stack(budget *engine.Budget) *symex.Engine {
 	eng := cfg.Pipeline.NewEngine(budget)
 	if !cfg.QCache {
 		eng.Cache = nil
 	}
 	return eng
-}
-
-// checkSat routes one query through the cache when enabled.
-func checkSat(cache *qcache.Cache, budget *engine.Budget, f *bv.Bool) sat.Status {
-	if cache != nil {
-		return cache.Decide(budget, f)
-	}
-	st, _ := bv.CheckSat(budget, f)
-	return st
 }
 
 // Speedup returns vanilla time over str time (the Figure 4 metric); timed-out

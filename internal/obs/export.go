@@ -62,12 +62,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				ce.Args[a.Key] = a.Val
 			}
 		}
-		if ev.Path != ev.Name {
-			if ce.Args == nil {
-				ce.Args = map[string]any{}
-			}
-			ce.Args["path"] = ev.Path
-		}
 		if ev.Trace != "" {
 			if ce.Args == nil {
 				ce.Args = map[string]any{}
@@ -291,24 +285,24 @@ func parseChromeEvents(data []byte) ([]chromeEvent, error) {
 	return evs, nil
 }
 
-// flameRow is one aggregated path of the flame summary.
+// flameRow is one aggregated span name of the flame summary.
 type flameRow struct {
-	path  string
+	name  string
 	count int64
 	total int64 // ns
 }
 
 // FlameSummary renders a human-readable aggregation of the trace: one row
-// per span path (ancestry-joined names), with call count, total and mean
-// time, sorted by total time descending — the "where did the run spend its
-// time" view without leaving the terminal.
+// per span name, with call count, total and mean time, sorted by total time
+// descending — the "where did the run spend its time" view without leaving
+// the terminal.
 func (t *Tracer) FlameSummary(w io.Writer) {
 	rows := map[string]*flameRow{}
 	for _, ev := range t.Events() {
-		r := rows[ev.Path]
+		r := rows[ev.Name]
 		if r == nil {
-			r = &flameRow{path: ev.Path}
-			rows[ev.Path] = r
+			r = &flameRow{name: ev.Name}
+			rows[ev.Name] = r
 		}
 		r.count++
 		r.total += ev.Dur
@@ -321,12 +315,12 @@ func (t *Tracer) FlameSummary(w io.Writer) {
 		if sorted[i].total != sorted[j].total {
 			return sorted[i].total > sorted[j].total
 		}
-		return sorted[i].path < sorted[j].path
+		return sorted[i].name < sorted[j].name
 	})
 	fmt.Fprintf(w, "%12s %8s %12s  %s\n", "total(ms)", "count", "mean(us)", "span")
 	for _, r := range sorted {
 		fmt.Fprintf(w, "%12.3f %8d %12.1f  %s\n",
-			float64(r.total)/1e6, r.count, float64(r.total)/1e3/float64(r.count), r.path)
+			float64(r.total)/1e6, r.count, float64(r.total)/1e3/float64(r.count), r.name)
 	}
 	if d := t.Dropped(); d > 0 {
 		fmt.Fprintf(w, "(%d spans dropped at the %d-event buffer cap)\n", d, maxEvents)

@@ -176,15 +176,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Quantile returns an upper bound for the q-quantile (q in [0,1]) from the
-// log-scale buckets: the top of the bucket holding the q-th observation.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	return QuantileFromBuckets(h.Buckets(), q)
-}
-
 // Buckets returns a copy of the per-bucket counts, trimmed of trailing
 // empty buckets (nil for an empty or nil histogram). Bucket i counts
 // observations with bit length i, i.e. values in [2^(i-1), 2^i); bucket 0
@@ -207,10 +198,11 @@ func (h *Histogram) Buckets() []int64 {
 	return append([]int64(nil), out[:top+1]...)
 }
 
-// QuantileFromBuckets computes the same upper-bound quantile as
-// Histogram.Quantile from an exported bucket slice — shared by the overload
-// policy's windowed latency histogram (which sums two rotating snapshots)
-// and by anything replaying a serialized HistSnapshot.
+// QuantileFromBuckets returns an upper bound for the q-quantile (q in
+// [0,1]) of a bucket slice: the top of the log-scale bucket holding the q-th
+// observation. Snapshots, the overload policy's windowed latency histogram
+// (which sums two rotating snapshots) and anything replaying a serialized
+// HistSnapshot share it.
 func QuantileFromBuckets(buckets []int64, q float64) int64 {
 	var total int64
 	for _, n := range buckets {
@@ -362,59 +354,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Merge accumulates other into s: counters and histogram sums add, gauges
-// take the maximum (the registry gauges are all high-water marks).
-func (s *Snapshot) Merge(other Snapshot) {
-	for k, v := range other.Counters {
-		s.Counters[k] += v
-	}
-	for k, v := range other.Gauges {
-		if v > s.Gauges[k] {
-			s.Gauges[k] = v
-		}
-	}
-	for k, v := range other.Hists {
-		h := s.Hists[k]
-		h.Count += v.Count
-		h.Sum += v.Sum
-		h.Buckets = mergeBuckets(h.Buckets, v.Buckets)
-		var inBuckets int64
-		for _, n := range h.Buckets {
-			inBuckets += n
-		}
-		if h.Buckets != nil && inBuckets == h.Count {
-			// With every observation accounted for in buckets the merged
-			// quantiles are exact (at bucket resolution) rather than a max
-			// over inputs. The count check guards against merging with a
-			// bucket-less snapshot from an older serialization.
-			h.P50 = QuantileFromBuckets(h.Buckets, 0.50)
-			h.P90 = QuantileFromBuckets(h.Buckets, 0.90)
-			h.P99 = QuantileFromBuckets(h.Buckets, 0.99)
-		} else {
-			for _, p := range []struct {
-				dst *int64
-				src int64
-			}{{&h.P50, v.P50}, {&h.P90, v.P90}, {&h.P99, v.P99}} {
-				if p.src > *p.dst {
-					*p.dst = p.src
-				}
-			}
-		}
-		s.Hists[k] = h
-	}
-}
-
-// mergeBuckets adds b into a element-wise, growing as needed.
-func mergeBuckets(a, b []int64) []int64 {
-	if len(b) > len(a) {
-		a = append(a, make([]int64, len(b)-len(a))...)
-	}
-	for i, n := range b {
-		a[i] += n
-	}
-	return a
 }
 
 // Dump writes the registry as a sorted name/value table.

@@ -17,7 +17,7 @@ const promNamespace = "loopsum_"
 // format (version 0.0.4): counters as <ns><name>_total, gauges plain, and
 // histograms as the cumulative _bucket le-series plus _sum and _count. The
 // log2 buckets map directly onto exposition buckets with le="2^i" upper
-// bounds, so a scrape sees the same resolution Quantile uses internally.
+// bounds, so a scrape sees the same resolution QuantileFromBuckets uses.
 // Metric names are sanitized (dots and other separators become underscores);
 // series are emitted in sorted order so the output is deterministic.
 func (s Snapshot) WritePrometheus(w io.Writer) error {

@@ -88,22 +88,22 @@ func TestValidatePrometheusRejectsBadInput(t *testing.T) {
 // sample, and exact bucket-boundary values.
 func TestHistogramEdgeCases(t *testing.T) {
 	var empty *Histogram
-	if empty.Buckets() != nil || empty.Quantile(0.99) != 0 {
+	if empty.Buckets() != nil || QuantileFromBuckets(empty.Buckets(), 0.99) != 0 {
 		t.Error("nil histogram not inert")
 	}
 	h := &Histogram{}
 	if got := h.Buckets(); got != nil {
 		t.Errorf("empty histogram buckets = %v, want nil", got)
 	}
-	if h.Quantile(0.5) != 0 || h.Count() != 0 {
+	if QuantileFromBuckets(h.Buckets(), 0.5) != 0 || h.Count() != 0 {
 		t.Error("empty histogram quantile/count not zero")
 	}
 
 	h.Observe(7)
-	if got := h.Quantile(0.99); got != 8 {
+	if got := QuantileFromBuckets(h.Buckets(), 0.99); got != 8 {
 		t.Errorf("single sample 7: q99 = %d, want bucket bound 8", got)
 	}
-	if got := h.Quantile(0); got != 8 {
+	if got := QuantileFromBuckets(h.Buckets(), 0); got != 8 {
 		t.Errorf("single sample: q0 = %d, want 8 (only bucket)", got)
 	}
 
@@ -112,12 +112,12 @@ func TestHistogramEdgeCases(t *testing.T) {
 	for _, k := range []uint{1, 4, 10, 31, 62} {
 		b := &Histogram{}
 		b.Observe(1 << k)
-		if got, want := b.Quantile(1), int64(1)<<(k+1); got != want {
+		if got, want := QuantileFromBuckets(b.Buckets(), 1), int64(1)<<(k+1); got != want {
 			t.Errorf("2^%d: bound %d, want %d", k, got, want)
 		}
 		b2 := &Histogram{}
 		b2.Observe(1<<k - 1)
-		if got, want := b2.Quantile(1), int64(1)<<k; got != want {
+		if got, want := QuantileFromBuckets(b2.Buckets(), 1), int64(1)<<k; got != want {
 			t.Errorf("2^%d-1: bound %d, want %d", k, got, want)
 		}
 	}
@@ -126,45 +126,10 @@ func TestHistogramEdgeCases(t *testing.T) {
 	z := &Histogram{}
 	z.Observe(0)
 	z.Observe(-5)
-	if got := z.Quantile(1); got != 0 {
+	if got := QuantileFromBuckets(z.Buckets(), 1); got != 0 {
 		t.Errorf("non-positive samples: bound %d, want 0", got)
 	}
 	if got := z.Buckets(); len(got) != 1 || got[0] != 2 {
 		t.Errorf("non-positive samples: buckets %v, want [2]", got)
-	}
-
-	// Snapshot buckets agree with quantiles recomputed from them.
-	mix := &Histogram{}
-	for _, v := range []int64{1, 2, 3, 100, 1000, 1 << 20} {
-		mix.Observe(v)
-	}
-	bk := mix.Buckets()
-	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
-		if a, b := mix.Quantile(q), QuantileFromBuckets(bk, q); a != b {
-			t.Errorf("q=%v: Quantile %d != QuantileFromBuckets %d", q, a, b)
-		}
-	}
-}
-
-func TestSnapshotMergeRecomputesQuantilesFromBuckets(t *testing.T) {
-	a, b := NewMetrics(), NewMetrics()
-	a.Histogram("h").Observe(1) // p99 bound 2 alone
-	for i := 0; i < 99; i++ {
-		b.Histogram("h").Observe(1 << 20)
-	}
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	h := s.Hists["h"]
-	if h.Count != 100 {
-		t.Fatalf("merged count = %d", h.Count)
-	}
-	// A max-over-inputs merge would also give 2^21; the real check is p50:
-	// recomputed from merged buckets it must sit in the 2^20 bucket, where
-	// a max of the two p50s (2 and 2^21) could never land.
-	if got := h.P50; got != 1<<21 {
-		t.Errorf("merged p50 = %d, want %d from combined buckets", got, 1<<21)
-	}
-	if got := QuantileFromBuckets(h.Buckets, 0.001); got != 2 {
-		t.Errorf("low quantile lost the small sample: %d", got)
 	}
 }

@@ -98,7 +98,4 @@ func TestRequestTracerStampsAndIsolates(t *testing.T) {
 	if len(wevs) != 1 || wevs[0].Trace != "cccc" || wevs[0].Worker != 3 {
 		t.Fatalf("wall request tracer events = %+v", wevs)
 	}
-	if wall.TraceID() != "" || w.TraceID() != "cccc" {
-		t.Errorf("TraceID: parent %q, request %q", wall.TraceID(), w.TraceID())
-	}
 }

@@ -19,9 +19,6 @@ type Attr struct {
 type Event struct {
 	// Name is the span name ("phase/cegis", "rung/full", ...).
 	Name string `json:"name"`
-	// Path is the slash-joined ancestry for flame aggregation; equal to
-	// Name for root spans.
-	Path string `json:"path"`
 	// Worker is the parallel-driver worker id (Chrome trace tid).
 	Worker int `json:"worker"`
 	// Start and Dur are nanoseconds since the tracer epoch.
@@ -42,7 +39,7 @@ const maxEvents = 1 << 20
 // session tracer and one Child per parallel worker (or per corpus item), so
 // each buffer is effectively goroutine-confined and its mutex uncontended —
 // the "lock-cheap per-goroutine buffer" the parallel drivers need. The nil
-// *Tracer is the disabled mode: StartSpan and Start return nil spans, whose
+// *Tracer is the disabled mode: Start returns nil spans, whose
 // methods are no-ops, at the cost of one nil check and zero allocations.
 type Tracer struct {
 	clock  func() int64 // ns since epoch
@@ -109,31 +106,18 @@ func (t *Tracer) RequestTracer(trace string, worker int) *Tracer {
 	return c
 }
 
-// TraceID returns the trace id stamped on this tracer's spans ("" when the
-// tracer is not bound to a propagated request).
-func (t *Tracer) TraceID() string {
-	if t == nil {
-		return ""
-	}
-	return t.trace
-}
-
 // Span is an in-flight interval. The nil *Span discards everything.
 type Span struct {
-	t      *Tracer
-	name   string
-	path   string
-	worker int
-	start  int64
-	attrs  []Attr
+	t     *Tracer
+	name  string
+	start int64
+	attrs []Attr
 }
 
 type ctxKey int
 
 const (
 	ctxTracer ctxKey = iota
-	ctxSpan
-	ctxWorker
 	ctxMetrics
 )
 
@@ -171,43 +155,13 @@ func MetricsFrom(ctx context.Context) *Metrics {
 	return m
 }
 
-// WithWorker tags ctx with a parallel-driver worker id; spans started under
-// it inherit the id (Chrome trace tid).
-func WithWorker(ctx context.Context, worker int) context.Context {
-	return context.WithValue(ctx, ctxWorker, worker)
-}
-
-// StartSpan opens a span named name as a child of the span in ctx (if any)
-// and returns a context carrying it. On a nil tracer it returns ctx
-// unchanged and a nil span.
-func (t *Tracer) StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
-	path := name
-	worker := t.worker
-	if ctx != nil {
-		if parent, _ := ctx.Value(ctxSpan).(*Span); parent != nil {
-			path = parent.path + "/" + name
-			worker = parent.worker
-		} else if w, ok := ctx.Value(ctxWorker).(int); ok {
-			worker = w
-		}
-	}
-	s := &Span{t: t, name: name, path: path, worker: worker, start: t.clock(), attrs: attrs}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, ctxSpan, s), s
-}
-
-// Start opens a root span with no context threading — for layers that hold
-// a tracer (via engine.Budget) but no context of their own.
+// Start opens a span named name on the tracer's worker; layers reach the
+// tracer through engine.Budget.
 func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{t: t, name: name, path: name, worker: t.worker, start: t.clock(), attrs: attrs}
+	return &Span{t: t, name: name, start: t.clock(), attrs: attrs}
 }
 
 // SetAttr attaches a string attribute to the span.
@@ -231,7 +185,7 @@ func (s *Span) End() {
 	}
 	end := s.t.clock()
 	ev := Event{
-		Name: s.name, Path: s.path, Worker: s.worker,
+		Name: s.name, Worker: s.t.worker,
 		Start: s.start, Dur: end - s.start, Trace: s.t.trace, Attrs: s.attrs,
 	}
 	t := s.t
@@ -245,7 +199,7 @@ func (s *Span) End() {
 }
 
 // Events returns every finished span of this tracer and its children,
-// sorted by start time (then path, for a stable order under the
+// sorted by start time (then name, for a stable order under the
 // deterministic clock).
 func (t *Tracer) Events() []Event {
 	if t == nil {
@@ -265,7 +219,7 @@ func (t *Tracer) Events() []Event {
 		if out[i].Trace != out[j].Trace {
 			return out[i].Trace < out[j].Trace
 		}
-		return out[i].Path < out[j].Path
+		return out[i].Name < out[j].Name
 	})
 	return out
 }

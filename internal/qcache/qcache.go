@@ -196,9 +196,6 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// Interner returns the interner this cache is scoped to.
-func (c *Cache) Interner() *bv.Interner { return c.in }
-
 // bindMetrics resolves the shape instruments from the budget's registry,
 // re-resolving only when the registry changes (per-pipeline caches see one
 // registry for their lifetime). Caller holds c.mu.
@@ -230,7 +227,14 @@ func (c *Cache) CheckSat(b *engine.Budget, formulas ...*bv.Bool) (sat.Status, *b
 // translates its stored model only while that model still has to be
 // released into the model-reuse list, and the groups' models are never
 // merged.
+//
+// A nil cache is the direct solver: one bv.CheckSat of the formulas as
+// given, with no simplification, no qcache ledger rows and no reuse.
 func (c *Cache) Decide(b *engine.Budget, formulas ...*bv.Bool) sat.Status {
+	if c == nil {
+		st, _ := bv.CheckSat(b, formulas...)
+		return st
+	}
 	st, _, _ := c.query(b, nil, formulas, false, false)
 	return st
 }
@@ -243,12 +247,18 @@ func (c *Cache) Decide(b *engine.Budget, formulas ...*bv.Bool) sat.Status {
 // and keyed again; otherwise — a nil, foreign or unrelated parent — f is
 // prepared from scratch. Either way every group is checked, in Decide's
 // order, so statuses, Stats, budget counters and the reuse lists come out
-// exactly as under Decide.
+// exactly as under Decide. On a nil cache it is the nil cache's Decide(b, f)
+// and returns a nil path.
 func (c *Cache) Extend(b *engine.Budget, parent *Path, f *bv.Bool) (sat.Status, *Path) {
-	fs := [1]*bv.Bool{f}
-	st, _, p := c.query(b, parent, fs[:], true, false)
-	if st == sat.Unsat {
-		p = nil
+	var st sat.Status
+	var p *Path
+	if c == nil {
+		st = c.Decide(b, f)
+	} else {
+		fs := [1]*bv.Bool{f}
+		if st, _, p = c.query(b, parent, fs[:], true, false); st == sat.Unsat {
+			p = nil
+		}
 	}
 	if extendHook != nil {
 		extendHook(parent, f, p)

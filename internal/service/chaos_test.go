@@ -58,7 +58,7 @@ func TestServerChaosSoak(t *testing.T) {
 					faultpoint.DiskCacheIO:  0.10,
 				},
 			})
-			tier, err := diskcache.Open(t.TempDir(), reg)
+			tier, err := diskcache.OpenSized(t.TempDir(), 0, reg)
 			if err != nil {
 				t.Fatal(err)
 			}

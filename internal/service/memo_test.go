@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"stringloops/internal/core"
 	"stringloops/internal/diskcache"
 	"stringloops/internal/leakcheck"
 	"stringloops/internal/obs"
@@ -240,5 +241,28 @@ func TestServerMemoHitsReconcile(t *testing.T) {
 	}
 	if got := m.Counter(MSvcReconcileDrift).Value(); got != 0 {
 		t.Errorf("reconcile drift = %d with memo hits, want 0", got)
+	}
+}
+
+// TestServerDegradedSaysWhy: a loop whose full rung is refuted is answered
+// at the memoryless rung with the full rung's failure in Degraded, live and
+// from the memo alike, and its verdict key is the one it had before the
+// response carried the reason.
+func TestServerDegradedSaysWhy(t *testing.T) {
+	const wantKey = `rung=memoryless;mem=false||bounded check failed on "\x81\x01\x02\x00"`
+	_, liveTS, liveHC := newTestServer(t, Config{Pipeline: memoOff})
+	_, memoTS, memoHC := newTestServer(t, Config{})
+	req := Request{Source: midSrc, MaxProgramSize: 3}
+	for i, resp := range []*Response{
+		summarize(t, liveHC, liveTS.URL, req),
+		summarize(t, memoHC, memoTS.URL, req),
+		summarize(t, memoHC, memoTS.URL, req),
+	} {
+		if resp.Rung != "memoryless" || resp.Degraded != core.ErrNotFound.Error() {
+			t.Errorf("response %d: rung %q, degraded %q; want memoryless, %q", i, resp.Rung, resp.Degraded, core.ErrNotFound)
+		}
+		if key := resp.VerdictKey(); key != wantKey {
+			t.Errorf("response %d: verdict key %s, want %s", i, key, wantKey)
+		}
 	}
 }

@@ -144,7 +144,7 @@ func TestServerSmokeWithoutPayloadIs422(t *testing.T) {
 // and zero goroutine leaks afterwards.
 func TestServerMixedSmoke50(t *testing.T) {
 	dir := t.TempDir()
-	tier, err := diskcache.Open(dir, nil)
+	tier, err := diskcache.OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestServerRateLimit(t *testing.T) {
 // never dropped — the cache tier is flushed, and nothing leaks.
 func TestServerDrainUnderLoad(t *testing.T) {
 	dir := t.TempDir()
-	tier, err := diskcache.Open(dir, nil)
+	tier, err := diskcache.OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +507,7 @@ func TestServerDrainUnderLoad(t *testing.T) {
 // request.
 func TestServerCancelMidSolveReleasesEverything(t *testing.T) {
 	dir := t.TempDir()
-	tier, err := diskcache.Open(dir, nil)
+	tier, err := diskcache.OpenSized(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,34 +94,12 @@ func (s *SymString) LenIs(n int) *bv.Bool {
 	return cond
 }
 
-// LenAtLeast returns the constraint strlen(s) >= n.
-func (s *SymString) LenAtLeast(n int) *bv.Bool {
-	in := s.in
-	cond := bv.True
-	for i := 0; i < n && i < len(s.Bytes); i++ {
-		cond = in.BAnd2(cond, in.Ne(s.Bytes[i], in.Byte(0)))
-	}
-	if n > s.MaxLen() {
-		return bv.False
-	}
-	return cond
-}
-
 // Set is the second argument of the strspn-family functions: a sequence of
 // member bytes, possibly symbolic (during synthesis the members are the
 // unknowns). A member equal to a meta-character matches its class rather than
 // itself, mirroring cstr.MatchSet.
 type Set struct {
 	Members []*bv.Term
-}
-
-// ConcreteSet builds a Set of constant members.
-func ConcreteSet(in *bv.Interner, chars []byte) Set {
-	s := Set{Members: make([]*bv.Term, len(chars))}
-	for i, c := range chars {
-		s.Members[i] = in.Byte(c)
-	}
-	return s
 }
 
 // memberMatches returns the condition that set member a matches character c,

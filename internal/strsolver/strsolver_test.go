@@ -57,7 +57,7 @@ func TestLenIsExhaustive(t *testing.T) {
 func TestSpnIsExhaustive(t *testing.T) {
 	sets := [][]byte{{'a'}, {'a', 'b'}, {' '}, {cstr.MetaDigit}}
 	for _, setBytes := range sets {
-		set := ConcreteSet(tin, setBytes)
+		set := concreteSet(tin, setBytes)
 		expanded := cstr.ExpandMeta(setBytes)
 		for _, buf := range enumBuffers(3, []byte{'a', 'b', '0'}) {
 			for from := 0; from <= cstr.Strlen(buf, 0); from++ {
@@ -75,7 +75,7 @@ func TestSpnIsExhaustive(t *testing.T) {
 }
 
 func TestCspnIsExhaustive(t *testing.T) {
-	set := ConcreteSet(tin, []byte{'b'})
+	set := concreteSet(tin, []byte{'b'})
 	for _, buf := range enumBuffers(3, []byte{'a', 'b'}) {
 		for from := 0; from <= cstr.Strlen(buf, 0); from++ {
 			want := cstr.Strcspn(buf, from, []byte{'b'})
@@ -134,7 +134,7 @@ func TestRchrIsExhaustive(t *testing.T) {
 
 func TestPbrkIsExhaustive(t *testing.T) {
 	setBytes := []byte{'b', ' '}
-	set := ConcreteSet(tin, setBytes)
+	set := concreteSet(tin, setBytes)
 	for _, buf := range enumBuffers(3, []byte{'a', 'b', ' '}) {
 		for from := 0; from <= cstr.Strlen(buf, 0); from++ {
 			want := cstr.Strpbrk(buf, from, setBytes)
@@ -178,7 +178,7 @@ func TestRawchrIsExhaustive(t *testing.T) {
 }
 
 func TestSetContainsMeta(t *testing.T) {
-	set := ConcreteSet(tin, []byte{cstr.MetaDigit, 'x'})
+	set := concreteSet(tin, []byte{cstr.MetaDigit, 'x'})
 	for c := 0; c < 256; c++ {
 		want := cstr.MatchSet(byte(c), []byte{cstr.MetaDigit, 'x'})
 		got := set.Contains(tin, tin.Byte(byte(c))).Eval(nil)
@@ -192,7 +192,7 @@ func TestSolveForString(t *testing.T) {
 	// Ask the solver for a string whose whitespace span is exactly 2 and
 	// whose third character is 'x'.
 	s := New(tin, "s", 3)
-	set := ConcreteSet(tin, []byte{' ', '\t'})
+	set := concreteSet(tin, []byte{' ', '\t'})
 	solver := bv.NewSolver()
 	solver.Assert(s.SpnIs(0, 2, set))
 	solver.Assert(tin.Eq(s.At(2), tin.Byte('x')))
@@ -202,7 +202,7 @@ func TestSolveForString(t *testing.T) {
 	var a bv.Assignment
 	a.Terms = map[string]uint64{}
 	for i := 0; i < 3; i++ {
-		a.Terms[fmt.Sprintf("s[%d]", i)] = solver.Value(s.At(i))
+		a.Terms[fmt.Sprintf("s[%d]", i)] = s.At(i).Eval(solver.ModelAssignment())
 	}
 	buf := s.Concretize(&a)
 	if got := cstr.Strspn(buf, 0, []byte(" \t")); got != 2 {
@@ -228,7 +228,7 @@ func TestSolveSymbolicSetMember(t *testing.T) {
 	if st := solver.Check(); st != sat.Sat {
 		t.Fatalf("Check = %v", st)
 	}
-	av := byte(solver.Value(a))
+	av := byte(a.Eval(solver.ModelAssignment()))
 	// The only single members with span exactly 2 on "  x" are ' ' and the
 	// whitespace meta-character.
 	if av != ' ' && av != cstr.MetaSpace {
@@ -261,4 +261,13 @@ func TestFromConcreteRequiresTerminator(t *testing.T) {
 	if s, err := FromConcrete(tin, []byte{0}); err != nil || s.MaxLen() != 0 {
 		t.Fatalf("FromConcrete on a bare terminator: s=%v err=%v", s, err)
 	}
+}
+
+// concreteSet builds a Set of constant members.
+func concreteSet(in *bv.Interner, chars []byte) Set {
+	s := Set{Members: make([]*bv.Term, len(chars))}
+	for i, c := range chars {
+		s.Members[i] = in.Byte(c)
+	}
+	return s
 }

@@ -121,7 +121,7 @@ func TestRunConcreteInvalid(t *testing.T) {
 	}{
 		{"null input", deref, nil, ErrNullDeref},
 		{"foreign return", foreign, SymbolicString(tin, "s", 1), ErrForeignReturn},
-		{"out-of-bounds read", scan, ConcreteString(tin, []byte("ab\x00")), ErrOOB},
+		{"out-of-bounds read", scan, []*bv.Term{tin.Byte('a'), tin.Byte('b'), tin.Byte(0)}, ErrOOB},
 	} {
 		e := &Engine{In: tin}
 		paths, err := e.RunOn(tc.f, tc.in)

@@ -54,7 +54,7 @@ func TestMergeCollapsesExponentialPaths(t *testing.T) {
 	if e.Budget.Count(engine.MergeItes) == 0 {
 		t.Fatal("merged run built zero merge ites")
 	}
-	if forks := e.Budget.Forks(); forks >= int64(len(enum)) {
+	if forks := e.Budget.Count(engine.Forks); forks >= int64(len(enum)) {
 		t.Fatalf("merged run forked %d times, no better than enumeration (%d paths)", forks, len(enum))
 	}
 }

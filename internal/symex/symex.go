@@ -103,10 +103,10 @@ type Engine struct {
 	// (runs, paths, steps, forks, feasibility queries, merges) are kept.
 	// Nil means unlimited and uncounted.
 	Budget *engine.Budget
-	// Cache, when non-nil, routes feasibility queries through the
-	// slicing/caching/incremental solver chain instead of a fresh solver per
-	// query. It must be scoped to the same interner as In — forks sharing a
-	// path prefix then re-use its encoding and cached verdicts.
+	// Cache routes feasibility queries through the slicing/caching/
+	// incremental solver chain; nil is the direct solver, a fresh solver
+	// per query. It must be scoped to the same interner as In — forks
+	// sharing a path prefix then re-use its encoding and cached verdicts.
 	Cache *qcache.Cache
 
 	// Run-local plumbing, rebound at every Run entry: sched is the active
@@ -477,15 +477,11 @@ func (e *Engine) feasible(s *state, cond *bv.Bool) bool {
 		cond = sc
 	}
 	e.Budget.Add(engine.SolverQueries, 1)
+	// The cache simplifies cond again, exactly as Decide would; the second
+	// pass is not idempotent on merged shapes, and Extend must see what
+	// Decide sees to make the same decisions. A nil cache solves cond as is.
 	var st sat.Status
-	if e.Cache != nil {
-		// The cache simplifies cond again, exactly as Decide would; the
-		// second pass is not idempotent on merged shapes, and Extend must
-		// see what Decide sees to make the same decisions.
-		st, s.path = e.Cache.Extend(e.Budget, s.path, cond)
-	} else {
-		st, _ = bv.CheckSat(e.Budget, cond)
-	}
+	st, s.path = e.Cache.Extend(e.Budget, s.path, cond)
 	return st != sat.Unsat
 }
 
@@ -840,14 +836,4 @@ func SymbolicString(in *bv.Interner, name string, maxLen int) []*bv.Term {
 	}
 	buf[maxLen] = in.Byte(0)
 	return buf
-}
-
-// ConcreteString wraps a concrete NUL-terminated buffer as constant terms
-// built with in.
-func ConcreteString(in *bv.Interner, buf []byte) []*bv.Term {
-	out := make([]*bv.Term, len(buf))
-	for i, b := range buf {
-		out[i] = in.Byte(b)
-	}
-	return out
 }

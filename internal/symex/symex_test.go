@@ -291,7 +291,7 @@ char *find(char *s) {
 	if b.Count(engine.SymexRuns) != 1 || b.Count(engine.Paths) != int64(len(paths)) {
 		t.Fatalf("runs/paths not counted: %+v for %d paths", b.Spend(), len(paths))
 	}
-	if b.Forks() == 0 || b.Count(engine.SolverQueries) == 0 || b.Count(engine.Steps) == 0 {
+	if b.Count(engine.Forks) == 0 || b.Count(engine.SolverQueries) == 0 || b.Count(engine.Steps) == 0 {
 		t.Fatalf("stats not counted: %+v", b.Spend())
 	}
 }

@@ -168,13 +168,14 @@ type CompiledFunc func(buf []byte) Result
 // specialised closures that go straight to the standard library's
 // assembly-backed byte search (the moral equivalent of calling glibc's SIMD
 // strchr); character sets become 256-entry lookup tables built once at
-// compile time. Everything else falls back to a generic step machine — the
-// native-execution side of §4.4.
+// compile time. Every curated summary takes one of these shapes (the
+// native-execution side of §4.4); anything else runs on the gadget
+// interpreter, Run.
 func CompileGo(p Program) CompiledFunc {
 	if f := specializeGo(p); f != nil {
 		return f
 	}
-	return compileGoGeneric(p)
+	return func(buf []byte) Result { return Run(p, buf) }
 }
 
 // specializeGo recognises the shapes most synthesised programs take and
@@ -314,153 +315,4 @@ func specializeGo(p Program) CompiledFunc {
 		}
 	}
 	return nil
-}
-
-func compileGoGeneric(p Program) CompiledFunc {
-	type step struct {
-		op    Op
-		c     byte
-		table *[256]bool
-	}
-	steps := make([]step, len(p))
-	for i, in := range p {
-		st := step{op: in.Op}
-		if in.Op.TakesChar() {
-			st.c = in.Arg[0]
-		}
-		if in.Op.TakesSet() {
-			var tbl [256]bool
-			for _, c := range cstr.ExpandMeta(in.Arg) {
-				tbl[c] = true
-			}
-			st.table = &tbl
-		}
-		steps[i] = st
-	}
-	return func(buf []byte) Result {
-		isNullInput := buf == nil
-		cur := buf
-		reversed := false
-		n := 0
-		kind := Ptr
-		off := 0
-		if isNullInput {
-			kind = Null
-		}
-		skip := false
-		finish := func() Result {
-			switch kind {
-			case Null:
-				return NullResult()
-			case Invalid:
-				return InvalidResult()
-			}
-			if reversed {
-				return PtrResult(n - 1 - off)
-			}
-			return PtrResult(off)
-		}
-		strOK := func() bool { return kind == Ptr && off >= 0 && off < len(cur) }
-		for i, st := range steps {
-			if skip {
-				skip = false
-				continue
-			}
-			switch st.op {
-			case OpReverse:
-				if i != 0 || isNullInput {
-					return InvalidResult()
-				}
-				cur = cstr.Reverse(cur, 0)
-				reversed = true
-				n = len(cur) - 1
-				off = 0
-			case OpRawmemchr:
-				if !strOK() {
-					return InvalidResult()
-				}
-				j := cstr.Memchr(cur, off, st.c, len(cur)-off)
-				if j == cstr.NotFound {
-					return InvalidResult()
-				}
-				off = j
-			case OpStrchr:
-				if !strOK() {
-					return InvalidResult()
-				}
-				if j := cstr.Strchr(cur, off, st.c); j == cstr.NotFound {
-					kind = Null
-				} else {
-					off = j
-				}
-			case OpStrrchr:
-				if !strOK() {
-					return InvalidResult()
-				}
-				if j := cstr.Strrchr(cur, off, st.c); j == cstr.NotFound {
-					kind = Null
-				} else {
-					off = j
-				}
-			case OpStrpbrk:
-				if !strOK() {
-					return InvalidResult()
-				}
-				j := off
-				for cur[j] != 0 && !st.table[cur[j]] {
-					j++
-				}
-				if cur[j] == 0 {
-					kind = Null
-				} else {
-					off = j
-				}
-			case OpStrspn:
-				if !strOK() {
-					return InvalidResult()
-				}
-				for cur[off] != 0 && st.table[cur[off]] {
-					off++
-				}
-			case OpStrcspn:
-				if !strOK() {
-					return InvalidResult()
-				}
-				for cur[off] != 0 && !st.table[cur[off]] {
-					off++
-				}
-			case OpIsNullptr:
-				skip = kind != Null
-			case OpIsStart:
-				if isNullInput {
-					skip = kind != Null
-				} else {
-					skip = !(kind == Ptr && off == 0)
-				}
-			case OpIncrement:
-				if kind != Ptr {
-					return InvalidResult()
-				}
-				off++
-			case OpSetToEnd:
-				if isNullInput {
-					return InvalidResult()
-				}
-				kind = Ptr
-				off = cstr.Strlen(cur, 0)
-			case OpSetToStart:
-				if isNullInput {
-					kind = Null
-				} else {
-					kind = Ptr
-					off = 0
-				}
-			case OpReturn:
-				return finish()
-			default:
-				return InvalidResult()
-			}
-		}
-		return InvalidResult()
-	}
 }

@@ -1,0 +1,5 @@
+package vocab
+
+// Specialized reports whether CompileGo gives p a specialised closure
+// instead of the Run fallback.
+func Specialized(p Program) bool { return specializeGo(p) != nil }

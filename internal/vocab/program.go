@@ -297,13 +297,3 @@ func VocabularyOf(letters string) (Vocabulary, error) {
 	}
 	return v, nil
 }
-
-// Admits reports whether every gadget used by p is in the vocabulary.
-func (v Vocabulary) Admits(p Program) bool {
-	for _, in := range p {
-		if !v.Contains(in.Op) {
-			return false
-		}
-	}
-	return true
-}
