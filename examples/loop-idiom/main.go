@@ -1,8 +1,8 @@
 // Loop idiom recognition: the compiler application of §4.4. LLVM's
 // LoopIdiomRecognize pass turns "simple loops into a non-loop form" with
 // hand-written per-function matchers; here the general synthesis machinery
-// does it — the loop is summarised, the summary compiled back to loop-free
-// IR over C standard-library calls, and the replacement proven equivalent
+// does it — the loop is summarised, the summary's C lowered to loop-free IR
+// over C standard-library calls, and the replacement proven equivalent
 // before being returned.
 //
 //	go run ./examples/loop-idiom
@@ -29,6 +29,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("recognised idiom:", r.Summary)
+	fmt.Println("\n--- replacement C ---")
+	fmt.Print(r.C)
 	fmt.Println("\n--- before (loop) ---")
 	fmt.Print(r.OriginalIR)
 	fmt.Println("\n--- after (loop-free library calls, proven equivalent) ---")

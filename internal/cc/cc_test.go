@@ -100,6 +100,30 @@ func TestLexOctalEscapeInString(t *testing.T) {
 	}
 }
 
+func TestLexHexEscapeTakesEveryDigit(t *testing.T) {
+	// C11 6.4.4.4: a hex escape runs to the first non-hex character, value
+	// mod 256, as gcc reads it.
+	cases := map[string]string{
+		`"\x0041"`: "A",
+		`"\x1ab"`:  "\xab",
+		`"\x41g"`:  "Ag",
+		`"\x4\x1"`: "\x04\x01",
+	}
+	for src, want := range cases {
+		toks, err := Lex(src)
+		if err != nil {
+			t.Errorf("Lex(%s): %v", src, err)
+			continue
+		}
+		if len(toks) != 1 || toks[0].Str != want {
+			t.Errorf("Lex(%s) = %v, want %q", src, toks, want)
+		}
+	}
+	if _, err := Lex(`"\xg"`); err == nil {
+		t.Error(`Lex("\xg") should fail`)
+	}
+}
+
 func TestLexErrors(t *testing.T) {
 	for _, src := range []string{"'a", `"abc`, "/* unclosed", "$", `'\q'`} {
 		if _, err := Lex(src); err == nil {
@@ -169,6 +193,29 @@ func TestPreprocessIncludeIgnored(t *testing.T) {
 	}
 	if joinToks(toks) != "int x ;" {
 		t.Fatalf("got %q", joinToks(toks))
+	}
+}
+
+func TestPreprocessPredefinesNull(t *testing.T) {
+	toks, err := Preprocess("#include <string.h>\nif (s == NULL) return NULL;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := joinToks(toks), "if ( s == ( ( void * ) 0 ) ) return ( ( void * ) 0 ) ;"; got != want {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+	// A source definition overrides the predefined one, and #undef removes it.
+	for src, want := range map[string]string{
+		"#define NULL 0\nx = NULL;": "x = 0 ;",
+		"#undef NULL\ny = NULL;":    "y = NULL ;",
+	} {
+		toks, err = Preprocess(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := joinToks(toks); got != want {
+			t.Errorf("%q: got %q, want %q", src, got, want)
+		}
 	}
 }
 

@@ -211,17 +211,18 @@ func (l *lexer) lexEscape() (byte, error) {
 	case '?':
 		return '?', nil
 	case 'x':
-		var v int
+		// Hex escape: every hex digit that follows (C11 6.4.4.4), value
+		// taken mod 256 as for octal.
+		var v byte
 		n := 0
-		for l.pos < len(l.src) && isHexDigit(l.peek()) && n < 2 {
-			d, _ := strconv.ParseInt(string(l.advance()), 16, 8)
-			v = v*16 + int(d)
-			n++
+		for ; l.pos < len(l.src) && isHexDigit(l.peek()); n++ {
+			d, _ := strconv.ParseUint(string(l.advance()), 16, 8)
+			v = v<<4 | byte(d)
 		}
 		if n == 0 {
 			return 0, l.errf("bad hex escape")
 		}
-		return byte(v), nil
+		return v, nil
 	default:
 		return 0, l.errf("unsupported escape \\%c", c)
 	}

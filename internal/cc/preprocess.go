@@ -16,8 +16,12 @@ type macro struct {
 // Preprocess handles the single-file subset of the C preprocessor the loop
 // corpus needs: object-like and function-like #define, #undef, and ignored
 // #include lines. It returns the fully macro-expanded token stream.
+//
+// Headers are not read, so the one macro they supply that loops use, NULL,
+// is predefined as <stddef.h> defines it; a #define or #undef in the source
+// overrides it.
 func Preprocess(src string) ([]Token, error) {
-	macros := map[string]*macro{}
+	macros := map[string]*macro{"NULL": nullMacro}
 	var codeLines []string
 
 	lines := splitLogicalLines(src)
@@ -54,6 +58,15 @@ func Preprocess(src string) ([]Token, error) {
 	}
 	return expandMacros(toks, macros, 0)
 }
+
+// nullMacro is NULL as <stddef.h> defines it.
+var nullMacro = func() *macro {
+	m, err := parseDefine("NULL ((void *)0)")
+	if err != nil {
+		panic(err)
+	}
+	return m
+}()
 
 // splitLogicalLines splits src into lines, joining backslash continuations.
 func splitLogicalLines(src string) []string {

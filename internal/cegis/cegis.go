@@ -190,7 +190,7 @@ func New(loop *cir.Func, opts Options) (*Synthesizer, error) {
 
 	// The loop's symbolic paths on a fresh symbolic string of max_ex_size
 	// (line 10 of Algorithm 2), merged: computed once, reused per candidate.
-	buf := symex.SymbolicString(s.bvin, "s", opts.MaxExSize)
+	buf := strsolver.New(s.bvin, "s", opts.MaxExSize).Bytes
 	s.symStr = strsolver.Wrap(s.bvin, buf)
 	paths, err := loopPaths(eng, loop, buf)
 	if err != nil {
@@ -237,7 +237,7 @@ func VerifyFunctionEquivalence(a, b *cir.Func, maxLen int, budget *engine.Budget
 
 	eng := symex.Config{}.NewEngine(budget)
 	bvin, cache := eng.In, eng.Cache
-	buf := symex.SymbolicString(bvin, "s", maxLen)
+	buf := strsolver.New(bvin, "s", maxLen).Bytes
 	pathsA, err := loopPaths(eng, a, buf)
 	if err != nil {
 		return false, nil, err

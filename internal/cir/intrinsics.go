@@ -1,7 +1,10 @@
 package cir
 
+import "stringloops/internal/cstr"
+
 // This file is the machine's library: the string.h functions over data
-// objects, so idiom-rewritten and refactored code runs concretely, and the
+// objects (their arguments checked here, their work done by cstr), so
+// idiom-rewritten and refactored code runs concretely, and the
 // ctype.h-style character functions loops call. The character functions
 // take and return ints, so the automatic pointer-call filter keeps loops
 // using them — exactly the loops whose synthesis needs meta-characters
@@ -89,52 +92,42 @@ func (m *Memory) call(k intrinsic, args []CVal, n int) (CVal, fault) {
 		return nil, 0, false
 	}
 	ptrAt := func(off int) CVal { return PtrVal(args[0].Obj, off) }
+	found := func(off int) CVal {
+		if off == cstr.NotFound {
+			return NullVal()
+		}
+		return ptrAt(off)
+	}
 
+	// The checks above make every call below defined: cstr runs it.
 	switch k {
 	case inStrlen:
 		buf, off, ok := str(0)
 		if !ok {
 			return CVal{}, fMemory
 		}
-		l := 0
-		for buf[off+l] != 0 {
-			l++
-		}
-		return IntVal(int64(l)), 0
+		return IntVal(int64(cstr.Strlen(buf, off))), 0
 	case inStrchr, inStrrchr:
 		buf, off, ok := str(0)
 		if !ok {
 			return CVal{}, fMemory
 		}
-		c, last := byte(args[1].Int), -1
-		for i := off; ; i++ {
-			if buf[i] == c {
-				if k == inStrchr {
-					return ptrAt(i), 0
-				}
-				last = i
-			}
-			if buf[i] == 0 {
-				break
-			}
+		find := cstr.Strchr
+		if k == inStrrchr {
+			find = cstr.Strrchr
 		}
-		if last < 0 {
-			return NullVal(), 0
-		}
-		return ptrAt(last), 0
+		return found(find(buf, off, byte(args[1].Int))), 0
 	case inRawmemchr:
 		// No terminator check: scanning off the buffer is UB.
 		buf, off, ok := raw(0)
 		if !ok {
 			return CVal{}, fMemory
 		}
-		c := byte(args[1].Int)
-		for i := off; i < len(buf); i++ {
-			if buf[i] == c {
-				return ptrAt(i), 0
-			}
+		i := cstr.Memchr(buf, off, byte(args[1].Int), len(buf)-off)
+		if i == cstr.NotFound {
+			return CVal{}, fMemory
 		}
-		return CVal{}, fMemory
+		return ptrAt(i), 0
 	case inStrspn, inStrcspn, inStrpbrk:
 		buf, off, ok := str(0)
 		if !ok {
@@ -144,37 +137,21 @@ func (m *Memory) call(k intrinsic, args []CVal, n int) (CVal, fault) {
 		if !ok {
 			return CVal{}, fMemory
 		}
-		inSet := func(c byte) bool {
-			for k := setOff; set[k] != 0; k++ {
-				if set[k] == c {
-					return true
-				}
-			}
-			return false
+		set = set[setOff : setOff+cstr.Strlen(set, setOff)]
+		switch k {
+		case inStrspn:
+			return IntVal(int64(cstr.Strspn(buf, off, set))), 0
+		case inStrcspn:
+			return IntVal(int64(cstr.Strcspn(buf, off, set))), 0
 		}
-		if k == inStrpbrk {
-			for i := off; buf[i] != 0; i++ {
-				if inSet(buf[i]) {
-					return ptrAt(i), 0
-				}
-			}
-			return NullVal(), 0
-		}
-		l := 0
-		for buf[off+l] != 0 && inSet(buf[off+l]) == (k == inStrspn) {
-			l++
-		}
-		return IntVal(int64(l)), 0
+		return found(cstr.Strpbrk(buf, off, set)), 0
 	case inMemchr:
 		buf, off, ok := raw(0)
 		if !ok {
 			return CVal{}, fMemory
 		}
-		c, l := byte(args[1].Int), int(args[2].Int)
-		for i := off; i < off+l && i < len(buf); i++ {
-			if buf[i] == c {
-				return ptrAt(i), 0
-			}
+		if l := int(args[2].Int); l > 0 {
+			return found(cstr.Memchr(buf, off, byte(args[1].Int), l)), 0
 		}
 		return NullVal(), 0
 	}

@@ -21,7 +21,6 @@ import (
 	"stringloops/internal/cstr"
 	"stringloops/internal/diskcache"
 	"stringloops/internal/engine"
-	"stringloops/internal/idiom"
 	"stringloops/internal/memoryless"
 	"stringloops/internal/obs"
 	"stringloops/internal/sat"
@@ -453,16 +452,28 @@ func CheckRefactoring(source, originalName, refactoredName string, maxLen int) (
 type IdiomRewrite struct {
 	// Summary is the synthesised program in readable form.
 	Summary string
+	// C is the replacement: the summary's own C (Summary.C), proven
+	// equivalent to the loop.
+	C string
 	// OriginalIR and RewrittenIR are the function's IR before and after the
-	// pass (the rewritten form is loop-free, built from string.h calls).
+	// pass (the rewritten form is C lowered, loop-free, built from string.h
+	// calls).
 	OriginalIR  string
 	RewrittenIR string
 }
 
+// ErrNoLoopFreeForm means the loop has a summary whose C is not a loop-free
+// replacement: the summary needs the reverse gadget, which has no loop-free
+// library equivalent (§2.2's motivation for reverse), or its C falls
+// outside the front end's subset, as the invalid-pointer return of a
+// program that can run out of instructions does.
+var ErrNoLoopFreeForm = errors.New("core: summary has no loop-free library form")
+
 // RewriteIdiom runs the LoopIdiomRecognize-style pass (§4.4's compiler
-// application) on the named function: summarise the loop, compile the
-// summary to loop-free calls into the C standard library, and prove the
-// replacement equivalent before returning it.
+// application) on the named function: summarise the loop, lower the
+// summary's C, and prove it equivalent to the loop on all strings up to
+// length 3 and on NULL before returning it. The timeout bounds the whole
+// pass.
 func RewriteIdiom(source, funcName string, timeout time.Duration) (*IdiomRewrite, error) {
 	f, err := lowerNamed(source, funcName)
 	if err != nil {
@@ -471,15 +482,39 @@ func RewriteIdiom(source, funcName string, timeout time.Duration) (*IdiomRewrite
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
-	r, err := idiom.Rewrite(f, cegis.Options{Timeout: timeout})
-	if err != nil {
+	budget := engine.WithTimeout(timeout)
+	out, err := cegis.Synthesize(f, cegis.Options{Budget: budget})
+	if err != nil && !errors.Is(err, cegis.ErrTimeout) {
 		return nil, err
 	}
-	return &IdiomRewrite{
-		Summary:     r.Program.String(),
-		OriginalIR:  f.String(),
-		RewrittenIR: r.Replaced.String(),
-	}, nil
+	if !out.Found {
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: %w", ErrNotFound, f.Name, err)
+		}
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, f.Name)
+	}
+	p := out.Program
+	if p.Uses(vocab.OpReverse) {
+		return nil, fmt.Errorf("%w: %s", ErrNoLoopFreeForm, p)
+	}
+	c := vocab.CompileToC(p, f.Name+"_summary")
+	var g *cir.Func
+	file, err := cc.Parse(c)
+	if err == nil {
+		g, err = cir.LowerFunc(file.Funcs[0], file)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrNoLoopFreeForm, p, err)
+	}
+	// The pass refuses to install a replacement it cannot prove.
+	ok, cex, err := cegis.VerifyFunctionEquivalence(f, g, 3, budget)
+	if err != nil {
+		return nil, fmt.Errorf("core: self-check failed: %w", err)
+	}
+	if !ok {
+		return nil, fmt.Errorf("core: replacement disagrees with %s on %q", f.Name, cex)
+	}
+	return &IdiomRewrite{Summary: p.String(), C: c, OriginalIR: f.String(), RewrittenIR: g.String()}, nil
 }
 
 // Candidate is a loop that survived the automatic filter pipeline of §4.1.1.

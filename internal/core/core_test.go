@@ -39,6 +39,29 @@ func TestSummarizeFigure1(t *testing.T) {
 	}
 }
 
+func TestSummarizeNullGuardWithoutDefinition(t *testing.T) {
+	// NULL comes from a header the front end does not read; it is
+	// predefined as <stddef.h> defines it.
+	src := `#include <string.h>
+char *skip(char *s) {
+  if (s == NULL)
+    return NULL;
+  while (*s == ' ')
+    s++;
+  return s;
+}`
+	s, err := Summarize(src, "skip", Options{Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Encoded != "ZFP \x00F" {
+		t.Errorf("encoded %q", s.Encoded)
+	}
+	if off, found := s.Run("  x"); !found || off != 2 {
+		t.Errorf("Run = %d,%v", off, found)
+	}
+}
+
 func TestSummarizeNamedFunction(t *testing.T) {
 	src := `
 char *first(char *s) { while (*s == 'a') s++; return s; }

@@ -15,6 +15,7 @@ import (
 	"stringloops/internal/memoryless"
 	"stringloops/internal/obs"
 	"stringloops/internal/sat"
+	"stringloops/internal/strsolver"
 	"stringloops/internal/supervise"
 	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
@@ -307,7 +308,7 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 func loopCoveringInputs(f *cir.Func, maxLen int, budget *engine.Budget, pipe symex.Config) ([]TestInput, error) {
 	eng := pipe.NewEngine(budget)
 	cache := eng.Cache
-	buf := symex.SymbolicString(eng.In, "s", maxLen)
+	buf := strsolver.New(eng.In, "s", maxLen).Bytes
 	paths, err := eng.RunOn(f, buf)
 	if err != nil {
 		return nil, err

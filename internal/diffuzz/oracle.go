@@ -12,6 +12,7 @@ import (
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/memoryless"
+	"stringloops/internal/strsolver"
 	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
@@ -371,7 +372,7 @@ func (t *Target) pathsFor(n int, merged bool) pathSet {
 	}
 	var buf []*bv.Term
 	if n >= 0 {
-		buf = symex.SymbolicString(eng.In, "s", n)
+		buf = strsolver.New(eng.In, "s", n).Bytes
 	}
 	paths, err := eng.RunOn(t.F, buf)
 	ps := pathSet{paths: paths, err: err}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"stringloops/internal/core"
+	"stringloops/internal/vocab"
 )
 
 // CTestOptions configures GenerateCTests.
@@ -55,7 +56,7 @@ func GenerateCTests(source string, opts CTestOptions) (string, int, error) {
 		fmt.Fprintf(&sb, "/* %s: summary `%s`, %d behaviours. */\n", c.Function, summary.Readable, len(tests))
 		fmt.Fprintf(&sb, "static void test_%s(void) {\n", c.Function)
 		for _, tc := range tests {
-			in := CQuote(tc.Input)
+			in := vocab.CLiteral([]byte(tc.Input), '"')
 			if tc.Null {
 				fmt.Fprintf(&sb, "  assert(%s(%s) == NULL);\n", c.Function, in)
 			} else {
@@ -75,28 +76,4 @@ func GenerateCTests(source string, opts CTestOptions) (string, int, error) {
 	fmt.Fprintf(&sb, "  printf(\"all %d generated tests passed\\n\");\n", total)
 	sb.WriteString("  return 0;\n}\n")
 	return sb.String(), total, nil
-}
-
-// CQuote renders a Go string as a C string literal.
-func CQuote(s string) string {
-	var sb strings.Builder
-	sb.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			sb.WriteByte('\\')
-			sb.WriteByte(c)
-		case c == '\n':
-			sb.WriteString("\\n")
-		case c == '\t':
-			sb.WriteString("\\t")
-		case c < 32 || c > 126:
-			fmt.Fprintf(&sb, "\\x%02x", c)
-		default:
-			sb.WriteByte(c)
-		}
-	}
-	sb.WriteByte('"')
-	return sb.String()
 }

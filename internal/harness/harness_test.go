@@ -171,21 +171,6 @@ char *find(char *s) {
 	}
 }
 
-func TestCQuote(t *testing.T) {
-	cases := map[string]string{
-		"abc":       `"abc"`,
-		"a\tb":      `"a\tb"`,
-		"a\"b\\c":   `"a\"b\\c"`,
-		"a\x01b":    `"a\x01b"`,
-		"new\nline": `"new\nline"`,
-	}
-	for in, want := range cases {
-		if got := CQuote(in); got != want {
-			t.Errorf("CQuote(%q) = %s, want %s", in, got, want)
-		}
-	}
-}
-
 func TestSynthesizedCorpus(t *testing.T) {
 	loops := SynthesizedCorpus()
 	if len(loops) != 77 {

@@ -81,7 +81,7 @@ func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measu
 	budget := engine.NewBudget(cfg.Ctx, engine.Limits{Timeout: timeout})
 	eng := cfg.stack(budget)
 	cache := eng.Cache
-	paths, err := eng.RunOn(loop, symex.SymbolicString(eng.In, "s", n))
+	paths, err := eng.RunOn(loop, strsolver.New(eng.In, "s", n).Bytes)
 	m := Measurement{
 		Mode:          "vanilla",
 		Length:        n,

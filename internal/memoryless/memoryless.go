@@ -29,6 +29,7 @@ import (
 	"stringloops/internal/engine"
 	"stringloops/internal/obs"
 	"stringloops/internal/sat"
+	"stringloops/internal/strsolver"
 	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
@@ -442,7 +443,7 @@ func decodeVerdict(raw []byte, spec *Spec) (ok bool, cex []byte, decoded bool) {
 func checkEquivalence(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions) (bool, []byte, error) {
 	eng := opts.Pipeline.NewEngine(opts.Budget)
 	bvin, cache := eng.In, eng.Cache
-	buf := symex.SymbolicString(bvin, "s", maxLen)
+	buf := strsolver.New(bvin, "s", maxLen).Bytes
 	paths, err := eng.RunLoop(loop, buf)
 	if errors.Is(err, symex.ErrTimeout) {
 		return false, nil, fmt.Errorf("%w: %w", ErrTimeout, err)

@@ -15,6 +15,7 @@ import (
 	"stringloops/internal/loopdb"
 	"stringloops/internal/qcache"
 	"stringloops/internal/sat"
+	"stringloops/internal/strsolver"
 	"stringloops/internal/symex"
 )
 
@@ -65,7 +66,7 @@ func record(t *testing.T, name string, f *cir.Func, n int, merge bool) stream {
 		}
 	})
 	defer restore()
-	e.RunOn(f, symex.SymbolicString(in, "s", n)) // errors (unsupported shapes) still leave a stream
+	e.RunOn(f, strsolver.New(in, "s", n).Bytes) // errors (unsupported shapes) still leave a stream
 	return s
 }
 

@@ -11,6 +11,7 @@ import (
 	"stringloops/internal/loopdb"
 	"stringloops/internal/qcache"
 	"stringloops/internal/sat"
+	"stringloops/internal/strsolver"
 	"stringloops/internal/symex"
 )
 
@@ -63,7 +64,7 @@ func TestNilCacheIsDirectSolver(t *testing.T) {
 	for i, f := range fs {
 		in := bv.NewInterner()
 		e := &symex.Engine{In: in, CheckFeasibility: true, Cache: qcache.New(in)}
-		paths, err := e.RunOn(f, symex.SymbolicString(in, "s", ns[i]))
+		paths, err := e.RunOn(f, strsolver.New(in, "s", ns[i]).Bytes)
 		if err != nil {
 			t.Fatalf("%s: %v", names[i], err)
 		}
@@ -118,7 +119,7 @@ func TestSymexNilCacheMatchesDirectSolver(t *testing.T) {
 			in := bv.NewInterner()
 			b := engine.NewBudget(nil, engine.Limits{})
 			e := &symex.Engine{In: in, Budget: b, CheckFeasibility: true, Cache: cache(in)}
-			paths, err := e.RunOn(f, symex.SymbolicString(in, "s", ns[i]))
+			paths, err := e.RunOn(f, strsolver.New(in, "s", ns[i]).Bytes)
 			if err != nil {
 				t.Fatalf("%s: %v", names[i], err)
 			}

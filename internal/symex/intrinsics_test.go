@@ -5,6 +5,7 @@ import (
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cstr"
+	"stringloops/internal/strsolver"
 )
 
 // The symbolic string-function intrinsics must agree with cstr reference
@@ -56,7 +57,7 @@ char *end(char *s) {
 func checkAgainstConcrete2(t *testing.T, src string, oracle func([]byte) (int, bool), maxLen int, alphabet []byte) {
 	t.Helper()
 	f := lower(t, src)
-	buf := SymbolicString(tin, "s", maxLen)
+	buf := strsolver.New(tin, "s", maxLen).Bytes
 	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}, CheckFeasibility: true}
 	paths, err := e.Run(f, []Value{PtrValue(0, tin.Int32(0))}, bv.True)
 	if err != nil {
@@ -95,7 +96,7 @@ func TestStrspnSymbolicSetRejected(t *testing.T) {
 	// The set argument must be a literal; passing the scanned string itself
 	// is outside the modelled subset and must fail cleanly.
 	f := lower(t, `char *weird(char *s) { return s + strspn(s, s); }`)
-	buf := SymbolicString(tin, "s", 2)
+	buf := strsolver.New(tin, "s", 2).Bytes
 	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}}
 	paths, err := e.Run(f, []Value{PtrValue(0, tin.Int32(0))}, bv.True)
 	if err != nil {

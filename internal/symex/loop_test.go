@@ -8,6 +8,7 @@ import (
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
 	"stringloops/internal/loopdb"
+	"stringloops/internal/strsolver"
 	"stringloops/internal/vocab"
 )
 
@@ -55,7 +56,7 @@ func TestRunConcreteMatchesRunLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := SymbolicString(tin, "s", 3)
+		buf := strsolver.New(tin, "s", 3).Bytes
 		e := &Engine{In: tin, CheckFeasibility: true}
 		paths, err := e.RunLoop(f, buf)
 		if errors.Is(err, ErrUnsupported) {
@@ -120,7 +121,7 @@ func TestRunConcreteInvalid(t *testing.T) {
 		want error
 	}{
 		{"null input", deref, nil, ErrNullDeref},
-		{"foreign return", foreign, SymbolicString(tin, "s", 1), ErrForeignReturn},
+		{"foreign return", foreign, strsolver.New(tin, "s", 1).Bytes, ErrForeignReturn},
 		{"out-of-bounds read", scan, []*bv.Term{tin.Byte('a'), tin.Byte('b'), tin.Byte(0)}, ErrOOB},
 	} {
 		e := &Engine{In: tin}

@@ -6,6 +6,7 @@ import (
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
 	"stringloops/internal/engine"
+	"stringloops/internal/strsolver"
 )
 
 // countLoop forks on every byte with both sides continuing, so enumeration
@@ -26,7 +27,7 @@ int countA(char* p) {
 // the run's work counts.
 func runMerged(t *testing.T, f *cir.Func, maxLen int, check bool) ([]Path, *Engine) {
 	t.Helper()
-	buf := SymbolicString(tin, "s", maxLen)
+	buf := strsolver.New(tin, "s", maxLen).Bytes
 	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}, CheckFeasibility: check, Config: Config{Merge: true},
 		Budget: engine.NewBudget(nil, engine.Limits{})}
 	paths, err := e.Run(f, []Value{PtrValue(0, tin.Int32(0))}, bv.True)

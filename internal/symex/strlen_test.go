@@ -5,6 +5,7 @@ import (
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
+	"stringloops/internal/strsolver"
 )
 
 func TestStrlenCallSymbolic(t *testing.T) {
@@ -14,7 +15,7 @@ char *lastchar(char *s) {
   char *p = s + strlen(s) - 1;
   return p;
 }`)
-	buf := SymbolicString(tin, "s", 3)
+	buf := strsolver.New(tin, "s", 3).Bytes
 	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}}
 	paths, err := e.Run(f, []Value{PtrValue(0, tin.Int32(0))}, bv.True)
 	if err != nil {
@@ -115,7 +116,7 @@ char *skip(char *s) {
 	ssa := lower(t, src)
 	cir.Mem2Reg(ssa)
 	for _, f := range []*cir.Func{plain, ssa} {
-		buf := SymbolicString(tin, "s", 2)
+		buf := strsolver.New(tin, "s", 2).Bytes
 		e := &Engine{In: tin, Objects: [][]*bv.Term{buf}}
 		paths, err := e.Run(f, []Value{PtrValue(0, tin.Int32(0))}, bv.True)
 		if err != nil {

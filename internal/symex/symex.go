@@ -825,15 +825,3 @@ func (e *Engine) strlenCall(s *state, p Value) (Value, error) {
 	}
 	return IntValue(val), nil
 }
-
-// SymbolicString builds a symbolic NUL-terminated buffer of capacity maxLen
-// (maxLen content bytes ranging over all values, final byte forced NUL),
-// returning the byte terms built with in.
-func SymbolicString(in *bv.Interner, name string, maxLen int) []*bv.Term {
-	buf := make([]*bv.Term, maxLen+1)
-	for i := 0; i < maxLen; i++ {
-		buf[i] = in.Var(fmt.Sprintf("%s[%d]", name, i), 8)
-	}
-	buf[maxLen] = in.Byte(0)
-	return buf
-}

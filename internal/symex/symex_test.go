@@ -9,6 +9,7 @@ import (
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
 	"stringloops/internal/engine"
+	"stringloops/internal/strsolver"
 )
 
 // tin is the shared interner for this package's tests.
@@ -31,7 +32,7 @@ func lower(t *testing.T, src string) *cir.Func {
 // the paths plus the buffer terms.
 func runSymbolic(t *testing.T, f *cir.Func, maxLen int, check bool) ([]Path, []*bv.Term) {
 	t.Helper()
-	buf := SymbolicString(tin, "s", maxLen)
+	buf := strsolver.New(tin, "s", maxLen).Bytes
 	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}, CheckFeasibility: check}
 	paths, err := e.Run(f, []Value{PtrValue(0, tin.Int32(0))}, bv.True)
 	if err != nil {
@@ -170,7 +171,7 @@ char *guard(char *p) {
   while (*p == 'x') p++;
   return p;
 }`)
-	e := &Engine{In: tin, Objects: [][]*bv.Term{SymbolicString(tin, "s", 2)}}
+	e := &Engine{In: tin, Objects: [][]*bv.Term{strsolver.New(tin, "s", 2).Bytes}}
 	paths, err := e.Run(f, []Value{NullValue()}, bv.True)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +282,7 @@ char *find(char *s) {
     s++;
   return s;
 }`)
-	buf := SymbolicString(tin, "s", 3)
+	buf := strsolver.New(tin, "s", 3).Bytes
 	b := engine.NewBudget(nil, engine.Limits{})
 	e := &Engine{In: tin, Objects: [][]*bv.Term{buf}, CheckFeasibility: true, Budget: b}
 	paths, err := e.Run(f, []Value{PtrValue(0, tin.Int32(0))}, bv.True)

@@ -16,7 +16,8 @@ import (
 // CompileToC renders the program as a C function with the paper's
 // loopFunction signature. Simple programs compile to idiomatic one-liners
 // (the refactorings submitted upstream in §4.5); general programs compile to
-// the mechanical skip-flag form shown in §2.2.
+// the mechanical skip-flag form shown in §2.2, which returns Algorithm 1's
+// invalid pointer after the last instruction only when a run can get there.
 func CompileToC(p Program, name string) string {
 	if s, ok := prettyC(p); ok {
 		return fmt.Sprintf("char *%s(char *s) {\n%s}\n", name, s)
@@ -28,20 +29,42 @@ func CompileToC(p Program, name string) string {
 	if p.Uses(OpReverse) {
 		sb.WriteString("  char *rev = reverse_string(s); /* helper: heap copy, reversed */\n")
 	}
-	for i, in := range p {
-		body := instrC(in, i == 0)
+	for _, in := range p {
 		sb.WriteString("  if (!skipInstruction) {\n")
-		for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-			sb.WriteString("    " + line + "\n")
-		}
+		sb.WriteString("    " + instrC(in) + "\n")
 		sb.WriteString("  } else skipInstruction = 0;\n")
 	}
-	sb.WriteString("  return (char *)-1; /* invalid pointer: ran out of instructions */\n")
+	if p.canRunOffEnd() {
+		sb.WriteString("  return (char *)-1; /* invalid pointer: ran out of instructions */\n")
+	} else {
+		sb.WriteString("  return result;\n")
+	}
 	sb.WriteString("}\n")
 	return sb.String()
 }
 
-func instrC(in Instr, first bool) string {
+// canRunOffEnd reports whether some run of the program can pass its last
+// instruction, which Algorithm 1 answers with the invalid pointer. It takes
+// both ways at every skip test (Z, X), so it needs no input.
+func (p Program) canRunOffEnd() bool {
+	reach := make([]bool, len(p)+2)
+	reach[0] = true
+	for i, in := range p {
+		if !reach[i] {
+			continue
+		}
+		switch in.Op {
+		case OpReturn:
+		case OpIsNullptr, OpIsStart:
+			reach[i+1], reach[i+2] = true, true
+		default:
+			reach[i+1] = true
+		}
+	}
+	return reach[len(p)] || reach[len(p)+1]
+}
+
+func instrC(in Instr) string {
 	switch in.Op {
 	case OpRawmemchr:
 		return fmt.Sprintf("result = rawmemchr(result, %s);", cChar(in.Arg[0]))
@@ -115,48 +138,35 @@ func prettyC(p Program) (string, bool) {
 	return "", false
 }
 
-func cChar(c byte) string {
-	switch c {
-	case '\'':
-		return `'\''`
-	case '\\':
-		return `'\\'`
-	case '\t':
-		return `'\t'`
-	case '\n':
-		return `'\n'`
-	case 0:
-		return `'\0'`
-	default:
-		if c >= 32 && c <= 126 {
-			return fmt.Sprintf("'%c'", c)
-		}
-		return fmt.Sprintf("'\\x%02x'", c)
-	}
-}
+func cChar(c byte) string { return CLiteral([]byte{c}, '\'') }
 
-func cSet(arg []byte) string {
+func cSet(arg []byte) string { return CLiteral(cstr.ExpandMeta(arg), '"') }
+
+// CLiteral renders b as a C literal between quote: a double quote makes a
+// string literal, a single quote a character constant. Bytes outside
+// printable ASCII, other than tab and newline, become three-digit octal
+// escapes. A hex escape would take every hex digit after it, so "\x01"
+// followed by 'b' reads as the one byte 0x1b; an octal escape ends after
+// three digits.
+func CLiteral(b []byte, quote byte) string {
 	var sb strings.Builder
-	sb.WriteByte('"')
-	for _, c := range cstr.ExpandMeta(arg) {
-		switch c {
-		case '"':
-			sb.WriteString(`\"`)
-		case '\\':
-			sb.WriteString(`\\`)
-		case '\t':
-			sb.WriteString(`\t`)
-		case '\n':
+	sb.WriteByte(quote)
+	for _, c := range b {
+		switch {
+		case c == quote || c == '\\':
+			sb.WriteByte('\\')
+			sb.WriteByte(c)
+		case c == '\n':
 			sb.WriteString(`\n`)
+		case c == '\t':
+			sb.WriteString(`\t`)
+		case c < 32 || c > 126:
+			fmt.Fprintf(&sb, "\\%03o", c)
 		default:
-			if c >= 32 && c <= 126 {
-				sb.WriteByte(c)
-			} else {
-				fmt.Fprintf(&sb, "\\x%02x", c)
-			}
+			sb.WriteByte(c)
 		}
 	}
-	sb.WriteByte('"')
+	sb.WriteByte(quote)
 	return sb.String()
 }
 

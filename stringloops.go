@@ -194,7 +194,7 @@ func SummarizeResilient(source, funcName string, opts Options) Outcome {
 type IdiomRewrite = core.IdiomRewrite
 
 // RewriteIdiom runs the LoopIdiomRecognize-style compiler pass on the named
-// function: the loop is summarised, the summary compiled to loop-free IR
+// function: the loop is summarised, the summary's C lowered to loop-free IR
 // over C standard-library calls, and the replacement proven equivalent — the
 // compiler-writer application of §4.4.
 func RewriteIdiom(source, funcName string, timeout time.Duration) (*IdiomRewrite, error) {
