@@ -318,79 +318,3 @@ func BenchmarkAblationGuardedOffsets(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAblationMetaChars synthesises a three-character whitespace skip
-// with and without meta-characters: the class collapses to one member with
-// them, and must be spelled out without them (§2.2's claim: slower, not
-// impossible).
-func BenchmarkAblationMetaChars(b *testing.B) {
-	src := `
-char *skip(char *s) {
-  while (*s == ' ' || *s == '\t' || *s == '\n')
-    s++;
-  return s;
-}`
-	run := func(b *testing.B, disable bool) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			f := lowerBench(b, src)
-			b.StartTimer()
-			out, err := cegis.Synthesize(f, cegis.Options{
-				Timeout:          time.Minute,
-				DisableMetaChars: disable,
-			})
-			if err != nil || !out.Found {
-				b.Fatalf("out=%+v err=%v", out, err)
-			}
-		}
-	}
-	b.Run("with-meta", func(b *testing.B) { run(b, false) })
-	b.Run("without-meta", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkAblationPruning measures candidate canonicalisation on and off.
-func BenchmarkAblationPruning(b *testing.B) {
-	src := `
-char *find(char *s) {
-  while (*s && *s != '=')
-    s++;
-  return s;
-}`
-	run := func(b *testing.B, disable bool) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			f := lowerBench(b, src)
-			b.StartTimer()
-			out, err := cegis.Synthesize(f, cegis.Options{
-				Timeout:        time.Minute,
-				DisablePruning: disable,
-			})
-			if err != nil || !out.Found {
-				b.Fatalf("out=%+v err=%v", out, err)
-			}
-		}
-	}
-	b.Run("pruned", func(b *testing.B) { run(b, false) })
-	b.Run("unpruned", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkAblationCexReuse measures counterexample reuse across program
-// sizes during iterative deepening.
-func BenchmarkAblationCexReuse(b *testing.B) {
-	run := func(b *testing.B, disable bool) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			f := lowerBench(b, figure1Loop)
-			b.StartTimer()
-			out, err := cegis.Synthesize(f, cegis.Options{
-				Timeout:         time.Minute,
-				DisableCexReuse: disable,
-			})
-			if err != nil || !out.Found {
-				b.Fatalf("out=%+v err=%v", out, err)
-			}
-		}
-	}
-	b.Run("reused", func(b *testing.B) { run(b, false) })
-	b.Run("fresh-per-size", func(b *testing.B) { run(b, true) })
-}

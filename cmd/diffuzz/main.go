@@ -19,6 +19,7 @@ import (
 	"stringloops/internal/cliflags"
 	"stringloops/internal/diffuzz"
 	"stringloops/internal/engine"
+	"stringloops/internal/obs"
 )
 
 func main() {
@@ -27,18 +28,18 @@ func main() {
 		base      = flag.Uint64("seed", 1, "first generator seed")
 		inputs    = flag.Int("inputs", 8, "random input buffers per program")
 		maxlen    = flag.Int("maxlen", 6, "max content bytes per input buffer")
-		jobs      = cliflags.Jobs(nil, 0)
+		jobs      = cliflags.Jobs(0)
 		synth     = flag.Duration("synth", 300*time.Millisecond, "per-program synthesis budget (<=0 disables the summary stage)")
 		maxex     = flag.Int("maxex", 3, "bounded-verification string size (paper max_ex_size)")
 		timeout   = flag.Duration("timeout", 0, "overall wall-clock budget (0 = none)")
 		nomin     = flag.Bool("nomin", false, "skip finding minimization")
-		qcache    = cliflags.QCache(nil, false)
-		pipeFlags = cliflags.Pipeline(nil)
+		qcache    = cliflags.QCache()
+		pipeFlags = cliflags.Pipeline()
 		faults    = flag.Float64("faults", 0, "fault-injection intensity in [0,1]: seeded skip-safe fault storms over the pipeline under test (0 disables)")
 		fseed     = flag.Uint64("faultseed", 0, "decorrelate fault schedules from generator seeds")
 		verbose   = flag.Bool("v", false, "print per-finding sources even when clean")
 	)
-	obsFlags := cliflags.Obs(nil)
+	obsFlags := obs.RegisterFlags()
 	flag.Parse()
 	sess, err := obsFlags.Start()
 	if err != nil {
@@ -85,7 +86,7 @@ func main() {
 		rep.Programs, rep.Synthesized, rep.Memoryless, rep.Checks, rep.Skipped,
 		rep.Elapsed.Round(time.Millisecond))
 
-	if err := sess.Finish(os.Stdout, os.Stderr); err != nil {
+	if err := sess.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "diffuzz: %v\n", err)
 		os.Exit(1)
 	}

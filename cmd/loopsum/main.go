@@ -38,16 +38,16 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "synthesis budget")
 	maxSize := flag.Int("maxsize", 9, "maximum encoded program size")
 	requireMem := flag.Bool("memoryless", false, "fail unless the loop verifies memoryless (summary then holds for all lengths)")
-	resilient := cliflags.Resilient(nil)
+	resilient := cliflags.Resilient()
 	candidates := flag.Bool("candidates", false, "list loop candidates instead of summarising")
 	check := flag.String("check", "", "verify a refactoring: 'original,refactored' function names")
 	corpus := flag.Bool("corpus", false, "summarise the built-in loop database instead of a file")
 	sample := flag.Int("sample", 0, "with -corpus: only the first N loops (0 = all)")
-	jobs := cliflags.Jobs(nil, 1)
-	pipeFlags := cliflags.Pipeline(nil)
-	server := cliflags.Server(nil)
-	explain := cliflags.Explain(nil)
-	obsFlags := cliflags.Obs(nil)
+	jobs := cliflags.Jobs(1)
+	pipeFlags := cliflags.Pipeline()
+	server := cliflags.Server()
+	explain := cliflags.Explain()
+	obsFlags := obs.RegisterFlags()
 	flag.Parse()
 
 	if *corpus {
@@ -185,7 +185,7 @@ func runCorpus(sample, jobs int, timeout time.Duration, maxSize int, pipeFlags *
 	if err := closePipe(); err != nil {
 		fmt.Fprintf(os.Stderr, "loopsum: cache persist: %v\n", err)
 	}
-	if err := sess.Finish(os.Stdout, os.Stderr); err != nil {
+	if err := sess.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "loopsum: %v\n", err)
 		return 1
 	}
@@ -281,7 +281,7 @@ func runRemote(base, src, funcName, vocab string, maxSize int, requireMem, expla
 		RequireMemoryless: requireMem,
 		Explain:           explain,
 	})
-	if ferr := sess.Finish(os.Stdout, os.Stderr); ferr != nil {
+	if ferr := sess.Finish(); ferr != nil {
 		fmt.Fprintf(os.Stderr, "loopsum: %v\n", ferr)
 	}
 	if err != nil {

@@ -56,7 +56,7 @@ func run() int {
 	degradeSmoke := flag.Float64("degrade-smoke", 0.90, "load fraction at which new requests start at the concrete smoke floor")
 	targetP99 := flag.Duration("target-p99", 0, "degrade one extra rung while recent p99 exceeds this (0 = load signal only)")
 	vocabLetters := flag.String("vocab", "", "restrict the synthesis vocabulary (Table 1 opcode letters)")
-	pipeFlags := cliflags.Pipeline(nil)
+	pipeFlags := cliflags.Pipeline()
 	trace := flag.String("trace", "", "arm the tracer; GET /trace serves the Chrome trace-event JSON (the value names the shutdown dump file, '-' = no dump)")
 	flag.Parse()
 

@@ -14,14 +14,15 @@ import (
 	"stringloops/internal/engine"
 	"stringloops/internal/loopdb"
 	"stringloops/internal/memoryless"
+	"stringloops/internal/obs"
 )
 
 func main() {
 	maxLen := flag.Int("maxlen", 3, "bounded-check string length")
 	verbose := flag.Bool("v", false, "per-loop results")
-	jobs := cliflags.Jobs(nil, 1)
-	pipeFlags := cliflags.Pipeline(nil)
-	obsFlags := cliflags.Obs(nil)
+	jobs := cliflags.Jobs(1)
+	pipeFlags := cliflags.Pipeline()
+	obsFlags := obs.RegisterFlags()
 	flag.Parse()
 	sess, err := obsFlags.Start()
 	if err != nil {
@@ -97,7 +98,7 @@ func main() {
 	if err := closePipe(); err != nil {
 		fmt.Fprintf(os.Stderr, "memverify: cache persist: %v\n", err)
 	}
-	if err := sess.Finish(os.Stdout, os.Stderr); err != nil {
+	if err := sess.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "memverify: %v\n", err)
 		os.Exit(1)
 	}

@@ -31,10 +31,10 @@ func main() {
 	maxSize := flag.Int("maxsize", 9, "maximum encoded program size")
 	maxSet := flag.Int("maxset", 3, "maximum strspn-family set size (4 reaches the libosip outliers)")
 	verbose := flag.Bool("v", false, "per-loop progress")
-	jobs := cliflags.Jobs(nil, 1)
-	resilient := cliflags.Resilient(nil)
-	pipeFlags := cliflags.Pipeline(nil)
-	obsFlags := cliflags.Obs(nil)
+	jobs := cliflags.Jobs(1)
+	resilient := cliflags.Resilient()
+	pipeFlags := cliflags.Pipeline()
+	obsFlags := obs.RegisterFlags()
 	flag.Parse()
 	sess, err := obsFlags.Start()
 	if err != nil {
@@ -51,7 +51,7 @@ func main() {
 		if err := closePipe(); err != nil {
 			fmt.Fprintf(os.Stderr, "synth-eval: cache persist: %v\n", err)
 		}
-		if err := sess.Finish(os.Stdout, os.Stderr); err != nil {
+		if err := sess.Finish(); err != nil {
 			fmt.Fprintf(os.Stderr, "synth-eval: %v\n", err)
 			code = 1
 		}
@@ -75,7 +75,7 @@ func main() {
 		if err := closePipe(); err != nil {
 			fmt.Fprintf(os.Stderr, "synth-eval: cache persist: %v\n", err)
 		}
-		if err := sess.Finish(os.Stdout, os.Stderr); err != nil {
+		if err := sess.Finish(); err != nil {
 			fmt.Fprintf(os.Stderr, "synth-eval: %v\n", err)
 			os.Exit(1)
 		}

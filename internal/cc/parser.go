@@ -175,7 +175,7 @@ func (p *parser) parseFunc() (*FuncDecl, error) {
 		return nil, err
 	}
 	if !p.isPunct(")") {
-		if p.isKeyword("void") && p.toks[p.pos+1].Kind == TPunct && p.toks[p.pos+1].Text == ")" {
+		if p.isKeyword("void") && p.pos+1 < len(p.toks) && p.toks[p.pos+1].Kind == TPunct && p.toks[p.pos+1].Text == ")" {
 			p.pos++ // f(void)
 		} else {
 			for {

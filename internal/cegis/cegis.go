@@ -23,7 +23,6 @@ import (
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
-	"stringloops/internal/cstr"
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
 	"stringloops/internal/obs"
@@ -54,17 +53,6 @@ type Options struct {
 	// conflicts and symbolic-execution forks to it, and returns ErrTimeout
 	// promptly once it is exhausted or its context is cancelled.
 	Budget *engine.Budget
-	// DisablePruning turns off candidate canonicalisation (for the ablation
-	// benchmark).
-	DisablePruning bool
-	// DisableMetaChars forbids meta-characters in solved arguments — the
-	// §2.2 ablation (the paper: synthesis still works, but slower, because
-	// character classes need every member spelled out).
-	DisableMetaChars bool
-	// DisableCexReuse drops the counterexample set at every program size
-	// instead of carrying it into the next one (the ablation; reuse is the
-	// default).
-	DisableCexReuse bool
 	// Pipeline configures the solver stack (symex.Config): Merge when the
 	// loop's symbolic paths are computed, Faults for the CegisReject burst
 	// here and the sat/bv/qcache/symex sites below, and the tier's query
@@ -292,9 +280,6 @@ func (s *Synthesizer) Synthesize() (Outcome, error) {
 	startE := s.budget.Elapsed()
 	elapsed := func() time.Duration { return s.budget.Elapsed() - startE }
 	for size := 1; size <= s.opts.MaxProgSize; size++ {
-		if s.opts.DisableCexReuse {
-			s.resetCexs()
-		}
 		prog, err := s.searchSize(size)
 		if err != nil {
 			return Outcome{Elapsed: elapsed(), Stats: s.stats}, err
@@ -381,7 +366,7 @@ func (s *Synthesizer) enumerate(remaining int, prefix []shape, yield func([]shap
 			if sh.size() > remaining {
 				continue
 			}
-			if !s.opts.DisablePruning && pruneShape(prefix, sh) {
+			if pruneShape(prefix, sh) {
 				continue
 			}
 			if err := s.enumerate(remaining-sh.size(), append(prefix, sh), yield); err != nil {
@@ -553,10 +538,6 @@ func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([
 	constraints := s.constraints[:0]
 	for _, v := range argVars {
 		constraints = append(constraints, bvin.Ne(v, bvin.Byte(0)))
-		if s.opts.DisableMetaChars {
-			constraints = append(constraints, bvin.Ne(v, bvin.Byte(cstr.MetaDigit)))
-			constraints = append(constraints, bvin.Ne(v, bvin.Byte(cstr.MetaSpace)))
-		}
 	}
 	for _, in := range symProg {
 		if in.Op.TakesSet() {
@@ -687,15 +668,6 @@ func (s *Synthesizer) addCex(cex []byte) error {
 	s.cexRun = append(s.cexRun, vocab.NewSymRun(cs))
 	s.stats.Counterexamples++
 	return nil
-}
-
-// resetCexs empties the counterexample set, its memo and the prefix runs
-// stepped on it.
-func (s *Synthesizer) resetCexs() {
-	s.cexs, s.cexWant, s.cexStr, s.cexRun = nil, nil, nil, nil
-	for d := range s.levels {
-		s.levels[d].n = 0
-	}
 }
 
 // Synthesize is the package-level convenience entry point.

@@ -340,45 +340,3 @@ char *find(char *s) {
 		t.Errorf("encoding %q, want N=\\0F", prog.Encode())
 	}
 }
-
-// TestDisableCexReuseResetsMemo runs the counterexample-reuse ablation, which
-// empties the counterexample set at every program size. The per-counterexample
-// memo must be emptied with it: a memo entry left over from an earlier size
-// would pair a counterexample with another one's expected result and reject
-// correct candidates.
-func TestDisableCexReuseResetsMemo(t *testing.T) {
-	f := lowerLoop(t, `
-char *find(char *s) {
-  while (*s && *s != '&' && *s != '=')
-    s++;
-  return s;
-}`)
-	s, err := New(f, Options{MaxProgSize: 5, DisableCexReuse: true, Timeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Synthesize()
-	if err != nil || !out.Found {
-		t.Fatalf("synthesis failed: %v %+v", err, out)
-	}
-	if enc := out.Program.Encode(); enc != "N&=\x00F" {
-		t.Errorf("encoding %q, want N&=\\0F", enc)
-	}
-	n := len(s.cexs)
-	if len(s.cexWant) != n || len(s.cexStr) != n {
-		t.Fatalf("memo out of step: %d counterexamples, %d results, %d strings", n, len(s.cexWant), len(s.cexStr))
-	}
-	if n >= out.Stats.Counterexamples {
-		t.Fatalf("%d counterexamples kept of %d found: the set was never reset", n, out.Stats.Counterexamples)
-	}
-	for i, cex := range s.cexs {
-		if want, _ := symex.RunConcrete(s.loop, cex, 0); s.cexWant[i] != want {
-			t.Errorf("memo %d: Original(%q) = %+v, memo has %+v", i, cex, want, s.cexWant[i])
-		}
-		for j, c := range cex {
-			if s.cexStr[i].At(j) != s.bvin.Byte(c) {
-				t.Errorf("memo %d: byte %d of %q is %v", i, j, cex, s.cexStr[i].At(j))
-			}
-		}
-	}
-}

@@ -7,32 +7,24 @@ import (
 
 // TestEnumerateOrderIsPinned holds the skeleton enumeration to a recorded
 // sequence: for every program size from 1 to 6 under the full vocabulary,
-// with and without pruning, the number of skeletons yielded and an FNV-64
-// hash of their opcodes and argument lengths in yield order. The enumeration
-// order decides which program is found first and what every later skeleton
+// the number of skeletons yielded and an FNV-64 hash of their opcodes and
+// argument lengths in yield order. The enumeration order decides which program is found first and what every later skeleton
 // reuses, so a rewrite of enumerate must yield exactly the same sequence.
 func TestEnumerateOrderIsPinned(t *testing.T) {
 	golden := []struct {
 		size      int
-		noPrune   bool
 		skeletons int
 		hash      uint64
 	}{
-		{1, false, 1, 0xd85f2e186b45127e},
-		{2, false, 5, 0x538a68b2ccbd285c},
-		{3, false, 24, 0xc8f5b494f3715c6b},
-		{4, false, 124, 0x3875fa6abafc5a65},
-		{5, false, 618, 0x639b9f563b1ccafc},
-		{6, false, 3136, 0x91af3e0e6fbe2371},
-		{1, true, 1, 0xd85f2e186b45127e},
-		{2, true, 7, 0x81c76c87ceef3743},
-		{3, true, 52, 0xa3d77330fb68c9a4},
-		{4, true, 388, 0x42012d2d9d925979},
-		{5, true, 2896, 0xb524267a5938dbd0},
-		{6, true, 21616, 0x19e096f23e4fda1b},
+		{1, 1, 0xd85f2e186b45127e},
+		{2, 5, 0x538a68b2ccbd285c},
+		{3, 24, 0xc8f5b494f3715c6b},
+		{4, 124, 0x3875fa6abafc5a65},
+		{5, 618, 0x639b9f563b1ccafc},
+		{6, 3136, 0x91af3e0e6fbe2371},
 	}
 	for _, g := range golden {
-		s := &Synthesizer{opts: Options{DisablePruning: g.noPrune}.withDefaults()}
+		s := &Synthesizer{opts: Options{}.withDefaults()}
 		h := fnv.New64()
 		n := 0
 		err := s.enumerate(g.size, nil, func(skel []shape) error {
@@ -47,8 +39,8 @@ func TestEnumerateOrderIsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n != g.skeletons || h.Sum64() != g.hash {
-			t.Errorf("size %d (noPrune=%v): %d skeletons hash %#x, want %d hash %#x",
-				g.size, g.noPrune, n, h.Sum64(), g.skeletons, g.hash)
+			t.Errorf("size %d: %d skeletons hash %#x, want %d hash %#x",
+				g.size, n, h.Sum64(), g.skeletons, g.hash)
 		}
 	}
 }

@@ -10,15 +10,9 @@ import (
 	"stringloops/internal/vocab"
 )
 
-// corpusLoop prepares a size-5 synthesizer for the named corpus loop.
+// corpusLoop prepares a size-5 synthesizer for the named corpus loop, with
+// an unlimited budget of its own.
 func corpusLoop(t *testing.T, name string) *Synthesizer {
-	t.Helper()
-	return corpusSynth(t, name, Options{MaxProgSize: 5})
-}
-
-// corpusSynth prepares a synthesizer for the named corpus loop, with an
-// unlimited budget of its own.
-func corpusSynth(t *testing.T, name string, opts Options) *Synthesizer {
 	t.Helper()
 	for _, l := range loopdb.Corpus() {
 		if l.Name != name {
@@ -28,8 +22,7 @@ func corpusSynth(t *testing.T, name string, opts Options) *Synthesizer {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Budget = engine.NewBudget(nil, engine.Limits{})
-		s, err := New(f, opts)
+		s, err := New(f, Options{MaxProgSize: 5, Budget: engine.NewBudget(nil, engine.Limits{})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,14 +56,6 @@ func checkedSearch(t *testing.T, s *Synthesizer, extra ...string) (vocab.Program
 	var found vocab.Program
 	argSkels := 0
 	for size := 1; size <= s.opts.MaxProgSize && found == nil; size++ {
-		if s.opts.DisableCexReuse {
-			s.resetCexs()
-			for d, lv := range s.levels {
-				if lv.n != 0 {
-					t.Fatalf("size %d: level %d keeps %d runs past the reset", size, d, lv.n)
-				}
-			}
-		}
 		err := s.enumerate(size, nil, func(skel []shape) error {
 			symProg, argVars := s.symbolize(skel)
 			if symProg.RunNullInput() != s.origNull || len(argVars) == 0 {
@@ -136,20 +121,16 @@ func checkedSearch(t *testing.T, s *Synthesizer, extra ...string) (vocab.Program
 
 // TestPrefixRunsMatchFromScratch checks the prefix-shared gadget runs against
 // runs from the first instruction at every argument-solving round of a found
-// and a refuted search, with and without the counterexample reset at every
-// size. Between them they add counterexamples in the middle of a skeleton and
-// between skeletons that share a prefix.
+// and a refuted search. Between them they add counterexamples in the middle
+// of a skeleton and between skeletons that share a prefix.
 func TestPrefixRunsMatchFromScratch(t *testing.T) {
 	var total prefixEvents
 	for _, name := range []string{"wget/find_amp_eq", "git/mid1"} {
-		for _, noReuse := range []bool{false, true} {
-			s := corpusSynth(t, name, Options{MaxProgSize: 5, DisableCexReuse: noReuse})
-			_, ev := checkedSearch(t, s, "a&=", "=&a", " = ", "&&&", "a=a", "=\x00a")
-			total.solves += ev.solves
-			total.midSkel += ev.midSkel
-			total.resumed += ev.resumed
-			total.deepShare += ev.deepShare
-		}
+		_, ev := checkedSearch(t, corpusLoop(t, name), "a&=", "=&a", " = ", "&&&", "a=a", "=\x00a")
+		total.solves += ev.solves
+		total.midSkel += ev.midSkel
+		total.resumed += ev.resumed
+		total.deepShare += ev.deepShare
 	}
 	if total.midSkel == 0 || total.resumed == 0 || total.deepShare == 0 {
 		t.Fatalf("events not covered: %+v", total)
@@ -157,39 +138,29 @@ func TestPrefixRunsMatchFromScratch(t *testing.T) {
 }
 
 // TestPrefixRunsKeepTheSearch runs the search with the prefix levels under
-// stress — the counterexample set reset at every size, and interner tables
-// cleared every few hundred nodes — and checks it finds what the default run
-// finds. After a reset no level may claim more runs than there are
-// counterexamples.
+// stress — interner tables cleared every few hundred nodes — and checks it
+// finds what the default run finds. No level may claim more runs than there
+// are counterexamples.
 func TestPrefixRunsKeepTheSearch(t *testing.T) {
 	for _, name := range []string{"wget/find_amp_eq", "git/mid1", "tar/break_nl_slash"} {
 		want, err := corpusLoop(t, name).Synthesize()
 		if err != nil {
 			t.Fatal(err)
 		}
-		noReuse := corpusSynth(t, name, Options{MaxProgSize: 5, DisableCexReuse: true})
-		softCap := corpusLoop(t, name)
-		softCap.bvin.SetSoftCap(256)
-		for _, v := range []struct {
-			label string
-			s     *Synthesizer
-		}{{"DisableCexReuse", noReuse}, {"soft cap 256", softCap}} {
-			got, err := v.s.Synthesize()
-			if err != nil {
-				t.Fatalf("%s, %s: %v", name, v.label, err)
-			}
-			if got.Found != want.Found || got.Program.Encode() != want.Program.Encode() {
-				t.Errorf("%s, %s: found=%v %q, default run found=%v %q", name, v.label,
-					got.Found, got.Program.Encode(), want.Found, want.Program.Encode())
-			}
-			for d, lv := range v.s.levels {
-				if lv.n > len(v.s.cexs) {
-					t.Errorf("%s, %s: level %d holds %d runs for %d counterexamples", name, v.label, d, lv.n, len(v.s.cexs))
-				}
-			}
+		s := corpusLoop(t, name)
+		s.bvin.SetSoftCap(256)
+		got, err := s.Synthesize()
+		if err != nil {
+			t.Fatalf("%s, soft cap 256: %v", name, err)
 		}
-		if noReuse.stats.Counterexamples <= len(noReuse.cexs) {
-			t.Errorf("%s: the counterexample set was never reset", name)
+		if got.Found != want.Found || got.Program.Encode() != want.Program.Encode() {
+			t.Errorf("%s, soft cap 256: found=%v %q, default run found=%v %q", name,
+				got.Found, got.Program.Encode(), want.Found, want.Program.Encode())
+		}
+		for d, lv := range s.levels {
+			if lv.n > len(s.cexs) {
+				t.Errorf("%s, soft cap 256: level %d holds %d runs for %d counterexamples", name, d, lv.n, len(s.cexs))
+			}
 		}
 	}
 }

@@ -11,34 +11,24 @@ import (
 	"flag"
 
 	"stringloops/internal/diskcache"
-	"stringloops/internal/obs"
 	"stringloops/internal/symex"
 )
 
-// Jobs declares the canonical -j flag (nil fs means flag.CommandLine).
-// The value feeds engine.Workers: values below 1 mean one worker per CPU.
-func Jobs(fs *flag.FlagSet, def int) *int {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	return fs.Int("j", def, "parallel workers (<1 = one per CPU)")
+// Jobs declares the canonical -j flag. The value feeds engine.Workers:
+// values below 1 mean one worker per CPU.
+func Jobs(def int) *int {
+	return flag.Int("j", def, "parallel workers (<1 = one per CPU)")
 }
 
 // Resilient declares the canonical -resilient flag.
-func Resilient(fs *flag.FlagSet) *bool {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	return fs.Bool("resilient", false,
+func Resilient() *bool {
+	return flag.Bool("resilient", false,
 		"degrade gracefully through the supervision ladder (summary, memorylessness, covering inputs, smoke run) instead of failing outright")
 }
 
 // QCache declares the canonical -qcache flag.
-func QCache(fs *flag.FlagSet, def bool) *bool {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	return fs.Bool("qcache", def,
+func QCache() *bool {
+	return flag.Bool("qcache", false,
 		"route solver queries through the query-cache chain (independence slicing, reuse cache, incremental solver)")
 }
 
@@ -51,16 +41,13 @@ type PipelineFlags struct {
 
 // Pipeline declares -merge, -cache-dir and -cache-max-bytes, the flags of
 // symex.Config. Call Open after flag.Parse.
-func Pipeline(fs *flag.FlagSet) *PipelineFlags {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
+func Pipeline() *PipelineFlags {
 	return &PipelineFlags{
-		Merge: fs.Bool("merge", false,
+		Merge: flag.Bool("merge", false,
 			"merge symbolic-execution states at control-flow join points (ite values, disjoined path conditions) instead of enumerating every path suffix"),
-		CacheDir: fs.String("cache-dir", "",
+		CacheDir: flag.String("cache-dir", "",
 			"directory for the persistent cache tier (solver counterexamples and whole-loop summary memos, shared across runs and processes); empty = off"),
-		CacheMaxBytes: fs.Int64("cache-max-bytes", 0,
+		CacheMaxBytes: flag.Int64("cache-max-bytes", 0,
 			"byte budget per persistent cache store (evicts least-recently-used records past it); 0 = entry-count cap only"),
 	}
 }
@@ -80,11 +67,8 @@ func (p *PipelineFlags) Open() (symex.Config, func() error, error) {
 // loopsumd daemon. When set, the driver POSTs work to the daemon (with
 // capped-backoff retries honoring Retry-After) instead of running the
 // pipeline in-process, so the CLI and the daemon share one front door.
-func Server(fs *flag.FlagSet) *string {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	return fs.String("server", "",
+func Server() *string {
+	return flag.String("server", "",
 		"address of a running loopsumd daemon (e.g. http://localhost:8419); empty = summarise in-process")
 }
 
@@ -92,16 +76,7 @@ func Server(fs *flag.FlagSet) *string {
 // daemon for the verdict's provenance record (chosen rung and the overload
 // inputs behind it, per-phase budget spend, cache/memo hit counts) and
 // render it after the verdict.
-func Explain(fs *flag.FlagSet) *bool {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	return fs.Bool("explain", false,
+func Explain() *bool {
+	return flag.Bool("explain", false,
 		"with -server: request and print the verdict's provenance (rung decision inputs, per-attempt budget spend, cache hits)")
-}
-
-// Obs declares the shared observability flags and returns their destination;
-// call (*obs.Flags).Start after flag.Parse to open the session.
-func Obs(fs *flag.FlagSet) *obs.Flags {
-	return obs.RegisterFlags(fs)
 }

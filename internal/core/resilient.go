@@ -181,7 +181,7 @@ func (o ResilientOptions) descend(run [RungFailed]rungRun) (Rung, []AttemptRecor
 		for n := 0; n < maxAttempts; n++ {
 			if n > 0 {
 				o.Metrics.Counter(obs.MSupRetries).Inc()
-				lim = lim.Scale(2, o.MaxLimits)
+				lim = lim.Scale(o.MaxLimits)
 			}
 			a := o.attempt(r, lim, run[r])
 			attempts = append(attempts, a)

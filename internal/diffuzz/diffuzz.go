@@ -33,10 +33,6 @@ type Options struct {
 	Budget *engine.Budget
 	// Jobs is the worker count (engine.Workers semantics: <1 = NumCPU).
 	Jobs int
-	// Executors overrides the cross-checked executor set (default:
-	// DefaultExecutors). The concrete interpreter is always the ground truth
-	// and is not part of this list.
-	Executors []Executor
 	// QCache runs the symbolic-execution stage with per-fork feasibility
 	// checking routed through the query cache (internal/qcache). A cache bug
 	// that wrongly prunes a feasible path then surfaces as a "no-path"
@@ -67,6 +63,12 @@ type Options struct {
 	Merge bool
 	// NoMinimize skips delta-debugging of findings.
 	NoMinimize bool
+
+	// executors is the cross-checked executor set: DefaultExecutors, plus
+	// the merging executor under Merge. The concrete interpreter is always
+	// the ground truth and is not part of this list. Package tests set it
+	// to inject a faulty executor.
+	executors []Executor
 }
 
 func (o *Options) maxExSize() int {
@@ -92,10 +94,10 @@ func (o Options) withDefaults() Options {
 	if o.SynthTimeout == 0 {
 		o.SynthTimeout = 300 * time.Millisecond
 	}
-	if o.Executors == nil {
-		o.Executors = DefaultExecutors()
+	if o.executors == nil {
+		o.executors = DefaultExecutors()
 		if o.Merge {
-			o.Executors = append(o.Executors, symexExecutor{merged: true})
+			o.executors = append(o.executors, symexExecutor{merged: true})
 		}
 	}
 	return o
@@ -185,7 +187,7 @@ func checkSeed(seed uint64, o *Options) seedResult {
 			break
 		}
 		res.checks++
-		for _, f := range checkInput(t, in, o.Executors) {
+		for _, f := range checkInput(t, in, o.executors) {
 			key := f.Stage + "/" + f.Kind
 			if seen[key] {
 				continue

@@ -152,7 +152,7 @@ func TestInjectedBugCaughtAndMinimized(t *testing.T) {
 		Seeds:        40,
 		Inputs:       8,
 		SynthTimeout: -time.Millisecond, // summary stage off: isolate the injected bug
-		Executors:    []Executor{offByOneExec{}},
+		executors:    []Executor{offByOneExec{}},
 		Jobs:         2,
 	})
 	if len(rep.Findings) == 0 {
@@ -199,7 +199,7 @@ func TestPanicRecoveredAsFinding(t *testing.T) {
 		Seeds:        5,
 		Inputs:       6,
 		SynthTimeout: -time.Millisecond,
-		Executors:    []Executor{panicExec{}},
+		executors:    []Executor{panicExec{}},
 		NoMinimize:   true,
 		Jobs:         1,
 	})
@@ -232,7 +232,7 @@ func TestFindingReproducesFromSeed(t *testing.T) {
 		Seeds:        40,
 		Inputs:       8,
 		SynthTimeout: -time.Millisecond,
-		Executors:    []Executor{offByOneExec{}},
+		executors:    []Executor{offByOneExec{}},
 		NoMinimize:   true,
 		Jobs:         2,
 	})

@@ -39,7 +39,7 @@ func Minimize(f *Finding, p *Prog, o *Options) *Finding {
 		if !nullIn {
 			in = input
 		}
-		for _, g := range checkInput(t, in, ro.Executors) {
+		for _, g := range checkInput(t, in, ro.executors) {
 			if g.Stage == f.Stage && g.Kind == f.Kind {
 				return g
 			}

@@ -12,7 +12,7 @@ func TestByteBudgetEviction(t *testing.T) {
 	// byteBound = maxBytes/shards = 64 payload bytes per shard. Records are
 	// 40 bytes each, so every shard holds at most one — inserting 200 must
 	// evict, and the resident total must stay under the budget.
-	s := NewStoreSized("", 0, 16*64, nil)
+	s := NewStoreSized("", 16*64, nil)
 	b := newBudget()
 	val := []byte(strings.Repeat("v", 34))
 	for i := 0; i < 200; i++ {
@@ -33,7 +33,7 @@ func TestByteBudgetEviction(t *testing.T) {
 func TestByteBudgetLRUOrder(t *testing.T) {
 	// One shard effectively: keys chosen so recency, not insertion order,
 	// decides the victim — touching the older record should save it.
-	s := NewStoreSized("", 0, 16*100, nil)
+	s := NewStoreSized("", 16*100, nil)
 	b := newBudget()
 	// Find three keys in the same shard so the per-shard budget arbitrates
 	// between them.
@@ -66,7 +66,7 @@ func TestByteBudgetLRUOrder(t *testing.T) {
 func TestOversizeRecordNotCached(t *testing.T) {
 	// A record bigger than a whole shard's byte budget is dropped up front:
 	// caching it would immediately evict everything else for one entry.
-	s := NewStoreSized("", 0, 16*10, nil)
+	s := NewStoreSized("", 16*10, nil)
 	b := newBudget()
 	s.Put(b, "big", []byte(strings.Repeat("v", 64)))
 	if s.Len() != 0 || s.Bytes() != 0 {
@@ -86,7 +86,7 @@ func TestOversizeRecordNotCached(t *testing.T) {
 }
 
 func TestOverwriteByteAccounting(t *testing.T) {
-	s := NewStoreSized("", 0, 16*1024, nil)
+	s := NewStoreSized("", 16*1024, nil)
 	b := newBudget()
 	s.Put(b, "k", []byte(strings.Repeat("a", 100)))
 	if got := s.Bytes(); got != 101 {
@@ -114,7 +114,7 @@ func TestBytesNilAndUnbounded(t *testing.T) {
 	}
 	// maxBytes <= 0 keeps the entry-count cap only: bytes are still
 	// tracked (Bytes is an observability surface) but never bound inserts.
-	s := NewStoreSized("", 0, 0, nil)
+	s := NewStoreSized("", 0, nil)
 	b := newBudget()
 	s.Put(b, "k", []byte(strings.Repeat("v", 4096)))
 	if got := s.Bytes(); got != 4097 {

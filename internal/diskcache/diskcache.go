@@ -61,8 +61,8 @@ const (
 	// shards is the in-memory partition count; keys are sha256-derived, so
 	// the first key byte distributes uniformly.
 	shards = 16
-	// DefaultMaxEntries bounds a store opened through Tier.
-	DefaultMaxEntries = 1 << 16
+	// maxStoreEntries bounds every store's record count.
+	maxStoreEntries = 1 << 16
 	// fileVersion guards the on-disk record format; a version bump reads as
 	// a cold start, never a misparse.
 	fileVersion = "dq1"
@@ -82,7 +82,7 @@ type shard struct {
 // Store is one bounded, sharded, persistent key/value cache.
 type Store struct {
 	path       string
-	maxEntries int
+	maxEntries int   // maxStoreEntries; package tests set smaller bounds
 	maxBytes   int64 // byte budget across shards; 0 = entry-count cap only
 	readOnly   bool  // Save is a no-op: another process owns the snapshot
 	faults     *faultpoint.Registry
@@ -100,18 +100,15 @@ type flight struct {
 }
 
 // NewStoreSized builds a store backed by the given file path (empty path
-// means memory-only: Save is a no-op and Load loads nothing). maxEntries <= 0
-// means DefaultMaxEntries. When maxBytes > 0, each shard also evicts down to
+// means memory-only: Save is a no-op and Load loads nothing), holding at most
+// maxStoreEntries records. When maxBytes > 0, each shard also evicts down to
 // maxBytes/shards of key+value payload on every insert; maxBytes <= 0 keeps
 // the entry-count cap only. The store starts cold; call Load to warm it.
-func NewStoreSized(path string, maxEntries int, maxBytes int64, faults *faultpoint.Registry) *Store {
-	if maxEntries <= 0 {
-		maxEntries = DefaultMaxEntries
-	}
+func NewStoreSized(path string, maxBytes int64, faults *faultpoint.Registry) *Store {
 	if maxBytes < 0 {
 		maxBytes = 0
 	}
-	s := &Store{path: path, maxEntries: maxEntries, maxBytes: maxBytes, faults: faults, flight: map[string]*flight{}}
+	s := &Store{path: path, maxEntries: maxStoreEntries, maxBytes: maxBytes, faults: faults, flight: map[string]*flight{}}
 	for i := range s.sh {
 		s.sh[i].m = map[string]*entry{}
 	}
@@ -481,8 +478,8 @@ func OpenSized(dir string, maxBytes int64, faults *faultpoint.Registry) (*Tier, 
 	}
 	t := &Tier{
 		Dir:      dir,
-		Queries:  NewStoreSized(filepath.Join(dir, "queries.cache"), DefaultMaxEntries, maxBytes, faults),
-		Memo:     NewStoreSized(filepath.Join(dir, "memo.cache"), DefaultMaxEntries, maxBytes, faults),
+		Queries:  NewStoreSized(filepath.Join(dir, "queries.cache"), maxBytes, faults),
+		Memo:     NewStoreSized(filepath.Join(dir, "memo.cache"), maxBytes, faults),
 		ReadOnly: !owned,
 		ownsLock: owned,
 	}
@@ -501,12 +498,12 @@ func OpenSized(dir string, maxBytes int64, faults *faultpoint.Registry) (*Tier, 
 }
 
 // MemoryTier is a tier holding only a memory-only memo store, bounded by
-// DefaultMaxEntries and tainted by faults (see Store.Do): the daemon's
+// maxStoreEntries and tainted by faults (see Store.Do): the daemon's
 // memo when no cache directory is given. It has no query store, so solver
 // verdicts are not shared across the pipelines that ride it, and Close
 // persists nothing.
 func MemoryTier(faults *faultpoint.Registry) *Tier {
-	return &Tier{Memo: NewStoreSized("", DefaultMaxEntries, 0, faults)}
+	return &Tier{Memo: NewStoreSized("", 0, faults)}
 }
 
 // QueryStore returns the query store (nil on a nil tier).

@@ -19,7 +19,7 @@ func newBudget() *engine.Budget {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	s := NewStoreSized("", 0, 0, nil)
+	s := NewStoreSized("", 0, nil)
 	b := newBudget()
 	if _, ok := s.Get(b, "k"); ok {
 		t.Fatal("empty store must miss")
@@ -60,7 +60,7 @@ func TestNilStoreIsPassThrough(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.cache")
-	s := NewStoreSized(path, 0, 0, nil)
+	s := NewStoreSized(path, 0, nil)
 	b := newBudget()
 	want := map[string]string{}
 	for i := 0; i < 100; i++ {
@@ -73,7 +73,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := NewStoreSized(path, 0, 0, nil)
+	warm := NewStoreSized(path, 0, nil)
 	warm.Load()
 	if warm.Len() != len(want) {
 		t.Fatalf("warm store has %d entries, want %d", warm.Len(), len(want))
@@ -92,7 +92,7 @@ func TestSaveIsDeterministic(t *testing.T) {
 	var files [2]string
 	for i := range files {
 		path := filepath.Join(dir, fmt.Sprintf("s%d.cache", i))
-		s := NewStoreSized(path, 0, 0, nil)
+		s := NewStoreSized(path, 0, nil)
 		// Insert in different orders; the snapshot sorts by key.
 		for j := 0; j < 50; j++ {
 			k := j
@@ -122,7 +122,7 @@ func TestSaveIsDeterministic(t *testing.T) {
 func TestCorruptFileColdStart(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "q.cache")
-	s := NewStoreSized(path, 0, 0, nil)
+	s := NewStoreSized(path, 0, nil)
 	b := newBudget()
 	for i := 0; i < 10; i++ {
 		s.Put(b, fmt.Sprintf("key%d", i), []byte(fmt.Sprintf("val%d", i)))
@@ -161,7 +161,7 @@ func TestCorruptFileColdStart(t *testing.T) {
 			if err := os.WriteFile(p, []byte(tc.contents), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			cold := NewStoreSized(p, 0, 0, nil)
+			cold := NewStoreSized(p, 0, nil)
 			cold.Load()
 			if n := cold.Len(); n < tc.atLeast || n > tc.atMost {
 				t.Fatalf("loaded %d entries, want [%d, %d]", n, tc.atLeast, tc.atMost)
@@ -170,7 +170,7 @@ func TestCorruptFileColdStart(t *testing.T) {
 	}
 
 	t.Run("missing file", func(t *testing.T) {
-		cold := NewStoreSized(filepath.Join(dir, "nonexistent.cache"), 0, 0, nil)
+		cold := NewStoreSized(filepath.Join(dir, "nonexistent.cache"), 0, nil)
 		cold.Load()
 		if cold.Len() != 0 {
 			t.Fatal("missing file must load nothing")
@@ -184,9 +184,16 @@ func flipByte(s string, i int) string {
 	return string(b)
 }
 
+// boundedStore is a memory-only store holding at most maxEntries records.
+func boundedStore(maxEntries int) *Store {
+	s := NewStoreSized("", 0, nil)
+	s.maxEntries = maxEntries
+	return s
+}
+
 func TestEvictionRespectsBound(t *testing.T) {
 	const max = 64 // 4 per shard
-	s := NewStoreSized("", max, 0, nil)
+	s := boundedStore(max)
 	b := newBudget()
 	for i := 0; i < 10*max; i++ {
 		s.Put(b, fmt.Sprintf("key-%d", i), []byte("v"))
@@ -208,7 +215,7 @@ func TestEvictionRespectsBound(t *testing.T) {
 }
 
 func TestEvictionPrefersLeastRecentlyAccessed(t *testing.T) {
-	s := NewStoreSized("", shards, 0, nil) // bound of 1 per shard
+	s := boundedStore(shards) // bound of 1 per shard
 	b := newBudget()
 	// Find two keys in the same shard.
 	sh := s.shardFor("a0")
@@ -234,7 +241,7 @@ func TestEvictionPrefersLeastRecentlyAccessed(t *testing.T) {
 }
 
 func TestDoSingleflight(t *testing.T) {
-	s := NewStoreSized("", 0, 0, nil)
+	s := NewStoreSized("", 0, nil)
 	b := newBudget()
 	const workers = 16
 	var computes int32
@@ -284,7 +291,7 @@ func TestDoSingleflight(t *testing.T) {
 }
 
 func TestDoNotCachedOnFailure(t *testing.T) {
-	s := NewStoreSized("", 0, 0, nil)
+	s := NewStoreSized("", 0, nil)
 	b := newBudget()
 	calls := 0
 	for i := 0; i < 3; i++ {
@@ -305,7 +312,7 @@ func TestDoNotCachedOnFailure(t *testing.T) {
 // leaves as soon as its own budget's context ends, reporting not-ok; the
 // leader finishes untouched, stores its result, and no flight is left.
 func TestDoWaiterLeavesOnCancel(t *testing.T) {
-	s := NewStoreSized("", 0, 0, nil)
+	s := NewStoreSized("", 0, nil)
 	release := make(chan struct{})
 	entered := make(chan struct{})
 	leader := make(chan string, 1)
@@ -355,7 +362,7 @@ func TestDoWaiterLeavesOnCancel(t *testing.T) {
 // next Do computes again.
 func TestDoFaultTaintedNotStored(t *testing.T) {
 	reg := faultpoint.New(faultpoint.Config{Seed: 1, Rates: map[faultpoint.Site]float64{faultpoint.CegisReject: 1}})
-	s := NewStoreSized("", 0, 0, reg)
+	s := NewStoreSized("", 0, reg)
 	b := newBudget()
 	v, ok := s.Do(b, "k", func() ([]byte, bool) {
 		reg.Fire(faultpoint.CegisReject)
@@ -383,7 +390,7 @@ func TestDoFaultTaintedNotStored(t *testing.T) {
 // soak found the original leak — an injected symex panic unwound past Do and
 // the retry deadlocked.
 func TestDoPanicReleasesFlight(t *testing.T) {
-	s := NewStoreSized("", 0, 0, nil)
+	s := NewStoreSized("", 0, nil)
 	b := newBudget()
 	func() {
 		defer func() {
@@ -413,14 +420,14 @@ func TestDoPanicReleasesFlight(t *testing.T) {
 func TestFaultInjection(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.cache")
 	b := newBudget()
-	s := NewStoreSized(path, 0, 0, nil)
+	s := NewStoreSized(path, 0, nil)
 	s.Put(b, "k", []byte("v"))
 	if err := s.Save(); err != nil {
 		t.Fatal(err)
 	}
 
 	always := faultpoint.New(faultpoint.Config{Seed: 1, Rates: map[faultpoint.Site]float64{faultpoint.DiskCacheIO: 1}})
-	faulty := NewStoreSized(path, 0, 0, always)
+	faulty := NewStoreSized(path, 0, always)
 	faulty.Load()
 	if faulty.Len() != 0 {
 		t.Fatal("injected load fault must cold-start")
@@ -430,7 +437,7 @@ func TestFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The save was skipped: the file still holds the original snapshot.
-	fresh := NewStoreSized(path, 0, 0, nil)
+	fresh := NewStoreSized(path, 0, nil)
 	fresh.Load()
 	if v, ok := fresh.Get(b, "k"); !ok || string(v) != "v" {
 		t.Fatal("skipped save must leave the previous snapshot intact")
@@ -475,7 +482,7 @@ func TestTierOpenClose(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	s := NewStoreSized("", 1<<10, 0, nil)
+	s := boundedStore(1 << 10)
 	b := newBudget()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

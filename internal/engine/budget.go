@@ -39,49 +39,36 @@ type Limits struct {
 	Nodes int64
 }
 
-// Scale returns a copy of l with every finite limit multiplied by mult —
-// the escalation step of the supervisor's retry policy. Zero ("unlimited")
+// escalation is the factor by which Scale grows each finite limit.
+const escalation = 2
+
+// Scale returns a copy of l with every finite limit doubled — the
+// escalation step of the supervisor's retry policy. Zero ("unlimited")
 // fields stay zero: an unlimited resource cannot be made more limited by
 // escalation. Each scaled field is capped by the corresponding non-zero
 // field of max (a zero max field means uncapped), so repeated doubling
-// converges to the cap instead of overflowing. mult <= 1 returns l
-// unchanged apart from the caps.
-func (l Limits) Scale(mult float64, max Limits) Limits {
-	if mult < 1 {
-		mult = 1
-	}
-	scaleInt := func(v, cap int64) int64 {
-		if v == 0 {
+// converges to the cap instead of overflowing.
+func (l Limits) Scale(max Limits) Limits {
+	scale := func(v, cap int64) int64 {
+		if v <= 0 {
 			return 0
 		}
-		f := float64(v) * mult
-		if f > float64(1<<62) {
+		if v > 1<<62/escalation {
 			v = 1 << 62
 		} else {
-			v = int64(f)
+			v *= escalation
 		}
 		if cap > 0 && v > cap {
 			v = cap
 		}
 		return v
 	}
-	out := Limits{
-		Conflicts: scaleInt(l.Conflicts, max.Conflicts),
-		Forks:     scaleInt(l.Forks, max.Forks),
-		Nodes:     scaleInt(l.Nodes, max.Nodes),
+	return Limits{
+		Timeout:   time.Duration(scale(int64(l.Timeout), int64(max.Timeout))),
+		Conflicts: scale(l.Conflicts, max.Conflicts),
+		Forks:     scale(l.Forks, max.Forks),
+		Nodes:     scale(l.Nodes, max.Nodes),
 	}
-	if l.Timeout > 0 {
-		f := float64(l.Timeout) * mult
-		if f > float64(1<<62) {
-			out.Timeout = 1 << 62
-		} else {
-			out.Timeout = time.Duration(f)
-		}
-		if max.Timeout > 0 && out.Timeout > max.Timeout {
-			out.Timeout = max.Timeout
-		}
-	}
-	return out
 }
 
 // Budget is a shared, concurrency-safe cancellation and accounting object.

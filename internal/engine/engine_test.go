@@ -111,23 +111,23 @@ func TestWorkersClamp(t *testing.T) {
 
 func TestLimitsScaleDoubling(t *testing.T) {
 	l := Limits{Timeout: time.Second, Conflicts: 100, Forks: 10, Nodes: 1000}
-	got := l.Scale(2, Limits{})
+	got := l.Scale(Limits{})
 	want := Limits{Timeout: 2 * time.Second, Conflicts: 200, Forks: 20, Nodes: 2000}
 	if got != want {
-		t.Fatalf("Scale(2) = %+v, want %+v", got, want)
+		t.Fatalf("Scale = %+v, want %+v", got, want)
 	}
 }
 
 func TestLimitsScaleZeroStaysUnlimited(t *testing.T) {
 	l := Limits{Conflicts: 100} // everything else unlimited
-	got := l.Scale(2, Limits{})
+	got := l.Scale(Limits{})
 	if got.Timeout != 0 || got.Forks != 0 || got.Nodes != 0 {
 		t.Fatalf("unlimited fields must stay zero, got %+v", got)
 	}
 	if got.Conflicts != 200 {
 		t.Fatalf("Conflicts = %d, want 200", got.Conflicts)
 	}
-	if z := (Limits{}).Scale(4, Limits{}); z != (Limits{}) {
+	if z := (Limits{}).Scale(Limits{}); z != (Limits{}) {
 		t.Fatalf("zero Limits must scale to zero, got %+v", z)
 	}
 }
@@ -135,7 +135,7 @@ func TestLimitsScaleZeroStaysUnlimited(t *testing.T) {
 func TestLimitsScaleCaps(t *testing.T) {
 	l := Limits{Conflicts: 100, Nodes: 100}
 	max := Limits{Conflicts: 150} // Nodes uncapped
-	got := l.Scale(2, max)
+	got := l.Scale(max)
 	if got.Conflicts != 150 {
 		t.Fatalf("Conflicts = %d, want capped at 150", got.Conflicts)
 	}
@@ -145,7 +145,7 @@ func TestLimitsScaleCaps(t *testing.T) {
 	// Repeated doubling converges to the cap instead of overflowing.
 	cur := Limits{Conflicts: 1}
 	for i := 0; i < 200; i++ {
-		cur = cur.Scale(2, Limits{Conflicts: 1 << 20})
+		cur = cur.Scale(Limits{Conflicts: 1 << 20})
 	}
 	if cur.Conflicts != 1<<20 {
 		t.Fatalf("after repeated doubling Conflicts = %d, want cap 1<<20", cur.Conflicts)
@@ -153,20 +153,13 @@ func TestLimitsScaleCaps(t *testing.T) {
 }
 
 func TestLimitsScaleNoOverflow(t *testing.T) {
-	l := Limits{Conflicts: 1 << 61, Timeout: time.Duration(1) << 61}
-	got := l.Scale(8, Limits{})
+	l := Limits{Conflicts: 1 << 62, Timeout: time.Duration(1) << 62}
+	got := l.Scale(Limits{})
 	if got.Conflicts <= 0 || got.Conflicts > 1<<62 {
 		t.Fatalf("Conflicts overflowed: %d", got.Conflicts)
 	}
 	if got.Timeout <= 0 {
 		t.Fatalf("Timeout overflowed: %d", got.Timeout)
-	}
-}
-
-func TestLimitsScaleBelowOneIsIdentityPlusCaps(t *testing.T) {
-	l := Limits{Conflicts: 100}
-	if got := l.Scale(0.5, Limits{}); got.Conflicts != 100 {
-		t.Fatalf("Scale(0.5) shrank the limit: %+v", got)
 	}
 }
 

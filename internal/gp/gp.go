@@ -44,12 +44,10 @@ type Regressor struct {
 	mean   float64
 }
 
-// NewRegressor returns a GP with the given kernel and observation noise
-// (added to the covariance diagonal; it also stabilises the factorisation).
+// NewRegressor returns a GP with the given kernel and positive observation
+// noise (added to the covariance diagonal; it also stabilises the
+// factorisation).
 func NewRegressor(k Kernel, noise float64) *Regressor {
-	if noise <= 0 {
-		noise = 1e-6
-	}
 	return &Regressor{kernel: k, noise: noise}
 }
 
@@ -145,47 +143,39 @@ type Options struct {
 	// Evaluations is the total budget of calls to the objective (the paper
 	// uses 40).
 	Evaluations int
-	// InitialRandom seeds the GP before the EI loop (default 5).
-	InitialRandom int
 	// Seed drives the deterministic pseudo-random choices.
 	Seed int64
-	// Kernel defaults to HammingRBF(1, 3).
-	Kernel Kernel
-	// Noise defaults to 1e-4 (the objective is deterministic but the GP
-	// needs a jitter).
-	Noise float64
-	// Candidates optionally restricts the search domain; when nil, the full
-	// hypercube {0,1}^dim minus the all-false vector is enumerated (dim <=
-	// 20 keeps that tractable; the paper's domain is 2^13).
-	Candidates [][]bool
 }
 
+// The search's fixed settings: the random evaluations that seed the GP
+// before the EI loop, its kernel's variance and lengthscale, and the
+// observation noise (the objective is deterministic, but the GP needs a
+// jitter).
+const (
+	initialRandom = 5
+	kernelVar     = 1
+	kernelScale   = 3
+	obsNoise      = 1e-4
+)
+
 // Maximize runs Bayesian optimisation of f over {0,1}^dim and returns the
-// best point found plus the full evaluation history.
+// best point found plus the full evaluation history. The domain is the full
+// hypercube {0,1}^dim minus the all-false vector, enumerated (dim <= 20 keeps
+// that tractable; the paper's domain is 2^13).
 func Maximize(f func([]bool) float64, dim int, opts Options) (best []bool, bestY float64, history []Sample) {
 	if opts.Evaluations <= 0 {
 		opts.Evaluations = 40
 	}
-	if opts.InitialRandom <= 0 {
-		opts.InitialRandom = 5
-	}
-	if opts.Kernel == nil {
-		opts.Kernel = HammingRBF(1, 3)
-	}
-	if opts.Noise == 0 {
-		opts.Noise = 1e-4
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
+	kernel := HammingRBF(kernelVar, kernelScale)
 
-	candidates := opts.Candidates
-	if candidates == nil {
-		for m := 1; m < 1<<uint(dim); m++ {
-			v := make([]bool, dim)
-			for i := 0; i < dim; i++ {
-				v[i] = m>>uint(i)&1 == 1
-			}
-			candidates = append(candidates, v)
+	var candidates [][]bool
+	for m := 1; m < 1<<uint(dim); m++ {
+		v := make([]bool, dim)
+		for i := 0; i < dim; i++ {
+			v[i] = m>>uint(i)&1 == 1
 		}
+		candidates = append(candidates, v)
 	}
 	seen := map[string]bool{}
 	key := func(v []bool) string {
@@ -209,7 +199,7 @@ func Maximize(f func([]bool) float64, dim int, opts Options) (best []bool, bestY
 	}
 
 	// Initial design: random distinct candidates.
-	for len(history) < opts.InitialRandom && len(history) < opts.Evaluations {
+	for len(history) < initialRandom && len(history) < opts.Evaluations {
 		v := candidates[rng.Intn(len(candidates))]
 		if seen[key(v)] {
 			continue
@@ -224,7 +214,7 @@ func Maximize(f func([]bool) float64, dim int, opts Options) (best []bool, bestY
 			x[i] = s.X
 			y[i] = s.Y
 		}
-		reg := NewRegressor(opts.Kernel, opts.Noise)
+		reg := NewRegressor(kernel, obsNoise)
 		var next []bool
 		if err := reg.Fit(x, y); err == nil {
 			bestEI := math.Inf(-1)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers the pprof handlers on DefaultServeMux
@@ -13,9 +12,8 @@ import (
 )
 
 // Flags is the shared observability flag surface. Every driver registers it
-// once through RegisterFlags (or internal/cliflags), so -trace, -metrics,
-// -report and -pprof mean the same thing on loopsum, synth-eval, memverify,
-// bench and diffuzz.
+// once through RegisterFlags, so -trace, -metrics, -report and -pprof mean
+// the same thing on loopsum, synth-eval, memverify, bench and diffuzz.
 type Flags struct {
 	// Trace is the Chrome trace-event JSON output path ("" = off).
 	Trace string
@@ -32,19 +30,16 @@ type Flags struct {
 	Pprof string
 }
 
-// RegisterFlags declares the observability flags on fs (nil means
-// flag.CommandLine) and returns the destination struct.
-func RegisterFlags(fs *flag.FlagSet) *Flags {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
+// RegisterFlags declares the observability flags on flag.CommandLine and
+// returns the destination struct.
+func RegisterFlags() *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.Trace, "trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing)")
-	fs.BoolVar(&f.Flame, "flame", false, "print a flame summary of the trace to stderr at exit")
-	fs.BoolVar(&f.Metrics, "metrics", false, "print the metrics registry to stderr at exit")
-	fs.BoolVar(&f.Report, "report", false, "print the per-loop/per-phase run report table")
-	fs.StringVar(&f.ReportJSON, "report-json", "", "write the run report as JSON to this path")
-	fs.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	flag.StringVar(&f.Trace, "trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing)")
+	flag.BoolVar(&f.Flame, "flame", false, "print a flame summary of the trace to stderr at exit")
+	flag.BoolVar(&f.Metrics, "metrics", false, "print the metrics registry to stderr at exit")
+	flag.BoolVar(&f.Report, "report", false, "print the per-loop/per-phase run report table")
+	flag.StringVar(&f.ReportJSON, "report-json", "", "write the run report as JSON to this path")
+	flag.StringVar(&f.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	return f
 }
 
@@ -153,17 +148,11 @@ func (it *Item) Finish(outcome string) {
 
 // Finish writes every requested output: the Chrome trace file, the flame
 // summary, the metrics dump, the report table and JSON; then stops pprof.
-// Disabled outputs are skipped. stdout/stderr default to the process
-// streams when nil.
-func (s *Session) Finish(stdout, stderr io.Writer) error {
+// Disabled outputs are skipped. The report table goes to stdout, the flame
+// summary and metrics dump to stderr.
+func (s *Session) Finish() error {
 	if s == nil {
 		return nil
-	}
-	if stdout == nil {
-		stdout = os.Stdout
-	}
-	if stderr == nil {
-		stderr = os.Stderr
 	}
 	if s.pprofLn != nil {
 		s.pprofLn.Close()
@@ -173,7 +162,7 @@ func (s *Session) Finish(stdout, stderr io.Writer) error {
 		return nil
 	}
 	if f.Report {
-		s.Report.WriteTable(stdout)
+		s.Report.WriteTable(os.Stdout)
 	}
 	if f.ReportJSON != "" {
 		data, err := s.Report.JSON()
@@ -198,10 +187,10 @@ func (s *Session) Finish(stdout, stderr io.Writer) error {
 		}
 	}
 	if f.Flame {
-		s.Tracer.FlameSummary(stderr)
+		s.Tracer.FlameSummary(os.Stderr)
 	}
 	if f.Metrics {
-		s.Metrics.Dump(stderr)
+		s.Metrics.Dump(os.Stderr)
 	}
 	return nil
 }

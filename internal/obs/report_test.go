@@ -97,7 +97,7 @@ func TestNilReportAndItems(t *testing.T) {
 	if sess.Item("l", "p", 0) != nil {
 		t.Error("nil session produced an item")
 	}
-	if err := sess.Finish(nil, nil); err != nil {
+	if err := sess.Finish(); err != nil {
 		t.Errorf("nil session Finish: %v", err)
 	}
 

@@ -16,7 +16,7 @@ import (
 // through a common store. Under the old idKey-over-ordinals scheme the
 // second cache could never hit.
 func TestCrossInternerSharing(t *testing.T) {
-	store := diskcache.NewStoreSized("", 0, 0, nil)
+	store := diskcache.NewStoreSized("", 0, nil)
 
 	build := func(in *bv.Interner) []*bv.Bool {
 		x, y := in.Var("x", 8), in.Var("y", 8)
@@ -72,7 +72,7 @@ func TestCrossInternerSharing(t *testing.T) {
 
 // TestCrossInternerUnsatSharing shares an unsat verdict across interners.
 func TestCrossInternerUnsatSharing(t *testing.T) {
-	store := diskcache.NewStoreSized("", 0, 0, nil)
+	store := diskcache.NewStoreSized("", 0, nil)
 
 	build := func(in *bv.Interner) []*bv.Bool {
 		x := in.Var("x", 8)
@@ -153,7 +153,7 @@ func TestConjunctIDsAreContentBased(t *testing.T) {
 // without an explicit flush, so a crash after solving loses at most the
 // unsaved snapshot, not the in-memory tier's coherence.
 func TestDiskWriteThrough(t *testing.T) {
-	store := diskcache.NewStoreSized("", 0, 0, nil)
+	store := diskcache.NewStoreSized("", 0, nil)
 	in := bv.NewInterner()
 	c := New(in).SetDisk(store)
 	x := in.Var("x", 8)

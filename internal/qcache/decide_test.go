@@ -130,7 +130,7 @@ func TestDecideMatchesCheckSat(t *testing.T) {
 // a second time. It returns the cache and the budget its queries charged.
 func spreadCase(t *testing.T, decide bool, faults *faultpoint.Registry) (*Cache, *engine.Budget) {
 	t.Helper()
-	store := diskcache.NewStoreSized("", 0, 0, nil)
+	store := diskcache.NewStoreSized("", 0, nil)
 	seedIn := bv.NewInterner()
 	seed := New(seedIn).SetDisk(store)
 	if st, _ := seed.CheckSat(nil, seedIn.Eq(seedIn.Var("x", 8), seedIn.Byte(7))); st != sat.Sat {

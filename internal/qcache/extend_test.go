@@ -103,7 +103,7 @@ func streams(t *testing.T) []stream {
 // seededStore returns an in-memory query store holding the verdicts of the
 // first half of the stream, written by a throwaway cache.
 func seededStore(s stream) *diskcache.Store {
-	store := diskcache.NewStoreSized("", 0, 0, nil)
+	store := diskcache.NewStoreSized("", 0, nil)
 	c := qcache.New(s.in).SetDisk(store)
 	for _, st := range s.steps[:len(s.steps)/2] {
 		c.Decide(nil, st.f)

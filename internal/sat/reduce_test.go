@@ -48,8 +48,8 @@ func TestReduceDBBoundsLearnts(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(7))
 	s := New()
-	s.ReduceBase = 500
-	s.ReduceInc = 100
+	s.reduceBase = 500
+	s.reduceInc = 100
 
 	var peak int
 	for inst := 0; s.Conflicts() < targetConf; inst++ {
@@ -72,7 +72,7 @@ func TestReduceDBBoundsLearnts(t *testing.T) {
 	if s.Reduces() < 1 {
 		t.Fatalf("reduceDB never ran over %d conflicts", s.Conflicts())
 	}
-	// The schedule allows ReduceBase + ReduceInc*reduces live learnts, plus
+	// The schedule allows reduceBase + reduceInc*reduces live learnts, plus
 	// protected clauses (glue/binary/locked) that reduceDB refuses to drop.
 	// Without reduction the DB would hold one clause per (non-unit) conflict
 	// — order 10^4. Assert we stayed an order of magnitude under that, both
@@ -94,15 +94,15 @@ func TestReduceDBBoundsLearnts(t *testing.T) {
 func TestReduceDBVerdictsUnchanged(t *testing.T) {
 	const nInstances = 40
 	red := New()
-	red.ReduceBase = 200
-	red.ReduceInc = 50
+	red.reduceBase = 200
+	red.reduceInc = 50
 	for i := 0; i < nInstances; i++ {
 		seed := int64(1000 + i)
 		actR := randomThreeSAT(red, rand.New(rand.NewSource(seed)), 40, 172)
 		gotR := red.SolveAssuming(actR)
 
 		ref := New()
-		ref.ReduceBase = -1
+		ref.reduceBase = -1
 		actF := randomThreeSAT(ref, rand.New(rand.NewSource(seed)), 40, 172)
 		gotF := ref.SolveAssuming(actF)
 

@@ -14,11 +14,10 @@
 // over between calls, which is what makes the incremental bit-blasting of
 // the query-cache layer (internal/qcache) pay off across symex forks.
 //
-// Search is budgeted two ways: MaxConflicts caps one query locally, and an
-// optional engine.Budget is charged per conflict and polled inside the CDCL
-// loop (every budgetPollMask+1 conflicts), so an external cancellation or a
-// run-wide conflict cap stops the search promptly with Unknown instead of
-// running unbounded.
+// Search is budgeted by an optional engine.Budget, charged per conflict and
+// polled inside the CDCL loop (every budgetPollMask+1 conflicts), so an
+// external cancellation or a run-wide conflict cap stops the search promptly
+// with Unknown instead of running unbounded.
 package sat
 
 import (
@@ -144,12 +143,6 @@ type Solver struct {
 	// assumptions holds the temporary decision literals of the current
 	// SolveAssuming call; assumption i is decided at level i+1.
 	assumptions []Lit
-	// solveBase is s.conflicts at the start of the current Solve call, so
-	// MaxConflicts bounds each query rather than the solver's lifetime.
-	solveBase int64
-	// MaxConflicts bounds one Solve call; <=0 means unbounded. When exceeded,
-	// Solve returns Unknown.
-	MaxConflicts int64
 	// Budget, when non-nil, is charged one conflict per conflict and polled
 	// periodically inside the search loop; an exhausted or cancelled budget
 	// makes Solve return Unknown promptly.
@@ -160,13 +153,14 @@ type Solver struct {
 	// Both are query-granular, so the CDCL inner loop stays fault-free and
 	// full speed. Nil means no injection.
 	Faults *faultpoint.Registry
-	// ReduceBase is the learnt-clause count that triggers the first clause-DB
-	// reduction; each reduction raises the trigger by ReduceInc, so the DB
-	// grows slowly instead of unboundedly. Zero values take the defaults
-	// (DefaultReduceBase/DefaultReduceInc); a negative ReduceBase disables
-	// reduction entirely.
-	ReduceBase int
-	ReduceInc  int
+	// reduceBase is the learnt-clause count that triggers the first
+	// clause-DB reduction; each reduction raises the trigger by reduceInc,
+	// so the DB grows slowly instead of unboundedly. Zero values take the
+	// defaults (DefaultReduceBase/DefaultReduceInc); a negative reduceBase
+	// disables reduction entirely. Package tests set them to reach the
+	// reduction sooner and to build a reduction-free reference solver.
+	reduceBase int
+	reduceInc  int
 }
 
 // Default clause-DB reduction schedule: first reduce at 2000 learnt clauses,
@@ -589,7 +583,6 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 		return Unknown
 	}
 	s.assumptions = assumptions
-	s.solveBase = s.conflicts
 	restartBase := int64(100)
 	for restart := 0; ; restart++ {
 		limit := restartBase * int64(luby(restart))
@@ -597,7 +590,7 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 		if st != Unknown {
 			return st
 		}
-		if s.outOfBudget() {
+		if s.Budget.Exceeded() {
 			s.cancelUntil(0)
 			return Unknown
 		}
@@ -615,15 +608,6 @@ func (s *Solver) Propagations() int64 { return s.propagations }
 
 // Decisions returns the total branching decisions across every Solve call.
 func (s *Solver) Decisions() int64 { return s.decisions }
-
-// outOfBudget reports whether either the local per-query conflict cap or the
-// shared run budget forbids further search.
-func (s *Solver) outOfBudget() bool {
-	if s.MaxConflicts > 0 && s.conflicts-s.solveBase >= s.MaxConflicts {
-		return true
-	}
-	return s.Budget.Exceeded()
-}
 
 func (s *Solver) search(conflictBudget int64) Status {
 	var budget int64
@@ -660,9 +644,6 @@ func (s *Solver) search(conflictBudget int64) Status {
 			continue
 		}
 		if budget >= conflictBudget {
-			return Unknown
-		}
-		if s.MaxConflicts > 0 && s.conflicts-s.solveBase >= s.MaxConflicts {
 			return Unknown
 		}
 		s.decisions++
@@ -703,9 +684,9 @@ func (s *Solver) search(conflictBudget int64) Status {
 }
 
 // reduceLimit returns the learnt-clause count that triggers the next
-// reduction, or 0 when reduction is disabled (ReduceBase < 0).
+// reduction, or 0 when reduction is disabled (reduceBase < 0).
 func (s *Solver) reduceLimit() int {
-	base, inc := s.ReduceBase, s.ReduceInc
+	base, inc := s.reduceBase, s.reduceInc
 	if base < 0 {
 		return 0
 	}

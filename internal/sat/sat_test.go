@@ -3,6 +3,8 @@ package sat
 import (
 	"math/rand"
 	"testing"
+
+	"stringloops/internal/engine"
 )
 
 func TestTrivialSat(t *testing.T) {
@@ -234,7 +236,8 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 }
 
 func TestMaxConflictsBudget(t *testing.T) {
-	// A hard pigeonhole instance with a tiny budget must return Unknown.
+	// A hard pigeonhole instance with a tiny conflict budget must return
+	// Unknown.
 	const pigeons, holes = 9, 8
 	s := New()
 	x := make([][]int, pigeons)
@@ -258,7 +261,7 @@ func TestMaxConflictsBudget(t *testing.T) {
 			}
 		}
 	}
-	s.MaxConflicts = 50
+	s.Budget = engine.NewBudget(nil, engine.Limits{Conflicts: 50})
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("budgeted Solve = %v, want unknown", got)
 	}
@@ -473,59 +476,6 @@ func TestSolveAssumingAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestPerSolveConflictBudget(t *testing.T) {
-	// MaxConflicts bounds each query, not the solver's lifetime: a solver
-	// that has already burned conflicts on earlier queries must still get a
-	// full budget for the next one.
-	build := func() *Solver {
-		const pigeons, holes = 6, 5
-		s := New()
-		x := make([][]int, pigeons)
-		for p := range x {
-			x[p] = make([]int, holes)
-			for h := range x[p] {
-				x[p][h] = s.NewVar()
-			}
-		}
-		for p := 0; p < pigeons; p++ {
-			lits := make([]Lit, holes)
-			for h := 0; h < holes; h++ {
-				lits[h] = PosLit(x[p][h])
-			}
-			s.AddClause(lits...)
-		}
-		for h := 0; h < holes; h++ {
-			for p1 := 0; p1 < pigeons; p1++ {
-				for p2 := p1 + 1; p2 < pigeons; p2++ {
-					s.AddClause(NegLit(x[p1][h]), NegLit(x[p2][h]))
-				}
-			}
-		}
-		return s
-	}
-	// Reference: conflicts needed to refute from scratch.
-	ref := build()
-	if got := ref.Solve(); got != Unsat {
-		t.Fatalf("reference Solve = %v", got)
-	}
-	need := ref.Conflicts()
-	if need == 0 {
-		t.Skip("instance solved without conflicts; budget not exercised")
-	}
-	// Burn more than `need` conflicts on an unrelated-looking query first
-	// (same instance, so it still refutes), then re-query with a budget big
-	// enough for one solve. Before the per-solve fix the cumulative count
-	// would exhaust the budget immediately and return Unknown.
-	s := build()
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("first Solve = %v", got)
-	}
-	s.MaxConflicts = need + 10
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("budgeted re-Solve = %v, want unsat (budget must be per-solve)", got)
 	}
 }
 

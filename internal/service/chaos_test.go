@@ -39,7 +39,7 @@ func TestServerChaosSoak(t *testing.T) {
 		out := core.SummarizeResilient(l.Source, l.FuncName, core.ResilientOptions{
 			Options:     core.Options{Timeout: 30 * time.Second},
 			StartRung:   core.RungMemoryless,
-			MaxAttempts: 2,
+			MaxAttempts: maxAttempts,
 			Metrics:     obs.NewMetrics(),
 		})
 		if out.Rung == core.RungFailed {
@@ -68,7 +68,6 @@ func TestServerChaosSoak(t *testing.T) {
 				QueueDepth:  64,
 				StartRung:   core.RungMemoryless,
 				Overload:    OverloadPolicy{Disable: true},
-				MaxAttempts: 2,
 				Pipeline:    symex.Config{Disk: tier},
 				Faults:      reg,
 				Metrics:     m,

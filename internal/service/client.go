@@ -27,10 +27,6 @@ type Client struct {
 	HTTP *http.Client
 	// MaxRetries bounds retries after the first try (default 4).
 	MaxRetries int
-	// BaseBackoff and MaxBackoff shape the exponential wait between
-	// retries (defaults 100ms and 5s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// Seed drives the deterministic jitter (same splitmix64 discipline as
 	// faultpoint, so test schedules replay).
 	Seed uint64
@@ -95,21 +91,20 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// The exponential wait between retries starts at baseBackoff and doubles up
+// to maxBackoff.
+const (
+	baseBackoff = 100 * time.Millisecond
+	maxBackoff  = 5 * time.Second
+)
+
 // backoff computes the wait before retry n (1-based): capped exponential
 // with full deterministic jitter in [base/2, base], then raised to any
 // Retry-After the server sent — the server's hint is a floor, not a cap.
 func (c *Client) backoff(n int, retryAfter time.Duration) time.Duration {
-	base := c.BaseBackoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	maxB := c.MaxBackoff
-	if maxB <= 0 {
-		maxB = 5 * time.Second
-	}
-	d := base << (n - 1)
-	if d > maxB || d <= 0 {
-		d = maxB
+	d := baseBackoff << (n - 1)
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	// Jitter: uniform in [d/2, d], derived from (seed, attempt).
 	h := splitmix64(c.Seed ^ splitmix64(uint64(n)))

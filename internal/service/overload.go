@@ -28,11 +28,6 @@ type OverloadPolicy struct {
 	// TargetP99 degrades one extra level while the recent p99 completion
 	// latency exceeds it. Zero disables the latency signal.
 	TargetP99 time.Duration
-	// Window is the number of recent completions the latency p99 is
-	// computed over (default 128). The window is approximate: latencies
-	// accumulate into a rotating pair of log2 histograms, so the signal
-	// covers between Window and 2×Window recent requests.
-	Window int
 	// Disable turns the policy off: every request starts at RungFull
 	// regardless of pressure. The chaos soak uses it so server verdicts
 	// stay comparable to offline runs.
@@ -49,22 +44,26 @@ func (p OverloadPolicy) withDefaults() OverloadPolicy {
 	if p.SmokeAt == 0 {
 		p.SmokeAt = 0.90
 	}
-	if p.Window <= 0 {
-		p.Window = 128
-	}
 	return p
 }
 
+// overloadWindow is the number of recent completions the latency p99 is
+// computed over. The window is approximate: latencies accumulate into a
+// rotating pair of log2 histograms, so the signal covers between
+// overloadWindow and twice that many recent requests.
+const overloadWindow = 128
+
 // overload is the policy's runtime state. Completion latencies feed a
 // rotating pair of obs.Histograms (the "windowed histogram" idiom: cur
-// fills to Window observations, then becomes prev and a fresh cur starts),
+// fills to window observations, then becomes prev and a fresh cur starts),
 // so the same log2 buckets drive both the degradation signal and the
 // Prometheus scrape — the old exact-scan latency ring kept a second,
 // scrape-invisible copy of the distribution. The p99 read is an upper
 // bound at bucket resolution: within 2× of the exact order statistic,
 // which is well inside the policy thresholds' precision.
 type overload struct {
-	pol OverloadPolicy
+	pol    OverloadPolicy
+	window int // overloadWindow; package tests use shorter ones
 
 	mu   sync.Mutex
 	cur  *obs.Histogram
@@ -72,18 +71,17 @@ type overload struct {
 	curN int
 }
 
-func newOverload(pol OverloadPolicy) *overload {
-	pol = pol.withDefaults()
-	return &overload{pol: pol, cur: &obs.Histogram{}}
+func newOverload(pol OverloadPolicy, window int) *overload {
+	return &overload{pol: pol.withDefaults(), window: window, cur: &obs.Histogram{}}
 }
 
 // observe records one completed request's latency, rotating the window
-// when the current histogram has seen Window observations.
+// when the current histogram has seen window observations.
 func (o *overload) observe(d time.Duration) {
 	o.mu.Lock()
 	o.cur.Observe(int64(d))
 	o.curN++
-	if o.curN >= o.pol.Window {
+	if o.curN >= o.window {
 		o.prev = o.cur
 		o.cur = &obs.Histogram{}
 		o.curN = 0

@@ -39,7 +39,7 @@ func ringP99(samples []time.Duration, window int) time.Duration {
 // histogram and the old exact ring. The histogram reads a log2 bucket
 // upper bound, so agreement means: at least the exact p99, and within 2×
 // of it — tight enough that the degradation thresholds behave the same.
-// The histogram's window is approximate (between Window and 2×Window
+// The histogram's window is approximate (between window and 2×window
 // samples), so the ring reference is evaluated at both window widths and
 // the histogram must sit within the bounds they span.
 func TestOverloadHistAgreesWithRing(t *testing.T) {
@@ -56,7 +56,7 @@ func TestOverloadHistAgreesWithRing(t *testing.T) {
 		"short": genLatencies(7, func(i int) time.Duration { return time.Duration(i+1) * 10 * time.Millisecond }),
 	}
 	for name, samples := range schedules {
-		o := newOverload(OverloadPolicy{Window: window})
+		o := newOverload(OverloadPolicy{}, window)
 		for _, d := range samples {
 			o.observe(d)
 		}
@@ -77,7 +77,7 @@ func TestOverloadHistAgreesWithRing(t *testing.T) {
 	}
 
 	// Empty window agrees on zero.
-	if got := newOverload(OverloadPolicy{Window: window}).p99(); got != 0 {
+	if got := newOverload(OverloadPolicy{}, window).p99(); got != 0 {
 		t.Errorf("empty window p99 = %v, want 0", got)
 	}
 }
@@ -93,7 +93,7 @@ func genLatencies(n int, f func(int) time.Duration) []time.Duration {
 // TestOverloadWindowRotates: old samples age out after two window widths,
 // so a past latency spike stops degrading new requests.
 func TestOverloadWindowRotates(t *testing.T) {
-	o := newOverload(OverloadPolicy{Window: 16})
+	o := newOverload(OverloadPolicy{}, 16)
 	for i := 0; i < 16; i++ {
 		o.observe(time.Second)
 	}

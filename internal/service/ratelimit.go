@@ -36,9 +36,6 @@ func newRateLimiter(ratePerSec, burst float64, maxClients int, now func() time.T
 	if maxClients <= 0 {
 		maxClients = 4096
 	}
-	if now == nil {
-		now = time.Now
-	}
 	return &rateLimiter{
 		ratePerSec: ratePerSec,
 		burst:      burst,

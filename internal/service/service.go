@@ -72,9 +72,6 @@ type Config struct {
 	// request runs under GlobalLimits / MaxInFlight (zero fields stay
 	// unlimited — the request context still bounds wall time).
 	GlobalLimits engine.Limits
-	// MaxAttempts bounds supervised attempts per rung (default 2 — a
-	// server prefers degrading to retry-burning).
-	MaxAttempts int
 	// RatePerSec/Burst configure the per-client token bucket; RatePerSec
 	// <= 0 disables rate limiting.
 	RatePerSec float64
@@ -103,9 +100,11 @@ type Config struct {
 	// nil Tracer disables tracing.
 	Tracer  *obs.Tracer
 	Metrics *obs.Metrics
-	// Now exists for tests (deterministic rate-limit clocks).
-	Now func() time.Time
 }
+
+// maxAttempts bounds supervised attempts per rung: a server prefers
+// degrading to retry-burning.
+const maxAttempts = 2
 
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
@@ -120,14 +119,8 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 2
-	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewMetrics()
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	if c.StartRung < core.RungFull || c.StartRung > core.RungSmoke {
 		c.StartRung = core.RungFull
@@ -180,8 +173,8 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		limits: cfg.perRequestLimits(),
 		adm:    newAdmitter(cfg.MaxInFlight, cfg.QueueDepth),
-		rl:     newRateLimiter(cfg.RatePerSec, cfg.Burst, 0, cfg.Now),
-		ovl:    newOverload(cfg.Overload),
+		rl:     newRateLimiter(cfg.RatePerSec, cfg.Burst, 0, time.Now),
+		ovl:    newOverload(cfg.Overload, overloadWindow),
 		m:      cfg.Metrics,
 	}
 }
@@ -302,7 +295,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.Counter(MSvcRequests).Inc()
-	began := s.cfg.Now()
+	began := time.Now()
 
 	// Propagated trace context: a malformed or absent header degrades to
 	// an untraced request, never a rejection.
@@ -368,7 +361,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 
-	queueStart := s.cfg.Now()
+	queueStart := time.Now()
 	s.m.Gauge(MSvcQueued).Set(s.adm.waiting() + 1)
 	release, err := s.adm.admit(ctx)
 	if err != nil {
@@ -382,7 +375,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	queueWait := s.cfg.Now().Sub(queueStart)
+	queueWait := time.Now().Sub(queueStart)
 	s.m.Histogram(MSvcQueueWaitNs).Observe(int64(queueWait))
 	s.m.Gauge(MSvcInFlight).Set(s.adm.inFlight())
 	s.m.Gauge(MSvcQueued).Set(s.adm.waiting())
@@ -424,7 +417,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 			StartRung:   start,
 			Limits:      s.limits,
 			MaxLimits:   s.limits, // the carve is the ceiling: no escalation past it
-			MaxAttempts: s.cfg.MaxAttempts,
+			MaxAttempts: maxAttempts,
 			Tracer:      tracer,
 			Metrics:     reqMetrics,
 		})
@@ -453,7 +446,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	reqSpan.SetInt("attempts", int64(len(out.Attempts)))
 	reqSpan.End()
 
-	elapsed := s.cfg.Now().Sub(began)
+	elapsed := time.Now().Sub(began)
 	s.ovl.observe(elapsed)
 	s.m.Histogram(MSvcLatencyNs).Observe(int64(elapsed))
 	s.m.Gauge(MSvcP99Signal).Set(int64(s.ovl.p99()))

@@ -70,7 +70,6 @@ func mergedTraceRun(t *testing.T, workers int, pipe symex.Config) ([]byte, map[s
 		QueueDepth:  64,
 		StartRung:   core.RungMemoryless,
 		Overload:    OverloadPolicy{Disable: true},
-		MaxAttempts: 2,
 		Pipeline:    pipe,
 		Tracer:      serverTracer,
 		Metrics:     obs.NewMetrics(),

@@ -139,7 +139,7 @@ func TestRateLimiterEviction(t *testing.T) {
 // TestOverloadLadderMapping: load fractions map onto starting rungs at
 // the documented thresholds, and the p99 signal degrades one extra rung.
 func TestOverloadLadderMapping(t *testing.T) {
-	o := newOverload(OverloadPolicy{})
+	o := newOverload(OverloadPolicy{}, overloadWindow)
 	for _, c := range []struct {
 		frac float64
 		want core.Rung
@@ -154,7 +154,7 @@ func TestOverloadLadderMapping(t *testing.T) {
 		}
 	}
 
-	slow := newOverload(OverloadPolicy{TargetP99: time.Millisecond})
+	slow := newOverload(OverloadPolicy{TargetP99: time.Millisecond}, overloadWindow)
 	for i := 0; i < 10; i++ {
 		slow.observe(5 * time.Millisecond)
 	}
@@ -165,7 +165,7 @@ func TestOverloadLadderMapping(t *testing.T) {
 		t.Errorf("p99 cannot push below the floor: got %v, want smoke", got)
 	}
 
-	off := newOverload(OverloadPolicy{Disable: true})
+	off := newOverload(OverloadPolicy{Disable: true}, overloadWindow)
 	if got := off.startRung(1.0); got != core.RungFull {
 		t.Errorf("disabled policy degraded to %v", got)
 	}
@@ -174,7 +174,7 @@ func TestOverloadLadderMapping(t *testing.T) {
 // TestOverloadP99: the windowed histogram's p99 tracks the tail, not the
 // median. The read is a log2 bucket upper bound, so it lands in [tail, 2×tail).
 func TestOverloadP99(t *testing.T) {
-	o := newOverload(OverloadPolicy{Window: 100})
+	o := newOverload(OverloadPolicy{}, 100)
 	for i := 0; i < 99; i++ {
 		o.observe(time.Millisecond)
 	}
