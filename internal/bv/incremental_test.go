@@ -87,7 +87,8 @@ func TestVarNamesTagsSorts(t *testing.T) {
 	x := in.Var("v", 8)
 	bvar := in.BoolVar("v") // same name, different sort
 	f := in.BAnd2(in.Eq(in.Ite(bvar, x, in.Byte(0)), in.Byte(3)), bvar)
-	names := VarNames(nil, f)
+	var scan VarScanner
+	names := scan.Names(nil, f)
 	sort.Strings(names)
 	// Dedupe (DAG sharing already prevents most repeats, but not across
 	// distinct nodes).
@@ -99,6 +100,6 @@ func TestVarNamesTagsSorts(t *testing.T) {
 	}
 	want := []string{"b:v", "t:v"}
 	if len(uniq) != 2 || uniq[0] != want[0] || uniq[1] != want[1] {
-		t.Fatalf("VarNames = %v, want %v", uniq, want)
+		t.Fatalf("Names = %v, want %v", uniq, want)
 	}
 }

@@ -13,30 +13,37 @@ func Conjuncts(dst []*Bool, f *Bool) []*Bool {
 	return append(dst, f)
 }
 
-// VarNames appends the names of all variables occurring in f to dst and
+// VarScanner lists the variables of formulas. Its visited sets are kept
+// between calls, cleared rather than rebuilt, so a caller that scans many
+// formulas does not grow them from empty for each one. The zero value is
+// ready to use; a VarScanner belongs to one goroutine.
+type VarScanner struct {
+	seenB map[*Bool]bool
+	seenT map[*Term]bool
+	out   []string
+}
+
+// Names appends the names of all variables occurring in f to dst and
 // returns it, each tagged with its sort — "t:" for bit-vector term variables
 // and "b:" for boolean variables — so a term variable and a boolean variable
 // sharing a name never alias. Shared DAG nodes are visited once, but names
 // may still repeat across distinct nodes; callers that need a set should
 // dedupe. Used by constraint-independence slicing to decide which conjuncts
 // interact.
-func VarNames(dst []string, f *Bool) []string {
-	c := varCollector{
-		seenB: map[*Bool]bool{},
-		seenT: map[*Term]bool{},
-		out:   dst,
+func (c *VarScanner) Names(dst []string, f *Bool) []string {
+	if c.seenB == nil {
+		c.seenB, c.seenT = map[*Bool]bool{}, map[*Term]bool{}
 	}
+	clear(c.seenB)
+	clear(c.seenT)
+	c.out = dst
 	c.boolVars(f)
-	return c.out
+	out := c.out
+	c.out = nil
+	return out
 }
 
-type varCollector struct {
-	seenB map[*Bool]bool
-	seenT map[*Term]bool
-	out   []string
-}
-
-func (c *varCollector) boolVars(f *Bool) {
+func (c *VarScanner) boolVars(f *Bool) {
 	if f == nil || c.seenB[f] {
 		return
 	}
@@ -53,7 +60,7 @@ func (c *varCollector) boolVars(f *Bool) {
 	}
 }
 
-func (c *varCollector) termVars(t *Term) {
+func (c *VarScanner) termVars(t *Term) {
 	if t == nil || c.seenT[t] {
 		return
 	}

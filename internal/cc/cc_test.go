@@ -364,6 +364,61 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// nested returns a function whose first statement nests levels deep: open
+// repeated levels times around mid, then close repeated levels times.
+func nested(open, mid, close string, levels int) string {
+	return "int f(int x) { " + strings.Repeat(open, levels) + mid + strings.Repeat(close, levels) + "; return x; }"
+}
+
+// TestParseNestingIsBounded: sources nested 100,000 levels deep, through
+// each recursive production, end in ErrNestingTooDeep with a stack that
+// stays small; without the bound each would take hundreds of MB of stack.
+// A source nested just inside the bound parses.
+func TestParseNestingIsBounded(t *testing.T) {
+	const deep = 100_000
+	for name, src := range map[string]string{
+		"parentheses": nested("(", "1", ")", deep),
+		"unary":       nested("-", "1", "", deep),
+		"casts":       nested("(int)", "1", "", deep),
+		"assignments": nested("x = ", "1", "", deep),
+		"blocks":      nested("{", "", "}", deep),
+		"ifs":         nested("if (x) ", "x++;", "", deep),
+	} {
+		var err error
+		if n := stackGrowth(func() { _, err = Parse(src) }); n > 4<<20 {
+			t.Errorf("%s: the stack grew by %d KB", name, n>>10)
+		}
+		if !errors.Is(err, ErrNestingTooDeep) {
+			t.Errorf("%s: err = %v, want ErrNestingTooDeep", name, err)
+		}
+	}
+	if _, err := Parse(nested("(", "1", ")", maxNesting/2-2)); err != nil {
+		t.Errorf("%d parentheses: %v", maxNesting/2-2, err)
+	}
+	if _, err := Parse(nested("{", "", "}", maxNesting-2)); err != nil {
+		t.Errorf("%d blocks: %v", maxNesting-2, err)
+	}
+}
+
+// stackGrowth runs f on a fresh goroutine and returns how far the stacks
+// in use grew while it ran. Stacks only shrink at a collection, so the
+// growth f caused is still in use when it returns.
+func stackGrowth(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+		runtime.ReadMemStats(&after)
+	}()
+	<-done
+	if after.StackInuse < before.StackInuse {
+		return 0
+	}
+	return after.StackInuse - before.StackInuse
+}
+
 func joinToks(toks []Token) string {
 	parts := make([]string, len(toks))
 	for i, t := range toks {

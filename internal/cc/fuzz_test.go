@@ -16,6 +16,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("#define foo foo\nint foo;\n#define x (x)\nint f(int x) { return x; }")
 	f.Add(doublingChain(30))
 	f.Add(nestedLargeArgument(250, 1000))
+	// Parentheses nested far past the parser's nesting bound.
+	f.Add(nested("(", "1", ")", 100_000))
 	f.Fuzz(func(t *testing.T, src string) {
 		file, err := Parse(src)
 		if err != nil {

@@ -1,8 +1,24 @@
 package cc
 
 import (
+	"errors"
 	"fmt"
 )
+
+// maxNesting bounds the parser's recursion: statements nested in
+// statements, and expressions nested in expressions through parentheses,
+// assignments, conditionals and unary operators. Each level is a few
+// goroutine stack frames, and without a bound a deeply nested source grows
+// the stack until the process dies. A parenthesis level counts two levels
+// (an assignment and a unary expression), a nested statement one. The
+// deepest corpus loop nests 10 levels, the deepest summary C 7 and the
+// deepest differential-fuzzing source (seeds 1 to 3000) 8; 256 levels leave
+// room for any hand-written C while keeping the parser's stack under a
+// megabyte.
+const maxNesting = 256
+
+// ErrNestingTooDeep reports a source nested past maxNesting.
+var ErrNestingTooDeep = errors.New("cc: nesting too deep")
 
 // Parse preprocesses, lexes and parses a C translation unit in the supported
 // subset, returning its AST.
@@ -26,9 +42,22 @@ func Parse(src string) (*File, error) {
 }
 
 type parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // recursive productions now entered (see enter)
 }
+
+// enter opens one level of a recursive production; the caller defers leave.
+// Past maxNesting it fails with ErrNestingTooDeep.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return fmt.Errorf("%w: %s: more than %d levels", ErrNestingTooDeep, p.cur().Pos(), maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
 
@@ -230,6 +259,10 @@ func (p *parser) parseBlock() (*Block, error) {
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case p.isPunct(";"):
@@ -479,6 +512,10 @@ var assignOps = map[string]bool{
 }
 
 func (p *parser) parseAssign() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	l, err := p.parseCond()
 	if err != nil {
 		return nil, err
@@ -563,6 +600,10 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	if t.Kind == TPunct {
 		switch t.Text {

@@ -170,14 +170,19 @@ func (b *Budget) Err() error {
 	if p := b.done.Load(); p != nil {
 		return *p
 	}
-	err := b.check()
-	if err != nil {
-		b.done.CompareAndSwap(nil, &err)
-		if p := b.done.Load(); p != nil {
-			return *p
-		}
+	if err := b.check(); err != nil {
+		return b.latch(err)
 	}
-	return err
+	return nil
+}
+
+// latch records err as the cause of exhaustion unless another cause got
+// there first, and returns the recorded cause. It is its own function so
+// that only a latching call moves an error to the heap: Err, polled on every
+// query, loop turn and SAT poll, allocates nothing while the budget lasts.
+func (b *Budget) latch(err error) error {
+	b.done.CompareAndSwap(nil, &err)
+	return *b.done.Load()
 }
 
 func (b *Budget) check() error {
@@ -212,8 +217,7 @@ func (b *Budget) Fail(cause error) {
 	if b == nil {
 		return
 	}
-	err := errors.Join(ErrBudget, cause)
-	b.done.CompareAndSwap(nil, &err)
+	b.latch(errors.Join(ErrBudget, cause))
 }
 
 // Add charges n units of counter c, mirroring them into the attached

@@ -51,6 +51,22 @@ func TestBudgetErrIsSticky(t *testing.T) {
 	}
 }
 
+// TestLiveBudgetPollDoesNotAllocate: Exceeded runs on every query, symex
+// loop turn and SAT poll, so polling a budget that still has room (every
+// limit set, each checked) must not allocate. Only latching a cause may.
+func TestLiveBudgetPollDoesNotAllocate(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b := NewBudget(ctx, Limits{Timeout: time.Hour, Conflicts: 1 << 40, Forks: 1 << 40, Nodes: 1 << 40})
+	if n := testing.AllocsPerRun(100, func() {
+		if b.Exceeded() {
+			t.Fatal("a live budget reports exhaustion")
+		}
+	}); n != 0 {
+		t.Fatalf("Exceeded on a live budget allocates %v times a call", n)
+	}
+}
+
 func TestBudgetTimeout(t *testing.T) {
 	b := NewBudget(nil, Limits{Timeout: time.Millisecond})
 	time.Sleep(5 * time.Millisecond)

@@ -89,13 +89,15 @@ func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measu
 		SolverQueries: int(budget.Count(engine.SolverQueries)),
 	}
 	m.classify(err)
-	// KLEE generates a concrete test input per terminated path.
+	// KLEE generates a concrete test input per terminated path. A path's
+	// last feasibility check usually decided its condition already, and its
+	// sealed form answers the test query from that check's cache entries.
 	for _, p := range paths {
 		if budget.Exceeded() {
 			m.TimedOut = true
 			break
 		}
-		st := cache.Decide(budget, p.Cond)
+		st := cache.DecideSealed(budget, p.Sealed, p.Cond)
 		m.SolverQueries++
 		if st == sat.Sat {
 			m.Tests++

@@ -20,7 +20,7 @@ char* loopFunction(char* line) {
   return p;
 }`
 
-func lower(t *testing.T, src string) *cir.Func {
+func lower(t testing.TB, src string) *cir.Func {
 	t.Helper()
 	file, err := cc.Parse(src)
 	if err != nil {
@@ -48,6 +48,19 @@ func TestVanillaPathGrowth(t *testing.T) {
 	}
 	if m4.Tests == 0 {
 		t.Fatal("vanilla should produce tests")
+	}
+}
+
+// BenchmarkVanilla runs the Figure 1 loop on a symbolic string of length 8
+// in the vanilla configuration with the query cache on: the feasibility
+// checks of the symbolic run and one test query per terminal path.
+func BenchmarkVanilla(b *testing.B) {
+	f := lower(b, wsLoop)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if m := Vanilla(f, 8, 0); m.TimedOut || m.Err != nil || m.Tests == 0 {
+			b.Fatalf("run failed: %+v", m)
+		}
 	}
 }
 

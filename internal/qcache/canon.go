@@ -52,22 +52,32 @@ type groupKey struct {
 	gen   uint64
 }
 
-// canonWriter serializes bv DAGs. With rename non-nil, variable names are
+// canonWriter serializes bv DAGs. With rename set, variable names are
 // replaced by "@<canonical index>" tokens assigned at first occurrence.
 type canonWriter struct {
 	sb     strings.Builder
 	bn     map[*bv.Bool]int
 	tn     map[*bv.Term]int
 	next   int
-	rename map[string]int // tagged name -> canonical index; nil keeps names
+	rename bool
+	index  map[string]int // tagged name -> canonical index, when renaming
 	order  []string       // tagged names in canonical index order
 }
 
-func newCanonWriter(rename bool) *canonWriter {
-	w := &canonWriter{bn: map[*bv.Bool]int{}, tn: map[*bv.Term]int{}}
-	if rename {
-		w.rename = map[string]int{}
+// canonWriter readies the cache's writer for one serialization, renaming
+// variables when rename is set. Its maps are cleared, not replaced: they
+// keep their capacity, so serializing a large DAG does not regrow them from
+// empty every time. Caller holds c.mu.
+func (c *Cache) canonWriter(rename bool) *canonWriter {
+	w := &c.canon
+	if w.bn == nil {
+		w.bn, w.tn, w.index = map[*bv.Bool]int{}, map[*bv.Term]int{}, map[string]int{}
 	}
+	clear(w.bn)
+	clear(w.tn)
+	clear(w.index)
+	w.sb = strings.Builder{}
+	w.next, w.rename, w.order = 0, rename, nil
 	return w
 }
 
@@ -77,7 +87,7 @@ func (w *canonWriter) ref(n int) {
 }
 
 func (w *canonWriter) name(tag byte, name string) {
-	if w.rename == nil {
+	if !w.rename {
 		w.sb.WriteByte('[')
 		w.sb.WriteByte(tag)
 		w.sb.WriteByte(':')
@@ -86,10 +96,10 @@ func (w *canonWriter) name(tag byte, name string) {
 		return
 	}
 	tagged := string(tag) + ":" + name
-	idx, ok := w.rename[tagged]
+	idx, ok := w.index[tagged]
 	if !ok {
 		idx = len(w.order)
-		w.rename[tagged] = idx
+		w.index[tagged] = idx
 		w.order = append(w.order, tagged)
 	}
 	w.sb.WriteByte('@')
@@ -167,7 +177,7 @@ func (c *Cache) conjKey(cj *bv.Bool) string {
 	if s, ok := c.conjCanon[cj]; ok {
 		return s
 	}
-	w := newCanonWriter(false)
+	w := c.canonWriter(false)
 	w.boolExpr(cj)
 	s := w.sb.String()
 	c.conjCanon[cj] = s
@@ -197,7 +207,7 @@ func (c *Cache) groupKeyOf(conj []*bv.Bool, ids []int) *groupKey {
 	}
 	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 
-	w := newCanonWriter(true)
+	w := c.canonWriter(true)
 	prev := ""
 	for n, i := range order {
 		if n > 0 && keys[i] == prev {

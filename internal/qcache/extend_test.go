@@ -259,8 +259,9 @@ func regionsOf(conj []*bv.Bool) [][]int {
 		return x
 	}
 	owner := map[string]int{}
+	var scan bv.VarScanner
 	for i, cj := range conj {
-		for _, v := range bv.VarNames(nil, cj) {
+		for _, v := range scan.Names(nil, cj) {
 			if j, ok := owner[v]; ok {
 				comp[find(i)] = find(j)
 			} else {

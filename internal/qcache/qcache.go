@@ -132,12 +132,18 @@ type Cache struct {
 	solver *bv.Solver
 	faults *faultpoint.Registry
 	stats  Stats
+	// hits tallies the current query's cache hits; the query charges the
+	// tally to its budget once, as it returns (see unlock).
+	hits int64
 
 	// Per-query scratch, reused under c.mu. Nothing that outlives a query
 	// may alias it.
 	conjBuf, simpBuf []*bv.Bool
 	scr              sliceScratch
 	pre              prepScratch
+	canon            canonWriter
+	scan             bv.VarScanner
+	names            []string
 
 	// Shape instruments, lazily bound from the budget's registry on the
 	// first query that carries one: they are a gauge and a histogram, not
@@ -270,13 +276,78 @@ func (c *Cache) Extend(b *engine.Budget, parent *Path, f *bv.Bool) (sat.Status, 
 // and the returned path. Tests set it to record symex query streams.
 var extendHook func(parent *Path, f *bv.Bool, p *Path)
 
+// DecideSealed is Decide(b, cond) for a cond whose query the cache has
+// prepared before, such as the condition of a terminal symex path whose last
+// feasibility check was on cond itself. When cond simplifies to the sealed
+// path's root, no fault registry is armed and every group's exact entry is
+// still current, it answers each group from that entry without preparing
+// cond again; otherwise it decides cond as Decide does. Either way it makes
+// every charge, stat and model release Decide makes, and it returns Decide's
+// status. A nil cache is Decide's direct solver.
+func (c *Cache) DecideSealed(b *engine.Budget, s Sealed, cond *bv.Bool) sat.Status {
+	if c == nil {
+		return c.Decide(b, cond)
+	}
+	c.lock(b)
+	defer c.unlock(b)
+	b.Add(engine.CacheQueries, 1)
+	if b.Exceeded() {
+		return sat.Unknown
+	}
+	g := c.in.SimplifyBool(cond)
+	if !c.answersSealed(s, g) {
+		c.simpBuf = append(c.simpBuf[:0], g)
+		st, _, _ := c.decide(b, nil, c.simpBuf, false, false)
+		return st
+	}
+	// The groups are the ones preparing g would make, in the same order (a
+	// sealed path was prepared from g), each with its current exact entry:
+	// every group is an exact hit under Decide too. Their sizes were
+	// recorded in MaxGroup when they were first checked.
+	b.Add(engine.CacheGroups, int64(len(s.keys)))
+	for _, gk := range s.keys {
+		if st, _ := c.exactHit(gk, gk.entry, false); st != sat.Sat {
+			return st
+		}
+	}
+	return sat.Sat
+}
+
+// answersSealed reports whether DecideSealed answers the simplified formula
+// g from s's exact entries: s was sealed by this cache from g itself, no
+// fault registry is armed (a QCacheMiss firing is drawn per group), and
+// every key's cached entry is current. Caller holds c.mu.
+func (c *Cache) answersSealed(s Sealed, g *bv.Bool) bool {
+	if s.c != c || g != s.root || c.faults != nil {
+		return false
+	}
+	for _, gk := range s.keys {
+		if gk.entry == nil || gk.gen != c.gen {
+			return false
+		}
+	}
+	return true
+}
+
+// lock takes c.mu for one query charged to b.
+func (c *Cache) lock(b *engine.Budget) {
+	c.mu.Lock()
+	c.bindMetrics(b)
+}
+
+// unlock charges the query's hit tally to b and releases c.mu.
+func (c *Cache) unlock(b *engine.Budget) {
+	b.Add(engine.CacheHits, c.hits)
+	c.hits = 0
+	c.mu.Unlock()
+}
+
 // query is the one body behind CheckSat, Decide and Extend. wantModel says
 // whether the caller reads the model; keep says whether it keeps the
 // prepared path, which then extends parent where it can.
 func (c *Cache) query(b *engine.Budget, parent *Path, formulas []*bv.Bool, keep, wantModel bool) (sat.Status, *bv.Assignment, *Path) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bindMetrics(b)
+	c.lock(b)
+	defer c.unlock(b)
 	b.Add(engine.CacheQueries, 1)
 	if b.Exceeded() {
 		return sat.Unknown, nil, nil
@@ -294,6 +365,12 @@ func (c *Cache) query(b *engine.Budget, parent *Path, formulas []*bv.Bool, keep,
 		gs = append(gs, c.in.SimplifyBool(f))
 	}
 	c.simpBuf = gs
+	return c.decide(b, parent, gs, keep, wantModel)
+}
+
+// decide is query past simplification: it prepares the simplified formulas
+// gs and checks their groups. Caller holds c.mu.
+func (c *Cache) decide(b *engine.Budget, parent *Path, gs []*bv.Bool, keep, wantModel bool) (sat.Status, *bv.Assignment, *Path) {
 	p, unsat := c.prepare(parent, gs, keep)
 	if unsat {
 		return sat.Unsat, nil, nil
@@ -384,7 +461,7 @@ func (c *Cache) checkGroup(b *engine.Budget, g *pathGroup, wantModel bool) (sat.
 	}
 
 	if e := c.lookup(g.gk); e != nil {
-		return c.exactHit(b, g, e, wantModel)
+		return c.exactHit(g.gk, e, wantModel)
 	}
 
 	// Persistent tier: a verdict stored by another pipeline — or another
@@ -394,7 +471,7 @@ func (c *Cache) checkGroup(b *engine.Budget, g *pathGroup, wantModel bool) (sat.
 		if raw, ok := c.disk.Get(b, g.gk.key); ok {
 			if st, vals, ok := decodeEntry(raw, len(g.gk.vars)); ok {
 				e := c.storeExact(g.gk, exactEntry{status: st, vals: vals})
-				return c.exactHit(b, g, e, wantModel)
+				return c.exactHit(g.gk, e, wantModel)
 			}
 		}
 	}
@@ -413,7 +490,7 @@ func (c *Cache) checkGroup(b *engine.Budget, g *pathGroup, wantModel bool) (sat.
 		}
 		if ok {
 			c.stats.ModelHits++
-			b.Add(engine.CacheHits, 1)
+			c.hits++
 			restricted := c.restrictModel(cm.asn, g.conj)
 			c.remember(b, g, sat.Sat, restricted)
 			return sat.Sat, restricted
@@ -426,7 +503,7 @@ func (c *Cache) checkGroup(b *engine.Budget, g *pathGroup, wantModel bool) (sat.
 	for _, core := range c.unsatCores {
 		if subsetOf(core, g.ids) {
 			c.stats.SubsetHits++
-			b.Add(engine.CacheHits, 1)
+			c.hits++
 			c.remember(b, g, sat.Unsat, nil)
 			return sat.Unsat, nil
 		}
@@ -451,23 +528,23 @@ func (c *Cache) lookup(gk *groupKey) *exactEntry {
 	return e
 }
 
-// exactHit answers a group from an exact entry, translating the canonical
-// values into the group's own variable names. The first hit of a Sat entry
-// also releases the model into the model-reuse list: under ordinal keys this
-// group would have missed and its solve would have seeded the list, so the
-// release keeps the reuse rule's coverage intact. That release happens
-// whether or not the caller wants the model; a later hit translates it only
-// for a caller that does. Caller holds c.mu.
-func (c *Cache) exactHit(b *engine.Budget, g *pathGroup, e *exactEntry, wantModel bool) (sat.Status, *bv.Assignment) {
+// exactHit answers a group from its key's exact entry, translating the
+// canonical values into the group's own variable names. The first hit of a
+// Sat entry also releases the model into the model-reuse list: under ordinal
+// keys this group would have missed and its solve would have seeded the
+// list, so the release keeps the reuse rule's coverage intact. That release
+// happens whether or not the caller wants the model; a later hit translates
+// it only for a caller that does. Caller holds c.mu.
+func (c *Cache) exactHit(gk *groupKey, e *exactEntry, wantModel bool) (sat.Status, *bv.Assignment) {
 	c.stats.ExactHits++
-	b.Add(engine.CacheHits, 1)
+	c.hits++
 	if e.status != sat.Sat {
 		return e.status, nil
 	}
 	if e.spread && !wantModel {
 		return sat.Sat, nil
 	}
-	m := g.gk.modelFor(e.vals)
+	m := gk.modelFor(e.vals)
 	if !e.spread {
 		e.spread = true
 		c.addModel(m)

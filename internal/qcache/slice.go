@@ -191,7 +191,8 @@ func (c *Cache) vars(cj *bv.Bool) []int32 {
 // numbering variables it meets for the first time. Caller holds c.mu.
 func (c *Cache) varIDsOf(cj *bv.Bool) []int32 {
 	var vars []int32
-	for _, name := range bv.VarNames(nil, cj) {
+	c.names = c.scan.Names(c.names[:0], cj)
+	for _, name := range c.names {
 		v, ok := c.varIDs[name]
 		if !ok {
 			v = int32(len(c.varNames))

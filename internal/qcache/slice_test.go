@@ -33,8 +33,9 @@ func referenceSlice(ref *Cache, conj []*bv.Bool) []refGroup {
 		return x
 	}
 	varOwner := map[string]int{}
+	var scan bv.VarScanner
 	for i, cj := range conj {
-		for _, v := range bv.VarNames(nil, cj) {
+		for _, v := range scan.Names(nil, cj) {
 			if j, ok := varOwner[v]; ok {
 				if ri, rj := find(i), find(j); ri != rj {
 					parent[ri] = rj

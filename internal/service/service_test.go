@@ -177,6 +177,26 @@ func TestServerMacroBombIs422(t *testing.T) {
 	}
 }
 
+// TestServerDeepNestingIs422: a source nested 100,000 parentheses deep
+// ends in the parser's typed error, and the daemon answers 422 instead of
+// growing a request goroutine's stack until the process dies.
+func TestServerDeepNestingIs422(t *testing.T) {
+	m := obs.NewMetrics()
+	_, ts, hc := newTestServer(t, Config{Metrics: m})
+	src := "char *f(char *s) { int v = " + strings.Repeat("(", 100_000) + "1" + strings.Repeat(")", 100_000) +
+		"; while (*s == ' ') s++; return s; }\n"
+	code, raw := postJSON(t, hc, ts.URL+"/summarize", mustRequest(t, src))
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, body %.200s, want 422", code, raw)
+	}
+	if !strings.Contains(string(raw), cc.ErrNestingTooDeep.Error()) {
+		t.Errorf("body %.200s does not name the nesting bound", raw)
+	}
+	if got := m.Counter(MSvcPanics).Value(); got != 0 {
+		t.Errorf("panics = %d, want 0", got)
+	}
+}
+
 // TestServerMixedSmoke50 is the daemon smoke: 50 concurrent requests —
 // valid corpus loops, malformed JSON, oversized bodies, empty sources,
 // wrong methods, and clients that hang up mid-body — every one answered,

@@ -50,7 +50,7 @@ func (e *Engine) spanTerm(s *state, p Value, match func(*bv.Term) *bv.Bool) (*bv
 	if p.IsNull() {
 		return nil, ErrNullDeref
 	}
-	if _, ok := s.cells[p.Obj]; ok || p.Obj >= len(e.Objects) {
+	if s.cell(p.Obj) != nil || p.Obj >= len(e.Objects) {
 		return nil, fmt.Errorf("%w: span of non-string object", ErrUnsupported)
 	}
 	buf := e.Objects[p.Obj]
@@ -235,7 +235,7 @@ func (e *Engine) rawSpanTerm(s *state, p Value, match func(*bv.Term) *bv.Bool) (
 	if p.IsNull() {
 		return nil, ErrNullDeref
 	}
-	if _, ok := s.cells[p.Obj]; ok || p.Obj >= len(e.Objects) {
+	if s.cell(p.Obj) != nil || p.Obj >= len(e.Objects) {
 		return nil, fmt.Errorf("%w: span of non-string object", ErrUnsupported)
 	}
 	buf := e.Objects[p.Obj]
@@ -274,7 +274,7 @@ func (e *Engine) lastOccurrence(s *state, p Value, c *bv.Term) (*bv.Term, *bv.Bo
 	if p.IsNull() {
 		return nil, nil, ErrNullDeref
 	}
-	if _, ok := s.cells[p.Obj]; ok || p.Obj >= len(e.Objects) {
+	if s.cell(p.Obj) != nil || p.Obj >= len(e.Objects) {
 		return nil, nil, fmt.Errorf("%w: strrchr of non-string object", ErrUnsupported)
 	}
 	off, ok := p.Off.IsConst()

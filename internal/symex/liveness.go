@@ -10,7 +10,7 @@ import "stringloops/internal/cir"
 // lets loop-exit buckets fold: without it, per-iteration allocas (the
 // short-circuit temporaries the lowerer declares inside loop conditions)
 // mint a fresh cell id every trip around the loop, so states exiting after
-// different iteration counts disagree on their cell-id sets and mergeTwo
+// different iteration counts disagree on their cell ids and mergeTwo
 // rejects every pair — the bucket then stays one-state-per-iteration. The
 // temporaries are dead at the join, so pruning restores the states'
 // structural compatibility and the bucket collapses to O(1) groups.
@@ -129,28 +129,38 @@ func pruneDead(s *state, live []bool) {
 	if len(s.cells) == 0 {
 		return
 	}
-	reach := make(map[int]bool, len(s.cells))
-	var stack []int
-	mark := func(v Value) {
-		if !v.IsPtr || v.IsNull() || reach[v.Obj] {
-			return
+	// A state holds a cell per alloca, a handful at most, so reachability
+	// is a few linear passes until nothing new is marked.
+	reach := make([]bool, len(s.cells))
+	mark := func(v Value) bool {
+		if !v.IsPtr || v.IsNull() {
+			return false
 		}
-		if _, ok := s.cells[v.Obj]; ok {
-			reach[v.Obj] = true
-			stack = append(stack, v.Obj)
+		for i, c := range s.cells {
+			if c.id == v.Obj && !reach[i] {
+				reach[i] = true
+				return true
+			}
 		}
+		return false
 	}
 	for _, v := range s.regs {
 		mark(v)
 	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		mark(s.cells[id])
-	}
-	for id := range s.cells {
-		if !reach[id] {
-			delete(s.cells, id)
+	for changed := true; changed; {
+		changed = false
+		for i, c := range s.cells {
+			if reach[i] && mark(c.val) {
+				changed = true
+			}
 		}
 	}
+	kept := s.cells[:0]
+	for i, c := range s.cells {
+		if reach[i] {
+			kept = append(kept, c)
+		}
+	}
+	clear(s.cells[len(kept):])
+	s.cells = kept
 }

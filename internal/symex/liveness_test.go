@@ -132,10 +132,10 @@ func TestPruneDeadZeroesRegsAndDropsCells(t *testing.T) {
 			PtrValue(7, tin.Int32(0)),
 			IntValue(tin.Byte(4)), // beyond the live mask: dead by default
 		},
-		cells: map[int]Value{
-			7:  PtrValue(9, tin.Int32(0)), // reachable via regs[2]
-			9:  IntValue(tin.Byte(5)),     // reachable transitively via cell 7
-			11: IntValue(tin.Byte(6)),     // unreachable: must drop
+		cells: []cell{
+			{id: 11, reg: 4, val: IntValue(tin.Byte(6))},    // unreachable: must drop
+			{id: 9, reg: 5, val: IntValue(tin.Byte(5))},     // reachable transitively via cell 7
+			{id: 7, reg: 6, val: PtrValue(9, tin.Int32(0))}, // reachable via regs[2]
 		},
 	}
 	pruneDead(s, []bool{true, false, true})
@@ -148,14 +148,14 @@ func TestPruneDeadZeroesRegsAndDropsCells(t *testing.T) {
 	if !isZeroValue(s.regs[3]) {
 		t.Fatal("register beyond the live mask survived")
 	}
-	if _, ok := s.cells[7]; !ok {
+	if s.cell(7) == nil {
 		t.Fatal("cell reachable from a live register was dropped")
 	}
-	if _, ok := s.cells[9]; !ok {
+	if s.cell(9) == nil {
 		t.Fatal("transitively reachable cell was dropped")
 	}
-	if _, ok := s.cells[11]; ok {
-		t.Fatal("unreachable cell survived")
+	if s.cell(11) != nil || len(s.cells) != 2 {
+		t.Fatalf("unreachable cell survived: %+v", s.cells)
 	}
 }
 
@@ -171,9 +171,8 @@ func TestZeroedDeadRegsNeverMintItes(t *testing.T) {
 	ca, cb := tin.BoolVar("ca"), tin.BoolVar("cb")
 	mk := func(cond *bv.Bool, dead Value) *state {
 		return &state{
-			regs:  []Value{shared, dead},
-			cells: map[int]Value{},
-			cond:  cond,
+			regs: []Value{shared, dead},
+			cond: cond,
 		}
 	}
 

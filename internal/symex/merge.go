@@ -1,7 +1,8 @@
 package symex
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
@@ -220,7 +221,7 @@ outer:
 // mergeTwo folds b into a when every live location is mergeable, building
 // per-location ite terms guarded by a's path condition and disjoining the
 // conditions. It reports false — and builds nothing — on any structural
-// mismatch (pointer vs integer, different objects, different cell sets),
+// mismatch (pointer vs integer, different objects, different cells),
 // leaving the states to execute separately.
 func (e *Engine) mergeTwo(a, b *state) (*state, bool) {
 	if a.block != b.block || a.idx != b.idx {
@@ -229,18 +230,13 @@ func (e *Engine) mergeTwo(a, b *state) (*state, bool) {
 	if len(a.cells) != len(b.cells) {
 		return nil, false
 	}
-	for k := range a.cells {
-		if _, ok := b.cells[k]; !ok {
+	for _, c := range a.cells {
+		if bc := b.cell(c.id); bc == nil || !mergeable(c.val, bc.val) {
 			return nil, false
 		}
 	}
 	for i := range a.regs {
 		if !mergeable(a.regs[i], b.regs[i]) {
-			return nil, false
-		}
-	}
-	for k, av := range a.cells {
-		if !mergeable(av, b.cells[k]) {
 			return nil, false
 		}
 	}
@@ -257,7 +253,7 @@ func (e *Engine) mergeTwo(a, b *state) (*state, bool) {
 	cond := e.In.SimplifyBool(e.In.BOr2(a.cond, b.cond))
 	ns := &state{
 		regs:  make([]Value, len(a.regs)),
-		cells: make(map[int]Value, len(a.cells)),
+		cells: slices.Clone(a.cells),
 		cond:  cond,
 		block: a.block,
 		idx:   a.idx,
@@ -267,15 +263,12 @@ func (e *Engine) mergeTwo(a, b *state) (*state, bool) {
 	for i := range a.regs {
 		ns.regs[i] = e.mergeValue(a.cond, a.regs[i], b.regs[i], &ites)
 	}
-	// Cells in sorted id order: map iteration order must never influence
-	// term construction, or replays diverge.
-	keys := make([]int, 0, len(a.cells))
-	for k := range a.cells {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		ns.cells[k] = e.mergeValue(a.cond, a.cells[k], b.cells[k], &ites)
+	// Cells in object-id order, whatever order the two states allocated
+	// them in, so the ite terms are built in one fixed order.
+	slices.SortFunc(ns.cells, func(x, y cell) int { return cmp.Compare(x.id, y.id) })
+	for i := range ns.cells {
+		c := &ns.cells[i]
+		c.val = e.mergeValue(a.cond, c.val, b.cell(c.id).val, &ites)
 	}
 	e.Budget.Add(engine.Merges, 1)
 	e.Budget.Add(engine.MergeItes, int64(ites))

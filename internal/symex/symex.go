@@ -14,6 +14,7 @@ package symex
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
@@ -53,6 +54,11 @@ type Path struct {
 	Cond *bv.Bool
 	Ret  Value
 	Err  error // nil for a normal return
+	// Sealed is the path's condition as the query cache last prepared it,
+	// reduced to what repeating that query needs (qcache.Sealed); the zero
+	// value when the path was never prepared. Cache.DecideSealed answers a
+	// test query on Cond from it.
+	Sealed qcache.Sealed
 }
 
 // Errors attached to failing paths.
@@ -124,35 +130,76 @@ type Engine struct {
 // state is one in-flight execution path.
 type state struct {
 	regs  []Value
-	cells map[int]Value
+	cells []cell
 	cond  *bv.Bool
 	// path is cond prepared by the query cache at the last feasibility
 	// check, or nil. It is immutable, so forks share it; a state whose cond
 	// moves without a check (a merge) starts without one.
-	path  *qcache.Path
-	block *cir.Block
-	prev  *cir.Block
-	idx   int // next instruction index in block
-	steps int
+	path *qcache.Path
+	// decided is the simplified condition the state's last feasibility check
+	// found feasible, or nil; forks copy it and a merged state starts
+	// without one. A check whose condition simplifies to it is answered
+	// without a query (see feasible).
+	decided *bv.Bool
+	block   *cir.Block
+	prev    *cir.Block
+	idx     int // next instruction index in block
+	steps   int
+}
+
+// cell is the memory object of one alloca: the object id its latest
+// execution minted and the value stored there. A state keeps one cell per
+// alloca it has executed and pruning has not dropped. Executing the alloca
+// again reuses the slot: in C the earlier object's lifetime ended when
+// control left its block, so no well-defined access can reach it.
+type cell struct {
+	id  int
+	reg int // the alloca's result register
+	val Value
+}
+
+// cell returns the cell holding object id, or nil when id is not a live
+// cell of s.
+func (s *state) cell(id int) *cell {
+	for i := range s.cells {
+		if s.cells[i].id == id {
+			return &s.cells[i]
+		}
+	}
+	return nil
+}
+
+// alloc gives the alloca at register reg the fresh object id, with a zero
+// value.
+func (s *state) alloc(reg, id int) {
+	for i := range s.cells {
+		if s.cells[i].reg == reg {
+			s.cells[i] = cell{id: id, reg: reg}
+			return
+		}
+	}
+	s.cells = append(s.cells, cell{id: id, reg: reg})
 }
 
 func (s *state) fork() *state {
 	ns := &state{
-		regs:  make([]Value, len(s.regs)),
-		cells: make(map[int]Value, len(s.cells)),
-		cond:  s.cond,
-		path:  s.path,
-		block: s.block,
-		prev:  s.prev,
-		idx:   s.idx,
-		steps: s.steps,
+		regs:    make([]Value, len(s.regs)),
+		cells:   slices.Clone(s.cells),
+		cond:    s.cond,
+		path:    s.path,
+		decided: s.decided,
+		block:   s.block,
+		prev:    s.prev,
+		idx:     s.idx,
+		steps:   s.steps,
 	}
 	copy(ns.regs, s.regs)
-	for k, v := range s.cells {
-		ns.cells[k] = v
-	}
 	return ns
 }
+
+// emitHook, when non-nil, sees every state a run emits as a terminal path.
+// Tests set it to inspect the states' memory.
+var emitHook func(*state)
 
 // Run symbolically executes f on args under the initial condition init
 // (pass bv.True for none). It returns all terminal paths. Malformed IR
@@ -205,7 +252,6 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 	}
 	st := &state{
 		regs:  make([]Value, f.NumRegs),
-		cells: map[int]Value{},
 		cond:  init,
 		block: f.Entry(),
 	}
@@ -228,7 +274,10 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 	nextCell := 1 << 20 // cell ids; disjoint from data-object ids
 
 	e.emit = func(s *state, ret Value, err error) {
-		paths = append(paths, Path{Cond: s.cond, Ret: ret, Err: err})
+		if emitHook != nil {
+			emitHook(s)
+		}
+		paths = append(paths, Path{Cond: s.cond, Ret: ret, Err: err, Sealed: s.path.Seal()})
 		e.Budget.Add(engine.Paths, 1)
 	}
 	emit := e.emit
@@ -286,7 +335,7 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 			case cir.OpAlloca:
 				id := nextCell
 				nextCell++
-				s.cells[id] = Value{}
+				s.alloc(in.Res, id)
 				s.regs[in.Res] = PtrValue(id, bvin.Int32(0))
 			case cir.OpLoad:
 				v, err := e.load(s, f, in)
@@ -460,29 +509,37 @@ func (e *Engine) resolvePhis(s *state, f *cir.Func) error {
 
 // feasible asks the solver whether cond, which extends s's path condition,
 // is satisfiable, and on success leaves cond's prepared path on s; on
-// budget exhaustion it conservatively answers true.
+// budget exhaustion it conservatively answers true. A cond that simplifies
+// to the condition s last found feasible is answered true without a query:
+// it is equivalent to a condition already shown satisfiable.
 func (e *Engine) feasible(s *state, cond *bv.Bool) bool {
 	// Value-numbering fast path: merged path conditions routinely simplify
 	// to a constant (a join disjunction folding to True, or a branch
 	// refinement contradicting an ite guard), and a memoized simplifier hit
 	// is O(1) — so a constant verdict here skips the solver query entirely
-	// and is not counted as one.
-	switch sc := e.In.SimplifyBool(cond); sc {
+	// and is not counted as one. Neither is a repeat of the condition the
+	// state last found feasible, which a branch the path already implies
+	// simplifies back to.
+	sc := e.In.SimplifyBool(cond)
+	switch sc {
 	case bv.True:
 		s.path = nil
 		return true
 	case bv.False:
 		return false
-	default:
-		cond = sc
+	case s.decided:
+		return true
 	}
 	e.Budget.Add(engine.SolverQueries, 1)
-	// The cache simplifies cond again, exactly as Decide would; the second
+	// The cache simplifies sc again, exactly as Decide would; the second
 	// pass is not idempotent on merged shapes, and Extend must see what
-	// Decide sees to make the same decisions. A nil cache solves cond as is.
+	// Decide sees to make the same decisions. A nil cache solves sc as is.
 	var st sat.Status
-	st, s.path = e.Cache.Extend(e.Budget, s.path, cond)
-	return st != sat.Unsat
+	if st, s.path = e.Cache.Extend(e.Budget, s.path, sc); st == sat.Unsat {
+		return false
+	}
+	s.decided = sc
+	return true
 }
 
 func (e *Engine) operand(s *state, f *cir.Func, o cir.Operand) Value {
@@ -518,8 +575,8 @@ func (e *Engine) load(s *state, f *cir.Func, in *cir.Instr) (Value, error) {
 	if p.IsNull() {
 		return Value{}, ErrNullDeref
 	}
-	if v, ok := s.cells[p.Obj]; ok {
-		return v, nil
+	if c := s.cell(p.Obj); c != nil {
+		return c.val, nil
 	}
 	if p.Obj >= len(e.Objects) {
 		return Value{}, ErrOOB
@@ -585,8 +642,8 @@ func (e *Engine) store(s *state, f *cir.Func, in *cir.Instr) error {
 	if p.IsNull() {
 		return ErrNullDeref
 	}
-	if _, ok := s.cells[p.Obj]; ok {
-		s.cells[p.Obj] = v
+	if c := s.cell(p.Obj); c != nil {
+		c.val = v
 		return nil
 	}
 	return fmt.Errorf("%w: store into string object (summarised loops are read-only)", ErrUnsupported)
@@ -793,7 +850,7 @@ func (e *Engine) strlenCall(s *state, p Value) (Value, error) {
 	if p.IsNull() {
 		return Value{}, ErrNullDeref
 	}
-	if _, ok := s.cells[p.Obj]; ok || p.Obj >= len(e.Objects) {
+	if s.cell(p.Obj) != nil || p.Obj >= len(e.Objects) {
 		return Value{}, fmt.Errorf("%w: strlen of non-string object", ErrUnsupported)
 	}
 	buf := e.Objects[p.Obj]

@@ -9,6 +9,7 @@ import (
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
 	"stringloops/internal/engine"
+	"stringloops/internal/qcache"
 	"stringloops/internal/strsolver"
 )
 
@@ -321,6 +322,75 @@ char *spanab(char *s) {
 			if st, _ := bv.CheckSat(nil, both); st.String() == "sat" {
 				t.Fatalf("paths %d and %d overlap", i, j)
 			}
+		}
+	}
+}
+
+// TestLoopLocalKeepsOneCell: a loop whose body declares a local executes
+// the local's alloca once an iteration. After 100 iterations the state
+// holds one cell per alloca, not one per execution: each execution starts a
+// new object, and the previous one's lifetime has ended.
+func TestLoopLocalKeepsOneCell(t *testing.T) {
+	f := lower(t, `
+char *f(char *s) {
+  int n = 0;
+  for (int i = 0; i < 100; i++) {
+    int odd = i & 1;
+    n += odd;
+  }
+  return s + n - 50;
+}`)
+	allocas := 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == cir.OpAlloca {
+				allocas++
+			}
+		}
+	}
+	states := 0
+	emitHook = func(s *state) {
+		states++
+		if len(s.cells) > allocas {
+			t.Errorf("a terminal state holds %d cells for %d allocas", len(s.cells), allocas)
+		}
+	}
+	defer func() { emitHook = nil }()
+	paths, _ := runSymbolic(t, f, 2, true)
+	if states != 1 || len(paths) != 1 || paths[0].Err != nil {
+		t.Fatalf("%d states emitted, paths %+v; want one normal return", states, paths)
+	}
+	if off, ok := paths[0].Ret.Off.IsConst(); !ok || off != 0 {
+		t.Fatalf("returned offset %v, want 0", paths[0].Ret.Off)
+	}
+}
+
+// TestImpliedBranchSendsNoQuery: a branch on the condition the path has
+// already found feasible sends no feasibility query, with a query cache and
+// with the direct solver alike. The first branch asks about both of its
+// sides; the second branch's then side simplifies to the state's decided
+// condition and its else side to False.
+func TestImpliedBranchSendsNoQuery(t *testing.T) {
+	f := lower(t, `
+char *f(char *s) {
+  if (*s == 'a')
+    if (*s == 'a')
+      return s + 1;
+  return s;
+}`)
+	for _, cached := range []bool{false, true} {
+		in := bv.NewInterner()
+		b := engine.NewBudget(nil, engine.Limits{})
+		e := &Engine{In: in, Budget: b, CheckFeasibility: true}
+		if cached {
+			e.Cache = qcache.New(in)
+		}
+		paths, err := e.RunOn(f, strsolver.New(in, "s", 3).Bytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := b.Count(engine.SolverQueries); q != 2 || len(paths) != 2 {
+			t.Errorf("cache %v: %d feasibility queries and %d paths, want 2 and 2", cached, q, len(paths))
 		}
 	}
 }
