@@ -239,11 +239,18 @@ func mergeLane(a laneArgs) {
 		if nsRatio < 1 {
 			fatal("merge check failed: merged n=%d took %.2fx the enumerated n=%d wall time", 2*n, 1/nsRatio, n)
 		}
+		// The work gate: unlike the wall-time ratio, a faster enumeration
+		// cannot erode it.
+		if m, e := merged2x.Counts, enum.Counts; m.SolverQueries >= e.SolverQueries || m.Paths > e.Paths {
+			fatal("merge check failed: merged n=%d asked %d queries over %d paths, enumerated n=%d %d over %d",
+				2*n, m.SolverQueries, m.Paths, n, e.SolverQueries, e.Paths)
+		}
 		if pathRatio < 1 {
 			fatal("merge check failed: merged path count exceeds enumerated at n=%d", n)
 		}
-		fmt.Printf("merge check ok: merged n=%d at %.2fx under enumerated n=%d; same-length path ratio %.1fx; %d queries, %d vn hits\n",
-			2*n, nsRatio, n, pathRatio, merged2x.Counts.SolverQueries, merged2x.Counts.VNHits)
+		fmt.Printf("merge check ok: merged n=%d at %.2fx under enumerated n=%d wall time, %d queries and %d paths to its %d and %d; same-length path ratio %.1fx; %d vn hits\n",
+			2*n, nsRatio, n, merged2x.Counts.SolverQueries, merged2x.Counts.Paths, enum.Counts.SolverQueries, enum.Counts.Paths,
+			pathRatio, merged2x.Counts.VNHits)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestLexBasics(t *testing.T) {
@@ -347,6 +348,48 @@ func TestPreprocessExpansionIsBounded(t *testing.T) {
 	}
 	if _, err := Preprocess(nestedLargeArgument(1000, 0)); !errors.Is(err, ErrExpansionTooLarge) {
 		t.Errorf("arguments nested 1000 deep: err = %v, want ErrExpansionTooLarge", err)
+	}
+}
+
+// TestFrontEndAllocationIsBounded: on a source of ordinary loops over
+// 500 KB, Lex allocates at most twice and Preprocess at most four times the
+// size of the tokens they return, per token. The daemon accepts 1 MiB
+// sources, so the bounds keep a request's front-end memory in proportion to
+// its tokens.
+func TestFrontEndAllocationIsBounded(t *testing.T) {
+	var b strings.Builder
+	for i := 0; b.Len() < 500<<10; i++ {
+		fmt.Fprintf(&b, `/* Skip the leading blanks of line %d. */
+char *loop%d(char *line) {
+  char *p;
+  for (p = line; p != NULL && *p && whitespace(*p); p++)
+    if (*p == '\n' || *p == 0x7f)
+      return "newline";
+  return p;
+}
+`, i, i)
+	}
+	code := b.String()
+	size := uint64(unsafe.Sizeof(Token{}))
+	for _, c := range []struct {
+		name, src string
+		run       func(string) ([]Token, error)
+		max       uint64
+	}{
+		{"Lex", code, Lex, 2 * size},
+		{"Preprocess", "#define whitespace(c) (((c) == ' ') || ((c) == '\\t'))\n" + code, Preprocess, 4 * size},
+	} {
+		var toks []Token
+		var err error
+		n := allocated(func() { toks, err = c.run(c.src) })
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if per := n / uint64(len(toks)); per > c.max {
+			t.Errorf("%s: %d tokens from %d KB allocated %d MB, %d B a token; want at most %d B", c.name, len(toks), len(c.src)>>10, n>>20, per, c.max)
+		} else {
+			t.Logf("%s: %d tokens, %d B a token", c.name, len(toks), per)
+		}
 	}
 }
 

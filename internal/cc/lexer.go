@@ -9,8 +9,16 @@ import (
 // Lex tokenizes C source (after preprocessing; see Preprocess). It returns
 // the token stream excluding TEOF, or an error naming the offending position.
 func Lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1, col: 1}
-	return l.run()
+	// A first pass only counts the tokens, so that the second builds them in
+	// one slice of the final size: appending to a growing slice allocates
+	// about five times the final slice.
+	count := &lexer{src: src, line: 1, col: 1}
+	if err := count.run(); err != nil {
+		return nil, err
+	}
+	l := &lexer{src: src, line: 1, col: 1, toks: make([]Token, 0, count.n), keep: true}
+	err := l.run()
+	return l.toks, err
 }
 
 type lexer struct {
@@ -18,6 +26,18 @@ type lexer struct {
 	pos  int
 	line int
 	col  int
+	// n counts the tokens lexed; toks holds them when keep is set.
+	n    int
+	toks []Token
+	keep bool
+}
+
+// emit records one token.
+func (l *lexer) emit(t Token) {
+	l.n++
+	if l.keep {
+		l.toks = append(l.toks, t)
+	}
 }
 
 func (l *lexer) errf(format string, args ...interface{}) error {
@@ -59,8 +79,7 @@ var punctuators = []string{
 	":", ";", ",", "(", ")", "[", "]", "{", "}", ".",
 }
 
-func (l *lexer) run() ([]Token, error) {
-	var toks []Token
+func (l *lexer) run() error {
 	for l.pos < len(l.src) {
 		c := l.peek()
 		switch {
@@ -85,41 +104,41 @@ func (l *lexer) run() ([]Token, error) {
 				l.advance()
 			}
 			if !closed {
-				return nil, fmt.Errorf("%d:%d: unterminated block comment", startLine, startCol)
+				return fmt.Errorf("%d:%d: unterminated block comment", startLine, startCol)
 			}
 		case isIdentStart(c):
 			tok, err := l.lexIdent()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			toks = append(toks, tok)
+			l.emit(tok)
 		case c >= '0' && c <= '9':
 			tok, err := l.lexNumber()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			toks = append(toks, tok)
+			l.emit(tok)
 		case c == '\'':
 			tok, err := l.lexChar()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			toks = append(toks, tok)
+			l.emit(tok)
 		case c == '"':
 			tok, err := l.lexString()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			toks = append(toks, tok)
+			l.emit(tok)
 		default:
 			tok, err := l.lexPunct()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			toks = append(toks, tok)
+			l.emit(tok)
 		}
 	}
-	return toks, nil
+	return nil
 }
 
 func isIdentStart(c byte) bool {
@@ -254,7 +273,11 @@ func (l *lexer) lexChar() (Token, error) {
 func (l *lexer) lexString() (Token, error) {
 	line, col := l.line, l.col
 	l.advance() // opening quote
+	// A literal without escapes is its own source text; only an escape makes
+	// the lexer build the decoded value.
+	start := l.pos
 	var sb strings.Builder
+	escaped := false
 	for {
 		if l.pos >= len(l.src) {
 			return Token{}, fmt.Errorf("%d:%d: unterminated string literal", line, col)
@@ -264,6 +287,10 @@ func (l *lexer) lexString() (Token, error) {
 			break
 		}
 		if c == '\\' {
+			if !escaped {
+				sb.WriteString(l.src[start : l.pos-1])
+				escaped = true
+			}
 			e, err := l.lexEscape()
 			if err != nil {
 				return Token{}, err
@@ -271,9 +298,15 @@ func (l *lexer) lexString() (Token, error) {
 			sb.WriteByte(e)
 			continue
 		}
-		sb.WriteByte(c)
+		if escaped {
+			sb.WriteByte(c)
+		}
 	}
-	return Token{Kind: TString, Str: sb.String(), Line: line, Col: col}, nil
+	str := l.src[start : l.pos-1]
+	if escaped {
+		str = sb.String()
+	}
+	return Token{Kind: TString, Str: str, Line: line, Col: col}, nil
 }
 
 func (l *lexer) lexPunct() (Token, error) {

@@ -47,10 +47,13 @@ func Preprocess(src string) ([]Token, error) {
 	}
 	e := &expander{macros: map[string]*macro{"NULL": nullMacro}, budget: maxExpansion}
 	rest := make([]ptok, len(toks))
-	for i, t := range toks {
-		rest[i].Token = t
+	for i := range toks {
+		rest[i].Token = &toks[i]
 	}
-	out := make([]Token, 0, len(toks))
+	// The expanded runs are kept until the end, so that the output is built
+	// in one slice of its final size.
+	var runs [][]ptok
+	total := 0
 	for _, d := range append(directives, len(lines)) {
 		// The run before line d+1, capped at its length: expand reuses it.
 		n := 0
@@ -61,9 +64,8 @@ func Preprocess(src string) ([]Token, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range expanded {
-			out = append(out, t.Token)
-		}
+		runs = append(runs, expanded)
+		total += len(expanded)
 		rest = rest[n:]
 		if d == len(lines) {
 			break
@@ -85,6 +87,12 @@ func Preprocess(src string) ([]Token, error) {
 			// Null directive.
 		default:
 			return nil, fmt.Errorf("cc: unsupported preprocessor directive %q", line)
+		}
+	}
+	out := make([]Token, 0, total)
+	for _, run := range runs {
+		for _, t := range run {
+			out = append(out, *t.Token)
 		}
 	}
 	return out, nil
@@ -209,9 +217,11 @@ func (h *hideSet) union(o *hideSet) *hideSet {
 	return o
 }
 
-// ptok is a token under expansion with its hide set.
+// ptok is a token under expansion with its hide set. It points at the
+// token, in the lexed source or a macro body, so that the expander's copies
+// of the stream take a few bytes a token.
 type ptok struct {
-	Token
+	*Token
 	hide *hideSet
 }
 
@@ -268,7 +278,7 @@ func (e *expander) subst(stack []ptok, m *macro, args [][]ptok, hide *hideSet) (
 	for i := len(m.body) - 1; i >= 0 && e.budget >= 0; i-- {
 		p := slices.Index(m.params, m.body[i].Text)
 		if m.body[i].Kind != TIdent || p < 0 {
-			stack = append(stack, ptok{m.body[i], hide})
+			stack = append(stack, ptok{&m.body[i], hide})
 			e.budget--
 			continue
 		}

@@ -80,7 +80,6 @@ func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measu
 	start := time.Now()
 	budget := engine.NewBudget(cfg.Ctx, engine.Limits{Timeout: timeout})
 	eng := cfg.stack(budget)
-	cache := eng.Cache
 	paths, err := eng.RunOn(loop, strsolver.New(eng.In, "s", n).Bytes)
 	m := Measurement{
 		Mode:          "vanilla",
@@ -89,19 +88,15 @@ func VanillaWith(loop *cir.Func, n int, timeout time.Duration, cfg Config) Measu
 		SolverQueries: int(budget.Count(engine.SolverQueries)),
 	}
 	m.classify(err)
-	// KLEE generates a concrete test input per terminated path. A path's
-	// last feasibility check usually decided its condition already, and its
-	// sealed form answers the test query from that check's cache entries.
-	for _, p := range paths {
-		if budget.Exceeded() {
-			m.TimedOut = true
-			break
-		}
-		st := cache.DecideSealed(budget, p.Sealed, p.Cond)
-		m.SolverQueries++
-		if st == sat.Sat {
-			m.Tests++
-		}
+	// KLEE generates a concrete test input per terminated path, and every
+	// path is feasible: the executor drops a state its check finds Unsat,
+	// and a path's condition does not change after its last check. A check
+	// answers Unknown only when the budget is spent, which ends the run with
+	// no tests, or under injected faults.
+	if budget.Exceeded() {
+		m.TimedOut = true
+	} else {
+		m.Tests = len(paths)
 	}
 	m.Time = time.Since(start)
 	m.Conflicts = budget.Conflicts()

@@ -7,6 +7,10 @@ import (
 
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
+	"stringloops/internal/engine"
+	"stringloops/internal/loopdb"
+	"stringloops/internal/sat"
+	"stringloops/internal/strsolver"
 	"stringloops/internal/symex"
 	"stringloops/internal/vocab"
 )
@@ -53,7 +57,7 @@ func TestVanillaPathGrowth(t *testing.T) {
 
 // BenchmarkVanilla runs the Figure 1 loop on a symbolic string of length 8
 // in the vanilla configuration with the query cache on: the feasibility
-// checks of the symbolic run and one test query per terminal path.
+// checks of the symbolic run.
 func BenchmarkVanilla(b *testing.B) {
 	f := lower(b, wsLoop)
 	b.ReportAllocs()
@@ -62,6 +66,45 @@ func BenchmarkVanilla(b *testing.B) {
 			b.Fatalf("run failed: %+v", m)
 		}
 	}
+}
+
+// TestEveryVanillaPathIsFeasible backs VanillaWith's count of one test per
+// path with no test query: on every synthesised corpus loop at length 6,
+// with the query cache and with the direct solver, each terminal path's
+// condition decides Sat, and VanillaWith makes as many tests as paths.
+// Under the race detector it runs every eighth loop.
+func TestEveryVanillaPathIsFeasible(t *testing.T) {
+	paths := 0
+	for i, l := range loopdb.Corpus() {
+		if !l.ExpectSynth || raceEnabled && i%8 != 0 {
+			continue
+		}
+		f, err := l.Lower()
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		for _, cached := range []bool{true, false} {
+			cfg := Config{QCache: cached}
+			budget := engine.NewBudget(nil, engine.Limits{})
+			eng := cfg.stack(budget)
+			ps, err := eng.RunOn(f, strsolver.New(eng.In, "s", 6).Bytes)
+			if err != nil {
+				t.Fatalf("%s (cache %v): %v", l.Name, cached, err)
+			}
+			for j, p := range ps {
+				if st := eng.Cache.Decide(budget, p.Cond); st != sat.Sat {
+					t.Fatalf("%s (cache %v): path %d decides %v", l.Name, cached, j, st)
+				}
+			}
+			m := VanillaWith(f, 6, 0, cfg)
+			if m.TimedOut || m.Err != nil || m.Paths != len(ps) || m.Tests != m.Paths {
+				t.Fatalf("%s (cache %v): %d tests of %d paths (run found %d; timed out %v, err %v)",
+					l.Name, cached, m.Tests, m.Paths, len(ps), m.TimedOut, m.Err)
+			}
+			paths += len(ps)
+		}
+	}
+	t.Logf("%d terminal paths decided Sat", paths)
 }
 
 func TestStrStaysFlat(t *testing.T) {

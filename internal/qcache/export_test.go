@@ -27,11 +27,3 @@ func Generation(c *Cache) uint64 {
 	defer c.mu.Unlock()
 	return c.gen
 }
-
-// AnswersSealed reports whether DecideSealed(b, s, cond) would answer from
-// s's exact entries rather than decide cond again.
-func AnswersSealed(c *Cache, s Sealed, cond *bv.Bool) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.answersSealed(s, c.in.SimplifyBool(cond))
-}

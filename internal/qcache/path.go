@@ -42,35 +42,6 @@ type Path struct {
 	groups []*pathGroup
 }
 
-// Sealed is a prepared path reduced to what repeating its query needs: the
-// formula it was prepared from and its groups' keys, in check order. It
-// holds no conjunct or region, so a caller can keep one per terminal path
-// for a few bytes a group. The zero Sealed seals nothing; Cache.DecideSealed
-// then decides its formula from scratch.
-type Sealed struct {
-	c    *Cache
-	root *bv.Bool
-	keys []*groupKey
-}
-
-// Seal returns p's sealed form, or the zero Sealed when p is nil or one of
-// its groups was never checked (a query the budget stopped).
-func (p *Path) Seal() Sealed {
-	if p == nil {
-		return Sealed{}
-	}
-	p.c.mu.Lock()
-	defer p.c.mu.Unlock()
-	keys := make([]*groupKey, len(p.groups))
-	for i, g := range p.groups {
-		if g.gk == nil {
-			return Sealed{}
-		}
-		keys[i] = g.gk
-	}
-	return Sealed{c: p.c, root: p.root, keys: keys}
-}
-
 // region is one variable-connected component of a path's conjuncts before
 // pruning.
 type region struct {

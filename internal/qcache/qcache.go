@@ -276,65 +276,6 @@ func (c *Cache) Extend(b *engine.Budget, parent *Path, f *bv.Bool) (sat.Status, 
 // and the returned path. Tests set it to record symex query streams.
 var extendHook func(parent *Path, f *bv.Bool, p *Path)
 
-// DecideSealed is Decide(b, cond) for a cond whose query the cache has
-// prepared before, such as the condition of a terminal symex path whose last
-// feasibility check was on cond itself. When cond simplifies to the sealed
-// path's root, no fault registry is armed and every group's exact entry is
-// still current, it answers each group from that entry without preparing
-// cond again; otherwise it decides cond as Decide does. Either way it makes
-// every charge, stat and model release Decide makes, and it returns Decide's
-// status. A nil cache is Decide's direct solver.
-func (c *Cache) DecideSealed(b *engine.Budget, s Sealed, cond *bv.Bool) sat.Status {
-	if c == nil {
-		return c.Decide(b, cond)
-	}
-	c.lock(b)
-	defer c.unlock(b)
-	b.Add(engine.CacheQueries, 1)
-	if b.Exceeded() {
-		return sat.Unknown
-	}
-	g := c.in.SimplifyBool(cond)
-	if !c.answersSealed(s, g) {
-		c.simpBuf = append(c.simpBuf[:0], g)
-		st, _, _ := c.decide(b, nil, c.simpBuf, false, false)
-		return st
-	}
-	// The groups are the ones preparing g would make, in the same order (a
-	// sealed path was prepared from g), each with its current exact entry:
-	// every group is an exact hit under Decide too. Their sizes were
-	// recorded in MaxGroup when they were first checked.
-	b.Add(engine.CacheGroups, int64(len(s.keys)))
-	for _, gk := range s.keys {
-		if st, _ := c.exactHit(gk, gk.entry, false); st != sat.Sat {
-			return st
-		}
-	}
-	return sat.Sat
-}
-
-// answersSealed reports whether DecideSealed answers the simplified formula
-// g from s's exact entries: s was sealed by this cache from g itself, no
-// fault registry is armed (a QCacheMiss firing is drawn per group), and
-// every key's cached entry is current. Caller holds c.mu.
-func (c *Cache) answersSealed(s Sealed, g *bv.Bool) bool {
-	if s.c != c || g != s.root || c.faults != nil {
-		return false
-	}
-	for _, gk := range s.keys {
-		if gk.entry == nil || gk.gen != c.gen {
-			return false
-		}
-	}
-	return true
-}
-
-// lock takes c.mu for one query charged to b.
-func (c *Cache) lock(b *engine.Budget) {
-	c.mu.Lock()
-	c.bindMetrics(b)
-}
-
 // unlock charges the query's hit tally to b and releases c.mu.
 func (c *Cache) unlock(b *engine.Budget) {
 	b.Add(engine.CacheHits, c.hits)
@@ -346,8 +287,9 @@ func (c *Cache) unlock(b *engine.Budget) {
 // whether the caller reads the model; keep says whether it keeps the
 // prepared path, which then extends parent where it can.
 func (c *Cache) query(b *engine.Budget, parent *Path, formulas []*bv.Bool, keep, wantModel bool) (sat.Status, *bv.Assignment, *Path) {
-	c.lock(b)
+	c.mu.Lock()
 	defer c.unlock(b)
+	c.bindMetrics(b)
 	b.Add(engine.CacheQueries, 1)
 	if b.Exceeded() {
 		return sat.Unknown, nil, nil
@@ -365,12 +307,6 @@ func (c *Cache) query(b *engine.Budget, parent *Path, formulas []*bv.Bool, keep,
 		gs = append(gs, c.in.SimplifyBool(f))
 	}
 	c.simpBuf = gs
-	return c.decide(b, parent, gs, keep, wantModel)
-}
-
-// decide is query past simplification: it prepares the simplified formulas
-// gs and checks their groups. Caller holds c.mu.
-func (c *Cache) decide(b *engine.Budget, parent *Path, gs []*bv.Bool, keep, wantModel bool) (sat.Status, *bv.Assignment, *Path) {
 	p, unsat := c.prepare(parent, gs, keep)
 	if unsat {
 		return sat.Unsat, nil, nil

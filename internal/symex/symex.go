@@ -54,11 +54,6 @@ type Path struct {
 	Cond *bv.Bool
 	Ret  Value
 	Err  error // nil for a normal return
-	// Sealed is the path's condition as the query cache last prepared it,
-	// reduced to what repeating that query needs (qcache.Sealed); the zero
-	// value when the path was never prepared. Cache.DecideSealed answers a
-	// test query on Cond from it.
-	Sealed qcache.Sealed
 }
 
 // Errors attached to failing paths.
@@ -277,7 +272,7 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 		if emitHook != nil {
 			emitHook(s)
 		}
-		paths = append(paths, Path{Cond: s.cond, Ret: ret, Err: err, Sealed: s.path.Seal()})
+		paths = append(paths, Path{Cond: s.cond, Ret: ret, Err: err})
 		e.Budget.Add(engine.Paths, 1)
 	}
 	emit := e.emit
@@ -538,7 +533,11 @@ func (e *Engine) feasible(s *state, cond *bv.Bool) bool {
 	if st, s.path = e.Cache.Extend(e.Budget, s.path, sc); st == sat.Unsat {
 		return false
 	}
-	s.decided = sc
+	// An Unknown answer keeps the state, conservatively, but proves nothing:
+	// only a Sat answer may let later implied branches skip their query.
+	if st == sat.Sat {
+		s.decided = sc
+	}
 	return true
 }
 

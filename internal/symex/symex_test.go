@@ -1,6 +1,7 @@
 package symex
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
 	"stringloops/internal/engine"
+	"stringloops/internal/faultpoint"
 	"stringloops/internal/qcache"
 	"stringloops/internal/strsolver"
 )
@@ -365,19 +367,22 @@ char *f(char *s) {
 	}
 }
 
+// impliedBranchSrc branches twice on the same byte test.
+const impliedBranchSrc = `
+char *f(char *s) {
+  if (*s == 'a')
+    if (*s == 'a')
+      return s + 1;
+  return s;
+}`
+
 // TestImpliedBranchSendsNoQuery: a branch on the condition the path has
 // already found feasible sends no feasibility query, with a query cache and
 // with the direct solver alike. The first branch asks about both of its
 // sides; the second branch's then side simplifies to the state's decided
 // condition and its else side to False.
 func TestImpliedBranchSendsNoQuery(t *testing.T) {
-	f := lower(t, `
-char *f(char *s) {
-  if (*s == 'a')
-    if (*s == 'a')
-      return s + 1;
-  return s;
-}`)
+	f := lower(t, impliedBranchSrc)
 	for _, cached := range []bool{false, true} {
 		in := bv.NewInterner()
 		b := engine.NewBudget(nil, engine.Limits{})
@@ -391,6 +396,48 @@ char *f(char *s) {
 		}
 		if q := b.Count(engine.SolverQueries); q != 2 || len(paths) != 2 {
 			t.Errorf("cache %v: %d feasibility queries and %d paths, want 2 and 2", cached, q, len(paths))
+		}
+	}
+}
+
+// TestUnknownDecidesNothing: a feasibility check answered Unknown keeps the
+// state but proves nothing, so a later check of the same condition asks
+// again. With the query cache, SatUnknown at rate 1 answers every check
+// Unknown and the implied branch of impliedBranchSrc sends a third query.
+// The direct solver consults no fault site, so there the Unknown comes from
+// a spent budget, which both stacks answer Unknown: two checks of one
+// condition send two queries.
+func TestUnknownDecidesNothing(t *testing.T) {
+	in := bv.NewInterner()
+	b := engine.NewBudget(nil, engine.Limits{})
+	faults := faultpoint.New(faultpoint.Config{Seed: 1, Rates: map[faultpoint.Site]float64{faultpoint.SatUnknown: 1}})
+	e := &Engine{In: in, Budget: b, CheckFeasibility: true, Cache: qcache.New(in).SetFaults(faults)}
+	paths, err := e.RunOn(lower(t, impliedBranchSrc), strsolver.New(in, "s", 3).Bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := b.Count(engine.SolverQueries); q != 3 || len(paths) != 2 {
+		t.Errorf("SatUnknown: %d feasibility queries and %d paths, want 3 and 2", q, len(paths))
+	}
+
+	for _, cached := range []bool{false, true} {
+		in := bv.NewInterner()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		b := engine.NewBudget(ctx, engine.Limits{})
+		e := &Engine{In: in, Budget: b, CheckFeasibility: true}
+		if cached {
+			e.Cache = qcache.New(in)
+		}
+		cond := in.Eq(in.Var("c", 8), in.Byte('a'))
+		s := &state{cond: bv.True}
+		for i := 0; i < 2; i++ {
+			if !e.feasible(s, cond) {
+				t.Fatalf("cache %v: an Unknown check dropped the state", cached)
+			}
+		}
+		if q := b.Count(engine.SolverQueries); q != 2 || s.decided != nil {
+			t.Errorf("cache %v: %d queries for two Unknown checks, decided %v; want 2 and nil", cached, q, s.decided)
 		}
 	}
 }
