@@ -36,7 +36,9 @@ import (
 type Config struct {
 	// QCache routes all queries through a per-run qcache.Cache (slicing,
 	// reuse cache, incremental solver). Off, the run's cache is nil, which
-	// is the direct solver: a fresh solver per query.
+	// is the direct solver: a fresh solver per query (bv.CheckSat) with no
+	// fault registry, so Pipeline.Faults injects no SatUnknown or
+	// SatConflictStorm into such a run.
 	QCache bool
 	// Pipeline configures the run's solver stack (symex.Config). The
 	// benchmarks set at most Merge, which folds the vanilla executor's

@@ -6,7 +6,7 @@
 // artifact.
 //
 // The API follows the MiniSat convention: variables are created with NewVar,
-// literals are built with Lit/NegLit, clauses are added with AddClause, and
+// literals are built with PosLit/NegLit, clauses are added with AddClause, and
 // Solve returns a model or UNSAT. A Solver is multi-shot: after any Solve,
 // more clauses may be added (the solver backtracks to the root level first)
 // and SolveAssuming answers queries under temporary assumption literals
@@ -21,6 +21,7 @@
 package sat
 
 import (
+	"math"
 	"sort"
 
 	"stringloops/internal/engine"
@@ -30,7 +31,7 @@ import (
 // Lit is a literal: variable index shifted left once, low bit 1 for negated.
 type Lit int32
 
-// Lit returns the positive literal of variable v.
+// PosLit returns the positive literal of variable v.
 func PosLit(v int) Lit { return Lit(v << 1) }
 
 // NegLit returns the negative literal of variable v.
@@ -53,19 +54,28 @@ const (
 	lFalse
 )
 
-type clause struct {
-	lits   []Lit
-	learnt bool
-	act    float64
-	// lbd is the literal block distance (Glucose): the number of distinct
-	// decision levels among the clause's literals at learning time, lowered
-	// whenever conflict analysis re-touches the clause. Low LBD ("glue")
-	// clauses connect few decision levels and are kept forever by reduceDB.
-	lbd int32
-}
+// cref refers to a clause by the offset of its header word in the solver's
+// arena. Offset 0 is reserved, so the zero cref means "no clause".
+type cref uint32
+
+const noClause cref = 0
+
+// The arena holds every clause in one pointer-free []Lit that the garbage
+// collector never scans: a header word, size<<hdrShift | flags, then the
+// literals, then for a learnt clause three words: its LBD (Glucose's literal
+// block distance, the number of distinct decision levels among its literals)
+// and the low and high halves of its float64 activity. float32 would keep
+// only a few bits of the activities that rescaling pushes into its denormal
+// range, and reorder reduceDB's deletions there. Every record starts with
+// its header, so compact can walk the arena.
+const (
+	hdrLearnt  Lit = 1 // a learnt clause, with the three extra words
+	hdrDeleted Lit = 2 // deleted by reduceDB; its words await compact
+	hdrShift       = 2
+)
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit // a literal whose truth satisfies the clause, for fast skip
 }
 
@@ -92,15 +102,16 @@ func (s Status) String() string {
 	}
 }
 
-// Solver is a single-use CDCL SAT solver instance.
+// Solver is a multi-shot CDCL SAT solver: clauses may be added between
+// solves, and SolveAssuming answers each query under its own assumptions.
 type Solver struct {
-	numVars  int
-	clauses  []*clause
-	learnts  []*clause
+	arena    []Lit       // every clause, see hdrLearnt
+	wasted   int         // arena words of deleted clauses
+	learnts  []cref      // live learnt clauses
 	watches  [][]watcher // indexed by literal
-	assign   []lbool     // indexed by variable
+	vals     []lbool     // value per literal: both polarities are set
 	level    []int32     // decision level per variable
-	reason   []*clause   // antecedent clause per variable
+	reason   []cref      // antecedent clause per variable, noClause if none
 	trail    []Lit
 	trailLim []int // trail index at each decision level
 	qhead    int
@@ -108,7 +119,7 @@ type Solver struct {
 	activity []float64
 	varInc   float64
 	order    *varHeap
-	phase    []bool // saved phase per variable
+	phase    []Lit // saved phase per variable: its last literal on the trail
 
 	// Clause-DB reduction state. claInc is the clause activity increment
 	// (decayed geometrically per conflict, like varInc); lbdStamp/lbdGen are
@@ -125,12 +136,9 @@ type Solver struct {
 	// kept. Each user clears only the entries it set.
 	seen      []bool
 	clauseLit []Lit
-	// addBuf is AddClause's scratch for the simplified clause, and
-	// clauseSlab/litSlab the unused rest of the chunks original clauses
-	// and their literals are carved from (newClause).
-	addBuf     []Lit
-	clauseSlab []clause
-	litSlab    []Lit
+	// addBuf and learntBuf are the reused scratch of AddClause's simplified
+	// clause and analyze's learnt clause; both are copied into the arena.
+	addBuf, learntBuf []Lit
 
 	ok        bool // false once a top-level conflict is found
 	conflicts int64
@@ -155,12 +163,12 @@ type Solver struct {
 	Faults *faultpoint.Registry
 	// reduceBase is the learnt-clause count that triggers the first
 	// clause-DB reduction; each reduction raises the trigger by reduceInc,
-	// so the DB grows slowly instead of unboundedly. Zero values take the
-	// defaults (DefaultReduceBase/DefaultReduceInc); a negative reduceBase
-	// disables reduction entirely. Package tests set them to reach the
-	// reduction sooner and to build a reduction-free reference solver.
-	reduceBase int
-	reduceInc  int
+	// so the DB grows slowly instead of unboundedly. A negative reduceBase
+	// disables reduction entirely, and compactAlways compacts the arena at
+	// every reduction. Package tests set them to reach the reduction sooner,
+	// to build a reduction-free reference and to force compaction.
+	reduceBase, reduceInc int
+	compactAlways         bool
 }
 
 // Default clause-DB reduction schedule: first reduce at 2000 learnt clauses,
@@ -193,21 +201,21 @@ const budgetPollMask = 63
 
 // New returns an empty solver.
 func New() *Solver {
-	s := &Solver{ok: true, varInc: 1, claInc: 1}
+	s := &Solver{ok: true, varInc: 1, claInc: 1, arena: []Lit{0},
+		reduceBase: DefaultReduceBase, reduceInc: DefaultReduceInc}
 	s.order = &varHeap{act: &s.activity}
 	return s
 }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := s.numVars
-	s.numVars++
+	v := len(s.level)
 	s.watches = append(s.watches, nil, nil)
-	s.assign = append(s.assign, lUndef)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noClause)
 	s.activity = append(s.activity, 0)
-	s.phase = append(s.phase, false)
+	s.phase = append(s.phase, NegLit(v))
 	s.seen = append(s.seen, false)
 	s.clauseLit = append(s.clauseLit, 0)
 	s.order.push(v)
@@ -215,17 +223,44 @@ func (s *Solver) NewVar() int {
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return s.numVars }
+func (s *Solver) NumVars() int { return len(s.level) }
 
-func (s *Solver) valueLit(l Lit) lbool {
-	a := s.assign[l.Var()]
-	if a == lUndef {
-		return lUndef
+// words returns the arena words of the clause whose header is h.
+func words(h Lit) int { return 1 + int(h>>hdrShift) + 3*int(h&hdrLearnt) }
+
+// extra returns the offset just past clause c's literals: a learnt clause's
+// LBD word, which its activity's low and high halves follow.
+func (s *Solver) extra(c cref) int { return int(c) + 1 + int(s.arena[c]>>hdrShift) }
+
+// lits returns clause c's literals, a view into the arena.
+func (s *Solver) lits(c cref) []Lit { e := s.extra(c); return s.arena[c+1 : e : e] }
+
+func (s *Solver) lbd(c cref) int32 { return int32(s.arena[s.extra(c)]) }
+
+func (s *Solver) act(c cref) float64 {
+	e := s.extra(c)
+	return math.Float64frombits(uint64(uint32(s.arena[e+1])) | uint64(uint32(s.arena[e+2]))<<32)
+}
+
+func (s *Solver) setAct(c cref, a float64) {
+	e, b := s.extra(c), math.Float64bits(a)
+	s.arena[e+1], s.arena[e+2] = Lit(uint32(b)), Lit(uint32(b>>32))
+}
+
+// alloc copies lits into a new clause at the end of the arena; lbd > 0
+// makes it a learnt clause of that LBD and activity zero. A full arena
+// doubles, where append would grow a large one by a quarter and so copy it
+// about five times as often.
+func (s *Solver) alloc(lits []Lit, lbd int32) cref {
+	c, h := cref(len(s.arena)), Lit(len(lits))<<hdrShift
+	if n := int(c) + words(h|hdrLearnt); n > cap(s.arena) {
+		s.arena = append(make([]Lit, 0, max(2*cap(s.arena), n)), s.arena...)
 	}
-	if l.Sign() == (a == lFalse) {
-		return lTrue
+	if s.arena = append(append(s.arena, h), lits...); lbd > 0 {
+		s.arena[c] |= hdrLearnt
+		s.arena = append(s.arena, Lit(lbd), 0, 0)
 	}
-	return lFalse
+	return c
 }
 
 // AddClause adds a clause over the given literals. It returns false if the
@@ -243,7 +278,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	satisfied := false
 scan:
 	for _, l := range lits {
-		if int(l.Var()) >= s.numVars {
+		if l.Var() >= len(s.level) {
 			s.clearClauseLits(out)
 			panic("sat: literal references unallocated variable")
 		}
@@ -253,10 +288,10 @@ scan:
 			break scan
 		case kept == l+1:
 			continue
-		case s.valueLit(l) == lTrue && s.level[l.Var()] == 0:
+		case s.vals[l] == lTrue && s.level[l.Var()] == 0:
 			satisfied = true
 			break scan
-		case s.valueLit(l) == lFalse && s.level[l.Var()] == 0:
+		case s.vals[l] == lFalse && s.level[l.Var()] == 0:
 			continue
 		}
 		s.clauseLit[l.Var()] = l + 1
@@ -272,45 +307,15 @@ scan:
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], noClause)
+		if s.propagate() != noClause {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := s.newClause(out)
-	s.clauses = append(s.clauses, c)
-	s.attach(c)
+	s.attach(s.alloc(out, 0))
 	return true
-}
-
-// Original clauses are carved from slabs: one chunk of clause structs and
-// one of literals serve many AddClause calls. A new chunk is sized by the
-// clauses the solver already has, between the bounds below, so a small
-// instance allocates little and a large one allocates rarely. Learnt
-// clauses are allocated one by one, because reduceDB frees them.
-const (
-	minClauseSlab = 16
-	maxClauseSlab = 1024
-	litsPerClause = 4 // literal chunk size per clause-chunk slot
-)
-
-// newClause returns an original clause over a slab copy of lits.
-func (s *Solver) newClause(lits []Lit) *clause {
-	size := min(max(len(s.clauses), minClauseSlab), maxClauseSlab)
-	if len(s.clauseSlab) == 0 {
-		s.clauseSlab = make([]clause, size)
-	}
-	c := &s.clauseSlab[0]
-	s.clauseSlab = s.clauseSlab[1:]
-	if len(lits) > cap(s.litSlab)-len(s.litSlab) {
-		s.litSlab = make([]Lit, 0, max(litsPerClause*size, len(lits)))
-	}
-	n := len(s.litSlab)
-	s.litSlab = append(s.litSlab, lits...)
-	c.lits = s.litSlab[n:len(s.litSlab):len(s.litSlab)]
-	return c
 }
 
 // clearClauseLits resets the clauseLit entries AddClause set for lits.
@@ -320,19 +325,15 @@ func (s *Solver) clearClauseLits(lits []Lit) {
 	}
 }
 
-func (s *Solver) attach(c *clause) {
-	l0, l1 := c.lits[0], c.lits[1]
-	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{c, l1})
-	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{c, l0})
+func (s *Solver) attach(c cref) {
+	l := s.lits(c)
+	s.watches[l[0].Neg()] = append(s.watches[l[0].Neg()], watcher{c, l[1]})
+	s.watches[l[1].Neg()] = append(s.watches[l[1].Neg()], watcher{c, l[0]})
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
+	s.vals[l], s.vals[l.Neg()] = lTrue, lFalse
 	v := l.Var()
-	if l.Sign() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
 	s.level[v] = int32(s.decisionLevel())
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -341,51 +342,49 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // propagate performs unit propagation; it returns the conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// noClause.
+func (s *Solver) propagate() cref {
+	vals := s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.propagations++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		confl := noClause
+	nextWatch:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if confl != nil {
+			if confl != noClause {
 				kept = append(kept, ws[i:]...)
 				break
 			}
-			if s.valueLit(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				kept = append(kept, w)
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Normalise so the false literal p.Neg() is lits[1].
-			if c.lits[0] == p.Neg() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Neg() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.valueLit(first) == lTrue {
+			first := lits[0]
+			if first != w.blocker && vals[first] == lTrue {
 				kept = append(kept, watcher{c, first})
 				continue
 			}
 			// Look for a new literal to watch.
-			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], watcher{c, first})
-					found = true
-					break
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Neg()] = append(s.watches[lits[1].Neg()], watcher{c, first})
+					continue nextWatch
 				}
-			}
-			if found {
-				continue
 			}
 			// Clause is unit or conflicting.
 			kept = append(kept, watcher{c, first})
-			if s.valueLit(first) == lFalse {
+			if vals[first] == lFalse {
 				confl = c
 				s.qhead = len(s.trail)
 			} else {
@@ -393,34 +392,36 @@ func (s *Solver) propagate() *clause {
 			}
 		}
 		s.watches[p] = kept
-		if confl != nil {
+		if confl != noClause {
 			return confl
 		}
 	}
-	return nil
+	return noClause
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
-// (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+// (asserting literal first) and the backtrack level. The clause lives in
+// learntBuf, which the next conflict reuses.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // slot 0 reserved for the asserting literal
 	seen := s.seen
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
 	for {
-		if confl.learnt {
+		lits := s.lits(confl)
+		if s.arena[confl]&hdrLearnt != 0 {
 			// Clauses that participate in conflict analysis are the useful
 			// ones: bump their activity so reduceDB keeps them, and tighten
 			// their LBD if the current assignment shows a lower one
 			// (Glucose's dynamic LBD update).
 			s.bumpClause(confl)
-			if l := s.computeLBD(confl.lits); l < confl.lbd {
-				confl.lbd = l
+			if l := s.computeLBD(lits); l < s.lbd(confl) {
+				s.arena[s.extra(confl)] = Lit(l)
 			}
 		}
-		for _, q := range confl.lits {
+		for _, q := range lits {
 			if p != -1 && q == p {
 				continue
 			}
@@ -449,6 +450,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		confl = s.reason[p.Var()]
 	}
 	learnt[0] = p.Neg()
+	s.learntBuf = learnt
 	// Every current-level variable was resolved away and unmarked above, so
 	// the marks left are exactly the learnt clause's other variables.
 	for _, q := range learnt[1:] {
@@ -472,9 +474,9 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 
 // computeLBD returns the literal block distance of lits under the current
 // assignment: the number of distinct decision levels among the literals.
-// Unassigned literals are rare here (analyze only sees assigned ones) and
-// count as one extra block conservatively via level 0 aliasing being excluded
-// — they are simply skipped.
+// Both callers pass clauses whose literals are all assigned; an unassigned
+// literal would be skipped, and a clause with no assigned literal counts as
+// one block.
 func (s *Solver) computeLBD(lits []Lit) int32 {
 	for len(s.lbdStamp) < len(s.trailLim)+1 {
 		s.lbdStamp = append(s.lbdStamp, 0)
@@ -482,27 +484,24 @@ func (s *Solver) computeLBD(lits []Lit) int32 {
 	s.lbdGen++
 	var n int32
 	for _, l := range lits {
-		v := l.Var()
-		if s.assign[v] == lUndef {
+		if s.vals[l] == lUndef {
 			continue
 		}
-		lv := s.level[v]
+		lv := s.level[l.Var()]
 		if int(lv) < len(s.lbdStamp) && s.lbdStamp[lv] != s.lbdGen {
 			s.lbdStamp[lv] = s.lbdGen
 			n++
 		}
 	}
-	if n == 0 {
-		n = 1
-	}
-	return n
+	return max(n, 1)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.act(c) + s.claInc
+	s.setAct(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-20
+			s.setAct(lc, s.act(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -524,10 +523,11 @@ func (s *Solver) cancelUntil(level int) {
 		return
 	}
 	for i := len(s.trail) - 1; i >= s.trailLim[level]; i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assign[v] == lTrue
-		s.assign[v] = lUndef
-		s.reason[v] = nil
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = l
+		s.vals[l], s.vals[l.Neg()] = lUndef, lUndef
+		s.reason[v] = noClause
 		s.order.pushIfAbsent(v)
 	}
 	s.trail = s.trail[:s.trailLim[level]]
@@ -541,7 +541,7 @@ func (s *Solver) pickBranchVar() int {
 		if !ok {
 			return -1
 		}
-		if s.assign[v] == lUndef {
+		if s.vals[PosLit(v)] == lUndef {
 			return v
 		}
 	}
@@ -583,18 +583,13 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 		return Unknown
 	}
 	s.assumptions = assumptions
-	restartBase := int64(100)
 	for restart := 0; ; restart++ {
-		limit := restartBase * int64(luby(restart))
-		st := s.search(limit)
-		if st != Unknown {
+		if st := s.search(100 * int64(luby(restart))); st != Unknown {
 			return st
 		}
-		if s.Budget.Exceeded() {
-			s.cancelUntil(0)
+		if s.cancelUntil(0); s.Budget.Exceeded() {
 			return Unknown
 		}
-		s.cancelUntil(0)
 	}
 }
 
@@ -613,7 +608,7 @@ func (s *Solver) search(conflictBudget int64) Status {
 	var budget int64
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noClause {
 			s.conflicts++
 			budget++
 			s.Budget.Add(engine.Conflicts, 1)
@@ -628,9 +623,9 @@ func (s *Solver) search(conflictBudget int64) Status {
 			lbd := s.computeLBD(learnt)
 			s.cancelUntil(bt)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], noClause)
 			} else {
-				c := &clause{lits: learnt, learnt: true, lbd: lbd}
+				c := s.alloc(learnt, lbd)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.bumpClause(c)
@@ -658,7 +653,7 @@ func (s *Solver) search(conflictBudget int64) Status {
 		next := Lit(-1)
 		for next == Lit(-1) && s.decisionLevel() < len(s.assumptions) {
 			p := s.assumptions[s.decisionLevel()]
-			switch s.valueLit(p) {
+			switch s.vals[p] {
 			case lTrue:
 				s.trailLim = append(s.trailLim, len(s.trail))
 			case lFalse:
@@ -672,31 +667,20 @@ func (s *Solver) search(conflictBudget int64) Status {
 			if v == -1 {
 				return Sat
 			}
-			if s.phase[v] {
-				next = PosLit(v)
-			} else {
-				next = NegLit(v)
-			}
+			next = s.phase[v]
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, noClause)
 	}
 }
 
 // reduceLimit returns the learnt-clause count that triggers the next
 // reduction, or 0 when reduction is disabled (reduceBase < 0).
 func (s *Solver) reduceLimit() int {
-	base, inc := s.reduceBase, s.reduceInc
-	if base < 0 {
+	if s.reduceBase < 0 {
 		return 0
 	}
-	if base == 0 {
-		base = DefaultReduceBase
-	}
-	if inc == 0 {
-		inc = DefaultReduceInc
-	}
-	return base + inc*int(s.reduces)
+	return s.reduceBase + s.reduceInc*int(s.reduces)
 }
 
 // reduceDB deletes the worse half of the learnt-clause database, ranked by
@@ -706,49 +690,48 @@ func (s *Solver) reduceLimit() int {
 // variable — deleting those would corrupt conflict analysis). Deleted
 // clauses are eagerly detached from the watch lists, which is valid at any
 // decision level because propagate maintains the watched literals at
-// lits[0] and lits[1].
+// lits[0] and lits[1]. Once deleted clauses fill more than half the arena,
+// compact reclaims their words.
 func (s *Solver) reduceDB() {
 	s.reduces++
-	keep := func(c *clause) bool {
-		return c.lbd <= 2 || len(c.lits) == 2 || s.locked(c)
-	}
-	cand := make([]*clause, 0, len(s.learnts))
+	cand := make([]cref, 0, len(s.learnts))
 	kept := s.learnts[:0]
 	for _, c := range s.learnts {
-		if keep(c) {
+		if s.lbd(c) <= 2 || len(s.lits(c)) == 2 || s.locked(c) {
 			kept = append(kept, c)
 		} else {
 			cand = append(cand, c)
 		}
 	}
 	// Worse clauses first: higher LBD, then lower activity.
-	sortClausesWorseFirst(cand)
-	drop := len(cand) / 2
-	for i, c := range cand {
-		if i < drop {
-			s.detach(c)
-		} else {
-			kept = append(kept, c)
+	sort.Slice(cand, func(i, j int) bool {
+		if li, lj := s.lbd(cand[i]), s.lbd(cand[j]); li != lj {
+			return li > lj
 		}
+		return s.act(cand[i]) < s.act(cand[j])
+	})
+	drop := len(cand) / 2
+	for _, c := range cand[:drop] {
+		s.detach(c)
+		s.arena[c] |= hdrDeleted
+		s.wasted += words(s.arena[c])
 	}
-	// Zero the tail so dropped clause pointers do not pin memory.
-	for i := len(kept); i < len(s.learnts); i++ {
-		s.learnts[i] = nil
+	s.learnts = append(kept, cand[drop:]...)
+	if 2*s.wasted > len(s.arena) || s.compactAlways {
+		s.compact()
 	}
-	s.learnts = kept
 }
 
 // locked reports whether c is the reason clause of an assigned variable.
-func (s *Solver) locked(c *clause) bool {
-	v := c.lits[0].Var()
-	return s.assign[v] != lUndef && s.reason[v] == c
-}
+// A reason is only ever lits[0], and cancelUntil clears the reasons of the
+// variables it unassigns.
+func (s *Solver) locked(c cref) bool { return s.reason[s.arena[c+1].Var()] == c }
 
 // detach removes c's two watcher entries. propagate keeps the watched
 // literals normalised at lits[0]/lits[1], so only those two lists are
 // scanned.
-func (s *Solver) detach(c *clause) {
-	for _, l := range []Lit{c.lits[0], c.lits[1]} {
+func (s *Solver) detach(c cref) {
+	for _, l := range s.lits(c)[:2] {
 		ws := s.watches[l.Neg()]
 		out := ws[:0]
 		for _, w := range ws {
@@ -756,23 +739,40 @@ func (s *Solver) detach(c *clause) {
 				out = append(out, w)
 			}
 		}
-		for i := len(out); i < len(ws); i++ {
-			ws[i] = watcher{}
-		}
 		s.watches[l.Neg()] = out
 	}
 }
 
-// sortClausesWorseFirst orders cand by LBD descending, then activity
-// ascending (a hand-rolled insertion-free sort via sort.Slice would pull in
-// no extra dependencies either; this keeps the comparator in one place).
-func sortClausesWorseFirst(cand []*clause) {
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].lbd != cand[j].lbd {
-			return cand[i].lbd > cand[j].lbd
+// compact moves the live clauses into a new arena, keeping their order, and
+// rewrites in place every watcher (so each watch list keeps its order),
+// reason and learnts entry. While it rewrites, the old arena holds each
+// moved clause's new offset in place of its first literal. The new arena
+// has room for the live clauses to double before it grows.
+func (s *Solver) compact() {
+	from, to := s.arena, make([]Lit, 1, 2*(len(s.arena)-s.wasted))
+	for c := 1; c < len(from); {
+		n := words(from[c])
+		if from[c]&hdrDeleted == 0 {
+			nc := len(to)
+			to = append(to, from[c:c+n]...)
+			from[c+1] = Lit(nc)
 		}
-		return cand[i].act < cand[j].act
-	})
+		c += n
+	}
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = cref(from[ws[i].c+1])
+		}
+	}
+	for v, r := range s.reason {
+		if r != noClause {
+			s.reason[v] = cref(from[r+1])
+		}
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = cref(from[c+1])
+	}
+	s.arena, s.wasted = to, 0
 }
 
 // NumLearnts returns the current learnt-clause count (after any reductions).
@@ -784,7 +784,7 @@ func (s *Solver) Reduces() int64 { return s.reduces }
 // Model returns the value of variable v in the satisfying assignment found by
 // the last successful Solve. Unassigned variables (possible when the formula
 // does not constrain them) report false.
-func (s *Solver) Model(v int) bool { return s.assign[v] == lTrue }
+func (s *Solver) Model(v int) bool { return s.vals[PosLit(v)] == lTrue }
 
 // luby returns the i-th element of the Luby restart sequence
 // (1,1,2,1,1,2,4,...).

@@ -499,3 +499,28 @@ func BenchmarkAddClause(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSolveIncremental adds random 3-SAT blocks near the phase
+// transition to one long-lived solver and solves each under its own
+// activation literal, so learnt clauses, reductions and activity carry over
+// from block to block as they do across a query cache's queries. A new
+// solver starts every 256 blocks so the instance stays bounded.
+func BenchmarkSolveIncremental(b *testing.B) {
+	b.ReportAllocs()
+	const blocksPerSolver = 256
+	rng := rand.New(rand.NewSource(1))
+	var s *Solver
+	var conflicts int64
+	for i := 0; i < b.N; i++ {
+		if i%blocksPerSolver == 0 {
+			if s != nil {
+				conflicts += s.Conflicts()
+			}
+			s = New()
+		}
+		if s.SolveAssuming(randomThreeSAT(s, rng, 60, 256)) == Unknown {
+			b.Fatal("an unbudgeted solve gave up")
+		}
+	}
+	b.ReportMetric(float64(conflicts+s.Conflicts())/float64(b.N), "conflicts/op")
+}

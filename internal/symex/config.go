@@ -27,7 +27,9 @@ type Config struct {
 	// in the engine (SymexPanic panics at Run entry with a
 	// faultpoint.InjectedPanic, SymexForkFail aborts the run at a fork with
 	// ErrTimeout), and CegisReject in synthesis. Nil disables injection at
-	// zero cost.
+	// zero cost. The sat sites live only in the query cache: an Engine whose
+	// Cache is nil decides each query with bv.CheckSat, whose solver has no
+	// registry, so it never sees SatUnknown or SatConflictStorm.
 	Faults *faultpoint.Registry
 	// Disk, when non-nil, attaches the persistent cross-process cache tier:
 	// its query store backs every query cache NewEngine builds, and its memo
