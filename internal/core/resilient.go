@@ -244,12 +244,20 @@ func SummarizeResilient(source, funcName string, opts ResilientOptions) Outcome 
 	if lowerErr != nil {
 		return Outcome{Rung: RungFailed, Err: lowerErr}
 	}
-	// Dump faultpoint firings into the registry when the run ends, so chaos
-	// reports show which sites actually fired alongside the retry counters.
-	if opts.Metrics != nil && opts.Pipeline.Faults != nil {
+	// Charge the faultpoint firings of this run to the registry when it
+	// ends, so chaos reports show which sites actually fired alongside the
+	// retry counters. The fault registry outlives the run (a daemon shares
+	// one across requests), so the run charges what fired since it began;
+	// runs that overlap on one registry each count the other's firings.
+	if faults := opts.Pipeline.Faults; opts.Metrics != nil && faults != nil {
+		sites := faultpoint.Sites()
+		before := make([]uint64, len(sites))
+		for i, site := range sites {
+			before[i] = faults.Fired(site)
+		}
 		defer func() {
-			for _, site := range faultpoint.Sites() {
-				if n := opts.Pipeline.Faults.Fired(site); n > 0 {
+			for i, site := range sites {
+				if n := faults.Fired(site) - before[i]; n > 0 {
 					opts.Metrics.Counter(obs.MFaultPrefix + site.String()).Add(int64(n))
 				}
 			}

@@ -42,7 +42,7 @@ const (
 	Merges                          // symbolic-state merges
 	MergeItes                       // ite nodes those merges introduced
 	Decisions                       // SAT branching decisions
-	CacheQueries                    // query-cache CheckSat/Decide/Extend calls
+	CacheQueries                    // query-cache CheckSat/Decide calls
 	CacheGroups                     // independent slices those queries split into
 	CacheRebuilds                   // incremental-solver resets at the var cap
 	SymexRuns                       // symbolic-execution runs

@@ -5,13 +5,12 @@ import "stringloops/internal/bv"
 // RaceEnabled reports whether the race detector is on.
 const RaceEnabled = raceEnabled
 
-// TraceExtend makes every Extend call report its parent, formula and
-// returned path to fn until the returned function restores the previous
-// hook.
-func TraceExtend(fn func(parent *Path, f *bv.Bool, p *Path)) (restore func()) {
-	prev := extendHook
-	extendHook = fn
-	return func() { extendHook = prev }
+// TraceDecide makes every Decide call report its formulas to fn until the
+// returned function restores the previous hook.
+func TraceDecide(fn func(formulas []*bv.Bool)) (restore func()) {
+	prev := decideHook
+	decideHook = fn
+	return func() { decideHook = prev }
 }
 
 // ModelCount returns the length of the cache's model-reuse list.

@@ -15,6 +15,16 @@ import (
 	"stringloops/internal/symex"
 )
 
+// figure1Loop is the paper's running example: skip leading whitespace.
+const figure1Loop = `
+#define whitespace(c) (((c) == ' ') || ((c) == '\t'))
+char* loopFunction(char* line) {
+  char *p;
+  for (p = line; p && *p && whitespace (*p); p++)
+    ;
+  return p;
+}`
+
 // qcacheRows are the ledger rows only a real cache charges.
 var qcacheRows = []engine.Counter{
 	engine.CacheQueries, engine.CacheGroups, engine.CacheHits, engine.CacheMisses,
@@ -53,10 +63,9 @@ func nilCacheLoops(t *testing.T) (names []string, fs []*cir.Func, ns []int) {
 }
 
 // TestNilCacheIsDirectSolver holds a nil *Cache to one bv.CheckSat per
-// query: on every per-path condition of the loops above, Decide and Extend
-// give CheckSat's status, charge exactly CheckSat's spend (conflicts,
-// propagations, decisions, blast hits) and no qcache row, and Extend
-// returns no prepared path.
+// query: on every per-path condition of the loops above, Decide gives
+// CheckSat's status, charges exactly CheckSat's spend (conflicts,
+// propagations, decisions, blast hits) and no qcache row.
 func TestNilCacheIsDirectSolver(t *testing.T) {
 	var nilCache *qcache.Cache
 	names, fs, ns := nilCacheLoops(t)
@@ -72,20 +81,15 @@ func TestNilCacheIsDirectSolver(t *testing.T) {
 			want := engine.NewBudget(nil, engine.Limits{})
 			wantSt, _ := bv.CheckSat(want, p.Cond)
 			decide := engine.NewBudget(nil, engine.Limits{})
-			extend := engine.NewBudget(nil, engine.Limits{})
-			gotD := nilCache.Decide(decide, p.Cond)
-			gotE, path := nilCache.Extend(extend, nil, p.Cond)
-			if gotD != wantSt || gotE != wantSt || path != nil {
-				t.Fatalf("%s: Decide %v, Extend %v (path %v), CheckSat %v", names[i], gotD, gotE, path, wantSt)
+			if got := nilCache.Decide(decide, p.Cond); got != wantSt {
+				t.Fatalf("%s: Decide %v, CheckSat %v", names[i], got, wantSt)
 			}
-			for _, b := range []*engine.Budget{decide, extend} {
-				if b.Spend() != want.Spend() {
-					t.Fatalf("%s: nil cache spent %+v, CheckSat %+v", names[i], b.Spend(), want.Spend())
-				}
-				for _, c := range qcacheRows {
-					if b.Count(c) != 0 {
-						t.Fatalf("%s: nil cache charged qcache rows: %+v", names[i], b.Spend())
-					}
+			if decide.Spend() != want.Spend() {
+				t.Fatalf("%s: nil cache spent %+v, CheckSat %+v", names[i], decide.Spend(), want.Spend())
+			}
+			for _, c := range qcacheRows {
+				if decide.Count(c) != 0 {
+					t.Fatalf("%s: nil cache charged qcache rows: %+v", names[i], decide.Spend())
 				}
 			}
 			queries++
@@ -107,11 +111,8 @@ func TestSymexNilCacheMatchesDirectSolver(t *testing.T) {
 	for i, f := range fs {
 		direct := engine.NewBudget(nil, engine.Limits{})
 		unsat := 0
-		restore := qcache.TraceExtend(func(parent *qcache.Path, g *bv.Bool, p *qcache.Path) {
-			if parent != nil || p != nil {
-				t.Errorf("%s: nil cache saw parent %v, returned path %v", names[i], parent, p)
-			}
-			if st, _ := bv.CheckSat(direct, g); st == sat.Unsat {
+		restore := qcache.TraceDecide(func(fs []*bv.Bool) {
+			if st, _ := bv.CheckSat(direct, fs...); st == sat.Unsat {
 				unsat++
 			}
 		})

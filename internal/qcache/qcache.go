@@ -19,10 +19,8 @@
 //     blast the prefix once and pay only for their new branch condition.
 //
 // CheckSat returns a model with a Sat verdict; Decide, for callers that need
-// only the status, does the same cache work without building one. Extend is
-// Decide for a query that adds conjuncts to one it already prepared (see
-// Path): it re-derives only what the new conjuncts touch and makes every
-// cache decision Decide would.
+// only the status, such as a symbolic executor's per-fork feasibility check,
+// does the same cache work without building one.
 //
 // A Cache is scoped to one bv.Interner — its per-conjunct memos are keyed by
 // node pointer, so every formula passed to CheckSat or Decide must come from
@@ -138,12 +136,11 @@ type Cache struct {
 
 	// Per-query scratch, reused under c.mu. Nothing that outlives a query
 	// may alias it.
-	conjBuf, simpBuf []*bv.Bool
-	scr              sliceScratch
-	pre              prepScratch
-	canon            canonWriter
-	scan             bv.VarScanner
-	names            []string
+	conjBuf, simpBuf, flatBuf []*bv.Bool
+	scr                       sliceScratch
+	canon                     canonWriter
+	scan                      bv.VarScanner
+	names                     []string
 
 	// Shape instruments, lazily bound from the budget's registry on the
 	// first query that carries one: they are a gauge and a histogram, not
@@ -221,15 +218,13 @@ func (c *Cache) bindMetrics(b *engine.Budget) {
 // query through slicing, the reuse cache and the incremental solver.
 // Unknown results are never cached.
 func (c *Cache) CheckSat(b *engine.Budget, formulas ...*bv.Bool) (sat.Status, *bv.Assignment) {
-	st, m, _ := c.query(b, nil, formulas, false, true)
-	return st, m
+	return c.query(b, formulas, true)
 }
 
 // Decide is CheckSat for callers that need only the status, such as a
-// test generator's per-path check (a symbolic executor's per-fork check
-// uses Extend). It does the same cache work in the same order, so Stats,
-// the budget counters and the solver's conflicts come out as under
-// CheckSat. What it skips is building a model for the caller: an exact hit
+// symbolic executor's per-fork check or a test generator's per-path check.
+// It does the same cache work in the same order, so Stats, the budget
+// counters and the solver's conflicts come out as under CheckSat. What it skips is building a model for the caller: an exact hit
 // translates its stored model only while that model still has to be
 // released into the model-reuse list, and the groups' models are never
 // merged.
@@ -237,44 +232,20 @@ func (c *Cache) CheckSat(b *engine.Budget, formulas ...*bv.Bool) (sat.Status, *b
 // A nil cache is the direct solver: one bv.CheckSat of the formulas as
 // given, with no simplification, no qcache ledger rows and no reuse.
 func (c *Cache) Decide(b *engine.Budget, formulas ...*bv.Bool) sat.Status {
+	if decideHook != nil {
+		decideHook(formulas)
+	}
 	if c == nil {
 		st, _ := bv.CheckSat(b, formulas...)
 		return st
 	}
-	st, _, _ := c.query(b, nil, formulas, false, false)
+	st, _ := c.query(b, formulas, false)
 	return st
 }
 
-// Extend is Decide(b, f) for an f that extends the path condition parent
-// was prepared for, and it returns f's prepared path for the next
-// extension (nil on Unsat, or when the budget stopped the query before it
-// was prepared). When f simplifies to parent's formula conjoined with new
-// conjuncts, only the regions the new conjuncts touch are pruned, sliced
-// and keyed again; otherwise — a nil, foreign or unrelated parent — f is
-// prepared from scratch. Either way every group is checked, in Decide's
-// order, so statuses, Stats, budget counters and the reuse lists come out
-// exactly as under Decide. On a nil cache it is the nil cache's Decide(b, f)
-// and returns a nil path.
-func (c *Cache) Extend(b *engine.Budget, parent *Path, f *bv.Bool) (sat.Status, *Path) {
-	var st sat.Status
-	var p *Path
-	if c == nil {
-		st = c.Decide(b, f)
-	} else {
-		fs := [1]*bv.Bool{f}
-		if st, _, p = c.query(b, parent, fs[:], true, false); st == sat.Unsat {
-			p = nil
-		}
-	}
-	if extendHook != nil {
-		extendHook(parent, f, p)
-	}
-	return st, p
-}
-
-// extendHook, when non-nil, sees every Extend call: the parent, the formula
-// and the returned path. Tests set it to record symex query streams.
-var extendHook func(parent *Path, f *bv.Bool, p *Path)
+// decideHook, when non-nil, sees the formulas of every Decide call. Tests
+// set it to record symex query streams.
+var decideHook func(formulas []*bv.Bool)
 
 // unlock charges the query's hit tally to b and releases c.mu.
 func (c *Cache) unlock(b *engine.Budget) {
@@ -283,21 +254,20 @@ func (c *Cache) unlock(b *engine.Budget) {
 	c.mu.Unlock()
 }
 
-// query is the one body behind CheckSat, Decide and Extend. wantModel says
-// whether the caller reads the model; keep says whether it keeps the
-// prepared path, which then extends parent where it can.
-func (c *Cache) query(b *engine.Budget, parent *Path, formulas []*bv.Bool, keep, wantModel bool) (sat.Status, *bv.Assignment, *Path) {
+// query is the one body behind CheckSat and Decide. wantModel says whether
+// the caller reads the model.
+func (c *Cache) query(b *engine.Budget, formulas []*bv.Bool, wantModel bool) (sat.Status, *bv.Assignment) {
 	c.mu.Lock()
 	defer c.unlock(b)
 	c.bindMetrics(b)
 	b.Add(engine.CacheQueries, 1)
 	if b.Exceeded() {
-		return sat.Unknown, nil, nil
+		return sat.Unknown, nil
 	}
 
 	// Simplify each formula through the value-numbering layer (memoized on
-	// the interner, so the shared prefix of an incremental query stream pays
-	// once). Simplification is equivalence-preserving over the whole
+	// the interner, so the shared prefix of a symbolic path's query stream
+	// pays once). Simplification is equivalence-preserving over the whole
 	// conjunction, so the cache keys and models below — which are built from
 	// the simplified conjuncts — answer the original query: a variable
 	// simplified away is a don't-care, and the evaluator's zero-fill
@@ -307,20 +277,20 @@ func (c *Cache) query(b *engine.Budget, parent *Path, formulas []*bv.Bool, keep,
 		gs = append(gs, c.in.SimplifyBool(f))
 	}
 	c.simpBuf = gs
-	p, unsat := c.prepare(parent, gs, keep)
+	groups, unsat := c.prepare(gs)
 	if unsat {
-		return sat.Unsat, nil, nil
+		return sat.Unsat, nil
 	}
 	var merged *bv.Assignment
 	if wantModel {
 		merged = &bv.Assignment{Terms: map[string]uint64{}, Bools: map[string]bool{}}
 	}
-	if len(p.groups) == 0 {
-		return sat.Sat, merged, p
+	if len(groups) == 0 {
+		return sat.Sat, merged
 	}
 
-	b.Add(engine.CacheGroups, int64(len(p.groups)))
-	for _, g := range p.groups {
+	b.Add(engine.CacheGroups, int64(len(groups)))
+	for _, g := range groups {
 		if len(g.conj) > c.stats.MaxGroup {
 			c.stats.MaxGroup = len(g.conj)
 			c.gMaxGroup.SetMax(int64(len(g.conj)))
@@ -328,9 +298,9 @@ func (c *Cache) query(b *engine.Budget, parent *Path, formulas []*bv.Bool, keep,
 		st, model := c.checkGroup(b, g, wantModel)
 		switch st {
 		case sat.Unsat:
-			return sat.Unsat, nil, p
+			return sat.Unsat, nil
 		case sat.Unknown:
-			return sat.Unknown, nil, p
+			return sat.Unknown, nil
 		}
 		if !wantModel {
 			continue
@@ -344,7 +314,39 @@ func (c *Cache) query(b *engine.Budget, parent *Path, formulas []*bv.Bool, keep,
 			merged.Bools[k] = v
 		}
 	}
-	return sat.Sat, merged, p
+	return sat.Sat, merged
+}
+
+// prepare turns the simplified formulas of one query into its independent
+// groups: flatten, deduplicate, prune, slice. Guard pruning rewrites each
+// conjunct under the assumption that the current versions of the others
+// hold, so ite guards decided by the enclosing path condition collapse. Each
+// rewrite preserves the whole conjunction's meaning, so the sequence does
+// too. Pruning is skipped past maxPruneConjuncts. It can mint constants and
+// fresh conjunctions, so a pruned conjunction is flattened and deduplicated
+// again. unsat reports a conjunction that is trivially false: a False
+// conjunct before or after pruning. The groups alias the cache's scratch
+// until the next query. Caller holds c.mu.
+func (c *Cache) prepare(gs []*bv.Bool) (groups []group, unsat bool) {
+	raw := c.conjBuf[:0]
+	for _, g := range gs {
+		raw = bv.Conjuncts(raw, g)
+	}
+	c.conjBuf = raw
+	if raw, unsat = dedupe(raw); unsat {
+		return nil, true
+	}
+	if len(raw) <= maxPruneConjuncts && c.in.PruneConjuncts(raw) {
+		post := c.flatBuf[:0]
+		for _, cj := range raw {
+			post = bv.Conjuncts(post, cj)
+		}
+		c.flatBuf = post
+		if raw, unsat = dedupe(post); unsat {
+			return nil, true
+		}
+	}
+	return c.slice(raw), false
 }
 
 // dedupe drops True and pointer-duplicate conjuncts in place, reporting
@@ -385,29 +387,27 @@ func (c *Cache) IsValid(b *engine.Budget, f *bv.Bool) (valid bool, counterexampl
 // checkGroup decides one independent slice, consulting the reuse rules
 // before the solver. The model comes back on Sat when wantModel is set (and
 // may come back anyway). Caller holds c.mu.
-func (c *Cache) checkGroup(b *engine.Budget, g *pathGroup, wantModel bool) (sat.Status, *bv.Assignment) {
-	if g.gk == nil {
-		g.gk = c.groupKeyOf(g.conj, g.ids)
-	}
+func (c *Cache) checkGroup(b *engine.Budget, g group, wantModel bool) (sat.Status, *bv.Assignment) {
+	gk := c.groupKeyOf(g.conj, g.ids)
 
 	if c.faults.Fire(faultpoint.QCacheMiss) {
 		// Injected miss storm: bypass every reuse rule and pay the solver.
 		b.Add(engine.CacheMisses, 1)
-		return c.solveGroup(b, g)
+		return c.solveGroup(b, g, gk)
 	}
 
-	if e := c.lookup(g.gk); e != nil {
-		return c.exactHit(g.gk, e, wantModel)
+	if e := c.lookup(gk); e != nil {
+		return c.exactHit(gk, e, wantModel)
 	}
 
 	// Persistent tier: a verdict stored by another pipeline — or another
 	// process — under the same canonical key. Decoded entries are promoted
 	// into the exact map; an undecodable entry is ignored (cold miss).
 	if c.disk != nil {
-		if raw, ok := c.disk.Get(b, g.gk.key); ok {
-			if st, vals, ok := decodeEntry(raw, len(g.gk.vars)); ok {
-				e := c.storeExact(g.gk, exactEntry{status: st, vals: vals})
-				return c.exactHit(g.gk, e, wantModel)
+		if raw, ok := c.disk.Get(b, gk.key); ok {
+			if st, vals, ok := decodeEntry(raw, len(gk.vars)); ok {
+				e := c.storeExact(gk, exactEntry{status: st, vals: vals})
+				return c.exactHit(gk, e, wantModel)
 			}
 		}
 	}
@@ -428,7 +428,7 @@ func (c *Cache) checkGroup(b *engine.Budget, g *pathGroup, wantModel bool) (sat.
 			c.stats.ModelHits++
 			c.hits++
 			restricted := c.restrictModel(cm.asn, g.conj)
-			c.remember(b, g, sat.Sat, restricted)
+			c.remember(b, gk, sat.Sat, restricted)
 			return sat.Sat, restricted
 		}
 	}
@@ -440,13 +440,13 @@ func (c *Cache) checkGroup(b *engine.Budget, g *pathGroup, wantModel bool) (sat.
 		if subsetOf(core, g.ids) {
 			c.stats.SubsetHits++
 			c.hits++
-			c.remember(b, g, sat.Unsat, nil)
+			c.remember(b, gk, sat.Unsat, nil)
 			return sat.Unsat, nil
 		}
 	}
 
 	b.Add(engine.CacheMisses, 1)
-	return c.solveGroup(b, g)
+	return c.solveGroup(b, g, gk)
 }
 
 // lookup returns the group's exact entry, nil when there is none. A key
@@ -505,7 +505,7 @@ func (c *Cache) addModel(m *bv.Assignment) {
 
 // solveGroup sends one slice to the incremental solver under assumption
 // literals and caches the verdict. Caller holds c.mu.
-func (c *Cache) solveGroup(b *engine.Budget, g *pathGroup) (sat.Status, *bv.Assignment) {
+func (c *Cache) solveGroup(b *engine.Budget, g group, gk *groupKey) (sat.Status, *bv.Assignment) {
 	if c.solver.NumSATVars() > maxSolverVars {
 		c.solver = bv.NewSolver()
 		c.solver.Faults = c.faults
@@ -518,7 +518,7 @@ func (c *Cache) solveGroup(b *engine.Budget, g *pathGroup) (sat.Status, *bv.Assi
 	for i, cj := range g.conj {
 		// Rewrite-before-blast: the simplifier folds the ite-heavy shapes
 		// state merging produces (and is memoized on the interner, so the
-		// shared prefix of an incremental query stream simplifies once;
+		// shared prefix of a symbolic path's query stream simplifies once;
 		// CheckSat already simplified the conjuncts, so this is a pure memo
 		// hit). Every cache key and stat above stays on
 		// the conjunct pointers that reached this group — simplification
@@ -538,11 +538,11 @@ func (c *Cache) solveGroup(b *engine.Budget, g *pathGroup) (sat.Status, *bv.Assi
 		// restrict to this group's variables before caching or merging —
 		// stale assignments to other queries' variables must not leak.
 		restricted := c.restrictModel(c.solver.ModelAssignment(), g.conj)
-		c.remember(b, g, sat.Sat, restricted)
+		c.remember(b, gk, sat.Sat, restricted)
 		c.addModel(restricted)
 		return sat.Sat, restricted
 	case sat.Unsat:
-		c.remember(b, g, sat.Unsat, nil)
+		c.remember(b, gk, sat.Unsat, nil)
 		if len(c.unsatCores) >= maxUnsatCores {
 			c.unsatCores = c.unsatCores[1:]
 		}
@@ -554,18 +554,18 @@ func (c *Cache) solveGroup(b *engine.Budget, g *pathGroup) (sat.Status, *bv.Assi
 	}
 }
 
-// remember stores a verdict under the group's canonical key — in the exact
+// remember stores a verdict under a group's canonical key — in the exact
 // map and, write-through, in the persistent store when one is attached. The
 // model (a restricted, original-named assignment; nil on unsat) is projected
 // into canonical variable order first.
-func (c *Cache) remember(b *engine.Budget, g *pathGroup, st sat.Status, model *bv.Assignment) {
+func (c *Cache) remember(b *engine.Budget, gk *groupKey, st sat.Status, model *bv.Assignment) {
 	var vals []uint64
 	if st == sat.Sat {
-		vals = g.gk.canonVals(model)
+		vals = gk.canonVals(model)
 	}
-	c.storeExact(g.gk, exactEntry{status: st, vals: vals})
+	c.storeExact(gk, exactEntry{status: st, vals: vals})
 	if c.disk != nil {
-		c.disk.Put(b, g.gk.key, encodeEntry(st, vals))
+		c.disk.Put(b, gk.key, encodeEntry(st, vals))
 	}
 }
 

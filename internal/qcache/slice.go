@@ -8,18 +8,15 @@ import (
 
 // group is one independent slice of a query: conjuncts that transitively
 // share variables, in query order, with their sorted ID set (the cache key
-// material). first is the index, in the sliced conjunction, of the group's
-// first conjunct. Both slices alias the cache's slicing scratch and are
-// valid only until the next query; anything stored past the query is copied.
+// material). Both slices alias the cache's slicing scratch and are valid
+// only until the next query; anything stored past the query is copied.
 type group struct {
-	conj  []*bv.Bool
-	ids   []int
-	first int
+	conj []*bv.Bool
+	ids  []int
 }
 
 // conjInfo is the per-conjunct memo slicing reads: the content-based
-// conjunct ID (-1 until the conjunct is first sliced) and the conjunct's
-// sorted, deduped dense variable ids.
+// conjunct ID and the conjunct's sorted, deduped dense variable ids.
 type conjInfo struct {
 	id   int
 	vars []int32
@@ -65,14 +62,11 @@ func (c *Cache) slice(conj []*bv.Bool) []group {
 	s.groups = groups
 	off := 0
 	for g, k := range size {
-		groups[g] = group{conj: s.conj[off : off : off+k], ids: s.ids[off : off : off+k], first: -1}
+		groups[g] = group{conj: s.conj[off : off : off+k], ids: s.ids[off : off : off+k]}
 		off += k
 	}
 	for i, cj := range conj {
 		g := &groups[member[i]]
-		if g.first < 0 {
-			g.first = i
-		}
 		g.conj = append(g.conj, cj)
 		g.ids = append(g.ids, s.info[i].id)
 	}
@@ -155,13 +149,10 @@ func resize[T any](buf []T, n int) []T {
 // coincide, so the pointer map is a fast path over the canonical map.
 // Caller holds c.mu.
 func (c *Cache) info(cj *bv.Bool) conjInfo {
-	ci, ok := c.conjs[cj]
-	if ok && ci.id >= 0 {
+	if ci, ok := c.conjs[cj]; ok {
 		return ci
 	}
-	if !ok {
-		ci.vars = c.varIDsOf(cj)
-	}
+	ci := conjInfo{vars: c.varIDsOf(cj)}
 	key := c.conjKey(cj)
 	id, ok := c.canonIDs[key]
 	if !ok {
@@ -172,19 +163,6 @@ func (c *Cache) info(cj *bv.Bool) conjInfo {
 	ci.id = id
 	c.conjs[cj] = ci
 	return ci
-}
-
-// vars returns a conjunct's dense variable ids, memoized with its info but
-// without numbering it: path regions are built from conjuncts before
-// pruning, and only the conjuncts that reach slicing get an ID. Caller holds
-// c.mu.
-func (c *Cache) vars(cj *bv.Bool) []int32 {
-	if ci, ok := c.conjs[cj]; ok {
-		return ci.vars
-	}
-	vars := c.varIDsOf(cj)
-	c.conjs[cj] = conjInfo{id: -1, vars: vars}
-	return vars
 }
 
 // varIDsOf computes a conjunct's sorted, deduped dense variable ids,

@@ -399,7 +399,9 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 
 	// Per-request observability: the pipeline meters into a private
 	// registry so its spend reconciles 1:1 against the request's budgets;
-	// drift is a server bug and is counted, never silently merged.
+	// drift is a server bug and is counted. Its counters are then folded
+	// into the server's registry, so /metrics shows the pipeline's work and
+	// the ladder's supervise.* and faultpoint.fired.* counters.
 	reqMetrics := obs.NewMetrics()
 	var out core.Outcome
 	err = supervise.Guard(func() error {
@@ -423,6 +425,10 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		})
 		return nil
 	})
+	reqCounters := reqMetrics.Snapshot().Counters
+	for name, v := range reqCounters {
+		s.m.Counter(name).Add(v)
+	}
 	if err != nil {
 		// The ladder guards its own rungs; a panic here means the service
 		// plumbing itself blew up. Isolate it to this request.
@@ -438,7 +444,7 @@ func (s *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 	// reports, so a drift-free request's provenance is the budget truth by
 	// construction.
 	totals := out.Spend()
-	reconciled := totals.Reconcile(reqMetrics.Snapshot().Counters) == nil
+	reconciled := totals.Reconcile(reqCounters) == nil
 	if !reconciled {
 		s.m.Counter(MSvcReconcileDrift).Inc()
 	}

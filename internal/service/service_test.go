@@ -661,6 +661,32 @@ func TestServerInjectedFaults(t *testing.T) {
 	}
 }
 
+// TestServerMetricsShowLadderCounters: the ladder meters each request into
+// a private registry, and the server's registry must show what it counted
+// there: the supervisor's attempts and the pipeline faults that fired, over
+// two requests that share the server's fault registry.
+func TestServerMetricsShowLadderCounters(t *testing.T) {
+	reg := faultpoint.New(faultpoint.Config{Seed: 1,
+		Rates: map[faultpoint.Site]float64{faultpoint.QCacheMiss: 1}})
+	m := obs.NewMetrics()
+	_, ts, hc := newTestServer(t, Config{Metrics: m,
+		Pipeline: symex.Config{Faults: reg, Disk: &diskcache.Tier{}}})
+	for i := 0; i < 2; i++ {
+		code, raw := postJSON(t, hc, ts.URL+"/summarize", mustRequest(t, figure1Src))
+		if code != http.StatusOK {
+			t.Fatalf("request %d: status = %d, body %s", i, code, raw)
+		}
+	}
+	snap := m.Snapshot()
+	if got := snap.Counters[obs.MSupAttempts]; got < 2 {
+		t.Errorf("%s = %d in the server's metrics, want >= 2", obs.MSupAttempts, got)
+	}
+	fired := obs.MFaultPrefix + faultpoint.QCacheMiss.String()
+	if want := int64(reg.Fired(faultpoint.QCacheMiss)); want == 0 || snap.Counters[fired] != want {
+		t.Errorf("%s = %d in the server's metrics, the registry fired %d", fired, snap.Counters[fired], want)
+	}
+}
+
 // TestServerEndpoints: healthz reports live admission state, metrics
 // exposes the service counters, and trace is 404 without a tracer but
 // serves Chrome-trace JSON with one.

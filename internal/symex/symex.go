@@ -127,14 +127,10 @@ type state struct {
 	regs  []Value
 	cells []cell
 	cond  *bv.Bool
-	// path is cond prepared by the query cache at the last feasibility
-	// check, or nil. It is immutable, so forks share it; a state whose cond
-	// moves without a check (a merge) starts without one.
-	path *qcache.Path
-	// decided is the simplified condition the state's last feasibility check
-	// found feasible, or nil; forks copy it and a merged state starts
-	// without one. A check whose condition simplifies to it is answered
-	// without a query (see feasible).
+	// decided is the simplified condition the state's last feasibility query
+	// found Sat, or nil; forks copy it and a merged state starts without
+	// one. A check whose condition simplifies to it is answered without a
+	// query (see feasible).
 	decided *bv.Bool
 	block   *cir.Block
 	prev    *cir.Block
@@ -181,7 +177,6 @@ func (s *state) fork() *state {
 		regs:    make([]Value, len(s.regs)),
 		cells:   slices.Clone(s.cells),
 		cond:    s.cond,
-		path:    s.path,
 		decided: s.decided,
 		block:   s.block,
 		prev:    s.prev,
@@ -503,10 +498,10 @@ func (e *Engine) resolvePhis(s *state, f *cir.Func) error {
 }
 
 // feasible asks the solver whether cond, which extends s's path condition,
-// is satisfiable, and on success leaves cond's prepared path on s; on
-// budget exhaustion it conservatively answers true. A cond that simplifies
-// to the condition s last found feasible is answered true without a query:
-// it is equivalent to a condition already shown satisfiable.
+// is satisfiable; on budget exhaustion it conservatively answers true. A
+// cond that simplifies to the condition s last found feasible is answered
+// true without a query: it is equivalent to a condition already shown
+// satisfiable.
 func (e *Engine) feasible(s *state, cond *bv.Bool) bool {
 	// Value-numbering fast path: merged path conditions routinely simplify
 	// to a constant (a join disjunction folding to True, or a branch
@@ -518,7 +513,6 @@ func (e *Engine) feasible(s *state, cond *bv.Bool) bool {
 	sc := e.In.SimplifyBool(cond)
 	switch sc {
 	case bv.True:
-		s.path = nil
 		return true
 	case bv.False:
 		return false
@@ -526,11 +520,10 @@ func (e *Engine) feasible(s *state, cond *bv.Bool) bool {
 		return true
 	}
 	e.Budget.Add(engine.SolverQueries, 1)
-	// The cache simplifies sc again, exactly as Decide would; the second
-	// pass is not idempotent on merged shapes, and Extend must see what
-	// Decide sees to make the same decisions. A nil cache solves sc as is.
-	var st sat.Status
-	if st, s.path = e.Cache.Extend(e.Budget, s.path, sc); st == sat.Unsat {
+	// The cache simplifies sc again; the second pass is not idempotent on
+	// merged shapes (DESIGN §8). A nil cache solves sc as is.
+	st := e.Cache.Decide(e.Budget, sc)
+	if st == sat.Unsat {
 		return false
 	}
 	// An Unknown answer keeps the state, conservatively, but proves nothing:
@@ -608,9 +601,6 @@ func (e *Engine) selectByte(s *state, buf []*bv.Term, off *bv.Term) (*bv.Term, e
 		return buf[int32(v)], nil
 	}
 	inBounds := bvin.Ult(off, bvin.Int32(int64(len(buf))))
-	// The out-of-bounds complement below extends the path as it was before
-	// the in-bounds side's check replaced it.
-	parent := s.path
 	newCond := bvin.BAnd2(s.cond, inBounds)
 	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(s, newCond)) {
 		return nil, ErrOOB
@@ -620,7 +610,7 @@ func (e *Engine) selectByte(s *state, buf []*bv.Term, off *bv.Term) (*bv.Term, e
 	// cursors whose feasible range straddles the buffer end, and dropping
 	// the overflowing models would leave concrete inputs no path claims.
 	if oob := bvin.BAnd2(s.cond, bvin.BNot1(inBounds)); oob != bv.False {
-		if o := (&state{cond: oob, path: parent}); !e.CheckFeasibility || e.feasible(o, oob) {
+		if o := (&state{cond: oob}); !e.CheckFeasibility || e.feasible(o, oob) {
 			e.emit(o, Value{}, ErrOOB)
 		}
 	}
