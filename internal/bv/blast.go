@@ -10,15 +10,16 @@ import (
 // CDCL SAT solver. A Solver is multi-shot: constraints may be Asserted and
 // Checked repeatedly, and CheckAssumingLits answers queries under temporary
 // assumptions without asserting them. The Tseitin encoding of every formula
-// ever blasted is memoized (termBits/boolLits), so symex forks sharing a path
+// ever blasted is memoized (termBits/boolLits, indexed by node number, so a
+// Solver encodes the formulas of one interner), so symex forks sharing a path
 // prefix re-use the prefix's encoding and only blast their new branch
 // condition — the incremental backbone of internal/qcache. Models must be
 // read back (ModelAssignment) before the next Assert or Check, which
 // invalidate them.
 type Solver struct {
 	sat      *sat.Solver
-	termBits map[*Term][]sat.Lit
-	boolLits map[*Bool]sat.Lit
+	termBits Pages[[]sat.Lit] // nil until the term is blasted
+	boolLits Pages[blasted]
 	varBits  map[string][]sat.Lit // per variable name, for model extraction
 	boolVars map[string]sat.Lit
 	trueLit  sat.Lit
@@ -36,12 +37,16 @@ type Solver struct {
 	blastHits int64
 }
 
+// blasted is a Bool's row in boolLits: its literal, once ok.
+type blasted struct {
+	lit sat.Lit
+	ok  bool
+}
+
 // NewSolver returns an empty bit-vector solver.
 func NewSolver() *Solver {
 	s := &Solver{
 		sat:      sat.New(),
-		termBits: map[*Term][]sat.Lit{},
-		boolLits: map[*Bool]sat.Lit{},
 		varBits:  map[string][]sat.Lit{},
 		boolVars: map[string]sat.Lit{},
 	}
@@ -117,7 +122,7 @@ func (s *Solver) muxLit(c, a, b sat.Lit) sat.Lit {
 
 // bits returns the SAT literals representing each bit of t (LSB first).
 func (s *Solver) bits(t *Term) []sat.Lit {
-	if bs, ok := s.termBits[t]; ok {
+	if bs := *s.termBits.At(t.num); bs != nil {
 		s.blastHits++
 		return bs
 	}
@@ -215,7 +220,7 @@ func (s *Solver) bits(t *Term) []sat.Lit {
 	default:
 		panic("bv: cannot blast term kind")
 	}
-	s.termBits[t] = out
+	*s.termBits.At(t.num) = out
 	return out
 }
 
@@ -253,9 +258,9 @@ func (s *Solver) eqLit(a, b []sat.Lit) sat.Lit {
 
 // lit returns the SAT literal representing the truth of b.
 func (s *Solver) lit(b *Bool) sat.Lit {
-	if l, ok := s.boolLits[b]; ok {
+	if e := s.boolLits.At(b.num); e.ok {
 		s.blastHits++
-		return l
+		return e.lit
 	}
 	var out sat.Lit
 	switch b.Kind {
@@ -283,7 +288,7 @@ func (s *Solver) lit(b *Bool) sat.Lit {
 	default:
 		panic("bv: cannot blast bool kind")
 	}
-	s.boolLits[b] = out
+	*s.boolLits.At(b.num) = blasted{out, true}
 	return out
 }
 

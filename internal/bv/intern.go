@@ -2,6 +2,7 @@ package bv
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -25,18 +26,21 @@ import (
 // equal; terms from different Interners may be structurally equal without
 // being pointer-equal — which is always safe, because every rewrite keyed on
 // pointer equality (a == b, cond == True) only assumes the forward
-// direction, pointer-equal ⇒ structurally equal.
+// direction, pointer-equal ⇒ structurally equal. Node numbers are per
+// interner as well (dense.go), so the side tables indexed by them hold one
+// interner's nodes, and a formula must not mix nodes of two interners.
 //
 // Lookups come first and allocate nothing. Each table is an open-addressing
 // array of node pointers (table.go) with a structural hash: kind, width and
 // value, the children by address, and the name only for variables. A
 // constructor builds its candidate node on the stack, hashes it outside the
-// lock, and only a miss copies it into the next node of a 256-node slab. The
-// 8-bit constants, which every concrete string and gadget argument is made
-// of, and the 32-bit constants 0..1023, which symex builds its offsets and
-// indexes from, also sit in lazily filled arrays that skip the table on
-// later calls; a slot is filled through intern on first use, so a new
-// constant is counted and charged exactly like any other new node.
+// lock, and only a miss copies it into the next node of a 256-node slab and
+// gives it the next number of its sort. The 8-bit constants, which every
+// concrete string and gadget argument is made of, and the 32-bit constants
+// 0..1023, which symex builds its offsets and indexes from, also sit in
+// lazily filled arrays that skip the table on later calls; a slot is filled
+// through intern on first use, so a new constant is counted and charged
+// exactly like any other new node.
 
 // DefaultSoftCap is the default per-interner table size at which the tables
 // are cleared; see Interner.SetSoftCap.
@@ -48,11 +52,14 @@ const DefaultSoftCap = 1 << 21
 // the intended discipline is one Interner per concurrent run.
 type Interner struct {
 	mu    sync.Mutex
-	terms table[Term]
-	bools table[Bool]
+	terms table[Term, *Term]
+	bools table[Bool, *Bool]
 	// The slabs new nodes are carved from.
 	termSlab []Term
 	boolSlab []Bool
+	// termNum and boolNum are the numbers the next new term and bool get
+	// (dense.go).
+	termNum, boolNum uint32
 	// bytes[v] is the interned 8-bit constant v, and int32s[v] the 32-bit
 	// constant v, or nil before its first use. Written only under mu (by
 	// intern, and cleared with terms at the soft cap), read without it.
@@ -63,14 +70,15 @@ type Interner struct {
 	faults  *faultpoint.Registry
 	nodes   int64
 
-	// Rewrite-before-blast simplification memo (see simplify.go). Guarded by
-	// simpMu, which is always acquired before mu (the simplifier calls the
-	// constructors, which take mu), never the other way around.
-	simpMu       sync.Mutex
-	simpTermTab  map[*Term]*Term
-	simpBoolTab  map[*Bool]*Bool
-	simpOutBools map[*Bool]struct{}
-	simpOutTerms map[*Term]struct{}
+	// Rewrite-before-blast simplification memo (see simplify.go), and the
+	// guard pruner's per-conjunct scratch (vn.go). Guarded by simpMu, which
+	// is always acquired before mu (the simplifier calls the constructors,
+	// which take mu), never the other way around.
+	simpMu     sync.Mutex
+	simpTerms  Pages[simpEntry[Term]]
+	simpBools  Pages[simpEntry[Bool]]
+	pruneTerms Marks[*Term]
+	pruneBools Marks[*Bool]
 	// tally counts the running call's work (see simpTally), guarded by
 	// simpMu like the tables it instruments.
 	tally simpTally
@@ -78,7 +86,7 @@ type Interner struct {
 
 // NewInterner returns an empty interner with the default soft cap.
 func NewInterner() *Interner {
-	return &Interner{softCap: DefaultSoftCap}
+	return &Interner{softCap: DefaultSoftCap, boolNum: 2}
 }
 
 // int32Consts bounds the 32-bit constant table: Int32(v) for 0 <= v <
@@ -163,6 +171,7 @@ func (in *Interner) intern(t Term) *Term {
 	}
 	n := carve(&in.termSlab)
 	*n = t
+	n.num = nextNum(&in.termNum)
 	in.terms.insert(n, h, at)
 	if t.Kind == KConst {
 		switch {
@@ -196,6 +205,7 @@ func (in *Interner) internBool(b Bool) *Bool {
 	}
 	n := carve(&in.boolSlab)
 	*n = b
+	n.num = nextNum(&in.boolNum)
 	in.bools.insert(n, h, at)
 	in.nodes++
 	bud, f := in.budget, in.faults
@@ -204,5 +214,17 @@ func (in *Interner) internBool(b Bool) *Bool {
 	if f.Fire(faultpoint.BVNodeExhaust) {
 		bud.Fail(errInjectedNodeExhaustion)
 	}
+	return n
+}
+
+// nextNum hands out the number *next and advances it. Numbers are never
+// reused, so running out of them is fatal; an interner serves one
+// pipeline, and a whole Table 3 sweep interns about 200,000 nodes.
+func nextNum(next *uint32) uint32 {
+	n := *next
+	if n == math.MaxUint32 {
+		panic("bv: interner ran out of node numbers")
+	}
+	*next = n + 1
 	return n
 }

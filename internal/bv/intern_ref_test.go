@@ -27,6 +27,20 @@ func newRefTables(t *testing.T, cap int) *refTables {
 		seenT: map[*Term]bool{}, seenB: map[*Bool]bool{}}
 }
 
+// shapeT and shapeB return a node's structure: the node with its number
+// cleared, so nodes compare as the hash-cons tables compare them.
+func shapeT(t *Term) Term {
+	s := *t
+	s.num = 0
+	return s
+}
+
+func shapeB(b *Bool) Bool {
+	s := *b
+	s.num = 0
+	return s
+}
+
 // addTerm records a node not seen before, children first, which is the
 // order the constructors intern them in.
 func (r *refTables) addTerm(p *Term) {
@@ -42,10 +56,10 @@ func (r *refTables) addTerm(p *Term) {
 		clear(r.terms)
 		r.termClears++
 	}
-	if old, ok := r.terms[*p]; ok {
+	if old, ok := r.terms[shapeT(p)]; ok {
 		r.t.Fatalf("step %d: new node %p duplicates %p = %v in the current table", r.step, p, old, old)
 	}
-	r.terms[*p] = p
+	r.terms[shapeT(p)] = p
 }
 
 func (r *refTables) addBool(p *Bool) {
@@ -62,10 +76,10 @@ func (r *refTables) addBool(p *Bool) {
 		clear(r.bools)
 		r.boolClears++
 	}
-	if old, ok := r.bools[*p]; ok {
+	if old, ok := r.bools[shapeB(p)]; ok {
 		r.t.Fatalf("step %d: new node %p duplicates %p = %v in the current table", r.step, p, old, old)
 	}
-	r.bools[*p] = p
+	r.bools[shapeB(p)] = p
 }
 
 // reaches reports whether target is one of the nodes, or below one of them.
@@ -112,117 +126,29 @@ func reaches(target any, terms []*Term, bools []*Bool) bool {
 func TestInternerMatchesReferenceTable(t *testing.T) {
 	in := NewInterner()
 	ref := newRefTables(t, DefaultSoftCap)
-	rng := rand.New(rand.NewSource(1))
-	names := []string{"a", "b", "c", "d", "e"}
-	pool8 := []*Term{in.Var("x", 8)}
-	pool32 := []*Term{in.Var("x", 32)}
-	poolB := []*Bool{in.BoolVar("p")}
-	ref.addTerm(pool8[0])
-	ref.addTerm(pool32[0])
-	ref.addBool(poolB[0])
-
-	pick := func(pool []*Term) *Term { return pool[rng.Intn(len(pool))] }
-	pickNonConst := func(pool []*Term) *Term {
-		for {
-			if t := pick(pool); t.Kind != KConst {
-				return t
-			}
-		}
-	}
-	pickB := func() *Bool { return poolB[rng.Intn(len(poolB))] }
-	keep := func(pool *[]*Term, t *Term) {
-		if len(*pool) < 64 {
-			*pool = append(*pool, t)
-		} else {
-			(*pool)[rng.Intn(len(*pool))] = t
-		}
-	}
+	g := newDAGGen(in, rand.New(rand.NewSource(1)))
+	ref.addTerm(g.pool8[0])
+	ref.addTerm(g.pool32[0])
+	ref.addBool(g.poolB[0])
 
 	run := func(steps int) {
 		for i := 0; i < steps; i++ {
 			ref.step++
 			before := in.Nodes()
-			var opsT []*Term
-			var opsB []*Bool
-			var gotT *Term
-			var gotB *Bool
-			w, pool := 8, &pool8
-			if rng.Intn(2) == 0 {
-				w, pool = 32, &pool32
-			}
-			a, b := pick(*pool), pick(*pool)
-			switch op := rng.Intn(18); op {
-			case 0:
-				gotT = in.Var(names[rng.Intn(len(names))], w)
-			case 1:
-				// Both sides of the 32-bit constant table's bound.
-				gotT = in.Const(w, uint64(rng.Intn(1100)))
-			case 2:
-				opsT, gotT = []*Term{a}, in.Not(a)
-			case 3:
-				opsT, gotT = []*Term{a, b}, in.And(a, b)
-			case 4:
-				opsT, gotT = []*Term{a, b}, in.Or(a, b)
-			case 5:
-				opsT, gotT = []*Term{a, b}, in.Xor(a, b)
-			case 6:
-				// Non-constant operands: constant folding could intern a
-				// node the result does not reach.
-				a, b = pickNonConst(*pool), pickNonConst(*pool)
-				opsT, gotT = []*Term{a, b}, in.Add(a, b)
-			case 7:
-				a, b = pickNonConst(*pool), pickNonConst(*pool)
-				opsT, gotT = []*Term{a, b}, in.Sub(a, b)
-			case 8:
-				c := pickB()
-				opsT, opsB, gotT = []*Term{a, b}, []*Bool{c}, in.Ite(c, a, b)
-			case 9:
-				opsT, gotT = []*Term{a}, in.ShlC(a, 1+rng.Intn(w))
-			case 10:
-				opsT, gotT = []*Term{a}, in.LshrC(a, 1+rng.Intn(w))
-			case 11:
-				a = pick(pool8)
-				w, pool = 32, &pool32
-				opsT, gotT = []*Term{a}, in.Zext(a, 32)
-			case 12:
-				gotB = in.BoolVar(names[rng.Intn(len(names))])
-			case 13:
-				c := pickB()
-				opsB, gotB = []*Bool{c}, in.BNot1(c)
-			case 14:
-				c, d := pickB(), pickB()
-				opsB, gotB = []*Bool{c, d}, in.BAnd2(c, d)
-			case 15:
-				c, d := pickB(), pickB()
-				opsB, gotB = []*Bool{c, d}, in.BOr2(c, d)
-			case 16:
-				opsT, gotB = []*Term{a, b}, in.Eq(a, b)
-			case 17:
-				if rng.Intn(2) == 0 {
-					opsT, gotB = []*Term{a, b}, in.Ult(a, b)
-				} else {
-					opsT, gotB = []*Term{a, b}, in.Ule(a, b)
-				}
-			}
 			distinct := ref.distinct
+			opsT, opsB, gotT, gotB := g.step()
 			switch {
 			case gotT != nil:
 				isNew := !ref.seenT[gotT]
 				ref.addTerm(gotT)
-				if !isNew && ref.terms[*gotT] != gotT && !reaches(gotT, opsT, opsB) {
+				if !isNew && ref.terms[shapeT(gotT)] != gotT && !reaches(gotT, opsT, opsB) {
 					t.Fatalf("step %d: %v is neither new, nor the table's node, nor below an operand", ref.step, gotT)
 				}
-				keep(pool, gotT)
 			case gotB != True && gotB != False:
 				isNew := !ref.seenB[gotB]
 				ref.addBool(gotB)
-				if !isNew && ref.bools[*gotB] != gotB && !reaches(gotB, opsT, opsB) {
+				if !isNew && ref.bools[shapeB(gotB)] != gotB && !reaches(gotB, opsT, opsB) {
 					t.Fatalf("step %d: %v is neither new, nor the table's node, nor below an operand", ref.step, gotB)
-				}
-				if len(poolB) < 64 {
-					poolB = append(poolB, gotB)
-				} else {
-					poolB[rng.Intn(len(poolB))] = gotB
 				}
 			}
 			if got, want := in.Nodes()-before, ref.distinct-distinct; got != want {
@@ -249,4 +175,114 @@ func TestInternerMatchesReferenceTable(t *testing.T) {
 	if got := in.Nodes(); got != ref.distinct {
 		t.Fatalf("Nodes() = %d, the reference counted %d distinct nodes", got, ref.distinct)
 	}
+}
+
+// dagGen builds random term and formula DAGs through an interner's
+// constructors: each step applies one random constructor to nodes drawn
+// from its pools of 8-bit terms, 32-bit terms and formulas, and keeps the
+// result in a pool (at most 64 nodes each, replacing a random one when
+// full).
+type dagGen struct {
+	in            *Interner
+	rng           *rand.Rand
+	names         []string
+	pool8, pool32 []*Term
+	poolB         []*Bool
+}
+
+func newDAGGen(in *Interner, rng *rand.Rand) *dagGen {
+	return &dagGen{in: in, rng: rng, names: []string{"a", "b", "c", "d", "e"},
+		pool8: []*Term{in.Var("x", 8)}, pool32: []*Term{in.Var("x", 32)},
+		poolB: []*Bool{in.BoolVar("p")}}
+}
+
+func (g *dagGen) pick(pool []*Term) *Term { return pool[g.rng.Intn(len(pool))] }
+
+func (g *dagGen) pickNonConst(pool []*Term) *Term {
+	for {
+		if t := g.pick(pool); t.Kind != KConst {
+			return t
+		}
+	}
+}
+
+func (g *dagGen) pickB() *Bool { return g.poolB[g.rng.Intn(len(g.poolB))] }
+
+// step applies one constructor and returns its operands and its result,
+// a term (gotT) or a formula (gotB).
+func (g *dagGen) step() (opsT []*Term, opsB []*Bool, gotT *Term, gotB *Bool) {
+	in, rng := g.in, g.rng
+	w, pool := 8, &g.pool8
+	if rng.Intn(2) == 0 {
+		w, pool = 32, &g.pool32
+	}
+	a, b := g.pick(*pool), g.pick(*pool)
+	switch op := rng.Intn(18); op {
+	case 0:
+		gotT = in.Var(g.names[rng.Intn(len(g.names))], w)
+	case 1:
+		// Both sides of the 32-bit constant table's bound.
+		gotT = in.Const(w, uint64(rng.Intn(1100)))
+	case 2:
+		opsT, gotT = []*Term{a}, in.Not(a)
+	case 3:
+		opsT, gotT = []*Term{a, b}, in.And(a, b)
+	case 4:
+		opsT, gotT = []*Term{a, b}, in.Or(a, b)
+	case 5:
+		opsT, gotT = []*Term{a, b}, in.Xor(a, b)
+	case 6:
+		// Non-constant operands: constant folding could intern a
+		// node the result does not reach.
+		a, b = g.pickNonConst(*pool), g.pickNonConst(*pool)
+		opsT, gotT = []*Term{a, b}, in.Add(a, b)
+	case 7:
+		a, b = g.pickNonConst(*pool), g.pickNonConst(*pool)
+		opsT, gotT = []*Term{a, b}, in.Sub(a, b)
+	case 8:
+		c := g.pickB()
+		opsT, opsB, gotT = []*Term{a, b}, []*Bool{c}, in.Ite(c, a, b)
+	case 9:
+		opsT, gotT = []*Term{a}, in.ShlC(a, 1+rng.Intn(w))
+	case 10:
+		opsT, gotT = []*Term{a}, in.LshrC(a, 1+rng.Intn(w))
+	case 11:
+		a = g.pick(g.pool8)
+		pool = &g.pool32
+		opsT, gotT = []*Term{a}, in.Zext(a, 32)
+	case 12:
+		gotB = in.BoolVar(g.names[rng.Intn(len(g.names))])
+	case 13:
+		c := g.pickB()
+		opsB, gotB = []*Bool{c}, in.BNot1(c)
+	case 14:
+		c, d := g.pickB(), g.pickB()
+		opsB, gotB = []*Bool{c, d}, in.BAnd2(c, d)
+	case 15:
+		c, d := g.pickB(), g.pickB()
+		opsB, gotB = []*Bool{c, d}, in.BOr2(c, d)
+	case 16:
+		opsT, gotB = []*Term{a, b}, in.Eq(a, b)
+	case 17:
+		if rng.Intn(2) == 0 {
+			opsT, gotB = []*Term{a, b}, in.Ult(a, b)
+		} else {
+			opsT, gotB = []*Term{a, b}, in.Ule(a, b)
+		}
+	}
+	switch {
+	case gotT != nil:
+		if len(*pool) < 64 {
+			*pool = append(*pool, gotT)
+		} else {
+			(*pool)[rng.Intn(len(*pool))] = gotT
+		}
+	case gotB != True && gotB != False:
+		if len(g.poolB) < 64 {
+			g.poolB = append(g.poolB, gotB)
+		} else {
+			g.poolB[rng.Intn(len(g.poolB))] = gotB
+		}
+	}
+	return opsT, opsB, gotT, gotB
 }

@@ -8,7 +8,6 @@ import (
 
 	"stringloops/internal/engine"
 	"stringloops/internal/faultpoint"
-	"stringloops/internal/sat"
 )
 
 func TestInternerPointerEquality(t *testing.T) {
@@ -28,11 +27,11 @@ func TestSeparateInternersShareNothing(t *testing.T) {
 	if a == b {
 		t.Fatal("distinct interners must not share nodes")
 	}
-	// Mixing is safe: rewrites only rely on pointer-equal => structurally
-	// equal, so a cross-interner combination must still evaluate correctly.
-	f := in1.Eq(a, b)
-	if st, _ := CheckSat(nil, in1.BNot1(f)); st != sat.Unsat {
-		t.Fatal("x+1 == x+1 must hold across interners")
+	// Node numbers are per interner: built in the same order, the two
+	// nodes get the same number, which is why a table indexed by number
+	// (a memo, an Evaluator, a Solver) may hold one interner's nodes only.
+	if a.Num() != b.Num() {
+		t.Fatalf("numbers %d and %d: two interners must number alike", a.Num(), b.Num())
 	}
 }
 
@@ -124,7 +123,7 @@ func TestByteTableSurvivesSoftCapClear(t *testing.T) {
 	if a != b {
 		t.Fatal("after a soft-cap clear, Byte(7) twice must still be pointer-equal")
 	}
-	if *a != *old {
+	if shapeT(a) != shapeT(old) {
 		t.Fatalf("rebuilt constant %v differs structurally from %v", a, old)
 	}
 	nodes := in.Nodes()
@@ -132,7 +131,7 @@ func TestByteTableSurvivesSoftCapClear(t *testing.T) {
 	if a32 != b32 {
 		t.Fatal("after a soft-cap clear, Int32(1000) twice must still be pointer-equal")
 	}
-	if a32 == old32 || *a32 != *old32 {
+	if a32 == old32 || shapeT(a32) != shapeT(old32) {
 		t.Fatalf("rebuilt constant %p = %v, want a new node equal to %p = %v", a32, a32, old32, old32)
 	}
 	if got := in.Nodes() - nodes; got != 1 {

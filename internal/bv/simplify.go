@@ -19,13 +19,13 @@ import "stringloops/internal/engine"
 //   - nested same-guard ites: c ? a : (c ? _ : b)  ⇒  c ? a : b
 //   - complement literals:    a ∧ ¬a ⇒ false,  a ∨ ¬a ⇒ true
 //
-// Results are memoized per interner, so the incremental query streams the
-// qcache layer produces (each query extending the last by one conjunct) pay
-// only for their new suffix. Simplification is equivalence-preserving: a
-// variable can only disappear from a formula when its value is a don't-care,
-// so models of the simplified formula extend to models of the original by
-// zero-filling — exactly the convention the qcache model-restriction code
-// already uses.
+// Results are memoized per interner, in tables indexed by node number
+// (dense.go), so the incremental query streams the qcache layer produces
+// (each query extending the last by one conjunct) pay only for their new
+// suffix. Simplification is equivalence-preserving: a variable can only
+// disappear from a formula when its value is a don't-care, so models of the
+// simplified formula extend to models of the original by zero-filling —
+// exactly the convention the qcache model-restriction code already uses.
 
 // simpTally is the work of one top-level simplifier or pruning call. Node
 // accounting piggybacks on the memoized traversal: nodesIn counts each
@@ -42,20 +42,19 @@ type simpTally struct {
 	fusions  int64 // ite-aware rewrites: fusions, pull-ups, guard prunes
 }
 
-// simpEnter readies the memo tables; caller holds simpMu. simpExit charges
-// the call's tally to the interner budget, the only place the counts are
-// kept, and clears it. The charge happens after simpMu is released (budget
-// adds are atomic, and taking the charge outside simpMu keeps the lock
-// order simpMu → mu one-way).
-func (in *Interner) simpEnter() {
-	if in.simpBoolTab == nil {
-		in.simpBoolTab = map[*Bool]*Bool{}
-		in.simpTermTab = map[*Term]*Term{}
-		in.simpOutBools = map[*Bool]struct{}{}
-		in.simpOutTerms = map[*Term]struct{}{}
-	}
+// simpEntry is a node's row in the simplifier memo: the node it simplifies
+// to (nil until the simplifier has visited it), and whether the simplifier
+// has produced the node itself as a result.
+type simpEntry[N any] struct {
+	to  *N
+	out bool
 }
 
+// simpExit charges the call's tally to the interner budget, the only place
+// the counts are kept, clears it and releases simpMu, which the caller
+// holds. The charge happens after simpMu is released (budget adds are
+// atomic, and taking the charge outside simpMu keeps the lock order simpMu
+// → mu one-way).
 func (in *Interner) simpExit() {
 	t := in.tally
 	in.tally = simpTally{}
@@ -75,7 +74,6 @@ func (in *Interner) simpExit() {
 // new suffix.
 func (in *Interner) SimplifyBool(b *Bool) *Bool {
 	in.simpMu.Lock()
-	in.simpEnter()
 	r := in.simpBool(b)
 	in.tally.calls++
 	in.simpExit()
@@ -85,7 +83,6 @@ func (in *Interner) SimplifyBool(b *Bool) *Bool {
 // SimplifyTerm returns a term equivalent to t, rewritten bottom-up.
 func (in *Interner) SimplifyTerm(t *Term) *Term {
 	in.simpMu.Lock()
-	in.simpEnter()
 	r := in.simpTerm(t)
 	in.tally.calls++
 	in.simpExit()
@@ -94,9 +91,10 @@ func (in *Interner) SimplifyTerm(t *Term) *Term {
 
 // simpBool is the memoized recursive worker. Caller holds simpMu.
 func (in *Interner) simpBool(b *Bool) *Bool {
-	if r, ok := in.simpBoolTab[b]; ok {
+	e := in.simpBools.At(b.num)
+	if e.to != nil {
 		in.tally.hits++
-		return r
+		return e.to
 	}
 	in.tally.nodesIn++
 	var r *Bool
@@ -128,9 +126,9 @@ func (in *Interner) simpBool(b *Bool) *Bool {
 	default:
 		r = b
 	}
-	in.simpBoolTab[b] = r
-	if _, seen := in.simpOutBools[r]; !seen {
-		in.simpOutBools[r] = struct{}{}
+	e.to = r
+	if o := in.simpBools.At(r.num); !o.out {
+		o.out = true
 		in.tally.nodesOut++
 	}
 	return r
@@ -264,9 +262,10 @@ func (in *Interner) condBool(c, t, e *Bool) *Bool {
 
 // simpTerm is the memoized recursive term worker. Caller holds simpMu.
 func (in *Interner) simpTerm(t *Term) *Term {
-	if r, ok := in.simpTermTab[t]; ok {
+	e := in.simpTerms.At(t.num)
+	if e.to != nil {
 		in.tally.hits++
-		return r
+		return e.to
 	}
 	in.tally.nodesIn++
 	var r *Term
@@ -308,9 +307,9 @@ func (in *Interner) simpTerm(t *Term) *Term {
 	default:
 		r = t
 	}
-	in.simpTermTab[t] = r
-	if _, seen := in.simpOutTerms[r]; !seen {
-		in.simpOutTerms[r] = struct{}{}
+	e.to = r
+	if o := in.simpTerms.At(r.num); !o.out {
+		o.out = true
 		in.tally.nodesOut++
 	}
 	return r
@@ -349,44 +348,4 @@ func constArm(t *Term) bool {
 	_, aok := t.A.IsConst()
 	_, bok := t.B.IsConst()
 	return aok || bok
-}
-
-// ---- DAG node counting (term-count stats) ----
-
-type nodeCounter struct {
-	bools map[*Bool]bool
-	terms map[*Term]bool
-}
-
-func (c *nodeCounter) boolNode(b *Bool) {
-	if b == nil || c.bools[b] {
-		return
-	}
-	c.bools[b] = true
-	switch b.Kind {
-	case BNot, BAnd, BOr:
-		c.boolNode(b.A)
-		c.boolNode(b.B)
-	case BEq, BUlt, BUle:
-		c.termNode(b.X)
-		c.termNode(b.Y)
-	}
-}
-
-func (c *nodeCounter) termNode(t *Term) {
-	if t == nil || c.terms[t] {
-		return
-	}
-	c.terms[t] = true
-	c.boolNode(t.Cond)
-	c.termNode(t.A)
-	c.termNode(t.B)
-}
-
-// CountBoolNodes returns the number of distinct DAG nodes (terms and bools)
-// reachable from f.
-func CountBoolNodes(f *Bool) int64 {
-	c := &nodeCounter{bools: map[*Bool]bool{}, terms: map[*Term]bool{}}
-	c.boolNode(f)
-	return int64(len(c.bools) + len(c.terms))
 }

@@ -182,3 +182,41 @@ func TestSimplifyIdempotentAndMemoized(t *testing.T) {
 		t.Fatalf("memo miss: same input gave %v then %v", g, g2)
 	}
 }
+
+type nodeCounter struct {
+	bools map[*Bool]bool
+	terms map[*Term]bool
+}
+
+func (c *nodeCounter) boolNode(b *Bool) {
+	if b == nil || c.bools[b] {
+		return
+	}
+	c.bools[b] = true
+	switch b.Kind {
+	case BNot, BAnd, BOr:
+		c.boolNode(b.A)
+		c.boolNode(b.B)
+	case BEq, BUlt, BUle:
+		c.termNode(b.X)
+		c.termNode(b.Y)
+	}
+}
+
+func (c *nodeCounter) termNode(t *Term) {
+	if t == nil || c.terms[t] {
+		return
+	}
+	c.terms[t] = true
+	c.boolNode(t.Cond)
+	c.termNode(t.A)
+	c.termNode(t.B)
+}
+
+// CountBoolNodes returns the number of distinct DAG nodes (terms and bools)
+// reachable from f.
+func CountBoolNodes(f *Bool) int64 {
+	c := &nodeCounter{bools: map[*Bool]bool{}, terms: map[*Term]bool{}}
+	c.boolNode(f)
+	return int64(len(c.bools) + len(c.terms))
+}

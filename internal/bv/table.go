@@ -9,12 +9,32 @@ import (
 // table is an open-addressing hash-cons table of interned nodes: a
 // power-of-two array of (hash, node) slots probed linearly, kept at most
 // three-quarters full. A probe skips slots whose stored hash differs and
-// compares the rest by struct equality, so a hit dereferences one node in
-// the common case and a lookup allocates nothing. Nodes are never removed
-// one by one; reset empties the whole table at the soft cap.
-type table[N comparable] struct {
+// compares the rest by structure, ignoring the node number, so a hit
+// dereferences one node in the common case and a lookup allocates nothing.
+// Nodes are never removed one by one; reset empties the whole table at the
+// soft cap.
+type table[N any, P node[N]] struct {
 	slots []slot[N]
 	n     int // occupied slots
+}
+
+// node is the pointer type of an interned node: its same method reports
+// structural equality with another node, numbers ignored. The other node
+// is passed by value, so a probe's stack key does not escape through the
+// method call and a hit still allocates nothing.
+type node[N any] interface {
+	*N
+	same(N) bool
+}
+
+func (t *Term) same(o Term) bool {
+	return t.Kind == o.Kind && t.Width == o.Width && t.Val == o.Val &&
+		t.A == o.A && t.B == o.B && t.Cond == o.Cond && t.Name == o.Name
+}
+
+func (b *Bool) same(o Bool) bool {
+	return b.Kind == o.Kind && b.Val == o.Val && b.A == o.A && b.B == o.B &&
+		b.X == o.X && b.Y == o.Y && b.Name == o.Name
 }
 
 type slot[N any] struct {
@@ -28,7 +48,7 @@ const tableMinSlots = 64
 // find returns the interned node equal to *key, whose hash is h, or nil and
 // the index of the empty slot where it belongs (-1 when the table has no
 // array yet).
-func (t *table[N]) find(key *N, h uint64) (*N, int) {
+func (t *table[N, P]) find(key *N, h uint64) (*N, int) {
 	if t.slots == nil {
 		return nil, -1
 	}
@@ -38,7 +58,7 @@ func (t *table[N]) find(key *N, h uint64) (*N, int) {
 		if s.node == nil {
 			return nil, int(i)
 		}
-		if s.h == h && *s.node == *key {
+		if s.h == h && P(s.node).same(*key) {
 			return s.node, int(i)
 		}
 	}
@@ -46,7 +66,7 @@ func (t *table[N]) find(key *N, h uint64) (*N, int) {
 
 // insert adds node, whose hash is h, at the empty slot find returned for
 // it, growing the array first when the node would fill it beyond 3/4.
-func (t *table[N]) insert(node *N, h uint64, at int) {
+func (t *table[N, P]) insert(node *N, h uint64, at int) {
 	if (t.n+1)*4 > len(t.slots)*3 {
 		t.grow()
 		at = t.free(h)
@@ -56,7 +76,7 @@ func (t *table[N]) insert(node *N, h uint64, at int) {
 }
 
 // free returns the first empty slot on h's probe sequence.
-func (t *table[N]) free(h uint64) int {
+func (t *table[N, P]) free(h uint64) int {
 	mask := uint64(len(t.slots) - 1)
 	i := h & mask
 	for t.slots[i].node != nil {
@@ -66,7 +86,7 @@ func (t *table[N]) free(h uint64) int {
 }
 
 // grow doubles the array and re-places every node by its stored hash.
-func (t *table[N]) grow() {
+func (t *table[N, P]) grow() {
 	old := t.slots
 	t.slots = make([]slot[N], max(2*len(old), tableMinSlots))
 	for _, s := range old {
@@ -77,7 +97,7 @@ func (t *table[N]) grow() {
 }
 
 // reset empties the table, keeping its array for the nodes to come.
-func (t *table[N]) reset() {
+func (t *table[N, P]) reset() {
 	clear(t.slots)
 	t.n = 0
 }

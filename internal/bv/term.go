@@ -36,6 +36,7 @@ const (
 // rewrites; client code never mutates a Term.
 type Term struct {
 	Kind  Kind
+	num   uint32 // dense per-interner number, in Kind's padding (dense.go)
 	Width int    // bit width, 1..64
 	Val   uint64 // for KConst
 	Name  string // for KVar
@@ -62,15 +63,17 @@ const (
 type Bool struct {
 	Kind BKind
 	Val  bool   // for BConst
+	num  uint32 // dense per-interner number, in the padding (dense.go)
 	Name string // for BVar
 	A, B *Bool  // operands for BNot/BAnd/BOr
 	X, Y *Term  // operands for BEq/BUlt/BUle
 }
 
-// True and False are the boolean constants.
+// True and False are the boolean constants, shared by every interner under
+// the numbers it reserves for them.
 var (
-	True  = &Bool{Kind: BConst, Val: true}
-	False = &Bool{Kind: BConst, Val: false}
+	True  = &Bool{Kind: BConst, Val: true, num: 1}
+	False = &Bool{Kind: BConst, Val: false, num: 0}
 )
 
 func maskFor(width int) uint64 {
@@ -530,18 +533,30 @@ func (t *Term) Eval(a *Assignment) uint64 { return NewEvaluator(a).Term(t) }
 // to false.
 func (b *Bool) Eval(a *Assignment) bool { return NewEvaluator(a).Bool(b) }
 
-// Evaluator evaluates terms and formulas under one fixed assignment with
+// Evaluator evaluates terms and formulas under one assignment with
 // node-level memoization (expression DAGs share subterms heavily; naive
-// recursion is exponential on them).
+// recursion is exponential on them). Its memo is indexed by node number, so
+// one Evaluator serves the nodes of one interner; Reset switches it to
+// another assignment without giving back its pages. The zero Evaluator is
+// ready once Reset.
 type Evaluator struct {
-	a      *Assignment
-	tcache map[*Term]uint64
-	bcache map[*Bool]bool
+	a     *Assignment
+	terms Marks[uint64]
+	bools Marks[bool]
 }
 
 // NewEvaluator returns an evaluator for the assignment (nil means all-zero).
 func NewEvaluator(a *Assignment) *Evaluator {
-	return &Evaluator{a: a, tcache: map[*Term]uint64{}, bcache: map[*Bool]bool{}}
+	e := &Evaluator{}
+	e.Reset(a)
+	return e
+}
+
+// Reset makes e evaluate under a, forgetting every value it memoized.
+func (e *Evaluator) Reset(a *Assignment) {
+	e.a = a
+	e.terms.Reset()
+	e.bools.Reset()
 }
 
 // Term evaluates t.
@@ -549,7 +564,7 @@ func (e *Evaluator) Term(t *Term) uint64 {
 	if t.Kind == KConst {
 		return t.Val
 	}
-	if v, ok := e.tcache[t]; ok {
+	if v, ok := e.terms.Get(t.num); ok {
 		return v
 	}
 	var v uint64
@@ -589,7 +604,7 @@ func (e *Evaluator) Term(t *Term) uint64 {
 	default:
 		panic("bv: unknown term kind")
 	}
-	e.tcache[t] = v
+	e.terms.Set(t.num, v)
 	return v
 }
 
@@ -598,7 +613,7 @@ func (e *Evaluator) Bool(b *Bool) bool {
 	if b.Kind == BConst {
 		return b.Val
 	}
-	if v, ok := e.bcache[b]; ok {
+	if v, ok := e.bools.Get(b.num); ok {
 		return v
 	}
 	var v bool
@@ -622,7 +637,7 @@ func (e *Evaluator) Bool(b *Bool) bool {
 	default:
 		panic("bv: unknown bool kind")
 	}
-	e.bcache[b] = v
+	e.bools.Set(b.num, v)
 	return v
 }
 

@@ -13,13 +13,14 @@ func Conjuncts(dst []*Bool, f *Bool) []*Bool {
 	return append(dst, f)
 }
 
-// VarScanner lists the variables of formulas. Its visited sets are kept
-// between calls, cleared rather than rebuilt, so a caller that scans many
-// formulas does not grow them from empty for each one. The zero value is
-// ready to use; a VarScanner belongs to one goroutine.
+// VarScanner lists the variables of formulas. Its visited sets are indexed
+// by node number and kept between calls, reset by a generation stamp, so a
+// caller that scans many formulas neither clears nor regrows them. The zero
+// value is ready to use; a VarScanner belongs to one goroutine and scans
+// the formulas of one interner.
 type VarScanner struct {
-	seenB map[*Bool]bool
-	seenT map[*Term]bool
+	seenB Marks[struct{}]
+	seenT Marks[struct{}]
 	out   []string
 }
 
@@ -31,11 +32,8 @@ type VarScanner struct {
 // dedupe. Used by constraint-independence slicing to decide which conjuncts
 // interact.
 func (c *VarScanner) Names(dst []string, f *Bool) []string {
-	if c.seenB == nil {
-		c.seenB, c.seenT = map[*Bool]bool{}, map[*Term]bool{}
-	}
-	clear(c.seenB)
-	clear(c.seenT)
+	c.seenB.Reset()
+	c.seenT.Reset()
 	c.out = dst
 	c.boolVars(f)
 	out := c.out
@@ -44,10 +42,13 @@ func (c *VarScanner) Names(dst []string, f *Bool) []string {
 }
 
 func (c *VarScanner) boolVars(f *Bool) {
-	if f == nil || c.seenB[f] {
+	if f == nil {
 		return
 	}
-	c.seenB[f] = true
+	if _, seen := c.seenB.Get(f.num); seen {
+		return
+	}
+	c.seenB.Set(f.num, struct{}{})
 	switch f.Kind {
 	case BVar:
 		c.out = append(c.out, "b:"+f.Name)
@@ -61,10 +62,13 @@ func (c *VarScanner) boolVars(f *Bool) {
 }
 
 func (c *VarScanner) termVars(t *Term) {
-	if t == nil || c.seenT[t] {
+	if t == nil {
 		return
 	}
-	c.seenT[t] = true
+	if _, seen := c.seenT.Get(t.num); seen {
+		return
+	}
+	c.seenT.Set(t.num, struct{}{})
 	if t.Kind == KVar {
 		c.out = append(c.out, "t:"+t.Name)
 		return

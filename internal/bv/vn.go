@@ -1,7 +1,5 @@
 package bv
 
-import "unsafe"
-
 // Guard-implication pruning. A query's path condition is a conjunction, and
 // the ite terms state merging mints frequently embed one of the other
 // conjuncts (or its negation) as a guard: once the qcache layer has split
@@ -34,7 +32,7 @@ import "unsafe"
 // Most conjuncts contain no node another conjunct decides — an enumerated
 // path condition never does — and for them the walk rebuilds nothing. A
 // memo-free probe of the same traversal finds that out first, so the common
-// pass builds no memo tables, and hashed decider counts answer the common
+// pass touches no memo table, and hashed decider counts answer the common
 // "not decided" in O(1) instead of a scan of the conjunction.
 
 // PruneConjuncts rewrites a conjunction in place, one conjunct at a time in
@@ -50,8 +48,7 @@ func (in *Interner) PruneConjuncts(conj []*Bool) (changed bool) {
 		return false
 	}
 	in.simpMu.Lock()
-	in.simpEnter()
-	p := &pruner{in: in, conj: conj}
+	p := &pruner{in: in, conj: conj, bools: &in.pruneBools, terms: &in.pruneTerms}
 	for _, cj := range conj {
 		p.count(cj, 1)
 	}
@@ -60,12 +57,8 @@ func (in *Interner) PruneConjuncts(conj []*Bool) (changed bool) {
 		if !p.mayDecideBool(cj, maxPruneDepth) {
 			continue
 		}
-		if p.bools == nil {
-			p.bools, p.terms = map[*Bool]*Bool{}, map[*Term]*Term{}
-		} else {
-			clear(p.bools)
-			clear(p.terms)
-		}
+		p.bools.Reset()
+		p.terms.Reset()
 		if r := p.boolNode(cj, maxPruneDepth); r != cj {
 			p.count(cj, -1)
 			p.count(r, 1)
@@ -97,8 +90,10 @@ type pruner struct {
 	// none of them decides the node, so most nodes skip the scan in
 	// decided.
 	deciders [256]int32
-	bools    map[*Bool]*Bool
-	terms    map[*Term]*Term
+	// bools and terms memoize the running walk, one conjunct at a time;
+	// they are the interner's scratch, reset per walk.
+	bools *Marks[*Bool]
+	terms *Marks[*Term]
 }
 
 // decided reports the value the conjuncts other than conj[self] fix for b,
@@ -136,10 +131,9 @@ func (p *pruner) count(cj *Bool, n int32) {
 	}
 }
 
-// bucket hashes a node's address to one of the 256 decider counts. Go's
-// collector does not move heap objects, so the address is stable.
+// bucket hashes a node's number to one of the 256 decider counts.
 func bucket(b *Bool) uint8 {
-	return uint8(uint64(uintptr(unsafe.Pointer(b))) * 0x9E3779B97F4A7C15 >> 56)
+	return uint8(uint64(b.num) * 0x9E3779B97F4A7C15 >> 56)
 }
 
 // mayDecideBool and mayDecideTerm report whether the walk from b (or t)
@@ -199,7 +193,7 @@ func (p *pruner) boolNode(b *Bool, depth int) *Bool {
 	if depth <= 0 {
 		return b
 	}
-	if r, ok := p.bools[b]; ok {
+	if r, ok := p.bools.Get(b.num); ok {
 		return r
 	}
 	d := depth - 1
@@ -249,7 +243,7 @@ func (p *pruner) boolNode(b *Bool, depth int) *Bool {
 	default:
 		r = b
 	}
-	p.bools[b] = r
+	p.bools.Set(b.num, r)
 	return r
 }
 
@@ -257,7 +251,7 @@ func (p *pruner) termNode(t *Term, depth int) *Term {
 	if depth <= 0 {
 		return t
 	}
-	if r, ok := p.terms[t]; ok {
+	if r, ok := p.terms.Get(t.num); ok {
 		return r
 	}
 	d := depth - 1
@@ -308,7 +302,7 @@ func (p *pruner) termNode(t *Term, depth int) *Term {
 	default:
 		r = t
 	}
-	p.terms[t] = r
+	p.terms.Set(t.num, r)
 	return r
 }
 

@@ -399,7 +399,7 @@ func TestPrunerMatchesTruthMaps(t *testing.T) {
 		want := append([]*Bool(nil), conj...)
 		in.PruneConjuncts(want)
 
-		p := &pruner{in: in, conj: conj}
+		p := &pruner{in: in, conj: conj, bools: &in.pruneBools, terms: &in.pruneTerms}
 		for _, cj := range conj {
 			p.count(cj, 1)
 		}
@@ -423,7 +423,8 @@ func TestPrunerMatchesTruthMaps(t *testing.T) {
 				}
 			}
 			may := p.mayDecideBool(cj, maxPruneDepth)
-			p.bools, p.terms = map[*Bool]*Bool{}, map[*Term]*Term{}
+			p.bools.Reset()
+			p.terms.Reset()
 			f0 := in.tally.fusions
 			r := p.boolNode(cj, maxPruneDepth)
 			if !may && (r != cj || in.tally.fusions != f0) {

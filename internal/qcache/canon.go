@@ -53,11 +53,12 @@ type groupKey struct {
 }
 
 // canonWriter serializes bv DAGs. With rename set, variable names are
-// replaced by "@<canonical index>" tokens assigned at first occurrence.
+// replaced by "@<canonical index>" tokens assigned at first occurrence. bn
+// and tn hold each visited node's reference number, indexed by node number.
 type canonWriter struct {
 	sb     strings.Builder
-	bn     map[*bv.Bool]int
-	tn     map[*bv.Term]int
+	bn     bv.Marks[int]
+	tn     bv.Marks[int]
 	next   int
 	rename bool
 	index  map[string]int // tagged name -> canonical index, when renaming
@@ -65,16 +66,16 @@ type canonWriter struct {
 }
 
 // canonWriter readies the cache's writer for one serialization, renaming
-// variables when rename is set. Its maps are cleared, not replaced: they
-// keep their capacity, so serializing a large DAG does not regrow them from
-// empty every time. Caller holds c.mu.
+// variables when rename is set. Its node tables move their generation
+// stamp and its name index is cleared, so serializing a large DAG neither
+// clears nor regrows them every time. Caller holds c.mu.
 func (c *Cache) canonWriter(rename bool) *canonWriter {
 	w := &c.canon
-	if w.bn == nil {
-		w.bn, w.tn, w.index = map[*bv.Bool]int{}, map[*bv.Term]int{}, map[string]int{}
+	if w.index == nil {
+		w.index = map[string]int{}
 	}
-	clear(w.bn)
-	clear(w.tn)
+	w.bn.Reset()
+	w.tn.Reset()
 	clear(w.index)
 	w.sb = strings.Builder{}
 	w.next, w.rename, w.order = 0, rename, nil
@@ -107,11 +108,11 @@ func (w *canonWriter) name(tag byte, name string) {
 }
 
 func (w *canonWriter) boolExpr(f *bv.Bool) {
-	if n, ok := w.bn[f]; ok {
+	if n, ok := w.bn.Get(f.Num()); ok {
 		w.ref(n)
 		return
 	}
-	w.bn[f] = w.next
+	w.bn.Set(f.Num(), w.next)
 	w.next++
 	w.sb.WriteString("(b")
 	w.sb.WriteString(strconv.Itoa(int(f.Kind)))
@@ -137,11 +138,11 @@ func (w *canonWriter) boolExpr(f *bv.Bool) {
 }
 
 func (w *canonWriter) termExpr(t *bv.Term) {
-	if n, ok := w.tn[t]; ok {
+	if n, ok := w.tn.Get(t.Num()); ok {
 		w.ref(n)
 		return
 	}
-	w.tn[t] = w.next
+	w.tn.Set(t.Num(), w.next)
 	w.next++
 	w.sb.WriteString("(t")
 	w.sb.WriteString(strconv.Itoa(int(t.Kind)))
@@ -171,17 +172,12 @@ func (w *canonWriter) termExpr(t *bv.Term) {
 	w.sb.WriteByte(')')
 }
 
-// conjKey memoizes the per-conjunct canonical string (original names kept).
-// Caller holds c.mu.
-func (c *Cache) conjKey(cj *bv.Bool) string {
-	if s, ok := c.conjCanon[cj]; ok {
-		return s
-	}
+// canonString serializes one conjunct with its original variable names;
+// info memoizes it. Caller holds c.mu.
+func (c *Cache) canonString(cj *bv.Bool) string {
 	w := c.canonWriter(false)
 	w.boolExpr(cj)
-	s := w.sb.String()
-	c.conjCanon[cj] = s
-	return s
+	return w.sb.String()
 }
 
 // groupKeyOf builds (and memoizes, keyed by the group's sorted ID set) the
@@ -199,7 +195,7 @@ func (c *Cache) groupKeyOf(conj []*bv.Bool, ids []int) *groupKey {
 
 	keys := make([]string, len(conj))
 	for i, cj := range conj {
-		keys[i] = c.conjKey(cj)
+		keys[i] = c.info(cj).canon
 	}
 	order := make([]int, len(conj))
 	for i := range order {

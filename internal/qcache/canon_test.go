@@ -139,10 +139,10 @@ func TestConjunctIDsAreContentBased(t *testing.T) {
 	}
 	c.mu.Lock()
 	idLo, idHi := c.info(lo).id, c.info(hi).id
-	idLo2 := c.canonIDs[c.conjKey(lo)]
+	idLo2 := c.canonIDs[c.canonString(lo)]
 	c.mu.Unlock()
 	if idLo != idLo2 {
-		t.Fatal("pointer and canonical paths must agree on the ID")
+		t.Fatal("memoized and canonical paths must agree on the ID")
 	}
 	if idLo == idHi {
 		t.Fatal("distinct conjuncts must get distinct IDs")

@@ -22,9 +22,10 @@
 // only the status, such as a symbolic executor's per-fork feasibility check,
 // does the same cache work without building one.
 //
-// A Cache is scoped to one bv.Interner — its per-conjunct memos are keyed by
-// node pointer, so every formula passed to CheckSat or Decide must come from
-// that interner.
+// A Cache is scoped to one bv.Interner — its per-conjunct memos, like the
+// interner's simplifier memo and the solver's encoding, are indexed by node
+// number, and numbers are per interner, so every formula passed to CheckSat
+// or Decide must come from that interner.
 // This mirrors the per-pipeline interner discipline: one pipeline, one
 // interner, one cache. All methods are safe for concurrent use.
 package qcache
@@ -89,11 +90,13 @@ type Cache struct {
 	in *bv.Interner
 
 	mu sync.Mutex
-	// conjs memoizes each conjunct's ID and dense variable ids (see info).
-	// canonIDs keys the same IDs by canonical serialization, so a
-	// conjunct's ID is a function of its structure, not of interning order.
-	// Sorted ID sets normalize groups for the subset-unsat rule.
-	conjs    map[*bv.Bool]conjInfo
+	// conjs memoizes, by node number, each conjunct's canonical
+	// serialization (original variable names kept — see canon.go), ID and
+	// dense variable ids (see info). canonIDs keys the IDs by canonical
+	// serialization, so a conjunct's ID is a function of its structure, not
+	// of interning order. Sorted ID sets normalize groups for the
+	// subset-unsat rule.
+	conjs    bv.Pages[conjInfo]
 	canonIDs map[string]int
 	nextID   int
 	// varIDs numbers each sort-tagged variable name ("t:x" / "b:p") densely
@@ -101,9 +104,6 @@ type Cache struct {
 	// slices instead of hashing names.
 	varIDs   map[string]int32
 	varNames []string
-	// conjCanon memoizes each conjunct's canonical serialization (original
-	// variable names kept — see canon.go).
-	conjCanon map[*bv.Bool]string
 	// groupKeys memoizes the canonical group key per sorted ID set, keyed
 	// by the set's hash (see groupKeyOf).
 	groupKeys map[uint64]*groupKey
@@ -120,12 +120,11 @@ type Cache struct {
 	// is unsat too.
 	unsatCores [][]int
 	// models holds restricted satisfying assignments; any group they
-	// evaluate true is sat. Each carries a persistent evaluator: the
-	// assignment is immutable once stored and a hash-consed node's meaning
-	// never changes, so the node-keyed evaluation memo is invalidation-free
-	// and probing a model against query N+1 pays only for the DAG nodes
-	// query N did not already visit.
-	models []cachedModel
+	// evaluate true is sat. probe evaluates a group under one of them at a
+	// time: Reset moves its generation stamp, so switching models clears
+	// nothing and the memo never outgrows the interner's node numbers.
+	models []*bv.Assignment
+	probe  bv.Evaluator
 
 	solver *bv.Solver
 	faults *faultpoint.Registry
@@ -156,10 +155,8 @@ type Cache struct {
 func New(in *bv.Interner) *Cache {
 	return &Cache{
 		in:        in,
-		conjs:     map[*bv.Bool]conjInfo{},
 		canonIDs:  map[string]int{},
 		varIDs:    map[string]int32{},
-		conjCanon: map[*bv.Bool]string{},
 		groupKeys: map[uint64]*groupKey{},
 		exact:     map[string]*exactEntry{},
 		solver:    bv.NewSolver(),
@@ -412,25 +409,12 @@ func (c *Cache) checkGroup(b *engine.Budget, g group, wantModel bool) (sat.Statu
 		}
 	}
 
-	// Counterexample reuse: a cached model under which every conjunct of
-	// this group evaluates true is a witness — unbound variables evaluate
-	// to zero, so (model ∪ zeros) genuinely satisfies the group. The probe
-	// reuses each model's persistent evaluator.
-	for _, cm := range c.models {
-		ok := true
-		for _, cj := range g.conj {
-			if !cm.ev.Bool(cj) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			c.stats.ModelHits++
-			c.hits++
-			restricted := c.restrictModel(cm.asn, g.conj)
-			c.remember(b, gk, sat.Sat, restricted)
-			return sat.Sat, restricted
-		}
+	if m := c.reuseModel(g.conj); m != nil {
+		c.stats.ModelHits++
+		c.hits++
+		restricted := c.restrictModel(m, g.conj)
+		c.remember(b, gk, sat.Sat, restricted)
+		return sat.Sat, restricted
 	}
 
 	// Subset rule: a cached unsat core contained in this group proves the
@@ -447,6 +431,28 @@ func (c *Cache) checkGroup(b *engine.Budget, g group, wantModel bool) (sat.Statu
 
 	b.Add(engine.CacheMisses, 1)
 	return c.solveGroup(b, g, gk)
+}
+
+// reuseModel is counterexample reuse: it returns the first cached model
+// under which every conjunct evaluates true, or nil. Such a model is a
+// witness — unbound variables evaluate to zero, so (model ∪ zeros)
+// genuinely satisfies the group. One evaluator probes every model, Reset
+// between them. Caller holds c.mu.
+func (c *Cache) reuseModel(conj []*bv.Bool) *bv.Assignment {
+	for _, m := range c.models {
+		c.probe.Reset(m)
+		ok := true
+		for _, cj := range conj {
+			if !c.probe.Bool(cj) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return m
+		}
+	}
+	return nil
 }
 
 // lookup returns the group's exact entry, nil when there is none. A key
@@ -488,19 +494,12 @@ func (c *Cache) exactHit(gk *groupKey, e *exactEntry, wantModel bool) (sat.Statu
 	return sat.Sat, m
 }
 
-// cachedModel pairs a stored satisfying assignment with its persistent
-// evaluator (see the models field).
-type cachedModel struct {
-	asn *bv.Assignment
-	ev  *bv.Evaluator
-}
-
 // addModel appends to the bounded model-reuse list. Caller holds c.mu.
 func (c *Cache) addModel(m *bv.Assignment) {
 	if len(c.models) >= maxModels {
 		c.models = c.models[1:]
 	}
-	c.models = append(c.models, cachedModel{asn: m, ev: bv.NewEvaluator(m)})
+	c.models = append(c.models, m)
 }
 
 // solveGroup sends one slice to the incremental solver under assumption

@@ -15,11 +15,14 @@ type group struct {
 	ids  []int
 }
 
-// conjInfo is the per-conjunct memo slicing reads: the content-based
-// conjunct ID and the conjunct's sorted, deduped dense variable ids.
+// conjInfo is the per-conjunct memo slicing and keying read: the
+// conjunct's canonical serialization, its content-based ID and its sorted,
+// deduped dense variable ids. An entry whose canon is empty has not been
+// computed (a serialization is never empty).
 type conjInfo struct {
-	id   int
-	vars []int32
+	canon string
+	id    int
+	vars  []int32
 }
 
 // sliceScratch holds the buffers slicing reuses across queries. Dense
@@ -142,27 +145,27 @@ func resize[T any](buf []T, n int) []T {
 	return slices.Grow(buf[:0], n)[:n]
 }
 
-// info memoizes a conjunct's ID and dense variable ids. A conjunct's ID is
-// content-based: two conjuncts with the same canonical serialization get
-// the same ID regardless of how (or in what order) they were interned.
-// Within one interner hash-consing makes structural and pointer identity
-// coincide, so the pointer map is a fast path over the canonical map.
-// Caller holds c.mu.
+// info memoizes a conjunct's canonical serialization, ID and dense
+// variable ids. A conjunct's ID is content-based: two conjuncts with the
+// same canonical serialization get the same ID regardless of how (or in
+// what order) they were interned. Within one interner hash-consing makes
+// structural and node identity coincide, so the number-indexed memo is a
+// fast path over the canonical map. Caller holds c.mu.
 func (c *Cache) info(cj *bv.Bool) conjInfo {
-	if ci, ok := c.conjs[cj]; ok {
-		return ci
+	ci := c.conjs.At(cj.Num())
+	if ci.canon != "" {
+		return *ci
 	}
-	ci := conjInfo{vars: c.varIDsOf(cj)}
-	key := c.conjKey(cj)
-	id, ok := c.canonIDs[key]
+	vars := c.varIDsOf(cj)
+	canon := c.canonString(cj)
+	id, ok := c.canonIDs[canon]
 	if !ok {
 		id = c.nextID
 		c.nextID++
-		c.canonIDs[key] = id
+		c.canonIDs[canon] = id
 	}
-	ci.id = id
-	c.conjs[cj] = ci
-	return ci
+	*ci = conjInfo{canon: canon, id: id, vars: vars}
+	return *ci
 }
 
 // varIDsOf computes a conjunct's sorted, deduped dense variable ids,

@@ -119,11 +119,11 @@ func TestVNChainMatchesDirectSolver(t *testing.T) {
 	}
 }
 
-// TestVNModelReusePersistentEvaluator pins the persistent-evaluator reuse
-// path: repeated weaker queries against one cached model must keep hitting
-// (the per-model evaluator memo survives across CheckSat calls) and keep
-// returning models that satisfy the new constraint.
-func TestVNModelReusePersistentEvaluator(t *testing.T) {
+// TestVNModelReuseAcrossQueries pins the model-reuse path: repeated weaker
+// queries against one cached model must keep hitting (the probe's one
+// evaluator is Reset per model, so no memo carries over from the last
+// query) and keep returning models that satisfy the new constraint.
+func TestVNModelReuseAcrossQueries(t *testing.T) {
 	in := bv.NewInterner()
 	c := New(in)
 	x := in.Var("x", 8)

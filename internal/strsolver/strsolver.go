@@ -74,9 +74,10 @@ func (s *SymString) At(i int) *bv.Term { return s.Bytes[i] }
 
 // Concretize returns the concrete buffer described by the assignment.
 func (s *SymString) Concretize(a *bv.Assignment) []byte {
+	ev := bv.NewEvaluator(a)
 	out := make([]byte, len(s.Bytes))
 	for i, t := range s.Bytes {
-		out[i] = byte(t.Eval(a))
+		out[i] = byte(ev.Term(t))
 	}
 	return out
 }
