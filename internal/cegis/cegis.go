@@ -342,10 +342,12 @@ func (sh shape) size() int {
 // yielded slice is valid only during the callback, which must copy what it
 // keeps; a prefix with spare capacity for `remaining` more shapes makes the
 // walk allocation-free.
+//
+// Programs must end in return (anything else runs out of instructions and is
+// invalid), so a shape that fills the remaining size is taken only if it is
+// return: any other would start a branch that yields nothing.
 func (s *Synthesizer) enumerate(remaining int, prefix []shape, yield func([]shape) error) error {
 	if remaining == 0 {
-		// Programs must end in return (anything else runs out of
-		// instructions and is invalid).
 		if len(prefix) == 0 || prefix[len(prefix)-1].op != vocab.OpReturn {
 			return nil
 		}
@@ -363,7 +365,7 @@ func (s *Synthesizer) enumerate(remaining int, prefix []shape, yield func([]shap
 		}
 		for argLen := lo; argLen <= hi; argLen++ {
 			sh := shape{op: op, argLen: argLen}
-			if sh.size() > remaining {
+			if sz := sh.size(); sz > remaining || sz == remaining && op != vocab.OpReturn {
 				continue
 			}
 			if pruneShape(prefix, sh) {
@@ -434,14 +436,21 @@ func (s *Synthesizer) trySkeleton(skel []shape) (vocab.Program, error) {
 	}
 
 	if len(argVars) == 0 {
-		prog := concretize(skel, nil)
+		// The candidate is the skeleton itself. Short ones are checked
+		// against the counterexamples on the stack; a Program is allocated
+		// only for one that goes on to verify.
+		var buf [16]vocab.Instr
+		ops := buf[:0]
+		for _, sh := range skel {
+			ops = append(ops, vocab.Instr{Op: sh.op})
+		}
 		s.stats.CandidatesRun++
 		for i, cex := range s.cexs {
-			if vocab.Run(prog, cex) != s.cexWant[i] {
+			if vocab.Run(ops, cex) != s.cexWant[i] {
 				return nil, nil
 			}
 		}
-		return s.verify(prog)
+		return s.verify(concretize(skel, nil))
 	}
 
 	// Iterate: solve arguments against all counterexamples, verify, repeat.

@@ -18,10 +18,23 @@ import (
 // SymString is a bounded symbolic C string: MaxLen symbolic content bytes
 // followed by a forced NUL terminator. Content bytes may themselves be NUL,
 // so a SymString of capacity N ranges over all strings of length 0..N.
+//
+// A SymString memoizes the condition that a set member matches a byte, by
+// the pair of terms, so the set predicates (SpnIs, CspnIs, PbrkIs,
+// PbrkNone) build each member's match once however often they are asked.
+// Hash-consing makes a memo answer the very node a rebuild would return, so
+// the memo changes no formula and interns nothing a rebuild would not. The
+// memo makes a SymString unsafe for concurrent use, although its interner
+// is safe: a string must be asked from one goroutine at a time. It outlives
+// the interner's soft-cap clears: after one, it can hand back a valid node
+// that the interner's table no longer holds, where a rebuild would intern a
+// fresh copy.
 type SymString struct {
 	// Bytes has length MaxLen+1; Bytes[MaxLen] is the constant 0.
 	Bytes []*bv.Term
 	in    *bv.Interner
+	// match maps a (member, byte) pair of term numbers to its memberMatches.
+	match map[uint64]*bv.Bool
 }
 
 // New returns a fresh symbolic string of capacity maxLen whose content bytes
@@ -103,26 +116,38 @@ type Set struct {
 	Members []*bv.Term
 }
 
+// contains returns the condition that c is matched by the set. NUL never
+// matches, matching C semantics for character sets.
+func (s *SymString) contains(set Set, c *bv.Term) *bv.Bool {
+	in := s.in
+	cond := bv.False
+	for _, m := range set.Members {
+		cond = in.BOr2(cond, s.memberMatches(m, c))
+	}
+	return in.BAnd2(cond, in.Ne(c, in.Byte(0)))
+}
+
 // memberMatches returns the condition that set member a matches character c,
-// including meta-character semantics.
-func memberMatches(in *bv.Interner, a, c *bv.Term) *bv.Bool {
+// including meta-character semantics. It is built once per pair of terms and
+// then read from the memo.
+func (s *SymString) memberMatches(a, c *bv.Term) *bv.Bool {
+	key := uint64(a.Num())<<32 | uint64(c.Num())
+	if m, ok := s.match[key]; ok {
+		return m
+	}
+	in := s.in
 	isDigitC := in.BAnd2(in.Ule(in.Byte('0'), c), in.Ule(c, in.Byte('9')))
 	isSpaceC := in.BOrAll(in.Eq(c, in.Byte(' ')), in.Eq(c, in.Byte('\t')), in.Eq(c, in.Byte('\n')))
-	return in.BOrAll(
+	m := in.BOrAll(
 		in.BAnd2(in.Eq(a, in.Byte(cstr.MetaDigit)), isDigitC),
 		in.BAnd2(in.Eq(a, in.Byte(cstr.MetaSpace)), isSpaceC),
 		in.BAndAll(in.Ne(a, in.Byte(cstr.MetaDigit)), in.Ne(a, in.Byte(cstr.MetaSpace)), in.Eq(c, a)),
 	)
-}
-
-// Contains returns the condition that c is matched by the set. NUL never
-// matches, matching C semantics for character sets.
-func (s Set) Contains(in *bv.Interner, c *bv.Term) *bv.Bool {
-	cond := bv.False
-	for _, m := range s.Members {
-		cond = in.BOr2(cond, memberMatches(in, m, c))
+	if s.match == nil {
+		s.match = make(map[uint64]*bv.Bool)
 	}
-	return in.BAnd2(cond, in.Ne(c, in.Byte(0)))
+	s.match[key] = m
+	return m
 }
 
 // ---- Function predicates ----
@@ -141,10 +166,10 @@ func (s *SymString) SpnIs(from, n int, set Set) *bv.Bool {
 	}
 	cond := bv.True
 	for i := from; i < from+n; i++ {
-		cond = in.BAnd2(cond, set.Contains(in, s.Bytes[i]))
+		cond = in.BAnd2(cond, s.contains(set, s.Bytes[i]))
 	}
 	// The span stops at from+n: either the terminator or a non-member.
-	stop := in.BOr2(in.Eq(s.Bytes[from+n], in.Byte(0)), in.BNot1(set.Contains(in, s.Bytes[from+n])))
+	stop := in.BOr2(in.Eq(s.Bytes[from+n], in.Byte(0)), in.BNot1(s.contains(set, s.Bytes[from+n])))
 	return in.BAnd2(cond, stop)
 }
 
@@ -156,9 +181,9 @@ func (s *SymString) CspnIs(from, n int, set Set) *bv.Bool {
 	}
 	cond := bv.True
 	for i := from; i < from+n; i++ {
-		cond = in.BAnd2(cond, in.BAnd2(in.BNot1(set.Contains(in, s.Bytes[i])), in.Ne(s.Bytes[i], in.Byte(0))))
+		cond = in.BAnd2(cond, in.BAnd2(in.BNot1(s.contains(set, s.Bytes[i])), in.Ne(s.Bytes[i], in.Byte(0))))
 	}
-	stop := in.BOr2(in.Eq(s.Bytes[from+n], in.Byte(0)), set.Contains(in, s.Bytes[from+n]))
+	stop := in.BOr2(in.Eq(s.Bytes[from+n], in.Byte(0)), s.contains(set, s.Bytes[from+n]))
 	return in.BAnd2(cond, stop)
 }
 
@@ -237,9 +262,9 @@ func (s *SymString) PbrkIs(from, j int, set Set) *bv.Bool {
 	if j < from || j > s.MaxLen() {
 		return bv.False
 	}
-	cond := set.Contains(in, s.Bytes[j])
+	cond := s.contains(set, s.Bytes[j])
 	for i := from; i < j; i++ {
-		cond = in.BAndAll(cond, in.BNot1(set.Contains(in, s.Bytes[i])), in.Ne(s.Bytes[i], in.Byte(0)))
+		cond = in.BAndAll(cond, in.BNot1(s.contains(set, s.Bytes[i])), in.Ne(s.Bytes[i], in.Byte(0)))
 	}
 	return cond
 }
@@ -251,7 +276,7 @@ func (s *SymString) PbrkNone(from int, set Set) *bv.Bool {
 	for k := from; k <= s.MaxLen(); k++ {
 		kase := in.Eq(s.Bytes[k], in.Byte(0))
 		for i := from; i < k; i++ {
-			kase = in.BAndAll(kase, in.Ne(s.Bytes[i], in.Byte(0)), in.BNot1(set.Contains(in, s.Bytes[i])))
+			kase = in.BAndAll(kase, in.Ne(s.Bytes[i], in.Byte(0)), in.BNot1(s.contains(set, s.Bytes[i])))
 		}
 		cases = in.BOr2(cases, kase)
 	}

@@ -179,9 +179,10 @@ func TestRawchrIsExhaustive(t *testing.T) {
 
 func TestSetContainsMeta(t *testing.T) {
 	set := concreteSet(tin, []byte{cstr.MetaDigit, 'x'})
+	s := Wrap(tin, nil)
 	for c := 0; c < 256; c++ {
 		want := cstr.MatchSet(byte(c), []byte{cstr.MetaDigit, 'x'})
-		got := set.Contains(tin, tin.Byte(byte(c))).Eval(nil)
+		got := s.contains(set, tin.Byte(byte(c))).Eval(nil)
 		if got != want {
 			t.Fatalf("Contains(%d) = %v, want %v", c, got, want)
 		}

@@ -739,10 +739,16 @@ func (e *Engine) cmpop(s *state, f *cir.Func, in *cir.Instr) (Value, error) {
 		}
 		// Pointer order within one object is the order of the (possibly
 		// negative) byte offsets, so compare them signed.
-		signed := map[string]string{"ult": "slt", "ule": "sle", "ugt": "sgt", "uge": "sge"}
 		sub := in.Sub
-		if m, ok := signed[sub]; ok {
-			sub = m
+		switch sub {
+		case "ult":
+			sub = "slt"
+		case "ule":
+			sub = "sle"
+		case "ugt":
+			sub = "sgt"
+		case "uge":
+			sub = "sge"
 		}
 		return e.intCmp(sub, a.Off, b.Off)
 	}

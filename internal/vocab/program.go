@@ -170,14 +170,7 @@ func Decode(s string) (Program, error) {
 	return p, nil
 }
 
-func isKnownOp(op Op) bool {
-	for _, o := range Ops {
-		if o == op {
-			return true
-		}
-	}
-	return false
-}
+func isKnownOp(op Op) bool { return opBits[op] != 0 }
 
 // String renders the program readably, expanding meta-characters, e.g.
 // `strspn(" \t"); return`.
@@ -241,25 +234,20 @@ type Vocabulary uint16
 // FullVocabulary contains all thirteen gadgets.
 const FullVocabulary Vocabulary = 1<<13 - 1
 
-// Contains reports whether the vocabulary includes op.
-func (v Vocabulary) Contains(op Op) bool {
+// opBits[op] is op's bit in a Vocabulary, and 0 for a byte that is no
+// opcode, so membership is one lookup rather than a scan of Ops.
+var opBits = func() (bits [256]Vocabulary) {
 	for i, o := range Ops {
-		if o == op {
-			return v&(1<<uint(i)) != 0
-		}
+		bits[o] = 1 << uint(i)
 	}
-	return false
-}
+	return bits
+}()
+
+// Contains reports whether the vocabulary includes op.
+func (v Vocabulary) Contains(op Op) bool { return v&opBits[op] != 0 }
 
 // With returns the vocabulary extended with op.
-func (v Vocabulary) With(op Op) Vocabulary {
-	for i, o := range Ops {
-		if o == op {
-			return v | 1<<uint(i)
-		}
-	}
-	return v
-}
+func (v Vocabulary) With(op Op) Vocabulary { return v | opBits[op] }
 
 // Size returns the number of gadgets in the vocabulary.
 func (v Vocabulary) Size() int {

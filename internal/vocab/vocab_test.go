@@ -236,6 +236,19 @@ func TestVocabularyBits(t *testing.T) {
 	if v2, _ := VocabularyOf(v.Letters()); v2 != v {
 		t.Error("Letters round trip failed")
 	}
+	// Each opcode's bit is its position in Ops; a byte that is no opcode is
+	// in no vocabulary and adds nothing to one.
+	for b := 0; b < 256; b++ {
+		op, want := Op(b), Vocabulary(0)
+		for i, o := range Ops {
+			if o == op {
+				want = 1 << uint(i)
+			}
+		}
+		if got := Vocabulary(0).With(op); got != want || FullVocabulary.Contains(op) != (want != 0) {
+			t.Errorf("%q: With gives %#x and Contains %v, want bit %#x", b, got, FullVocabulary.Contains(op), want)
+		}
+	}
 }
 
 // enumBuffers enumerates NUL-terminated buffers of capacity maxLen.
