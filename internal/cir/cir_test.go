@@ -478,7 +478,7 @@ func TestIntrinsics(t *testing.T) {
 			t.Errorf("%s(%q) = %d, want %d", c.name, byte(c.c), got.Int, c.want)
 		}
 	}
-	if _, flt := NewMemory().call(inUnknown, []CVal{IntVal(0), {}, {}}, 1); flt != fUnknownFunc {
+	if _, flt := NewMemory().call(FnUnknown, []CVal{IntVal(0), {}, {}}, 1); flt != fUnknownFunc {
 		t.Error("unknown function should error")
 	}
 }

@@ -10,56 +10,66 @@ import "stringloops/internal/cstr"
 // using them — exactly the loops whose synthesis needs meta-characters
 // (§2.2).
 
-type intrinsic uint8
+// An Intrinsic is a library function a DCall runs.
+type Intrinsic uint8
 
+// The intrinsics; FnUnknown is a callee of unknown name.
 const (
-	inStrlen intrinsic = iota
-	inStrchr
-	inStrrchr
-	inRawmemchr
-	inStrspn
-	inStrcspn
-	inStrpbrk
-	inMemchr
-	inIsdigit // the first character function
-	inIsspace
-	inIsblank
-	inIsupper
-	inIslower
-	inIsalpha
-	inIsalnum
-	inToupper
-	inTolower
-	inPutchar
-	inUnknown
+	FnStrlen Intrinsic = iota
+	FnStrchr
+	FnStrrchr
+	FnRawmemchr
+	FnStrspn
+	FnStrcspn
+	FnStrpbrk
+	FnMemchr
+	FnIsdigit // the first character function
+	FnIsspace
+	FnIsblank
+	FnIsupper
+	FnIslower
+	FnIsalpha
+	FnIsalnum
+	FnToupper
+	FnTolower
+	FnPutchar
+	FnUnknown
 )
 
 // intrinsicNames names each intrinsic (an array: no start-up cost).
 var intrinsicNames = [...]string{
-	inStrlen: "strlen", inStrchr: "strchr", inStrrchr: "strrchr",
-	inRawmemchr: "rawmemchr", inStrspn: "strspn", inStrcspn: "strcspn",
-	inStrpbrk: "strpbrk", inMemchr: "memchr",
-	inIsdigit: "isdigit", inIsspace: "isspace", inIsblank: "isblank",
-	inIsupper: "isupper", inIslower: "islower", inIsalpha: "isalpha",
-	inIsalnum: "isalnum", inToupper: "toupper", inTolower: "tolower",
-	inPutchar: "putchar",
+	FnStrlen: "strlen", FnStrchr: "strchr", FnStrrchr: "strrchr",
+	FnRawmemchr: "rawmemchr", FnStrspn: "strspn", FnStrcspn: "strcspn",
+	FnStrpbrk: "strpbrk", FnMemchr: "memchr",
+	FnIsdigit: "isdigit", FnIsspace: "isspace", FnIsblank: "isblank",
+	FnIsupper: "isupper", FnIslower: "islower", FnIsalpha: "isalpha",
+	FnIsalnum: "isalnum", FnToupper: "toupper", FnTolower: "tolower",
+	FnPutchar: "putchar",
 }
 
-// intrinsicOf maps a called function's name to its intrinsic.
-func intrinsicOf(name string) intrinsic {
+// String is the intrinsic's C name.
+func (k Intrinsic) String() string {
+	if k < FnUnknown {
+		return intrinsicNames[k]
+	}
+	return "unknown"
+}
+
+// intrinsicOf maps a called function's name to its Intrinsic.
+func intrinsicOf(name string) Intrinsic {
 	for k, n := range intrinsicNames {
 		if n == name {
-			return intrinsic(k)
+			return Intrinsic(k)
 		}
 	}
-	return inUnknown
+	return FnUnknown
 }
 
 // call runs intrinsic k on the first n of args; args holds at least three
 // values, zero past n. Undefined behaviour of the string functions (NULL or
 // unterminated arguments, rawmemchr scanning off the buffer) is fMemory.
-func (m *Memory) call(k intrinsic, args []CVal, n int) (CVal, fault) {
-	if k >= inIsdigit {
+func (m *Memory) call(k Intrinsic, args []CVal, n int) (CVal, fault) {
+	if k >= FnIsdigit {
 		if n != 1 || args[0].IsPtr {
 			return CVal{}, fUnsupportedCall
 		}
@@ -101,23 +111,23 @@ func (m *Memory) call(k intrinsic, args []CVal, n int) (CVal, fault) {
 
 	// The checks above make every call below defined: cstr runs it.
 	switch k {
-	case inStrlen:
+	case FnStrlen:
 		buf, off, ok := str(0)
 		if !ok {
 			return CVal{}, fMemory
 		}
 		return IntVal(int64(cstr.Strlen(buf, off))), 0
-	case inStrchr, inStrrchr:
+	case FnStrchr, FnStrrchr:
 		buf, off, ok := str(0)
 		if !ok {
 			return CVal{}, fMemory
 		}
 		find := cstr.Strchr
-		if k == inStrrchr {
+		if k == FnStrrchr {
 			find = cstr.Strrchr
 		}
 		return found(find(buf, off, byte(args[1].Int))), 0
-	case inRawmemchr:
+	case FnRawmemchr:
 		// No terminator check: scanning off the buffer is UB.
 		buf, off, ok := raw(0)
 		if !ok {
@@ -128,7 +138,7 @@ func (m *Memory) call(k intrinsic, args []CVal, n int) (CVal, fault) {
 			return CVal{}, fMemory
 		}
 		return ptrAt(i), 0
-	case inStrspn, inStrcspn, inStrpbrk:
+	case FnStrspn, FnStrcspn, FnStrpbrk:
 		buf, off, ok := str(0)
 		if !ok {
 			return CVal{}, fMemory
@@ -139,13 +149,13 @@ func (m *Memory) call(k intrinsic, args []CVal, n int) (CVal, fault) {
 		}
 		set = set[setOff : setOff+cstr.Strlen(set, setOff)]
 		switch k {
-		case inStrspn:
+		case FnStrspn:
 			return IntVal(int64(cstr.Strspn(buf, off, set))), 0
-		case inStrcspn:
+		case FnStrcspn:
 			return IntVal(int64(cstr.Strcspn(buf, off, set))), 0
 		}
 		return found(cstr.Strpbrk(buf, off, set)), 0
-	case inMemchr:
+	case FnMemchr:
 		buf, off, ok := raw(0)
 		if !ok {
 			return CVal{}, fMemory
@@ -159,38 +169,38 @@ func (m *Memory) call(k intrinsic, args []CVal, n int) (CVal, fault) {
 }
 
 // ctype runs character function k on c.
-func ctype(k intrinsic, c int64) (CVal, fault) {
+func ctype(k Intrinsic, c int64) (CVal, fault) {
 	inRange := c >= 0 && c <= 255
 	b := byte(c)
 	digit := inRange && b >= '0' && b <= '9'
 	upper := inRange && b >= 'A' && b <= 'Z'
 	lower := inRange && b >= 'a' && b <= 'z'
 	switch k {
-	case inIsdigit:
+	case FnIsdigit:
 		return boolVal(digit), 0
-	case inIsspace:
+	case FnIsspace:
 		return boolVal(inRange && (b == ' ' || b == '\t' || b == '\n' || b == '\r' || b == '\v' || b == '\f')), 0
-	case inIsblank:
+	case FnIsblank:
 		return boolVal(inRange && (b == ' ' || b == '\t')), 0
-	case inIsupper:
+	case FnIsupper:
 		return boolVal(upper), 0
-	case inIslower:
+	case FnIslower:
 		return boolVal(lower), 0
-	case inIsalpha:
+	case FnIsalpha:
 		return boolVal(upper || lower), 0
-	case inIsalnum:
+	case FnIsalnum:
 		return boolVal(digit || upper || lower), 0
-	case inToupper:
+	case FnToupper:
 		if lower {
 			return IntVal(c - 32), 0
 		}
 		return IntVal(c), 0
-	case inTolower:
+	case FnTolower:
 		if upper {
 			return IntVal(c + 32), 0
 		}
 		return IntVal(c), 0
-	case inPutchar:
+	case FnPutchar:
 		return IntVal(c), 0 // I/O side effect modelled as a no-op
 	}
 	return CVal{}, fUnknownFunc

@@ -1,29 +1,17 @@
 package cir
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
-// A Machine is the concrete interpreter. NewMachine decodes a function once
-// into a flat program: every instruction becomes an opcode enum with its
-// operands resolved to slots of one value array (registers, then the
-// function's string literals, then its constants), every branch names a
-// decoded edge, and every edge carries the phi copies its target block runs
-// on entry. Exec then runs the program over a heap. The machine keeps its
-// value array and its own heap between runs, so a warm machine running a
-// function on its own heap allocates nothing.
-//
-// Decoding never fails. What the IR gets wrong (an operand of unknown kind,
-// an unknown binop, comparison or intrinsic, a phi with no edge from the
-// predecessor, a block that falls through) decodes to an instruction or an
-// edge that raises the error when, and only when, a run reaches it.
+// A Machine is the concrete interpreter of a decoded Program (Decode): Exec
+// runs the program over a heap. The machine keeps its value array and its
+// own heap between runs, so a warm machine running a function on its own
+// heap allocates nothing.
 //
 // A Machine belongs to one goroutine, and to the function as it was when
 // NewMachine decoded it: a pass that mutates the function (Mem2Reg) needs a
 // new machine.
 type Machine struct {
-	p *program
+	p *Program
 	// slots holds the registers, then one slot per string literal, then the
 	// constants; registers and literals are set at the start of each run.
 	slots []CVal
@@ -32,152 +20,16 @@ type Machine struct {
 	heap  Memory
 }
 
-type opcode uint8
-
-const (
-	opNop opcode = iota // an Op this machine does not know: a step, nothing else
-	opAlloca
-	opLoad1s // a: pointer
-	opLoad1u
-	opLoad4
-	opStore1 // a: value, b: pointer
-	opStore4
-	opAdd // a, b: operands
-	opSub
-	opMul
-	opDiv
-	opRem
-	opAnd
-	opOr
-	opXor
-	opShl
-	opShr
-	opSar
-	opPsub
-	opBinBad // a binop of unknown name
-	opCmp    // aux: cmpKind
-	opGep    // a: pointer, b: index, c: scale
-	opCall   // aux: intrinsic; args are callArgs[a:a+b]
-	opBr     // b: edge
-	opCondBr // a: condition, b: edge when true, c: edge when false
-	opRet    // a: value
-	opRetVoid
-	opTrap // a: the trap the instruction raises, after counting its step
-	opFall // a: the trap of a block without terminator, raised stepless
-)
-
-type cmpKind uint8
-
-const (
-	cmpEq cmpKind = iota
-	cmpNe
-	cmpSlt
-	cmpSle
-	cmpSgt
-	cmpSge
-	cmpUlt
-	cmpUle
-	cmpUgt
-	cmpUge
-	cmpBad
-)
-
-// cmpSubs and binSubs name each comparison kind and binop opcode by its
-// Sub. Arrays, not maps: they need no initialisation at program start.
-var (
-	cmpSubs = [...]string{cmpEq: "eq", cmpNe: "ne", cmpSlt: "slt", cmpSle: "sle", cmpSgt: "sgt",
-		cmpSge: "sge", cmpUlt: "ult", cmpUle: "ule", cmpUgt: "ugt", cmpUge: "uge"}
-	binSubs = [...]string{opAdd: "add", opSub: "sub", opMul: "mul", opDiv: "div", opRem: "rem",
-		opAnd: "and", opOr: "or", opXor: "xor", opShl: "shl", opShr: "shr", opSar: "sar", opPsub: "psub"}
-)
-
-// cmpKindOf maps a comparison's Sub to its kind.
-func cmpKindOf(sub string) cmpKind {
-	for k, name := range cmpSubs {
-		if name == sub {
-			return cmpKind(k)
-		}
-	}
-	return cmpBad
-}
-
-// binOpOf maps a binop's Sub to its opcode.
-func binOpOf(sub string) opcode {
-	for op := opAdd; op <= opPsub; op++ {
-		if binSubs[op] == sub {
-			return op
-		}
-	}
-	return opBinBad
-}
-
-// dinstr is one decoded instruction. Operand fields are slot indices unless
-// the opcode says otherwise.
-type dinstr struct {
-	op      opcode
-	aux     uint8
-	res     int32
-	a, b, c int32
-}
-
-// edge is one decoded control-flow edge: the phi copies its target runs on
-// entry, read in parallel, then the jump.
-type edge struct {
-	pc       int32 // the target block's first instruction
-	from, to int32 // its copies are copies[from:to]
-	parallel bool  // a copy reads a slot an earlier copy writes
-	trap     int32 // the trap the edge raises, or -1
-}
-
-type phiCopy struct{ dst, src int32 }
-
-type program struct {
-	f        *Func
-	nregs    int
-	nslots   int
-	consts   []CVal // the values of slots nregs+len(f.StrLits) on
-	code     []dinstr
-	src      []*Instr // the instruction each code entry was decoded from
-	edges    []edge
-	copies   []phiCopy
-	callArgs []int32
-	maxArgs  int
-	maxPhis  int
-	traps    []trap
-	entry    int32 // the edge into the entry block
-	start    int32 // a trap raised before the run starts, or -1
-}
-
-// trap is an error a run raises where it meets malformed IR. Errors are
-// built when raised, as the IR reads then.
-type trap struct {
-	kind   trapKind
-	block  *Block
-	prev   *Block      // trapNoEdge: the predecessor
-	instr  *Instr      // trapBadOperand: the instruction (a phi, or not)
-	opKind OperandKind // trapBadOperand
-	msg    string      // trapMalformed: the whole error text
-}
-
-type trapKind uint8
-
-const (
-	trapBadOperand trapKind = iota
-	trapNoEdge
-	trapFall
-	trapMalformed
-)
-
 // NewMachine decodes f into a machine that runs it.
 func NewMachine(f *Func) *Machine {
-	p := decode(f)
+	p := Decode(f)
 	m := &Machine{
 		p:     p,
 		slots: make([]CVal, p.nslots),
 		args:  make([]CVal, max(p.maxArgs, 3)),
 		phis:  make([]CVal, p.maxPhis),
 	}
-	copy(m.slots[p.nregs+len(f.StrLits):], p.consts)
+	copy(m.slots[p.nregs+len(f.StrLits):], p.Consts)
 	return m
 }
 
@@ -201,8 +53,8 @@ func (m *Machine) Exec(args []CVal, mem *Memory, maxSteps int) (ExecResult, erro
 	if len(args) != len(f.Params) {
 		return ExecResult{}, fmt.Errorf("cir: %s expects %d args, got %d", f.Name, len(f.Params), len(args))
 	}
-	if p.start >= 0 {
-		return p.raise(p.start, 0)
+	if p.Start >= 0 {
+		return p.raise(p.Start, 0)
 	}
 	slots := m.slots
 	clear(slots[:p.nregs])
@@ -214,133 +66,133 @@ func (m *Machine) Exec(args []CVal, mem *Memory, maxSteps int) (ExecResult, erro
 	}
 
 	steps := 0
-	e := &p.edges[p.entry]
-	if e.trap >= 0 {
-		return p.raise(e.trap, steps)
+	e := &p.Edges[p.Entry]
+	if e.Trap >= 0 {
+		return p.raise(e.Trap, steps)
 	}
 	m.cross(e)
-	code := p.code
-	pc := e.pc
+	code := p.Code
+	pc := e.PC
 	for {
 		in := &code[pc]
 		pc++
 		steps++
 		if steps > maxSteps {
-			if in.op == opFall {
-				return p.raise(in.a, steps-1)
+			if in.Op == DFall {
+				return p.raise(in.A, steps-1)
 			}
 			return ExecResult{Steps: steps}, ErrStepLimit
 		}
 		var flt fault
-		switch in.op {
-		case opAlloca:
-			slots[in.res] = PtrVal(mem.AllocCell(), 0)
-		case opLoad1s, opLoad1u, opLoad4:
-			ptr := slots[in.a]
+		switch in.Op {
+		case DAlloca:
+			slots[in.Res] = PtrVal(mem.AllocCell(), 0)
+		case DLoad1s, DLoad1u, DLoad4:
+			ptr := slots[in.A]
 			o := mem.at(ptr)
 			if o == nil {
 				return ExecResult{Steps: steps}, ErrMemory
 			}
 			if !o.isData {
-				slots[in.res] = o.cell
+				slots[in.Res] = o.cell
 				break
 			}
-			v, ok := load(o.data, ptr.Off, in.op)
+			v, ok := load(o.data, ptr.Off, in.Op)
 			if !ok {
 				return ExecResult{Steps: steps}, ErrMemory
 			}
-			slots[in.res] = v
-		case opStore1, opStore4:
-			o := mem.at(slots[in.b])
+			slots[in.Res] = v
+		case DStore1, DStore4:
+			o := mem.at(slots[in.B])
 			if o == nil {
 				return ExecResult{Steps: steps}, ErrMemory
 			}
 			if !o.isData {
-				o.cell = slots[in.a]
+				o.cell = slots[in.A]
 				break
 			}
-			if !store(o.data, slots[in.b].Off, slots[in.a], in.op == opStore1) {
+			if !store(o.data, slots[in.B].Off, slots[in.A], in.Op == DStore1) {
 				return ExecResult{Steps: steps}, ErrMemory
 			}
-		case opAdd, opSub, opMul, opDiv, opRem, opAnd, opOr, opXor, opShl, opShr, opSar, opPsub, opBinBad:
-			slots[in.res], flt = binop(in.op, slots[in.a], slots[in.b])
-		case opCmp:
-			x, y := slots[in.a], slots[in.b]
+		case DAdd, DSub, DMul, DDiv, DRem, DAnd, DOr, DXor, DShl, DShr, DSar, DPsub, DBinBad:
+			slots[in.Res], flt = binop(in.Op, slots[in.A], slots[in.B])
+		case DCmp:
+			x, y := slots[in.A], slots[in.B]
 			if x.IsPtr || y.IsPtr {
-				slots[in.res], flt = comparePtrs(cmpKind(in.aux), x, y)
+				slots[in.Res], flt = comparePtrs(CmpKind(in.Aux), x, y)
 				break
 			}
 			var r bool
-			switch cmpKind(in.aux) {
-			case cmpEq:
+			switch CmpKind(in.Aux) {
+			case CmpEq:
 				r = int32(x.Int) == int32(y.Int)
-			case cmpNe:
+			case CmpNe:
 				r = int32(x.Int) != int32(y.Int)
-			case cmpSlt:
+			case CmpSlt:
 				r = int32(x.Int) < int32(y.Int)
-			case cmpSle:
+			case CmpSle:
 				r = int32(x.Int) <= int32(y.Int)
-			case cmpSgt:
+			case CmpSgt:
 				r = int32(x.Int) > int32(y.Int)
-			case cmpSge:
+			case CmpSge:
 				r = int32(x.Int) >= int32(y.Int)
-			case cmpUlt:
+			case CmpUlt:
 				r = uint32(x.Int) < uint32(y.Int)
-			case cmpUle:
+			case CmpUle:
 				r = uint32(x.Int) <= uint32(y.Int)
-			case cmpUgt:
+			case CmpUgt:
 				r = uint32(x.Int) > uint32(y.Int)
-			case cmpUge:
+			case CmpUge:
 				r = uint32(x.Int) >= uint32(y.Int)
 			default:
 				flt = fUnknownCmp
 			}
-			slots[in.res] = boolVal(r)
-		case opGep:
-			ptr, idx := slots[in.a], slots[in.b]
+			slots[in.Res] = boolVal(r)
+		case DGep:
+			ptr, idx := slots[in.A], slots[in.B]
 			if !ptr.IsPtr || idx.IsPtr || ptr.IsNull() {
 				// Pointer arithmetic on NULL is undefined behaviour, as
 				// in the symbolic engine.
 				return ExecResult{Steps: steps}, ErrMemory
 			}
-			slots[in.res] = PtrVal(ptr.Obj, ptr.Off+int(idx.Int)*int(in.c))
-		case opCall:
-			n := int(in.b)
-			for i, s := range p.callArgs[in.a : int(in.a)+n] {
+			slots[in.Res] = PtrVal(ptr.Obj, ptr.Off+int(idx.Int)*int(in.C))
+		case DCall:
+			n := int(in.B)
+			for i, s := range p.CallArgs[in.A : int(in.A)+n] {
 				m.args[i] = slots[s]
 			}
 			clear(m.args[n:])
-			slots[in.res], flt = mem.call(intrinsic(in.aux), m.args, n)
-		case opBr:
-			e := &p.edges[in.b]
-			if e.trap >= 0 {
-				return p.raise(e.trap, steps)
+			slots[in.Res], flt = mem.call(Intrinsic(in.Aux), m.args, n)
+		case DBr:
+			e := &p.Edges[in.B]
+			if e.Trap >= 0 {
+				return p.raise(e.Trap, steps)
 			}
 			m.cross(e)
-			pc = e.pc
-		case opCondBr:
-			c := slots[in.a]
+			pc = e.PC
+		case DCondBr:
+			c := slots[in.A]
 			taken := c.Int != 0
 			if c.IsPtr {
 				taken = !c.IsNull()
 			}
-			e := &p.edges[in.c]
+			e := &p.Edges[in.C]
 			if taken {
-				e = &p.edges[in.b]
+				e = &p.Edges[in.B]
 			}
-			if e.trap >= 0 {
-				return p.raise(e.trap, steps)
+			if e.Trap >= 0 {
+				return p.raise(e.Trap, steps)
 			}
 			m.cross(e)
-			pc = e.pc
-		case opRet:
-			return ExecResult{Ret: slots[in.a], Steps: steps}, nil
-		case opRetVoid:
+			pc = e.PC
+		case DRet:
+			return ExecResult{Ret: slots[in.A], Steps: steps}, nil
+		case DRetVoid:
 			return ExecResult{Steps: steps}, nil
-		case opTrap:
-			return p.raise(in.a, steps)
-		case opFall:
-			return p.raise(in.a, steps-1)
+		case DTrap:
+			return p.raise(in.A, steps)
+		case DFall:
+			return p.raise(in.A, steps-1)
 		}
 		if flt != 0 {
 			return ExecResult{Steps: steps}, flt.err(p.src[pc-1])
@@ -349,20 +201,20 @@ func (m *Machine) Exec(args []CVal, mem *Memory, maxSteps int) (ExecResult, erro
 }
 
 // cross runs edge e's phi copies.
-func (m *Machine) cross(e *edge) {
-	cs := m.p.copies[e.from:e.to]
+func (m *Machine) cross(e *Edge) {
+	cs := m.p.Copies[e.From:e.To]
 	if !e.parallel {
 		for _, c := range cs {
-			m.slots[c.dst] = m.slots[c.src]
+			m.slots[c.Dst] = m.slots[c.Src]
 		}
 		return
 	}
 	vals := m.phis[:len(cs)]
 	for i, c := range cs {
-		vals[i] = m.slots[c.src]
+		vals[i] = m.slots[c.Src]
 	}
 	for i, c := range cs {
-		m.slots[c.dst] = vals[i]
+		m.slots[c.Dst] = vals[i]
 	}
 }
 
@@ -375,18 +227,13 @@ func predLabel(prev *Block) string {
 	return prev.Label()
 }
 
-// raise ends a run on trap t after steps steps.
-func (p *program) raise(t int32, steps int) (ExecResult, error) {
-	tr := &p.traps[t]
-	switch tr.kind {
-	case trapBadOperand:
-		return ExecResult{Steps: steps}, fmt.Errorf("cir: %s: block %s: %s: bad operand kind %d", p.f.Name, tr.block.Label(), tr.instr, tr.opKind)
-	case trapNoEdge:
-		return ExecResult{}, fmt.Errorf("cir: phi in %s has no incoming edge from %s", tr.block.Label(), predLabel(tr.prev))
-	case trapFall:
-		return ExecResult{Steps: steps}, fmt.Errorf("cir: block %s falls through", tr.block.Label())
+// raise ends a run on trap t after steps steps; a missing phi edge is
+// raised before the run takes any.
+func (p *Program) raise(t int32, steps int) (ExecResult, error) {
+	if p.traps[t].kind == trapNoEdge {
+		steps = 0
 	}
-	return ExecResult{Steps: steps}, errors.New(tr.msg)
+	return ExecResult{Steps: steps}, p.TrapErr(t)
 }
 
 // fault is how an operation failed; the machine turns it into an error
@@ -429,12 +276,12 @@ func (f fault) err(in *Instr) error {
 
 // load reads a data object's bytes at off: one byte, signed or not, or
 // four little-endian bytes.
-func load(buf []byte, off int, op opcode) (CVal, bool) {
-	if op != opLoad4 {
+func load(buf []byte, off int, op Opcode) (CVal, bool) {
+	if op != DLoad4 {
 		if off < 0 || off >= len(buf) {
 			return CVal{}, false
 		}
-		if op == opLoad1s {
+		if op == DLoad1s {
 			return IntVal(int64(int8(buf[off]))), true
 		}
 		return IntVal(int64(buf[off])), true
@@ -468,8 +315,8 @@ func store(buf []byte, off int, v CVal, byteWide bool) bool {
 	return true
 }
 
-func binop(op opcode, a, b CVal) (CVal, fault) {
-	if op == opPsub {
+func binop(op Opcode, a, b CVal) (CVal, fault) {
+	if op == DPsub {
 		if !a.IsPtr || !b.IsPtr || a.Obj != b.Obj {
 			return CVal{}, fMemory
 		}
@@ -481,32 +328,32 @@ func binop(op opcode, a, b CVal) (CVal, fault) {
 	x, y := int32(a.Int), int32(b.Int)
 	var r int32
 	switch op {
-	case opAdd:
+	case DAdd:
 		r = x + y
-	case opSub:
+	case DSub:
 		r = x - y
-	case opMul:
+	case DMul:
 		r = x * y
-	case opDiv, opRem:
+	case DDiv, DRem:
 		if y == 0 {
 			return CVal{}, fDivZero
 		}
-		if op == opDiv {
+		if op == DDiv {
 			r = x / y
 		} else {
 			r = x % y
 		}
-	case opAnd:
+	case DAnd:
 		r = x & y
-	case opOr:
+	case DOr:
 		r = x | y
-	case opXor:
+	case DXor:
 		r = x ^ y
-	case opShl:
+	case DShl:
 		r = x << (uint32(y) & 31)
-	case opShr:
+	case DShr:
 		r = int32(uint32(x) >> (uint32(y) & 31))
-	case opSar:
+	case DSar:
 		r = x >> (uint32(y) & 31)
 	default:
 		return CVal{}, fUnknownBin
@@ -523,28 +370,28 @@ func boolVal(b bool) CVal {
 
 // comparePtrs compares two values at least one of which is a pointer:
 // equality across objects, ordering within one.
-func comparePtrs(k cmpKind, a, b CVal) (CVal, fault) {
+func comparePtrs(k CmpKind, a, b CVal) (CVal, fault) {
 	if !a.IsPtr || !b.IsPtr {
 		return CVal{}, fMixedCmp
 	}
 	eq := a.Obj == b.Obj && (a.IsNull() || a.Off == b.Off)
 	switch k {
-	case cmpEq:
+	case CmpEq:
 		return boolVal(eq), 0
-	case cmpNe:
+	case CmpNe:
 		return boolVal(!eq), 0
 	}
 	if a.Obj != b.Obj {
 		return CVal{}, fMemory
 	}
 	switch k {
-	case cmpUlt, cmpSlt:
+	case CmpUlt, CmpSlt:
 		return boolVal(a.Off < b.Off), 0
-	case cmpUle, cmpSle:
+	case CmpUle, CmpSle:
 		return boolVal(a.Off <= b.Off), 0
-	case cmpUgt, cmpSgt:
+	case CmpUgt, CmpSgt:
 		return boolVal(a.Off > b.Off), 0
-	case cmpUge, cmpSge:
+	case CmpUge, CmpSge:
 		return boolVal(a.Off >= b.Off), 0
 	}
 	return CVal{}, fUnknownPtrCmp

@@ -5,7 +5,6 @@ import (
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
-	"stringloops/internal/engine"
 )
 
 // This file gives the engine symbolic semantics for the C standard string
@@ -39,49 +38,113 @@ func (e *Engine) constSetArg(v Value) ([]byte, error) {
 	return nil, fmt.Errorf("%w: set argument is unterminated", ErrUnsupported)
 }
 
-// spanTerm builds the strspn/strcspn result (as a 32-bit term) of the string
-// object from a possibly-symbolic offset. match decides per-byte membership;
-// the span stops at NUL regardless.
-func (e *Engine) spanTerm(s *state, p Value, match func(*bv.Term) *bv.Bool) (*bv.Term, error) {
-	bvin := e.In
+// stringObject returns the buffer of the string object p points into, for
+// the string function what: an unsupported error when p is an integer or
+// points into a cell, ErrNullDeref when it is NULL.
+func (e *Engine) stringObject(s *state, p Value, what string) ([]*bv.Term, error) {
 	if !p.IsPtr {
-		return nil, fmt.Errorf("%w: span of integer", ErrUnsupported)
+		return nil, fmt.Errorf("%w: %s of integer", ErrUnsupported, what)
 	}
 	if p.IsNull() {
 		return nil, ErrNullDeref
 	}
 	if s.cell(p.Obj) != nil || p.Obj >= len(e.Objects) {
-		return nil, fmt.Errorf("%w: span of non-string object", ErrUnsupported)
+		return nil, fmt.Errorf("%w: %s of non-string object", ErrUnsupported, what)
 	}
-	buf := e.Objects[p.Obj]
-	if v, ok := buf[len(buf)-1].IsConst(); !ok || v != 0 {
-		return nil, fmt.Errorf("%w: span of unterminated buffer", ErrUnsupported)
-	}
-	// spanFrom[k]: span length starting at k.
-	spanFrom := make([]*bv.Term, len(buf))
-	spanFrom[len(buf)-1] = bvin.Int32(0)
-	for k := len(buf) - 2; k >= 0; k-- {
-		ok := bvin.BAnd2(bvin.Ne(buf[k], bvin.Byte(0)), match(buf[k]))
-		spanFrom[k] = bvin.Ite(ok, bvin.Add(spanFrom[k+1], bvin.Int32(1)), bvin.Int32(0))
-	}
-	if v, ok := p.Off.IsConst(); ok {
-		k := int(int32(v))
-		if k < 0 || k >= len(buf) {
+	return e.Objects[p.Obj], nil
+}
+
+// readAt reads table[off], where off is an offset into a buffer of n bytes,
+// the symbolic-offset read every buffer access shares. A constant offset
+// indexes table directly, ErrOOB outside [0, n). A symbolic one adds off < n
+// to the path (ErrOOB when that is infeasible) and selects with an ite chain
+// over table whose last entry is the default. With oobPath the out-of-bounds
+// complement becomes its own ErrOOB path.
+func (e *Engine) readAt(s *state, table []*bv.Term, n int, off *bv.Term, oobPath bool) (*bv.Term, error) {
+	bvin := e.In
+	if v, ok := off.IsConst(); ok {
+		if k := int(int32(v)); k < 0 || k >= n {
 			return nil, ErrOOB
 		}
-		return spanFrom[k], nil
+		return table[int32(v)], nil
 	}
-	inBounds := bvin.Ult(p.Off, bvin.Int32(int64(len(buf))))
+	inBounds := bvin.Ult(off, bvin.Int32(int64(n)))
 	newCond := bvin.BAnd2(s.cond, inBounds)
 	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(s, newCond)) {
 		return nil, ErrOOB
 	}
+	// The out-of-bounds complement is its own (errored) path, not a slice of
+	// the input space to narrow away: merged states reach here with ite
+	// cursors whose feasible range straddles the buffer end, and dropping
+	// the overflowing models would leave concrete inputs no path claims.
+	if oobPath {
+		if oob := bvin.BAnd2(s.cond, bvin.BNot1(inBounds)); oob != bv.False {
+			if o := (&state{cond: oob}); !e.CheckFeasibility || e.feasible(o, oob) {
+				e.emit(o, Value{}, ErrOOB)
+			}
+		}
+	}
 	s.cond = newCond
-	val := spanFrom[len(buf)-1]
-	for k := len(buf) - 2; k >= 0; k-- {
-		val = bvin.Ite(bvin.Eq(p.Off, bvin.Int32(int64(k))), spanFrom[k], val)
+	val := table[len(table)-1]
+	for k := len(table) - 2; k >= 0; k-- {
+		val = bvin.Ite(bvin.Eq(off, bvin.Int32(int64(k))), table[k], val)
 	}
 	return val, nil
+}
+
+// strlenCall builds the symbolic strlen of a string object from a (possibly
+// symbolic) offset: a nested ite over the bounded buffer. Buffers end in a
+// forced NUL, so the scan always terminates inside the buffer.
+func (e *Engine) strlenCall(s *state, p Value) (Value, error) {
+	bvin := e.In
+	buf, err := e.stringObject(s, p, "strlen")
+	if err != nil {
+		return Value{}, err
+	}
+	// lenFrom[k] = length of the string starting at k.
+	lenFrom := make([]*bv.Term, len(buf))
+	if v, ok := buf[len(buf)-1].IsConst(); !ok || v != 0 {
+		return Value{}, fmt.Errorf("%w: strlen of unterminated buffer", ErrUnsupported)
+	}
+	lenFrom[len(buf)-1] = bvin.Int32(0)
+	for k := len(buf) - 2; k >= 0; k-- {
+		lenFrom[k] = bvin.Ite(bvin.Eq(buf[k], bvin.Byte(0)), bvin.Int32(0), bvin.Add(lenFrom[k+1], bvin.Int32(1)))
+	}
+	val, err := e.readAt(s, lenFrom, len(buf), p.Off, false)
+	return IntValue(val), err
+}
+
+// spanTerm builds the strspn/strcspn result (as a 32-bit term) of the string
+// object from a possibly-symbolic offset. match decides per-byte membership;
+// the span stops at NUL regardless, unless raw: the rawmemchr scan, which
+// ignores the terminator and, leaving the bounded buffer, yields an offset
+// equal to the buffer size.
+func (e *Engine) spanTerm(s *state, p Value, match func(*bv.Term) *bv.Bool, raw bool) (*bv.Term, error) {
+	bvin := e.In
+	buf, err := e.stringObject(s, p, "span")
+	if err != nil {
+		return nil, err
+	}
+	// spanFrom[k]: span length starting at k; the last entry is 0.
+	last := len(buf)
+	if !raw {
+		if v, ok := buf[len(buf)-1].IsConst(); !ok || v != 0 {
+			return nil, fmt.Errorf("%w: span of unterminated buffer", ErrUnsupported)
+		}
+		last--
+	}
+	spanFrom := make([]*bv.Term, last+1)
+	spanFrom[last] = bvin.Int32(0)
+	for k := last - 1; k >= 0; k-- {
+		var ok *bv.Bool
+		if raw {
+			ok = match(buf[k])
+		} else {
+			ok = bvin.BAnd2(bvin.Ne(buf[k], bvin.Byte(0)), match(buf[k]))
+		}
+		spanFrom[k] = bvin.Ite(ok, bvin.Add(spanFrom[k+1], bvin.Int32(1)), bvin.Int32(0))
+	}
+	return e.readAt(s, spanFrom, len(buf), p.Off, false)
 }
 
 // setMatcher builds the membership predicate of a concrete character set.
@@ -98,19 +161,38 @@ func setMatcher(bvin *bv.Interner, set []byte, complement bool) func(*bv.Term) *
 	}
 }
 
-// stringCall handles the string.h intrinsics that may appear in refactored
-// or idiom-rewritten code. Searching functions (strchr, strrchr, strpbrk,
-// rawmemchr) fork the state (found vs miss) and schedule the successors
-// themselves through the run's scheduler.
-func (e *Engine) stringCall(s *state, f *cir.Func, in *cir.Instr) (handled bool, err error) {
+// spanCall runs strspn or strcspn, whose set argument args[1] must be
+// concrete.
+func (e *Engine) spanCall(s *state, fn cir.Intrinsic, args []int32) (Value, error) {
+	if len(args) != 2 {
+		return Value{}, fmt.Errorf("%w: %s arity", ErrUnsupported, fn)
+	}
+	set, err := e.constSetArg(e.read(s, args[1]))
+	if err != nil {
+		return Value{}, err
+	}
+	span, err := e.spanTerm(s, e.read(s, args[0]), setMatcher(e.In, set, fn == cir.FnStrcspn), false)
+	return IntValue(span), err
+}
+
+// searchCall runs the searching string functions (strchr, strrchr, strpbrk,
+// rawmemchr), which fork the state: found, with a pointer result, and miss.
+// It schedules the feasible successors, which resume after the call.
+func (e *Engine) searchCall(s *state, in *cir.DInstr, fn cir.Intrinsic) error {
 	bvin := e.In
-	argVal := func(i int) Value { return e.operand(s, f, in.Args[i]) }
+	args := e.prog.CallArgs[in.A : in.A+in.B]
+	if len(args) != 2 {
+		return fmt.Errorf("%w: %s arity", ErrUnsupported, fn)
+	}
+	p := e.read(s, args[0])
 
 	// forkFound schedules the found (pointer result under cond) and miss
 	// (missVal or error under !cond) successors.
 	forkFound := func(found *bv.Bool, obj int, offTerm *bv.Term, missVal Value, missErr error) {
-		e.Budget.Add(engine.Forks, 1)
-		miss := s.fork()
+		miss := e.forkStep(s)
+		if miss == nil {
+			return
+		}
 		s.cond = bvin.BAnd2(s.cond, found)
 		if s.cond != bv.False && !(e.CheckFeasibility && !e.feasible(s, s.cond)) {
 			s.regs[in.Res] = PtrValue(obj, offTerm)
@@ -127,161 +209,72 @@ func (e *Engine) stringCall(s *state, f *cir.Func, in *cir.Instr) (handled bool,
 		}
 	}
 
-	switch in.Sub {
-	case "strspn", "strcspn":
-		if len(in.Args) != 2 {
-			return true, fmt.Errorf("%w: %s arity", ErrUnsupported, in.Sub)
-		}
-		set, err := e.constSetArg(argVal(1))
+	if fn == cir.FnStrpbrk {
+		set, err := e.constSetArg(e.read(s, args[1]))
 		if err != nil {
-			return true, err
+			return err
 		}
-		span, err := e.spanTerm(s, argVal(0), setMatcher(bvin, set, in.Sub == "strcspn"))
+		span, err := e.spanTerm(s, p, setMatcher(bvin, set, true), false)
 		if err != nil {
-			return true, err
-		}
-		s.regs[in.Res] = IntValue(span)
-		return true, nil
-
-	case "strchr", "rawmemchr":
-		if len(in.Args) != 2 {
-			return true, fmt.Errorf("%w: %s arity", ErrUnsupported, in.Sub)
-		}
-		p := argVal(0)
-		cArg := argVal(1)
-		if cArg.IsPtr {
-			return true, fmt.Errorf("%w: %s character is a pointer", ErrUnsupported, in.Sub)
-		}
-		c := bvin.And(cArg.Term, bvin.Int32(0xff))
-		// Position of the first c: p + span over bytes != c. For strchr the
-		// span also stops at NUL (miss -> NULL); for rawmemchr it ignores
-		// the terminator, and a miss within the bounded buffer is UB.
-		matchC := func(b *bv.Term) *bv.Bool { return bvin.BNot1(bvin.Eq(bvin.Zext(b, 32), c)) }
-		var span *bv.Term
-		var err error
-		if in.Sub == "strchr" {
-			span, err = e.spanTerm(s, p, matchC)
-		} else {
-			span, err = e.rawSpanTerm(s, p, matchC)
-		}
-		if err != nil {
-			return true, err
-		}
-		stopOff := bvin.Add(p.Off, span)
-		var found *bv.Bool
-		if in.Sub == "strchr" {
-			stopByte, err := e.selectByte(s, e.Objects[p.Obj], stopOff)
-			if err != nil {
-				return true, err
-			}
-			found = bvin.Eq(bvin.Zext(stopByte, 32), c)
-			forkFound(found, p.Obj, stopOff, NullValue(), nil)
-			return true, nil
-		}
-		// rawmemchr: found iff the stop position is inside the buffer.
-		found = bvin.Ult(stopOff, bvin.Int32(int64(len(e.Objects[p.Obj]))))
-		forkFound(found, p.Obj, stopOff, Value{}, ErrOOB)
-		return true, nil
-
-	case "strpbrk":
-		if len(in.Args) != 2 {
-			return true, fmt.Errorf("%w: strpbrk arity", ErrUnsupported)
-		}
-		p := argVal(0)
-		set, err := e.constSetArg(argVal(1))
-		if err != nil {
-			return true, err
-		}
-		span, err := e.spanTerm(s, p, setMatcher(bvin, set, true))
-		if err != nil {
-			return true, err
+			return err
 		}
 		stopOff := bvin.Add(p.Off, span)
 		stopByte, err := e.selectByte(s, e.Objects[p.Obj], stopOff)
 		if err != nil {
-			return true, err
+			return err
 		}
-		found := setMatcher(bvin, set, false)(stopByte)
-		forkFound(found, p.Obj, stopOff, NullValue(), nil)
-		return true, nil
+		forkFound(setMatcher(bvin, set, false)(stopByte), p.Obj, stopOff, NullValue(), nil)
+		return nil
+	}
 
-	case "strrchr":
-		if len(in.Args) != 2 {
-			return true, fmt.Errorf("%w: strrchr arity", ErrUnsupported)
-		}
-		p := argVal(0)
-		cArg := argVal(1)
-		if cArg.IsPtr {
-			return true, fmt.Errorf("%w: strrchr character is a pointer", ErrUnsupported)
-		}
-		c := bvin.And(cArg.Term, bvin.Int32(0xff))
+	cArg := e.read(s, args[1])
+	if cArg.IsPtr {
+		return fmt.Errorf("%w: %s character is a pointer", ErrUnsupported, fn)
+	}
+	c := bvin.And(cArg.Term, bvin.Int32(0xff))
+	if fn == cir.FnStrrchr {
 		last, found, err := e.lastOccurrence(s, p, c)
 		if err != nil {
-			return true, err
+			return err
 		}
 		forkFound(found, p.Obj, last, NullValue(), nil)
-		return true, nil
+		return nil
 	}
-	return false, nil
-}
-
-// rawSpanTerm is spanTerm without the NUL stop — the rawmemchr scan. A scan
-// that leaves the bounded buffer yields an offset equal to the buffer size.
-func (e *Engine) rawSpanTerm(s *state, p Value, match func(*bv.Term) *bv.Bool) (*bv.Term, error) {
-	bvin := e.In
-	if !p.IsPtr {
-		return nil, fmt.Errorf("%w: span of integer", ErrUnsupported)
+	// Position of the first c: p + span over bytes != c. For strchr the
+	// span also stops at NUL (miss -> NULL); for rawmemchr it ignores the
+	// terminator, and a miss within the bounded buffer is UB.
+	matchC := func(b *bv.Term) *bv.Bool { return bvin.BNot1(bvin.Eq(bvin.Zext(b, 32), c)) }
+	span, err := e.spanTerm(s, p, matchC, fn == cir.FnRawmemchr)
+	if err != nil {
+		return err
 	}
-	if p.IsNull() {
-		return nil, ErrNullDeref
-	}
-	if s.cell(p.Obj) != nil || p.Obj >= len(e.Objects) {
-		return nil, fmt.Errorf("%w: span of non-string object", ErrUnsupported)
-	}
-	buf := e.Objects[p.Obj]
-	spanFrom := make([]*bv.Term, len(buf)+1)
-	spanFrom[len(buf)] = bvin.Int32(0)
-	for k := len(buf) - 1; k >= 0; k-- {
-		spanFrom[k] = bvin.Ite(match(buf[k]), bvin.Add(spanFrom[k+1], bvin.Int32(1)), bvin.Int32(0))
-	}
-	if v, ok := p.Off.IsConst(); ok {
-		k := int(int32(v))
-		if k < 0 || k >= len(buf) {
-			return nil, ErrOOB
+	stopOff := bvin.Add(p.Off, span)
+	if fn == cir.FnStrchr {
+		stopByte, err := e.selectByte(s, e.Objects[p.Obj], stopOff)
+		if err != nil {
+			return err
 		}
-		return spanFrom[k], nil
+		forkFound(bvin.Eq(bvin.Zext(stopByte, 32), c), p.Obj, stopOff, NullValue(), nil)
+		return nil
 	}
-	inBounds := bvin.Ult(p.Off, bvin.Int32(int64(len(buf))))
-	newCond := bvin.BAnd2(s.cond, inBounds)
-	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(s, newCond)) {
-		return nil, ErrOOB
-	}
-	s.cond = newCond
-	val := spanFrom[len(buf)]
-	for k := len(buf) - 1; k >= 0; k-- {
-		val = bvin.Ite(bvin.Eq(p.Off, bvin.Int32(int64(k))), spanFrom[k], val)
-	}
-	return val, nil
+	// rawmemchr: found iff the stop position is inside the buffer.
+	found := bvin.Ult(stopOff, bvin.Int32(int64(len(e.Objects[p.Obj]))))
+	forkFound(found, p.Obj, stopOff, Value{}, ErrOOB)
+	return nil
 }
 
 // lastOccurrence builds the offset term of the last occurrence of character
 // c in the live string at p, plus the found condition.
 func (e *Engine) lastOccurrence(s *state, p Value, c *bv.Term) (*bv.Term, *bv.Bool, error) {
 	bvin := e.In
-	if !p.IsPtr {
-		return nil, nil, fmt.Errorf("%w: strrchr of integer", ErrUnsupported)
-	}
-	if p.IsNull() {
-		return nil, nil, ErrNullDeref
-	}
-	if s.cell(p.Obj) != nil || p.Obj >= len(e.Objects) {
-		return nil, nil, fmt.Errorf("%w: strrchr of non-string object", ErrUnsupported)
+	buf, err := e.stringObject(s, p, "strrchr")
+	if err != nil {
+		return nil, nil, err
 	}
 	off, ok := p.Off.IsConst()
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: strrchr from a symbolic offset", ErrUnsupported)
 	}
-	buf := e.Objects[p.Obj]
 	from := int(int32(off))
 	if from < 0 || from >= len(buf) {
 		return nil, nil, ErrOOB

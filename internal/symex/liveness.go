@@ -19,9 +19,11 @@ import "stringloops/internal/cir"
 // block, a register bitmap for the park point. Phi uses are charged to the
 // incoming edge (they are resolved while the state is still on that edge),
 // and phi results count as already-assigned at the park point — live only
-// if something downstream reads them.
+// if something downstream reads them. Operands and results out of range,
+// which cir decodes to traps, are skipped.
 func parkLiveSets(f *cir.Func) map[*cir.Block][]bool {
 	n := f.NumRegs
+	reg := func(r int) bool { return r >= 0 && r < n }
 	type blockInfo struct {
 		useNonPhi []bool // read by a non-phi instr before any non-phi def
 		defNonPhi []bool
@@ -41,11 +43,11 @@ func parkLiveSets(f *cir.Func) map[*cir.Block][]bool {
 		info[b] = bi
 		for _, in := range b.Instrs {
 			if in.Op == cir.OpPhi {
-				if in.Res >= 0 {
+				if reg(in.Res) {
 					bi.defAll[in.Res] = true
 				}
 				for i, pb := range in.Blocks {
-					if in.Args[i].Kind != cir.KReg {
+					if i >= len(in.Args) || in.Args[i].Kind != cir.KReg || !reg(in.Args[i].Reg) {
 						continue
 					}
 					m := phiUse[b]
@@ -58,11 +60,11 @@ func parkLiveSets(f *cir.Func) map[*cir.Block][]bool {
 				continue
 			}
 			for _, a := range in.Args {
-				if a.Kind == cir.KReg && !bi.defNonPhi[a.Reg] {
+				if a.Kind == cir.KReg && reg(a.Reg) && !bi.defNonPhi[a.Reg] {
 					bi.useNonPhi[a.Reg] = true
 				}
 			}
-			if in.Res >= 0 {
+			if reg(in.Res) {
 				bi.defNonPhi[in.Res] = true
 				bi.defAll[in.Res] = true
 			}

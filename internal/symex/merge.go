@@ -53,7 +53,6 @@ func (q *stackSched) pop() (*state, bool) {
 // the bucket when it merges. Runnable (non-parked) states drain first, LIFO.
 type mergeSched struct {
 	e     *Engine
-	f     *cir.Func
 	run   []*state
 	parks map[*cir.Block][]*state
 	order []*cir.Block // non-empty buckets, first-arrival order
@@ -66,7 +65,6 @@ type mergeSched struct {
 func newMergeSched(e *Engine, f *cir.Func) *mergeSched {
 	m := &mergeSched{
 		e:     e,
-		f:     f,
 		parks: map[*cir.Block][]*state{},
 		joins: cir.JoinPoints(f),
 		live:  parkLiveSets(f),
@@ -106,25 +104,25 @@ func newMergeSched(e *Engine, f *cir.Func) *mergeSched {
 	return m
 }
 
-// push parks a block-entry state arriving at a join point, resolving its
-// phis immediately (while prev still names the incoming edge — after a
-// merge the edge is ambiguous) and pruning it to its live locations (so
-// per-iteration temporaries can't block folding — see liveness.go);
-// everything else is runnable.
+// push parks a state about to enter a join point. It crosses the edge
+// first, while the state still names it (after a merge the edge is
+// ambiguous), and prunes the state to its live locations (so per-iteration
+// temporaries can't block folding — see liveness.go); everything else is
+// runnable.
 func (m *mergeSched) push(s *state) {
-	if s.idx == 0 && m.joins[s.block] != 0 {
-		if err := m.e.resolvePhis(s, m.f); err != nil {
-			m.e.emit(s, Value{}, err)
-			return
-		}
-		pruneDead(s, m.live[s.block])
-		if len(m.parks[s.block]) == 0 {
-			m.order = append(m.order, s.block)
-		}
-		m.parks[s.block] = append(m.parks[s.block], s)
+	if s.pending == nil || m.joins[s.pending.Target] == 0 {
+		m.run = append(m.run, s)
 		return
 	}
-	m.run = append(m.run, s)
+	b := s.pending.Target
+	if !m.e.cross(s) {
+		return
+	}
+	pruneDead(s, m.live[b])
+	if len(m.parks[b]) == 0 {
+		m.order = append(m.order, b)
+	}
+	m.parks[b] = append(m.parks[b], s)
 }
 
 func (m *mergeSched) pop() (*state, bool) {
@@ -224,7 +222,7 @@ outer:
 // mismatch (pointer vs integer, different objects, different cells),
 // leaving the states to execute separately.
 func (e *Engine) mergeTwo(a, b *state) (*state, bool) {
-	if a.block != b.block || a.idx != b.idx {
+	if a.pc != b.pc {
 		return nil, false
 	}
 	if len(a.cells) != len(b.cells) {
@@ -255,8 +253,7 @@ func (e *Engine) mergeTwo(a, b *state) (*state, bool) {
 		regs:  make([]Value, len(a.regs)),
 		cells: slices.Clone(a.cells),
 		cond:  cond,
-		block: a.block,
-		idx:   a.idx,
+		pc:    a.pc,
 		steps: steps,
 	}
 	ites := 0

@@ -5,10 +5,14 @@
 // feasibility with the SAT-backed bit-vector solver, and returning the set of
 // terminal paths with their conditions and return values.
 //
-// The executor supports exactly the shapes the paper's loops need: one or
-// more read-only string objects, integer locals, pointer arithmetic, the
-// ctype.h character intrinsics, and undefined-behaviour detection
-// (out-of-bounds reads, null dereferences) as error paths.
+// It runs the program cir.Decode builds, the one cir.Machine runs
+// concretely: opcode, comparison and intrinsic enums, operands resolved to
+// register, string-literal and constant slots, one phi copy list per
+// control-flow edge, and malformed IR decoded to traps. The executor
+// supports exactly the shapes the paper's loops need: one or more read-only
+// string objects, integer locals, pointer arithmetic, the ctype.h character
+// intrinsics, and undefined-behaviour detection (out-of-bounds reads, null
+// dereferences) as error paths.
 package symex
 
 import (
@@ -117,9 +121,14 @@ type Engine struct {
 	// Run at a time.
 	sched scheduler
 	emit  func(*state, Value, error)
-	// injectedErr latches a SymexForkFail firing inside branch (which has
-	// no error return); the work loop surfaces it on its next iteration.
+	// injectedErr latches a SymexForkFail firing inside a fork step (which
+	// has no error return); the work loop surfaces it on its next iteration.
 	injectedErr error
+	// prog is the run's decoded program, strBase the object id of its first
+	// string literal, and phis the scratch of an edge's parallel copies.
+	prog    *cir.Program
+	strBase int
+	phis    []Value
 }
 
 // state is one in-flight execution path.
@@ -132,9 +141,11 @@ type state struct {
 	// one. A check whose condition simplifies to it is answered without a
 	// query (see feasible).
 	decided *bv.Bool
-	block   *cir.Block
-	prev    *cir.Block
-	idx     int // next instruction index in block
+	// pc is the state's next instruction in the decoded program. A non-nil
+	// pending is the edge it has yet to cross: its target's phi copies, then
+	// the jump that sets pc.
+	pc      int32
+	pending *cir.Edge
 	steps   int
 }
 
@@ -178,9 +189,8 @@ func (s *state) fork() *state {
 		cells:   slices.Clone(s.cells),
 		cond:    s.cond,
 		decided: s.decided,
-		block:   s.block,
-		prev:    s.prev,
-		idx:     s.idx,
+		pc:      s.pc,
+		pending: s.pending,
 		steps:   s.steps,
 	}
 	copy(ns.regs, s.regs)
@@ -192,10 +202,12 @@ func (s *state) fork() *state {
 var emitHook func(*state)
 
 // Run symbolically executes f on args under the initial condition init
-// (pass bv.True for none). It returns all terminal paths. Malformed IR
-// (operands of unknown kind) surfaces as an ErrUnsupported error naming the
-// function, block and instruction, never as a panic.
-func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, rerr error) {
+// (pass bv.True for none) and returns all terminal paths. It runs the
+// program cir.Decode builds for f, decoded afresh for every run. Malformed
+// IR ends in an error wrapping ErrUnsupported that carries cir's text,
+// never in a panic: on the run when f cannot start (a parameter register
+// out of range, no blocks), otherwise on each path that reaches the flaw.
+func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, _ error) {
 	if e.Faults.Fire(faultpoint.SymexPanic) {
 		panic(faultpoint.InjectedPanic{
 			Site: faultpoint.SymexPanic,
@@ -209,24 +221,6 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 		span.End()
 	}()
 	e.injectedErr = nil
-	var curState *state
-	defer func() {
-		if r := recover(); r != nil {
-			bo, ok := r.(badOperand)
-			if !ok {
-				panic(r)
-			}
-			loc := "<entry>"
-			if curState != nil && curState.block != nil {
-				loc = curState.block.Label()
-				if curState.idx > 0 && curState.idx <= len(curState.block.Instrs) {
-					loc += ": " + curState.block.Instrs[curState.idx-1].String()
-				}
-			}
-			rpaths = nil
-			rerr = fmt.Errorf("%w: %s: block %s: bad operand kind %d", ErrUnsupported, f.Name, loc, bo.o.Kind)
-		}
-	}()
 	if e.MaxSteps <= 0 {
 		e.MaxSteps = 1 << 16
 	}
@@ -240,16 +234,21 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 	if len(args) != len(f.Params) {
 		return nil, fmt.Errorf("symex: %s expects %d args, got %d", f.Name, len(f.Params), len(args))
 	}
+	prog := cir.Decode(f)
+	if prog.Start >= 0 {
+		return nil, malformed(prog.TrapErr(prog.Start))
+	}
+	e.prog = prog
 	st := &state{
-		regs:  make([]Value, f.NumRegs),
-		cond:  init,
-		block: f.Entry(),
+		regs:    make([]Value, f.NumRegs),
+		cond:    init,
+		pending: &prog.Edges[prog.Entry],
 	}
 	for i, p := range f.Params {
 		st.regs[p.Reg] = args[i]
 	}
 	// String literals become extra concrete objects.
-	strBase := len(e.Objects)
+	e.strBase = len(e.Objects)
 	for _, slit := range f.StrLits {
 		buf := make([]*bv.Term, len(slit)+1)
 		for i := 0; i < len(slit); i++ {
@@ -258,7 +257,7 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 		buf[len(slit)] = bvin.Byte(0)
 		e.Objects = append(e.Objects, buf)
 	}
-	defer func() { e.Objects = e.Objects[:strBase] }()
+	defer func() { e.Objects = e.Objects[:e.strBase] }()
 
 	var paths []Path
 	nextCell := 1 << 20 // cell ids; disjoint from data-object ids
@@ -278,6 +277,7 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 	}
 	e.sched.push(st)
 
+	code := prog.Code
 	for {
 		if e.injectedErr != nil {
 			return paths, e.injectedErr
@@ -292,131 +292,106 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 		if !ok {
 			break
 		}
-		curState = s
 		// Steps accumulate on the state and the segment's delta is charged
 		// after the instruction loop — one batched budget charge per
 		// scheduled segment keeps the per-instruction path free of shared
 		// writes.
 		stepsBase := s.steps
 
-		// Evaluate phis simultaneously on block entry (already done at park
-		// time for states that went through a merge bucket — resolvePhis
-		// advances idx past the phi prefix, so this does not re-run).
-		if s.idx == 0 {
-			if err := e.resolvePhis(s, f); err != nil {
-				emit(s, Value{}, err)
-				continue
-			}
+		// Cross the edge the state was scheduled on (the merging scheduler
+		// has already crossed it for states that went through a bucket).
+		if s.pending != nil && !e.cross(s) {
+			continue
 		}
 
 	instrLoop:
-		for s.idx < len(s.block.Instrs) {
-			in := s.block.Instrs[s.idx]
-			s.idx++
-			if in.Op == cir.OpPhi {
-				continue
+		for {
+			pc := s.pc
+			in := &code[pc]
+			s.pc++
+			if in.Op == cir.DFall {
+				emit(s, Value{}, malformed(prog.TrapErr(in.A)))
+				break
 			}
 			s.steps++
 			if s.steps > e.MaxSteps {
 				emit(s, Value{}, ErrStepLimit)
-				break instrLoop
+				break
 			}
+			var v Value
+			var err error
 			switch in.Op {
-			case cir.OpAlloca:
+			case cir.DAlloca:
 				id := nextCell
 				nextCell++
-				s.alloc(in.Res, id)
-				s.regs[in.Res] = PtrValue(id, bvin.Int32(0))
-			case cir.OpLoad:
-				v, err := e.load(s, f, in)
-				if err != nil {
+				s.alloc(int(in.Res), id)
+				v = PtrValue(id, bvin.Int32(0))
+			case cir.DLoad1s, cir.DLoad1u, cir.DLoad4:
+				v, err = e.load(s, in)
+			case cir.DStore1, cir.DStore4:
+				if err := e.store(s, in); err != nil {
 					emit(s, Value{}, err)
 					break instrLoop
 				}
-				s.regs[in.Res] = v
-			case cir.OpStore:
-				if err := e.store(s, f, in); err != nil {
-					emit(s, Value{}, err)
-					break instrLoop
-				}
-			case cir.OpBin:
-				v, err := e.binop(s, f, in)
-				if err != nil {
-					emit(s, Value{}, err)
-					break instrLoop
-				}
-				s.regs[in.Res] = v
-			case cir.OpCmp:
-				v, err := e.cmpop(s, f, in)
-				if err != nil {
-					emit(s, Value{}, err)
-					break instrLoop
-				}
-				s.regs[in.Res] = v
-			case cir.OpGep:
-				p := e.operand(s, f, in.Args[0])
-				idx := e.operand(s, f, in.Args[1])
+				continue
+			case cir.DCmp:
+				v, err = e.cmpop(s, pc, in)
+			case cir.DGep:
+				p := e.read(s, in.A)
+				idx := e.read(s, in.B)
 				if !p.IsPtr || idx.IsPtr {
-					emit(s, Value{}, fmt.Errorf("%w: bad gep operands", ErrUnsupported))
-					break instrLoop
+					err = fmt.Errorf("%w: bad gep operands", ErrUnsupported)
+				} else if p.IsNull() {
+					err = ErrNullDeref
+				} else {
+					v = PtrValue(p.Obj, bvin.Add(p.Off, bvin.MulC(idx.Term, int64(in.C))))
 				}
-				if p.IsNull() {
-					emit(s, Value{}, ErrNullDeref)
-					break instrLoop
-				}
-				s.regs[in.Res] = PtrValue(p.Obj, bvin.Add(p.Off, bvin.MulC(idx.Term, int64(in.Scale))))
-			case cir.OpCall:
-				switch in.Sub {
-				case "strspn", "strcspn", "strchr", "rawmemchr", "strpbrk", "strrchr":
-					handled, err := e.stringCall(s, f, in)
-					if err != nil {
+			case cir.DCall:
+				switch fn := cir.Intrinsic(in.Aux); fn {
+				case cir.FnStrchr, cir.FnRawmemchr, cir.FnStrpbrk, cir.FnStrrchr:
+					// The call forks; its successors (if feasible) are on
+					// the worklist and resume after the call.
+					if err := e.searchCall(s, in, fn); err != nil {
 						emit(s, Value{}, err)
-						break instrLoop
 					}
-					if handled {
-						if in.Sub == "strspn" || in.Sub == "strcspn" {
-							continue // inline result; keep executing
-						}
-						// The call forked; its successors (if feasible) are
-						// on the worklist and resume after the call.
-						break instrLoop
-					}
-				}
-				v, err := e.call(s, f, in)
-				if err != nil {
-					emit(s, Value{}, err)
 					break instrLoop
+				default:
+					v, err = e.call(s, pc, in, fn)
 				}
-				s.regs[in.Res] = v
-			case cir.OpBr:
-				s.prev, s.block, s.idx = s.block, in.Blocks[0], 0
+			case cir.DBr:
+				s.pending = &prog.Edges[in.B]
 				e.sched.push(s)
 				break instrLoop
-			case cir.OpCondBr:
-				c := e.operand(s, f, in.Args[0])
+			case cir.DCondBr:
+				c := e.read(s, in.A)
 				var condTrue *bv.Bool
 				if c.IsPtr {
 					condTrue = bvin.BoolConst(!c.IsNull())
 				} else {
 					condTrue = bvin.Ne(c.Term, bvin.Int32(0))
 				}
-				e.branch(s, condTrue, in.Blocks[0], in.Blocks[1])
+				e.branch(s, condTrue, &prog.Edges[in.B], &prog.Edges[in.C])
 				break instrLoop
-			case cir.OpRet:
-				var ret Value
-				if len(in.Args) > 0 {
-					ret = e.operand(s, f, in.Args[0])
-				}
-				emit(s, ret, nil)
+			case cir.DRet:
+				emit(s, e.read(s, in.A), nil)
 				break instrLoop
-			default:
-				emit(s, Value{}, fmt.Errorf("%w: opcode %d", ErrUnsupported, in.Op))
+			case cir.DRetVoid:
+				emit(s, Value{}, nil)
 				break instrLoop
+			case cir.DTrap:
+				emit(s, Value{}, malformed(prog.TrapErr(in.A)))
+				break instrLoop
+			case cir.DNop:
+				emit(s, Value{}, fmt.Errorf("%w: opcode %d", ErrUnsupported, in.Aux))
+				break instrLoop
+			default: // DAdd through DBinBad
+				v, err = e.binop(s, pc, in)
 			}
-			if s.idx >= len(s.block.Instrs) {
-				emit(s, Value{}, fmt.Errorf("%w: block falls through", ErrUnsupported))
-				break instrLoop
+			if err != nil {
+				emit(s, Value{}, err)
+				break
 			}
+			s.regs[in.Res] = v
 		}
 		e.Budget.Add(engine.Steps, int64(s.steps-stepsBase))
 	}
@@ -429,10 +404,58 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, r
 	return paths, nil
 }
 
-// branch forks s on cond, scheduling feasible sides.
-func (e *Engine) branch(s *state, cond *bv.Bool, thenB, elseB *cir.Block) {
+// malformed marks cir's error for IR that neither interpreter can run as
+// unsupported.
+func malformed(err error) error { return fmt.Errorf("%w: %w", ErrUnsupported, err) }
+
+// read returns the value in slot: a register, then a string literal's
+// object (appended after the engine's own objects), then a constant, which
+// is interned at every read.
+func (e *Engine) read(s *state, slot int32) Value {
+	if int(slot) < len(s.regs) {
+		return s.regs[slot]
+	}
+	obj := e.strBase + int(slot) - len(s.regs)
+	if obj < len(e.Objects) {
+		return PtrValue(obj, e.In.Int32(0))
+	}
+	if c := e.prog.Consts[obj-len(e.Objects)]; !c.IsPtr {
+		return ConstValue(e.In, c.Int)
+	}
+	return NullValue()
+}
+
+// cross moves s across its pending edge: the target's phi copies, read in
+// parallel, then the jump to the target's first instruction. On a malformed
+// edge it ends s with cir's error instead and reports false. The merging
+// scheduler crosses at park time, while the state still names its edge
+// (after a merge the edge is ambiguous); the work loop crosses every other
+// edge when it pops the state.
+func (e *Engine) cross(s *state) bool {
+	ed := s.pending
+	s.pending = nil
+	if ed.Trap >= 0 {
+		e.emit(s, Value{}, malformed(e.prog.TrapErr(ed.Trap)))
+		return false
+	}
+	copies := e.prog.Copies[ed.From:ed.To]
+	vals := e.phis[:0]
+	for _, c := range copies {
+		vals = append(vals, e.read(s, c.Src))
+	}
+	for i, c := range copies {
+		s.regs[c.Dst] = vals[i]
+	}
+	e.phis = vals
+	s.pc = ed.PC
+	return true
+}
+
+// branch forks s on cond, scheduling the feasible sides: across edge then
+// where cond holds, across els where it does not.
+func (e *Engine) branch(s *state, cond *bv.Bool, then, els *cir.Edge) {
 	bvin := e.In
-	take := func(st *state, c *bv.Bool, b *cir.Block) {
+	take := func(st *state, c *bv.Bool, ed *cir.Edge) {
 		st.cond = bvin.BAnd2(st.cond, c)
 		if st.cond == bv.False {
 			return
@@ -440,61 +463,38 @@ func (e *Engine) branch(s *state, cond *bv.Bool, thenB, elseB *cir.Block) {
 		if e.CheckFeasibility && !e.feasible(st, st.cond) {
 			return
 		}
-		st.prev, st.block, st.idx = st.block, b, 0
+		st.pending = ed
 		e.sched.push(st)
 	}
 	switch cond {
 	case bv.True:
-		take(s, bv.True, thenB)
+		take(s, bv.True, then)
 		return
 	case bv.False:
-		take(s, bv.True, elseB)
+		take(s, bv.True, els)
 		return
 	}
-	e.Budget.Add(engine.Forks, 1)
-	if e.Faults.Fire(faultpoint.SymexForkFail) {
-		// A failed fork poisons the whole run, not just this state: partial
-		// path sets must never masquerade as complete ones. The work loop
-		// surfaces the latched error on its next iteration.
-		e.injectedErr = fmt.Errorf("%w: injected fork failure (%w)", ErrTimeout, faultpoint.ErrInjected)
+	other := e.forkStep(s)
+	if other == nil {
 		return
 	}
-	other := s.fork()
-	take(s, cond, thenB)
-	take(other, bvin.BNot1(cond), elseB)
+	take(s, cond, then)
+	take(other, bvin.BNot1(cond), els)
 }
 
-// resolvePhis evaluates the block's leading phi instructions simultaneously
-// against s.prev and advances s.idx past them. The merging scheduler calls
-// it at park time — before conditions merge and the incoming edge becomes
-// ambiguous; the work loop calls it for every other block entry.
-func (e *Engine) resolvePhis(s *state, f *cir.Func) error {
-	var phiRegs []int
-	var phiVals []Value
-	n := 0
-	for _, in := range s.block.Instrs {
-		if in.Op != cir.OpPhi {
-			break
-		}
-		n++
-		found := false
-		for i, pb := range in.Blocks {
-			if pb == s.prev {
-				phiVals = append(phiVals, e.operand(s, f, in.Args[i]))
-				phiRegs = append(phiRegs, in.Res)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("%w: phi without incoming edge", ErrUnsupported)
-		}
+// forkStep is the one fork step of branch and the searching string calls:
+// it counts the fork, consults the SymexForkFail site and returns a copy of
+// s. A failed fork poisons the whole run, not just this state: partial path
+// sets must never masquerade as complete ones. So on a firing forkStep
+// latches the error, which the work loop surfaces on its next iteration,
+// and returns nil.
+func (e *Engine) forkStep(s *state) *state {
+	e.Budget.Add(engine.Forks, 1)
+	if e.Faults.Fire(faultpoint.SymexForkFail) {
+		e.injectedErr = fmt.Errorf("%w: injected fork failure (%w)", ErrTimeout, faultpoint.ErrInjected)
+		return nil
 	}
-	for i, r := range phiRegs {
-		s.regs[r] = phiVals[i]
-	}
-	s.idx = n
-	return nil
+	return s.fork()
 }
 
 // feasible asks the solver whether cond, which extends s's path condition,
@@ -534,33 +534,11 @@ func (e *Engine) feasible(s *state, cond *bv.Bool) bool {
 	return true
 }
 
-func (e *Engine) operand(s *state, f *cir.Func, o cir.Operand) Value {
+// load reads a cell directly and a string object's byte through
+// selectByte.
+func (e *Engine) load(s *state, in *cir.DInstr) (Value, error) {
 	bvin := e.In
-	switch o.Kind {
-	case cir.KReg:
-		return s.regs[o.Reg]
-	case cir.KConst:
-		return ConstValue(bvin, o.Imm)
-	case cir.KNull:
-		return NullValue()
-	case cir.KStr:
-		// String literal objects were appended after the engine's own; the
-		// literal index maps to that region.
-		return PtrValue(len(e.Objects)-len(f.StrLits)+o.Str, bvin.Int32(0))
-	}
-	panic(badOperand{o})
-}
-
-// badOperand is the panic value raised by operand on malformed IR. Run
-// recovers it at the executor boundary into an ErrUnsupported error naming
-// the function, block and instruction, so malformed input surfaces as an
-// error path instead of crashing the process.
-type badOperand struct{ o cir.Operand }
-
-// load handles cell loads directly and data loads via a bounded select.
-func (e *Engine) load(s *state, f *cir.Func, in *cir.Instr) (Value, error) {
-	bvin := e.In
-	p := e.operand(s, f, in.Args[0])
+	p := e.read(s, in.A)
 	if !p.IsPtr {
 		return Value{}, fmt.Errorf("%w: load through integer", ErrUnsupported)
 	}
@@ -573,58 +551,28 @@ func (e *Engine) load(s *state, f *cir.Func, in *cir.Instr) (Value, error) {
 	if p.Obj >= len(e.Objects) {
 		return Value{}, ErrOOB
 	}
-	buf := e.Objects[p.Obj]
-	switch in.Sub {
-	case "1s", "1u":
-		b, err := e.selectByte(s, buf, p.Off)
-		if err != nil {
-			return Value{}, err
-		}
-		if in.Sub == "1s" {
-			return IntValue(bvin.Sext(b, 32)), nil
-		}
-		return IntValue(bvin.Zext(b, 32)), nil
-	default:
-		return Value{}, fmt.Errorf("%w: %q load from string object", ErrUnsupported, in.Sub)
+	if in.Op == cir.DLoad4 {
+		return Value{}, fmt.Errorf("%w: %q load from string object", ErrUnsupported, in.Op)
 	}
+	b, err := e.selectByte(s, e.Objects[p.Obj], p.Off)
+	if err != nil {
+		return Value{}, err
+	}
+	if in.Op == cir.DLoad1s {
+		return IntValue(bvin.Sext(b, 32)), nil
+	}
+	return IntValue(bvin.Zext(b, 32)), nil
 }
 
-// selectByte reads buf[off]. A constant offset reads directly; a symbolic
-// offset builds an ite chain and adds the in-bounds constraint to the path
-// (out-of-bounds reads on all-feasible offsets surface as ErrOOB).
+// selectByte reads buf[off] with readAt. Out-of-bounds reads on feasible
+// offsets surface as ErrOOB paths.
 func (e *Engine) selectByte(s *state, buf []*bv.Term, off *bv.Term) (*bv.Term, error) {
-	bvin := e.In
-	if v, ok := off.IsConst(); ok {
-		if int(int32(v)) < 0 || int(int32(v)) >= len(buf) {
-			return nil, ErrOOB
-		}
-		return buf[int32(v)], nil
-	}
-	inBounds := bvin.Ult(off, bvin.Int32(int64(len(buf))))
-	newCond := bvin.BAnd2(s.cond, inBounds)
-	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(s, newCond)) {
-		return nil, ErrOOB
-	}
-	// The out-of-bounds complement is its own (errored) path, not a slice of
-	// the input space to narrow away: merged states reach here with ite
-	// cursors whose feasible range straddles the buffer end, and dropping
-	// the overflowing models would leave concrete inputs no path claims.
-	if oob := bvin.BAnd2(s.cond, bvin.BNot1(inBounds)); oob != bv.False {
-		if o := (&state{cond: oob}); !e.CheckFeasibility || e.feasible(o, oob) {
-			e.emit(o, Value{}, ErrOOB)
-		}
-	}
-	s.cond = newCond
-	val := buf[len(buf)-1]
-	for i := len(buf) - 2; i >= 0; i-- {
-		val = bvin.Ite(bvin.Eq(off, bvin.Int32(int64(i))), buf[i], val)
-	}
-	return val, nil
+	return e.readAt(s, buf, len(buf), off, true)
 }
 
-func (e *Engine) store(s *state, f *cir.Func, in *cir.Instr) error {
-	p := e.operand(s, f, in.Args[1])
-	v := e.operand(s, f, in.Args[0])
+func (e *Engine) store(s *state, in *cir.DInstr) error {
+	p := e.read(s, in.B)
+	v := e.read(s, in.A)
 	if !p.IsPtr {
 		return fmt.Errorf("%w: store through integer", ErrUnsupported)
 	}
@@ -638,32 +586,35 @@ func (e *Engine) store(s *state, f *cir.Func, in *cir.Instr) error {
 	return fmt.Errorf("%w: store into string object (summarised loops are read-only)", ErrUnsupported)
 }
 
-func (e *Engine) binop(s *state, f *cir.Func, in *cir.Instr) (Value, error) {
+func (e *Engine) binop(s *state, pc int32, in *cir.DInstr) (Value, error) {
 	bvin := e.In
-	a := e.operand(s, f, in.Args[0])
-	b := e.operand(s, f, in.Args[1])
-	if in.Sub == "psub" {
+	a := e.read(s, in.A)
+	b := e.read(s, in.B)
+	switch in.Op {
+	case cir.DBinBad:
+		return Value{}, malformed(e.prog.Fault(pc, a.IsPtr, b.IsPtr))
+	case cir.DPsub:
 		if !a.IsPtr || !b.IsPtr || a.Obj != b.Obj || a.IsNull() {
 			return Value{}, fmt.Errorf("%w: pointer difference across objects", ErrUnsupported)
 		}
 		return IntValue(bvin.Sub(a.Off, b.Off)), nil
 	}
 	if a.IsPtr || b.IsPtr {
-		return Value{}, fmt.Errorf("%w: pointer operand in %s", ErrUnsupported, in.Sub)
+		return Value{}, fmt.Errorf("%w: pointer operand in %s", ErrUnsupported, in.Op)
 	}
 	x, y := a.Term, b.Term
-	switch in.Sub {
-	case "add":
+	switch in.Op {
+	case cir.DAdd:
 		return IntValue(bvin.Add(x, y)), nil
-	case "sub":
+	case cir.DSub:
 		return IntValue(bvin.Sub(x, y)), nil
-	case "and":
+	case cir.DAnd:
 		return IntValue(bvin.And(x, y)), nil
-	case "or":
+	case cir.DOr:
 		return IntValue(bvin.Or(x, y)), nil
-	case "xor":
+	case cir.DXor:
 		return IntValue(bvin.Xor(x, y)), nil
-	case "mul":
+	case cir.DMul:
 		if c, ok := y.IsConst(); ok {
 			return IntValue(bvin.MulC(x, int64(int32(c)))), nil
 		}
@@ -671,7 +622,7 @@ func (e *Engine) binop(s *state, f *cir.Func, in *cir.Instr) (Value, error) {
 			return IntValue(bvin.MulC(y, int64(int32(c)))), nil
 		}
 		return Value{}, fmt.Errorf("%w: symbolic multiplication", ErrUnsupported)
-	case "div", "rem":
+	case cir.DDiv, cir.DRem:
 		c, ok := y.IsConst()
 		if !ok || c == 0 || (c&(c-1)) != 0 {
 			return Value{}, fmt.Errorf("%w: division by non-power-of-two", ErrUnsupported)
@@ -680,123 +631,125 @@ func (e *Engine) binop(s *state, f *cir.Func, in *cir.Instr) (Value, error) {
 		for c>>uint(k+1) != 0 {
 			k++
 		}
-		if in.Sub == "div" {
+		if in.Op == cir.DDiv {
 			// Valid only for non-negative dividends; the loops that divide
 			// (pointer differences scaled by element size) satisfy this.
 			return IntValue(bvin.LshrC(x, k)), nil
 		}
 		return IntValue(bvin.And(x, bvin.Int32(int64(c-1)))), nil
-	case "shl", "shr", "sar":
-		c, ok := y.IsConst()
-		if !ok {
-			return Value{}, fmt.Errorf("%w: symbolic shift amount", ErrUnsupported)
-		}
-		k := int(c & 31)
-		switch in.Sub {
-		case "shl":
-			return IntValue(bvin.ShlC(x, k)), nil
-		case "shr":
-			return IntValue(bvin.LshrC(x, k)), nil
-		default:
-			return IntValue(bvin.AshrC(x, k)), nil
-		}
 	}
-	return Value{}, fmt.Errorf("%w: binop %q", ErrUnsupported, in.Sub)
+	// DShl, DShr, DSar
+	c, ok := y.IsConst()
+	if !ok {
+		return Value{}, fmt.Errorf("%w: symbolic shift amount", ErrUnsupported)
+	}
+	k := int(c & 31)
+	switch in.Op {
+	case cir.DShl:
+		return IntValue(bvin.ShlC(x, k)), nil
+	case cir.DShr:
+		return IntValue(bvin.LshrC(x, k)), nil
+	}
+	return IntValue(bvin.AshrC(x, k)), nil
 }
 
 func boolToInt(bvin *bv.Interner, b *bv.Bool) *bv.Term {
 	return bvin.Ite(b, bvin.Int32(1), bvin.Int32(0))
 }
 
-func (e *Engine) cmpop(s *state, f *cir.Func, in *cir.Instr) (Value, error) {
+func (e *Engine) cmpop(s *state, pc int32, in *cir.DInstr) (Value, error) {
 	bvin := e.In
-	a := e.operand(s, f, in.Args[0])
-	b := e.operand(s, f, in.Args[1])
-	if a.IsPtr || b.IsPtr {
-		if !a.IsPtr || !b.IsPtr {
-			return Value{}, fmt.Errorf("%w: mixed comparison", ErrUnsupported)
-		}
-		switch in.Sub {
-		case "eq", "ne":
-			var eq *bv.Bool
-			switch {
-			case a.IsNull() && b.IsNull():
-				eq = bv.True
-			case a.IsNull() != b.IsNull():
-				eq = bv.False
-			case a.Obj != b.Obj:
-				eq = bv.False
-			default:
-				eq = bvin.Eq(a.Off, b.Off)
-			}
-			if in.Sub == "ne" {
-				eq = bvin.BNot1(eq)
-			}
-			return IntValue(boolToInt(bvin, eq)), nil
-		}
-		if a.IsNull() || b.IsNull() || a.Obj != b.Obj {
-			return Value{}, fmt.Errorf("%w: relational pointer comparison across objects", ErrUnsupported)
-		}
-		// Pointer order within one object is the order of the (possibly
-		// negative) byte offsets, so compare them signed.
-		sub := in.Sub
-		switch sub {
-		case "ult":
-			sub = "slt"
-		case "ule":
-			sub = "sle"
-		case "ugt":
-			sub = "sgt"
-		case "uge":
-			sub = "sge"
-		}
-		return e.intCmp(sub, a.Off, b.Off)
+	a := e.read(s, in.A)
+	b := e.read(s, in.B)
+	k := cir.CmpKind(in.Aux)
+	if k == cir.CmpBad {
+		return Value{}, malformed(e.prog.Fault(pc, a.IsPtr, b.IsPtr))
 	}
-	return e.intCmp(in.Sub, a.Term, b.Term)
+	if !a.IsPtr && !b.IsPtr {
+		return IntValue(boolToInt(bvin, e.intCmp(k, a.Term, b.Term))), nil
+	}
+	if !a.IsPtr || !b.IsPtr {
+		return Value{}, fmt.Errorf("%w: mixed comparison", ErrUnsupported)
+	}
+	if k == cir.CmpEq || k == cir.CmpNe {
+		var eq *bv.Bool
+		switch {
+		case a.IsNull() && b.IsNull():
+			eq = bv.True
+		case a.IsNull() != b.IsNull():
+			eq = bv.False
+		case a.Obj != b.Obj:
+			eq = bv.False
+		default:
+			eq = bvin.Eq(a.Off, b.Off)
+		}
+		if k == cir.CmpNe {
+			eq = bvin.BNot1(eq)
+		}
+		return IntValue(boolToInt(bvin, eq)), nil
+	}
+	if a.IsNull() || b.IsNull() || a.Obj != b.Obj {
+		return Value{}, fmt.Errorf("%w: relational pointer comparison across objects", ErrUnsupported)
+	}
+	// Pointer order within one object is the order of the (possibly
+	// negative) byte offsets, so compare them signed: the unsigned kinds
+	// follow the signed ones in the same order.
+	if k >= cir.CmpUlt {
+		k -= cir.CmpUlt - cir.CmpSlt
+	}
+	return IntValue(boolToInt(bvin, e.intCmp(k, a.Off, b.Off))), nil
 }
 
-func (e *Engine) intCmp(sub string, x, y *bv.Term) (Value, error) {
+// intCmp builds comparison k of two integer terms; k is not CmpBad.
+func (e *Engine) intCmp(k cir.CmpKind, x, y *bv.Term) *bv.Bool {
 	bvin := e.In
-	var c *bv.Bool
-	switch sub {
-	case "eq":
-		c = bvin.Eq(x, y)
-	case "ne":
-		c = bvin.Ne(x, y)
-	case "slt":
-		c = bvin.Slt(x, y)
-	case "sle":
-		c = bvin.Sle(x, y)
-	case "sgt":
-		c = bvin.Slt(y, x)
-	case "sge":
-		c = bvin.Sle(y, x)
-	case "ult":
-		c = bvin.Ult(x, y)
-	case "ule":
-		c = bvin.Ule(x, y)
-	case "ugt":
-		c = bvin.Ult(y, x)
-	case "uge":
-		c = bvin.Ule(y, x)
-	default:
-		return Value{}, fmt.Errorf("%w: comparison %q", ErrUnsupported, sub)
+	switch k {
+	case cir.CmpEq:
+		return bvin.Eq(x, y)
+	case cir.CmpNe:
+		return bvin.Ne(x, y)
+	case cir.CmpSlt:
+		return bvin.Slt(x, y)
+	case cir.CmpSle:
+		return bvin.Sle(x, y)
+	case cir.CmpSgt:
+		return bvin.Slt(y, x)
+	case cir.CmpSge:
+		return bvin.Sle(y, x)
+	case cir.CmpUlt:
+		return bvin.Ult(x, y)
+	case cir.CmpUle:
+		return bvin.Ule(x, y)
+	case cir.CmpUgt:
+		return bvin.Ult(y, x)
 	}
-	return IntValue(boolToInt(bvin, c)), nil
+	return bvin.Ule(y, x) // CmpUge
 }
 
-// call implements the ctype.h intrinsics and strlen symbolically.
-func (e *Engine) call(s *state, f *cir.Func, in *cir.Instr) (Value, error) {
+// call runs the intrinsics that return a value: strspn and strcspn
+// (intrinsics.go), strlen and the ctype.h character functions. A call that
+// cir.Machine cannot run either (a character function on the wrong
+// arguments, an unknown callee) fails with the machine's text.
+func (e *Engine) call(s *state, pc int32, in *cir.DInstr, fn cir.Intrinsic) (Value, error) {
 	bvin := e.In
-	if len(in.Args) != 1 {
-		return Value{}, fmt.Errorf("%w: call %s", ErrUnsupported, in.Sub)
+	args := e.prog.CallArgs[in.A : in.A+in.B]
+	if fn == cir.FnStrspn || fn == cir.FnStrcspn {
+		return e.spanCall(s, fn, args)
 	}
-	a := e.operand(s, f, in.Args[0])
-	if in.Sub == "strlen" {
+	if len(args) != 1 {
+		if fn >= cir.FnIsdigit {
+			return Value{}, malformed(e.prog.Fault(pc))
+		}
+		return Value{}, fmt.Errorf("%w: call %s", ErrUnsupported, fn)
+	}
+	a := e.read(s, args[0])
+	switch {
+	case fn == cir.FnStrlen:
 		return e.strlenCall(s, a)
-	}
-	if a.IsPtr {
-		return Value{}, fmt.Errorf("%w: pointer argument to %s", ErrUnsupported, in.Sub)
+	case fn == cir.FnUnknown:
+		return Value{}, malformed(e.prog.Fault(pc, a.IsPtr))
+	case a.IsPtr:
+		return Value{}, fmt.Errorf("%w: pointer argument to %s", ErrUnsupported, fn)
 	}
 	c := a.Term
 	between := func(lo, hi byte) *bv.Bool {
@@ -809,71 +762,27 @@ func (e *Engine) call(s *state, f *cir.Func, in *cir.Instr) (Value, error) {
 		}
 		return out
 	}
-	switch in.Sub {
-	case "isdigit":
+	switch fn {
+	case cir.FnIsdigit:
 		return IntValue(boolToInt(bvin, between('0', '9'))), nil
-	case "isspace":
+	case cir.FnIsspace:
 		return IntValue(boolToInt(bvin, oneOf(' ', '\t', '\n', '\r', '\v', '\f'))), nil
-	case "isblank":
+	case cir.FnIsblank:
 		return IntValue(boolToInt(bvin, oneOf(' ', '\t'))), nil
-	case "isupper":
+	case cir.FnIsupper:
 		return IntValue(boolToInt(bvin, between('A', 'Z'))), nil
-	case "islower":
+	case cir.FnIslower:
 		return IntValue(boolToInt(bvin, between('a', 'z'))), nil
-	case "isalpha":
+	case cir.FnIsalpha:
 		return IntValue(boolToInt(bvin, bvin.BOr2(between('A', 'Z'), between('a', 'z')))), nil
-	case "isalnum":
+	case cir.FnIsalnum:
 		return IntValue(boolToInt(bvin, bvin.BOrAll(between('0', '9'), between('A', 'Z'), between('a', 'z')))), nil
-	case "toupper":
+	case cir.FnToupper:
 		return IntValue(bvin.Ite(between('a', 'z'), bvin.Sub(c, bvin.Int32(32)), c)), nil
-	case "tolower":
+	case cir.FnTolower:
 		return IntValue(bvin.Ite(between('A', 'Z'), bvin.Add(c, bvin.Int32(32)), c)), nil
-	case "putchar":
+	case cir.FnPutchar:
 		return a, nil
 	}
-	return Value{}, fmt.Errorf("%w: call to %q", ErrUnsupported, in.Sub)
-}
-
-// strlenCall builds the symbolic strlen of a string object from a (possibly
-// symbolic) offset: a nested ite over the bounded buffer. Buffers end in a
-// forced NUL, so the scan always terminates inside the buffer.
-func (e *Engine) strlenCall(s *state, p Value) (Value, error) {
-	bvin := e.In
-	if !p.IsPtr {
-		return Value{}, fmt.Errorf("%w: strlen of integer", ErrUnsupported)
-	}
-	if p.IsNull() {
-		return Value{}, ErrNullDeref
-	}
-	if s.cell(p.Obj) != nil || p.Obj >= len(e.Objects) {
-		return Value{}, fmt.Errorf("%w: strlen of non-string object", ErrUnsupported)
-	}
-	buf := e.Objects[p.Obj]
-	// lenFrom[k] = length of the string starting at k.
-	lenFrom := make([]*bv.Term, len(buf))
-	if v, ok := buf[len(buf)-1].IsConst(); !ok || v != 0 {
-		return Value{}, fmt.Errorf("%w: strlen of unterminated buffer", ErrUnsupported)
-	}
-	lenFrom[len(buf)-1] = bvin.Int32(0)
-	for k := len(buf) - 2; k >= 0; k-- {
-		lenFrom[k] = bvin.Ite(bvin.Eq(buf[k], bvin.Byte(0)), bvin.Int32(0), bvin.Add(lenFrom[k+1], bvin.Int32(1)))
-	}
-	if v, ok := p.Off.IsConst(); ok {
-		k := int(int32(v))
-		if k < 0 || k >= len(buf) {
-			return Value{}, ErrOOB
-		}
-		return IntValue(lenFrom[k]), nil
-	}
-	inBounds := bvin.Ult(p.Off, bvin.Int32(int64(len(buf))))
-	newCond := bvin.BAnd2(s.cond, inBounds)
-	if newCond == bv.False || (e.CheckFeasibility && !e.feasible(s, newCond)) {
-		return Value{}, ErrOOB
-	}
-	s.cond = newCond
-	val := lenFrom[len(buf)-1]
-	for k := len(buf) - 2; k >= 0; k-- {
-		val = bvin.Ite(bvin.Eq(p.Off, bvin.Int32(int64(k))), lenFrom[k], val)
-	}
-	return IntValue(val), nil
+	return Value{}, fmt.Errorf("%w: call to %q", ErrUnsupported, fn)
 }
