@@ -199,7 +199,7 @@ func loopPaths(eng *symex.Engine, f *cir.Func, buf []*bv.Term) ([]symex.LoopPath
 		return nil, fmt.Errorf("%w: %w", ErrTimeout, err)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnsupportedLoop, err)
+		return nil, fmt.Errorf("%w: %w", ErrUnsupportedLoop, err)
 	}
 	return paths, nil
 }

@@ -266,6 +266,29 @@ char *w(char *s) {
 	}
 }
 
+// mulLoop multiplies by a symbolic byte, which symbolic execution does not
+// model.
+const mulLoop = `
+char *m(char *s) {
+  int h = 1;
+  while (*s) { h = h * *s; s++; }
+  if (h == 7) return s;
+  return 0;
+}`
+
+// TestUnsupportedLoopKeepsSymexSentinel: a run error is wrapped, not
+// flattened, so the caller sees both this package's sentinel and symex's.
+func TestUnsupportedLoopKeepsSymexSentinel(t *testing.T) {
+	_, err := Synthesize(lowerLoop(t, mulLoop), Options{Timeout: time.Second})
+	if !errors.Is(err, ErrUnsupportedLoop) || !errors.Is(err, symex.ErrUnsupported) {
+		t.Fatalf("err = %v, want both ErrUnsupportedLoop and symex.ErrUnsupported", err)
+	}
+	const want = "cegis: loop not supported by symbolic execution: symex: unsupported operation: symbolic multiplication"
+	if err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
+	}
+}
+
 func TestVerifyEquivalenceStandalone(t *testing.T) {
 	f := lowerLoop(t, `
 char *find(char *s) {

@@ -247,7 +247,6 @@ int dia(int x) {
   if (x) r = 1; else r = 2;
   return r;
 }`, "")
-	f.RecomputePreds()
 	dom := BuildDomTree(f)
 	entry := f.Entry()
 	for _, b := range f.Blocks {
@@ -258,7 +257,7 @@ int dia(int x) {
 	// The join block is dominated by entry but not by either arm.
 	var join *Block
 	for _, b := range f.Blocks {
-		if len(b.Preds) == 2 {
+		if len(Preds(f, b)) == 2 {
 			join = b
 		}
 	}
@@ -268,10 +267,36 @@ int dia(int x) {
 	if !slices.Contains(dom.Children(entry), join) {
 		t.Fatalf("idom(%s) is not entry", join.Label())
 	}
-	for _, p := range join.Preds {
+	for _, p := range Preds(f, join) {
 		if got := dom.Frontier(p); len(got) != 1 || got[0] != join {
 			t.Fatalf("frontier(%s) = %v", p.Label(), got)
 		}
+	}
+}
+
+// TestNilSuccessorIsSkipped: the IR analyses leave a nil branch target out
+// of the graph. Read as the entry, it would make the branching block's edge
+// a back edge to the entry and the whole function a loop.
+func TestNilSuccessorIsSkipped(t *testing.T) {
+	f := lowerOne(t, `int f(int x) { if (x) return 1; return 2; }`, "")
+	var ret *Block
+	for _, b := range f.Blocks {
+		if b != f.Entry() && b.Term().Op == OpRet {
+			ret = b
+			break
+		}
+	}
+	if ret == nil {
+		t.Fatal("no return block besides the entry")
+	}
+	*ret.Term() = Instr{Op: OpCondBr, Res: -1, Args: []Operand{ConstOp(1)}, Blocks: []*Block{ret, nil}}
+	loops := FindLoops(f)
+	if len(loops) != 1 || loops[0].Header != ret || len(loops[0].Blocks) != 1 {
+		t.Fatalf("loops %v, want only the self-loop at %s", loops, ret.Label())
+	}
+	dom := BuildDomTree(f)
+	if dom.Dominates(ret, f.Entry()) || len(dom.Frontier(ret)) != 1 || dom.Frontier(ret)[0] != ret {
+		t.Fatalf("nil target read as an edge: frontier(%s) = %v", ret.Label(), dom.Frontier(ret))
 	}
 }
 

@@ -19,6 +19,10 @@ import (
 // error when, and only when, a run reaches it (TrapErr); an unknown binop,
 // comparison or callee decodes to DBinBad, CmpBad or FnUnknown, which fail
 // when run (Fault). A Program belongs to the function as it was when decoded.
+//
+// Blocks are numbered in the order the edges first reach them, the entry
+// first; block k's code is one run of Code that ends in its terminator, a
+// DTrap or a DFall. Joins (joins.go) reads the control flow off this form.
 type Program struct {
 	Code     []DInstr
 	Edges    []Edge
@@ -29,6 +33,8 @@ type Program struct {
 	Start    int32   // a trap raised before the run starts, or -1
 
 	f       *Func
+	blocks  []*Block // the IR block of each block number
+	pcs     []int32  // each block's first instruction
 	nregs   int
 	nslots  int
 	src     []*Instr // the instruction each code entry was decoded from
@@ -142,7 +148,7 @@ type DInstr struct {
 // An Edge is one decoded control-flow edge: the phi copies its target runs
 // on entry, read in parallel, then the jump.
 type Edge struct {
-	Target   *Block
+	Block    int32 // the target block's number
 	PC       int32 // the target block's first instruction
 	From, To int32 // its copies are Copies[From:To]
 	parallel bool  // a copy reads a slot an earlier copy writes
@@ -220,9 +226,7 @@ func (p *Program) Fault(pc int32, ptr ...bool) error {
 // the order the edges first reach them.
 type decoder struct {
 	p      *Program
-	blocks []*Block
-	index  map[*Block]int32 // block -> position in blocks
-	pcs    []int32          // first instruction of each block
+	index  map[*Block]int32 // block -> its number
 	edgeOf map[[2]*Block]int32
 	consts map[CVal]int32
 }
@@ -242,12 +246,12 @@ func Decode(f *Func) *Program {
 		return p
 	}
 	p.Entry = d.edge(nil, f.Entry())
-	for i := 0; i < len(d.blocks); i++ {
-		d.pcs = append(d.pcs, int32(len(p.Code)))
-		d.block(d.blocks[i])
+	for i := 0; i < len(p.blocks); i++ {
+		p.pcs = append(p.pcs, int32(len(p.Code)))
+		d.block(p.blocks[i])
 	}
 	for i := range p.Edges {
-		p.Edges[i].PC = d.pcs[p.Edges[i].PC]
+		p.Edges[i].PC = p.pcs[p.Edges[i].Block]
 	}
 	return p
 }
@@ -303,15 +307,15 @@ func (d *decoder) edge(prev, b *Block) int32 {
 	if e, ok := d.edgeOf[key]; ok {
 		return e
 	}
+	p := d.p
 	target, ok := d.index[b]
 	if !ok {
-		target = int32(len(d.blocks))
+		target = int32(len(p.blocks))
 		d.index[b] = target
-		d.blocks = append(d.blocks, b)
+		p.blocks = append(p.blocks, b)
 	}
-	p := d.p
-	// pc holds the target's block index until decode resolves it.
-	e := Edge{Target: b, PC: target, From: int32(len(p.Copies)), Trap: -1}
+	// Decode sets PC once the target's code is laid out.
+	e := Edge{Block: target, From: int32(len(p.Copies)), Trap: -1}
 	badRes := false
 	for _, in := range b.Instrs {
 		if in.Op != OpPhi {

@@ -5,9 +5,10 @@ package cir
 // iterative algorithm. It returns the nodes reachable from root in reverse
 // postorder, each node's predecessors (in the order the successor lists
 // name them, unreachable predecessors included), and each node's immediate
-// dominator: root's is itself, and an unreachable node's is -1. The dominator
-// tree and the post-dominator tree (the reversed graph rooted at a virtual
-// exit) are both this routine.
+// dominator: root's is itself, and an unreachable node's is -1. The IR's
+// dominator tree, natural loops, and a decoded program's post-dominators
+// (the reversed graph rooted at a virtual exit, joins.go) are all this
+// routine.
 func dominators(succ [][]int, root int) (rpo []int, preds [][]int, idom []int) {
 	n := len(succ)
 	preds = make([][]int, n)
@@ -78,37 +79,39 @@ func dominators(succ [][]int, root int) (rpo []int, preds [][]int, idom []int) {
 	return rpo, preds, idom
 }
 
-// blockIndex maps each block of f to its position in f.Blocks.
-func blockIndex(f *Func) map[*Block]int {
-	idx := make(map[*Block]int, len(f.Blocks))
+// blockGraph numbers f's blocks by their position in f.Blocks and lists
+// each block's successors by number. A successor that is nil or not one of
+// f's blocks (malformed IR) is left out. The entry is node 0.
+func blockGraph(f *Func) (idx map[*Block]int, succ [][]int) {
+	idx = make(map[*Block]int, len(f.Blocks))
 	for i, b := range f.Blocks {
 		idx[b] = i
 	}
-	return idx
+	succ = make([][]int, len(f.Blocks))
+	for i, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			if j, ok := idx[s]; ok {
+				succ[i] = append(succ[i], j)
+			}
+		}
+	}
+	return idx, succ
 }
 
 // DomTree holds immediate dominators and dominance frontiers for a function.
 type DomTree struct {
-	fn       *Func
-	idx      map[*Block]int // block -> position in fn.Blocks
+	idx      map[*Block]int // block -> position in f.Blocks
 	idom     []int          // block -> immediate dominator, -1 if unreachable
 	children [][]*Block
 	frontier [][]*Block
 }
 
-// BuildDomTree computes the dominator tree of f. It reads only successor
-// lists, so predecessor lists need not be current.
+// BuildDomTree computes the dominator tree of f.
 func BuildDomTree(f *Func) *DomTree {
 	n := len(f.Blocks)
-	d := &DomTree{fn: f, idx: blockIndex(f), children: make([][]*Block, n), frontier: make([][]*Block, n)}
-	succ := make([][]int, n)
-	for i, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			succ[i] = append(succ[i], d.idx[s])
-		}
-	}
-	entry := d.idx[f.Entry()]
-	rpo, preds, idom := dominators(succ, entry)
+	idx, succ := blockGraph(f)
+	d := &DomTree{idx: idx, children: make([][]*Block, n), frontier: make([][]*Block, n)}
+	rpo, preds, idom := dominators(succ, 0)
 	d.idom = idom
 	for _, u := range rpo[1:] {
 		d.children[idom[u]] = append(d.children[idom[u]], f.Blocks[u])
@@ -149,19 +152,6 @@ func (d *DomTree) Frontier(b *Block) []*Block {
 		return d.frontier[i]
 	}
 	return nil
-}
-
-// Dominates reports whether a dominates b (reflexively).
-func (d *DomTree) Dominates(a, b *Block) bool {
-	if a == b {
-		return true
-	}
-	ai, aok := d.idx[a]
-	bi, bok := d.idx[b]
-	if !aok || !bok {
-		return false
-	}
-	return chainHas(d.idom, ai, bi, -1)
 }
 
 // chainHas walks the immediate-(post-)dominator chain idom up from b and

@@ -115,7 +115,6 @@ type Block struct {
 	ID     int
 	Name   string
 	Instrs []*Instr // terminator is the last instruction
-	Preds  []*Block
 }
 
 // Term returns the block terminator (the last instruction), or nil for an
@@ -170,20 +169,8 @@ func (f *Func) NewReg() int {
 	return r
 }
 
-// RecomputePreds rebuilds predecessor lists from terminators.
-func (f *Func) RecomputePreds() {
-	for _, b := range f.Blocks {
-		b.Preds = nil
-	}
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			s.Preds = append(s.Preds, b)
-		}
-	}
-}
-
 // RemoveUnreachable drops blocks not reachable from the entry and fixes up
-// phi nodes and predecessor lists.
+// phi nodes.
 func (f *Func) RemoveUnreachable() {
 	reach := map[*Block]bool{}
 	var walk func(b *Block)
@@ -220,7 +207,6 @@ func (f *Func) RemoveUnreachable() {
 			in.Args, in.Blocks = args, blocks
 		}
 	}
-	f.RecomputePreds()
 }
 
 // String renders the function as readable IR text.

@@ -277,7 +277,7 @@ func TestExecEdgeCasesMatchReference(t *testing.T) {
 			bad.Instrs = append([]*cir.Instr{phi}, bad.Instrs...)
 		},
 		"phi with bad operand": func(f *cir.Func, bad *cir.Block) {
-			phi := &cir.Instr{Op: cir.OpPhi, Res: f.NewReg(), Args: []cir.Operand{{Kind: 7}}, Blocks: bad.Preds[:1]}
+			phi := &cir.Instr{Op: cir.OpPhi, Res: f.NewReg(), Args: []cir.Operand{{Kind: 7}}, Blocks: cir.Preds(f, bad)[:1]}
 			bad.Instrs = append([]*cir.Instr{phi}, bad.Instrs...)
 		},
 		"falls through": func(f *cir.Func, bad *cir.Block) {

@@ -8,7 +8,6 @@ import "slices"
 // write through a real pointer (§4.1.1). It mutates f in place and marks it
 // SSA.
 func Mem2Reg(f *Func) {
-	f.RecomputePreds()
 	dom := BuildDomTree(f)
 
 	// A slot is promotable when its register is used only as the pointer of
@@ -190,7 +189,6 @@ func Mem2Reg(f *Func) {
 		}
 	}
 	f.SSA = true
-	f.RecomputePreds()
 }
 
 func containsKey(m map[int]bool, k int) bool {

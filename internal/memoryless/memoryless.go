@@ -449,7 +449,7 @@ func checkEquivalence(loop *cir.Func, spec *Spec, maxLen int, opts VerifyOptions
 		return false, nil, fmt.Errorf("%w: %w", ErrTimeout, err)
 	}
 	if err != nil {
-		return false, nil, fmt.Errorf("%w: %v", ErrUnsupported, err)
+		return false, nil, fmt.Errorf("%w: %w", ErrUnsupported, err)
 	}
 
 	var lastCex []byte

@@ -1,11 +1,14 @@
 package memoryless
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"stringloops/internal/cc"
 	"stringloops/internal/cir"
+	"stringloops/internal/loopdb"
+	"stringloops/internal/symex"
 )
 
 func lower(t *testing.T, src string) *cir.Func {
@@ -293,5 +296,49 @@ func TestNonLoopSignatureRejected(t *testing.T) {
 	f := lower(t, `int f(int x) { return x; }`)
 	if r := Verify(f, 3); r.Memoryless {
 		t.Fatal("non-loopFunction must be rejected")
+	}
+}
+
+// TestAnalysesLeaveTheIRUnchanged: loop detection, the filter pipeline and
+// the §3.3 syntactic conditions only read a function, on every corpus loop
+// as lowered and after Mem2Reg.
+func TestAnalysesLeaveTheIRUnchanged(t *testing.T) {
+	for _, l := range loopdb.Corpus() {
+		f, err := l.Lower()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, promote := range []bool{false, true} {
+			if promote {
+				cir.Mem2Reg(f)
+			}
+			want := f.String()
+			cir.FindLoops(f)
+			cir.ClassifyLoops([]*cir.Func{f})
+			SyntacticConditions(f)
+			if got := f.String(); got != want {
+				t.Fatalf("%s (SSA %v): the analyses changed the function:\n%s\nwas\n%s", l.Name, promote, got, want)
+			}
+		}
+	}
+}
+
+// TestUnsupportedLoopKeepsSymexSentinel: the bounded check wraps a run
+// error, so the caller sees both this package's sentinel and symex's.
+func TestUnsupportedLoopKeepsSymexSentinel(t *testing.T) {
+	f := lower(t, `
+char *m(char *s) {
+  int h = 1;
+  while (*s) { h = h * *s; s++; }
+  if (h == 7) return s;
+  return 0;
+}`)
+	_, _, err := checkEquivalence(f, &Spec{}, 3, VerifyOptions{})
+	if !errors.Is(err, ErrUnsupported) || !errors.Is(err, symex.ErrUnsupported) {
+		t.Fatalf("err = %v, want both ErrUnsupported and symex.ErrUnsupported", err)
+	}
+	const want = "memoryless: loop not supported: symex: unsupported operation: symbolic multiplication"
+	if err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
 	}
 }

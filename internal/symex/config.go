@@ -15,9 +15,10 @@ import (
 // no merging, no fault injection, no persistent tier.
 type Config struct {
 	// Merge enables state merging: states arriving at join points
-	// (cir.JoinPoints — branch reconvergence, loop headers, loop exits) are
-	// parked and folded pairwise when compatible, so a loop over n symbolic
-	// bytes schedules O(n) states instead of 2^n path suffixes (merge.go).
+	// (cir.Program.Joins — branch reconvergence, loop headers, loop exits)
+	// are parked and folded pairwise when compatible, so a loop over n
+	// symbolic bytes schedules O(n) states instead of 2^n path suffixes
+	// (merge.go).
 	// Merged loops whose cursors diverge symbolically rely on
 	// CheckFeasibility (or MaxSteps) to terminate.
 	Merge bool

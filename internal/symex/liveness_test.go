@@ -216,38 +216,43 @@ func TestZeroedDeadRegsNeverMintItes(t *testing.T) {
 	}
 }
 
-// TestParkLiveSetsPhiEdgeUse checks the dataflow directly: in prevLoop the
-// phi-carried accumulator registers are live into the loop header, and the
-// header's park set is a strict subset of all registers (the per-iteration
-// character temporary is dead there).
+// TestParkLiveSetsPhiEdgeUse checks the dataflow directly, as lowered and
+// after Mem2Reg: in prevLoop the phi-carried accumulator registers are live
+// into the loop header, and the header's park set is a strict subset of all
+// registers (the per-iteration character temporary is dead there).
 func TestParkLiveSetsPhiEdgeUse(t *testing.T) {
 	f := lower(t, prevLoop)
-	live := parkLiveSets(f)
-	joins := cir.JoinPoints(f)
-	if len(joins) == 0 {
-		t.Fatal("loop lowered with no join points")
-	}
-	someLive, someDead := false, false
-	for b, kind := range joins {
-		if kind == 0 {
-			continue
+	for _, promote := range []bool{false, true} {
+		if promote {
+			cir.Mem2Reg(f)
 		}
-		set, ok := live[b]
-		if !ok || len(set) != f.NumRegs {
-			t.Fatalf("join %v: live set missing or wrong length", b)
-		}
-		for _, l := range set {
-			if l {
-				someLive = true
-			} else {
-				someDead = true
+		joins := cir.Decode(f).Joins()
+		live := joins.Live
+		someLive, someDead, some := false, false, false
+		for b, kind := range joins.Kind {
+			if kind == 0 {
+				continue
+			}
+			some = true
+			if b >= len(live) || len(live[b]) != f.NumRegs {
+				t.Fatalf("SSA %v: join %v: live set missing or wrong length", promote, b)
+			}
+			for _, l := range live[b] {
+				if l {
+					someLive = true
+				} else {
+					someDead = true
+				}
 			}
 		}
-	}
-	if !someLive {
-		t.Fatal("no register live at any join; phi-edge uses and accumulators must be live")
-	}
-	if !someDead {
-		t.Fatal("every register live at every join; per-iteration temporaries should be dead")
+		if !some {
+			t.Fatalf("SSA %v: loop lowered with no join points", promote)
+		}
+		if !someLive {
+			t.Fatalf("SSA %v: no register live at any join; phi-edge uses and accumulators must be live", promote)
+		}
+		if !someDead {
+			t.Fatalf("SSA %v: every register live at every join; per-iteration temporaries should be dead", promote)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package symex
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,8 +52,14 @@ var malformedFlaws = map[string]func(f *cir.Func, bad *cir.Block){
 		bad.Instrs = append([]*cir.Instr{phi}, bad.Instrs...)
 	},
 	"phi with bad operand": func(f *cir.Func, bad *cir.Block) {
-		phi := &cir.Instr{Op: cir.OpPhi, Res: f.NewReg(), Args: []cir.Operand{{Kind: 7}}, Blocks: bad.Preds[:1]}
+		phi := &cir.Instr{Op: cir.OpPhi, Res: f.NewReg(), Args: []cir.Operand{{Kind: 7}}, Blocks: []*cir.Block{predOf(f, bad)}}
 		bad.Instrs = append([]*cir.Instr{phi}, bad.Instrs...)
+	},
+	"nil branch target": func(f *cir.Func, bad *cir.Block) {
+		*bad.Term() = cir.Instr{Op: cir.OpCondBr, Res: -1, Args: []cir.Operand{cir.ConstOp(1)}, Blocks: []*cir.Block{bad, nil}}
+	},
+	"br with no target": func(f *cir.Func, bad *cir.Block) {
+		*bad.Term() = cir.Instr{Op: cir.OpBr, Res: -1}
 	},
 	"falls through": func(f *cir.Func, bad *cir.Block) {
 		bad.Instrs = bad.Instrs[:len(bad.Instrs)-1]
@@ -60,6 +67,16 @@ var malformedFlaws = map[string]func(f *cir.Func, bad *cir.Block){
 	"unknown opcode": func(f *cir.Func, bad *cir.Block) {
 		bad.Instrs[0].Op = cir.Op(200)
 	},
+}
+
+// predOf is the first block of f that branches to b.
+func predOf(f *cir.Func, b *cir.Block) *cir.Block {
+	for _, p := range f.Blocks {
+		if slices.Contains(p.Succs(), b) {
+			return p
+		}
+	}
+	return nil
 }
 
 const flawedSrc = `char *f(char *s) { int k = 1; if (*s == 'b') { k = k + 2; return s + k; } return s; }`

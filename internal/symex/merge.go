@@ -12,7 +12,7 @@ import (
 // This file is the state-merging scheduler (§4.3's answer to path
 // explosion). The enumerating executor completes 2^n path suffixes for a
 // loop over n independent symbolic bytes; the merging executor instead parks
-// states where control flow reconverges (cir.JoinPoints: branch
+// states where control flow reconverges (cir.Program.Joins: branch
 // post-dominators, loop headers, loop exits) and folds compatible states
 // into one, turning value differences into ite terms and path conditions
 // into disjunctions. A loop over n symbolic bytes then costs O(n) scheduled
@@ -51,57 +51,18 @@ func (q *stackSched) pop() (*state, bool) {
 // each join's bucket only when it is "ripe" — no other parked state can
 // still reach it — so every state that will ever arrive at the join is in
 // the bucket when it merges. Runnable (non-parked) states drain first, LIFO.
+// Blocks are the decoded program's block numbers.
 type mergeSched struct {
 	e     *Engine
 	run   []*state
-	parks map[*cir.Block][]*state
-	order []*cir.Block // non-empty buckets, first-arrival order
-	joins map[*cir.Block]cir.JoinKind
-	live  map[*cir.Block][]bool // park-point register liveness (liveness.go)
-	rpo   map[*cir.Block]int
-	reach map[*cir.Block]map[*cir.Block]bool // strict: a reach b via >= 1 edge
+	joins *cir.Joins
+	parks [][]*state // per block
+	order []int32    // non-empty buckets, first-arrival order
 }
 
-func newMergeSched(e *Engine, f *cir.Func) *mergeSched {
-	m := &mergeSched{
-		e:     e,
-		parks: map[*cir.Block][]*state{},
-		joins: cir.JoinPoints(f),
-		live:  parkLiveSets(f),
-		rpo:   map[*cir.Block]int{},
-		reach: map[*cir.Block]map[*cir.Block]bool{},
-	}
-	seen := map[*cir.Block]bool{}
-	var post []*cir.Block
-	var walk func(b *cir.Block)
-	walk = func(b *cir.Block) {
-		seen[b] = true
-		for _, s := range b.Succs() {
-			if !seen[s] {
-				walk(s)
-			}
-		}
-		post = append(post, b)
-	}
-	walk(f.Entry())
-	for i := len(post) - 1; i >= 0; i-- {
-		m.rpo[post[i]] = len(post) - 1 - i
-	}
-	for _, b := range f.Blocks {
-		r := map[*cir.Block]bool{}
-		stack := append([]*cir.Block{}, b.Succs()...)
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if r[x] {
-				continue
-			}
-			r[x] = true
-			stack = append(stack, x.Succs()...)
-		}
-		m.reach[b] = r
-	}
-	return m
+func newMergeSched(e *Engine, p *cir.Program) *mergeSched {
+	j := p.Joins()
+	return &mergeSched{e: e, joins: j, parks: make([][]*state, len(j.Kind))}
 }
 
 // push parks a state about to enter a join point. It crosses the edge
@@ -110,15 +71,15 @@ func newMergeSched(e *Engine, f *cir.Func) *mergeSched {
 // temporaries can't block folding — see liveness.go); everything else is
 // runnable.
 func (m *mergeSched) push(s *state) {
-	if s.pending == nil || m.joins[s.pending.Target] == 0 {
+	if s.pending == nil || m.joins.Kind[s.pending.Block] == 0 {
 		m.run = append(m.run, s)
 		return
 	}
-	b := s.pending.Target
+	b := s.pending.Block
 	if !m.e.cross(s) {
 		return
 	}
-	pruneDead(s, m.live[b])
+	pruneDead(s, m.joins.Live[b])
 	if len(m.parks[b]) == 0 {
 		m.order = append(m.order, b)
 	}
@@ -132,47 +93,44 @@ func (m *mergeSched) pop() (*state, bool) {
 			m.run = m.run[:n-1]
 			return s, true
 		}
-		b := m.pickBucket()
-		if b == nil {
+		i := m.pickBucket()
+		if i < 0 {
 			return nil, false
 		}
+		b := m.order[i]
+		m.order = slices.Delete(m.order, i, i+1)
 		parked := m.parks[b]
-		delete(m.parks, b)
-		for i, o := range m.order {
-			if o == b {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
-		}
+		m.parks[b] = nil
 		// Merged groups go straight to the run list (not through push):
 		// they are leaving this join, not arriving at it.
 		m.run = append(m.run, m.e.mergeStates(parked)...)
 	}
 }
 
-// pickBucket chooses the bucket to flush: one no other parked bucket can
-// still feed (so it merges everything that will ever arrive), smallest
-// reverse-postorder position on ties. Mutually-reaching buckets (nested
-// loops) fall back to plain RPO order, which flushes the outermost header
-// first.
-func (m *mergeSched) pickBucket() *cir.Block {
-	var best *cir.Block
-	for _, b := range m.order {
+// pickBucket chooses the bucket to flush, by its position in order, or -1
+// when none is parked: one no other parked bucket can still feed (so it
+// merges everything that will ever arrive), smallest reverse-postorder
+// position on ties. Mutually-reaching buckets (nested loops) fall back to
+// plain RPO order, which flushes the outermost header first.
+func (m *mergeSched) pickBucket() int {
+	rpo := m.joins.RPO
+	best := -1
+	for i, b := range m.order {
 		ripe := true
 		for _, o := range m.order {
-			if o != b && m.reach[o][b] {
+			if o != b && m.joins.Reaches(o, b) {
 				ripe = false
 				break
 			}
 		}
-		if ripe && (best == nil || m.rpo[b] < m.rpo[best]) {
-			best = b
+		if ripe && (best < 0 || rpo[b] < rpo[m.order[best]]) {
+			best = i
 		}
 	}
-	if best == nil {
-		for _, b := range m.order {
-			if best == nil || m.rpo[b] < m.rpo[best] {
-				best = b
+	if best < 0 {
+		for i, b := range m.order {
+			if best < 0 || rpo[b] < rpo[m.order[best]] {
+				best = i
 			}
 		}
 	}

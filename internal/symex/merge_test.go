@@ -1,11 +1,13 @@
 package symex
 
 import (
+	"sync"
 	"testing"
 
 	"stringloops/internal/bv"
 	"stringloops/internal/cir"
 	"stringloops/internal/engine"
+	"stringloops/internal/loopdb"
 	"stringloops/internal/strsolver"
 )
 
@@ -208,5 +210,50 @@ char* findColon(char* p) {
 		if e, m := off(enum, "enumerated"), off(merged, "merged"); e != m {
 			t.Fatalf("%q: merged offset %d != enumerated %d", buf, m, e)
 		}
+	}
+}
+
+// TestMergeSharesFuncAcrossGoroutines runs one lowered corpus function
+// merged from two goroutines, each with its own engine. A merged run reads
+// the function only (through its decoded program), so under -race the two
+// runs must not conflict, and they must do the same work.
+func TestMergeSharesFuncAcrossGoroutines(t *testing.T) {
+	var f *cir.Func
+	for _, l := range loopdb.Corpus() {
+		if l.Name == "bash/skip_ws_guarded" {
+			var err error
+			if f, err = l.Lower(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if f == nil {
+		t.Fatal("bash/skip_ws_guarded is not in the corpus")
+	}
+	want := f.String()
+	var spends [2]engine.Spend
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range spends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := engine.NewBudget(nil, engine.Limits{})
+			e := Config{Merge: true}.NewEngine(b)
+			_, errs[i] = e.RunOn(f, strsolver.New(e.In, "s", 4).Bytes)
+			spends[i] = b.Spend()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	if spends[0].Merges == 0 || spends[0] != spends[1] {
+		t.Errorf("the two merged runs did %+v and %+v, want the same merging work", spends[0], spends[1])
+	}
+	if got := f.String(); got != want {
+		t.Errorf("merged runs changed the function:\n%s\nwas\n%s", got, want)
 	}
 }

@@ -271,7 +271,7 @@ func (e *Engine) Run(f *cir.Func, args []Value, init *bv.Bool) (rpaths []Path, _
 	}
 	emit := e.emit
 	if e.Merge {
-		e.sched = newMergeSched(e, f)
+		e.sched = newMergeSched(e, prog)
 	} else {
 		e.sched = &stackSched{}
 	}
