@@ -61,14 +61,18 @@ func (p *parser) leave() { p.depth-- }
 
 func (p *parser) atEOF() bool { return p.pos >= len(p.toks) }
 
-func (p *parser) cur() Token {
+// eof is the token past the last; the parser never writes it.
+var eof = Token{Kind: TEOF}
+
+// cur returns the current token, which the parser must not modify.
+func (p *parser) cur() *Token {
 	if p.atEOF() {
-		return Token{Kind: TEOF}
+		return &eof
 	}
-	return p.toks[p.pos]
+	return &p.toks[p.pos]
 }
 
-func (p *parser) next() Token {
+func (p *parser) next() *Token {
 	t := p.cur()
 	p.pos++
 	return t
@@ -506,9 +510,12 @@ func (p *parser) parseExpr() (Expr, error) {
 	return e, nil
 }
 
-var assignOps = map[string]bool{
-	"=": true, "+=": true, "-=": true, "*=": true, "/=": true, "%=": true,
-	"&=": true, "|=": true, "^=": true, "<<=": true, ">>=": true,
+func isAssignOp(op string) bool {
+	switch op {
+	case "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=":
+		return true
+	}
+	return false
 }
 
 func (p *parser) parseAssign() (Expr, error) {
@@ -521,7 +528,7 @@ func (p *parser) parseAssign() (Expr, error) {
 		return nil, err
 	}
 	t := p.cur()
-	if t.Kind == TPunct && assignOps[t.Text] {
+	if t.Kind == TPunct && isAssignOp(t.Text) {
 		p.pos++
 		r, err := p.parseAssign()
 		if err != nil {
@@ -554,40 +561,49 @@ func (p *parser) parseCond() (Expr, error) {
 	return &Cond{C: c, T: thenE, F: elseE}, nil
 }
 
-// binary operator precedence, lowest first.
-var binPrec = [][]string{
-	{"||"},
-	{"&&"},
-	{"|"},
-	{"^"},
-	{"&"},
-	{"==", "!="},
-	{"<", ">", "<=", ">="},
-	{"<<", ">>"},
-	{"+", "-"},
-	{"*", "/", "%"},
+// binaryLevel returns the precedence level of t as a binary operator, from
+// 0 for || up to 9 for * / %, or -1 if it is none.
+func binaryLevel(t *Token) int {
+	if t.Kind != TPunct {
+		return -1
+	}
+	switch t.Text {
+	case "||":
+		return 0
+	case "&&":
+		return 1
+	case "|":
+		return 2
+	case "^":
+		return 3
+	case "&":
+		return 4
+	case "==", "!=":
+		return 5
+	case "<", ">", "<=", ">=":
+		return 6
+	case "<<", ">>":
+		return 7
+	case "+", "-":
+		return 8
+	case "*", "/", "%":
+		return 9
+	}
+	return -1
 }
 
-func (p *parser) parseBinary(level int) (Expr, error) {
-	if level >= len(binPrec) {
-		return p.parseUnary()
-	}
-	l, err := p.parseBinary(level + 1)
+// parseBinary parses a chain of binary operators of level lowest or above, by
+// precedence climbing: every operator is left-associative, so the right
+// operand of one at level k holds only operators above k.
+func (p *parser) parseBinary(lowest int) (Expr, error) {
+	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.cur()
-		matched := false
-		if t.Kind == TPunct {
-			for _, op := range binPrec[level] {
-				if t.Text == op {
-					matched = true
-					break
-				}
-			}
-		}
-		if !matched {
+		level := binaryLevel(t)
+		if level < lowest {
 			return l, nil
 		}
 		p.pos++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // macro is a preprocessor definition.
@@ -19,74 +20,47 @@ type macro struct {
 // corpus needs: object-like and function-like #define, #undef, and ignored
 // #include lines. It returns the fully macro-expanded token stream.
 //
-// Directives act in source order: each run of code lines is expanded with
-// the macros defined at that point, and a macro invocation whose arguments
-// span a directive (undefined in C, C11 6.10.3p11) is an error. A macro is
-// not expanded inside its own expansion (C11 6.10.3.4p2), and an expansion
-// past the bounds below fails with ErrExpansionTooLarge.
+// It runs translation phases 2 to 4 in one scan of src: line splices are
+// deleted, comments become whitespace, and only then is a '#' that begins a
+// logical line a directive, so a directive in a comment does nothing and a
+// comment may precede a directive or span the lines of one.
+//
+// Directives act in source order: each run of code between two directives
+// is expanded with the macros defined at that point, and a macro invocation
+// whose arguments span a directive (undefined in C, C11 6.10.3p11) is an
+// error. A macro is not expanded inside its own expansion (C11 6.10.3.4p2),
+// and an expansion past the bounds below fails with ErrExpansionTooLarge.
 //
 // Headers are not read, so the one macro they supply that loops use, NULL,
 // is predefined as <stddef.h> defines it; a #define or #undef in the source
 // overrides it.
 func Preprocess(src string) ([]Token, error) {
-	lines := splitLogicalLines(src)
-	// Directive lines are lexed as blank lines, so every token keeps its
-	// line number.
-	code := make([]string, len(lines))
-	var directives []int
-	for i, line := range lines {
-		if strings.HasPrefix(strings.TrimSpace(line), "#") {
-			directives = append(directives, i)
-		} else {
-			code[i] = line
-		}
-	}
-	toks, err := Lex(strings.Join(code, "\n"))
-	if err != nil {
-		return nil, err
-	}
+	l := newLexer(src)
 	e := &expander{macros: map[string]*macro{"NULL": nullMacro}, budget: maxExpansion}
-	rest := make([]ptok, len(toks))
-	for i := range toks {
-		rest[i].Token = &toks[i]
-	}
+	s := stores.Get().(*tokenStore)
+	defer stores.Put(s)
+	s.init(len(src))
 	// The expanded runs are kept until the end, so that the output is built
 	// in one slice of its final size.
 	var runs [][]ptok
 	total := 0
-	for _, d := range append(directives, len(lines)) {
-		// The run before line d+1, capped at its length: expand reuses it.
-		n := 0
-		for n < len(rest) && rest[n].Line <= d {
-			n++
+	for {
+		from := s.n
+		directive, err := l.code(s)
+		if err != nil {
+			return nil, err
 		}
-		expanded, err := e.expand(rest[:n:n])
+		expanded, err := e.expand(s.refs(from))
 		if err != nil {
 			return nil, err
 		}
 		runs = append(runs, expanded)
 		total += len(expanded)
-		rest = rest[n:]
-		if d == len(lines) {
+		if !directive {
 			break
 		}
-		line := strings.TrimSpace(lines[d])
-		directive := strings.TrimSpace(line[1:])
-		switch {
-		case strings.HasPrefix(directive, "define"):
-			m, err := parseDefine(strings.TrimSpace(directive[len("define"):]))
-			if err != nil {
-				return nil, err
-			}
-			e.macros[m.name] = m
-		case strings.HasPrefix(directive, "undef"):
-			delete(e.macros, strings.TrimSpace(directive[len("undef"):]))
-		case strings.HasPrefix(directive, "include"):
-			// Headers provide declarations we already know about; ignore.
-		case directive == "":
-			// Null directive.
-		default:
-			return nil, fmt.Errorf("cc: unsupported preprocessor directive %q", line)
+		if err := l.directive(e); err != nil {
+			return nil, err
 		}
 	}
 	out := make([]Token, 0, total)
@@ -98,65 +72,154 @@ func Preprocess(src string) ([]Token, error) {
 	return out, nil
 }
 
+// stores holds the token stores of finished Preprocess calls for reuse:
+// once the output is copied out, nothing points into a store.
+var stores = sync.Pool{New: func() any { return new(tokenStore) }}
+
+// code lexes tokens into s up to the end of the source or the '#' that
+// begins a directive, which it reads, reporting that a directive follows.
+func (l *lexer) code(s *tokenStore) (directive bool, err error) {
+	for {
+		if err := l.skipBlank(false); err != nil {
+			return false, err
+		}
+		if l.pos >= len(l.src) {
+			return false, nil
+		}
+		if l.bol && l.src[l.pos] == '#' {
+			return true, nil
+		}
+		if err := l.lex(s.next()); err != nil {
+			return false, err
+		}
+		l.bol = false
+	}
+}
+
+// directive runs the directive whose '#' is at pos, reading its line up to
+// the newline that ends it.
+func (l *lexer) directive(e *expander) error {
+	hash := l.pos
+	l.advance()
+	l.bol = false
+	if err := l.skipBlank(true); err != nil {
+		return err
+	}
+	if l.atLineEnd() {
+		return nil // the null directive
+	}
+	switch l.word() {
+	case "define":
+		m, err := l.define()
+		if err != nil {
+			return err
+		}
+		e.macros[m.name] = m
+		return nil
+	case "undef":
+		if err := l.skipBlank(true); err != nil {
+			return err
+		}
+		delete(e.macros, l.word())
+	case "include":
+		// Headers provide declarations we already know about; ignore.
+	default:
+		line := l.src[hash:]
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i]
+		}
+		return fmt.Errorf("cc: unsupported preprocessor directive %q", strings.TrimSpace(line))
+	}
+	// The rest of the line is ignored.
+	for !l.atLineEnd() {
+		if err := l.skipBlank(true); err != nil {
+			return err
+		}
+		if !l.atLineEnd() {
+			l.advance()
+		}
+	}
+	return nil
+}
+
+// word reads the identifier characters at pos.
+func (l *lexer) word() string {
+	start := l.pos
+	if l.skipClass(cIdent); l.pos == start {
+		return ""
+	}
+	return unsplice(l.src[start:l.end])
+}
+
+// lineToken lexes the next token of a directive's line into t, or reports
+// that the line has ended.
+func (l *lexer) lineToken(t *Token) (bool, error) {
+	if err := l.skipBlank(true); err != nil {
+		return false, fmt.Errorf("cc: bad #define: %v", err)
+	}
+	if l.atLineEnd() {
+		return false, nil
+	}
+	if err := l.lex(t); err != nil {
+		return false, fmt.Errorf("cc: bad #define: %v", err)
+	}
+	return true, nil
+}
+
+// define reads a #define's line after the word define.
+func (l *lexer) define() (*macro, error) {
+	var t Token
+	ok, err := l.lineToken(&t)
+	if err != nil {
+		return nil, err
+	}
+	if !ok || t.Kind != TIdent && t.Kind != TKeyword {
+		return nil, fmt.Errorf("cc: #define needs a name")
+	}
+	m := &macro{name: t.Text}
+	// Function-like only if '(' immediately follows the name.
+	if l.peek() == '(' {
+		m.isFunc = true
+		l.advance()
+		for {
+			ok, err := l.lineToken(&t)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				return nil, fmt.Errorf("cc: unterminated macro parameter list for %s", m.name)
+			}
+			if t.Kind == TPunct && t.Text == ")" {
+				break
+			}
+			if t.Kind == TIdent {
+				m.params = append(m.params, t.Text)
+			} else if t.Kind != TPunct || t.Text != "," {
+				return nil, fmt.Errorf("cc: bad macro parameter list for %s", m.name)
+			}
+		}
+	}
+	for {
+		m.body = append(m.body, Token{})
+		ok, err := l.lineToken(&m.body[len(m.body)-1])
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			m.body = m.body[:len(m.body)-1]
+			return m, nil
+		}
+	}
+}
+
 // nullMacro is NULL as <stddef.h> defines it.
 var nullMacro = func() *macro {
-	m, err := parseDefine("NULL ((void *)0)")
+	toks, err := Lex("NULL ((void *)0)")
 	if err != nil {
 		panic(err)
 	}
-	return m
+	return &macro{name: "NULL", body: toks[1:]}
 }()
-
-// splitLogicalLines splits src into lines, joining backslash continuations.
-func splitLogicalLines(src string) []string {
-	raw := strings.Split(src, "\n")
-	var out []string
-	for i := 0; i < len(raw); i++ {
-		line := raw[i]
-		for strings.HasSuffix(strings.TrimRight(line, " \t"), "\\") && i+1 < len(raw) {
-			line = strings.TrimRight(strings.TrimRight(line, " \t"), "\\")
-			i++
-			line += " " + raw[i]
-		}
-		out = append(out, line)
-	}
-	return out
-}
-
-func parseDefine(rest string) (*macro, error) {
-	toks, err := Lex(rest)
-	if err != nil {
-		return nil, fmt.Errorf("cc: bad #define: %v", err)
-	}
-	if len(toks) == 0 || toks[0].Kind != TIdent && toks[0].Kind != TKeyword {
-		return nil, fmt.Errorf("cc: #define needs a name")
-	}
-	m := &macro{name: toks[0].Text}
-	i := 1
-	// Function-like only if '(' immediately follows the name in the source
-	// text; since we lexed, approximate: '(' is the next token and the name
-	// is directly followed by '(' in rest.
-	nameEnd := len(m.name)
-	if i < len(toks) && toks[i].Kind == TPunct && toks[i].Text == "(" &&
-		nameEnd < len(rest) && rest[nameEnd] == '(' {
-		m.isFunc = true
-		i++
-		for i < len(toks) && !(toks[i].Kind == TPunct && toks[i].Text == ")") {
-			if toks[i].Kind == TIdent {
-				m.params = append(m.params, toks[i].Text)
-			} else if toks[i].Kind != TPunct || toks[i].Text != "," {
-				return nil, fmt.Errorf("cc: bad macro parameter list for %s", m.name)
-			}
-			i++
-		}
-		if i >= len(toks) {
-			return nil, fmt.Errorf("cc: unterminated macro parameter list for %s", m.name)
-		}
-		i++ // ')'
-	}
-	m.body = toks[i:]
-	return m, nil
-}
 
 // Expansion bounds, far above what any loop needs. maxExpansion caps one
 // source's replacement work: each token a replacement produces, each
@@ -239,8 +302,11 @@ func (e *expander) expand(in []ptok) ([]ptok, error) {
 	for len(stack) > 0 {
 		t := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		m := e.macros[t.Text]
-		if t.Kind != TIdent || m == nil || t.hide.has(t.Text) {
+		var m *macro
+		if t.Kind == TIdent {
+			m = e.macros[t.Text]
+		}
+		if m == nil || t.hide.has(t.Text) {
 			out = append(out, t)
 			continue
 		}

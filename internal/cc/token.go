@@ -6,6 +6,14 @@
 // (both object-like and function-like, e.g. the whitespace(c) macro of the
 // paper's Figure 1). It plays the role Clang/LLVM's front end plays in the
 // paper's artifact.
+//
+// A source is read once. The scan runs C's translation phases in order
+// (C11 5.1.1.2): line splices (backslash, then LF or CRLF) are deleted,
+// comments become whitespace, and only then does a '#' that begins a
+// logical line start a directive. Tokens are lexed on the same scan,
+// punctuators chosen by their first byte, and the preprocessor expands each
+// run of code between directives as it reaches the next. Positions in
+// errors are physical lines and byte columns.
 package cc
 
 import "fmt"
@@ -51,16 +59,6 @@ func (t Token) String() string {
 
 // Pos formats the token's position for error messages.
 func (t Token) Pos() string { return fmt.Sprintf("%d:%d", t.Line, t.Col) }
-
-var keywords = map[string]bool{
-	"void": true, "char": true, "int": true, "long": true, "short": true,
-	"unsigned": true, "signed": true, "const": true, "static": true,
-	"inline": true, "extern": true, "register": true, "volatile": true,
-	"if": true, "else": true, "for": true, "while": true, "do": true,
-	"return": true, "break": true, "continue": true, "goto": true,
-	"sizeof": true, "struct": true, "union": true, "enum": true,
-	"switch": true, "case": true, "default": true, "typedef": true,
-}
 
 // IsTypeName reports whether name begins a type in this C subset. size_t and
 // ssize_t are treated as built-in typedefs since string code uses them

@@ -56,10 +56,10 @@ const (
 // null pointer, or a string-literal object.
 type Operand struct {
 	Kind OperandKind
+	Ty   Ty
 	Reg  int   // for KReg
 	Imm  int64 // for KConst
 	Str  int   // for KStr: index into Func.StrLits
-	Ty   Ty
 }
 
 // OperandKind discriminates Operand.
@@ -102,8 +102,8 @@ func (o Operand) String() string {
 // Instr is a single IR instruction.
 type Instr struct {
 	Op     Op
-	Res    int // destination register, -1 when none
 	Ty     Ty  // type of Res
+	Res    int // destination register, -1 when none
 	Sub    string
 	Args   []Operand
 	Blocks []*Block // branch targets, or phi incoming blocks
@@ -167,46 +167,6 @@ func (f *Func) NewReg() int {
 	r := f.NumRegs
 	f.NumRegs++
 	return r
-}
-
-// RemoveUnreachable drops blocks not reachable from the entry and fixes up
-// phi nodes.
-func (f *Func) RemoveUnreachable() {
-	reach := map[*Block]bool{}
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if reach[b] {
-			return
-		}
-		reach[b] = true
-		for _, s := range b.Succs() {
-			walk(s)
-		}
-	}
-	walk(f.Entry())
-	var kept []*Block
-	for _, b := range f.Blocks {
-		if reach[b] {
-			kept = append(kept, b)
-		}
-	}
-	f.Blocks = kept
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op != OpPhi {
-				continue
-			}
-			var args []Operand
-			var blocks []*Block
-			for i, pb := range in.Blocks {
-				if reach[pb] {
-					args = append(args, in.Args[i])
-					blocks = append(blocks, pb)
-				}
-			}
-			in.Args, in.Blocks = args, blocks
-		}
-	}
 }
 
 // String renders the function as readable IR text.

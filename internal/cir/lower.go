@@ -19,9 +19,22 @@ func LowerFunc(fn *cc.FuncDecl, file *cc.File) (f *Func, err error) {
 			panic(r)
 		}
 	}()
-	lo := &lowerer{file: file, f: &Func{Name: fn.Name}}
+	lo := &lowerer{
+		file:     file,
+		f:        &Func{Name: fn.Name, Blocks: make([]*Block, 0, 16)},
+		names:    map[string]int{},
+		bindings: make([]binding, 0, 8),
+		scopes:   make([]int, 0, 8),
+		// A corpus loop lowers to 26 instructions with 30 operands in 7
+		// blocks (the median; the largest, to 60, 68 and 16).
+		instrs:  slab[Instr]{size: 16},
+		blocks:  slab[Block]{size: 8},
+		ops:     slab[Operand]{size: 32},
+		targets: slab[*Block]{size: 16},
+		lists:   slab[*Instr]{size: 8 * blockCap},
+	}
 	lo.lower(fn)
-	lo.f.RemoveUnreachable()
+	lo.dropUnreachable()
 	return lo.f, nil
 }
 
@@ -50,16 +63,58 @@ type local struct {
 	ty   cc.Type
 }
 
-type lowerer struct {
-	file   *cc.File
-	f      *Func
-	retTy  cc.Type
-	cur    *Block
-	scopes []map[string]local
-	breaks []*Block
-	conts  []*Block
-	labels map[string]*Block
+// binding is one declaration of a name: the local it names and the
+// binding of the same name it hides (-1 if none).
+type binding struct {
+	name   string
+	l      local
+	hidden int
 }
+
+type lowerer struct {
+	file  *cc.File
+	f     *Func
+	retTy cc.Type
+	cur   *Block
+	// The names in scope: names maps each to its innermost binding, and
+	// scopes holds the index in bindings where each open scope begins.
+	names    map[string]int
+	bindings []binding
+	scopes   []int
+	breaks   []*Block
+	conts    []*Block
+	labels   map[string]*Block
+
+	// The IR is carved from slabs (see slab).
+	instrs  slab[Instr]
+	blocks  slab[Block]
+	ops     slab[Operand]
+	targets slab[*Block]
+	lists   slab[*Instr]
+}
+
+// slab hands out slices carved from chunks of a fixed size, so that
+// lowering makes one allocation per chunk rather than one per instruction,
+// block or operand list, and wastes less than a chunk. Every slice is
+// capped at its length, so appending to it (as Mem2Reg appends phis)
+// copies it rather than overwriting the next one.
+type slab[T any] struct {
+	free []T
+	size int // elements in a chunk
+}
+
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.free = make([]T, max(n, s.size))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// blockCap is the room for instructions a new block gets from its slab; a
+// longer block grows its list on the heap.
+const blockCap = 8
 
 // typed couples an operand with its C type (the IR is width-poor; C types
 // carry signedness and pointee information needed during lowering).
@@ -76,15 +131,27 @@ func irTy(t cc.Type) Ty {
 }
 
 func (lo *lowerer) newBlock(name string) *Block {
-	b := &Block{ID: len(lo.f.Blocks), Name: name}
+	b := &lo.blocks.take(1)[0]
+	b.ID, b.Name, b.Instrs = len(lo.f.Blocks), name, lo.lists.take(blockCap)[:0]
 	lo.f.Blocks = append(lo.f.Blocks, b)
 	return b
+}
+
+// instr returns a new instruction with no result and a copy of args.
+func (lo *lowerer) instr(op Op, sub string, args ...Operand) *Instr {
+	in := &lo.instrs.take(1)[0]
+	in.Op, in.Res, in.Sub = op, -1, sub
+	if len(args) > 0 {
+		in.Args = lo.ops.take(len(args))
+		copy(in.Args, args)
+	}
+	return in
 }
 
 func (lo *lowerer) emit(in *Instr) *Instr {
 	if lo.cur.Term() != nil {
 		// Dead code after a terminator: emit into a fresh unreachable block
-		// so lowering stays simple; RemoveUnreachable will drop it.
+		// so lowering stays simple; dropUnreachable will drop it.
 		lo.cur = lo.newBlock("dead")
 	}
 	lo.cur.Instrs = append(lo.cur.Instrs, in)
@@ -92,47 +159,103 @@ func (lo *lowerer) emit(in *Instr) *Instr {
 }
 
 func (lo *lowerer) emitRes(op Op, ty Ty, sub string, args ...Operand) Operand {
-	r := lo.f.NewReg()
-	lo.emit(&Instr{Op: op, Res: r, Ty: ty, Sub: sub, Args: args})
-	return Reg(r, ty)
+	in := lo.instr(op, sub, args...)
+	in.Res, in.Ty = lo.f.NewReg(), ty
+	lo.emit(in)
+	return Reg(in.Res, ty)
+}
+
+// emitStore emits a store of v to the address addr.
+func (lo *lowerer) emitStore(sub string, v, addr Operand) {
+	lo.emit(lo.instr(OpStore, sub, v, addr))
 }
 
 func (lo *lowerer) br(target *Block) {
 	if lo.cur.Term() == nil {
-		lo.cur.Instrs = append(lo.cur.Instrs, &Instr{Op: OpBr, Res: -1, Blocks: []*Block{target}})
+		in := lo.instr(OpBr, "")
+		in.Blocks = lo.targets.take(1)
+		in.Blocks[0] = target
+		lo.cur.Instrs = append(lo.cur.Instrs, in)
 	}
 }
 
 func (lo *lowerer) condBr(cond Operand, then, els *Block) {
 	if lo.cur.Term() == nil {
-		lo.cur.Instrs = append(lo.cur.Instrs, &Instr{Op: OpCondBr, Res: -1, Args: []Operand{cond}, Blocks: []*Block{then, els}})
+		in := lo.instr(OpCondBr, "", cond)
+		in.Blocks = lo.targets.take(2)
+		in.Blocks[0], in.Blocks[1] = then, els
+		lo.cur.Instrs = append(lo.cur.Instrs, in)
 	}
 }
 
-func (lo *lowerer) pushScope() { lo.scopes = append(lo.scopes, map[string]local{}) }
-func (lo *lowerer) popScope()  { lo.scopes = lo.scopes[:len(lo.scopes)-1] }
+func (lo *lowerer) pushScope() { lo.scopes = append(lo.scopes, len(lo.bindings)) }
+
+// popScope closes the innermost scope, uncovering the bindings its own
+// hid.
+func (lo *lowerer) popScope() {
+	start := lo.scopes[len(lo.scopes)-1]
+	lo.scopes = lo.scopes[:len(lo.scopes)-1]
+	for i := len(lo.bindings) - 1; i >= start; i-- {
+		if b := lo.bindings[i]; b.hidden < 0 {
+			delete(lo.names, b.name)
+		} else {
+			lo.names[b.name] = b.hidden
+		}
+	}
+	lo.bindings = lo.bindings[:start]
+}
 
 func (lo *lowerer) lookup(name string) (local, bool) {
-	for i := len(lo.scopes) - 1; i >= 0; i-- {
-		if l, ok := lo.scopes[i][name]; ok {
-			return l, true
-		}
+	if i, ok := lo.names[name]; ok {
+		return lo.bindings[i].l, true
 	}
 	return local{}, false
 }
 
 func (lo *lowerer) declare(name string, ty cc.Type) local {
-	slot := lo.f.NewReg()
-	in := &Instr{Op: OpAlloca, Res: slot, Ty: TyPtr}
+	in := lo.instr(OpAlloca, "")
+	in.Res, in.Ty = lo.f.NewReg(), TyPtr
 	if strings.HasPrefix(name, "$") {
 		// Compiler-generated temporary (short-circuit/ternary slots): not a
 		// source variable, exempt from the §3.3 live-variable conditions.
 		in.Sub = "tmp"
 	}
 	lo.emit(in)
-	l := local{slot: slot, ty: ty}
-	lo.scopes[len(lo.scopes)-1][name] = l
+	l := local{slot: in.Res, ty: ty}
+	hidden, ok := lo.names[name]
+	if !ok {
+		hidden = -1
+	}
+	lo.names[name] = len(lo.bindings)
+	lo.bindings = append(lo.bindings, binding{name, l, hidden})
 	return l
+}
+
+// dropUnreachable removes the blocks the entry does not reach. Lowering
+// numbers blocks by their index and makes no phis, so a slice indexed by
+// block ID marks the reached ones and no phi needs fixing.
+func (lo *lowerer) dropUnreachable() {
+	f := lo.f
+	reached := make([]bool, len(f.Blocks))
+	reached[0] = true
+	stack := append(make([]*Block, 0, len(f.Blocks)), f.Entry())
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Succs() {
+			if !reached[s.ID] {
+				reached[s.ID] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	kept := f.Blocks[:0]
+	for _, b := range f.Blocks {
+		if reached[b.ID] {
+			kept = append(kept, b)
+		}
+	}
+	f.Blocks = kept
 }
 
 func loadSub(t cc.Type) string {
@@ -156,7 +279,6 @@ func storeSub(t cc.Type) string {
 }
 
 func (lo *lowerer) lower(fn *cc.FuncDecl) {
-	lo.labels = map[string]*Block{}
 	lo.retTy = fn.Ret
 	lo.cur = lo.newBlock("entry")
 	lo.pushScope()
@@ -164,17 +286,17 @@ func (lo *lowerer) lower(fn *cc.FuncDecl) {
 		reg := lo.f.NewReg()
 		lo.f.Params = append(lo.f.Params, FuncParam{Name: p.Name, Ty: irTy(p.Type), Reg: reg})
 		l := lo.declare(p.Name, p.Type)
-		lo.emit(&Instr{Op: OpStore, Res: -1, Sub: slotSub(p.Type), Args: []Operand{Reg(reg, irTy(p.Type)), Reg(l.slot, TyPtr)}})
+		lo.emitStore(slotSub(p.Type), Reg(reg, irTy(p.Type)), Reg(l.slot, TyPtr))
 	}
 	lo.lowerStmt(fn.Body)
 	// Implicit return at the end of the function.
 	if lo.cur.Term() == nil {
 		if fn.Ret.Base == cc.TyVoid && !fn.Ret.IsPointer() {
-			lo.emit(&Instr{Op: OpRet, Res: -1})
+			lo.emit(lo.instr(OpRet, ""))
 		} else if fn.Ret.IsPointer() {
-			lo.emit(&Instr{Op: OpRet, Res: -1, Args: []Operand{NullOp()}})
+			lo.emit(lo.instr(OpRet, "", NullOp()))
 		} else {
-			lo.emit(&Instr{Op: OpRet, Res: -1, Args: []Operand{ConstOp(0)}})
+			lo.emit(lo.instr(OpRet, "", ConstOp(0)))
 		}
 	}
 	lo.popScope()
@@ -204,7 +326,7 @@ func (lo *lowerer) lowerStmt(s cc.Stmt) {
 			if d.Init != nil {
 				v := lo.rvalue(d.Init)
 				v = lo.convert(v, d.Type)
-				lo.emit(&Instr{Op: OpStore, Res: -1, Sub: slotSub(d.Type), Args: []Operand{v.op, Reg(l.slot, TyPtr)}})
+				lo.emitStore(slotSub(d.Type), v.op, Reg(l.slot, TyPtr))
 			}
 		}
 	case *cc.ExprStmt:
@@ -286,10 +408,10 @@ func (lo *lowerer) lowerStmt(s cc.Stmt) {
 		lo.popScope()
 	case *cc.Return:
 		if st.X == nil {
-			lo.emit(&Instr{Op: OpRet, Res: -1})
+			lo.emit(lo.instr(OpRet, ""))
 		} else {
 			v := lo.convert(lo.rvalue(st.X), lo.retTy)
-			lo.emit(&Instr{Op: OpRet, Res: -1, Args: []Operand{v.op}})
+			lo.emit(lo.instr(OpRet, "", v.op))
 		}
 	case *cc.Break:
 		if len(lo.breaks) == 0 {
@@ -319,6 +441,9 @@ func (lo *lowerer) lowerStmt(s cc.Stmt) {
 func (lo *lowerer) labelBlock(name string) *Block {
 	if b, ok := lo.labels[name]; ok {
 		return b
+	}
+	if lo.labels == nil {
+		lo.labels = map[string]*Block{}
 	}
 	b := lo.newBlock("label." + name)
 	lo.labels[name] = b
@@ -467,7 +592,7 @@ func (lo *lowerer) storePlace(p place, v typed) {
 	default:
 		sub = storeSub(p.ty)
 	}
-	lo.emit(&Instr{Op: OpStore, Res: -1, Sub: sub, Args: []Operand{v.op, p.addr}})
+	lo.emitStore(sub, v.op, p.addr)
 }
 
 // rvalue lowers an expression for its value.
@@ -650,10 +775,7 @@ func (lo *lowerer) lowerBinary(x *cc.Binary) typed {
 		res := lo.emitRes(OpBin, TyI32, "sub", l.op, r.op)
 		return typed{res, arith(l.ty, r.ty)}
 	case "*", "/", "%", "&", "|", "^", "<<", ">>":
-		sub := map[string]string{
-			"*": "mul", "/": "div", "%": "rem", "&": "and", "|": "or",
-			"^": "xor", "<<": "shl", ">>": "shr",
-		}[x.Op]
+		sub := binSub(x.Op)
 		if x.Op == ">>" && !l.ty.Unsigned {
 			sub = "sar"
 		}
@@ -662,6 +784,34 @@ func (lo *lowerer) lowerBinary(x *cc.Binary) typed {
 	}
 	fail("unsupported binary operator %q", x.Op)
 	return typed{}
+}
+
+// binSub returns the OpBin operation of the C arithmetic operator op, or ""
+// if it has none.
+func binSub(op string) string {
+	switch op {
+	case "+":
+		return "add"
+	case "-":
+		return "sub"
+	case "*":
+		return "mul"
+	case "/":
+		return "div"
+	case "%":
+		return "rem"
+	case "&":
+		return "and"
+	case "|":
+		return "or"
+	case "^":
+		return "xor"
+	case "<<":
+		return "shl"
+	case ">>":
+		return "shr"
+	}
+	return ""
 }
 
 // arith computes the usual-arithmetic-conversion result type (only
@@ -741,12 +891,12 @@ func (lo *lowerer) lowerShortCircuit(x *cc.Binary) typed {
 	if x.Op == "||" {
 		shortVal = 1
 	}
-	lo.emit(&Instr{Op: OpStore, Res: -1, Sub: "4", Args: []Operand{ConstOp(shortVal), Reg(tmp.slot, TyPtr)}})
+	lo.emitStore("4", ConstOp(shortVal), Reg(tmp.slot, TyPtr))
 	lo.br(join)
 
 	lo.cur = rhs
 	r := lo.truth(lo.rvalue(x.R))
-	lo.emit(&Instr{Op: OpStore, Res: -1, Sub: "4", Args: []Operand{r.op, Reg(tmp.slot, TyPtr)}})
+	lo.emitStore("4", r.op, Reg(tmp.slot, TyPtr))
 	lo.br(join)
 
 	lo.cur = join
@@ -809,10 +959,7 @@ func (lo *lowerer) lowerAssign(x *cc.Assign) typed {
 			fail("unsupported pointer compound assignment %q", x.Op)
 		}
 	} else {
-		sub := map[string]string{
-			"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "rem",
-			"&": "and", "|": "or", "^": "xor", "<<": "shl", ">>": "shr",
-		}[op]
+		sub := binSub(op)
 		if sub == "" {
 			fail("unsupported compound assignment %q", x.Op)
 		}
@@ -827,14 +974,17 @@ func (lo *lowerer) lowerAssign(x *cc.Assign) typed {
 }
 
 func (lo *lowerer) lowerCall(x *cc.Call) typed {
-	var args []Operand
-	for _, a := range x.Args {
-		v := lo.rvalue(a)
-		args = append(args, v.op)
-	}
 	ret := callRetType(x.Name, lo.file)
-	r := lo.emitRes(OpCall, irTy(ret), x.Name, args...)
-	return typed{r, ret}
+	in := lo.instr(OpCall, x.Name)
+	if len(x.Args) > 0 {
+		in.Args = lo.ops.take(len(x.Args))
+		for i, a := range x.Args {
+			in.Args[i] = lo.rvalue(a).op
+		}
+	}
+	in.Res, in.Ty = lo.f.NewReg(), irTy(ret)
+	lo.emit(in)
+	return typed{Reg(in.Res, in.Ty), ret}
 }
 
 // knownCallRets lists the return types of external functions the corpus
