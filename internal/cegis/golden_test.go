@@ -35,6 +35,9 @@ func TestSearchWorkIsPinned(t *testing.T) {
 		{"grep/stride", false, "", Stats{772, 426, 267, 3, 3}, 0, 296},
 		{"tar/break_nl_slash", true, "B\n/\x00F", Stats{226, 99, 111, 5, 4}, 33, 704},
 		{"wget/find_amp_eq", true, "N&=\x00F", Stats{238, 99, 123, 7, 6}, 46, 1102},
+		// A leading reverse, and rawmemchr.
+		{"bash/trim_slashes", true, "VP/\x00F", Stats{671, 342, 251, 4, 3}, 17, 971},
+		{"git/scan_newline", true, "M\nF", Stats{7, 5, 2, 3, 2}, 12, 87},
 	}
 	loops := map[string]loopdb.Loop{}
 	for _, l := range loopdb.Corpus() {
