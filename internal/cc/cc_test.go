@@ -662,6 +662,24 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestMacroErrorsNameTheUse: an error at a token a macro's body produced
+// names the place of the macro's use, as gcc does, not the #define line. A
+// token an argument supplied keeps its own place, and a use inside another
+// macro's body names the outermost use.
+func TestMacroErrorsNameTheUse(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"#define X )\nint f(void) {\n  return X;\n}", `cc: 3:10: unexpected token ")"`},
+		{"#define Y(a) (a +)\nint f(char *s) {\n  return Y(s);\n}", `cc: 3:10: unexpected token ")"`},
+		{"#define Y(a) a\nint f(int s) {\n  return Y(s s);\n}", `cc: 3:14: expected ";", found "s"`},
+		{"#define Z(a) W(a\n#define W(a) a\nint f(char *s) {\n  return Z(s);\n}", "cc: unterminated macro invocation at 4:10"},
+		{"#define V )\n#define U(a) a V\nint f(char *s) {\n  return U(s);\n}", `cc: 4:10: expected ";", found ")"`},
+	} {
+		if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
 func TestTypeHelpers(t *testing.T) {
 	ty := Type{Base: TyChar, Ptr: 1}
 	if !ty.IsPointer() {

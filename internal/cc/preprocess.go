@@ -66,7 +66,11 @@ func Preprocess(src string) ([]Token, error) {
 	out := make([]Token, 0, total)
 	for _, run := range runs {
 		for _, t := range run {
-			out = append(out, *t.Token)
+			tok := *t.Token
+			if t.use != nil {
+				tok.Line, tok.Col = t.use.Line, t.use.Col
+			}
+			out = append(out, tok)
 		}
 	}
 	return out, nil
@@ -282,10 +286,22 @@ func (h *hideSet) union(o *hideSet) *hideSet {
 
 // ptok is a token under expansion with its hide set. It points at the
 // token, in the lexed source or a macro body, so that the expander's copies
-// of the stream take a few bytes a token.
+// of the stream take a few bytes a token. A token from a macro body takes
+// its position from use, the source token of the outermost macro use that
+// produced it, so that errors name the use, as gcc does, and not the
+// #define line; use is nil for a token of the source itself.
 type ptok struct {
 	*Token
 	hide *hideSet
+	use  *Token
+}
+
+// Pos formats the token's position, at its macro use if it has one.
+func (t ptok) Pos() string {
+	if t.use != nil {
+		return t.use.Pos()
+	}
+	return t.Token.Pos()
 }
 
 // expand fully macro-replaces in (Prosser's algorithm), reusing in. A macro
@@ -328,8 +344,12 @@ func (e *expander) expand(in []ptok) ([]ptok, error) {
 		if t.hide.size() >= maxExpansionDepth {
 			return nil, fmt.Errorf("%w: macros nested more than %d deep", ErrExpansionTooLarge, maxExpansionDepth)
 		}
+		use := t.use
+		if use == nil {
+			use = t.Token
+		}
 		var err error
-		if stack, err = e.subst(stack, m, args, t.hide.add(m.name)); err != nil {
+		if stack, err = e.subst(stack, m, args, t.hide.add(m.name), use); err != nil {
 			return nil, err
 		}
 	}
@@ -338,13 +358,14 @@ func (e *expander) expand(in []ptok) ([]ptok, error) {
 
 // subst pushes m's replacement list onto stack, last token first, with each
 // parameter replaced by its fully expanded argument and hide added to every
-// token's hide set.
-func (e *expander) subst(stack []ptok, m *macro, args [][]ptok, hide *hideSet) ([]ptok, error) {
+// token's hide set. The body's own tokens are placed at use; an argument's
+// tokens keep their places.
+func (e *expander) subst(stack []ptok, m *macro, args [][]ptok, hide *hideSet, use *Token) ([]ptok, error) {
 	expanded := make([][]ptok, len(args))
 	for i := len(m.body) - 1; i >= 0 && e.budget >= 0; i-- {
 		p := slices.Index(m.params, m.body[i].Text)
 		if m.body[i].Kind != TIdent || p < 0 {
-			stack = append(stack, ptok{&m.body[i], hide})
+			stack = append(stack, ptok{&m.body[i], hide, use})
 			e.budget--
 			continue
 		}
@@ -357,7 +378,7 @@ func (e *expander) subst(stack []ptok, m *macro, args [][]ptok, hide *hideSet) (
 		}
 		for j := len(expanded[p]) - 1; j >= 0; j-- {
 			t := expanded[p][j]
-			stack = append(stack, ptok{t.Token, t.hide.union(hide)})
+			stack = append(stack, ptok{t.Token, t.hide.union(hide), t.use})
 			e.budget -= 1 + t.hide.size()
 		}
 	}

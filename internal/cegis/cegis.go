@@ -140,9 +140,14 @@ type Synthesizer struct {
 	last    vocab.SymRun       // the final instruction's scratch run
 	outs    []vocab.SymOutcome // its outcomes
 
-	// Skeleton set-up without per-skeleton allocation: argTab[i][j] is the
-	// variable arg<i>_<j>, and symbolize fills symProg and symVars in place.
-	argTab  [][]*bv.Term
+	// shapes is the vocabulary's instruction shapes, the alphabet of
+	// enumerate (shapeTable).
+	shapes []sizedShape
+
+	// Skeleton set-up without per-skeleton allocation: argTab[i] holds the
+	// variables of instruction i, and symbolize fills symProg and symVars in
+	// place.
+	argTab  []argRow
 	symProg vocab.SymProgram
 	symVars []*bv.Term
 
@@ -150,6 +155,14 @@ type Synthesizer struct {
 	// matches, and the argument constraints followed by those matches.
 	matches     []*bv.Bool
 	constraints []*bv.Bool
+}
+
+// argRow holds the argument variables arg<i>_<j> of instruction i and
+// solveArgs' constraints on them, each constraint built on first use:
+// nonNul[j] is arg<i>_<j> != 0 and below[j] is arg<i>_<j> < arg<i>_<j+1>.
+type argRow struct {
+	vars          []*bv.Term
+	nonNul, below []*bv.Bool
 }
 
 // prefixLevel holds the runs of every counterexample through one prefix.
@@ -167,7 +180,8 @@ func New(loop *cir.Func, opts Options) (*Synthesizer, error) {
 	// below charge forks and conflicts to opts.Budget but no nodes.
 	eng := opts.Pipeline.NewEngine(nil)
 	eng.Budget = opts.Budget
-	s := &Synthesizer{opts: opts, loop: loop, bvin: eng.In, cache: eng.Cache, budget: opts.Budget}
+	s := &Synthesizer{opts: opts, loop: loop, bvin: eng.In, cache: eng.Cache, budget: opts.Budget,
+		shapes: shapeTable(opts)}
 	if len(loop.Params) != 1 || loop.Params[0].Ty != cir.TyPtr {
 		return nil, fmt.Errorf("cegis: %s does not have the loopFunction signature", loop.Name)
 	}
@@ -325,15 +339,34 @@ type shape struct {
 	argLen int
 }
 
-func (sh shape) size() int {
-	switch {
-	case sh.op.TakesChar():
-		return 2
-	case sh.op.TakesSet():
-		return 2 + sh.argLen
-	default:
-		return 1
+// sizedShape is a shape with its encoded size.
+type sizedShape struct {
+	shape
+	size int
+}
+
+// shapeTable lists every shape the options admit, in vocab.Ops order with
+// argument lengths ascending: one for each argument-free opcode, one of
+// argument length 1 for each character opcode, and one for each set length
+// from 1 to MaxSetLen for each set opcode.
+func shapeTable(opts Options) []sizedShape {
+	var out []sizedShape
+	for _, op := range vocab.Ops {
+		if !opts.Vocabulary.Contains(op) {
+			continue
+		}
+		switch {
+		case op.TakesChar():
+			out = append(out, sizedShape{shape{op, 1}, 2})
+		case op.TakesSet():
+			for n := 1; n <= opts.MaxSetLen; n++ {
+				out = append(out, sizedShape{shape{op, n}, 2 + n})
+			}
+		default:
+			out = append(out, sizedShape{shape{op, 0}, 1})
+		}
 	}
+	return out
 }
 
 // enumerate yields every admissible skeleton with total encoded size exactly
@@ -353,27 +386,15 @@ func (s *Synthesizer) enumerate(remaining int, prefix []shape, yield func([]shap
 		}
 		return yield(prefix)
 	}
-	for _, op := range vocab.Ops {
-		if !s.opts.Vocabulary.Contains(op) {
+	for _, sh := range s.shapes {
+		if sh.size > remaining || sh.size == remaining && sh.op != vocab.OpReturn {
 			continue
 		}
-		lo, hi := 0, 0
-		if op.TakesChar() {
-			lo, hi = 1, 1
-		} else if op.TakesSet() {
-			lo, hi = 1, s.opts.MaxSetLen
+		if pruneShape(prefix, sh.shape) {
+			continue
 		}
-		for argLen := lo; argLen <= hi; argLen++ {
-			sh := shape{op: op, argLen: argLen}
-			if sz := sh.size(); sz > remaining || sz == remaining && op != vocab.OpReturn {
-				continue
-			}
-			if pruneShape(prefix, sh) {
-				continue
-			}
-			if err := s.enumerate(remaining-sh.size(), append(prefix, sh), yield); err != nil {
-				return err
-			}
+		if err := s.enumerate(remaining-sh.size, append(prefix, sh.shape), yield); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -493,14 +514,15 @@ func (s *Synthesizer) symbolize(skel []shape) (vocab.SymProgram, []*bv.Term) {
 // first use.
 func (s *Synthesizer) argVars(i, n int) []*bv.Term {
 	for len(s.argTab) <= i {
-		s.argTab = append(s.argTab, nil)
+		s.argTab = append(s.argTab, argRow{})
 	}
-	row := s.argTab[i]
-	for j := len(row); j < n; j++ {
-		row = append(row, s.bvin.Var(fmt.Sprintf("arg%d_%d", i, j), 8))
+	row := &s.argTab[i]
+	for j := len(row.vars); j < n; j++ {
+		row.vars = append(row.vars, s.bvin.Var(fmt.Sprintf("arg%d_%d", i, j), 8))
+		row.nonNul = append(row.nonNul, nil)
+		row.below = append(row.below, nil)
 	}
-	s.argTab[i] = row
-	return row[:n:n]
+	return row.vars[:n:n]
 }
 
 // concretize instantiates a skeleton with solved argument bytes (consumed in
@@ -543,15 +565,28 @@ func (s *Synthesizer) solveArgs(symProg vocab.SymProgram, argVars []*bv.Term) ([
 	}
 
 	// Arguments are non-NUL (the encoding terminates sets with NUL) and set
-	// members are strictly increasing, removing permutation symmetry.
+	// members are strictly increasing, removing permutation symmetry. Each
+	// constraint is built where it is first asked for and then read from its
+	// argRow, in the same order, so the interned nodes are those a rebuild
+	// in every call would give.
 	constraints := s.constraints[:0]
-	for _, v := range argVars {
-		constraints = append(constraints, bvin.Ne(v, bvin.Byte(0)))
+	for i, in := range symProg {
+		row := &s.argTab[i]
+		for j, v := range in.Arg {
+			if row.nonNul[j] == nil {
+				row.nonNul[j] = bvin.Ne(v, bvin.Byte(0))
+			}
+			constraints = append(constraints, row.nonNul[j])
+		}
 	}
-	for _, in := range symProg {
+	for i, in := range symProg {
 		if in.Op.TakesSet() {
+			row := &s.argTab[i]
 			for j := 0; j+1 < len(in.Arg); j++ {
-				constraints = append(constraints, bvin.Ult(in.Arg[j], in.Arg[j+1]))
+				if row.below[j] == nil {
+					row.below[j] = bvin.Ult(in.Arg[j], in.Arg[j+1])
+				}
+				constraints = append(constraints, row.below[j])
 			}
 		}
 	}

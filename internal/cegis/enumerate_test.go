@@ -12,7 +12,8 @@ import (
 // lengths in yield order.
 func walk(t *testing.T, opts Options, size int) (int, uint64) {
 	t.Helper()
-	s := &Synthesizer{opts: opts.withDefaults()}
+	opts = opts.withDefaults()
+	s := &Synthesizer{opts: opts, shapes: shapeTable(opts)}
 	h := fnv.New64()
 	n := 0
 	err := s.enumerate(size, nil, func(skel []shape) error {

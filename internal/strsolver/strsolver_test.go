@@ -179,10 +179,10 @@ func TestRawchrIsExhaustive(t *testing.T) {
 
 func TestSetContainsMeta(t *testing.T) {
 	set := concreteSet(tin, []byte{cstr.MetaDigit, 'x'})
-	s := Wrap(tin, nil)
 	for c := 0; c < 256; c++ {
 		want := cstr.MatchSet(byte(c), []byte{cstr.MetaDigit, 'x'})
-		got := s.contains(set, tin.Byte(byte(c))).Eval(nil)
+		s := Wrap(tin, []*bv.Term{tin.Byte(byte(c)), tin.Byte(0)})
+		got := s.contains(set, s.setNum(set), 0).Eval(nil)
 		if got != want {
 			t.Fatalf("Contains(%d) = %v, want %v", c, got, want)
 		}

@@ -100,21 +100,18 @@ func RunSymbolic(prog SymProgram, s *strsolver.SymString) []SymOutcome {
 }
 
 // SymRun is the state of a symbolic run after a prefix of a program: the live
-// configurations, the terminal results reached so far, and the reversed views
-// of the string that a leading reverse set up. Programs sharing a prefix can
-// share its run: StepInto never mutates its receiver, so one state can be
-// stepped into any number of suffixes (CEGIS keeps one per prefix depth and
-// counterexample, DESIGN.md §5). Stepping instruction by instruction builds
-// exactly the guards RunSymbolic builds, in the same order.
+// configurations and the terminal results reached so far. Programs sharing a
+// prefix can share its run: StepInto never mutates its receiver, so one state
+// can be stepped into any number of suffixes (CEGIS keeps one per prefix
+// depth and counterexample, DESIGN.md §5). Stepping instruction by
+// instruction builds exactly the guards RunSymbolic builds, in the same
+// order. A leading reverse runs over the string's reversed views, which the
+// string keeps (strsolver.SymString.Reversed).
 type SymRun struct {
 	s        *strsolver.SymString
 	pc       int // instructions stepped so far
 	live     guarded[config]
 	terminal guarded[Result]
-	// rev[n] is s reversed at strlen n, for each n the leading reverse
-	// admits. The reverse step allocates it; every run stepped from there
-	// shares it read-only.
-	rev []*strsolver.SymString
 }
 
 // NewSymRun returns the run of the empty prefix on s: one live configuration,
@@ -135,7 +132,7 @@ func (r *SymRun) StepInto(dst *SymRun, in SymInstr) {
 	s := r.s
 	bvin := s.Interner()
 	maxLen := s.MaxLen()
-	dst.s, dst.pc, dst.rev = s, r.pc+1, r.rev
+	dst.s, dst.pc = s, r.pc+1
 	dst.live.keys, dst.live.guards = dst.live.keys[:0], dst.live.guards[:0]
 	dst.terminal.keys = append(dst.terminal.keys[:0], r.terminal.keys...)
 	dst.terminal.guards = append(dst.terminal.guards[:0], r.terminal.guards...)
@@ -144,7 +141,7 @@ func (r *SymRun) StepInto(dst *SymRun, in SymInstr) {
 		if c.revN < 0 {
 			return s
 		}
-		return r.rev[c.revN]
+		return s.Reversed(c.revN)
 	}
 	capOf := func(c config) int {
 		if c.revN < 0 {
@@ -172,13 +169,8 @@ func (r *SymRun) StepInto(dst *SymRun, in SymInstr) {
 				continue
 			}
 			// At pc 0 there is exactly one live configuration.
-			dst.rev = make([]*strsolver.SymString, maxLen+1)
 			for n := 0; n <= maxLen; n++ {
-				ng := bvin.BAnd2(g, s.LenIs(n))
-				if ng != bv.False {
-					dst.rev[n] = reversedView(s, n)
-				}
-				addLive(config{kind: Ptr, off: 0, revN: n}, ng)
+				addLive(config{kind: Ptr, off: 0, revN: n}, bvin.BAnd2(g, s.LenIs(n)))
 			}
 		case OpRawmemchr:
 			if !strOK {
@@ -317,17 +309,6 @@ func (r *SymRun) AppendOutcomes(dst []SymOutcome) []SymOutcome {
 		dst[inv].Guard = r.s.Interner().BOr2(dst[inv].Guard, g)
 	}
 	return dst
-}
-
-// reversedView is s reversed at strlen n, NUL-terminated.
-func reversedView(s *strsolver.SymString, n int) *strsolver.SymString {
-	bvin := s.Interner()
-	bytes := make([]*bv.Term, n+1)
-	for i := 0; i < n; i++ {
-		bytes[i] = s.At(n - 1 - i)
-	}
-	bytes[n] = bvin.Byte(0)
-	return strsolver.Wrap(bvin, bytes)
 }
 
 // finishConfig maps a configuration's result back into the original buffer.

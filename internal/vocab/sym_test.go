@@ -40,15 +40,14 @@ func cloneRun(r *SymRun) SymRun {
 		pc:       r.pc,
 		live:     guarded[config]{keys: append([]config(nil), r.live.keys...), guards: append([]*bv.Bool(nil), r.live.guards...)},
 		terminal: guarded[Result]{keys: append([]Result(nil), r.terminal.keys...), guards: append([]*bv.Bool(nil), r.terminal.guards...)},
-		rev:      append([]*strsolver.SymString(nil), r.rev...),
 	}
 }
 
-// sameRunState reports whether two runs hold the same state, guards and
-// views compared by pointer.
+// sameRunState reports whether two runs hold the same state, guards
+// compared by pointer.
 func sameRunState(a, b *SymRun) bool {
 	if a.s != b.s || a.pc != b.pc || len(a.live.keys) != len(b.live.keys) ||
-		len(a.terminal.keys) != len(b.terminal.keys) || len(a.rev) != len(b.rev) {
+		len(a.terminal.keys) != len(b.terminal.keys) {
 		return false
 	}
 	for i := range a.live.keys {
@@ -58,11 +57,6 @@ func sameRunState(a, b *SymRun) bool {
 	}
 	for i := range a.terminal.keys {
 		if a.terminal.keys[i] != b.terminal.keys[i] || a.terminal.guards[i] != b.terminal.guards[i] {
-			return false
-		}
-	}
-	for i := range a.rev {
-		if a.rev[i] != b.rev[i] {
 			return false
 		}
 	}
